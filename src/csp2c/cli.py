@@ -5,8 +5,9 @@ Subcommands: parse (summarize an XCSP3 file), gen (emit C programs), solve
 against the solver), bench (run external tools over a benchmark matrix),
 report (rebuild tables/charts from a raw records CSV).
 
-Exit codes: 0 success/satisfiable/pass; 1 unsatisfiable or verification
-fail; 2 parse or usage error; 3 resource limit or partial verification.
+Exit codes: 0 success/satisfiable/pass; 1 unsatisfiable, verification
+fail, or a verify compiler or driver that fails or times out; 2 parse, usage
+or code generation error; 3 resource limit or partial verification.
 The CSP2C_CC environment variable sets the default C compiler template
 (default: "cc -O1 -o {out} {src}").
 """
@@ -34,7 +35,7 @@ from .verify import (
     VerifyStatus,
     default_compile_command,
     differential_check,
-    CompileError,
+    VerifyError,
 )
 from .xcsp import ParseFailure, parse_file
 
@@ -174,14 +175,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except CodegenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    manifest = os.path.join(args.out_dir, "gen_manifest.csv")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write("file,instance,version,dialect,statements,lines\n")
-        for row in rows:
-            fh.write(
-                f"{row['file']},{row['instance']},{row['version']},"
-                f"{row['dialect']},{row['statements']},{row['lines']}\n"
-            )
+    fields = ["file", "instance", "version", "dialect", "statements", "lines"]
+    harness.write_csv(
+        os.path.join(args.out_dir, "gen_manifest.csv"),
+        fields,
+        ([row[k] for k in fields] for row in rows),
+    )
     if args.machine:
         for row in rows:
             print(json.dumps(row))
@@ -236,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             bound=args.bound,
             workers=args.workers,
         )
-    except CompileError as exc:
+    except VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if args.machine:
@@ -284,15 +283,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if csp is None:
             return EXIT_PARSE
         family = Family(inst.family)
-        versions = _parse_versions(args.versions, family)
         labels = []
-        for v in versions:
-            for dialect in dialects:
-                program = transform(csp, version_to_spec(family, v, Dialect(dialect)))
-                path = os.path.join(src_dir, output_filename(program))
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(program.source_text)
-            labels.append(version_to_spec(family, v).version_label)
+        try:
+            for v in _parse_versions(args.versions, family):
+                for dialect in dialects:
+                    program = transform(csp, version_to_spec(family, v, Dialect(dialect)))
+                    path = os.path.join(src_dir, output_filename(program))
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(program.source_text)
+                labels.append(version_to_spec(family, v).version_label)
+        except (CodegenError, argparse.ArgumentTypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         labels_by_family[inst.family] = labels
 
     records = harness.run_matrix(
@@ -304,14 +306,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         allow_parallel_timings=args.allow_parallel_timings,
     )
     sizes = {inst.instance_id: inst.size for inst in instances}
-    report = harness.build_report(records, sizes)
-    written = harness.emit_csv(report, args.out_dir)
-    written += charts.emit_svg(report, args.out_dir)
-    for path in written:
-        print(f"wrote {path}")
-    for flag in report.flags:
-        print(f"note: {flag}")
-    return EXIT_OK
+    return _write_report(records, sizes, args.out_dir)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -322,9 +317,16 @@ def cmd_report(args: argparse.Namespace) -> int:
             inst.instance_id: inst.size
             for inst in harness.load_instance_manifest(args.instances)
         }
+    return _write_report(records, sizes, args.out_dir)
+
+
+def _write_report(
+    records: list[harness.RunRecord], sizes: dict[str, int] | None, out_dir: str
+) -> int:
+    """Build the report tables, write them as CSV and SVG, list what was written."""
     report = harness.build_report(records, sizes)
-    written = harness.emit_csv(report, args.out_dir)
-    written += charts.emit_svg(report, args.out_dir)
+    written = harness.emit_csv(report, out_dir)
+    written += charts.emit_svg(report, out_dir)
     for path in written:
         print(f"wrote {path}")
     for flag in report.flags:

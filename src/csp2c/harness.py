@@ -13,6 +13,7 @@ timings must be requested explicitly and get stamped as indicative.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -23,10 +24,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 DEFAULT_TIMEOUT_S = 1000.0
-KILL_GRACE_S = 5.0
+KILL_GRACE_S = 2.0
 
 
 class HarnessError(Exception):
@@ -164,7 +165,7 @@ def _run_with_timeout(command: str, timeout_s: float) -> tuple[int | None, str, 
 
     Returns (returncode or None on spawn failure, combined output, wallclock,
     timed_out). On timeout the process group gets SIGTERM, then SIGKILL
-    after a short grace.
+    after KILL_GRACE_S.
     """
     argv = shlex.split(command)
     start = time.monotonic()
@@ -184,7 +185,7 @@ def _run_with_timeout(command: str, timeout_s: float) -> tuple[int | None, str, 
     except subprocess.TimeoutExpired:
         _signal_group(proc.pid, signal.SIGTERM)
         try:
-            output, _ = proc.communicate(timeout=2.0)
+            output, _ = proc.communicate(timeout=KILL_GRACE_S)
         except subprocess.TimeoutExpired:
             _signal_group(proc.pid, signal.SIGKILL)
             output, _ = proc.communicate()
@@ -212,32 +213,32 @@ def _classify(
 
 
 def _execute(tool: ToolSpec, src: str, note: str = "") -> RunRecord:
-    """Run one tool invocation; instance/version are filled in by the caller."""
+    """Run one tool invocation; instance/version are filled in by the caller.
+
+    The prepare and run steps share one deadline, `timeout_s` after the
+    job starts; the recorded wallclock is the run step's.
+    """
     scratch = src + ".out"
     bitcode = os.path.splitext(src)[0] + ".bc"
     subs = {"src": src, "bitcode": bitcode, "out": scratch}
+    deadline = time.monotonic() + tool.timeout_s
+
+    def record(outcome: Outcome, wall: float) -> RunRecord:
+        return RunRecord(
+            tool=tool.name, instance="", version="", outcome=outcome, wallclock_s=wall, note=note
+        )
+
     if tool.prepare:
         rc, output, wall, timed_out = _run_with_timeout(
             tool.prepare.format(**subs), tool.timeout_s
         )
-        if timed_out or rc is None or rc != 0:
-            return RunRecord(
-                tool=tool.name,
-                instance="",
-                version="",
-                outcome=Outcome.TIMEOUT if timed_out else Outcome.TOOL_ERROR,
-                wallclock_s=wall,
-                note=note,
-            )
-    rc, output, wall, timed_out = _run_with_timeout(tool.run.format(**subs), tool.timeout_s)
-    return RunRecord(
-        tool=tool.name,
-        instance="",
-        version="",
-        outcome=_classify(rc, output, timed_out, tool.success_pattern),
-        wallclock_s=wall,
-        note=note,
-    )
+        if timed_out or rc != 0:
+            return record(Outcome.TIMEOUT if timed_out else Outcome.TOOL_ERROR, wall)
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return record(Outcome.TIMEOUT, 0.0)
+    rc, output, wall, timed_out = _run_with_timeout(tool.run.format(**subs), remaining)
+    return record(_classify(rc, output, timed_out, tool.success_pattern), wall)
 
 
 def source_path(source_dir: str, instance_id: str, version_label: str, dialect: str) -> str:
@@ -414,62 +415,76 @@ def build_report(
 # CSV emission
 # ---------------------------------------------------------------------------
 
-RAW_CSV_HEADER = "tool,instance,version,outcome,wallclock_s,normalized"
-ROBUSTNESS_CSV_HEADER = "tool,version,mean_normalized,timeouts,n"
-SCALABILITY_CSV_HEADER = "tool,size_index,timeouts"
+RAW_CSV_FIELDS = ["tool", "instance", "version", "outcome", "wallclock_s", "normalized", "note"]
+ROBUSTNESS_CSV_FIELDS = ["tool", "version", "mean_normalized", "timeouts", "n"]
+SCALABILITY_CSV_FIELDS = ["tool", "size_index", "timeouts"]
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write one CSV file; None becomes an empty cell and a float its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit_csv(report: Report, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
     raw_path = os.path.join(out_dir, "raw.csv")
-    with open(raw_path, "w", encoding="utf-8") as fh:
-        fh.write(RAW_CSV_HEADER + "\n")
-        for r in report.records:
-            normalized = "" if r.normalized is None else f"{r.normalized:.6f}"
-            fh.write(
-                f"{r.tool},{r.instance},{r.version},{r.outcome.value},"
-                f"{r.wallclock_s:.6f},{normalized}\n"
-            )
-    written.append(raw_path)
-
+    write_csv(
+        raw_path,
+        RAW_CSV_FIELDS,
+        (
+            (r.tool, r.instance, r.version, r.outcome.value, r.wallclock_s, r.normalized, r.note)
+            for r in report.records
+        ),
+    )
     rob_path = os.path.join(out_dir, "robustness.csv")
-    with open(rob_path, "w", encoding="utf-8") as fh:
-        fh.write(ROBUSTNESS_CSV_HEADER + "\n")
-        for row in report.robustness:
-            mean = "" if row.mean_normalized is None else f"{row.mean_normalized:.6f}"
-            fh.write(f"{row.tool},{row.version},{mean},{row.timeouts},{row.n}\n")
-    written.append(rob_path)
-
+    write_csv(
+        rob_path,
+        ROBUSTNESS_CSV_FIELDS,
+        (
+            (
+                row.tool,
+                row.version,
+                None if row.mean_normalized is None else format(row.mean_normalized, ".6f"),
+                row.timeouts,
+                row.n,
+            )
+            for row in report.robustness
+        ),
+    )
     scal_path = os.path.join(out_dir, "scalability.csv")
-    with open(scal_path, "w", encoding="utf-8") as fh:
-        fh.write(SCALABILITY_CSV_HEADER + "\n")
-        for row in report.scalability:
-            fh.write(f"{row.tool},{row.size_index},{row.timeouts}\n")
-    written.append(scal_path)
-    return written
+    write_csv(
+        scal_path,
+        SCALABILITY_CSV_FIELDS,
+        ((row.tool, row.size_index, row.timeouts) for row in report.scalability),
+    )
+    return [raw_path, rob_path, scal_path]
 
 
 def load_records_csv(path: str) -> list[RunRecord]:
+    """Read a raw.csv written by emit_csv; files from before the note column
+    was added load with empty notes."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != RAW_CSV_HEADER:
-            raise HarnessError(f"unexpected raw CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            tool, instance, version, outcome, wall, normalized = line.split(",")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames not in (RAW_CSV_FIELDS, RAW_CSV_FIELDS[:-1]):
+            raise HarnessError(f"unexpected raw CSV header: {reader.fieldnames!r}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise HarnessError(
+                    f"{path}:{reader.line_num}: expected {len(reader.fieldnames)} fields"
+                )
             records.append(
                 RunRecord(
-                    tool=tool,
-                    instance=instance,
-                    version=version,
-                    outcome=Outcome(outcome),
-                    wallclock_s=float(wall),
-                    normalized=float(normalized) if normalized else None,
+                    tool=row["tool"],
+                    instance=row["instance"],
+                    version=row["version"],
+                    outcome=Outcome(row["outcome"]),
+                    wallclock_s=float(row["wallclock_s"]),
+                    normalized=float(row["normalized"]) if row["normalized"] else None,
+                    note=row.get("note", ""),
                 )
             )
     return records

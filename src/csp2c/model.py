@@ -266,12 +266,6 @@ class AllDifferent:
 Constraint = Union[TableConstraint, IntensionConstraint, AllDifferent]
 
 
-def constraint_scope(c: Constraint) -> tuple[str, ...]:
-    if isinstance(c, IntensionConstraint):
-        return c.scope
-    return c.scope
-
-
 def _template_placeholder_count(template: Constraint) -> int:
     """Number of `%i` slots; indices must be exactly 0..k-1."""
     if isinstance(template, IntensionConstraint):
@@ -393,6 +387,6 @@ def validate_instance(csp: CspInstance) -> None:
         raise ModelError(f"duplicate variable ids: {', '.join(dupes)}")
     declared = set(ids)
     for constraint in csp.constraints():
-        for v in constraint_scope(constraint):
+        for v in constraint.scope:
             if v not in declared:
                 raise ModelError(f"constraint references undeclared variable {v!r}")

@@ -31,7 +31,6 @@ from .model import (
     TableConstraint,
     Unary,
     Var,
-    constraint_scope,
 )
 
 DEFAULT_LIMIT = 10**7
@@ -148,7 +147,7 @@ def _search(csp: CspInstance, limit: int, stop_at_first: bool) -> tuple[Status, 
     checks_at: list[list[Constraint]] = [[] for _ in range(n)]
     preground: list[Constraint] = []
     for constraint in csp.constraints():
-        scope = constraint_scope(constraint)
+        scope = constraint.scope
         if not scope:
             preground.append(constraint)
         else:

@@ -33,6 +33,8 @@ from .oracle import Assignment, all_assignments, constraint_satisfied, solve
 DEFAULT_EXHAUSTIVE_BOUND = 4096
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_CC = "cc -O1 -o {out} {src}"
+COMPILE_TIMEOUT_S = 120
+DRIVER_TIMEOUT_S = 60
 
 
 class VerifyError(Exception):
@@ -78,6 +80,16 @@ def default_compile_command() -> str:
     return os.environ.get("CSP2C_CC", DEFAULT_CC)
 
 
+def _run(argv: Sequence[str], timeout_s: float) -> subprocess.CompletedProcess:
+    """Run a child process; a timeout or a failure to start raises VerifyError."""
+    try:
+        return subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        raise VerifyError(f"timed out after {timeout_s:g} s: {shlex.join(argv)}") from None
+    except OSError as exc:
+        raise VerifyError(f"cannot run {shlex.join(argv)}: {exc}") from exc
+
+
 def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -> str:
     """Write the source, run the compiler template, return the executable path."""
     os.makedirs(workdir, exist_ok=True)
@@ -86,17 +98,14 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
     with open(src, "w", encoding="utf-8") as fh:
         fh.write(program.source_text)
     command = compile_cmd.format(src=src, out=exe)
-    proc = subprocess.run(
-        shlex.split(command), capture_output=True, text=True, timeout=120
-    )
+    proc = _run(shlex.split(command), COMPILE_TIMEOUT_S)
     if proc.returncode != 0 or not os.path.exists(exe):
         raise CompileError(command, proc.stdout + proc.stderr)
     return exe
 
 
 def _driver_accepts(exe: str, order: Sequence[str], assignment: Assignment) -> bool:
-    args = [exe] + [str(assignment[v]) for v in order]
-    proc = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    proc = _run([exe] + [str(assignment[v]) for v in order], DRIVER_TIMEOUT_S)
     return proc.returncode == 0 and SAT_MARKER in proc.stdout
 
 
@@ -110,6 +119,33 @@ def _run_all(
         return [_driver_accepts(exe, order, a) for a in assignments]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda a: _driver_accepts(exe, order, a), assignments))
+
+
+def _observe(
+    csp: CspInstance,
+    versions: Sequence[TransformSpec],
+    assignments: Sequence[Assignment],
+    compile_cmd: str | None,
+    workers: int,
+    workdir: str | None,
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram],
+) -> list[list[bool]]:
+    """One row of driver verdicts per version, in the order of `assignments`.
+
+    Builds go to `workdir`, or to a temporary directory removed afterwards.
+    """
+    compile_cmd = compile_cmd or default_compile_command()
+    order = [v.id for v in csp.variables]
+    tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
+    rows = []
+    try:
+        for spec in versions:
+            exe = compile_program(emitter(csp, spec), compile_cmd, tmp)
+            rows.append(_run_all(exe, order, assignments, workers))
+    finally:
+        if workdir is None:
+            shutil.rmtree(tmp, ignore_errors=True)
+    return rows
 
 
 def _assignment_plan(
@@ -147,9 +183,10 @@ def differential_check(
 
     Exhaustive when the assignment space fits `bound`; sampled (status
     SAMPLED) when it does not and `sample_count` > 0; SKIPPED_TOO_LARGE
-    otherwise. Compile failures raise CompileError with compiler output.
+    otherwise. Compile failures raise CompileError with compiler output; a
+    compiler or driver that cannot be started or times out raises
+    VerifyError.
     """
-    compile_cmd = compile_cmd or default_compile_command()
     labels = [spec.version_label for spec in versions]
     if csp.assignment_space_size > bound and sample_count <= 0:
         return VerificationReport(
@@ -164,30 +201,13 @@ def differential_check(
     expected = [
         all(constraint_satisfied(c, a) for c in constraints) for a in assignments
     ]
-    order = [v.id for v in csp.variables]
-
-    mismatches: list[Mismatch] = []
-    own_tmp = workdir is None
-    tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
-    try:
-        for spec in versions:
-            program = emitter(csp, spec)
-            exe = compile_program(program, compile_cmd, tmp)
-            observed = _run_all(exe, order, assignments, workers)
-            for a, want, got in zip(assignments, expected, observed):
-                if want != got:
-                    mismatches.append(
-                        Mismatch(
-                            version_label=spec.version_label,
-                            assignment=tuple(sorted(a.items())),
-                            expected=want,
-                            observed=got,
-                        )
-                    )
-    finally:
-        if own_tmp:
-            _cleanup(tmp)
-
+    rows = _observe(csp, versions, assignments, compile_cmd, workers, workdir, emitter)
+    mismatches = [
+        Mismatch(spec.version_label, tuple(sorted(a.items())), want, got)
+        for spec, observed in zip(versions, rows)
+        for a, want, got in zip(assignments, expected, observed)
+        if want != got
+    ]
     mismatches.sort(key=lambda m: (m.version_label, m.assignment))
     if mismatches:
         status = VerifyStatus.FAIL
@@ -215,33 +235,10 @@ def cross_version_equivalence(
     emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = emit_concrete_driver,
 ) -> bool:
     """True iff all versions accept exactly the same assignments."""
-    compile_cmd = compile_cmd or default_compile_command()
     if csp.assignment_space_size > bound:
         raise VerifyError(
             f"assignment space {csp.assignment_space_size} exceeds bound {bound}"
         )
     assignments = list(all_assignments(csp))
-    order = [v.id for v in csp.variables]
-    own_tmp = workdir is None
-    tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
-    try:
-        accepting: list[frozenset] = []
-        for spec in versions:
-            program = emitter(csp, spec)
-            exe = compile_program(program, compile_cmd, tmp)
-            observed = _run_all(exe, order, assignments, workers)
-            accepting.append(
-                frozenset(
-                    tuple(sorted(a.items()))
-                    for a, ok in zip(assignments, observed)
-                    if ok
-                )
-            )
-    finally:
-        if own_tmp:
-            _cleanup(tmp)
-    return all(s == accepting[0] for s in accepting[1:])
-
-
-def _cleanup(path: str) -> None:
-    shutil.rmtree(path, ignore_errors=True)
+    rows = _observe(csp, versions, assignments, compile_cmd, workers, workdir, emitter)
+    return all(row == rows[0] for row in rows)

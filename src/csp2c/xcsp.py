@@ -519,13 +519,13 @@ class _DocParser:
             self.error(node, str(exc))
             return None
 
-    def parse_template(self, node: _Node) -> Constraint | None:
+    def parse_template(self, node: _Node, *, templated: bool) -> Constraint | None:
         if node.tag == "extension":
-            return self.parse_extension(node, templated=True)
+            return self.parse_extension(node, templated=templated)
         if node.tag == "intension":
-            return self.parse_intension_node(node, templated=True)
+            return self.parse_intension_node(node, templated=templated)
         if node.tag == "allDifferent":
-            return self.parse_alldifferent(node, templated=True)
+            return self.parse_alldifferent(node, templated=templated)
         self.unsupported(node)
         return None
 
@@ -545,7 +545,7 @@ class _DocParser:
                 else:
                     args_rows.append(tuple(row))
             elif template is None:
-                template = self.parse_template(child)
+                template = self.parse_template(child, templated=True)
                 if template is None:
                     ok = False
             else:
@@ -572,20 +572,10 @@ class _DocParser:
         for child in node.children:
             if child.tag == "group":
                 self.parse_group(child)
-            elif child.tag == "extension":
-                c = self.parse_extension(child, templated=False)
-                if c is not None:
-                    self.groups.append(ConstraintGroup.singleton(c, name=child.path))
-            elif child.tag == "intension":
-                c = self.parse_intension_node(child, templated=False)
-                if c is not None:
-                    self.groups.append(ConstraintGroup.singleton(c, name=child.path))
-            elif child.tag == "allDifferent":
-                c = self.parse_alldifferent(child, templated=False)
-                if c is not None:
-                    self.groups.append(ConstraintGroup.singleton(c, name=child.path))
             else:
-                self.unsupported(child)
+                c = self.parse_template(child, templated=False)
+                if c is not None:
+                    self.groups.append(ConstraintGroup.singleton(c, name=child.path))
 
     def parse_root(self, root: _Node) -> None:
         if root.tag != "instance":

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from csp2c.cli import main
 
 from conftest import corpus_path
@@ -178,57 +180,77 @@ class TestVerifyCommand:
         assert code == 0
         assert payload["status"] == "pass" and payload["mismatches"] == 0
 
+    def test_missing_compiler_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            corpus_path("valid", "supports_pair"),
+            "--versions",
+            "1",
+            "--cc",
+            "no-such-cc-csp2c -o {out} {src}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "no-such-cc-csp2c" in err
+
+
+@pytest.fixture
+def bench_manifests(tmp_path):
+    tools = tmp_path / "tools.json"
+    tools.write_text(
+        json.dumps(
+            [
+                {
+                    "name": "mock-analyzer",
+                    "run": "echo ASSERTION FAIL on {src}",
+                    "success_pattern": "ASSERTION FAIL",
+                    "timeout_s": 30,
+                    "kind": "analysis",
+                    "dialect": "klee",
+                },
+                {
+                    "name": "mock-baseline",
+                    "run": "echo solved {src}",
+                    "kind": "baseline",
+                    "timeout_s": 30,
+                },
+            ]
+        )
+    )
+    instances = tmp_path / "instances.json"
+    instances.write_text(
+        json.dumps(
+            [
+                {
+                    "path": corpus_path("valid", "supports_pair"),
+                    "family": "extensional",
+                    "size": 1,
+                    "expected": "sat",
+                },
+                {
+                    "path": corpus_path("valid", "xor_ring"),
+                    "family": "extensional",
+                    "size": 2,
+                    "expected": "unsat",
+                },
+            ]
+        )
+    )
+    return str(tools), str(instances)
+
 
 class TestBenchAndReport:
-    def test_end_to_end_with_mock_tools(self, capsys, tmp_path):
-        tools = tmp_path / "tools.json"
-        tools.write_text(
-            json.dumps(
-                [
-                    {
-                        "name": "mock-analyzer",
-                        "run": "echo ASSERTION FAIL on {src}",
-                        "success_pattern": "ASSERTION FAIL",
-                        "timeout_s": 30,
-                        "kind": "analysis",
-                        "dialect": "klee",
-                    },
-                    {
-                        "name": "mock-baseline",
-                        "run": "echo solved {src}",
-                        "kind": "baseline",
-                        "timeout_s": 30,
-                    },
-                ]
-            )
-        )
-        instances = tmp_path / "instances.json"
-        instances.write_text(
-            json.dumps(
-                [
-                    {
-                        "path": corpus_path("valid", "supports_pair"),
-                        "family": "extensional",
-                        "size": 1,
-                        "expected": "sat",
-                    },
-                    {
-                        "path": corpus_path("valid", "xor_ring"),
-                        "family": "extensional",
-                        "size": 2,
-                        "expected": "unsat",
-                    },
-                ]
-            )
-        )
+    def test_end_to_end_with_mock_tools(self, capsys, tmp_path, bench_manifests):
+        tools, instances = bench_manifests
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(
             capsys,
             "bench",
             "--tools",
-            str(tools),
+            tools,
             "--instances",
-            str(instances),
+            instances,
             "--out-dir",
             str(out_dir),
             "--versions",
@@ -250,12 +272,69 @@ class TestBenchAndReport:
             "report",
             str(out_dir / "raw.csv"),
             "--instances",
-            str(instances),
+            instances,
             "--out-dir",
             str(tmp_path / "report2"),
         )
         assert code == 0
         assert (tmp_path / "report2" / "robustness.csv").exists()
+
+    def test_report_reproduces_bench_byte_for_byte(self, capsys, tmp_path, bench_manifests):
+        tools, instances = bench_manifests
+        bench_dir, report_dir = tmp_path / "bench", tmp_path / "report"
+        code, bench_out, _ = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(bench_dir), "--versions", "all",
+        )
+        assert code == 0
+        code, report_out, _ = run_cli(
+            capsys, "report", str(bench_dir / "raw.csv"), "--instances", instances,
+            "--out-dir", str(report_dir),
+        )
+        assert code == 0
+        assert report_out == bench_out.replace(str(bench_dir), str(report_dir))
+        for name in ("raw.csv", "robustness.csv", "scalability.csv",
+                     "robustness.svg", "scalability.svg"):
+            assert (report_dir / name).read_bytes() == (bench_dir / name).read_bytes(), name
+
+    def test_parallel_note_survives_report(self, capsys, tmp_path, bench_manifests):
+        tools, instances = bench_manifests
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(out_dir), "--versions", "1",
+            "--workers", "2", "--allow-parallel-timings",
+        )
+        assert code == 0
+        assert "note: parallel, timings indicative" in out
+        code, out, _ = run_cli(
+            capsys, "report", str(out_dir / "raw.csv"), "--instances", instances,
+            "--out-dir", str(tmp_path / "rep"),
+        )
+        assert code == 0
+        assert "note: parallel, timings indicative" in out
+
+    def test_bad_versions_and_family_mismatch_exit_2(self, capsys, tmp_path, bench_manifests):
+        tools, instances = bench_manifests
+        code, _, err = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(tmp_path / "a"), "--versions", "99",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "1..12" in err
+
+        mismatch = tmp_path / "mismatch.json"
+        mismatch.write_text(
+            json.dumps(
+                [{"path": corpus_path("valid", "dist_alldiff"), "family": "extensional", "size": 1}]
+            )
+        )
+        code, _, err = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", str(mismatch),
+            "--out-dir", str(tmp_path / "b"), "--versions", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:")
 
 
 def test_console_script_help():

@@ -142,6 +142,12 @@ class TestRunMatrix:
         )
         assert all("indicative" in r.note for r in records)
 
+    def test_prepare_and_run_share_one_deadline(self, tmp_path, two_instances):
+        src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
+        tool = ToolSpec(name="slow", prepare="sleep 0.6", run="sleep 0.6", timeout_s=1.0)
+        (record,) = run_matrix(two_instances[:1], {"extensional": LABELS[:1]}, [tool], src_dir)
+        assert record.outcome is Outcome.TIMEOUT
+
     def test_prepare_step_failure_is_tool_error(self, tmp_path, two_instances):
         src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
         tool = ToolSpec(name="prep", prepare="false", run="echo hi")
@@ -266,6 +272,37 @@ class TestCsvRoundTrip:
         assert reloaded[0].normalized == 2.0
         with open(tmp_path / "robustness.csv") as fh:
             assert fh.readline().strip() == "tool,version,mean_normalized,timeouts,n"
+
+    def test_commas_notes_and_float_precision_round_trip(self, tmp_path):
+        records = [
+            RunRecord("t", "a,b", "v1", Outcome.REACHED, 0.1 + 0.2, 1 / 3, "parallel, indicative"),
+            RunRecord("base", "a,b", "", Outcome.NOT_REACHED, 2 / 7, None, 'say "hi"'),
+        ]
+        emit_csv(build_report(records), str(tmp_path))
+        assert load_records_csv(str(tmp_path / "raw.csv")) == records
+
+    def test_seed_format_without_note_column_loads(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "tool,instance,version,outcome,wallclock_s,normalized\n"
+            "t,i1,v1,timeout,1.500000,\n"
+            "base,i1,,not-reached,0.250000,2.000000\n"
+        )
+        assert load_records_csv(str(raw)) == [
+            RunRecord("t", "i1", "v1", Outcome.TIMEOUT, 1.5, None, ""),
+            RunRecord("base", "i1", "", Outcome.NOT_REACHED, 0.25, 2.0, ""),
+        ]
+
+    def test_malformed_raw_csv_rejected(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("tool,instance,version\nt,i1,v1\n")
+        with pytest.raises(HarnessError, match="header"):
+            load_records_csv(str(raw))
+        raw.write_text(
+            "tool,instance,version,outcome,wallclock_s,normalized,note\nt,i1,v1,timeout\n"
+        )
+        with pytest.raises(HarnessError, match="expected 7 fields"):
+            load_records_csv(str(raw))
 
     def test_manifest_loaders(self, tmp_path):
         tools_json = tmp_path / "tools.json"

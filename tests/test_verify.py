@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from csp2c import verify
 from csp2c.codegen import Family, emit_concrete_driver, version_count, version_to_spec
 from csp2c.model import (
     ConstraintGroup,
@@ -123,6 +124,27 @@ class TestDifferentialCheck:
                 csp,
                 [version_to_spec(Family.EXTENSIONAL, 1)],
                 "false",
+                workdir=str(tmp_path),
+            )
+
+    def test_missing_compiler_is_verify_error(self, tmp_path):
+        csp = load_corpus("supports_pair")
+        with pytest.raises(VerifyError, match="no-such-cc-csp2c"):
+            differential_check(
+                csp,
+                [version_to_spec(Family.EXTENSIONAL, 1)],
+                "no-such-cc-csp2c -o {out} {src}",
+                workdir=str(tmp_path),
+            )
+
+    def test_compile_timeout_is_verify_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "COMPILE_TIMEOUT_S", 0.2)
+        csp = load_corpus("supports_pair")
+        with pytest.raises(VerifyError, match="timed out"):
+            differential_check(
+                csp,
+                [version_to_spec(Family.EXTENSIONAL, 1)],
+                "sleep 5",
                 workdir=str(tmp_path),
             )
 
