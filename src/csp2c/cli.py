@@ -6,8 +6,11 @@ against the solver), bench (run external tools over a benchmark matrix),
 report (rebuild tables/charts from a raw records CSV).
 
 Exit codes: 0 success/satisfiable/pass; 1 unsatisfiable, verification
-fail, or a verify compiler or driver that fails or times out; 2 parse, usage
-or code generation error; 3 resource limit or partial verification.
+fail, or a verify compiler or driver that fails or times out (a driver
+fails when it exits nonzero or prints anything but one 0/1 verdict per
+assignment; the 60 s driver timeout bounds the one batch run per version);
+2 parse, usage, input-file or code generation error; 3 resource limit or
+partial verification.
 The CSP2C_CC environment variable sets the default C compiler template
 (default: "cc -O1 -o {out} {src}").
 """
@@ -43,6 +46,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
+
+# what a missing or malformed manifest or records file raises
+_BAD_INPUT = (OSError, harness.HarnessError, ValueError)
 
 
 def _load_instance(path: str, machine: bool) -> CspInstance | None:
@@ -151,7 +157,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     try:
         versions = _parse_versions(args.versions, family)
     except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     dialect = Dialect(args.dialect)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -238,6 +244,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    first = None
+    if report.mismatches:
+        m = report.mismatches[0]
+        first = {"version": m.version_label, "assignment": dict(m.assignment)}
     if args.machine:
         print(
             json.dumps(
@@ -247,6 +257,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "versions": report.versions,
                     "assignments_checked": report.assignments_checked,
                     "mismatches": len(report.mismatches),
+                    "first_mismatch": first,
+                    "timings": [
+                        {"version": t.version_label, "compile_s": t.compile_s, "run_s": t.run_s}
+                        for t in report.timings
+                    ],
                 }
             )
         )
@@ -255,6 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{report.instance}: {report.status.value} "
             f"({len(report.versions)} versions x {report.assignments_checked} assignments)"
         )
+        for t in report.timings:
+            print(f"  {t.version_label}: compile {t.compile_s:.3f} s, run {t.run_s:.3f} s")
         for m in report.mismatches[:10]:
             a = " ".join(f"{k}={v}" for k, v in m.assignment)
             print(
@@ -268,8 +285,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    tools = harness.load_tool_manifest(args.tools)
-    instances = harness.load_instance_manifest(args.instances)
+    try:
+        tools = harness.load_tool_manifest(args.tools)
+        instances = harness.load_instance_manifest(args.instances)
+    except _BAD_INPUT as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     os.makedirs(args.out_dir, exist_ok=True)
     src_dir = os.path.join(args.out_dir, "src")
     os.makedirs(src_dir, exist_ok=True)
@@ -310,23 +331,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    records = harness.load_records_csv(args.records)
-    sizes = None
-    if args.instances:
-        sizes = {
-            inst.instance_id: inst.size
-            for inst in harness.load_instance_manifest(args.instances)
-        }
+    try:
+        records = harness.load_records_csv(args.records)
+        sizes = None
+        if args.instances:
+            sizes = {
+                inst.instance_id: inst.size
+                for inst in harness.load_instance_manifest(args.instances)
+            }
+    except _BAD_INPUT as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return _write_report(records, sizes, args.out_dir)
 
 
 def _write_report(
     records: list[harness.RunRecord], sizes: dict[str, int] | None, out_dir: str
 ) -> int:
-    """Build the report tables, write them as CSV and SVG, list what was written."""
-    report = harness.build_report(records, sizes)
-    written = harness.emit_csv(report, out_dir)
-    written += charts.emit_svg(report, out_dir)
+    """Build the report tables, write them as CSV and SVG, list what was written.
+    No records, or an output directory that cannot be written, exits 2."""
+    try:
+        report = harness.build_report(records, sizes)
+        written = harness.emit_csv(report, out_dir)
+        written += charts.emit_svg(report, out_dir)
+    except (OSError, harness.HarnessError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     for path in written:
         print(f"wrote {path}")
     for flag in report.flags:
@@ -375,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="compiler template with {src} and {out} (env CSP2C_CC)",
     )
     p.add_argument("--bound", type=int, default=4096, help="max exhaustive assignments")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="versions compiled and run at once"
+    )
     p.add_argument("--machine", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_verify)
 

@@ -16,8 +16,13 @@ Version matrix (construct x operator x grouping):
 
 Three output dialects share the constraint encoding byte for byte: `klee`
 (klee_make_symbolic / klee_assume), `llbmc` (nondet init / __llbmc_assume),
-and `concrete`, a plain executable that reads one integer per variable from
-argv and prints SAT-REACHED when the encoded constraints accept them.
+and `concrete`, a plain executable. Its `static int accepts(...)` takes one
+parameter per variable and holds the same domain and constraint encoding,
+returning 0 where the other dialects exit and 1 at the distinguished point.
+Run with no arguments, it reads whitespace-separated assignments from stdin
+and prints one `0`/`1` line per assignment; run with one integer per variable
+in argv, it prints SAT-REACHED and exits 0 when they are accepted, and
+exits 1 when not.
 """
 
 from __future__ import annotations
@@ -527,34 +532,28 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
 
     concrete = spec.dialect is Dialect.CONCRETE
     assume_fn = "__llbmc_assume" if spec.dialect is Dialect.LLBMC else "klee_assume"
-    fail_exit = "exit(1);" if concrete else "exit(0);"
+    fail_exit = "return 0;" if concrete else "exit(0);"
     indent = "    "
 
     body: list[str] = []
     order = [v.id for v in csp.variables]
+    names = [c_names[v] for v in order]
 
-    # declarations
-    decl = indent + "int " + ", ".join(c_names[v] for v in order) + ";"
-    if len(decl) <= WRAP_COLUMN:
-        body.append(decl)
-    else:
-        body.extend(_wrap(indent + "int ", [c_names[v] for v in order], ", ", ";"))
-
-    # symbolic marking / argv reading
-    if concrete:
-        body.append(indent + f"if (argc != {len(order) + 1}) return 2;")
-        body.append(indent + "/* read the candidate assignment from argv */")
-        for i, v in enumerate(order, start=1):
-            body.append(indent + f"{c_names[v]} = atoi(argv[{i}]);")
-    elif spec.dialect is Dialect.KLEE:
+    # declarations and symbolic marking; accepts() takes its variables as parameters
+    if not concrete:
+        decl = indent + "int " + ", ".join(names) + ";"
+        if len(decl) <= WRAP_COLUMN:
+            body.append(decl)
+        else:
+            body.extend(_wrap(indent + "int ", names, ", ", ";"))
+    if spec.dialect is Dialect.KLEE:
         body.append(indent + "/* declare variables symbolic */")
-        for v in order:
-            name = c_names[v]
+        for name in names:
             body.append(indent + f'klee_make_symbolic(&{name},sizeof({name}),"{name}");')
-    else:
+    elif spec.dialect is Dialect.LLBMC:
         body.append(indent + "/* declare variables nondeterministic */")
-        for v in order:
-            body.append(indent + f"{c_names[v]} = __llbmc_nondef_int();")
+        for name in names:
+            body.append(indent + f"{name} = __llbmc_nondef_int();")
 
     # domains
     body.append(indent + "/* enforce variable domains */")
@@ -588,24 +587,24 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     body.append(indent + "/* CSP is satisfiable */")
     if guarded:
         (unit,) = units
-        if concrete:
-            tail = f') {{ printf("{SAT_MARKER}\\n"); return 0; }}'
-        else:
-            tail = ") assert(0);"
+        tail = ") return 1;" if concrete else ") assert(0);"
         lines = _wrap(indent + "if (", unit.pieces, unit.joiner, tail)
         constraint_lines.extend(lines)
         body.extend(lines)
-        body.append(indent + ("return 1;" if concrete else "return 0;"))
-    elif concrete:
-        body.append(indent + f'printf("{SAT_MARKER}\\n");')
         body.append(indent + "return 0;")
+    elif concrete:
+        body.append(indent + "return 1;")
     else:
         body.append(indent + "assert(0);")
         body.append(indent + "return 0;")
 
     header = _file_header(csp, spec, constraints)
-    main_sig = "int main(int argc, char **argv) {" if concrete else "int main(void) {"
-    source = "\n".join(header + [main_sig] + body + ["}"]) + "\n"
+    if concrete:
+        signature = _wrap("static int accepts(", [f"int {name}" for name in names], ", ", ") {")
+        source_lines = header + signature + body + ["}", ""] + _concrete_main(len(names))
+    else:
+        source_lines = header + ["int main(void) {"] + body + ["}"]
+    source = "\n".join(source_lines) + "\n"
 
     return GeneratedProgram(
         source_text=source,
@@ -642,6 +641,42 @@ def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Co
     return lines
 
 
+def _concrete_main(arity: int) -> list[str]:
+    """main() of the concrete dialect. With no arguments it reads assignments
+    from stdin and prints one 0/1 verdict line each, exiting 2 on input that
+    does not end after a whole assignment; with one argument per variable it
+    prints SAT-REACHED and exits 0 when accepts() holds, and exits 1 otherwise.
+    It names no CSP variable, so none can shadow what main calls."""
+    indent = "    "
+    slots = [f"v[{i}]" for i in range(arity)]
+    lines = [
+        "int main(int argc, char **argv) {",
+        indent + f"int v[{arity}], i = 0;",
+        indent + "if (argc == 1) {",
+        indent * 2 + "/* batch mode: whitespace-separated assignments in, one verdict line each out */",
+        indent * 2 + 'while (scanf("%d", &v[i]) == 1) {',
+        indent * 3 + f"if (++i < {arity}) continue;",
+    ]
+    lines += _wrap(indent * 3 + 'printf("%d\\n", accepts(', slots, ", ", "));")
+    lines += [
+        indent * 3 + "i = 0;",
+        indent * 2 + "}",
+        indent * 2 + "return i == 0 && feof(stdin) ? 0 : 2;",
+        indent + "}",
+        indent + f"if (argc != {arity + 1}) return 2;",
+        indent + "/* read the candidate assignment from argv */",
+    ]
+    lines += _wrap(
+        indent + "if (!accepts(",
+        [f"atoi(argv[{i}])" for i in range(1, arity + 1)],
+        ", ",
+        ")) return 1;",
+    )
+    lines += [indent + f'printf("{SAT_MARKER}\\n");', indent + "return 0;", "}"]
+    return lines
+
+
 def emit_concrete_driver(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
-    """Same encoding as transform(), as a runnable argv-driven checker."""
+    """Same encoding as transform(), as a runnable checker: `accepts()` holds
+    the encoding and main() feeds it assignments from stdin or argv."""
     return transform(csp, replace(spec, dialect=Dialect.CONCRETE))

@@ -1,10 +1,11 @@
 """Differential testing of generated programs against the brute-force oracle.
 
 Programs are checked the hard way: emit the concrete dialect, compile it
-with an external C compiler, and run the executable on assignments, so the
-verification path shares no evaluation code with the oracle. For every
-assignment the driver must print the success marker exactly when the oracle
-says all constraints hold.
+with an external C compiler, and pipe the whole assignment plan through one
+run of the executable per version, so the verification path shares no
+evaluation code with the oracle. For every assignment the driver must print
+the verdict `1` exactly when the oracle says all constraints hold.
+DRIVER_TIMEOUT_S bounds that one batch run per version.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +24,6 @@ from typing import Callable, Sequence
 
 from .codegen import (
     GeneratedProgram,
-    SAT_MARKER,
     TransformSpec,
     emit_concrete_driver,
     output_filename,
@@ -63,6 +64,13 @@ class Mismatch:
     observed: bool
 
 
+@dataclass(frozen=True)
+class VersionTiming:
+    version_label: str
+    compile_s: float
+    run_s: float
+
+
 @dataclass
 class VerificationReport:
     instance: str
@@ -70,6 +78,8 @@ class VerificationReport:
     assignments_checked: int
     mismatches: list[Mismatch] = field(default_factory=list)
     status: VerifyStatus = VerifyStatus.PASS
+    # one entry per version, in the order of `versions`
+    timings: list[VersionTiming] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -80,10 +90,15 @@ def default_compile_command() -> str:
     return os.environ.get("CSP2C_CC", DEFAULT_CC)
 
 
-def _run(argv: Sequence[str], timeout_s: float) -> subprocess.CompletedProcess:
-    """Run a child process; a timeout or a failure to start raises VerifyError."""
+def _run(
+    argv: Sequence[str], timeout_s: float, stdin: str | None = None
+) -> subprocess.CompletedProcess:
+    """Run a child process, feeding it `stdin`; a timeout or a failure to
+    start raises VerifyError."""
     try:
-        return subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
+        return subprocess.run(
+            argv, input=stdin, capture_output=True, text=True, timeout=timeout_s
+        )
     except subprocess.TimeoutExpired:
         raise VerifyError(f"timed out after {timeout_s:g} s: {shlex.join(argv)}") from None
     except OSError as exc:
@@ -104,21 +119,29 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
     return exe
 
 
-def _driver_accepts(exe: str, order: Sequence[str], assignment: Assignment) -> bool:
-    proc = _run([exe] + [str(assignment[v]) for v in order], DRIVER_TIMEOUT_S)
-    return proc.returncode == 0 and SAT_MARKER in proc.stdout
+def _verdicts(exe: str, order: Sequence[str], assignments: Sequence[Assignment]) -> list[bool]:
+    """Pipe every assignment through one batch-mode run of the driver.
 
-
-def _run_all(
-    exe: str,
-    order: Sequence[str],
-    assignments: Sequence[Assignment],
-    workers: int,
-) -> list[bool]:
-    if workers <= 1:
-        return [_driver_accepts(exe, order, a) for a in assignments]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda a: _driver_accepts(exe, order, a), assignments))
+    Anything but a zero exit with exactly one `0` or `1` line per assignment
+    raises VerifyError: a broken driver is never read as a verdict.
+    """
+    plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
+    proc = _run([exe], DRIVER_TIMEOUT_S, stdin=plan)
+    if proc.returncode != 0:
+        stderr = proc.stderr.strip()
+        raise VerifyError(
+            f"driver {exe} exited with status {proc.returncode}"
+            + (f": {stderr}" if stderr else "")
+        )
+    lines = proc.stdout.splitlines()
+    if len(lines) != len(assignments):
+        raise VerifyError(
+            f"driver {exe} printed {len(lines)} verdicts for {len(assignments)} assignments"
+        )
+    bad = next((line for line in lines if line not in ("0", "1")), None)
+    if bad is not None:
+        raise VerifyError(f"driver {exe} printed {bad!r}, not a 0/1 verdict")
+    return [line == "1" for line in lines]
 
 
 def _observe(
@@ -129,23 +152,40 @@ def _observe(
     workers: int,
     workdir: str | None,
     emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram],
-) -> list[list[bool]]:
-    """One row of driver verdicts per version, in the order of `assignments`.
+) -> tuple[list[list[bool]], list[VersionTiming]]:
+    """One row of driver verdicts per version, in the order of `assignments`,
+    and one compile and run timing per version.
 
-    Builds go to `workdir`, or to a temporary directory removed afterwards.
+    Each distinct version is compiled and run once; with `workers` > 1 the
+    versions run concurrently. Builds go to `workdir`, or to a temporary
+    directory removed afterwards.
     """
     compile_cmd = compile_cmd or default_compile_command()
     order = [v.id for v in csp.variables]
     tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
-    rows = []
+
+    def job(spec: TransformSpec) -> tuple[list[bool], VersionTiming]:
+        start = time.perf_counter()
+        exe = compile_program(emitter(csp, spec), compile_cmd, tmp)
+        compiled = time.perf_counter()
+        verdicts = _verdicts(exe, order, assignments)
+        timing = VersionTiming(
+            spec.version_label, compiled - start, time.perf_counter() - compiled
+        )
+        return verdicts, timing
+
+    distinct = list(dict.fromkeys(versions))
     try:
-        for spec in versions:
-            exe = compile_program(emitter(csp, spec), compile_cmd, tmp)
-            rows.append(_run_all(exe, order, assignments, workers))
+        if workers <= 1:
+            results = [job(spec) for spec in distinct]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(job, distinct))
     finally:
         if workdir is None:
             shutil.rmtree(tmp, ignore_errors=True)
-    return rows
+    by_spec = dict(zip(distinct, results))
+    return [by_spec[s][0] for s in versions], [by_spec[s][1] for s in versions]
 
 
 def _assignment_plan(
@@ -184,8 +224,9 @@ def differential_check(
     Exhaustive when the assignment space fits `bound`; sampled (status
     SAMPLED) when it does not and `sample_count` > 0; SKIPPED_TOO_LARGE
     otherwise. Compile failures raise CompileError with compiler output; a
-    compiler or driver that cannot be started or times out raises
-    VerifyError.
+    compiler or driver that cannot be started or times out, and a driver
+    that exits nonzero or prints anything but one verdict per assignment,
+    raise VerifyError.
     """
     labels = [spec.version_label for spec in versions]
     if csp.assignment_space_size > bound and sample_count <= 0:
@@ -201,7 +242,9 @@ def differential_check(
     expected = [
         all(constraint_satisfied(c, a) for c in constraints) for a in assignments
     ]
-    rows = _observe(csp, versions, assignments, compile_cmd, workers, workdir, emitter)
+    rows, timings = _observe(
+        csp, versions, assignments, compile_cmd, workers, workdir, emitter
+    )
     mismatches = [
         Mismatch(spec.version_label, tuple(sorted(a.items())), want, got)
         for spec, observed in zip(versions, rows)
@@ -221,6 +264,7 @@ def differential_check(
         assignments_checked=len(assignments),
         mismatches=mismatches,
         status=status,
+        timings=timings,
     )
 
 
@@ -240,5 +284,5 @@ def cross_version_equivalence(
             f"assignment space {csp.assignment_space_size} exceeds bound {bound}"
         )
     assignments = list(all_assignments(csp))
-    rows = _observe(csp, versions, assignments, compile_cmd, workers, workdir, emitter)
+    rows, _ = _observe(csp, versions, assignments, compile_cmd, workers, workdir, emitter)
     return all(row == rows[0] for row in rows)

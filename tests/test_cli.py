@@ -94,6 +94,16 @@ class TestGenCommand:
         assert code == 2
         assert "1..12" in err
 
+    def test_bad_version_message_matches_verify_and_bench(self, capsys, tmp_path):
+        path = corpus_path("valid", "conflicts_group")
+        _, _, gen_err = run_cli(
+            capsys, "gen", path, "--family", "extensional", "--versions", "0",
+            "--out-dir", str(tmp_path),
+        )
+        _, _, verify_err = run_cli(capsys, "verify", path, "--versions", "0")
+        assert gen_err == verify_err
+        assert gen_err.startswith("error:") and "1..12" in gen_err
+
     def test_repeated_runs_are_byte_identical(self, capsys, tmp_path):
         args = [
             "gen",
@@ -179,6 +189,28 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["status"] == "pass" and payload["mismatches"] == 0
+
+    def test_machine_output_has_timings_and_first_mismatch(self, capsys, cc_template):
+        code, out, _ = run_cli(
+            capsys, "verify", "--machine", corpus_path("valid", "supports_pair"),
+            "--versions", "1,5", "--cc", cc_template,
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["first_mismatch"] is None
+        assert [t["version"] for t in payload["timings"]] == ["extensional1", "extensional5"]
+        assert all(t["compile_s"] > 0 and t["run_s"] > 0 for t in payload["timings"])
+
+    def test_human_output_has_one_timing_line_per_version(self, capsys, cc_template):
+        code, out, _ = run_cli(
+            capsys, "verify", corpus_path("valid", "supports_pair"),
+            "--versions", "1,5,8", "--cc", cc_template,
+        )
+        assert code == 0
+        timing_lines = [line for line in out.splitlines() if "compile" in line]
+        assert [line.split(":")[0].strip() for line in timing_lines] == [
+            "extensional1", "extensional5", "extensional8",
+        ]
 
     def test_missing_compiler_exits_1(self, capsys):
         code, out, err = run_cli(
@@ -334,6 +366,51 @@ class TestBenchAndReport:
             "--out-dir", str(tmp_path / "b"), "--versions", "1",
         )
         assert code == 2
+        assert err.startswith("error:")
+
+
+class TestBadInputFiles:
+    def test_report_missing_records_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "report", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "o")
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "missing.csv" in err
+
+    def test_report_bad_header_exits_2(self, capsys, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,b\n1,2\n")
+        code, out, err = run_cli(capsys, "report", str(raw), "--out-dir", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "header" in err
+
+    def test_report_without_records_exits_2(self, capsys, tmp_path):
+        from csp2c.harness import RAW_CSV_FIELDS
+
+        raw = tmp_path / "raw.csv"
+        raw.write_text(",".join(RAW_CSV_FIELDS) + "\n")
+        code, out, err = run_cli(capsys, "report", str(raw), "--out-dir", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "no records" in err
+
+    def test_bench_missing_tool_manifest_exits_2(self, capsys, tmp_path, bench_manifests):
+        _, instances = bench_manifests
+        code, out, err = run_cli(
+            capsys, "bench", "--tools", str(tmp_path / "missing.json"),
+            "--instances", instances, "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "missing.json" in err
+
+    def test_bench_malformed_manifest_json_exits_2(self, capsys, tmp_path, bench_manifests):
+        tools, _ = bench_manifests
+        bad = tmp_path / "bad.json"
+        bad.write_text("[{")
+        code, out, err = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", str(bad),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 2 and out == ""
         assert err.startswith("error:")
 
 

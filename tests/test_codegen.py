@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import re
+import subprocess
 
 import pytest
 
@@ -28,6 +29,8 @@ from csp2c.model import (
     TableConstraint,
     VariableDecl,
 )
+from csp2c.oracle import all_assignments
+from csp2c.verify import compile_program
 
 from conftest import GOLDEN_DIR, load_corpus
 
@@ -286,10 +289,54 @@ class TestConcreteDriver:
         assert f'printf("{SAT_MARKER}\\n");' in text
         assert "klee" not in text
 
-    def test_domain_checks_exit_nonzero(self):
+    def test_domain_checks_exit_nonzero(self, cc_template, tmp_path):
         csp = load_corpus("noncontig")
         program = emit_concrete_driver(csp, version_to_spec(Family.INTENSIONAL, 6))
-        assert "if (!(n0==1 || n0==3 || n0==5 || n0==6)) exit(1);" in program.source_text
+        assert "if (!(n0==1 || n0==3 || n0==5 || n0==6)) return 0;" in program.source_text
+        exe = compile_program(program, cc_template, str(tmp_path))
+        assert subprocess.run([exe, "2"], capture_output=True).returncode == 1
+        accepted = subprocess.run([exe, "3"], capture_output=True, text=True)
+        assert accepted.returncode == 0 and accepted.stdout == f"{SAT_MARKER}\n"
+
+    def test_batch_mode_protocol(self, cc_template, tmp_path):
+        csp = load_corpus("supports_pair")
+        program = emit_concrete_driver(csp, version_to_spec(Family.EXTENSIONAL, 1))
+        exe = compile_program(program, cc_template, str(tmp_path))
+
+        def batch(stdin):
+            proc = subprocess.run([exe], input=stdin, capture_output=True, text=True)
+            return proc.returncode, proc.stdout
+
+        # any whitespace separates values; out-of-domain values are rejected
+        assert batch("0 1\n0\t0  9 9\n") == (0, "1\n0\n0\n")
+        assert batch("") == (0, "")
+        # input that does not end after a whole assignment exits 2
+        assert batch("0 1\n0\n") == (2, "1\n")
+        assert batch("0 x\n") == (2, "")
+
+    @pytest.mark.parametrize(
+        "family, name",
+        [(family, name) for family, names in CORPUS_BY_FAMILY.items() for name in names],
+        ids=lambda value: getattr(value, "value", value),
+    )
+    def test_batch_and_argv_modes_agree(self, family, name, cc_template, tmp_path):
+        """Every corpus instance, version and assignment: the stdin verdict
+        line reads 1 exactly when the argv run prints the marker and exits 0."""
+        csp = load_corpus(name)
+        order = [v.id for v in csp.variables]
+        rows = [[str(a[v]) for v in order] for a in all_assignments(csp)]
+        plan = "".join(" ".join(row) + "\n" for row in rows)
+        for v in range(1, version_count(family) + 1):
+            program = emit_concrete_driver(csp, version_to_spec(family, v))
+            exe = compile_program(program, cc_template, str(tmp_path))
+            batch = subprocess.run([exe], input=plan, capture_output=True, text=True)
+            assert batch.returncode == 0, v
+            argv = []
+            for row in rows:
+                proc = subprocess.run([exe, *row], capture_output=True, text=True)
+                assert (proc.returncode, proc.stdout) in ((0, f"{SAT_MARKER}\n"), (1, "")), (v, row)
+                argv.append("1" if proc.returncode == 0 else "0")
+            assert batch.stdout.splitlines() == argv, v
 
 
 class TestNonContiguousDomains:

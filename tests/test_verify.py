@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import subprocess
+
 import pytest
 
 from csp2c import verify
@@ -18,7 +21,7 @@ from csp2c.verify import (
     cross_version_equivalence,
     differential_check,
 )
-from csp2c.xcsp import parse_intension
+from csp2c.xcsp import parse_document, parse_intension
 
 from conftest import load_corpus
 
@@ -47,6 +50,21 @@ def corrupting_emitter(csp, spec):
         dialect=program.dialect,
         constraint_lines=program.constraint_lines,
     )
+
+
+def patching_emitter(old, new):
+    """Fault-injection fixture: the concrete driver with `old` replaced by `new`."""
+
+    def emit(csp, spec):
+        program = emit_concrete_driver(csp, spec)
+        assert old in program.source_text
+        return dataclasses.replace(
+            program,
+            source_text=program.source_text.replace(old, new),
+            instance_name=program.instance_name + "-patched",
+        )
+
+    return emit
 
 
 class TestDifferentialCheck:
@@ -211,6 +229,106 @@ class TestDifferentialCheck:
         assert serial.status == parallel.status == VerifyStatus.PASS
         assert serial.assignments_checked == parallel.assignments_checked
 
+
+    def test_concurrent_versions_match_serial(self, cc_template, tmp_path):
+        csp = load_corpus("xor_ring")
+        specs = all_specs(Family.EXTENSIONAL) + [version_to_spec(Family.EXTENSIONAL, 1)]
+        serial = differential_check(csp, specs, cc_template, workdir=str(tmp_path / "s"))
+        concurrent = differential_check(
+            csp, specs, cc_template, workers=3, workdir=str(tmp_path / "c")
+        )
+        assert serial.status is concurrent.status is VerifyStatus.PASS
+        assert concurrent.versions == serial.versions
+        assert [t.version_label for t in concurrent.timings] == concurrent.versions
+
+    def test_corrupting_emitter_flips_the_encoding_not_main(self):
+        csp = load_corpus("eq_ne")
+        spec = version_to_spec(Family.INTENSIONAL, 1)
+        clean = emit_concrete_driver(csp, spec)
+        faulty = corrupting_emitter(csp, spec).source_text.splitlines()
+        lines = clean.source_text.splitlines()
+        changed = [i for i, (a, b) in enumerate(zip(lines, faulty)) if a != b]
+        assert len(changed) == 1
+        assert lines[changed[0]] in clean.constraint_lines
+        assert changed[0] < lines.index("int main(int argc, char **argv) {")
+
+    def test_one_driver_process_per_version(self, cc_template, tmp_path, monkeypatch):
+        started = []
+
+        class CountingPopen(subprocess.Popen):
+            def __init__(self, args, *rest, **kwargs):
+                started.append(args)
+                super().__init__(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+        csp = load_corpus("conflicts_group")
+        report = differential_check(
+            csp, all_specs(Family.EXTENSIONAL), cc_template, workdir=str(tmp_path)
+        )
+        assert report.status is VerifyStatus.PASS
+        drivers = [args for args in started if args[0].startswith(str(tmp_path))]
+        assert len(drivers) == 12
+        assert len(started) == 24
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            # the one-process-per-assignment driver: exits 1 mid-batch on a rejection
+            (") return 0;", ") exit(1);", "exited with status 1"),
+            # crashes on the first accepted assignment
+            ("\n    return 1;\n}", "\n    abort();\n}", "exited with status -6"),
+            # silently skips the first assignment: one verdict too few
+            (
+                "if (argc == 1) {",
+                'if (argc == 1) {\n        scanf("%*[^\\n]");',
+                "printed 63 verdicts for 64 assignments",
+            ),
+            # prints a token that is not a verdict
+            ('printf("%d\\n", accepts(', 'printf("%d\\n", 2 * accepts(', "printed '2'"),
+        ],
+        ids=["exit-mid-batch", "crash", "verdict-too-few", "bad-token"],
+    )
+    def test_broken_driver_is_verify_error(self, cc_template, tmp_path, old, new, error):
+        csp = load_corpus("conflicts_group")
+        with pytest.raises(VerifyError, match=error):
+            differential_check(
+                csp,
+                [version_to_spec(Family.EXTENSIONAL, 1)],
+                cc_template,
+                workdir=str(tmp_path),
+                emitter=patching_emitter(old, new),
+            )
+
+    def test_variables_named_after_library_functions(self, cc_template, tmp_path):
+        csp = parse_document(
+            """
+            <instance format="XCSP3" type="CSP">
+              <variables>
+                <var id="rand"> 0..2 </var>
+                <var id="free"> 0..2 </var>
+                <var id="argc"> 0..2 </var>
+                <var id="scanf"> 0..2 </var>
+              </variables>
+              <constraints>
+                <intension> ne(rand,free) </intension>
+                <intension> lt(argc,add(scanf,1)) </intension>
+              </constraints>
+            </instance>
+            """,
+            name="libnames",
+        )
+        report = differential_check(
+            csp, all_specs(Family.INTENSIONAL), cc_template, workdir=str(tmp_path)
+        )
+        assert report.status is VerifyStatus.PASS
+        assert report.assignments_checked == 81
+
+    def test_timings_per_version(self, cc_template, tmp_path):
+        csp = load_corpus("supports_pair")
+        specs = [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 5, 8)]
+        report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
+        assert [t.version_label for t in report.timings] == report.versions
+        assert all(t.compile_s > 0 and t.run_s > 0 for t in report.timings)
 
     def test_verdict_independent_of_version_order(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
