@@ -1,6 +1,6 @@
 """csp2c: constraint problems as C benchmark programs.
 
-Pipeline: parse an XCSP3 instance, solve it by brute force for ground
+Pipeline: parse an XCSP3 instance, solve it by complete search for ground
 truth, emit semantically equivalent C programs across a matrix of encoding
 choices, differentially verify the programs against the solver, and run
 external analysis tools over the generated benchmarks.

@@ -1,15 +1,16 @@
 """Command-line entry point.
 
 Subcommands: parse (summarize an XCSP3 file), gen (emit C programs), solve
-(brute-force satisfiability), verify (differential check of generated code
-against the solver), bench (run external tools over a benchmark matrix),
-report (rebuild tables/charts from a raw records CSV).
+(satisfiability by forward-checking search), verify (differential check of
+generated code against the solver), bench (run external tools over a
+benchmark matrix), report (rebuild tables/charts from a raw records CSV).
 
 Exit codes: 0 success/satisfiable/pass; 1 unsatisfiable, verification
 fail, or a verify compiler or driver that fails or times out (a driver
 fails when it exits nonzero or prints anything but one 0/1 verdict per
 assignment; the 60 s driver timeout bounds the one batch run per version);
-2 parse, usage, input-file or code generation error; 3 resource limit or
+2 parse, usage, input-file or code generation error, or (solve, verify) an
+intermediate value outside 32-bit int range; 3 search budget exhausted or
 partial verification.
 The CSP2C_CC environment variable sets the default C compiler template
 (default: "cc -O1 -o {out} {src}").
@@ -33,7 +34,7 @@ from .codegen import (
     CodegenError,
 )
 from .model import CspInstance, IntensionConstraint, AllDifferent, TableConstraint
-from .oracle import Status, solve
+from .oracle import DEFAULT_LIMIT, EvalError, Status, solve
 from .verify import (
     VerifyStatus,
     default_compile_command,
@@ -200,7 +201,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     csp = _load_instance(args.file, args.machine)
     if csp is None:
         return EXIT_PARSE
-    result = solve(csp, limit=args.limit)
+    try:
+        result = solve(csp, limit=args.limit)
+    except EvalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if args.machine:
         print(
             json.dumps(
@@ -208,11 +213,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     "status": result.status.value,
                     "witness": result.witness,
                     "explored": result.explored,
+                    "work": result.work,
+                    "checks": result.checks,
                 }
             )
         )
     else:
-        print(f"{csp.name}: {result.status.value} (explored {result.explored})")
+        print(
+            f"{csp.name}: {result.status.value} "
+            f"(explored {result.explored}, work {result.work}, checks {result.checks})"
+        )
         if result.witness is not None:
             print(" ".join(f"{k}={v}" for k, v in result.witness.items()))
     if result.status is Status.SATISFIABLE:
@@ -244,6 +254,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except EvalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     first = None
     if report.mismatches:
         m = report.mismatches[0]
@@ -369,6 +382,16 @@ def _write_report(
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csp2c",
@@ -390,9 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="brute-force satisfiability of an instance")
+    p = sub.add_parser("solve", help="decide satisfiability of an instance by search")
     p.add_argument("file")
-    p.add_argument("--limit", type=int, default=10**7, help="max assignments to enumerate")
+    p.add_argument(
+        "--limit",
+        type=_positive_int,
+        default=DEFAULT_LIMIT,
+        help="search budget: leaves plus pruned branches, and this many live "
+        "values per filter on average (default %(default)s)",
+    )
     p.add_argument("--machine", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_solve)
 

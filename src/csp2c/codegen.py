@@ -418,21 +418,31 @@ def _wrap(head: str, pieces: Sequence[str], joiner: str, tail: str) -> list[str]
 # ---------------------------------------------------------------------------
 
 
+# C keywords, the functions and macros the generated code names, and the
+# macros and objects of the headers it includes (stdio.h, stdlib.h,
+# assert.h); a variable named like one of these gets a `_v` suffix.
+_RESERVED_C_NAMES = frozenset({
+    "auto", "break", "case", "char", "const", "continue", "default", "do",
+    "double", "else", "enum", "extern", "float", "for", "goto", "if", "inline",
+    "int", "long", "register", "restrict", "return", "short", "signed", "sizeof",
+    "static", "struct", "switch", "typedef", "union", "unsigned", "void",
+    "volatile", "while",
+    "main", "abs", "dist", "exit", "printf", "atoi", "assert",
+    "klee_make_symbolic", "klee_assume",
+    "NULL", "EOF", "BUFSIZ", "FILENAME_MAX", "FOPEN_MAX", "L_tmpnam", "TMP_MAX",
+    "SEEK_SET", "SEEK_CUR", "SEEK_END", "stdin", "stdout", "stderr",
+    "RAND_MAX", "EXIT_SUCCESS", "EXIT_FAILURE", "MB_CUR_MAX",
+})
+
+
 def _c_names(csp: CspInstance) -> dict[str, str]:
-    keywords = {
-        "auto", "break", "case", "char", "const", "continue", "default", "do",
-        "double", "else", "enum", "extern", "float", "for", "goto", "if", "int",
-        "long", "register", "return", "short", "signed", "sizeof", "static",
-        "struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
-        "while", "main", "abs", "dist", "exit", "printf", "atoi", "assert",
-    }
     used: set[str] = set()
     mapping: dict[str, str] = {}
     for var in csp.variables:
         base = re.sub(r"[^A-Za-z0-9_]", "_", var.id)
         if not base or base[0].isdigit():
             base = "v_" + base
-        if base in keywords:
+        if base in _RESERVED_C_NAMES:
             base = base + "_v"
         candidate = base
         k = 1

@@ -116,11 +116,24 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def load_tool_manifest(path: str) -> list[ToolSpec]:
+def _load_entries(path: str, required: tuple[str, ...]) -> list[dict[str, Any]]:
+    """A manifest's entries; HarnessError names the file, entry and missing key."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise HarnessError(f"{path}: a manifest is a JSON list of objects")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise HarnessError(f"{path}: entry {i} is not an object")
+        for key in required:
+            if key not in entry:
+                raise HarnessError(f"{path}: entry {i} has no {key!r} key")
+    return raw
+
+
+def load_tool_manifest(path: str) -> list[ToolSpec]:
     tools = []
-    for entry in raw:
+    for entry in _load_entries(path, ("name", "run")):
         tools.append(
             ToolSpec(
                 name=entry["name"],
@@ -137,10 +150,8 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
 
 def load_instance_manifest(path: str) -> list[BenchInstance]:
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     instances = []
-    for entry in raw:
+    for entry in _load_entries(path, ("path", "family", "size")):
         p = entry["path"]
         if not os.path.isabs(p):
             p = os.path.join(base, p)

@@ -1,14 +1,46 @@
-"""Brute-force ground truth for constraint instances.
+"""Ground truth for constraint instances: a forward-checking search.
 
-Deliberately plain: exhaustive lexicographic enumeration over the domain
-product in declared variable order, pruning a branch as soon as a
-fully-bound constraint is violated. Correctness beats speed here; this is
-the reference the generated C programs are checked against, so it shares no
-code with the code generator.
+The search walks the domain product in lexicographic order (declared
+variable order, ascending values) and yields solutions in that order. It
+is the reference the generated C programs are checked against, so it
+shares no code with the code generator.
+
+Forward checking (Haralick & Elliott, 1980) keeps a live set of values per
+variable. Each constraint filters the live set of its deepest scope
+variable as soon as its other variables are bound, or at the root when it
+is unary: allDifferent as pairwise `ne`, tables by set lookup,
+intension through `eval_expr`. A filter that empties a live set (a
+wipeout) prunes the value just bound. Every live value of the last
+variable therefore completes a solution.
+
+Three counts come out of a search:
+- `explored` counts complete assignments accounted for: a leaf counts 1,
+  and a pruned value counts all its completions when the scan passes it.
+  It is the product size on UNSAT and the witness's rank + 1 on SAT,
+  exactly as for plain enumeration.
+- `work` counts one unit per leaf and one per prune event (a filtered
+  value passed, or a wipeout). The pruned subtrees are disjoint and
+  non-empty, so work <= explored <= product size.
+- `checks` counts the live values the filters faced: each filter call is
+  charged the size of the live set it filters, which bounds the values it
+  examines (an intension filter evaluates its expression on each). A
+  filter runs at most once per binding of its trigger variables and faces
+  at most its target's domain, so over a whole search one filter faces at
+  most the product size.
+
+The `limit` budget bounds both: the search ends in RESOURCE_LIMIT once
+`work` reaches `limit` or `checks` exceeds `limit` times the number of
+filters. So a limit at or above the product size never ends in
+RESOURCE_LIMIT, and a smaller one bounds the run time even when each
+value of a large domain is filtered out one by one.
 
 Arithmetic is exact (Python ints) but every intermediate result is checked
 against 32-bit signed bounds, since the generated programs use C `int`;
-an instance that overflows is rejected rather than silently diverging.
+an instance that overflows raises Int32Overflow rather than silently
+diverging. An intension constraint is evaluated over the whole live set of
+its deepest variable, so the overflow can surface on values past the first
+witness, which plain enumeration never reached but the emitted C still
+computes for some input.
 """
 
 from __future__ import annotations
@@ -16,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterable, Iterator
 
 from .model import (
     AllDifferent,
@@ -36,6 +69,8 @@ from .model import (
 DEFAULT_LIMIT = 10**7
 
 Assignment = dict[str, int]
+# A forward-checking filter: (assignment, target's live set) -> values ruled out.
+Kill = Callable[[Assignment, set[int]], Iterable[int]]
 
 
 class EvalError(Exception):
@@ -57,6 +92,8 @@ class SolveResult:
     status: Status
     witness: Assignment | None
     explored: int
+    work: int
+    checks: int
 
 
 def _check32(value: int) -> int:
@@ -123,19 +160,91 @@ def constraint_satisfied(constraint: Constraint, assignment: Assignment) -> bool
     return eval_expr(constraint.expr, assignment) != 0
 
 
-def _search(csp: CspInstance, limit: int, stop_at_first: bool) -> tuple[Status, list[Assignment], int]:
-    """Shared enumeration core for solve() and enumerate_solutions().
+def _differ(other: str) -> Kill:
+    def kill(assignment: Assignment, live: set[int]):
+        value = assignment[other]
+        return (value,) if value in live else ()
 
-    `explored` counts complete assignments accounted for: a leaf counts 1,
-    and pruning a branch counts every completion it rules out. Full
-    enumeration therefore costs exactly the domain-product size, so any
-    limit >= that size can never end in RESOURCE_LIMIT.
+    return kill
+
+
+def _table_kill(table: TableConstraint, target: str) -> Kill:
+    p = table.scope.index(target)
+    others = table.scope[:p] + table.scope[p + 1 :]
+    # the target's values listed in the table, by the rest of their row
+    listed: dict[tuple[int, ...], set[int]] = {}
+    for row in table.tuples:
+        listed.setdefault(row[:p] + row[p + 1 :], set()).add(row[p])
+    none: frozenset[int] = frozenset()
+
+    if table.polarity is Polarity.SUPPORTS:
+
+        def kill(assignment: Assignment, live: set[int]):
+            return live - listed.get(tuple(assignment[v] for v in others), none)
+
+    else:
+
+        def kill(assignment: Assignment, live: set[int]):
+            return live & listed.get(tuple(assignment[v] for v in others), none)
+
+    return kill
+
+
+def _intension_kill(expr: Expr, target: str) -> Kill:
+    def kill(assignment: Assignment, live: set[int]):
+        doomed = []
+        for value in live:
+            assignment[target] = value
+            if not eval_expr(expr, assignment):
+                doomed.append(value)
+        return doomed
+
+    return kill
+
+
+def _filters(
+    constraint: Constraint, depth_of: dict[str, int]
+) -> Iterator[tuple[int, int, Kill]]:
+    """Forward-checking filters of one constraint, as (trigger, target, kill).
+
+    The target is the depth of the deepest scope variable; the trigger is
+    the depth of the next deepest, or -1 (the root) for a unary constraint.
+    Once every scope variable but the target is bound, kill(assignment,
+    live) returns the values of the target's live set that the constraint
+    rules out. allDifferent becomes one `ne` filter per pair.
+    """
+    ranked = sorted((depth_of[v], v) for v in constraint.scope)
+    if isinstance(constraint, AllDifferent):
+        for i, (trigger, name) in enumerate(ranked):
+            for target, _ in ranked[i + 1 :]:
+                yield trigger, target, _differ(name)
+        return
+    target, name = ranked[-1]
+    trigger = ranked[-2][0] if len(ranked) > 1 else -1
+    if isinstance(constraint, TableConstraint):
+        yield trigger, target, _table_kill(constraint, name)
+    else:
+        yield trigger, target, _intension_kill(constraint.expr, name)
+
+
+def _search(
+    csp: CspInstance, limit: int, stop_at_first: bool
+) -> tuple[Status, list[Assignment], int, int, int]:
+    """Shared search core for solve() and enumerate_solutions().
+
+    Returns (status, solutions in lexicographic order, explored, work,
+    checks); the module docstring defines the three counts and the budget.
+    Binding the variable at depth d runs filters_at[d+1], each charged the
+    size of the live set it faces, and a wipeout undoes them and prunes the
+    value. As the scan passes a value it charges one unit of work and
+    credits `explored` with suffix[d+1], the completions that value
+    accounts for (1 at a leaf). The search is iterative, so a long chain of
+    variables does not hit Python's recursion limit.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     order = [v.id for v in csp.variables]
     domains = [v.domain.values() for v in csp.variables]
-    index = {name: i for i, name in enumerate(order)}
     n = len(order)
 
     # suffix[i]: completions of a partial assignment bound through var i-1
@@ -143,71 +252,102 @@ def _search(csp: CspInstance, limit: int, stop_at_first: bool) -> tuple[Status, 
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] * len(domains[i])
 
-    # Constraints become checkable once their deepest scope variable binds.
-    checks_at: list[list[Constraint]] = [[] for _ in range(n)]
-    preground: list[Constraint] = []
+    # filters_at[d]: filters run once the variable at depth d-1 is bound;
+    # filters_at[0] runs at the root.
+    depth_of = {name: i for i, name in enumerate(order)}
+    filters_at: list[list[tuple[int, Kill]]] = [[] for _ in range(n + 1)]
     for constraint in csp.constraints():
-        scope = constraint.scope
-        if not scope:
-            preground.append(constraint)
-        else:
-            checks_at[max(index[v] for v in scope)].append(constraint)
+        if not constraint.scope:
+            if not constraint_satisfied(constraint, {}):
+                return Status.UNSATISFIABLE, [], suffix[0], 1, 0
+            continue
+        for trigger, target, kill in _filters(constraint, depth_of):
+            filters_at[trigger + 1].append((target, kill))
+    check_limit = limit * sum(map(len, filters_at))
+
+    live = [set(values) for values in domains]
+    # trails[d]: (target, removed values) logged by filters_at[d]
+    trails: list[list[tuple[int, Iterable[int]]]] = [[] for _ in range(n + 1)]
+    # Holds every bound variable; entries deeper than the current depth are
+    # stale, and no filter reads them.
+    assignment: Assignment = {}
+    explored = work = checks = 0
+
+    def restore(trail: list[tuple[int, Iterable[int]]]) -> None:
+        for target, removed in trail:
+            live[target].update(removed)
+        trail.clear()
+
+    def narrow(at: int) -> bool:
+        """Run filters_at[at]; on a wipeout undo them and return False."""
+        nonlocal checks
+        trail = trails[at]
+        for target, kill in filters_at[at]:
+            remaining = live[target]
+            checks += len(remaining)
+            doomed = kill(assignment, remaining)
+            if doomed:
+                remaining.difference_update(doomed)
+                trail.append((target, doomed))
+                if not remaining:
+                    restore(trail)
+                    return False
+        return True
+
+    if not narrow(0):
+        return Status.UNSATISFIABLE, [], suffix[0], 1, checks
+    if n == 0:
+        return Status.SATISFIABLE, [{}], 1, 1, checks
 
     solutions: list[Assignment] = []
-    explored = 0
-
-    if not all(constraint_satisfied(c, {}) for c in preground):
-        return Status.UNSATISFIABLE, [], suffix[0]
-
-    if n == 0:
-        return Status.SATISFIABLE, [{}], 1
-
-    assignment: Assignment = {}
-    cursor = [0] * n
+    cursor = [0] * n  # next value index to scan at each depth
     depth = 0
+    last = n - 1
     while True:
-        if cursor[depth] >= len(domains[depth]):
+        k = cursor[depth]
+        if k == len(domains[depth]):
             if depth == 0:
-                break  # whole product enumerated
+                break  # whole product accounted for
             cursor[depth] = 0
             depth -= 1
-            del assignment[order[depth]]
-            cursor[depth] += 1
+            restore(trails[depth + 1])
             continue
-        if explored >= limit:
-            # The cursor points at an untried value, so work remains.
-            return Status.RESOURCE_LIMIT, solutions, explored
-        assignment[order[depth]] = domains[depth][cursor[depth]]
-        if all(constraint_satisfied(c, assignment) for c in checks_at[depth]):
-            if depth == n - 1:
-                explored += 1
-                solutions.append(dict(assignment))
-                if stop_at_first:
-                    break
-                del assignment[order[depth]]
-                cursor[depth] += 1
-            else:
+        if work >= limit or checks > check_limit:
+            # The cursor points at a value not yet accounted for, so work remains.
+            return Status.RESOURCE_LIMIT, solutions, explored, work, checks
+        cursor[depth] = k + 1
+        value = domains[depth][k]
+        if value in live[depth]:
+            assignment[order[depth]] = value
+            if depth == last:
+                solutions.append({name: assignment[name] for name in order})
+            elif narrow(depth + 1):
                 depth += 1
-        else:
-            explored += suffix[depth + 1]
-            del assignment[order[depth]]
-            cursor[depth] += 1
+                continue
+        # a leaf, or a value filtered out or wiped out with its subtree
+        work += 1
+        explored += suffix[depth + 1]
+        if solutions and stop_at_first:
+            break
 
     if solutions:
-        return Status.SATISFIABLE, solutions, explored
-    return Status.UNSATISFIABLE, solutions, explored
+        return Status.SATISFIABLE, solutions, explored, work, checks
+    return Status.UNSATISFIABLE, solutions, explored, work, checks
 
 
 def solve(csp: CspInstance, limit: int = DEFAULT_LIMIT) -> SolveResult:
     """First satisfying assignment in lexicographic order, if any."""
-    status, solutions, explored = _search(csp, limit, stop_at_first=True)
+    status, solutions, explored, work, checks = _search(csp, limit, stop_at_first=True)
     witness = solutions[0] if status is Status.SATISFIABLE else None
-    return SolveResult(status=status, witness=witness, explored=explored)
+    return SolveResult(
+        status=status, witness=witness, explored=explored, work=work, checks=checks
+    )
 
 
 def enumerate_solutions(csp: CspInstance, limit: int = DEFAULT_LIMIT) -> list[Assignment]:
-    """All satisfying assignments found within the enumeration budget."""
-    _, solutions, _ = _search(csp, limit, stop_at_first=False)
+    """All satisfying assignments, in lexicographic order, found within the
+    search budget."""
+    _, solutions, _, _, _ = _search(csp, limit, stop_at_first=False)
     return solutions
 
 

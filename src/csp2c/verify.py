@@ -1,4 +1,4 @@
-"""Differential testing of generated programs against the brute-force oracle.
+"""Differential testing of generated programs against the search oracle.
 
 Programs are checked the hard way: emit the concrete dialect, compile it
 with an external C compiler, and pipe the whole assignment plan through one

@@ -160,6 +160,63 @@ class TestSolveCommand:
         assert payload["status"] == "satisfiable"
         assert payload["witness"] == {"a": 0, "b": 1}
 
+    def test_work_is_reported(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "solve", "--machine", corpus_path("valid", "conflicts_group")
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["explored"] == 10
+        assert 1 <= payload["work"] <= payload["explored"]
+        assert payload["checks"] >= 1
+        code, out, _ = run_cli(capsys, "solve", corpus_path("valid", "conflicts_group"))
+        counts = f"(explored 10, work {payload['work']}, checks {payload['checks']})"
+        assert counts in out.splitlines()[0]
+
+    @pytest.mark.parametrize("limit", ["0", "-3", "many"])
+    def test_bad_limit_is_usage_error(self, capsys, limit):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", corpus_path("valid", "pigeonhole"), "--limit", limit])
+        assert info.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
+    def test_default_limit_is_the_oracles(self):
+        from csp2c.cli import build_parser
+        from csp2c.oracle import DEFAULT_LIMIT
+
+        args = build_parser().parse_args(["solve", "x.xml"])
+        assert args.limit == DEFAULT_LIMIT
+
+
+def overflowing_instance(tmp_path) -> str:
+    path = tmp_path / "overflow.xml"
+    path.write_text(
+        """<instance format="XCSP3" type="CSP">
+  <variables>
+    <var id="x"> 0 1 </var>
+  </variables>
+  <constraints>
+    <intension> lt(x,2000000000000) </intension>
+  </constraints>
+</instance>
+"""
+    )
+    return str(path)
+
+
+class TestOverflowIsAnError:
+    def test_solve_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "solve", overflowing_instance(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "32-bit" in err
+
+    def test_verify_exits_2(self, capsys, tmp_path, cc_template):
+        code, out, err = run_cli(
+            capsys, "verify", overflowing_instance(tmp_path), "--versions", "1",
+            "--cc", cc_template,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "32-bit" in err
+
 
 class TestVerifyCommand:
     def test_pass_exit_0(self, capsys, cc_template):
@@ -401,6 +458,17 @@ class TestBadInputFiles:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "missing.json" in err
+
+    def test_bench_tool_without_name_exits_2(self, capsys, tmp_path, bench_manifests):
+        _, instances = bench_manifests
+        tools = tmp_path / "nameless.json"
+        tools.write_text('[{"run": "echo"}]')
+        code, out, err = run_cli(
+            capsys, "bench", "--tools", str(tools), "--instances", instances,
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "entry 0 has no 'name' key" in err
 
     def test_bench_malformed_manifest_json_exits_2(self, capsys, tmp_path, bench_manifests):
         tools, _ = bench_manifests

@@ -321,3 +321,20 @@ class TestCsvRoundTrip:
         (inst,) = load_instance_manifest(str(inst_json))
         assert inst.instance_id == "a" and inst.size == 3
         assert os.path.isabs(inst.path)
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (load_tool_manifest, '[{"run": "echo"}]', "entry 0 has no 'name' key"),
+            (load_tool_manifest, '[{"name": "a", "run": "x"}, {"name": "b"}]', "entry 1 has no 'run' key"),
+            (load_instance_manifest, '[{"path": "a.xml", "size": 3}]', "entry 0 has no 'family' key"),
+            (load_instance_manifest, '{"path": "a.xml"}', "JSON list of objects"),
+            (load_instance_manifest, '["a.xml"]', "entry 0 is not an object"),
+        ],
+    )
+    def test_manifest_entry_errors_name_file_entry_and_key(self, tmp_path, loader, text, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(HarnessError, match=message) as info:
+            loader(str(path))
+        assert str(path) in str(info.value)

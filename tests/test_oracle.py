@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csp2c.model import (
+    COMPARISON_OPS,
     AllDifferent,
     Binary,
     Const,
     ConstraintGroup,
     CspInstance,
     Domain,
+    IntensionConstraint,
     Polarity,
     TableConstraint,
     Unary,
@@ -118,13 +120,18 @@ class TestSolve:
         assert result.witness == {"x0": 0}
 
     def test_resource_limit(self):
+        # Every (b, c) pair conflicts, so each of the 4 values of (a, b)
+        # empties c's domain: 4 units of work, more than a limit of 2.
+        every_pair = ((0, 0), (0, 1), (1, 0), (1, 1))
         csp = make_instance(
             {"a": [0, 1], "b": [0, 1], "c": [0, 1]},
-            [TableConstraint(("a",), Polarity.CONFLICTS, ((0,), (1,)))],
+            [TableConstraint(("b", "c"), Polarity.CONFLICTS, every_pair)],
         )
+        assert solve(csp).work == 4
         result = solve(csp, limit=2)
         assert result.status is Status.RESOURCE_LIMIT
         assert result.witness is None
+        assert result.work == 2
 
     def test_limit_equal_to_space_never_limits(self):
         csp = load_corpus("xor_ring")
@@ -142,6 +149,15 @@ class TestSolve:
                 ), name
                 for var in csp.variables:
                     assert result.witness[var.id] in var.domain
+
+    def test_unary_wipeout_is_decided_at_the_root(self):
+        csp = make_instance(
+            {"a": [0, 1], "b": [0, 1], "c": [0, 1]},
+            [TableConstraint(("a",), Polarity.CONFLICTS, ((0,), (1,)))],
+        )
+        result = solve(csp, limit=1)
+        assert result.status is Status.UNSATISFIABLE
+        assert (result.explored, result.work) == (8, 1)
 
     def test_determinism(self):
         csp = load_corpus("dist_alldiff")
@@ -216,3 +232,136 @@ def test_solver_matches_naive_enumeration(csp):
         assert result.status is Status.SATISFIABLE and result.witness == expected[0]
     else:
         assert result.status is Status.UNSATISFIABLE
+
+
+def pigeonhole(pigeons: int, holes: int) -> CspInstance:
+    names = [f"p{i}" for i in range(pigeons)]
+    return make_instance(
+        {name: list(range(holes)) for name in names}, [AllDifferent(tuple(names))]
+    )
+
+
+def ne_chain(n: int) -> CspInstance:
+    names = [f"x{i}" for i in range(n)]
+    return make_instance(
+        {name: [0, 1] for name in names},
+        [IntensionConstraint(Binary("ne", Var(a), Var(b))) for a, b in zip(names, names[1:])],
+    )
+
+
+class TestForwardChecking:
+    def test_nine_pigeons_in_eight_holes(self):
+        csp = pigeonhole(9, 8)
+        result = solve(csp, limit=10**6)
+        assert result.status is Status.UNSATISFIABLE
+        assert result.explored == csp.assignment_space_size == 8**9
+        assert result.work <= csp.assignment_space_size
+
+    def test_seven_pigeons_in_six_holes_keeps_explored(self):
+        result = solve(pigeonhole(7, 6))
+        assert result.status is Status.UNSATISFIABLE
+        assert result.explored == 6**7 == 279_936
+
+    def test_long_ne_chain_is_sat_without_recursion(self):
+        n = 2500
+        result = solve(ne_chain(n))
+        assert result.status is Status.SATISFIABLE
+        assert result.witness == {f"x{i}": i % 2 for i in range(n)}
+        # the witness's lexicographic rank + 1: 0101...01 read as a binary number
+        assert result.explored == int("01" * (n // 2), 2) + 1
+        assert result.work <= n
+
+    def test_overflow_past_the_first_witness_is_raised(self):
+        # y=0, z=1 satisfies y + z*z == 1 after 2 assignments, but the filter
+        # on z evaluates z*z over all of 0..100000, and 46341**2 > INT32_MAX:
+        # the emitted C would compute that product too.
+        expr = Binary("eq", Binary("add", Var("y"), Binary("mul", Var("z"), Var("z"))), Const(1))
+        csp = make_instance(
+            {"y": range(100_001), "z": range(100_001)}, [IntensionConstraint(expr)]
+        )
+        with pytest.raises(Int32Overflow):
+            solve(csp)
+
+    def test_filter_checks_are_charged_to_the_budget(self):
+        # No y satisfies x + y == -1, so each x costs one wipeout (1 unit of
+        # work) after evaluating the expression on all 100001 values of y.
+        # The limit matches the one verify's sampled plan solves with; the
+        # search must stop after about 10**6 evaluations, not 10**10.
+        expr = Binary("eq", Binary("add", Var("x"), Var("y")), Const(-1))
+        csp = make_instance(
+            {"x": range(100_001), "y": range(100_001)}, [IntensionConstraint(expr)]
+        )
+        result = solve(csp, limit=10**6)
+        assert result.status is Status.RESOURCE_LIMIT
+        assert (result.work, result.checks) == (10, 10 * 100_001)
+
+    def test_ground_constraint(self):
+        false = IntensionConstraint(Binary("eq", Const(1), Const(2)))
+        result = solve(make_instance({"a": [0, 1]}, [false]))
+        assert (result.status, result.explored, result.work) == (Status.UNSATISFIABLE, 2, 1)
+        true = IntensionConstraint(Binary("lt", Const(1), Const(2)))
+        assert solve(make_instance({"a": [0, 1]}, [true])).witness == {"a": 0}
+
+
+# The same cross-check over every constraint kind: tables, intension and
+# allDifferent, with the search's counts held to their definitions.
+def small_expr(names):
+    leaf = st.one_of(st.sampled_from(names).map(Var), st.integers(-2, 3).map(Const))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.builds(Unary, st.sampled_from(["neg", "abs", "not"]), sub),
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul", "dist", "and", "or"]), sub, sub),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def random_instance(draw):
+    n_vars = draw(st.integers(1, 4))
+    names = [f"v{i}" for i in range(n_vars)]
+    domains = {
+        name: draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4, unique=True))
+        for name in names
+    }
+    constraints = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["table", "intension", "alldiff"]))
+        if kind == "alldiff" and n_vars >= 2:
+            size = draw(st.integers(2, n_vars))
+            constraints.append(AllDifferent(tuple(draw(st.permutations(names))[:size])))
+        elif kind == "intension":
+            op = draw(st.sampled_from(COMPARISON_OPS))
+            expr = Binary(op, draw(small_expr(names)), draw(small_expr(names)))
+            constraints.append(IntensionConstraint(expr))
+        else:
+            scope = tuple(draw(st.permutations(names))[: draw(st.integers(1, n_vars))])
+            row = st.tuples(*[st.sampled_from(domains[v] + [9]) for v in scope])
+            rows = draw(st.lists(row, min_size=1, max_size=6, unique=True))
+            polarity = draw(st.sampled_from([Polarity.SUPPORTS, Polarity.CONFLICTS]))
+            constraints.append(TableConstraint(scope, polarity, tuple(rows)))
+    return make_instance(domains, constraints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_instance())
+def test_search_matches_naive_enumeration_on_every_kind(csp):
+    order = [v.id for v in csp.variables]
+    pools = [v.domain.values() for v in csp.variables]
+    constraints = csp.constraints()
+    product = [dict(zip(order, combo)) for combo in itertools.product(*pools)]
+    accepted = [all(constraint_satisfied(c, a) for c in constraints) for a in product]
+    expected = [a for a, ok in zip(product, accepted) if ok]
+
+    assert enumerate_solutions(csp) == expected
+    result = solve(csp)
+    if expected:
+        assert result.status is Status.SATISFIABLE and result.witness == expected[0]
+        assert result.explored == accepted.index(True) + 1
+    else:
+        assert result.status is Status.UNSATISFIABLE and result.witness is None
+        assert result.explored == len(product)
+    assert 1 <= result.work <= result.explored
+    # A limit at or above the product size never ends in RESOURCE_LIMIT.
+    assert solve(csp, limit=len(product)) == result

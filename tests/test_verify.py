@@ -6,7 +6,14 @@ import subprocess
 import pytest
 
 from csp2c import verify
-from csp2c.codegen import Family, emit_concrete_driver, version_count, version_to_spec
+from csp2c.codegen import (
+    Dialect,
+    Family,
+    emit_concrete_driver,
+    transform,
+    version_count,
+    version_to_spec,
+)
 from csp2c.model import (
     ConstraintGroup,
     CspInstance,
@@ -322,6 +329,39 @@ class TestDifferentialCheck:
         )
         assert report.status is VerifyStatus.PASS
         assert report.assignments_checked == 81
+
+    def test_variables_named_after_header_macros(self, cc_template, tmp_path):
+        names = ["NULL", "EOF", "RAND_MAX", "EXIT_SUCCESS", "EXIT_FAILURE", "BUFSIZ",
+                 "stdin", "stdout", "stderr"]
+        variables = "".join(f'<var id="{n}"> 0 1 </var>' for n in names)
+        csp = parse_document(
+            f"""
+            <instance format="XCSP3" type="CSP">
+              <variables>{variables}</variables>
+              <constraints>
+                <intension> ne(NULL,EOF) </intension>
+                <intension> lt(RAND_MAX,add(stdin,EXIT_FAILURE)) </intension>
+                <intension> eq(stdout,dist(stderr,BUFSIZ)) </intension>
+                <intension> le(EXIT_SUCCESS,EOF) </intension>
+              </constraints>
+            </instance>
+            """,
+            name="macronames",
+        )
+        report = differential_check(
+            csp, all_specs(Family.INTENSIONAL), cc_template, workdir=str(tmp_path)
+        )
+        assert report.status is VerifyStatus.PASS
+        assert report.assignments_checked == 2 ** len(names)
+        # llbmc declares its own intrinsics, so its programs compile as they are
+        for spec in all_specs(Family.INTENSIONAL):
+            program = transform(csp, dataclasses.replace(spec, dialect=Dialect.LLBMC))
+            src = tmp_path / f"llbmc{spec.version}.c"
+            src.write_text(program.source_text)
+            proc = subprocess.run(
+                ["cc", "-fsyntax-only", str(src)], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
 
     def test_timings_per_version(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
