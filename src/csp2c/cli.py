@@ -8,7 +8,9 @@ benchmark matrix), report (rebuild tables/charts from a raw records CSV).
 Exit codes: 0 success/satisfiable/pass; 1 unsatisfiable, verification
 fail, or a verify compiler or driver that fails or times out (a driver
 fails when it exits nonzero or prints anything but one 0/1 verdict per
-assignment; the 60 s driver timeout bounds the one batch run per version);
+assignment; a compile gets 120 s and the one batch run per version 60 s,
+and a command that runs past its limit is killed with its whole process
+group);
 2 parse, usage, input-file or code generation error, or (solve, verify) an
 intermediate value outside 32-bit int range; 3 search budget exhausted or
 partial verification.
@@ -22,11 +24,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import charts, harness
 from .codegen import (
     Dialect,
     Family,
+    TransformSpec,
     output_filename,
     transform,
     version_count,
@@ -97,19 +101,19 @@ def _family_of(csp: CspInstance) -> Family:
     )
 
 
-def _parse_versions(value: str, family: Family) -> list[int]:
+def _parse_versions(
+    value: str, family: Family, dialect: Dialect = Dialect.KLEE
+) -> list[TransformSpec]:
+    """The specs of a `--versions` list ("all" or e.g. "1,5,8"); a bad list
+    raises ArgumentTypeError, a version out of range CodegenError."""
     if value == "all":
-        return list(range(1, version_count(family) + 1))
-    try:
-        versions = [int(v) for v in value.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad version list {value!r}")
-    for v in versions:
-        if not 1 <= v <= version_count(family):
-            raise argparse.ArgumentTypeError(
-                f"{family.value} version must be in 1..{version_count(family)}, got {v}"
-            )
-    return versions
+        numbers = list(range(1, version_count(family) + 1))
+    else:
+        try:
+            numbers = [int(v) for v in value.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad version list {value!r}") from None
+    return [version_to_spec(family, v, dialect) for v in numbers]
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +158,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     csp = _load_instance(args.file, args.machine)
     if csp is None:
         return EXIT_PARSE
-    family = Family(args.family)
     try:
-        versions = _parse_versions(args.versions, family)
-    except argparse.ArgumentTypeError as exc:
+        specs = _parse_versions(args.versions, Family(args.family), Dialect(args.dialect))
+    except (CodegenError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    dialect = Dialect(args.dialect)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     try:
-        for v in versions:
-            program = transform(csp, version_to_spec(family, v, dialect))
+        for spec in specs:
+            program = transform(csp, spec)
             path = os.path.join(args.out_dir, output_filename(program))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(program.source_text)
@@ -174,7 +176,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                     "file": path,
                     "instance": csp.name,
                     "version": program.version_label,
-                    "dialect": dialect.value,
+                    "dialect": args.dialect,
                     "statements": program.statement_count,
                     "lines": program.line_count,
                 }
@@ -237,12 +239,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if csp is None:
         return EXIT_PARSE
     try:
-        family = _family_of(csp)
-        versions = _parse_versions(args.versions, family)
+        specs = _parse_versions(args.versions, _family_of(csp))
     except (CodegenError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    specs = [version_to_spec(family, v) for v in versions]
     try:
         report = differential_check(
             csp,
@@ -316,16 +316,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         csp = _load_instance(inst.path, machine=False)
         if csp is None:
             return EXIT_PARSE
-        family = Family(inst.family)
         labels = []
         try:
-            for v in _parse_versions(args.versions, family):
+            for spec in _parse_versions(args.versions, Family(inst.family)):
                 for dialect in dialects:
-                    program = transform(csp, version_to_spec(family, v, Dialect(dialect)))
+                    program = transform(csp, replace(spec, dialect=Dialect(dialect)))
                     path = os.path.join(src_dir, output_filename(program))
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.write(program.source_text)
-                labels.append(version_to_spec(family, v).version_label)
+                labels.append(spec.version_label)
         except (CodegenError, argparse.ArgumentTypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE

@@ -47,6 +47,7 @@ from .model import (
     TableConstraint,
     Unary,
     Var,
+    expr_nodes,
     instantiate_group,
 )
 
@@ -172,8 +173,12 @@ class GeneratedProgram:
     constraint_lines: tuple[str, ...]
 
 
+def source_filename(instance: str, version_label: str, dialect: str) -> str:
+    return f"{instance}__{version_label}__{dialect}.c"
+
+
 def output_filename(program: GeneratedProgram) -> str:
-    return f"{program.instance_name}__{program.version_label}__{program.dialect.value}.c"
+    return source_filename(program.instance_name, program.version_label, program.dialect.value)
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +460,29 @@ def _c_names(csp: CspInstance) -> dict[str, str]:
 
 
 def _uses_dist(constraints: Sequence[Constraint]) -> bool:
-    def in_expr(expr: Expr) -> bool:
-        if isinstance(expr, Binary):
-            return expr.op == "dist" or in_expr(expr.left) or in_expr(expr.right)
-        if isinstance(expr, Unary):
-            return in_expr(expr.operand)
-        return False
-
     return any(
-        isinstance(c, IntensionConstraint) and in_expr(c.expr) for c in constraints
+        isinstance(n, Binary) and n.op == "dist"
+        for c in constraints
+        if isinstance(c, IntensionConstraint)
+        for n in expr_nodes(c.expr)
     )
 
 
 def _check_value_ranges(csp: CspInstance, constraints: Sequence[Constraint]) -> None:
     for var in csp.variables:
-        for lo, hi in var.domain.ranges:
-            if lo < INT32_MIN or hi > INT32_MAX:
-                raise CodegenError(f"domain of {var.id} exceeds 32-bit signed range")
+        if var.domain.lo < INT32_MIN or var.domain.hi > INT32_MAX:
+            raise CodegenError(f"domain of {var.id} exceeds 32-bit signed range")
     for c in constraints:
         if isinstance(c, TableConstraint):
-            for row in c.tuples:
-                for value in row:
-                    if value < INT32_MIN or value > INT32_MAX:
-                        raise CodegenError(
-                            f"tuple value {value} exceeds 32-bit signed range"
-                        )
+            values, kind = (v for row in c.tuples for v in row), "tuple value"
+        elif isinstance(c, IntensionConstraint):
+            values = (n.value for n in expr_nodes(c.expr) if isinstance(n, Const))
+            kind = "constant"
+        else:
+            continue
+        for value in values:
+            if value < INT32_MIN or value > INT32_MAX:
+                raise CodegenError(f"{kind} {value} exceeds 32-bit signed range")
 
 
 def _grouped_constraints(csp: CspInstance, grouping: Grouping) -> list[list[Constraint]]:

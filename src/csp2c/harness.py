@@ -6,9 +6,11 @@ a success pattern that classifies "the distinguished point was reached".
 Analysis tools run once per (instance x version); baseline solvers run once
 per instance on the original XCSP3 file and anchor time normalization.
 
-Timeout enforcement kills the whole process group, so no child survives
-past timeout + grace. Timing runs default to a single worker; parallel
-timings must be requested explicitly and get stamped as indicative.
+Every child process csp2c starts, the verifier's compiler and drivers
+included, goes through `run_command`. It runs in its own process group,
+and a timeout kills the whole group, so no child survives past timeout +
+grace. Timing runs default to a single worker; parallel timings must be
+requested explicitly and get stamped as indicative.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
+
+from .codegen import source_filename
 
 DEFAULT_TIMEOUT_S = 1000.0
 KILL_GRACE_S = 2.0
@@ -171,54 +175,71 @@ def load_instance_manifest(path: str) -> list[BenchInstance]:
 # ---------------------------------------------------------------------------
 
 
-def _run_with_timeout(command: str, timeout_s: float) -> tuple[int | None, str, float, bool]:
-    """Run a shell-split command in its own process group.
+@dataclass(frozen=True)
+class CommandResult:
+    argv: list[str]
+    returncode: int | None  # None when the command could not be started
+    stdout: str
+    stderr: str
+    wall_s: float
+    timed_out: bool
 
-    Returns (returncode or None on spawn failure, combined output, wallclock,
-    timed_out). On timeout the process group gets SIGTERM, then SIGKILL
-    after KILL_GRACE_S.
+
+def run_command(
+    template: str, subs: Mapping[str, str], timeout_s: float, stdin: str | None = None
+) -> CommandResult:
+    """Run a command template in its own process group: the one place csp2c
+    starts a child process.
+
+    The template is shell-split before its fields (`{src}`, `{out}`, ...)
+    are filled in each token, so a path with spaces stays one argument. The
+    child reads `stdin`, or /dev/null. On timeout the group gets SIGTERM,
+    then SIGKILL after KILL_GRACE_S. A command that cannot be started has
+    returncode None and the reason as stderr.
     """
-    argv = shlex.split(command)
+    argv = [token.format(**subs) for token in shlex.split(template)]
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
             argv,
+            stdin=subprocess.DEVNULL if stdin is None else subprocess.PIPE,
             stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
+            stderr=subprocess.PIPE,
             text=True,
+            errors="replace",
             start_new_session=True,
         )
-    except (FileNotFoundError, PermissionError) as exc:
-        return None, str(exc), time.monotonic() - start, False
+    except OSError as exc:
+        return CommandResult(argv, None, "", str(exc), time.monotonic() - start, False)
+    timed_out = False
     try:
-        output, _ = proc.communicate(timeout=timeout_s)
-        return proc.returncode, output or "", time.monotonic() - start, False
+        stdout, stderr = proc.communicate(stdin, timeout=timeout_s)
     except subprocess.TimeoutExpired:
+        timed_out = True
         _signal_group(proc.pid, signal.SIGTERM)
         try:
-            output, _ = proc.communicate(timeout=KILL_GRACE_S)
+            stdout, stderr = proc.communicate(timeout=KILL_GRACE_S)
         except subprocess.TimeoutExpired:
             _signal_group(proc.pid, signal.SIGKILL)
-            output, _ = proc.communicate()
-        return proc.returncode, output or "", time.monotonic() - start, True
+            stdout, stderr = proc.communicate()
+    return CommandResult(argv, proc.returncode, stdout, stderr, time.monotonic() - start, timed_out)
 
 
 def _signal_group(pid: int, sig: signal.Signals) -> None:
+    # the child leads its own session, so its process group id is its pid
     try:
-        os.killpg(os.getpgid(pid), sig)
+        os.killpg(pid, sig)
     except ProcessLookupError:
         pass
 
 
-def _classify(
-    returncode: int | None, output: str, timed_out: bool, pattern: str
-) -> Outcome:
+def _classify(result: CommandResult, pattern: str) -> Outcome:
     # precedence: Timeout > ToolError > Reached > NotReached
-    if timed_out:
+    if result.timed_out:
         return Outcome.TIMEOUT
-    if returncode is None or (returncode is not None and returncode < 0):
+    if result.returncode is None or result.returncode < 0:
         return Outcome.TOOL_ERROR
-    if pattern and re.search(pattern, output):
+    if pattern and re.search(pattern, result.stdout + result.stderr):
         return Outcome.REACHED
     return Outcome.NOT_REACHED
 
@@ -229,9 +250,7 @@ def _execute(tool: ToolSpec, src: str, note: str = "") -> RunRecord:
     The prepare and run steps share one deadline, `timeout_s` after the
     job starts; the recorded wallclock is the run step's.
     """
-    scratch = src + ".out"
-    bitcode = os.path.splitext(src)[0] + ".bc"
-    subs = {"src": src, "bitcode": bitcode, "out": scratch}
+    subs = {"src": src, "bitcode": os.path.splitext(src)[0] + ".bc", "out": src + ".out"}
     deadline = time.monotonic() + tool.timeout_s
 
     def record(outcome: Outcome, wall: float) -> RunRecord:
@@ -240,20 +259,18 @@ def _execute(tool: ToolSpec, src: str, note: str = "") -> RunRecord:
         )
 
     if tool.prepare:
-        rc, output, wall, timed_out = _run_with_timeout(
-            tool.prepare.format(**subs), tool.timeout_s
-        )
-        if timed_out or rc != 0:
-            return record(Outcome.TIMEOUT if timed_out else Outcome.TOOL_ERROR, wall)
+        prep = run_command(tool.prepare, subs, tool.timeout_s)
+        if prep.timed_out or prep.returncode != 0:
+            return record(Outcome.TIMEOUT if prep.timed_out else Outcome.TOOL_ERROR, prep.wall_s)
     remaining = deadline - time.monotonic()
     if remaining <= 0:
         return record(Outcome.TIMEOUT, 0.0)
-    rc, output, wall, timed_out = _run_with_timeout(tool.run.format(**subs), remaining)
-    return record(_classify(rc, output, timed_out, tool.success_pattern), wall)
+    run = run_command(tool.run, subs, remaining)
+    return record(_classify(run, tool.success_pattern), run.wall_s)
 
 
 def source_path(source_dir: str, instance_id: str, version_label: str, dialect: str) -> str:
-    return os.path.join(source_dir, f"{instance_id}__{version_label}__{dialect}.c")
+    return os.path.join(source_dir, source_filename(instance_id, version_label, dialect))
 
 
 def run_matrix(

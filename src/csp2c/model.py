@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -116,7 +116,6 @@ class VariableDecl:
 UNARY_OPS = ("neg", "abs", "not")
 BINARY_OPS = ("add", "sub", "mul", "eq", "ne", "lt", "le", "gt", "ge", "and", "or", "dist")
 COMPARISON_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
-LOGICAL_OPS = ("and", "or", "not")
 
 
 @dataclass(frozen=True)
@@ -158,37 +157,25 @@ class Binary:
 Expr = Union[Var, Const, Placeholder, Unary, Binary]
 
 
+def expr_nodes(expr: Expr) -> Iterator[Expr]:
+    """Every node of the tree in pre-order, left operand before right."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Binary):
+            stack += (node.right, node.left)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+
+
 def expr_variables(expr: Expr) -> tuple[str, ...]:
     """Variable names in first-occurrence order."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
-    return tuple(seen)
+    return tuple(dict.fromkeys(n.name for n in expr_nodes(expr) if isinstance(n, Var)))
 
 
 def expr_placeholders(expr: Expr) -> tuple[int, ...]:
-    found: set[int] = set()
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Placeholder):
-            found.add(node.index)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
-    return tuple(sorted(found))
+    return tuple(sorted({n.index for n in expr_nodes(expr) if isinstance(n, Placeholder)}))
 
 
 def substitute_placeholders(expr: Expr, args: Sequence[Union[str, int]]) -> Expr:

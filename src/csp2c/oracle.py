@@ -45,7 +45,7 @@ computes for some input.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -351,16 +351,8 @@ def enumerate_solutions(csp: CspInstance, limit: int = DEFAULT_LIMIT) -> list[As
     return solutions
 
 
-def all_assignments(csp: CspInstance):
+def all_assignments(csp: CspInstance) -> Iterator[Assignment]:
     """Lexicographic iterator over the full domain product (no constraints)."""
     order = [v.id for v in csp.variables]
-    domains = [v.domain.values() for v in csp.variables]
-    total = math.prod(len(d) for d in domains)
-    counters = [0] * len(order)
-    for _ in range(total):
-        yield {name: domains[i][counters[i]] for i, name in enumerate(order)}
-        for i in range(len(order) - 1, -1, -1):
-            counters[i] += 1
-            if counters[i] < len(domains[i]):
-                break
-            counters[i] = 0
+    for values in itertools.product(*(v.domain.values() for v in csp.variables)):
+        yield dict(zip(order, values))

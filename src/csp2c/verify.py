@@ -5,7 +5,9 @@ with an external C compiler, and pipe the whole assignment plan through one
 run of the executable per version, so the verification path shares no
 evaluation code with the oracle. For every assignment the driver must print
 the verdict `1` exactly when the oracle says all constraints hold.
-DRIVER_TIMEOUT_S bounds that one batch run per version.
+Compiles and driver runs go through `harness.run_command`: a compile runs
+in its own process group, killed whole after COMPILE_TIMEOUT_S, and
+DRIVER_TIMEOUT_S bounds the one batch run per version.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import os
 import random
 import shlex
 import shutil
-import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,7 @@ from .codegen import (
     emit_concrete_driver,
     output_filename,
 )
+from .harness import CommandResult, run_command
 from .model import CspInstance
 from .oracle import Assignment, all_assignments, constraint_satisfied, solve
 
@@ -91,18 +93,16 @@ def default_compile_command() -> str:
 
 
 def _run(
-    argv: Sequence[str], timeout_s: float, stdin: str | None = None
-) -> subprocess.CompletedProcess:
-    """Run a child process, feeding it `stdin`; a timeout or a failure to
-    start raises VerifyError."""
-    try:
-        return subprocess.run(
-            argv, input=stdin, capture_output=True, text=True, timeout=timeout_s
-        )
-    except subprocess.TimeoutExpired:
-        raise VerifyError(f"timed out after {timeout_s:g} s: {shlex.join(argv)}") from None
-    except OSError as exc:
-        raise VerifyError(f"cannot run {shlex.join(argv)}: {exc}") from exc
+    template: str, subs: dict[str, str], timeout_s: float, stdin: str | None = None
+) -> CommandResult:
+    """harness.run_command, with a timeout or a failure to start raised as
+    VerifyError."""
+    result = run_command(template, subs, timeout_s, stdin)
+    if result.returncode is None:
+        raise VerifyError(f"cannot run {shlex.join(result.argv)}: {result.stderr}")
+    if result.timed_out:
+        raise VerifyError(f"timed out after {timeout_s:g} s: {shlex.join(result.argv)}")
+    return result
 
 
 def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -> str:
@@ -112,10 +112,9 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
     exe = src[:-2]
     with open(src, "w", encoding="utf-8") as fh:
         fh.write(program.source_text)
-    command = compile_cmd.format(src=src, out=exe)
-    proc = _run(shlex.split(command), COMPILE_TIMEOUT_S)
-    if proc.returncode != 0 or not os.path.exists(exe):
-        raise CompileError(command, proc.stdout + proc.stderr)
+    result = _run(compile_cmd, {"src": src, "out": exe}, COMPILE_TIMEOUT_S)
+    if result.returncode != 0 or not os.path.exists(exe):
+        raise CompileError(shlex.join(result.argv), result.stdout + result.stderr)
     return exe
 
 
@@ -126,7 +125,7 @@ def _verdicts(exe: str, order: Sequence[str], assignments: Sequence[Assignment])
     raises VerifyError: a broken driver is never read as a verdict.
     """
     plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
-    proc = _run([exe], DRIVER_TIMEOUT_S, stdin=plan)
+    proc = _run("{exe}", {"exe": exe}, DRIVER_TIMEOUT_S, stdin=plan)
     if proc.returncode != 0:
         stderr = proc.stderr.strip()
         raise VerifyError(

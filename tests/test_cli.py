@@ -6,6 +6,7 @@ import os
 import pytest
 
 from csp2c.cli import main
+from csp2c.harness import Outcome, load_records_csv
 
 from conftest import corpus_path
 
@@ -133,6 +134,30 @@ class TestGenCommand:
         )
         assert code == 2
         assert "table" in err
+
+    def test_bad_versions_write_nothing(self, capsys, tmp_path):
+        out_dir = tmp_path / "gen"
+        code, _, err = run_cli(
+            capsys, "gen", corpus_path("valid", "conflicts_group"), "--family", "extensional",
+            "--versions", "1,13", "--out-dir", str(out_dir),
+        )
+        assert code == 2 and err.startswith("error:")
+        assert not out_dir.exists()
+
+    def test_constant_outside_int32_is_an_error(self, capsys, tmp_path):
+        xml = tmp_path / "big.xml"
+        xml.write_text(
+            '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..3 </var>'
+            "</variables><constraints><intension> lt(x,2000000000000) </intension>"
+            "</constraints></instance>"
+        )
+        out_dir = tmp_path / "gen"
+        code, _, err = run_cli(
+            capsys, "gen", str(xml), "--family", "intensional", "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert err.startswith("error:") and "2000000000000" in err
+        assert not [name for name in os.listdir(out_dir) if name.endswith(".c")]
 
 
 class TestSolveCommand:
@@ -402,6 +427,23 @@ class TestBenchAndReport:
         )
         assert code == 0
         assert "note: parallel, timings indicative" in out
+
+    def test_out_dir_with_a_space(self, capsys, tmp_path, bench_manifests):
+        _, instances = bench_manifests
+        tools = tmp_path / "grep.json"
+        tools.write_text(
+            json.dumps(
+                [{"name": "grep-assert", "run": "grep -c assert {src}", "success_pattern": "^[1-9]"}]
+            )
+        )
+        out_dir = tmp_path / "bench out"
+        code, _, _ = run_cli(
+            capsys, "bench", "--tools", str(tools), "--instances", instances,
+            "--out-dir", str(out_dir), "--versions", "1",
+        )
+        assert code == 0
+        records = load_records_csv(str(out_dir / "raw.csv"))
+        assert [r.outcome for r in records] == [Outcome.REACHED, Outcome.REACHED]
 
     def test_bad_versions_and_family_mismatch_exit_2(self, capsys, tmp_path, bench_manifests):
         tools, instances = bench_manifests

@@ -22,11 +22,15 @@ from csp2c.codegen import (
     version_to_spec,
 )
 from csp2c.model import (
+    Binary,
+    Const,
     ConstraintGroup,
     CspInstance,
     Domain,
+    IntensionConstraint,
     Polarity,
     TableConstraint,
+    Var,
     VariableDecl,
 )
 from csp2c.oracle import all_assignments
@@ -388,6 +392,19 @@ class TestErrors:
         )
         with pytest.raises(CodegenError, match="32-bit"):
             transform(csp, version_to_spec(Family.EXTENSIONAL, 1))
+
+    def test_constant_out_of_int32_range(self):
+        csp = CspInstance(
+            name="big",
+            variables=(VariableDecl("x", Domain.from_values([0, 1])),),
+            groups=(
+                ConstraintGroup.singleton(
+                    IntensionConstraint(Binary("lt", Var("x"), Const(-(2**31) - 1)))
+                ),
+            ),
+        )
+        with pytest.raises(CodegenError, match=r"constant -2147483649 exceeds 32-bit"):
+            transform(csp, version_to_spec(Family.INTENSIONAL, 1))
 
     def test_negative_literals_render_parenthesized(self):
         # bare "x--3" would tokenize as pre-decrement in C

@@ -81,6 +81,23 @@ class TestRunMatrix:
         assert record.outcome is Outcome.REACHED
         assert record.wallclock_s < 0.5
 
+    def test_success_pattern_on_stderr_is_reached(self, tmp_path, two_instances):
+        # KLEE reports a reached assertion on stderr
+        src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
+        tool = ToolSpec(
+            name="stderr-only",
+            run="sh -c 'echo ASSERTION FAIL >&2'",
+            success_pattern="ASSERTION FAIL",
+        )
+        (record,) = run_matrix(two_instances[:1], {"extensional": LABELS[:1]}, [tool], src_dir)
+        assert record.outcome is Outcome.REACHED
+
+    def test_output_that_is_not_utf8_is_classified(self, tmp_path, two_instances):
+        src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
+        tool = ToolSpec(name="binary", run="printf '\\377REACH'", success_pattern="REACH")
+        (record,) = run_matrix(two_instances[:1], {"extensional": LABELS[:1]}, [tool], src_dir)
+        assert record.outcome is Outcome.REACHED
+
     def test_no_pattern_match_is_not_reached(self, tmp_path, two_instances):
         src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
         tool = ToolSpec(name="quiet", run="echo done", success_pattern="ASSERTION FAIL")

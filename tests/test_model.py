@@ -14,7 +14,11 @@ from csp2c.model import (
     Placeholder,
     Polarity,
     TableConstraint,
+    Unary,
     Var,
+    expr_nodes,
+    expr_placeholders,
+    expr_variables,
     instantiate_group,
     substitute_placeholders,
 )
@@ -128,3 +132,14 @@ class TestConstraintInvariants:
         expr = Binary("ge", Placeholder(0), Placeholder(1))
         out = substitute_placeholders(expr, ["x0", 3])
         assert out == Binary("ge", Var("x0"), Const(3))
+
+
+class TestExprNodes:
+    def test_pre_order_left_before_right(self):
+        product = Binary("mul", Placeholder(1), Binary("sub", Var("a"), Var("b")))
+        expr = Binary("add", Unary("neg", Var("b")), product)
+        assert [type(n).__name__ for n in expr_nodes(expr)] == [
+            "Binary", "Unary", "Var", "Binary", "Placeholder", "Binary", "Var", "Var",
+        ]
+        assert expr_variables(expr) == ("b", "a")
+        assert expr_placeholders(Binary("eq", Placeholder(1), Placeholder(0))) == (0, 1)

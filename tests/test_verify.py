@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import subprocess
+import time
 
 import pytest
 
@@ -172,6 +173,35 @@ class TestDifferentialCheck:
                 "sleep 5",
                 workdir=str(tmp_path),
             )
+
+    def test_compile_timeout_kills_the_compilers_process_group(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "COMPILE_TIMEOUT_S", 0.5)
+        marker = tmp_path / "still-alive"
+        # the "compiler" leaves a grandchild that appends to the marker for ~5 s
+        loop = f"i=0; while [ $i -lt 50 ]; do date >> {marker}; sleep 0.1; i=$((i+1)); done"
+        csp = load_corpus("supports_pair")
+        with pytest.raises(VerifyError, match="timed out"):
+            differential_check(
+                csp,
+                [version_to_spec(Family.EXTENSIONAL, 1)],
+                f"sh -c '({loop}) & wait' {{out}} {{src}}",
+                workdir=str(tmp_path / "build"),
+            )
+        time.sleep(0.3)
+        assert marker.exists()
+        size_then = marker.stat().st_size
+        time.sleep(0.5)
+        assert marker.stat().st_size == size_then  # nothing is writing anymore
+
+    def test_workdir_with_a_space(self, cc_template, tmp_path):
+        csp = load_corpus("supports_pair")
+        report = differential_check(
+            csp,
+            all_specs(Family.EXTENSIONAL)[:2],
+            cc_template,
+            workdir=str(tmp_path / "build dir"),
+        )
+        assert report.status is VerifyStatus.PASS
 
     def test_negative_domains_agree_with_oracle(self, cc_template, tmp_path):
         from csp2c.xcsp import parse_document
