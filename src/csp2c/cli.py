@@ -7,13 +7,14 @@ benchmark matrix), report (rebuild tables/charts from a raw records CSV).
 
 Exit codes: 0 success/satisfiable/pass; 1 unsatisfiable, verification
 fail, or a verify compiler or driver that fails or times out (a driver
-fails when it exits nonzero or prints anything but one 0/1 verdict per
-assignment; a compile gets 120 s and the one batch run per version 60 s,
-and a command that runs past its limit is killed with its whole process
-group);
-2 parse, usage, input-file or code generation error, or (solve, verify) an
-intermediate value outside 32-bit int range; 3 search budget exhausted or
-partial verification.
+fails when it exits nonzero or prints anything but one line of 0/1
+verdicts, one digit per version, per assignment; a compile gets 120 s and
+the one batch run per translation unit 60 s, and a command that runs past
+its limit is killed with its whole process group);
+2 parse, usage, input-file or code generation error, a command template
+(--cc, CSP2C_CC, a tool manifest's run or prepare) that cannot be split or
+names an unknown field, or (solve, verify) an intermediate value outside
+32-bit int range; 3 search budget exhausted or partial verification.
 The CSP2C_CC environment variable sets the default C compiler template
 (default: "cc -O1 -o {out} {src}").
 """
@@ -40,6 +41,7 @@ from .codegen import (
 from .model import CspInstance, IntensionConstraint, AllDifferent, TableConstraint
 from .oracle import DEFAULT_LIMIT, EvalError, Status, solve
 from .verify import (
+    COMPILE_FIELDS,
     VerifyStatus,
     default_compile_command,
     differential_check,
@@ -240,7 +242,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     try:
         specs = _parse_versions(args.versions, _family_of(csp))
-    except (CodegenError, argparse.ArgumentTypeError) as exc:
+        harness.check_template(args.cc, COMPILE_FIELDS)
+    except (CodegenError, argparse.ArgumentTypeError, harness.HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -272,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "mismatches": len(report.mismatches),
                     "first_mismatch": first,
                     "timings": [
-                        {"version": t.version_label, "compile_s": t.compile_s, "run_s": t.run_s}
+                        {"versions": list(t.versions), "compile_s": t.compile_s, "run_s": t.run_s}
                         for t in report.timings
                     ],
                 }
@@ -284,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({len(report.versions)} versions x {report.assignments_checked} assignments)"
         )
         for t in report.timings:
-            print(f"  {t.version_label}: compile {t.compile_s:.3f} s, run {t.run_s:.3f} s")
+            print(f"  {', '.join(t.versions)}: compile {t.compile_s:.3f} s, run {t.run_s:.3f} s")
         for m in report.mismatches[:10]:
             a = " ".join(f"{k}={v}" for k, v in m.assignment)
             print(
@@ -434,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bound", type=int, default=4096, help="max exhaustive assignments")
     p.add_argument(
-        "--workers", type=int, default=1, help="versions compiled and run at once"
+        "--workers",
+        type=int,
+        default=1,
+        help="translation units, each holding a share of the versions, built and run at once",
     )
     p.add_argument("--machine", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_verify)

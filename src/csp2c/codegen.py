@@ -614,7 +614,8 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     header = _file_header(csp, spec, constraints)
     if concrete:
         signature = _wrap("static int accepts(", [f"int {name}" for name in names], ", ", ") {")
-        source_lines = header + signature + body + ["}", ""] + _concrete_main(len(names))
+        main = concrete_main(["accepts"], len(names))
+        source_lines = header + signature + body + ["}", ""] + main
     else:
         source_lines = header + ["int main(void) {"] + body + ["}"]
     source = "\n".join(source_lines) + "\n"
@@ -654,14 +655,17 @@ def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Co
     return lines
 
 
-def _concrete_main(arity: int) -> list[str]:
-    """main() of the concrete dialect. With no arguments it reads assignments
-    from stdin and prints one 0/1 verdict line each, exiting 2 on input that
-    does not end after a whole assignment; with one argument per variable it
-    prints SAT-REACHED and exits 0 when accepts() holds, and exits 1 otherwise.
+def concrete_main(accepts_names: Sequence[str], arity: int) -> list[str]:
+    """main() of the concrete dialect, over one or more `accepts` functions
+    of `arity` parameters each. With no arguments it reads assignments from
+    stdin and prints one line per assignment holding one 0/1 verdict digit
+    per function, in order, exiting 2 on input that does not end after a
+    whole assignment; with one argument per variable it prints SAT-REACHED
+    and exits 0 when every function accepts, and exits 1 otherwise.
     It names no CSP variable, so none can shadow what main calls."""
     indent = "    "
     slots = [f"v[{i}]" for i in range(arity)]
+    last = len(accepts_names) - 1
     lines = [
         "int main(int argc, char **argv) {",
         indent + f"int v[{arity}], i = 0;",
@@ -670,7 +674,9 @@ def _concrete_main(arity: int) -> list[str]:
         indent * 2 + 'while (scanf("%d", &v[i]) == 1) {',
         indent * 3 + f"if (++i < {arity}) continue;",
     ]
-    lines += _wrap(indent * 3 + 'printf("%d\\n", accepts(', slots, ", ", "));")
+    for k, name in enumerate(accepts_names):
+        fmt = "%d\\n" if k == last else "%d"
+        lines += _wrap(indent * 3 + f'printf("{fmt}", {name}(', slots, ", ", "));")
     lines += [
         indent * 3 + "i = 0;",
         indent * 2 + "}",
@@ -679,12 +685,13 @@ def _concrete_main(arity: int) -> list[str]:
         indent + f"if (argc != {arity + 1}) return 2;",
         indent + "/* read the candidate assignment from argv */",
     ]
-    lines += _wrap(
-        indent + "if (!accepts(",
-        [f"atoi(argv[{i}])" for i in range(1, arity + 1)],
-        ", ",
-        ")) return 1;",
-    )
+    for name in accepts_names:
+        lines += _wrap(
+            indent + f"if (!{name}(",
+            [f"atoi(argv[{i}])" for i in range(1, arity + 1)],
+            ", ",
+            ")) return 1;",
+        )
     lines += [indent + f'printf("{SAT_MARKER}\\n");', indent + "return 0;", "}"]
     return lines
 

@@ -21,6 +21,7 @@ import os
 import re
 import shlex
 import signal
+import string
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,10 +29,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-from .codegen import source_filename
+from .codegen import Family, source_filename
 
 DEFAULT_TIMEOUT_S = 1000.0
 KILL_GRACE_S = 2.0
+# the fields a tool's prepare and run templates may name
+TOOL_FIELDS = ("src", "bitcode", "out")
 
 
 class HarnessError(Exception):
@@ -137,7 +140,13 @@ def _load_entries(path: str, required: tuple[str, ...]) -> list[dict[str, Any]]:
 
 def load_tool_manifest(path: str) -> list[ToolSpec]:
     tools = []
-    for entry in _load_entries(path, ("name", "run")):
+    for i, entry in enumerate(_load_entries(path, ("name", "run"))):
+        for key in ("prepare", "run"):
+            if entry.get(key):
+                try:
+                    check_template(entry[key], TOOL_FIELDS)
+                except HarnessError as exc:
+                    raise HarnessError(f"{path}: entry {i} {key!r}: {exc}") from None
         tools.append(
             ToolSpec(
                 name=entry["name"],
@@ -155,7 +164,13 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
 def load_instance_manifest(path: str) -> list[BenchInstance]:
     base = os.path.dirname(os.path.abspath(path))
     instances = []
-    for entry in _load_entries(path, ("path", "family", "size")):
+    families = [f.value for f in Family]
+    for i, entry in enumerate(_load_entries(path, ("path", "family", "size"))):
+        if entry["family"] not in families:
+            raise HarnessError(
+                f"{path}: entry {i} has unknown family {entry['family']!r}; "
+                f"expected one of {', '.join(families)}"
+            )
         p = entry["path"]
         if not os.path.isabs(p):
             p = os.path.join(base, p)
@@ -183,6 +198,33 @@ class CommandResult:
     stderr: str
     wall_s: float
     timed_out: bool
+
+
+def _field_names(text: str) -> Iterable[str]:
+    for _, name, spec, _ in string.Formatter().parse(text):
+        if name is not None:
+            yield name
+            yield from _field_names(spec)
+
+
+def check_template(template: str, fields: Sequence[str]) -> None:
+    """Raise HarnessError unless run_command can fill `template` from
+    `fields`: an empty template, an unbalanced quote, a stray brace and a
+    field not in `fields` are errors. Templates are checked once, when read."""
+    try:
+        words = shlex.split(template)
+        names = {name for word in words for name in _field_names(word)}
+    except ValueError as exc:
+        raise HarnessError(f"bad command template {template!r}: {exc}") from None
+    if not words:
+        raise HarnessError("empty command template")
+    unknown = sorted(names - set(fields))
+    if unknown:
+        known = ", ".join("{" + f + "}" for f in fields)
+        raise HarnessError(
+            f"bad command template {template!r}: unknown field {{{unknown[0]}}}; "
+            f"it may name {known}, and a literal brace is written {{{{ or }}}}"
+        )
 
 
 def run_command(
@@ -250,7 +292,7 @@ def _execute(tool: ToolSpec, src: str, note: str = "") -> RunRecord:
     The prepare and run steps share one deadline, `timeout_s` after the
     job starts; the recorded wallclock is the run step's.
     """
-    subs = {"src": src, "bitcode": os.path.splitext(src)[0] + ".bc", "out": src + ".out"}
+    subs = dict(zip(TOOL_FIELDS, (src, os.path.splitext(src)[0] + ".bc", src + ".out")))
     deadline = time.monotonic() + tool.timeout_s
 
     def record(outcome: Outcome, wall: float) -> RunRecord:

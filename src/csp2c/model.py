@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 INT32_MIN = -(2**31)
@@ -349,11 +350,12 @@ class CspInstance:
     def variable_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)
 
+    @cached_property
+    def _domains(self) -> dict[str, Domain]:
+        return {v.id: v.domain for v in self.variables}
+
     def domain_of(self, var_id: str) -> Domain:
-        for v in self.variables:
-            if v.id == var_id:
-                return v.domain
-        raise KeyError(var_id)
+        return self._domains[var_id]
 
     def constraints(self) -> list[Constraint]:
         out: list[Constraint] = []

@@ -1,13 +1,17 @@
 """Differential testing of generated programs against the search oracle.
 
 Programs are checked the hard way: emit the concrete dialect, compile it
-with an external C compiler, and pipe the whole assignment plan through one
-run of the executable per version, so the verification path shares no
-evaluation code with the oracle. For every assignment the driver must print
-the verdict `1` exactly when the oracle says all constraints hold.
-Compiles and driver runs go through `harness.run_command`: a compile runs
-in its own process group, killed whole after COMPILE_TIMEOUT_S, and
-DRIVER_TIMEOUT_S bounds the one batch run per version.
+with an external C compiler, and pipe the whole assignment plan through the
+executable, so the verification path shares no evaluation code with the
+oracle. All versions of one pass go into one translation unit (with
+`workers` > 1, into that many units, built at once): each version's own
+`accepts` and `main` are renamed by `#define`, a `#line` directive makes
+compiler messages name the version's own file, and one shared batch `main`
+prints, for every assignment, one line holding one 0/1 verdict digit per
+version. A version's digit must be `1` exactly when the oracle says all
+constraints hold. Compiles and driver runs go through `harness.run_command`:
+a compile runs in its own process group, killed whole after
+COMPILE_TIMEOUT_S, and DRIVER_TIMEOUT_S bounds the one batch run per unit.
 """
 
 from __future__ import annotations
@@ -24,10 +28,13 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .codegen import (
+    Dialect,
     GeneratedProgram,
     TransformSpec,
+    concrete_main,
     emit_concrete_driver,
     output_filename,
+    source_filename,
 )
 from .harness import CommandResult, run_command
 from .model import CspInstance
@@ -36,6 +43,8 @@ from .oracle import Assignment, all_assignments, constraint_satisfied, solve
 DEFAULT_EXHAUSTIVE_BOUND = 4096
 DEFAULT_SAMPLE_COUNT = 256
 DEFAULT_CC = "cc -O1 -o {out} {src}"
+# the fields a compile command template may name
+COMPILE_FIELDS = ("src", "out")
 COMPILE_TIMEOUT_S = 120
 DRIVER_TIMEOUT_S = 60
 
@@ -67,8 +76,11 @@ class Mismatch:
 
 
 @dataclass(frozen=True)
-class VersionTiming:
-    version_label: str
+class UnitTiming:
+    """One translation unit: the versions it holds, the time to emit and
+    compile it, and the time of its one driver run."""
+
+    versions: tuple[str, ...]
     compile_s: float
     run_s: float
 
@@ -80,8 +92,8 @@ class VerificationReport:
     assignments_checked: int
     mismatches: list[Mismatch] = field(default_factory=list)
     status: VerifyStatus = VerifyStatus.PASS
-    # one entry per version, in the order of `versions`
-    timings: list[VersionTiming] = field(default_factory=list)
+    # one entry per translation unit, each listing its distinct versions
+    timings: list[UnitTiming] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -112,19 +124,65 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
     exe = src[:-2]
     with open(src, "w", encoding="utf-8") as fh:
         fh.write(program.source_text)
-    result = _run(compile_cmd, {"src": src, "out": exe}, COMPILE_TIMEOUT_S)
+    result = _run(compile_cmd, dict(zip(COMPILE_FIELDS, (src, exe))), COMPILE_TIMEOUT_S)
     if result.returncode != 0 or not os.path.exists(exe):
         raise CompileError(shlex.join(result.argv), result.stdout + result.stderr)
     return exe
 
 
-def _verdicts(exe: str, order: Sequence[str], assignments: Sequence[Assignment]) -> list[bool]:
-    """Pipe every assignment through one batch-mode run of the driver.
+def _c_string(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    Anything but a zero exit with exactly one `0` or `1` line per assignment
-    raises VerifyError: a broken driver is never read as a verdict.
+
+def build_unit(
+    csp: CspInstance,
+    specs: Sequence[TransformSpec],
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = emit_concrete_driver,
+    label: str = "unit1",
+) -> GeneratedProgram:
+    """One translation unit holding the program `emitter` gives for each of
+    `specs`, and a shared batch main that prints one verdict digit per spec,
+    in order, for each assignment read.
+
+    Program i is compiled with `accepts` and `main` renamed to
+    csp2c_accepts_<i> and csp2c_main_<i>, and with `#line` set to its own
+    file name, so a compiler message inside it names that file. The unit's
+    own file is named after `label`.
     """
-    plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
+    programs = [emitter(csp, spec) for spec in specs]
+    text = "".join(
+        f"#define accepts csp2c_accepts_{i}\n#define main csp2c_main_{i}\n"
+        f"#line 1 {_c_string(output_filename(program))}\n"
+        + program.source_text
+        + "#undef accepts\n#undef main\n"
+        for i, program in enumerate(programs)
+    )
+    # the shared main is numbered as lines of the unit's own file
+    filename = source_filename(csp.name, label, Dialect.CONCRETE.value)
+    main = concrete_main(
+        [f"csp2c_accepts_{i}" for i in range(len(programs))], len(csp.variables)
+    )
+    next_line = text.count("\n") + 2
+    text += f"#line {next_line} {_c_string(filename)}\n" + "\n".join(main) + "\n"
+    return GeneratedProgram(
+        source_text=text,
+        version_label=label,
+        statement_count=sum(p.statement_count for p in programs),
+        var_map=programs[0].var_map,
+        line_count=text.count("\n"),
+        instance_name=csp.name,
+        dialect=Dialect.CONCRETE,
+        constraint_lines=tuple(line for p in programs for line in p.constraint_lines),
+    )
+
+
+def _verdicts(exe: str, plan: str, count: int, width: int) -> list[list[bool]]:
+    """Pipe the plan of `count` assignments through one batch-mode run of a
+    unit's driver; one row of verdicts for each of its `width` versions.
+
+    Anything but a zero exit with exactly one line of `width` 0/1 digits per
+    assignment raises VerifyError: a broken driver is never read as a verdict.
+    """
     proc = _run("{exe}", {"exe": exe}, DRIVER_TIMEOUT_S, stdin=plan)
     if proc.returncode != 0:
         stderr = proc.stderr.strip()
@@ -133,14 +191,16 @@ def _verdicts(exe: str, order: Sequence[str], assignments: Sequence[Assignment])
             + (f": {stderr}" if stderr else "")
         )
     lines = proc.stdout.splitlines()
-    if len(lines) != len(assignments):
+    if len(lines) != count:
         raise VerifyError(
-            f"driver {exe} printed {len(lines)} verdicts for {len(assignments)} assignments"
+            f"driver {exe} printed {len(lines)} verdict lines for {count} assignments"
         )
-    bad = next((line for line in lines if line not in ("0", "1")), None)
+    bad = next((line for line in lines if len(line) != width or line.strip("01")), None)
     if bad is not None:
-        raise VerifyError(f"driver {exe} printed {bad!r}, not a 0/1 verdict")
-    return [line == "1" for line in lines]
+        raise VerifyError(
+            f"driver {exe} printed {bad!r}, not a line of {width} 0/1 verdict digits"
+        )
+    return [[line[k] == "1" for line in lines] for k in range(width)]
 
 
 def _observe(
@@ -151,40 +211,48 @@ def _observe(
     workers: int,
     workdir: str | None,
     emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram],
-) -> tuple[list[list[bool]], list[VersionTiming]]:
+) -> tuple[list[list[bool]], list[UnitTiming]]:
     """One row of driver verdicts per version, in the order of `assignments`,
-    and one compile and run timing per version.
+    and one timing per translation unit.
 
-    Each distinct version is compiled and run once; with `workers` > 1 the
-    versions run concurrently. Builds go to `workdir`, or to a temporary
-    directory removed afterwards.
+    The distinct versions are split, in order, into min(`workers`, their
+    number) units of near-equal size, built, compiled and run at once; each
+    version is compiled and run once. Builds go to `workdir`, or to a
+    temporary directory removed afterwards.
     """
     compile_cmd = compile_cmd or default_compile_command()
     order = [v.id for v in csp.variables]
+    plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
     tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
-
-    def job(spec: TransformSpec) -> tuple[list[bool], VersionTiming]:
-        start = time.perf_counter()
-        exe = compile_program(emitter(csp, spec), compile_cmd, tmp)
-        compiled = time.perf_counter()
-        verdicts = _verdicts(exe, order, assignments)
-        timing = VersionTiming(
-            spec.version_label, compiled - start, time.perf_counter() - compiled
-        )
-        return verdicts, timing
-
     distinct = list(dict.fromkeys(versions))
+    n = min(max(workers, 1), len(distinct))
+    units = [distinct[len(distinct) * i // n : len(distinct) * (i + 1) // n] for i in range(n)]
+
+    def job(index: int) -> tuple[list[list[bool]], UnitTiming]:
+        specs = units[index]
+        start = time.perf_counter()
+        unit = build_unit(csp, specs, emitter, f"unit{index + 1}")
+        exe = compile_program(unit, compile_cmd, tmp)
+        compiled = time.perf_counter()
+        rows = _verdicts(exe, plan, len(assignments), len(specs))
+        timing = UnitTiming(
+            tuple(spec.version_label for spec in specs),
+            compiled - start,
+            time.perf_counter() - compiled,
+        )
+        return rows, timing
+
     try:
-        if workers <= 1:
-            results = [job(spec) for spec in distinct]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(job, distinct))
+        # a pass without versions has no units, and a pool needs one thread
+        with ThreadPoolExecutor(max_workers=max(n, 1)) as pool:
+            results = list(pool.map(job, range(n)))
     finally:
         if workdir is None:
             shutil.rmtree(tmp, ignore_errors=True)
-    by_spec = dict(zip(distinct, results))
-    return [by_spec[s][0] for s in versions], [by_spec[s][1] for s in versions]
+    by_spec = {
+        spec: row for specs, (rows, _) in zip(units, results) for spec, row in zip(specs, rows)
+    }
+    return [by_spec[s] for s in versions], [timing for _, timing in results]
 
 
 def _assignment_plan(

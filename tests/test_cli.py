@@ -280,19 +280,41 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["first_mismatch"] is None
-        assert [t["version"] for t in payload["timings"]] == ["extensional1", "extensional5"]
-        assert all(t["compile_s"] > 0 and t["run_s"] > 0 for t in payload["timings"])
+        (timing,) = payload["timings"]
+        assert timing["versions"] == ["extensional1", "extensional5"]
+        assert timing["compile_s"] > 0 and timing["run_s"] > 0
 
-    def test_human_output_has_one_timing_line_per_version(self, capsys, cc_template):
+    def test_human_output_has_one_timing_line_per_unit(self, capsys, cc_template):
         code, out, _ = run_cli(
             capsys, "verify", corpus_path("valid", "supports_pair"),
-            "--versions", "1,5,8", "--cc", cc_template,
+            "--versions", "1,5,8", "--cc", cc_template, "--workers", "2",
         )
         assert code == 0
         timing_lines = [line for line in out.splitlines() if "compile" in line]
         assert [line.split(":")[0].strip() for line in timing_lines] == [
-            "extensional1", "extensional5", "extensional8",
+            "extensional1", "extensional5, extensional8",
         ]
+
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ("cc -o {out} {src} {nope}", "unknown field {nope}"),
+            ("cc -o {out} '{src}", "No closing quotation"),
+            ("sh -c 'f() { :; }; f' {out} {src}", "unknown field"),
+            ("  ", "empty command template"),
+        ],
+        ids=["unknown-field", "unbalanced-quote", "literal-braces", "empty"],
+    )
+    def test_bad_compile_template_exits_2(self, capsys, monkeypatch, template, message):
+        eq_ne = corpus_path("valid", "eq_ne")
+        code, out, err = run_cli(capsys, "verify", eq_ne, "--cc", template)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+        # the same check applies to the template read from CSP2C_CC
+        monkeypatch.setenv("CSP2C_CC", template)
+        code, out, err = run_cli(capsys, "verify", eq_ne)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
 
     def test_missing_compiler_exits_1(self, capsys):
         code, out, err = run_cli(
@@ -469,6 +491,48 @@ class TestBenchAndReport:
 
 
 class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "key, template, message",
+        [
+            ("run", "klee {src} {nope}", "entry 0 'run': bad command template"),
+            ("run", 'sh -c "f() { echo hi; }; f" {src}', "unknown field { echo hi; }"),
+            ("prepare", "clang '{src}", "entry 0 'prepare': bad command template"),
+        ],
+        ids=["unknown-field", "literal-braces", "unbalanced-quote"],
+    )
+    def test_bench_bad_tool_template_exits_2(
+        self, capsys, tmp_path, bench_manifests, key, template, message
+    ):
+        _, instances = bench_manifests
+        tools = tmp_path / "tools.json"
+        tools.write_text(json.dumps([{"name": "t", "run": "echo {src}", key: template}]))
+        code, out, err = run_cli(
+            capsys, "bench", "--tools", str(tools), "--instances", instances,
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(tools) in err and message in err
+
+    def test_bench_unknown_family_exits_2(self, capsys, tmp_path, bench_manifests):
+        tools, _ = bench_manifests
+        instances = tmp_path / "instances.json"
+        instances.write_text(
+            json.dumps(
+                [
+                    {"path": corpus_path("valid", "supports_pair"), "family": "extensional",
+                     "size": 1},
+                    {"path": corpus_path("valid", "xor_ring"), "family": "bogus", "size": 2},
+                ]
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", str(instances),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(instances) in err
+        assert "entry 1 has unknown family 'bogus'" in err
+
     def test_report_missing_records_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "report", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "o")

@@ -34,7 +34,7 @@ from csp2c.model import (
     VariableDecl,
 )
 from csp2c.oracle import all_assignments
-from csp2c.verify import compile_program
+from csp2c.verify import build_unit, compile_program
 
 from conftest import GOLDEN_DIR, load_corpus
 
@@ -325,16 +325,26 @@ class TestConcreteDriver:
     )
     def test_batch_and_argv_modes_agree(self, family, name, cc_template, tmp_path):
         """Every corpus instance, version and assignment: the stdin verdict
-        line reads 1 exactly when the argv run prints the marker and exits 0."""
+        line reads 1 exactly when the argv run prints the marker and exits 0,
+        and the driver of one unit holding all versions prints, in its column
+        for a version, what that version's own driver prints."""
         csp = load_corpus(name)
         order = [v.id for v in csp.variables]
         rows = [[str(a[v]) for v in order] for a in all_assignments(csp)]
         plan = "".join(" ".join(row) + "\n" for row in rows)
+        specs = [version_to_spec(family, v) for v in range(1, version_count(family) + 1)]
+        unit = compile_program(build_unit(csp, specs), cc_template, str(tmp_path))
+        combined = subprocess.run([unit], input=plan, capture_output=True, text=True)
+        lines = combined.stdout.splitlines()
+        assert combined.returncode == 0 and len(lines) == len(rows)
+        assert all(len(line) == len(specs) for line in lines)
+        columns = ["".join(col) for col in zip(*lines)]
         for v in range(1, version_count(family) + 1):
             program = emit_concrete_driver(csp, version_to_spec(family, v))
             exe = compile_program(program, cc_template, str(tmp_path))
             batch = subprocess.run([exe], input=plan, capture_output=True, text=True)
             assert batch.returncode == 0, v
+            assert "".join(batch.stdout.splitlines()) == columns[v - 1], v
             argv = []
             for row in rows:
                 proc = subprocess.run([exe, *row], capture_output=True, text=True)

@@ -347,6 +347,22 @@ class TestCsvRoundTrip:
             (load_instance_manifest, '[{"path": "a.xml", "size": 3}]', "entry 0 has no 'family' key"),
             (load_instance_manifest, '{"path": "a.xml"}', "JSON list of objects"),
             (load_instance_manifest, '["a.xml"]', "entry 0 is not an object"),
+            (
+                load_instance_manifest,
+                '[{"path": "a.xml", "family": "extensional", "size": 3},'
+                ' {"path": "b.xml", "family": "bogus", "size": 3}]',
+                "entry 1 has unknown family 'bogus'",
+            ),
+            (
+                load_tool_manifest,
+                '[{"name": "a", "run": "x {nope}"}]',
+                "entry 0 'run': bad command template .* unknown field {nope}",
+            ),
+            (
+                load_tool_manifest,
+                '[{"name": "a", "run": "x {src}", "prepare": "cc \'{src}"}]',
+                "entry 0 'prepare': bad command template .* No closing quotation",
+            ),
         ],
     )
     def test_manifest_entry_errors_name_file_entry_and_key(self, tmp_path, loader, text, message):

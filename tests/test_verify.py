@@ -75,6 +75,20 @@ def patching_emitter(old, new):
     return emit
 
 
+def patch_shared_main(monkeypatch, old, new):
+    """Fault-injection fixture: every unit compiled with `old` replaced by
+    `new` in its shared batch main, which follows the last version."""
+
+    def compile_patched(program, compile_cmd, workdir):
+        versions, marker, main = program.source_text.rpartition("#undef main\n")
+        assert old in main
+        text = versions + marker + main.replace(old, new)
+        return compile_program(dataclasses.replace(program, source_text=text), compile_cmd, workdir)
+
+    compile_program = verify.compile_program
+    monkeypatch.setattr(verify, "compile_program", compile_patched)
+
+
 class TestDifferentialCheck:
     def test_supports_pair_all_versions_pass(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
@@ -276,7 +290,39 @@ class TestDifferentialCheck:
         )
         assert serial.status is concurrent.status is VerifyStatus.PASS
         assert concurrent.versions == serial.versions
-        assert [t.version_label for t in concurrent.timings] == concurrent.versions
+        labels = [spec.version_label for spec in all_specs(Family.EXTENSIONAL)]
+        # the duplicate runs once; 12 versions split in order into 3 units of 4
+        assert [list(t.versions) for t in serial.timings] == [labels]
+        assert [list(t.versions) for t in concurrent.timings] == [
+            labels[:4], labels[4:8], labels[8:],
+        ]
+
+    def test_three_workers_build_three_units_that_agree_with_serial(
+        self, cc_template, tmp_path
+    ):
+        csp = load_corpus("xor_ring")
+        specs = all_specs(Family.EXTENSIONAL)
+        faulty = patching_emitter("p==0", "p==1")
+
+        def emitter(csp_arg, spec):
+            if spec.version in (2, 7, 11):
+                return faulty(csp_arg, spec)
+            return emit_concrete_driver(csp_arg, spec)
+
+        serial = differential_check(
+            csp, specs, cc_template, workdir=str(tmp_path / "s"), emitter=emitter
+        )
+        concurrent = differential_check(
+            csp, specs, cc_template, workers=3, workdir=str(tmp_path / "c"), emitter=emitter
+        )
+        assert serial.status is concurrent.status is VerifyStatus.FAIL
+        assert concurrent.mismatches == serial.mismatches
+        assert {m.version_label for m in serial.mismatches} == {
+            "extensional2", "extensional7", "extensional11",
+        }
+        assert sorted(p.name for p in (tmp_path / "c").glob("*.c")) == [
+            f"xor_ring__unit{i}__concrete.c" for i in (1, 2, 3)
+        ]
 
     def test_corrupting_emitter_flips_the_encoding_not_main(self):
         csp = load_corpus("eq_ne")
@@ -289,7 +335,7 @@ class TestDifferentialCheck:
         assert lines[changed[0]] in clean.constraint_lines
         assert changed[0] < lines.index("int main(int argc, char **argv) {")
 
-    def test_one_driver_process_per_version(self, cc_template, tmp_path, monkeypatch):
+    def test_one_compile_and_one_driver_per_pass(self, cc_template, tmp_path, monkeypatch):
         started = []
 
         class CountingPopen(subprocess.Popen):
@@ -304,37 +350,87 @@ class TestDifferentialCheck:
         )
         assert report.status is VerifyStatus.PASS
         drivers = [args for args in started if args[0].startswith(str(tmp_path))]
-        assert len(drivers) == 12
-        assert len(started) == 24
+        assert len(drivers) == 1
+        assert len(started) == 2
 
     @pytest.mark.parametrize(
-        "old, new, error",
+        "where, old, new, error",
         [
-            # the one-process-per-assignment driver: exits 1 mid-batch on a rejection
-            (") return 0;", ") exit(1);", "exited with status 1"),
-            # crashes on the first accepted assignment
-            ("\n    return 1;\n}", "\n    abort();\n}", "exited with status -6"),
-            # silently skips the first assignment: one verdict too few
+            # the version exits 1 mid-batch on a rejection
+            ("version", ") return 0;", ") exit(1);", "exited with status 1"),
+            # the version crashes on the first accepted assignment
+            ("version", "\n    return 1;\n}", "\n    abort();\n}", "exited with status -6"),
+            # the shared loop silently skips the first assignment: one line too few
             (
+                "main",
                 "if (argc == 1) {",
                 'if (argc == 1) {\n        scanf("%*[^\\n]");',
-                "printed 63 verdicts for 64 assignments",
+                "printed 63 verdict lines for 64 assignments",
             ),
-            # prints a token that is not a verdict
-            ('printf("%d\\n", accepts(', 'printf("%d\\n", 2 * accepts(', "printed '2'"),
+            # the shared loop prints a token that is not a verdict
+            (
+                "main",
+                'printf("%d\\n", csp2c_accepts_0(',
+                'printf("%d\\n", 2 * csp2c_accepts_0(',
+                "printed '2'",
+            ),
         ],
         ids=["exit-mid-batch", "crash", "verdict-too-few", "bad-token"],
     )
-    def test_broken_driver_is_verify_error(self, cc_template, tmp_path, old, new, error):
+    def test_broken_driver_is_verify_error(
+        self, cc_template, tmp_path, monkeypatch, where, old, new, error
+    ):
         csp = load_corpus("conflicts_group")
+        emitter = emit_concrete_driver
+        if where == "version":
+            emitter = patching_emitter(old, new)
+        else:
+            patch_shared_main(monkeypatch, old, new)
         with pytest.raises(VerifyError, match=error):
             differential_check(
                 csp,
                 [version_to_spec(Family.EXTENSIONAL, 1)],
                 cc_template,
                 workdir=str(tmp_path),
-                emitter=patching_emitter(old, new),
+                emitter=emitter,
             )
+
+    def test_verdict_line_of_the_wrong_width_is_verify_error(
+        self, cc_template, tmp_path, monkeypatch
+    ):
+        # two versions, but the shared loop prints a third digit on every line
+        patch_shared_main(
+            monkeypatch, 'printf("%d\\n", csp2c_accepts_1(', 'printf("%d0\\n", csp2c_accepts_1('
+        )
+        csp = load_corpus("conflicts_group")
+        with pytest.raises(VerifyError, match="not a line of 2 0/1 verdict digits"):
+            differential_check(
+                csp,
+                [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 2)],
+                cc_template,
+                workdir=str(tmp_path),
+            )
+
+    def test_compile_error_names_the_versions_own_file(self, cc_template, tmp_path):
+        csp = dataclasses.replace(load_corpus("conflicts_group"), name='say "hi"')
+
+        def emit(csp_arg, spec):
+            program = emit_concrete_driver(csp_arg, spec)
+            if spec.version != 5:
+                return program
+            text = program.source_text.replace("/* CSP is satisfiable */", "no_such_name;")
+            return dataclasses.replace(program, source_text=text)
+
+        with pytest.raises(CompileError) as info:
+            differential_check(
+                csp, all_specs(Family.EXTENSIONAL), cc_template, workdir=str(tmp_path), emitter=emit
+            )
+        program = emit_concrete_driver(csp, version_to_spec(Family.EXTENSIONAL, 5))
+        line = program.source_text.splitlines().index("    /* CSP is satisfiable */") + 1
+        errors = [l for l in info.value.output.splitlines() if "error:" in l]
+        assert errors and all(
+            l.startswith(f'say "hi"__extensional5__concrete.c:{line}:') for l in errors
+        )
 
     def test_variables_named_after_library_functions(self, cc_template, tmp_path):
         csp = parse_document(
@@ -393,12 +489,14 @@ class TestDifferentialCheck:
             )
             assert proc.returncode == 0, proc.stderr
 
-    def test_timings_per_version(self, cc_template, tmp_path):
+    def test_timings_per_unit(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
-        specs = [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 5, 8)]
+        specs = [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 5)]
         report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
-        assert [t.version_label for t in report.timings] == report.versions
-        assert all(t.compile_s > 0 and t.run_s > 0 for t in report.timings)
+        assert report.versions == ["extensional1", "extensional5", "extensional8", "extensional5"]
+        (timing,) = report.timings
+        assert timing.versions == ("extensional1", "extensional5", "extensional8")
+        assert timing.compile_s > 0 and timing.run_s > 0
 
     def test_verdict_independent_of_version_order(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
