@@ -14,7 +14,6 @@ from .codegen import (
     Grouping,
     Operator,
     TransformSpec,
-    emit_concrete_driver,
     output_filename,
     transform,
     version_count,
@@ -60,7 +59,6 @@ __all__ = [
     "VerificationReport",
     "cross_version_equivalence",
     "differential_check",
-    "emit_concrete_driver",
     "enumerate_solutions",
     "instantiate_group",
     "output_filename",

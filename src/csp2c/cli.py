@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=4096, help="max exhaustive assignments")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="translation units, each holding a share of the versions, built and run at once",
     )
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True, help="instance manifest (JSON)")
     p.add_argument("--out-dir", default="bench-out")
     p.add_argument("--versions", default="all")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument(
         "--allow-parallel-timings",
         action="store_true",

@@ -14,21 +14,24 @@ Version matrix (construct x operator x grouping):
                2..5  = if     x (logical | bitwise) x (yes | all)
                7..10 = assume x (logical | bitwise) x (yes | all)
 
-Three output dialects share the constraint encoding byte for byte: `klee`
-(klee_make_symbolic / klee_assume), `llbmc` (nondet init / __llbmc_assume),
-and `concrete`, a plain executable. Its `static int accepts(...)` takes one
-parameter per variable and holds the same domain and constraint encoding,
-returning 0 where the other dialects exit and 1 at the distinguished point.
-Run with no arguments, it reads whitespace-separated assignments from stdin
-and prints one `0`/`1` line per assignment; run with one integer per variable
-in argv, it prints SAT-REACHED and exits 0 when they are accepted, and
-exits 1 when not.
+Three output dialects share one program body: `klee` (klee_make_symbolic /
+klee_assume), `llbmc` (nondet init / __llbmc_assume, the only difference),
+and `concrete`, the klee program made runnable. DRIVER_PRELUDE defines the
+intrinsics, `exit` and `assert` so that the program runs natively on one
+assignment at a time, as KLEE's own test replay runs it: the klee `main`
+follows, renamed to csp2c_main_0, and driver_main's `main` runs it. Run
+with no arguments, it reads whitespace-separated assignments from stdin and
+prints one `0`/`1` line per assignment; run with one integer per variable
+in argv, it prints SAT-REACHED and exits 0 when they reach assert(0), and
+exits 1 when not. A program that reads more or fewer values than there are
+variables exits 3. verify compiles the klee programs themselves with the
+same prelude, their `#include` lines resolved to empty headers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -423,9 +426,77 @@ def _wrap(head: str, pieces: Sequence[str], joiner: str, tail: str) -> list[str]
 # ---------------------------------------------------------------------------
 
 
-# C keywords, the functions and macros the generated code names, and the
-# macros and objects of the headers it includes (stdio.h, stdlib.h,
-# assert.h); a variable named like one of these gets a `_v` suffix.
+# The C text ahead of a `concrete` program and of a verify unit. Its
+# definitions hold only if the programs' own `#include` lines resolve to
+# empty headers (verify.compile_program puts those first on CPATH).
+DRIVER_PRELUDE = """\
+/* replay driver: a program reads its values from one assignment at a time;
+   a failed assume or exit rejects the assignment, and assert(0) reaches */
+#include <setjmp.h>
+#include <stdio.h>
+
+int abs(int);
+static jmp_buf csp2c_jump;
+static const int *csp2c_values;
+static int csp2c_left, csp2c_verdict;
+
+static void csp2c_exit(void) { longjmp(csp2c_jump, 1); }
+static void csp2c_reached(void) { csp2c_verdict = 1; longjmp(csp2c_jump, 1); }
+/* a read past the assignment rejects it, and csp2c_drive reports the read */
+static int csp2c_next(void) { if (--csp2c_left < 0) csp2c_exit(); return *csp2c_values++; }
+int __llbmc_nondef_int(void) { return csp2c_next(); }
+void __llbmc_assume(int condition) { if (!condition) csp2c_exit(); }
+void klee_assume(int condition) { if (!condition) csp2c_exit(); }
+void klee_make_symbolic(void *addr, size_t nbytes, const char *name) {
+    (void)nbytes, (void)name, *(int *)addr = csp2c_next();
+}
+
+/* run one version on `values`; csp2c_verdict is 1 when it reaches assert(0).
+   A function of its own, so that no local of csp2c_drive lives across setjmp */
+static void csp2c_run(int (*version)(void), const int *values, int arity) {
+    csp2c_values = values;
+    csp2c_left = arity;
+    csp2c_verdict = 0;
+    if (setjmp(csp2c_jump) == 0) version();
+}
+
+/* With no arguments: read whitespace-separated assignments from stdin and
+   print one line per assignment holding one 0/1 verdict digit per version,
+   in order; exit 2 on input that does not end after a whole assignment.
+   With one integer per variable in argv: print the marker line below and
+   exit 0 when every version reaches assert(0), exit 1 otherwise.
+   A version that reads more or fewer than `arity` values exits 3. */
+static int csp2c_drive(int argc, char **argv, int (*const versions[])(void), int count, int arity) {
+    int values[arity], i, k, batch = argc == 1;
+    if (!batch && argc != arity + 1) return 2;
+    for (;;) {
+        for (i = 0; i < arity; i++)
+            if ((batch ? scanf("%d", &values[i]) : sscanf(argv[i + 1], "%d", &values[i])) != 1)
+                return batch && i == 0 && feof(stdin) ? 0 : 2;
+        for (k = 0; k < count; k++) {
+            csp2c_run(versions[k], values, arity);
+            if (csp2c_left != 0) {
+                fprintf(stderr, "csp2c_main_%d reads %d values, not %d\\n", k, arity - csp2c_left, arity);
+                return 3;
+            }
+            if (batch) putchar('0' + csp2c_verdict);
+            else if (!csp2c_verdict) return 1;
+        }
+        if (!batch) break;
+        putchar('\\n');
+    }
+    printf("SAT-REACHED\\n");
+    return 0;
+}
+
+#define exit(status) csp2c_exit()
+#define assert(condition) ((condition) ? (void)0 : csp2c_reached())
+"""
+
+# C keywords, the functions and macros a program names (the prelude's
+# `exit` and `assert` macros call csp2c_exit and csp2c_reached), and the
+# macros and objects of the headers the dialects include (stdio.h,
+# stdlib.h, assert.h); a variable named like one of these gets a `_v` suffix.
 _RESERVED_C_NAMES = frozenset({
     "auto", "break", "case", "char", "const", "continue", "default", "do",
     "double", "else", "enum", "extern", "float", "for", "goto", "if", "inline",
@@ -433,7 +504,8 @@ _RESERVED_C_NAMES = frozenset({
     "static", "struct", "switch", "typedef", "union", "unsigned", "void",
     "volatile", "while",
     "main", "abs", "dist", "exit", "printf", "atoi", "assert",
-    "klee_make_symbolic", "klee_assume",
+    "klee_make_symbolic", "klee_assume", "__llbmc_nondef_int", "__llbmc_assume",
+    "csp2c_exit", "csp2c_reached",
     "NULL", "EOF", "BUFSIZ", "FILENAME_MAX", "FOPEN_MAX", "L_tmpnam", "TMP_MAX",
     "SEEK_SET", "SEEK_CUR", "SEEK_END", "stdin", "stdout", "stderr",
     "RAND_MAX", "EXIT_SUCCESS", "EXIT_FAILURE", "MB_CUR_MAX",
@@ -543,39 +615,28 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
         and bool(units)
     )
 
-    concrete = spec.dialect is Dialect.CONCRETE
-    assume_fn = "__llbmc_assume" if spec.dialect is Dialect.LLBMC else "klee_assume"
-    fail_exit = "return 0;" if concrete else "exit(0);"
+    llbmc = spec.dialect is Dialect.LLBMC
+    assume_fn = "__llbmc_assume" if llbmc else "klee_assume"
     indent = "    "
 
     body: list[str] = []
     order = [v.id for v in csp.variables]
     names = [c_names[v] for v in order]
 
-    # declarations and symbolic marking; accepts() takes its variables as parameters
-    if not concrete:
-        decl = indent + "int " + ", ".join(names) + ";"
-        if len(decl) <= WRAP_COLUMN:
-            body.append(decl)
-        else:
-            body.extend(_wrap(indent + "int ", names, ", ", ";"))
-    if spec.dialect is Dialect.KLEE:
-        body.append(indent + "/* declare variables symbolic */")
-        for name in names:
-            body.append(indent + f'klee_make_symbolic(&{name},sizeof({name}),"{name}");')
-    elif spec.dialect is Dialect.LLBMC:
+    # declarations and symbolic marking
+    body.extend(_wrap(indent + "int ", names, ", ", ";"))
+    if llbmc:
         body.append(indent + "/* declare variables nondeterministic */")
-        for name in names:
-            body.append(indent + f"{name} = __llbmc_nondef_int();")
+        body += [indent + f"{name} = __llbmc_nondef_int();" for name in names]
+    else:
+        body.append(indent + "/* declare variables symbolic */")
+        body += [indent + f'klee_make_symbolic(&{name},sizeof({name}),"{name}");' for name in names]
 
     # domains
     body.append(indent + "/* enforce variable domains */")
     for v in order:
         pieces, joiner = _domain_condition(v, csp, spec, c_names)
-        if concrete:
-            body.extend(_wrap(indent + "if (!(", pieces, joiner, f")) {fail_exit}"))
-        else:
-            body.extend(_wrap(indent + f"{assume_fn}(", pieces, joiner, ");"))
+        body.extend(_wrap(indent + f"{assume_fn}(", pieces, joiner, ");"))
 
     # constraints
     constraint_lines: list[str] = []
@@ -583,14 +644,12 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
         body.append(indent + "/* constraints */")
         for unit in units:
             if unit.mode is _VIOLATION:
-                if spec.construct is Construct.IF or concrete:
-                    lines = _wrap(indent + "if (", unit.pieces, unit.joiner, f") {fail_exit}")
+                if spec.construct is Construct.IF:
+                    lines = _wrap(indent + "if (", unit.pieces, unit.joiner, ") exit(0);")
                 else:
                     lines = _wrap(indent + f"{assume_fn}(!(", unit.pieces, unit.joiner, "));")
             elif spec.construct is Construct.IF:
-                lines = _wrap(indent + "if (", unit.pieces, unit.joiner, f"); else {fail_exit}")
-            elif concrete:
-                lines = _wrap(indent + "if (!(", unit.pieces, unit.joiner, f")) {fail_exit}")
+                lines = _wrap(indent + "if (", unit.pieces, unit.joiner, "); else exit(0);")
             else:
                 lines = _wrap(indent + f"{assume_fn}(", unit.pieces, unit.joiner, ");")
             constraint_lines.extend(lines)
@@ -600,25 +659,17 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     body.append(indent + "/* CSP is satisfiable */")
     if guarded:
         (unit,) = units
-        tail = ") return 1;" if concrete else ") assert(0);"
-        lines = _wrap(indent + "if (", unit.pieces, unit.joiner, tail)
+        lines = _wrap(indent + "if (", unit.pieces, unit.joiner, ") assert(0);")
         constraint_lines.extend(lines)
         body.extend(lines)
-        body.append(indent + "return 0;")
-    elif concrete:
-        body.append(indent + "return 1;")
     else:
         body.append(indent + "assert(0);")
-        body.append(indent + "return 0;")
+    body.append(indent + "return 0;")
 
-    header = _file_header(csp, spec, constraints)
-    if concrete:
-        signature = _wrap("static int accepts(", [f"int {name}" for name in names], ", ", ") {")
-        main = concrete_main(["accepts"], len(names))
-        source_lines = header + signature + body + ["}", ""] + main
-    else:
-        source_lines = header + ["int main(void) {"] + body + ["}"]
-    source = "\n".join(source_lines) + "\n"
+    main = ["int main(void) {"] + body + ["}"]
+    if spec.dialect is Dialect.CONCRETE:
+        main = ["#define main csp2c_main_0", *main, "#undef main", "", *driver_main(1, len(names))]
+    source = "\n".join(_file_header(csp, spec, constraints) + main) + "\n"
 
     return GeneratedProgram(
         source_text=source,
@@ -638,7 +689,7 @@ def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Co
         f"({spec.construct.value}, {spec.operator.value}, grouping={spec.grouping.value}) */"
     ]
     if spec.dialect is Dialect.CONCRETE:
-        lines += ["#include <stdio.h>", "#include <stdlib.h>"]
+        lines += DRIVER_PRELUDE.splitlines()
     elif spec.dialect is Dialect.KLEE:
         lines += ["#include <assert.h>", "#include <stdlib.h>", "#include <klee/klee.h>"]
     else:
@@ -655,48 +706,14 @@ def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Co
     return lines
 
 
-def concrete_main(accepts_names: Sequence[str], arity: int) -> list[str]:
-    """main() of the concrete dialect, over one or more `accepts` functions
-    of `arity` parameters each. With no arguments it reads assignments from
-    stdin and prints one line per assignment holding one 0/1 verdict digit
-    per function, in order, exiting 2 on input that does not end after a
-    whole assignment; with one argument per variable it prints SAT-REACHED
-    and exits 0 when every function accepts, and exits 1 otherwise.
-    It names no CSP variable, so none can shadow what main calls."""
-    indent = "    "
-    slots = [f"v[{i}]" for i in range(arity)]
-    last = len(accepts_names) - 1
-    lines = [
+def driver_main(count: int, arity: int) -> list[str]:
+    """main() of the replay driver over csp2c_main_0 .. csp2c_main_<count-1>,
+    each reading `arity` values; csp2c_drive in DRIVER_PRELUDE holds the
+    batch and argv protocol."""
+    versions = [f"csp2c_main_{k}" for k in range(count)]
+    return [
         "int main(int argc, char **argv) {",
-        indent + f"int v[{arity}], i = 0;",
-        indent + "if (argc == 1) {",
-        indent * 2 + "/* batch mode: whitespace-separated assignments in, one verdict line each out */",
-        indent * 2 + 'while (scanf("%d", &v[i]) == 1) {',
-        indent * 3 + f"if (++i < {arity}) continue;",
+        *_wrap("    static int (*const versions[])(void) = {", versions, ", ", "};"),
+        f"    return csp2c_drive(argc, argv, versions, {count}, {arity});",
+        "}",
     ]
-    for k, name in enumerate(accepts_names):
-        fmt = "%d\\n" if k == last else "%d"
-        lines += _wrap(indent * 3 + f'printf("{fmt}", {name}(', slots, ", ", "));")
-    lines += [
-        indent * 3 + "i = 0;",
-        indent * 2 + "}",
-        indent * 2 + "return i == 0 && feof(stdin) ? 0 : 2;",
-        indent + "}",
-        indent + f"if (argc != {arity + 1}) return 2;",
-        indent + "/* read the candidate assignment from argv */",
-    ]
-    for name in accepts_names:
-        lines += _wrap(
-            indent + f"if (!{name}(",
-            [f"atoi(argv[{i}])" for i in range(1, arity + 1)],
-            ", ",
-            ")) return 1;",
-        )
-    lines += [indent + f'printf("{SAT_MARKER}\\n");', indent + "return 0;", "}"]
-    return lines
-
-
-def emit_concrete_driver(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
-    """Same encoding as transform(), as a runnable checker: `accepts()` holds
-    the encoding and main() feeds it assignments from stdin or argv."""
-    return transform(csp, replace(spec, dialect=Dialect.CONCRETE))

@@ -1,17 +1,24 @@
 """Differential testing of generated programs against the search oracle.
 
-Programs are checked the hard way: emit the concrete dialect, compile it
-with an external C compiler, and pipe the whole assignment plan through the
-executable, so the verification path shares no evaluation code with the
-oracle. All versions of one pass go into one translation unit (with
-`workers` > 1, into that many units, built at once): each version's own
-`accepts` and `main` are renamed by `#define`, a `#line` directive makes
-compiler messages name the version's own file, and one shared batch `main`
-prints, for every assignment, one line holding one 0/1 verdict digit per
-version. A version's digit must be `1` exactly when the oracle says all
-constraints hold. Compiles and driver runs go through `harness.run_command`:
-a compile runs in its own process group, killed whole after
-COMPILE_TIMEOUT_S, and DRIVER_TIMEOUT_S bounds the one batch run per unit.
+Programs are checked the hard way: compile the klee programs the tools
+receive, byte for byte, with an external C compiler, and pipe the whole
+assignment plan through the executable, so the verification path shares no
+evaluation code with the oracle. All versions of one pass go into one
+translation unit (with `workers` > 1, into that many units, built at once):
+codegen.DRIVER_PRELUDE first, which defines the klee and llbmc intrinsics,
+`exit` and `assert` so that each program runs natively on one assignment at
+a time; then each version's program, its `main` renamed by `#define` and a
+`#line` directive making compiler messages name the version's own file;
+then one shared `main` that prints, for every assignment, one line holding
+one 0/1 verdict digit per version. The compiler finds empty `assert.h`,
+`stdlib.h` and `klee/klee.h` first on CPATH, so the programs' own
+`#include` lines add nothing. A version's digit must be `1` exactly when
+the oracle says all constraints hold. The llbmc programs differ from the
+klee ones only in intrinsic names; `verify` does not compile them, and a
+test runs them through this same check. Compiles and driver runs go
+through `harness.run_command`: a compile runs in its own process group,
+killed whole after COMPILE_TIMEOUT_S, and DRIVER_TIMEOUT_S bounds the one
+batch run per unit.
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .codegen import (
+    DRIVER_PRELUDE,
     Dialect,
     GeneratedProgram,
     TransformSpec,
-    concrete_main,
-    emit_concrete_driver,
+    driver_main,
     output_filename,
     source_filename,
+    transform,
 )
 from .harness import CommandResult, run_command
 from .model import CspInstance
@@ -105,11 +113,15 @@ def default_compile_command() -> str:
 
 
 def _run(
-    template: str, subs: dict[str, str], timeout_s: float, stdin: str | None = None
+    template: str,
+    subs: dict[str, str],
+    timeout_s: float,
+    stdin: str | None = None,
+    env: dict[str, str] | None = None,
 ) -> CommandResult:
     """harness.run_command, with a timeout or a failure to start raised as
     VerifyError."""
-    result = run_command(template, subs, timeout_s, stdin)
+    result = run_command(template, subs, timeout_s, stdin, env)
     if result.returncode is None:
         raise VerifyError(f"cannot run {shlex.join(result.argv)}: {result.stderr}")
     if result.timed_out:
@@ -118,13 +130,21 @@ def _run(
 
 
 def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -> str:
-    """Write the source, run the compiler template, return the executable path."""
-    os.makedirs(workdir, exist_ok=True)
+    """Write the source, run the compiler template, return the executable path.
+
+    The compiler finds the headers klee and llbmc programs include on CPATH
+    first, in `shim` there, and empty, so DRIVER_PRELUDE's definitions hold.
+    """
+    shim = os.path.join(workdir, "shim")
+    os.makedirs(os.path.join(shim, "klee"), exist_ok=True)
+    for header in ("assert.h", "stdlib.h", "klee/klee.h"):
+        open(os.path.join(shim, header), "w", encoding="utf-8").close()
     src = os.path.join(workdir, output_filename(program))
     exe = src[:-2]
     with open(src, "w", encoding="utf-8") as fh:
         fh.write(program.source_text)
-    result = _run(compile_cmd, dict(zip(COMPILE_FIELDS, (src, exe))), COMPILE_TIMEOUT_S)
+    env = dict(os.environ, CPATH=os.pathsep.join(filter(None, (shim, os.environ.get("CPATH")))))
+    result = _run(compile_cmd, dict(zip(COMPILE_FIELDS, (src, exe))), COMPILE_TIMEOUT_S, env=env)
     if result.returncode != 0 or not os.path.exists(exe):
         raise CompileError(shlex.join(result.argv), result.stdout + result.stderr)
     return exe
@@ -137,31 +157,27 @@ def _c_string(text: str) -> str:
 def build_unit(
     csp: CspInstance,
     specs: Sequence[TransformSpec],
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = emit_concrete_driver,
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = transform,
     label: str = "unit1",
 ) -> GeneratedProgram:
-    """One translation unit holding the program `emitter` gives for each of
-    `specs`, and a shared batch main that prints one verdict digit per spec,
-    in order, for each assignment read.
+    """One translation unit: DRIVER_PRELUDE, the program `emitter` gives for
+    each of `specs`, and a shared main that prints one verdict digit per
+    spec, in order, for each assignment read.
 
-    Program i is compiled with `accepts` and `main` renamed to
-    csp2c_accepts_<i> and csp2c_main_<i>, and with `#line` set to its own
-    file name, so a compiler message inside it names that file. The unit's
-    own file is named after `label`.
+    Program i is compiled as it is, with `main` renamed to csp2c_main_<i>
+    and with `#line` set to its own file name, so a compiler message inside
+    it names that file. The unit's own file is named after `label`.
     """
     programs = [emitter(csp, spec) for spec in specs]
-    text = "".join(
-        f"#define accepts csp2c_accepts_{i}\n#define main csp2c_main_{i}\n"
-        f"#line 1 {_c_string(output_filename(program))}\n"
+    text = DRIVER_PRELUDE + "".join(
+        f"#define main csp2c_main_{i}\n#line 1 {_c_string(output_filename(program))}\n"
         + program.source_text
-        + "#undef accepts\n#undef main\n"
+        + "#undef main\n"
         for i, program in enumerate(programs)
     )
     # the shared main is numbered as lines of the unit's own file
     filename = source_filename(csp.name, label, Dialect.CONCRETE.value)
-    main = concrete_main(
-        [f"csp2c_accepts_{i}" for i in range(len(programs))], len(csp.variables)
-    )
+    main = driver_main(len(programs), len(csp.variables))
     next_line = text.count("\n") + 2
     text += f"#line {next_line} {_c_string(filename)}\n" + "\n".join(main) + "\n"
     return GeneratedProgram(
@@ -283,10 +299,10 @@ def differential_check(
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     workers: int = 1,
     workdir: str | None = None,
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = emit_concrete_driver,
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = transform,
     rng_seed: int = 0,
 ) -> VerificationReport:
-    """Compare every version's concrete driver against the oracle.
+    """Compare every version's program against the oracle.
 
     Exhaustive when the assignment space fits `bound`; sampled (status
     SAMPLED) when it does not and `sample_count` > 0; SKIPPED_TOO_LARGE
@@ -343,7 +359,7 @@ def cross_version_equivalence(
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
     workers: int = 1,
     workdir: str | None = None,
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = emit_concrete_driver,
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = transform,
 ) -> bool:
     """True iff all versions accept exactly the same assignments."""
     if csp.assignment_space_size > bound:

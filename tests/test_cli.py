@@ -212,6 +212,20 @@ class TestSolveCommand:
         assert args.limit == DEFAULT_LIMIT
 
 
+class TestWorkersOption:
+    @pytest.mark.parametrize("workers", ["0", "-3", "many"])
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_bad_workers_is_usage_error(self, capsys, command, workers):
+        args = {
+            "verify": ["verify", corpus_path("valid", "pigeonhole")],
+            "bench": ["bench", "--tools", "t.json", "--instances", "i.json"],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--workers", workers])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 def overflowing_instance(tmp_path) -> str:
     path = tmp_path / "overflow.xml"
     path.write_text(

@@ -7,6 +7,7 @@ import subprocess
 import pytest
 
 from csp2c.codegen import (
+    DRIVER_PRELUDE,
     CodegenError,
     Construct,
     Dialect,
@@ -15,7 +16,7 @@ from csp2c.codegen import (
     Operator,
     SAT_MARKER,
     TransformSpec,
-    emit_concrete_driver,
+    driver_main,
     output_filename,
     transform,
     version_count,
@@ -217,7 +218,7 @@ class TestProgramInvariants:
                 for dialect in (Dialect.KLEE, Dialect.LLBMC):
                     program = transform(csp, version_to_spec(family, v, dialect))
                     assert program.source_text.count("assert(0)") == 1, (name, v)
-                concrete = emit_concrete_driver(csp, version_to_spec(family, v))
+                concrete = concrete_program(csp, family, v)
                 assert concrete.source_text.count(SAT_MARKER) == 1, (name, v)
 
     @pytest.mark.parametrize("family", list(Family))
@@ -282,21 +283,44 @@ class TestProgramInvariants:
         assert set(program.var_map) == set(csp.variable_ids())
 
 
+def concrete_program(csp, family, version):
+    return transform(csp, version_to_spec(family, version, Dialect.CONCRETE))
+
+
 class TestConcreteDriver:
-    def test_reads_argv_and_prints_marker(self):
+    def test_is_the_klee_program_plus_the_replay_driver(self):
         csp = load_corpus("supports_pair")
-        program = emit_concrete_driver(csp, version_to_spec(Family.EXTENSIONAL, 1))
-        text = program.source_text
-        assert "int main(int argc, char **argv)" in text
-        assert "if (argc != 3) return 2;" in text
-        assert "atoi(argv[1])" in text and "atoi(argv[2])" in text
-        assert f'printf("{SAT_MARKER}\\n");' in text
-        assert "klee" not in text
+        klee = transform(csp, version_to_spec(Family.EXTENSIONAL, 1)).source_text
+        text = concrete_program(csp, Family.EXTENSIONAL, 1).source_text
+        header, main = klee.split("int main(void) {\n")
+        start = header.splitlines()[0] + "\n" + DRIVER_PRELUDE
+        assert text.startswith(start) and "#include" not in text[len(start):]
+        assert "#define main csp2c_main_0\nint main(void) {\n" + main + "#undef main\n" in text
+        assert text.endswith("\n".join(driver_main(1, 2)) + "\n")
+
+    def test_reads_argv_and_prints_marker(self, cc_template, tmp_path):
+        csp = load_corpus("supports_pair")
+        exe = compile_program(
+            concrete_program(csp, Family.EXTENSIONAL, 1), cc_template, str(tmp_path)
+        )
+
+        def run(*argv):
+            proc = subprocess.run([exe, *argv], capture_output=True, text=True)
+            return proc.returncode, proc.stdout
+
+        # supports_pair allows (0,1) and (1,0) over 0..1
+        assert run("0", "1") == (0, f"{SAT_MARKER}\n")
+        assert run("1", "0") == (0, f"{SAT_MARKER}\n")
+        assert run("0", "0") == (1, "")
+        # one integer per variable, or the usage exit 2
+        assert run("0") == (2, "")
+        assert run("0", "1", "1") == (2, "")
+        assert run("0", "x") == (2, "")
 
     def test_domain_checks_exit_nonzero(self, cc_template, tmp_path):
         csp = load_corpus("noncontig")
-        program = emit_concrete_driver(csp, version_to_spec(Family.INTENSIONAL, 6))
-        assert "if (!(n0==1 || n0==3 || n0==5 || n0==6)) return 0;" in program.source_text
+        program = concrete_program(csp, Family.INTENSIONAL, 6)
+        assert "klee_assume(n0==1 || n0==3 || n0==5 || n0==6);" in program.source_text
         exe = compile_program(program, cc_template, str(tmp_path))
         assert subprocess.run([exe, "2"], capture_output=True).returncode == 1
         accepted = subprocess.run([exe, "3"], capture_output=True, text=True)
@@ -304,7 +328,7 @@ class TestConcreteDriver:
 
     def test_batch_mode_protocol(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
-        program = emit_concrete_driver(csp, version_to_spec(Family.EXTENSIONAL, 1))
+        program = concrete_program(csp, Family.EXTENSIONAL, 1)
         exe = compile_program(program, cc_template, str(tmp_path))
 
         def batch(stdin):
@@ -340,7 +364,7 @@ class TestConcreteDriver:
         assert all(len(line) == len(specs) for line in lines)
         columns = ["".join(col) for col in zip(*lines)]
         for v in range(1, version_count(family) + 1):
-            program = emit_concrete_driver(csp, version_to_spec(family, v))
+            program = concrete_program(csp, family, v)
             exe = compile_program(program, cc_template, str(tmp_path))
             batch = subprocess.run([exe], input=plan, capture_output=True, text=True)
             assert batch.returncode == 0, v

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import subprocess
 import time
 
 import pytest
 
 from csp2c import verify
+from csp2c.cli import _family_of
 from csp2c.codegen import (
+    DRIVER_PRELUDE,
     Dialect,
     Family,
-    emit_concrete_driver,
+    output_filename,
     transform,
     version_count,
     version_to_spec,
@@ -26,12 +29,14 @@ from csp2c.verify import (
     CompileError,
     VerifyError,
     VerifyStatus,
+    build_unit,
+    compile_program,
     cross_version_equivalence,
     differential_check,
 )
 from csp2c.xcsp import parse_document, parse_intension
 
-from conftest import load_corpus
+from conftest import CORPUS_DIR, load_corpus
 
 
 def all_specs(family: Family):
@@ -39,32 +44,22 @@ def all_specs(family: Family):
 
 
 def corrupting_emitter(csp, spec):
-    """Fault-injection fixture: flips the first != comparison to ==."""
-    program = emit_concrete_driver(csp, spec)
-    lines = []
-    done = False
-    for line in program.source_text.splitlines():
-        if not done and "!=" in line and "argc" not in line:
-            line = line.replace("!=", "==", 1)
-            done = True
-        lines.append(line)
-    return type(program)(
-        source_text="\n".join(lines) + "\n",
-        version_label=program.version_label,
-        statement_count=program.statement_count,
-        var_map=program.var_map,
-        line_count=program.line_count,
+    """Fault-injection fixture: the klee program with its first != comparison
+    flipped to ==."""
+    program = transform(csp, spec)
+    assert "!=" in program.source_text
+    return dataclasses.replace(
+        program,
+        source_text=program.source_text.replace("!=", "==", 1),
         instance_name=program.instance_name + "-faulty",
-        dialect=program.dialect,
-        constraint_lines=program.constraint_lines,
     )
 
 
 def patching_emitter(old, new):
-    """Fault-injection fixture: the concrete driver with `old` replaced by `new`."""
+    """Fault-injection fixture: the klee program with `old` replaced by `new`."""
 
     def emit(csp, spec):
-        program = emit_concrete_driver(csp, spec)
+        program = transform(csp, spec)
         assert old in program.source_text
         return dataclasses.replace(
             program,
@@ -77,16 +72,18 @@ def patching_emitter(old, new):
 
 def patch_shared_main(monkeypatch, old, new):
     """Fault-injection fixture: every unit compiled with `old` replaced by
-    `new` in its shared batch main, which follows the last version."""
+    `new` in the driver its versions share, DRIVER_PRELUDE at its start."""
 
     def compile_patched(program, compile_cmd, workdir):
-        versions, marker, main = program.source_text.rpartition("#undef main\n")
-        assert old in main
-        text = versions + marker + main.replace(old, new)
+        assert program.source_text.startswith(DRIVER_PRELUDE) and old in DRIVER_PRELUDE
+        text = program.source_text.replace(old, new, 1)
         return compile_program(dataclasses.replace(program, source_text=text), compile_cmd, workdir)
 
     compile_program = verify.compile_program
     monkeypatch.setattr(verify, "compile_program", compile_patched)
+
+
+CORPUS = sorted(name[: -len(".xml")] for name in os.listdir(os.path.join(CORPUS_DIR, "valid")))
 
 
 class TestDifferentialCheck:
@@ -307,7 +304,7 @@ class TestDifferentialCheck:
         def emitter(csp_arg, spec):
             if spec.version in (2, 7, 11):
                 return faulty(csp_arg, spec)
-            return emit_concrete_driver(csp_arg, spec)
+            return transform(csp_arg, spec)
 
         serial = differential_check(
             csp, specs, cc_template, workdir=str(tmp_path / "s"), emitter=emitter
@@ -327,13 +324,13 @@ class TestDifferentialCheck:
     def test_corrupting_emitter_flips_the_encoding_not_main(self):
         csp = load_corpus("eq_ne")
         spec = version_to_spec(Family.INTENSIONAL, 1)
-        clean = emit_concrete_driver(csp, spec)
+        clean = transform(csp, spec)
         faulty = corrupting_emitter(csp, spec).source_text.splitlines()
         lines = clean.source_text.splitlines()
         changed = [i for i, (a, b) in enumerate(zip(lines, faulty)) if a != b]
-        assert len(changed) == 1
+        assert len(changed) == 1 and len(lines) == len(faulty)
         assert lines[changed[0]] in clean.constraint_lines
-        assert changed[0] < lines.index("int main(int argc, char **argv) {")
+        assert "klee_" not in lines[changed[0]] + faulty[changed[0]]
 
     def test_one_compile_and_one_driver_per_pass(self, cc_template, tmp_path, monkeypatch):
         started = []
@@ -356,22 +353,32 @@ class TestDifferentialCheck:
     @pytest.mark.parametrize(
         "where, old, new, error",
         [
-            # the version exits 1 mid-batch on a rejection
-            ("version", ") return 0;", ") exit(1);", "exited with status 1"),
+            # the shared loop exits 1 mid-batch, at the first assignment with x0 = 1
+            (
+                "main",
+                "putchar('\\n');",
+                "putchar('\\n');\n            if (values[0] == 1) return 1;",
+                "exited with status 1",
+            ),
             # the version crashes on the first accepted assignment
-            ("version", "\n    return 1;\n}", "\n    abort();\n}", "exited with status -6"),
+            (
+                "version",
+                "\n    assert(0);\n",
+                "\n    *(volatile int *)0 = 0;\n",
+                "exited with status -",
+            ),
             # the shared loop silently skips the first assignment: one line too few
             (
                 "main",
-                "if (argc == 1) {",
-                'if (argc == 1) {\n        scanf("%*[^\\n]");',
+                "if (!batch && argc != arity + 1) return 2;",
+                'if (!batch && argc != arity + 1) return 2;\n    if (batch) scanf("%*[^\\n]");',
                 "printed 63 verdict lines for 64 assignments",
             ),
             # the shared loop prints a token that is not a verdict
             (
                 "main",
-                'printf("%d\\n", csp2c_accepts_0(',
-                'printf("%d\\n", 2 * csp2c_accepts_0(',
+                "putchar('0' + csp2c_verdict);",
+                "putchar('2' + csp2c_verdict);",
                 "printed '2'",
             ),
         ],
@@ -381,7 +388,7 @@ class TestDifferentialCheck:
         self, cc_template, tmp_path, monkeypatch, where, old, new, error
     ):
         csp = load_corpus("conflicts_group")
-        emitter = emit_concrete_driver
+        emitter = transform
         if where == "version":
             emitter = patching_emitter(old, new)
         else:
@@ -400,7 +407,7 @@ class TestDifferentialCheck:
     ):
         # two versions, but the shared loop prints a third digit on every line
         patch_shared_main(
-            monkeypatch, 'printf("%d\\n", csp2c_accepts_1(', 'printf("%d0\\n", csp2c_accepts_1('
+            monkeypatch, "putchar('\\n');", "putchar('0');\n            putchar('\\n');"
         )
         csp = load_corpus("conflicts_group")
         with pytest.raises(VerifyError, match="not a line of 2 0/1 verdict digits"):
@@ -415,7 +422,7 @@ class TestDifferentialCheck:
         csp = dataclasses.replace(load_corpus("conflicts_group"), name='say "hi"')
 
         def emit(csp_arg, spec):
-            program = emit_concrete_driver(csp_arg, spec)
+            program = transform(csp_arg, spec)
             if spec.version != 5:
                 return program
             text = program.source_text.replace("/* CSP is satisfiable */", "no_such_name;")
@@ -425,11 +432,11 @@ class TestDifferentialCheck:
             differential_check(
                 csp, all_specs(Family.EXTENSIONAL), cc_template, workdir=str(tmp_path), emitter=emit
             )
-        program = emit_concrete_driver(csp, version_to_spec(Family.EXTENSIONAL, 5))
+        program = transform(csp, version_to_spec(Family.EXTENSIONAL, 5))
         line = program.source_text.splitlines().index("    /* CSP is satisfiable */") + 1
         errors = [l for l in info.value.output.splitlines() if "error:" in l]
         assert errors and all(
-            l.startswith(f'say "hi"__extensional5__concrete.c:{line}:') for l in errors
+            l.startswith(f'say "hi"__extensional5__klee.c:{line}:') for l in errors
         )
 
     def test_variables_named_after_library_functions(self, cc_template, tmp_path):
@@ -458,7 +465,7 @@ class TestDifferentialCheck:
 
     def test_variables_named_after_header_macros(self, cc_template, tmp_path):
         names = ["NULL", "EOF", "RAND_MAX", "EXIT_SUCCESS", "EXIT_FAILURE", "BUFSIZ",
-                 "stdin", "stdout", "stderr"]
+                 "stdin", "stdout", "stderr", "csp2c_reached", "csp2c_exit"]
         variables = "".join(f'<var id="{n}"> 0 1 </var>' for n in names)
         csp = parse_document(
             f"""
@@ -469,6 +476,7 @@ class TestDifferentialCheck:
                 <intension> lt(RAND_MAX,add(stdin,EXIT_FAILURE)) </intension>
                 <intension> eq(stdout,dist(stderr,BUFSIZ)) </intension>
                 <intension> le(EXIT_SUCCESS,EOF) </intension>
+                <intension> ne(csp2c_reached,csp2c_exit) </intension>
               </constraints>
             </instance>
             """,
@@ -510,6 +518,83 @@ class TestDifferentialCheck:
         assert sorted(forward.versions) == sorted(backward.versions)
 
 
+class TestShippedBytes:
+    """verify compiles and runs the klee programs the tools receive, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda line: "", lambda line: line.replace("==", "!=", 1)],
+        ids=["drop-assume", "flip-eq"],
+    )
+    def test_an_edit_to_one_klee_assume_fails_that_version(self, cc_template, tmp_path, edit):
+        csp = load_corpus("eq_ne")
+
+        def emit(csp_arg, spec):
+            program = transform(csp_arg, spec)
+            if spec.version != 6:
+                return program
+            line = "    klee_assume(i0==i1);\n"
+            assert line.rstrip() in program.constraint_lines
+            text = program.source_text.replace(line, edit(line))
+            return dataclasses.replace(program, source_text=text)
+
+        report = differential_check(
+            csp, all_specs(Family.INTENSIONAL), cc_template, workdir=str(tmp_path), emitter=emit
+        )
+        assert report.status is VerifyStatus.FAIL
+        assert {m.version_label for m in report.mismatches} == {"intensional6"}
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_llbmc_programs_pass(self, cc_template, tmp_path, name):
+        csp = load_corpus(name)
+        family = _family_of(csp)
+        specs = [dataclasses.replace(spec, dialect=Dialect.LLBMC) for spec in all_specs(family)]
+        report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
+        assert report.status is VerifyStatus.PASS, report.mismatches[:3]
+        assert report.assignments_checked == csp.assignment_space_size
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [(lambda line: "", "reads 5 values, not 6"), (lambda line: line * 2, "reads 7 values, not 6")],
+        ids=["dropped", "doubled"],
+    )
+    def test_a_program_that_misreads_its_values_is_verify_error(
+        self, cc_template, tmp_path, edit, error
+    ):
+        line = '    klee_make_symbolic(&x3,sizeof(x3),"x3");\n'
+        emitter = patching_emitter(line, edit(line))
+        with pytest.raises(VerifyError, match=f"exited with status 3: .*{error}"):
+            differential_check(
+                load_corpus("conflicts_group"),
+                [version_to_spec(Family.EXTENSIONAL, 1)],
+                cc_template,
+                workdir=str(tmp_path),
+                emitter=emitter,
+            )
+
+    def test_the_unit_holds_each_klee_program_verbatim(self):
+        csp = load_corpus("conflicts_group")
+        specs = all_specs(Family.EXTENSIONAL)
+        unit = build_unit(csp, specs).source_text
+        for spec in specs:
+            program = transform(csp, spec)
+            line = f'#line 1 "{output_filename(program)}"\n'
+            assert line + program.source_text + "#undef main\n" in unit
+
+    def test_driver_declares_every_function_it_calls(self, cc_template, tmp_path):
+        template = "cc -Werror=implicit-function-declaration -O0 -o {out} {src}"
+        for name in ("conflicts_group", "dist_alldiff"):
+            csp = load_corpus(name)
+            family = _family_of(csp)
+            programs = [
+                build_unit(csp, all_specs(family)),
+                build_unit(csp, [version_to_spec(family, 1, Dialect.LLBMC)], label="llbmc"),
+                transform(csp, version_to_spec(family, 1, Dialect.CONCRETE)),
+            ]
+            for program in programs:
+                compile_program(program, template, str(tmp_path / name))
+
+
 class TestCrossVersionEquivalence:
     def test_selected_versions_agree(self, cc_template, tmp_path):
         csp = load_corpus("conflicts_group")
@@ -535,7 +620,7 @@ class TestCrossVersionEquivalence:
         def emit(csp_arg, spec):
             if spec.version == 3:
                 return corrupting_emitter(csp_arg, spec)
-            return emit_concrete_driver(csp_arg, spec)
+            return transform(csp_arg, spec)
 
         assert not cross_version_equivalence(
             csp, specs, cc_template, workdir=str(tmp_path), emitter=emit
