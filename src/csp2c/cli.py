@@ -5,16 +5,11 @@ Subcommands: parse (summarize an XCSP3 file), gen (emit C programs), solve
 generated code against the solver), bench (run external tools over a
 benchmark matrix), report (rebuild tables/charts from a raw records CSV).
 
-Exit codes: 0 success/satisfiable/pass; 1 unsatisfiable, verification
-fail, or a verify compiler or driver that fails or times out (a driver
-fails when it exits nonzero or prints anything but one line of 0/1
-verdicts, one digit per version, per assignment; a compile gets 120 s and
-the one batch run per translation unit 60 s, and a command that runs past
-its limit is killed with its whole process group);
-2 parse, usage, input-file or code generation error, a command template
-(--cc, CSP2C_CC, a tool manifest's run or prepare) that cannot be split or
-names an unknown field, or (solve, verify) an intermediate value outside
-32-bit int range; 3 search budget exhausted or partial verification.
+Exit codes are listed in the "Exit codes" table of README.md. The
+commands raise; `main` alone turns an error into output and an exit code:
+parse diagnostics exit 2, an error in `_EXIT_CODES` prints `error: ...`
+and exits with its code, and any other exception is a bug and keeps its
+traceback.
 The CSP2C_CC environment variable sets the default C compiler template
 (default: "cc -O1 -o {out} {src}").
 """
@@ -54,38 +49,16 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
 
-# what a missing or malformed manifest or records file raises
-_BAD_INPUT = (OSError, harness.HarnessError, ValueError)
-
-
-def _load_instance(path: str, machine: bool) -> CspInstance | None:
-    try:
-        return parse_file(path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    except ParseFailure as exc:
-        if machine:
-            print(
-                json.dumps(
-                    {
-                        "ok": False,
-                        "diagnostics": [
-                            {
-                                "severity": d.severity,
-                                "path": d.path,
-                                "line": d.line,
-                                "message": d.message,
-                            }
-                            for d in exc.diagnostics
-                        ],
-                    }
-                )
-            )
-        else:
-            for d in exc.diagnostics:
-                print(str(d), file=sys.stderr)
-        return None
+# the exit code of each error a command raises on bad input or a failed
+# check, reported as "error: ..."; any other exception is a bug
+_EXIT_CODES: dict[type[Exception], int] = {
+    VerifyError: EXIT_FAIL,  # CompileError too
+    CodegenError: EXIT_PARSE,
+    EvalError: EXIT_PARSE,  # Int32Overflow too
+    harness.HarnessError: EXIT_PARSE,
+    argparse.ArgumentTypeError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+}
 
 
 def _plural(n: int, word: str) -> str:
@@ -124,9 +97,7 @@ def _parse_versions(
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    csp = _load_instance(args.file, args.machine)
-    if csp is None:
-        return EXIT_PARSE
+    csp = parse_file(args.file)
     constraints = csp.constraints()
     if args.machine:
         print(
@@ -157,35 +128,25 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    csp = _load_instance(args.file, args.machine)
-    if csp is None:
-        return EXIT_PARSE
-    try:
-        specs = _parse_versions(args.versions, Family(args.family), Dialect(args.dialect))
-    except (CodegenError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    csp = parse_file(args.file)
+    specs = _parse_versions(args.versions, Family(args.family), Dialect(args.dialect))
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
-    try:
-        for spec in specs:
-            program = transform(csp, spec)
-            path = os.path.join(args.out_dir, output_filename(program))
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(program.source_text)
-            rows.append(
-                {
-                    "file": path,
-                    "instance": csp.name,
-                    "version": program.version_label,
-                    "dialect": args.dialect,
-                    "statements": program.statement_count,
-                    "lines": program.line_count,
-                }
-            )
-    except CodegenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    for spec in specs:
+        program = transform(csp, spec)
+        path = os.path.join(args.out_dir, output_filename(program))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(program.source_text)
+        rows.append(
+            {
+                "file": path,
+                "instance": csp.name,
+                "version": program.version_label,
+                "dialect": args.dialect,
+                "statements": program.statement_count,
+                "lines": program.line_count,
+            }
+        )
     fields = ["file", "instance", "version", "dialect", "statements", "lines"]
     harness.write_csv(
         os.path.join(args.out_dir, "gen_manifest.csv"),
@@ -202,14 +163,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    csp = _load_instance(args.file, args.machine)
-    if csp is None:
-        return EXIT_PARSE
-    try:
-        result = solve(csp, limit=args.limit)
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    csp = parse_file(args.file)
+    result = solve(csp, limit=args.limit)
     if args.machine:
         print(
             json.dumps(
@@ -237,29 +192,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    csp = _load_instance(args.file, args.machine)
-    if csp is None:
-        return EXIT_PARSE
-    try:
-        specs = _parse_versions(args.versions, _family_of(csp))
-        harness.check_template(args.cc, COMPILE_FIELDS)
-    except (CodegenError, argparse.ArgumentTypeError, harness.HarnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        report = differential_check(
-            csp,
-            specs,
-            args.cc,
-            bound=args.bound,
-            workers=args.workers,
-        )
-    except VerifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    csp = parse_file(args.file)
+    specs = _parse_versions(args.versions, _family_of(csp))
+    harness.check_template(args.cc, COMPILE_FIELDS)
+    report = differential_check(csp, specs, args.cc, bound=args.bound, workers=args.workers)
     first = None
     if report.mismatches:
         m = report.mismatches[0]
@@ -301,12 +237,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        tools = harness.load_tool_manifest(args.tools)
-        instances = harness.load_instance_manifest(args.instances)
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    tools = harness.load_tool_manifest(args.tools)
+    instances = harness.load_instance_manifest(args.instances)
     os.makedirs(args.out_dir, exist_ok=True)
     src_dir = os.path.join(args.out_dir, "src")
     os.makedirs(src_dir, exist_ok=True)
@@ -316,62 +248,39 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     labels_by_family: dict[str, list[str]] = {}
     for inst in instances:
-        csp = _load_instance(inst.path, machine=False)
-        if csp is None:
-            return EXIT_PARSE
+        csp = parse_file(inst.path)
         labels = []
-        try:
-            for spec in _parse_versions(args.versions, Family(inst.family)):
-                for dialect in dialects:
-                    program = transform(csp, replace(spec, dialect=Dialect(dialect)))
-                    path = os.path.join(src_dir, output_filename(program))
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(program.source_text)
-                labels.append(spec.version_label)
-        except (CodegenError, argparse.ArgumentTypeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        for spec in _parse_versions(args.versions, Family(inst.family)):
+            for dialect in dialects:
+                program = transform(csp, replace(spec, dialect=Dialect(dialect)))
+                path = os.path.join(src_dir, output_filename(program))
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(program.source_text)
+            labels.append(spec.version_label)
         labels_by_family[inst.family] = labels
 
-    records = harness.run_matrix(
-        instances,
-        labels_by_family,
-        tools,
-        src_dir,
-        workers=args.workers,
-        allow_parallel_timings=args.allow_parallel_timings,
-    )
+    records = harness.run_matrix(instances, labels_by_family, tools, src_dir, workers=args.workers)
     sizes = {inst.instance_id: inst.size for inst in instances}
     return _write_report(records, sizes, args.out_dir)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        records = harness.load_records_csv(args.records)
-        sizes = None
-        if args.instances:
-            sizes = {
-                inst.instance_id: inst.size
-                for inst in harness.load_instance_manifest(args.instances)
-            }
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    records = harness.load_records_csv(args.records)
+    sizes = None
+    if args.instances:
+        sizes = {
+            inst.instance_id: inst.size for inst in harness.load_instance_manifest(args.instances)
+        }
     return _write_report(records, sizes, args.out_dir)
 
 
 def _write_report(
     records: list[harness.RunRecord], sizes: dict[str, int] | None, out_dir: str
 ) -> int:
-    """Build the report tables, write them as CSV and SVG, list what was written.
-    No records, or an output directory that cannot be written, exits 2."""
-    try:
-        report = harness.build_report(records, sizes)
-        written = harness.emit_csv(report, out_dir)
-        written += charts.emit_svg(report, out_dir)
-    except (OSError, harness.HarnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    """Build the report tables, write them as CSV and SVG, list what was written."""
+    report = harness.build_report(records, sizes)
+    written = harness.emit_csv(report, out_dir)
+    written += charts.emit_svg(report, out_dir)
     for path in written:
         print(f"wrote {path}")
     for flag in report.flags:
@@ -450,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True, help="instance manifest (JSON)")
     p.add_argument("--out-dir", default="bench-out")
     p.add_argument("--versions", default="all")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument(
-        "--allow-parallel-timings",
-        action="store_true",
-        help="permit workers > 1; records are stamped as indicative",
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="jobs run at once; above 1 the records are stamped as indicative",
     )
     p.set_defaults(func=cmd_bench)
 
@@ -468,8 +377,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the one place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseFailure as exc:
+        if getattr(args, "machine", False):
+            diagnostics = [
+                {"severity": d.severity, "path": d.path, "line": d.line, "message": d.message}
+                for d in exc.diagnostics
+            ]
+            print(json.dumps({"ok": False, "diagnostics": diagnostics}))
+        else:
+            for d in exc.diagnostics:
+                print(str(d), file=sys.stderr)
+        return EXIT_PARSE
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ per instance on the original XCSP3 file and anchor time normalization.
 Every child process csp2c starts, the verifier's compiler and drivers
 included, goes through `run_command`. It runs in its own process group,
 and a timeout kills the whole group, so no child survives past timeout +
-grace. Timing runs default to a single worker; parallel timings must be
-requested explicitly and get stamped as indicative.
+grace. Timing runs default to a single worker; records of a parallel run
+are stamped as indicative.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .codegen import Family, source_filename
+from .codegen import Dialect, Family, source_filename
 
 DEFAULT_TIMEOUT_S = 1000.0
+# poll(2), under subprocess's wait, takes its timeout in milliseconds as a C int
+MAX_TIMEOUT_S = (2**31 - 1) // 1000
 KILL_GRACE_S = 2.0
 # the fields a tool's prepare and run templates may name
 TOOL_FIELDS = ("src", "bitcode", "out")
@@ -126,7 +128,13 @@ class Report:
 def _load_entries(path: str, required: tuple[str, ...]) -> list[dict[str, Any]]:
     """A manifest's entries; HarnessError names the file, entry and missing key."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+            # a lone surrogate escape such as "\ud800" is JSON, but no file
+            # name, command or CSV cell can hold it
+            json.dumps(raw, ensure_ascii=False).encode("utf-8")
+        except ValueError as exc:  # malformed JSON or text, or bytes that are not UTF-8
+            raise HarnessError(f"{path}: cannot read manifest: {exc}") from None
     if not isinstance(raw, list):
         raise HarnessError(f"{path}: a manifest is a JSON list of objects")
     for i, entry in enumerate(raw):
@@ -138,9 +146,60 @@ def _load_entries(path: str, required: tuple[str, ...]) -> list[dict[str, Any]]:
     return raw
 
 
+def _is_number(value: Any) -> bool:
+    # bool is an int in Python, but `true` is no number in a manifest
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pattern(value: Any) -> bool:
+    if not isinstance(value, str):
+        return False
+    try:
+        re.compile(value)
+    except (re.error, OverflowError):  # OverflowError: a repeat count too large
+        return False
+    return True
+
+
+def _one_of(enum: type[Enum]) -> tuple[Callable[[Any], bool], str, str]:
+    values = [member.value for member in enum]
+    return (lambda v: v in values), "unknown", "one of " + ", ".join(values)
+
+
+# key: (check, what a value that fails it is called, what the key expects)
+_STRING = (lambda v: isinstance(v, str), "bad", "a string")
+_TOOL_KEYS = {
+    "name": _STRING,
+    "run": _STRING,
+    "prepare": _STRING,
+    "timeout_s": (
+        lambda v: _is_number(v) and 0 < v <= MAX_TIMEOUT_S,
+        "bad",
+        f"a number of seconds in (0, {MAX_TIMEOUT_S}]",
+    ),
+    "success_pattern": (_is_pattern, "bad", "a regular expression"),
+    "kind": _one_of(ToolKind),
+    "dialect": _one_of(Dialect),
+}
+_INSTANCE_KEYS = {
+    "path": (lambda v: isinstance(v, str) and "\0" not in v, "bad", "a file name"),
+    "family": _one_of(Family),
+    "size": (lambda v: _is_number(v) and isinstance(v, int), "bad", "an integer"),
+}
+
+
+def _check_entry(path: str, i: int, entry: Mapping[str, Any], keys: Mapping[str, Any]) -> None:
+    for key, (valid, word, expected) in keys.items():
+        if key in entry and not valid(entry[key]):
+            raise HarnessError(
+                f"{path}: entry {i} has {word} {key} {entry[key]!r}; expected {expected}"
+            )
+
+
 def load_tool_manifest(path: str) -> list[ToolSpec]:
     tools = []
     for i, entry in enumerate(_load_entries(path, ("name", "run"))):
+        _check_entry(path, i, entry, _TOOL_KEYS)
         for key in ("prepare", "run"):
             if entry.get(key):
                 try:
@@ -164,13 +223,8 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
 def load_instance_manifest(path: str) -> list[BenchInstance]:
     base = os.path.dirname(os.path.abspath(path))
     instances = []
-    families = [f.value for f in Family]
     for i, entry in enumerate(_load_entries(path, ("path", "family", "size"))):
-        if entry["family"] not in families:
-            raise HarnessError(
-                f"{path}: entry {i} has unknown family {entry['family']!r}; "
-                f"expected one of {', '.join(families)}"
-            )
+        _check_entry(path, i, entry, _INSTANCE_KEYS)
         p = entry["path"]
         if not os.path.isabs(p):
             p = os.path.join(base, p)
@@ -178,7 +232,7 @@ def load_instance_manifest(path: str) -> list[BenchInstance]:
             BenchInstance(
                 path=p,
                 family=entry["family"],
-                size=int(entry["size"]),
+                size=entry["size"],
                 expected=entry.get("expected"),
             )
         )
@@ -328,15 +382,11 @@ def run_matrix(
     source_dir: str,
     *,
     workers: int = 1,
-    allow_parallel_timings: bool = False,
 ) -> list[RunRecord]:
     """One record per (analysis tool x instance x version) plus one per
     (baseline tool x instance). Missing tool binaries yield tool-error
-    records; the run continues."""
-    if workers > 1 and not allow_parallel_timings:
-        raise HarnessError(
-            "workers > 1 distorts timings; pass allow_parallel_timings=True to accept"
-        )
+    records; the run continues. With workers > 1 the jobs share the CPUs,
+    so every record is stamped as indicative."""
     note = "parallel, timings indicative" if workers > 1 else ""
 
     jobs: list[tuple[ToolSpec, str, str, str]] = []  # tool, src, instance, version
@@ -541,26 +591,30 @@ def emit_csv(report: Report, out_dir: str) -> list[str]:
 
 def load_records_csv(path: str) -> list[RunRecord]:
     """Read a raw.csv written by emit_csv; files from before the note column
-    was added load with empty notes."""
+    was added load with empty notes. HarnessError names the line of a bad row."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames not in (RAW_CSV_FIELDS, RAW_CSV_FIELDS[:-1]):
-            raise HarnessError(f"unexpected raw CSV header: {reader.fieldnames!r}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise HarnessError(
-                    f"{path}:{reader.line_num}: expected {len(reader.fieldnames)} fields"
+        try:
+            if reader.fieldnames not in (RAW_CSV_FIELDS, RAW_CSV_FIELDS[:-1]):
+                raise HarnessError(f"unexpected raw CSV header: {reader.fieldnames!r}")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise HarnessError(
+                        f"{path}:{reader.line_num}: expected {len(reader.fieldnames)} fields"
+                    )
+                records.append(
+                    RunRecord(
+                        tool=row["tool"],
+                        instance=row["instance"],
+                        version=row["version"],
+                        outcome=Outcome(row["outcome"]),
+                        wallclock_s=float(row["wallclock_s"]),
+                        normalized=float(row["normalized"]) if row["normalized"] else None,
+                        note=row.get("note", ""),
+                    )
                 )
-            records.append(
-                RunRecord(
-                    tool=row["tool"],
-                    instance=row["instance"],
-                    version=row["version"],
-                    outcome=Outcome(row["outcome"]),
-                    wallclock_s=float(row["wallclock_s"]),
-                    normalized=float(row["normalized"]) if row["normalized"] else None,
-                    note=row.get("note", ""),
-                )
-            )
+        # a bad outcome or number, bytes that are not UTF-8, or a field over csv's limit
+        except (ValueError, csv.Error) as exc:
+            raise HarnessError(f"{path}:{reader.line_num}: {exc}") from None
     return records

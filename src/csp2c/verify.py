@@ -157,18 +157,19 @@ def _c_string(text: str) -> str:
 def build_unit(
     csp: CspInstance,
     specs: Sequence[TransformSpec],
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = transform,
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None = None,
     label: str = "unit1",
 ) -> GeneratedProgram:
-    """One translation unit: DRIVER_PRELUDE, the program `emitter` gives for
-    each of `specs`, and a shared main that prints one verdict digit per
-    spec, in order, for each assignment read.
+    """One translation unit: DRIVER_PRELUDE, the program `emitter` (by
+    default `transform`, looked up when called) gives for each of `specs`,
+    and a shared main that prints one verdict digit per spec, in order, for
+    each assignment read.
 
     Program i is compiled as it is, with `main` renamed to csp2c_main_<i>
     and with `#line` set to its own file name, so a compiler message inside
     it names that file. The unit's own file is named after `label`.
     """
-    programs = [emitter(csp, spec) for spec in specs]
+    programs = [(emitter or transform)(csp, spec) for spec in specs]
     text = DRIVER_PRELUDE + "".join(
         f"#define main csp2c_main_{i}\n#line 1 {_c_string(output_filename(program))}\n"
         + program.source_text
@@ -226,7 +227,7 @@ def _observe(
     compile_cmd: str | None,
     workers: int,
     workdir: str | None,
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram],
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None,
 ) -> tuple[list[list[bool]], list[UnitTiming]]:
     """One row of driver verdicts per version, in the order of `assignments`,
     and one timing per translation unit.
@@ -299,7 +300,7 @@ def differential_check(
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     workers: int = 1,
     workdir: str | None = None,
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = transform,
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None = None,
     rng_seed: int = 0,
 ) -> VerificationReport:
     """Compare every version's program against the oracle.
@@ -359,7 +360,7 @@ def cross_version_equivalence(
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
     workers: int = 1,
     workdir: str | None = None,
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] = transform,
+    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None = None,
 ) -> bool:
     """True iff all versions accept exactly the same assignments."""
     if csp.assignment_space_size > bound:

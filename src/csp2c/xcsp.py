@@ -98,7 +98,7 @@ class _Node:
         return f"{self.parent_path}/{self.tag}[{self.sibling_index}]"
 
 
-def _parse_xml(text: str) -> _Node:
+def _parse_xml(text: str | bytes) -> _Node:
     parser = xml.parsers.expat.ParserCreate()
     root: list[_Node] = []
     stack: list[_Node] = []
@@ -600,7 +600,7 @@ class _DocParser:
             self.error(root, "instance declares no variables")
 
 
-def parse_document(xml_text: str, name: str = "instance") -> CspInstance:
+def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance:
     """Parse an XCSP3 document into a CspInstance.
 
     Raises ParseFailure carrying every collected diagnostic when the
@@ -633,6 +633,8 @@ def parse_document(xml_text: str, name: str = "instance") -> CspInstance:
 
 
 def parse_file(path: str) -> CspInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_document(text, name=os.path.splitext(os.path.basename(path))[0])
+    # expat reads the bytes, so a file that is not UTF-8 (or not in the
+    # encoding it declares) is a malformed-XML diagnostic
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_document(data, name=os.path.splitext(os.path.basename(path))[0])

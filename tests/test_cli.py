@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csp2c.cli import main
 from csp2c.harness import Outcome, load_records_csv
@@ -453,7 +457,7 @@ class TestBenchAndReport:
         code, out, _ = run_cli(
             capsys, "bench", "--tools", tools, "--instances", instances,
             "--out-dir", str(out_dir), "--versions", "1",
-            "--workers", "2", "--allow-parallel-timings",
+            "--workers", "2",
         )
         assert code == 0
         assert "note: parallel, timings indicative" in out
@@ -600,6 +604,220 @@ class TestBadInputFiles:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+def _edited(manifest: str, out_dir, **changes) -> str:
+    """A copy of `manifest` whose first entry has `changes` applied."""
+    with open(manifest, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    entries[0].update(changes)
+    path = out_dir / ("edited-" + os.path.basename(manifest))
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def _written(out_dir, name: str, data: bytes) -> str:
+    path = out_dir / name
+    path.write_bytes(data)
+    return str(path)
+
+
+NOT_UTF8_XML = b"\xff\xfe<instance/>"
+RAW_HEADER = b"tool,instance,version,outcome,wallclock_s,normalized,note\n"
+
+
+def _bench(tools: str, instances: str, tmp_path) -> list[str]:
+    return ["bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(tmp_path / "o"), "--versions", "1"]
+
+
+# id: (argv from tmp_path and the bench_manifests paths, text stderr must contain)
+BAD_INPUT_CASES = {
+    "instance-size-null": (
+        lambda t, tools, inst: _bench(tools, _edited(inst, t, size=None), t),
+        "entry 0 has bad size None",
+    ),
+    "instance-path-with-nul": (
+        lambda t, tools, inst: _bench(tools, _edited(inst, t, path="a\0b.xml"), t),
+        "entry 0 has bad path",
+    ),
+    "tool-timeout-null": (
+        lambda t, tools, inst: _bench(_edited(tools, t, timeout_s=None), inst, t),
+        "entry 0 has bad timeout_s None",
+    ),
+    "tool-timeout-too-large": (
+        lambda t, tools, inst: _bench(_edited(tools, t, timeout_s=1e10), inst, t),
+        "entry 0 has bad timeout_s 10000000000.0",
+    ),
+    "tool-run-not-a-string": (
+        lambda t, tools, inst: _bench(_edited(tools, t, run=5), inst, t),
+        "entry 0 has bad run 5",
+    ),
+    "tool-dialect-bogus": (
+        lambda t, tools, inst: _bench(_edited(tools, t, dialect="bogus"), inst, t),
+        "entry 0 has unknown dialect 'bogus'",
+    ),
+    "tool-kind-bogus": (
+        lambda t, tools, inst: _bench(_edited(tools, t, kind="bogus"), inst, t),
+        "entry 0 has unknown kind 'bogus'",
+    ),
+    "tool-success-pattern-bad": (
+        lambda t, tools, inst: _bench(_edited(tools, t, success_pattern="("), inst, t),
+        "entry 0 has bad success_pattern '('",
+    ),
+    "tool-manifest-not-utf8": (
+        lambda t, tools, inst: _bench(_written(t, "t.json", b'[{"name": "\xff"}]'), inst, t),
+        "cannot read manifest",
+    ),
+    "tool-name-lone-surrogate": (
+        lambda t, tools, inst: _bench(
+            _written(t, "t.json", b'[{"name": "\\ud800", "run": "true"}]'), inst, t
+        ),
+        "cannot read manifest",
+    ),
+    "records-bad-outcome": (
+        lambda t, tools, inst: [
+            "report", _written(t, "raw.csv", RAW_HEADER + b"t,i,v1,bogus,1.0,,\n"),
+            "--out-dir", str(t / "o"),
+        ],
+        "raw.csv:2: 'bogus' is not a valid Outcome",
+    ),
+    "records-bad-number": (
+        lambda t, tools, inst: [
+            "report",
+            _written(t, "raw.csv", RAW_HEADER + b"t,i,v1,timeout,1.0,,\nt,i,v2,timeout,x,,\n"),
+            "--out-dir", str(t / "o"),
+        ],
+        "raw.csv:3: could not convert string to float: 'x'",
+    ),
+    "records-not-utf8": (
+        lambda t, tools, inst: [
+            "report", _written(t, "raw.csv", RAW_HEADER + b"t,\xff,v1,timeout,1.0,,\n"),
+            "--out-dir", str(t / "o"),
+        ],
+        "raw.csv:",
+    ),
+    "gen-out-dir-is-a-file": (
+        lambda t, tools, inst: [
+            "gen", corpus_path("valid", "supports_pair"), "--family", "extensional",
+            "--out-dir", _written(t, "file", b""),
+        ],
+        "File exists",
+    ),
+    "bench-out-dir-is-a-file": (
+        lambda t, tools, inst: [
+            "bench", "--tools", tools, "--instances", inst, "--out-dir", _written(t, "file", b""),
+        ],
+        "File exists",
+    ),
+    "parse-not-utf8": (
+        lambda t, tools, inst: ["parse", _written(t, "x.xml", NOT_UTF8_XML)],
+        "malformed XML",
+    ),
+    "gen-not-utf8": (
+        lambda t, tools, inst: [
+            "gen", _written(t, "x.xml", NOT_UTF8_XML), "--family", "extensional",
+            "--out-dir", str(t / "o"),
+        ],
+        "malformed XML",
+    ),
+    "solve-not-utf8": (
+        lambda t, tools, inst: ["solve", _written(t, "x.xml", NOT_UTF8_XML)],
+        "malformed XML",
+    ),
+    "verify-not-utf8": (
+        lambda t, tools, inst: ["verify", _written(t, "x.xml", NOT_UTF8_XML)],
+        "malformed XML",
+    ),
+    "bench-not-utf8": (
+        lambda t, tools, inst: _bench(
+            tools, _edited(inst, t, path=_written(t, "x.xml", NOT_UTF8_XML)), t
+        ),
+        "malformed XML",
+    ),
+}
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("case", list(BAD_INPUT_CASES))
+    def test_bad_input_exits_2_with_a_message(self, capsys, tmp_path, bench_manifests, case):
+        make_argv, message = BAD_INPUT_CASES[case]
+        code, out, err = run_cli(capsys, *make_argv(tmp_path, *bench_manifests))
+        assert code == 2 and out == ""
+        assert err.startswith(("error:", "error at ")), err
+        assert message in err
+
+    def test_parallel_bench_runs_and_stamps_its_records(self, capsys, tmp_path, bench_manifests):
+        tools, instances = bench_manifests
+        code, out, _ = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(tmp_path / "o"), "--versions", "1", "--workers", "2",
+        )
+        assert code == 0
+        records = load_records_csv(str(tmp_path / "o" / "raw.csv"))
+        assert records and all(r.note == "parallel, timings indicative" for r in records)
+
+    def test_other_exceptions_are_bugs_and_escape(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr("csp2c.cli.solve", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["solve", corpus_path("valid", "supports_pair")])
+
+
+# any JSON value; strings stand for text, and a lone surrogate escape is a
+# case of its own above
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["analysis", "baseline", "klee", "llbmc", "concrete", "intensional"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# run and prepare are commands: they get every JSON value but a string, so
+# the test never starts an arbitrary program
+NOT_STRINGS = JSON_VALUES.filter(lambda value: not isinstance(value, str))
+MANIFEST_EDITS = st.one_of(
+    st.tuples(
+        st.just("tools"),
+        st.sampled_from(["name", "timeout_s", "success_pattern", "kind", "dialect"]),
+        JSON_VALUES,
+    ),
+    st.tuples(st.just("tools"), st.sampled_from(["run", "prepare"]), NOT_STRINGS),
+    st.tuples(
+        st.just("instances"), st.sampled_from(["path", "family", "size", "expected"]), JSON_VALUES
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edit=MANIFEST_EDITS)
+def test_any_manifest_value_is_run_or_rejected(edit):
+    which, key, value = edit
+    manifests = {
+        "tools": [{"name": "t", "run": "true", "timeout_s": 30}],
+        "instances": [
+            {"path": corpus_path("valid", "supports_pair"), "family": "extensional", "size": 1}
+        ],
+    }
+    manifests[which][0][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, entries in manifests.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(entries, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(
+                ["bench", "--tools", paths["tools"], "--instances", paths["instances"],
+                 "--out-dir", os.path.join(tmp, "o"), "--versions", "1"]
+            )
+    assert code in (0, 2)
 
 
 def test_console_script_help():

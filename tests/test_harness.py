@@ -144,21 +144,6 @@ class TestRunMatrix:
         analysis = [r for r in records if r.tool == "fast"]
         assert all(r.normalized is not None and r.normalized > 0 for r in analysis)
 
-    def test_parallel_requires_opt_in(self, tmp_path, two_instances):
-        src_dir = make_sources(tmp_path, two_instances, LABELS)
-        tool = ToolSpec(name="fake", run="echo hi")
-        with pytest.raises(HarnessError, match="allow_parallel_timings"):
-            run_matrix(two_instances, {"extensional": LABELS}, [tool], src_dir, workers=2)
-        records = run_matrix(
-            two_instances,
-            {"extensional": LABELS},
-            [tool],
-            src_dir,
-            workers=2,
-            allow_parallel_timings=True,
-        )
-        assert all("indicative" in r.note for r in records)
-
     def test_prepare_and_run_share_one_deadline(self, tmp_path, two_instances):
         src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
         tool = ToolSpec(name="slow", prepare="sleep 0.6", run="sleep 0.6", timeout_s=1.0)
