@@ -21,14 +21,12 @@ from .codegen import (
 )
 from .model import (
     AllDifferent,
-    ConstraintGroup,
     CspInstance,
     Domain,
     IntensionConstraint,
     Polarity,
     TableConstraint,
     VariableDecl,
-    instantiate_group,
 )
 from .oracle import SolveResult, Status, enumerate_solutions, solve
 from .verify import VerificationReport, cross_version_equivalence, differential_check
@@ -39,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllDifferent",
     "Construct",
-    "ConstraintGroup",
     "CspInstance",
     "Dialect",
     "Domain",
@@ -60,7 +57,6 @@ __all__ = [
     "cross_version_equivalence",
     "differential_check",
     "enumerate_solutions",
-    "instantiate_group",
     "output_filename",
     "parse_document",
     "parse_file",

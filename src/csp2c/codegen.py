@@ -45,13 +45,11 @@ from .model import (
     INT32_MAX,
     INT32_MIN,
     IntensionConstraint,
-    Placeholder,
     Polarity,
     TableConstraint,
     Unary,
     Var,
     expr_nodes,
-    instantiate_group,
 )
 
 SAT_MARKER = "SAT-REACHED"
@@ -234,8 +232,6 @@ def _render_expr(expr: Expr, operator: Operator, c_names: Mapping[str, str]) -> 
         return str(expr.value), _PRIMARY_PREC
     if isinstance(expr, Var):
         return c_names[expr.name], _PRIMARY_PREC
-    if isinstance(expr, Placeholder):
-        raise CodegenError(f"uninstantiated placeholder %{expr.index}")
     if isinstance(expr, Unary):
         text, prec = _render_expr(expr.operand, operator, c_names)
         if expr.op == "abs":
@@ -363,7 +359,7 @@ def _condition_pieces(
 
 
 def _extensional_units(
-    grouped: list[list[TableConstraint]], operator: Operator, c_names: Mapping[str, str]
+    grouped: Sequence[Sequence[TableConstraint]], operator: Operator, c_names: Mapping[str, str]
 ) -> list[_Unit]:
     and_op, or_op = _join_ops(operator)
 
@@ -389,7 +385,7 @@ def _extensional_units(
 
 
 def _intensional_units(
-    grouped: list[list[Constraint]], operator: Operator, c_names: Mapping[str, str]
+    grouped: Sequence[Sequence[Constraint]], operator: Operator, c_names: Mapping[str, str]
 ) -> list[_Unit]:
     and_op, _ = _join_ops(operator)
     units: list[_Unit] = []
@@ -557,14 +553,14 @@ def _check_value_ranges(csp: CspInstance, constraints: Sequence[Constraint]) -> 
                 raise CodegenError(f"{kind} {value} exceeds 32-bit signed range")
 
 
-def _grouped_constraints(csp: CspInstance, grouping: Grouping) -> list[list[Constraint]]:
-    per_group = [instantiate_group(g) for g in csp.groups]
+def _grouped_constraints(
+    csp: CspInstance, constraints: list[Constraint], grouping: Grouping
+) -> Sequence[Sequence[Constraint]]:
     if grouping is Grouping.NONE:
-        return [[c] for bucket in per_group for c in bucket]
+        return [[c] for c in constraints]
     if grouping is Grouping.PER_GROUP:
-        return per_group
-    merged = [c for bucket in per_group for c in bucket]
-    return [merged] if merged else []
+        return csp.groups
+    return [constraints] if constraints else []
 
 
 def _domain_condition(var_id: str, csp: CspInstance, spec: TransformSpec, c_names: Mapping[str, str]) -> tuple[list[str], str]:
@@ -603,7 +599,7 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     _check_value_ranges(csp, constraints)
 
     c_names = _c_names(csp)
-    grouped = _grouped_constraints(csp, spec.grouping)
+    grouped = _grouped_constraints(csp, constraints, spec.grouping)
     if spec.family is Family.EXTENSIONAL:
         units = _extensional_units(grouped, spec.operator, c_names)  # type: ignore[arg-type]
     else:

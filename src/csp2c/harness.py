@@ -201,7 +201,8 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
     for i, entry in enumerate(_load_entries(path, ("name", "run"))):
         _check_entry(path, i, entry, _TOOL_KEYS)
         for key in ("prepare", "run"):
-            if entry.get(key):
+            # an empty prepare means none; an empty run is an error
+            if entry.get(key) or key == "run":
                 try:
                     check_template(entry[key], TOOL_FIELDS)
                 except HarnessError as exc:
@@ -597,7 +598,7 @@ def load_records_csv(path: str) -> list[RunRecord]:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames not in (RAW_CSV_FIELDS, RAW_CSV_FIELDS[:-1]):
-                raise HarnessError(f"unexpected raw CSV header: {reader.fieldnames!r}")
+                raise HarnessError(f"{path}: unexpected raw CSV header: {reader.fieldnames!r}")
             for row in reader:
                 if None in row or None in row.values():
                     raise HarnessError(

@@ -3,9 +3,10 @@
 Everything here is immutable after construction and safe to share across
 threads. Constraints come in three kinds: extensional tables (positive
 "supports" or negative "conflicts" tuple lists), intensional expression
-trees, and allDifferent. Constraints are held in groups: either a concrete
-singleton or a template with positional `%i` placeholders plus one argument
-vector per instantiated constraint.
+trees, and allDifferent. An instance holds its constraints in groups, one
+per XCSP3 `<group>` or lone constraint element. The parser expands every
+`<group>` template into concrete constraints, so nothing here knows about
+templates or `%i` placeholders.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
 
 class ModelError(Exception):
-    """A structurally invalid instance, constraint, or group."""
+    """A structurally invalid instance or constraint."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +131,6 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Placeholder:
-    index: int
-
-
-@dataclass(frozen=True)
 class Unary:
     op: str
     operand: "Expr"
@@ -155,7 +151,7 @@ class Binary:
             raise ModelError(f"unknown binary operator {self.op!r}")
 
 
-Expr = Union[Var, Const, Placeholder, Unary, Binary]
+Expr = Union[Var, Const, Unary, Binary]
 
 
 def expr_nodes(expr: Expr) -> Iterator[Expr]:
@@ -175,24 +171,6 @@ def expr_variables(expr: Expr) -> tuple[str, ...]:
     return tuple(dict.fromkeys(n.name for n in expr_nodes(expr) if isinstance(n, Var)))
 
 
-def expr_placeholders(expr: Expr) -> tuple[int, ...]:
-    return tuple(sorted({n.index for n in expr_nodes(expr) if isinstance(n, Placeholder)}))
-
-
-def substitute_placeholders(expr: Expr, args: Sequence[Union[str, int]]) -> Expr:
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Placeholder):
-            arg = args[node.index]
-            return Const(arg) if isinstance(arg, int) else Var(arg)
-        if isinstance(node, Unary):
-            return Unary(node.op, walk(node.operand))
-        if isinstance(node, Binary):
-            return Binary(node.op, walk(node.left), walk(node.right))
-        return node
-
-    return walk(expr)
-
-
 # ---------------------------------------------------------------------------
 # Constraints
 # ---------------------------------------------------------------------------
@@ -201,10 +179,6 @@ def substitute_placeholders(expr: Expr, args: Sequence[Union[str, int]]) -> Expr
 class Polarity(Enum):
     SUPPORTS = "supports"
     CONFLICTS = "conflicts"
-
-
-def _is_placeholder_token(token: str) -> bool:
-    return token.startswith("%")
 
 
 @dataclass(frozen=True)
@@ -218,8 +192,7 @@ class TableConstraint:
     def __post_init__(self) -> None:
         if not self.scope:
             raise ModelError("table constraint with empty scope")
-        concrete = [v for v in self.scope if not _is_placeholder_token(v)]
-        if len(set(concrete)) != len(concrete):
+        if len(set(self.scope)) != len(self.scope):
             raise ModelError(f"table scope has repeated variables: {self.scope}")
         for t in self.tuples:
             if len(t) != len(self.scope):
@@ -244,94 +217,13 @@ class AllDifferent:
     scope: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        concrete = [v for v in self.scope if not _is_placeholder_token(v)]
-        if len(set(concrete)) != len(concrete):
+        if len(set(self.scope)) != len(self.scope):
             raise ModelError(f"allDifferent scope has repeated variables: {self.scope}")
         if len(self.scope) < 2:
             raise ModelError("allDifferent needs at least 2 variables")
 
 
 Constraint = Union[TableConstraint, IntensionConstraint, AllDifferent]
-
-
-def _template_placeholder_count(template: Constraint) -> int:
-    """Number of `%i` slots; indices must be exactly 0..k-1."""
-    if isinstance(template, IntensionConstraint):
-        indices = expr_placeholders(template.expr)
-    else:
-        indices = tuple(
-            sorted({int(v[1:]) for v in template.scope if _is_placeholder_token(v)})
-        )
-    if not indices:
-        return 0
-    if indices != tuple(range(len(indices))):
-        raise ModelError(f"placeholder indices are not contiguous from %0: {indices}")
-    return len(indices)
-
-
-@dataclass(frozen=True)
-class ConstraintGroup:
-    """A constraint template plus argument vectors, or a concrete singleton.
-
-    A singleton has an empty args list and a placeholder-free template.
-    """
-
-    template: Constraint
-    args_list: tuple[tuple[Union[str, int], ...], ...] = ()
-    name: str = "group"
-
-    @staticmethod
-    def singleton(constraint: Constraint, name: str = "constraint") -> "ConstraintGroup":
-        return ConstraintGroup(template=constraint, args_list=(), name=name)
-
-    @property
-    def placeholder_count(self) -> int:
-        return _template_placeholder_count(self.template)
-
-
-def instantiate_group(group: ConstraintGroup) -> list[Constraint]:
-    """Substitute each args vector into the template, preserving order.
-
-    A singleton group yields its concrete template unchanged. Raises
-    ModelError naming the group and the offending vector on arity mismatch.
-    """
-    count = group.placeholder_count
-    if not group.args_list:
-        if count:
-            raise ModelError(f"{group.name}: template has placeholders but no args")
-        return [group.template]
-    if count == 0:
-        raise ModelError(f"{group.name}: args given for a template without placeholders")
-
-    out: list[Constraint] = []
-    for vec in group.args_list:
-        if len(vec) != count:
-            raise ModelError(
-                f"{group.name}: args vector {vec} has {len(vec)} entries, "
-                f"template expects {count}"
-            )
-        out.append(_substitute(group.template, vec))
-    return out
-
-
-def _substitute(template: Constraint, args: Sequence[Union[str, int]]) -> Constraint:
-    def slot(token: str) -> str:
-        if _is_placeholder_token(token):
-            arg = args[int(token[1:])]
-            if isinstance(arg, int):
-                raise ModelError(f"integer argument {arg} used as a scope variable")
-            return arg
-        return token
-
-    if isinstance(template, TableConstraint):
-        return TableConstraint(
-            scope=tuple(slot(v) for v in template.scope),
-            polarity=template.polarity,
-            tuples=template.tuples,
-        )
-    if isinstance(template, AllDifferent):
-        return AllDifferent(scope=tuple(slot(v) for v in template.scope))
-    return IntensionConstraint(expr=substitute_placeholders(template.expr, args))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +235,9 @@ def _substitute(template: Constraint, args: Sequence[Union[str, int]]) -> Constr
 class CspInstance:
     name: str
     variables: tuple[VariableDecl, ...]
-    groups: tuple[ConstraintGroup, ...]
+    # one tuple per XCSP3 <group> (its instantiated constraints, in <args>
+    # order) or lone constraint element
+    groups: tuple[tuple[Constraint, ...], ...]
     # Original XCSP3 name (e.g. "x[2]") -> flattened scalar id (e.g. "x2").
     flatten_map: Mapping[str, str] = field(default_factory=dict)
 
@@ -358,10 +252,7 @@ class CspInstance:
         return self._domains[var_id]
 
     def constraints(self) -> list[Constraint]:
-        out: list[Constraint] = []
-        for g in self.groups:
-            out.extend(instantiate_group(g))
-        return out
+        return [c for group in self.groups for c in group]
 
     @property
     def assignment_space_size(self) -> int:

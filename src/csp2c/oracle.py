@@ -59,7 +59,6 @@ from .model import (
     Expr,
     INT32_MAX,
     INT32_MIN,
-    Placeholder,
     Polarity,
     TableConstraint,
     Unary,
@@ -111,8 +110,6 @@ def eval_expr(expr: Expr, assignment: Assignment) -> int:
             return assignment[expr.name]
         except KeyError:
             raise EvalError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Placeholder):
-        raise EvalError(f"uninstantiated placeholder %{expr.index}")
     if isinstance(expr, Unary):
         v = eval_expr(expr.operand, assignment)
         if expr.op == "neg":

@@ -15,9 +15,13 @@ Supported elements:
                   followed by one <args> row per instantiated constraint
 
 Anything else is rejected with an "unsupported" diagnostic naming the
-element; tuple wildcards (*) are rejected. Array variables are flattened to
-scalars (x[2] -> x2) and the mapping is kept on the instance. Parsing is a
-pure function of the input text.
+element; tuple wildcards (*) are rejected. Groups end here: the reader
+parses each template once and builds one concrete constraint per <args>
+row, so the model, the oracle and the code generator never see a template
+or a placeholder. Array variables are flattened to scalars (x[2] -> x2) and
+the mapping is kept on the instance; where that name belongs to another
+variable, underscores go before the index (x1[0] -> x1_0 next to x[10]).
+Parsing is a pure function of the input text and linear in its size.
 """
 
 from __future__ import annotations
@@ -26,29 +30,30 @@ import os
 import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Sequence, Union
 
 from .model import (
     AllDifferent,
     Binary,
     Const,
     Constraint,
-    ConstraintGroup,
     CspInstance,
     Domain,
     Expr,
     IntensionConstraint,
     ModelError,
-    Placeholder,
     Polarity,
     TableConstraint,
     Unary,
     UNARY_OPS,
     Var,
     VariableDecl,
-    instantiate_group,
     validate_instance,
 )
+
+# one entry of an <args> row: a flattened variable id or an integer
+Arg = Union[str, int]
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -74,6 +79,72 @@ class IntensionSyntaxError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Placeholder:
+    """A `%i` slot in a <group> template's intension tree. The reader fills
+    every slot from the group's <args> rows, so no CspInstance holds one."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class _Template:
+    """One parsed constraint element. `build` fills the `%i` slots, whose
+    indices `slots` lists in ascending order, from one args row; a lone
+    constraint has no slots and `build(())` returns it."""
+
+    slots: tuple[int, ...]
+    build: Callable[[Sequence[Arg]], Constraint]
+
+    def instantiate(self, name: str, rows: Sequence[tuple[Arg, ...]]) -> tuple[Constraint, ...]:
+        """One constraint per args row, in row order; ModelError names the
+        group and the first bad row."""
+        count = len(self.slots)
+        if self.slots != tuple(range(count)):
+            raise ModelError(f"placeholder indices are not contiguous from %0: {self.slots}")
+        if not count:
+            raise ModelError(f"{name}: args given for a template without placeholders")
+        out = []
+        for row in rows:
+            if len(row) != count:
+                raise ModelError(
+                    f"{name}: args vector {row} has {len(row)} entries, template expects {count}"
+                )
+            out.append(self.build(row))
+        return tuple(out)
+
+
+def _map_leaves(expr: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """The tree with each leaf replaced by `leaf(leaf)`, visited left to right."""
+    if isinstance(expr, Unary):
+        return Unary(expr.op, _map_leaves(expr.operand, leaf))
+    if isinstance(expr, Binary):
+        return Binary(expr.op, _map_leaves(expr.left, leaf), _map_leaves(expr.right, leaf))
+    return leaf(expr)
+
+
+def _fill_expr(tree: Expr, args: Sequence[Arg]) -> Expr:
+    def fill(leaf: Expr) -> Expr:
+        if isinstance(leaf, Placeholder):
+            arg = args[leaf.index]
+            return Const(arg) if isinstance(arg, int) else Var(arg)
+        return leaf
+
+    return _map_leaves(tree, fill)
+
+
+def _fill_scope(scope: tuple[str, ...], args: Sequence[Arg]) -> tuple[str, ...]:
+    out = []
+    for token in scope:
+        if token.startswith("%"):
+            arg = args[int(token[1:])]
+            if isinstance(arg, int):
+                raise ModelError(f"integer argument {arg} used as a scope variable")
+            token = arg
+        out.append(token)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Minimal DOM with line numbers (expat keeps us honest about malformed input)
 # ---------------------------------------------------------------------------
@@ -88,6 +159,8 @@ class _Node:
     _text: list[str] = field(default_factory=list)
     parent_path: str = ""
     sibling_index: int = 1
+    # children seen so far per tag, for the next child's sibling_index
+    _tag_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def text(self) -> str:
@@ -108,7 +181,7 @@ def _parse_xml(text: str | bytes) -> _Node:
         if stack:
             parent = stack[-1]
             node.parent_path = parent.path
-            node.sibling_index = 1 + sum(1 for c in parent.children if c.tag == tag)
+            node.sibling_index = parent._tag_counts[tag] = parent._tag_counts.get(tag, 0) + 1
             parent.children.append(node)
         else:
             root.append(node)
@@ -164,8 +237,8 @@ def _tokenize(text: str) -> list[str]:
 def parse_intension(text: str) -> Expr:
     """Parse functional prefix syntax into an expression tree.
 
-    `%i` placeholders are kept as Placeholder nodes for later substitution;
-    abs(sub(a,b)) is normalized to dist(a,b).
+    `%i` placeholders are kept as Placeholder nodes, which a <group>'s args
+    rows fill; abs(sub(a,b)) is normalized to dist(a,b).
     """
     tokens = _tokenize(text)
     pos = 0
@@ -242,8 +315,12 @@ class _DocParser:
         self.diagnostics: list[ParseDiagnostic] = []
         self.variables: list[VariableDecl] = []
         self.flatten_map: dict[str, str] = {}
-        self.groups: list[ConstraintGroup] = []
+        self.groups: list[tuple[Constraint, ...]] = []
         self._declared: set[str] = set()
+        # array id -> {index: flattened id}, in declaration order
+        self._arrays: dict[str, dict[int, str]] = {}
+        # every <var> id of the document, so no array element takes one
+        self._scalar_ids: set[str] = set()
         self._group_counter = 0
 
     def error(self, node: _Node, message: str) -> None:
@@ -317,11 +394,20 @@ class _DocParser:
         domain = self.parse_domain(node)
         if domain is None:
             return
-        n = int(m.group(1))
-        for i in range(n):
-            flat = f"{array_id}{i}"
-            self.flatten_map[f"{array_id}[{i}]"] = flat
+        members = self._arrays.setdefault(array_id, {})
+        for i in range(int(m.group(1))):
+            key = f"{array_id}[{i}]"
+            # a redeclared array keeps its names, and declare reports them
+            flat = self.flatten_map.get(key) or self._flat_id(array_id, i)
+            self.flatten_map[key] = members[i] = flat
             self.declare(node, flat, domain)
+
+    def _flat_id(self, array_id: str, i: int) -> str:
+        """`x[10]` becomes x10, or x_10, x__10, ... when another variable has that id."""
+        sep = ""
+        while (flat := f"{array_id}{sep}{i}") in self._declared or flat in self._scalar_ids:
+            sep += "_"
+        return flat
 
     # -- scope/argument tokens ----------------------------------------------
 
@@ -362,16 +448,11 @@ class _DocParser:
         for token in text.split():
             m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\[\]", token)
             if m:
-                array_id = m.group(1)
-                members = [
-                    flat
-                    for key, flat in self.flatten_map.items()
-                    if key.startswith(f"{array_id}[")
-                ]
+                members = self._arrays.get(m.group(1))
                 if not members:
-                    self.error(node, f"reference to undeclared array {array_id!r}")
+                    self.error(node, f"reference to undeclared array {m.group(1)!r}")
                     return None
-                out.extend(members)
+                out.extend(members.values())
                 continue
             resolved = self.resolve_token(
                 node, token, allow_placeholder=allow_placeholder, allow_int=allow_int
@@ -429,7 +510,23 @@ class _DocParser:
                 return None
         return tuple(tuples)
 
-    def parse_extension(self, node: _Node, *, templated: bool) -> TableConstraint | None:
+    def scope_template(
+        self, node: _Node, scope: tuple[str, ...], make: Callable[[tuple[str, ...]], Constraint]
+    ) -> _Template | None:
+        """`make` over `scope`, whose `%i` tokens an args row fills. The
+        model's checks run once here, each `%i` standing for a variable of
+        its own, and again on every row."""
+        try:
+            checked = make(scope)
+        except ModelError as exc:
+            self.error(node, str(exc))
+            return None
+        slots = tuple(sorted({int(v[1:]) for v in scope if v.startswith("%")}))
+        if not slots:
+            return _Template((), lambda args: checked)
+        return _Template(slots, lambda args: make(_fill_scope(scope, args)))
+
+    def parse_extension(self, node: _Node, *, templated: bool) -> _Template | None:
         list_node = None
         table_node = None
         polarity = None
@@ -457,15 +554,12 @@ class _DocParser:
         tuples = self.parse_tuples(table_node, arity=len(scope))
         if tuples is None:
             return None
-        try:
-            return TableConstraint(tuple(str(v) for v in scope), polarity, tuples)
-        except ModelError as exc:
-            self.error(node, str(exc))
-            return None
+        # every row shares the one parsed tuple list
+        return self.scope_template(
+            node, tuple(map(str, scope)), lambda vs: TableConstraint(vs, polarity, tuples)
+        )
 
-    def parse_intension_node(
-        self, node: _Node, *, templated: bool
-    ) -> IntensionConstraint | None:
+    def parse_intension_node(self, node: _Node, *, templated: bool) -> _Template | None:
         if node.children:
             self.error(node, "unsupported <intension> with child elements")
             return None
@@ -474,52 +568,46 @@ class _DocParser:
         except IntensionSyntaxError as exc:
             self.error(node, f"bad intension expression: {exc}")
             return None
-        resolved = self._resolve_expr_vars(node, tree, templated=templated)
-        if resolved is None:
-            return None
-        return IntensionConstraint(resolved)
-
-    def _resolve_expr_vars(self, node: _Node, tree: Expr, *, templated: bool) -> Expr | None:
+        slots: set[int] = set()
         failed = False
 
-        def walk(e: Expr) -> Expr:
+        def resolve(leaf: Expr) -> Expr:
             nonlocal failed
-            if isinstance(e, Var):
+            if isinstance(leaf, Var):
                 resolved = self.resolve_token(
-                    node, e.name, allow_placeholder=False, allow_int=False
+                    node, leaf.name, allow_placeholder=False, allow_int=False
                 )
                 if resolved is None:
                     failed = True
-                    return e
+                    return leaf
                 return Var(str(resolved))
-            if isinstance(e, Placeholder):
+            if isinstance(leaf, Placeholder):
                 if not templated:
-                    self.error(node, f"placeholder %{e.index} outside a <group> template")
+                    self.error(node, f"placeholder %{leaf.index} outside a <group> template")
                     failed = True
-                return e
-            if isinstance(e, Unary):
-                return Unary(e.op, walk(e.operand))
-            if isinstance(e, Binary):
-                return Binary(e.op, walk(e.left), walk(e.right))
-            return e
+                slots.add(leaf.index)
+            return leaf
 
-        resolved = walk(tree)
-        return None if failed else resolved
+        tree = _map_leaves(tree, resolve)
+        if failed:
+            return None
+        if not slots:
+            constraint = IntensionConstraint(tree)
+            return _Template((), lambda args: constraint)
+        return _Template(
+            tuple(sorted(slots)), lambda args: IntensionConstraint(_fill_expr(tree, args))
+        )
 
-    def parse_alldifferent(self, node: _Node, *, templated: bool) -> AllDifferent | None:
+    def parse_alldifferent(self, node: _Node, *, templated: bool) -> _Template | None:
         if node.children:
             self.error(node, "unsupported <allDifferent> with child elements")
             return None
         scope = self.resolve_scope(node, node.text, allow_placeholder=templated)
         if scope is None:
             return None
-        try:
-            return AllDifferent(tuple(str(v) for v in scope))
-        except ModelError as exc:
-            self.error(node, str(exc))
-            return None
+        return self.scope_template(node, tuple(map(str, scope)), AllDifferent)
 
-    def parse_template(self, node: _Node, *, templated: bool) -> Constraint | None:
+    def parse_constraint(self, node: _Node, *, templated: bool) -> _Template | None:
         if node.tag == "extension":
             return self.parse_extension(node, templated=templated)
         if node.tag == "intension":
@@ -532,8 +620,8 @@ class _DocParser:
     def parse_group(self, node: _Node) -> None:
         self._group_counter += 1
         group_name = f"group#{self._group_counter}"
-        template: Constraint | None = None
-        args_rows: list[tuple[Union[str, int], ...]] = []
+        template: _Template | None = None
+        args_rows: list[tuple[Arg, ...]] = []
         ok = True
         for child in node.children:
             if child.tag == "args":
@@ -545,7 +633,7 @@ class _DocParser:
                 else:
                     args_rows.append(tuple(row))
             elif template is None:
-                template = self.parse_template(child, templated=True)
+                template = self.parse_constraint(child, templated=True)
                 if template is None:
                     ok = False
             else:
@@ -560,22 +648,19 @@ class _DocParser:
             return
         if not ok:
             return
-        group = ConstraintGroup(template=template, args_list=tuple(args_rows), name=group_name)
         try:
-            instantiate_group(group)
+            self.groups.append(template.instantiate(group_name, args_rows))
         except ModelError as exc:
             self.error(node, str(exc))
-            return
-        self.groups.append(group)
 
     def parse_constraints(self, node: _Node) -> None:
         for child in node.children:
             if child.tag == "group":
                 self.parse_group(child)
             else:
-                c = self.parse_template(child, templated=False)
-                if c is not None:
-                    self.groups.append(ConstraintGroup.singleton(c, name=child.path))
+                lone = self.parse_constraint(child, templated=False)
+                if lone is not None:
+                    self.groups.append((lone.build(()),))
 
     def parse_root(self, root: _Node) -> None:
         if root.tag != "instance":
@@ -585,6 +670,13 @@ class _DocParser:
         if doc_type != "CSP":
             self.error(root, f"unsupported instance type {doc_type!r} (only CSP)")
             return
+        self._scalar_ids = {
+            var.attrib.get("id", "")
+            for section in root.children
+            if section.tag == "variables"
+            for var in section.children
+            if var.tag == "var"
+        }
         seen_vars = False
         for child in root.children:
             if child.tag == "variables":

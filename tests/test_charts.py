@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -82,3 +83,22 @@ def test_svg_is_self_contained(tmp_path):
         assert text.startswith("<svg")
         assert "http://" not in text.replace("http://www.w3.org/2000/svg", "")
         assert "href" not in text
+
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
+
+
+def test_names_with_markup_characters_are_escaped(tmp_path):
+    tool, version = "R&D <x>", "v<1>&"
+    report = report_with(
+        robustness=[RobustnessRow(tool, version, 1.0, 0, 1)],
+        scalability=[ScalabilityRow(tool, 1, 0)],
+    )
+    written = emit_svg(report, str(tmp_path))
+    assert len(written) == 2
+    texts = {
+        os.path.basename(path): [el.text for el in ET.parse(path).getroot().iter(SVG_TEXT)]
+        for path in written
+    }
+    assert tool in texts["robustness.svg"] and tool in texts["scalability.svg"]
+    assert version in texts["robustness.svg"]

@@ -563,7 +563,8 @@ class TestBadInputFiles:
         raw.write_text("a,b\n1,2\n")
         code, out, err = run_cli(capsys, "report", str(raw), "--out-dir", str(tmp_path / "o"))
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "header" in err
+        assert err.startswith("error:")
+        assert f"{raw}: unexpected raw CSV header: ['a', 'b']" in err
 
     def test_report_without_records_exits_2(self, capsys, tmp_path):
         from csp2c.harness import RAW_CSV_FIELDS
@@ -652,6 +653,10 @@ BAD_INPUT_CASES = {
     "tool-run-not-a-string": (
         lambda t, tools, inst: _bench(_edited(tools, t, run=5), inst, t),
         "entry 0 has bad run 5",
+    ),
+    "tool-run-empty": (
+        lambda t, tools, inst: _bench(_edited(tools, t, run=""), inst, t),
+        "edited-tools.json: entry 0 'run': empty command template",
     ),
     "tool-dialect-bogus": (
         lambda t, tools, inst: _bench(_edited(tools, t, dialect="bogus"), inst, t),

@@ -25,7 +25,6 @@ from csp2c.codegen import (
 from csp2c.model import (
     Binary,
     Const,
-    ConstraintGroup,
     CspInstance,
     Domain,
     IntensionConstraint,
@@ -419,8 +418,8 @@ class TestErrors:
             name="big",
             variables=(VariableDecl("v", Domain.from_values([0, 1])),),
             groups=(
-                ConstraintGroup.singleton(
-                    TableConstraint(("v",), Polarity.SUPPORTS, ((2**40,),))
+                (
+                    TableConstraint(("v",), Polarity.SUPPORTS, ((2**40,),)),
                 ),
             ),
         )
@@ -432,8 +431,8 @@ class TestErrors:
             name="big",
             variables=(VariableDecl("x", Domain.from_values([0, 1])),),
             groups=(
-                ConstraintGroup.singleton(
-                    IntensionConstraint(Binary("lt", Var("x"), Const(-(2**31) - 1)))
+                (
+                    IntensionConstraint(Binary("lt", Var("x"), Const(-(2**31) - 1))),
                 ),
             ),
         )
@@ -465,8 +464,8 @@ class TestErrors:
                 VariableDecl("while", Domain.from_values([0, 1])),
             ),
             groups=(
-                ConstraintGroup.singleton(
-                    TableConstraint(("int", "while"), Polarity.SUPPORTS, ((0, 1),))
+                (
+                    TableConstraint(("int", "while"), Polarity.SUPPORTS, ((0, 1),)),
                 ),
             ),
         )

@@ -7,20 +7,17 @@ from csp2c.model import (
     AllDifferent,
     Binary,
     Const,
-    ConstraintGroup,
+    CspInstance,
     Domain,
     IntensionConstraint,
     ModelError,
-    Placeholder,
     Polarity,
     TableConstraint,
     Unary,
     Var,
+    VariableDecl,
     expr_nodes,
-    expr_placeholders,
     expr_variables,
-    instantiate_group,
-    substitute_placeholders,
 )
 
 
@@ -59,62 +56,6 @@ class TestDomain:
         assert d.values() == sorted(expected)
 
 
-FIG_TABLE = TableConstraint(
-    scope=("%0", "%1", "%2"),
-    polarity=Polarity.CONFLICTS,
-    tuples=((0, 0, 0), (0, 1, 0)),
-)
-
-
-class TestInstantiateGroup:
-    def test_conflicts_group_two_rows(self):
-        group = ConstraintGroup(
-            template=FIG_TABLE,
-            args_list=(("x0", "x1", "x2"), ("x3", "x4", "x5")),
-        )
-        out = instantiate_group(group)
-        assert [c.scope for c in out] == [("x0", "x1", "x2"), ("x3", "x4", "x5")]
-        assert all(c.polarity is Polarity.CONFLICTS for c in out)
-        assert all(c.tuples == ((0, 0, 0), (0, 1, 0)) for c in out)
-
-    def test_singleton_passthrough(self):
-        c = AllDifferent(("a", "b"))
-        assert instantiate_group(ConstraintGroup.singleton(c)) == [c]
-
-    def test_intension_template(self):
-        template = IntensionConstraint(
-            Binary("eq", Placeholder(0), Binary("dist", Placeholder(1), Placeholder(2)))
-        )
-        group = ConstraintGroup(
-            template=template,
-            args_list=(("y0", "x0", "x1"), ("y1", "x1", "x2")),
-        )
-        out = instantiate_group(group)
-        assert out[0].expr == Binary("eq", Var("y0"), Binary("dist", Var("x0"), Var("x1")))
-        assert out[1].expr == Binary("eq", Var("y1"), Binary("dist", Var("x1"), Var("x2")))
-
-    def test_arity_mismatch_names_group_and_vector(self):
-        group = ConstraintGroup(
-            template=FIG_TABLE, args_list=(("x0", "x1"),), name="group#7"
-        )
-        with pytest.raises(ModelError, match=r"group#7.*\('x0', 'x1'\).*expects 3"):
-            instantiate_group(group)
-
-    def test_deterministic_and_order_preserving(self):
-        group = ConstraintGroup(
-            template=FIG_TABLE,
-            args_list=(("x0", "x1", "x2"), ("x3", "x4", "x5")),
-        )
-        assert instantiate_group(group) == instantiate_group(group)
-
-    def test_total_count_matches_args_rows(self):
-        group = ConstraintGroup(
-            template=FIG_TABLE,
-            args_list=tuple((f"a{i}", f"b{i}", f"c{i}") for i in range(5)),
-        )
-        assert len(instantiate_group(group)) == 5
-
-
 class TestConstraintInvariants:
     def test_tuple_arity_checked(self):
         with pytest.raises(ModelError, match="arity"):
@@ -128,18 +69,23 @@ class TestConstraintInvariants:
         with pytest.raises(ModelError):
             AllDifferent(("a",))
 
-    def test_substitute_int_argument_becomes_const(self):
-        expr = Binary("ge", Placeholder(0), Placeholder(1))
-        out = substitute_placeholders(expr, ["x0", 3])
-        assert out == Binary("ge", Var("x0"), Const(3))
-
 
 class TestExprNodes:
     def test_pre_order_left_before_right(self):
-        product = Binary("mul", Placeholder(1), Binary("sub", Var("a"), Var("b")))
+        product = Binary("mul", Const(1), Binary("sub", Var("a"), Var("b")))
         expr = Binary("add", Unary("neg", Var("b")), product)
         assert [type(n).__name__ for n in expr_nodes(expr)] == [
-            "Binary", "Unary", "Var", "Binary", "Placeholder", "Binary", "Var", "Var",
+            "Binary", "Unary", "Var", "Binary", "Const", "Binary", "Var", "Var",
         ]
         assert expr_variables(expr) == ("b", "a")
-        assert expr_placeholders(Binary("eq", Placeholder(1), Placeholder(0))) == (0, 1)
+
+
+class TestInstance:
+    def test_constraints_flatten_groups_in_order(self):
+        a, b, c = (IntensionConstraint(Binary("eq", Var("v"), Const(k))) for k in range(3))
+        csp = CspInstance(
+            name="t",
+            variables=(VariableDecl("v", Domain.from_values([0, 1, 2])),),
+            groups=((a, b), (c,)),
+        )
+        assert csp.constraints() == [a, b, c]

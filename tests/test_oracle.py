@@ -10,7 +10,6 @@ from csp2c.model import (
     AllDifferent,
     Binary,
     Const,
-    ConstraintGroup,
     CspInstance,
     Domain,
     IntensionConstraint,
@@ -39,7 +38,7 @@ def make_instance(domains: dict[str, list[int]], constraints) -> CspInstance:
         variables=tuple(
             VariableDecl(v, Domain.from_values(vals)) for v, vals in domains.items()
         ),
-        groups=tuple(ConstraintGroup.singleton(c) for c in constraints),
+        groups=tuple((c,) for c in constraints),
     )
 
 

@@ -19,7 +19,6 @@ from csp2c.codegen import (
     version_to_spec,
 )
 from csp2c.model import (
-    ConstraintGroup,
     CspInstance,
     Domain,
     IntensionConstraint,
@@ -137,8 +136,8 @@ class TestDifferentialCheck:
                 VariableDecl(f"v{i}", Domain.from_ranges([(0, 9)])) for i in range(6)
             ),
             groups=(
-                ConstraintGroup.singleton(
-                    IntensionConstraint(parse_intension("le(v0,5)"))
+                (
+                    IntensionConstraint(parse_intension("le(v0,5)")),
                 ),
             ),
         )

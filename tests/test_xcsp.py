@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from csp2c.model import AllDifferent, Binary, Const, Placeholder, Polarity, Var
+from csp2c.model import AllDifferent, Binary, Const, IntensionConstraint, Polarity, Var
 from csp2c.xcsp import (
     IntensionSyntaxError,
     ParseFailure,
+    Placeholder,
     parse_document,
     parse_file,
     parse_intension,
@@ -204,3 +205,194 @@ class TestParseDocument:
                 </instance>
                 """
             )
+
+
+def document(variables: str, constraints: str) -> str:
+    return (
+        '<instance format="XCSP3" type="CSP">'
+        f"<variables>{variables}</variables><constraints>{constraints}</constraints>"
+        "</instance>"
+    )
+
+
+SIX = '<array id="x" size="[6]"> 0..3 </array>'
+FIG_TEMPLATE = (
+    "<extension><list> %0 %1 %2 </list>"
+    "<conflicts> (0,0,0) (0,1,0) </conflicts></extension>"
+)
+
+
+def fig_group(*rows: str) -> str:
+    return "<group>" + FIG_TEMPLATE + "".join(f"<args> {r} </args>" for r in rows) + "</group>"
+
+
+def diagnostics(text: str) -> list[str]:
+    with pytest.raises(ParseFailure) as err:
+        parse_document(text)
+    return [str(d) for d in err.value.diagnostics]
+
+
+class TestGroupExpansion:
+    """The reader turns each <group> into one concrete constraint per <args> row."""
+
+    def test_conflicts_group_two_rows(self):
+        csp = parse_document(document(SIX, fig_group("x[0] x[1] x[2]", "x[3] x[4] x[5]")))
+        (group,) = csp.groups
+        assert [c.scope for c in group] == [("x0", "x1", "x2"), ("x3", "x4", "x5")]
+        assert all(c.polarity is Polarity.CONFLICTS for c in group)
+        assert all(c.tuples == ((0, 0, 0), (0, 1, 0)) for c in group)
+        # the rows share the one parsed tuple list
+        assert group[0].tuples is group[1].tuples
+
+    def test_lone_constraint_is_a_group_of_one(self):
+        csp = parse_document(document(SIX, "<allDifferent> x[0] x[1] </allDifferent>"))
+        assert csp.groups == ((AllDifferent(("x0", "x1")),),)
+
+    def test_intension_template(self):
+        csp = parse_document(
+            document(
+                SIX,
+                "<group><intension> eq(%0,dist(%1,%2)) </intension>"
+                "<args> x[4] x[0] x[1] </args><args> x[5] x[1] x[2] </args></group>",
+            )
+        )
+        first, second = csp.constraints()
+        assert first.expr == Binary("eq", Var("x4"), Binary("dist", Var("x0"), Var("x1")))
+        assert second.expr == Binary("eq", Var("x5"), Binary("dist", Var("x1"), Var("x2")))
+
+    def test_arity_mismatch_names_group_and_vector(self):
+        text = document(SIX, fig_group("x[0] x[1] x[2]") + fig_group("x[0] x[1]"))
+        assert diagnostics(text) == [
+            "error at /instance[1]/constraints[1]/group[2] (line 1): "
+            "group#2: args vector ('x0', 'x1') has 2 entries, template expects 3"
+        ]
+
+    def test_deterministic_and_order_preserving(self):
+        text = document(SIX, fig_group("x[3] x[4] x[5]", "x[0] x[1] x[2]"))
+        csp = parse_document(text)
+        assert csp == parse_document(text)
+        assert [c.scope for c in csp.constraints()] == [("x3", "x4", "x5"), ("x0", "x1", "x2")]
+
+    def test_total_count_matches_args_rows(self):
+        rows = [f"x[{i}] x[{(i + 1) % 6}] x[{(i + 2) % 6}]" for i in range(5)]
+        csp = parse_document(document(SIX, fig_group(*rows)))
+        assert [len(g) for g in csp.groups] == [5]
+        assert len(csp.constraints()) == 5
+
+    def test_int_argument_becomes_const(self):
+        csp = parse_document(
+            document(
+                SIX,
+                "<group><intension> ge(%0,%1) </intension><args> x[0] 3 </args></group>",
+            )
+        )
+        assert csp.constraints() == [IntensionConstraint(Binary("ge", Var("x0"), Const(3)))]
+
+    @pytest.mark.parametrize(
+        "group, where, message",
+        [
+            (
+                "<group><intension> eq(%0,%2) </intension><args> x[0] x[1] x[2] </args></group>",
+                "group[1]",
+                "placeholder indices are not contiguous from %0: (0, 2)",
+            ),
+            (
+                "<group><allDifferent> %0 %1 </allDifferent><args> x[] </args></group>",
+                "group[1]",
+                "group#1: args vector ('x0', 'x1', 'x2', 'x3', 'x4', 'x5') has 6 entries, "
+                "template expects 2",
+            ),
+            (
+                "<group><allDifferent> %0 %1 </allDifferent><args> x[0] 3 </args></group>",
+                "group[1]",
+                "integer argument 3 used as a scope variable",
+            ),
+            (
+                "<group><extension><list> %0 %1 </list><conflicts> (0,0) </conflicts>"
+                "</extension><args> x[1] x[1] </args></group>",
+                "group[1]",
+                "table scope has repeated variables: ('x1', 'x1')",
+            ),
+            (
+                "<group><extension><list> x[0] x[1] </list><supports> (0,0) </supports>"
+                "</extension><args> x[0] x[1] </args></group>",
+                "group[1]",
+                "group#1: args given for a template without placeholders",
+            ),
+            (
+                "<group><allDifferent> %0 x[0] x[0] </allDifferent><args> x[1] </args></group>",
+                "group[1]/allDifferent[1]",
+                "allDifferent scope has repeated variables: ('%0', 'x0', 'x0')",
+            ),
+            (
+                "<group><allDifferent> %0 %0 </allDifferent><args> x[1] </args></group>",
+                "group[1]/allDifferent[1]",
+                "allDifferent scope has repeated variables: ('%0', '%0')",
+            ),
+        ],
+        ids=[
+            "gap", "row-too-long", "int-in-scope", "row-repeats", "no-placeholder",
+            "template-repeats", "slot-repeats",
+        ],
+    )
+    def test_group_diagnostics(self, group, where, message):
+        assert diagnostics(document(SIX, group)) == [
+            f"error at /instance[1]/constraints[1]/{where} (line 1): {message}"
+        ]
+
+
+class TestLinearFrontEnd:
+    def test_sibling_indices_count_each_tag(self):
+        text = document(
+            SIX,
+            "<intension> eq(x[0],1) </intension><allDifferent> x[0] x[1] </allDifferent>"
+            "<intension> eq(x[1],1) </intension><intension> eq(y,1) </intension>",
+        )
+        assert diagnostics(text) == [
+            "error at /instance[1]/constraints[1]/intension[3] (line 1): "
+            "reference to undeclared variable 'y'"
+        ]
+
+    def test_whole_array_is_its_own_members_in_order(self):
+        csp = parse_document(
+            document(
+                '<array id="x1" size="[2]"> 0..3 </array><array id="x" size="[3]"> 0..3 </array>',
+                "<allDifferent> x[] </allDifferent><allDifferent> x1[] </allDifferent>",
+            )
+        )
+        assert [c.scope for c in csp.constraints()] == [("x0", "x1", "x2"), ("x10", "x11")]
+
+
+class TestFlattenedNames:
+    def test_clashing_arrays_get_distinct_names(self):
+        csp = parse_document(
+            document(
+                '<array id="x" size="[12]"> 0..3 </array><array id="x1" size="[1]"> 0..3 </array>',
+                "<intension> ne(x[10],x1[0]) </intension>",
+            )
+        )
+        assert len(csp.variables) == 13
+        assert len(set(csp.variable_ids())) == 13
+        (constraint,) = csp.constraints()
+        left, right = constraint.scope
+        assert left != right
+        assert (left, right) == (csp.flatten_map["x[10]"], csp.flatten_map["x1[0]"])
+        assert (left, right) == ("x10", "x1_0")
+
+    def test_scalar_ids_keep_their_names(self):
+        csp = parse_document(
+            document(
+                '<array id="x" size="[2]"> 0 1 </array><var id="x1"> 5 6 </var>',
+                "<intension> lt(x[1],x1) </intension>",
+            )
+        )
+        assert csp.variable_ids() == ("x0", "x_1", "x1")
+        assert csp.constraints()[0].scope == ("x_1", "x1")
+
+    def test_redeclared_array_is_still_a_duplicate(self):
+        text = document(
+            '<array id="x" size="[1]"> 0 1 </array><array id="x" size="[1]"> 0 1 </array>', ""
+        )
+        assert diagnostics(text) == [
+            "error at /instance[1]/variables[1]/array[2] (line 1): duplicate variable id 'x0'"
+        ]
