@@ -89,7 +89,7 @@ def robustness_svg(report: Report) -> str | None:
         return None
     tools = sorted({r.tool for r in rows})
     versions = sorted({r.version for r in rows})
-    max_val = max(r.mean_normalized for r in rows) * 1.1
+    max_val = (max(r.mean_normalized for r in rows) or 1.0) * 1.1
     y_label = "raw seconds" if any("raw seconds" in f for f in report.flags) else "time vs baseline"
     svg = _frame("Transformation robustness", y_label, "transformation version", max_val)
     _legend(svg, tools)

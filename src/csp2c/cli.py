@@ -27,13 +27,13 @@ from .codegen import (
     Dialect,
     Family,
     TransformSpec,
+    family_of,
     output_filename,
     transform,
     version_count,
     version_to_spec,
     CodegenError,
 )
-from .model import CspInstance, IntensionConstraint, AllDifferent, TableConstraint
 from .oracle import DEFAULT_LIMIT, EvalError, Status, solve
 from .verify import (
     COMPILE_FIELDS,
@@ -63,17 +63,6 @@ _EXIT_CODES: dict[type[Exception], int] = {
 
 def _plural(n: int, word: str) -> str:
     return f"{n} {word}" + ("" if n == 1 else "s")
-
-
-def _family_of(csp: CspInstance) -> Family:
-    kinds = {type(c) for c in csp.constraints()}
-    if kinds <= {TableConstraint}:
-        return Family.EXTENSIONAL
-    if kinds <= {IntensionConstraint, AllDifferent}:
-        return Family.INTENSIONAL
-    raise CodegenError(
-        "instance mixes table and intensional constraints; no single family applies"
-    )
 
 
 def _parse_versions(
@@ -193,7 +182,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     csp = parse_file(args.file)
-    specs = _parse_versions(args.versions, _family_of(csp))
+    specs = _parse_versions(args.versions, family_of(csp.constraints()))
     harness.check_template(args.cc, COMPILE_FIELDS)
     report = differential_check(csp, specs, args.cc, bound=args.bound, workers=args.workers)
     first = None

@@ -6,7 +6,8 @@ at the end of a program is possible exactly when the instance is
 satisfiable, which is what makes the programs usable as analysis-tool
 benchmarks.
 
-Version matrix (construct x operator x grouping):
+A cell of the version matrix is TransformSpec(family, version, dialect);
+the construct, operator and grouping are read from the family's row:
 
   extensional  1..6  = if     x (logical | bitwise) x (no | yes | all)
                7..12 = assume x (logical | bitwise) x (no | yes | all)
@@ -126,25 +127,31 @@ def version_count(family: Family) -> int:
 
 @dataclass(frozen=True)
 class TransformSpec:
+    """One cell of the version matrix, in one dialect; the construct,
+    operator and grouping are read from the family's row."""
+
     family: Family
-    construct: Construct
-    operator: Operator
-    grouping: Grouping
+    version: int
     dialect: Dialect = Dialect.KLEE
 
-    @property
-    def features(self) -> tuple[Construct, Operator, Grouping]:
-        return (self.construct, self.operator, self.grouping)
+    def __post_init__(self) -> None:
+        count = version_count(self.family)
+        if not 1 <= self.version <= count:
+            raise CodegenError(
+                f"{self.family.value} version must be in 1..{count}, got {self.version}"
+            )
 
     @property
-    def version(self) -> int:
-        try:
-            return _ROWS[self.family].index(self.features) + 1
-        except ValueError:
-            raise CodegenError(
-                f"{self.family.value} has no version with features "
-                f"({self.construct.value}, {self.operator.value}, {self.grouping.value})"
-            ) from None
+    def construct(self) -> Construct:
+        return _ROWS[self.family][self.version - 1][0]
+
+    @property
+    def operator(self) -> Operator:
+        return _ROWS[self.family][self.version - 1][1]
+
+    @property
+    def grouping(self) -> Grouping:
+        return _ROWS[self.family][self.version - 1][2]
 
     @property
     def version_label(self) -> str:
@@ -152,13 +159,20 @@ class TransformSpec:
 
 
 def version_to_spec(family: Family, version: int, dialect: Dialect = Dialect.KLEE) -> TransformSpec:
-    rows = _ROWS[family]
-    if not 1 <= version <= len(rows):
-        raise CodegenError(
-            f"{family.value} version must be in 1..{len(rows)}, got {version}"
-        )
-    construct, operator, grouping = rows[version - 1]
-    return TransformSpec(family, construct, operator, grouping, dialect)
+    return TransformSpec(family, version, dialect)
+
+
+def family_of(constraints: Sequence[Constraint]) -> Family:
+    """The family that can encode `constraints`: extensional for tables only
+    (or none), intensional for no tables."""
+    kinds = {type(c) for c in constraints}
+    if kinds <= {TableConstraint}:
+        return Family.EXTENSIONAL
+    if kinds <= {IntensionConstraint, AllDifferent}:
+        return Family.INTENSIONAL
+    raise CodegenError(
+        "instance mixes table and intensional constraints; no single family applies"
+    )
 
 
 @dataclass(frozen=True)
@@ -303,18 +317,25 @@ def _conjuncts(expr: Expr) -> list[Expr]:
 # Encoding units and statement layout
 # ---------------------------------------------------------------------------
 
-# VIOLATION: the pieces form a disjunction that is true when some constraint
-# is broken (negative tables). SATISFACTION: the pieces form the condition
-# under which the encoded constraints hold.
-_VIOLATION = "violation"
-_SATISFACTION = "satisfaction"
-
-
 @dataclass(frozen=True)
 class _Unit:
-    mode: str
+    """One constraint statement. A violation unit's pieces form a disjunction
+    that is true when some constraint is broken (conflicts tables); any other
+    unit's pieces form the condition under which its constraints hold."""
+
+    violation: bool
     pieces: tuple[str, ...]
     joiner: str
+
+
+# (violation, construct) -> head and tail of a unit's statement; {assume}
+# is the dialect's assume function
+_STATEMENTS = {
+    (True, Construct.IF): ("if (", ") exit(0);"),
+    (True, Construct.ASSUME): ("{assume}(!(", "));"),
+    (False, Construct.IF): ("if (", "); else exit(0);"),
+    (False, Construct.ASSUME): ("{assume}(", ");"),
+}
 
 
 def _join_ops(operator: Operator) -> tuple[str, str]:
@@ -358,49 +379,29 @@ def _condition_pieces(
     ]
 
 
-def _extensional_units(
-    grouped: Sequence[Sequence[TableConstraint]], operator: Operator, c_names: Mapping[str, str]
-) -> list[_Unit]:
-    and_op, or_op = _join_ops(operator)
-
-    def violation(constraints: Sequence[TableConstraint]) -> _Unit:
-        pieces: list[str] = []
-        for c in constraints:
-            pieces.extend(_tuple_conjunctions(c, operator, c_names))
-        return _Unit(_VIOLATION, tuple(pieces), or_op)
-
-    def satisfaction(constraints: Sequence[TableConstraint]) -> _Unit:
-        pieces: list[str] = []
-        for c in constraints:
-            pieces.extend(_condition_pieces(c, operator, c_names))
-        return _Unit(_SATISFACTION, tuple(pieces), and_op)
-
-    units = []
-    for bucket in grouped:
-        if all(c.polarity is Polarity.CONFLICTS for c in bucket):
-            units.append(violation(bucket))
-        else:
-            units.append(satisfaction(bucket))
-    return units
-
-
-def _intensional_units(
+def _units(
     grouped: Sequence[Sequence[Constraint]], operator: Operator, c_names: Mapping[str, str]
 ) -> list[_Unit]:
-    and_op, _ = _join_ops(operator)
+    """A bucket of conflicts tables only makes a violation unit over all their
+    tuples, any other bucket the conjunction of its constraints' pieces: one
+    unit per bucket, or one per piece under NOP."""
+    and_op, or_op = _join_ops(operator)
     units: list[_Unit] = []
-    if operator is Operator.NOP:
-        # one statement per atomic condition
-        for bucket in grouped:
-            for constraint in bucket:
-                for piece in _condition_pieces(constraint, operator, c_names):
-                    units.append(_Unit(_SATISFACTION, (piece,), and_op))
-        return units
     for bucket in grouped:
+        # never empty (the parser rejects a <group> without <args>); tables
+        # only or no tables (transform's family check)
+        violation = isinstance(bucket[0], TableConstraint) and all(
+            c.polarity is Polarity.CONFLICTS for c in bucket
+        )
+        pieces_of = _tuple_conjunctions if violation else _condition_pieces
         pieces: list[str] = []
-        for constraint in bucket:
-            pieces.extend(_condition_pieces(constraint, operator, c_names))
-        units.append(_Unit(_SATISFACTION, tuple(pieces), and_op))
+        for c in bucket:
+            pieces.extend(pieces_of(c, operator, c_names))
+        joiner = or_op if violation else and_op
+        if operator is Operator.NOP:
+            units.extend(_Unit(violation, (piece,), joiner) for piece in pieces)
+        else:
+            units.append(_Unit(violation, tuple(pieces), joiner))
     return units
 
 
@@ -563,47 +564,38 @@ def _grouped_constraints(
     return [constraints] if constraints else []
 
 
-def _domain_condition(var_id: str, csp: CspInstance, spec: TransformSpec, c_names: Mapping[str, str]) -> tuple[list[str], str]:
+def _domain_condition(
+    var_id: str, csp: CspInstance, operator: Operator, c_names: Mapping[str, str]
+) -> tuple[list[str], str]:
     """Pieces and joiner for one variable's domain membership condition."""
     domain = csp.domain_of(var_id)
     name = c_names[var_id]
     if domain.is_contiguous:
         # common preamble shape, identical across versions
         return [f"{name}>={domain.lo} && {name}<={domain.hi}"], " && "
-    _, or_op = _join_ops(spec.operator if spec.operator is not Operator.NOP else Operator.LOGICAL)
+    _, or_op = _join_ops(operator)
     return [f"{name}=={value}" for value in domain.values()], or_op
 
 
 def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     """Emit the C program for one cell of the version matrix."""
-    spec.version  # validates the feature triple
     if not csp.variables:
         raise CodegenError("instance has no variables")
     constraints = csp.constraints()
-    if spec.family is Family.EXTENSIONAL:
-        bad = [c for c in constraints if not isinstance(c, TableConstraint)]
-        if bad:
-            raise CodegenError(
-                "extensional transform requires table constraints only; "
-                f"found {type(bad[0]).__name__}"
-            )
-    else:
-        bad = [c for c in constraints if isinstance(c, TableConstraint)]
-        if bad:
-            raise CodegenError(
-                "intensional transform cannot encode table constraints"
-            )
+    if constraints and family_of(constraints) is not spec.family:
+        raise CodegenError(
+            "extensional transform requires table constraints only"
+            if spec.family is Family.EXTENSIONAL
+            else "intensional transform cannot encode table constraints"
+        )
     for c in constraints:
         if isinstance(c, TableConstraint) and not c.tuples:
             raise CodegenError("cannot encode a table constraint with no tuples")
     _check_value_ranges(csp, constraints)
 
     c_names = _c_names(csp)
-    grouped = _grouped_constraints(csp, constraints, spec.grouping)
-    if spec.family is Family.EXTENSIONAL:
-        units = _extensional_units(grouped, spec.operator, c_names)  # type: ignore[arg-type]
-    else:
-        units = _intensional_units(grouped, spec.operator, c_names)
+    units = _units(_grouped_constraints(csp, constraints, spec.grouping), spec.operator, c_names)
+    # intensional if/whole: the one unit guards the distinguished assert(0)
     guarded = (
         spec.family is Family.INTENSIONAL
         and spec.construct is Construct.IF
@@ -631,35 +623,24 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     # domains
     body.append(indent + "/* enforce variable domains */")
     for v in order:
-        pieces, joiner = _domain_condition(v, csp, spec, c_names)
+        pieces, joiner = _domain_condition(v, csp, spec.operator, c_names)
         body.extend(_wrap(indent + f"{assume_fn}(", pieces, joiner, ");"))
 
     # constraints
     constraint_lines: list[str] = []
+    for unit in units:
+        head, tail = _STATEMENTS[unit.violation, spec.construct]
+        if guarded:
+            tail = ") assert(0);"
+        head = indent + head.format(assume=assume_fn)
+        constraint_lines.extend(_wrap(head, unit.pieces, unit.joiner, tail))
     if units and not guarded:
         body.append(indent + "/* constraints */")
-        for unit in units:
-            if unit.mode is _VIOLATION:
-                if spec.construct is Construct.IF:
-                    lines = _wrap(indent + "if (", unit.pieces, unit.joiner, ") exit(0);")
-                else:
-                    lines = _wrap(indent + f"{assume_fn}(!(", unit.pieces, unit.joiner, "));")
-            elif spec.construct is Construct.IF:
-                lines = _wrap(indent + "if (", unit.pieces, unit.joiner, "); else exit(0);")
-            else:
-                lines = _wrap(indent + f"{assume_fn}(", unit.pieces, unit.joiner, ");")
-            constraint_lines.extend(lines)
-            body.extend(lines)
+        body.extend(constraint_lines)
 
     # distinguished point
     body.append(indent + "/* CSP is satisfiable */")
-    if guarded:
-        (unit,) = units
-        lines = _wrap(indent + "if (", unit.pieces, unit.joiner, ") assert(0);")
-        constraint_lines.extend(lines)
-        body.extend(lines)
-    else:
-        body.append(indent + "assert(0);")
+    body.extend(constraint_lines if guarded else [indent + "assert(0);"])
     body.append(indent + "return 0;")
 
     main = ["int main(void) {"] + body + ["}"]

@@ -78,7 +78,6 @@ class BenchInstance:
     path: str
     family: str
     size: int
-    expected: str | None = None
 
     @property
     def instance_id(self) -> str:
@@ -224,19 +223,21 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
 def load_instance_manifest(path: str) -> list[BenchInstance]:
     base = os.path.dirname(os.path.abspath(path))
     instances = []
+    # instance id -> index of the entry that has it; the id names the
+    # generated sources and the records, so it must be unique
+    first_entry: dict[str, int] = {}
     for i, entry in enumerate(_load_entries(path, ("path", "family", "size"))):
         _check_entry(path, i, entry, _INSTANCE_KEYS)
         p = entry["path"]
         if not os.path.isabs(p):
             p = os.path.join(base, p)
-        instances.append(
-            BenchInstance(
-                path=p,
-                family=entry["family"],
-                size=entry["size"],
-                expected=entry.get("expected"),
+        instance = BenchInstance(path=p, family=entry["family"], size=entry["size"])
+        first = first_entry.setdefault(instance.instance_id, i)
+        if first != i:
+            raise HarnessError(
+                f"{path}: entries {first} and {i} share the instance id {instance.instance_id!r}"
             )
-        )
+        instances.append(instance)
     return instances
 
 
@@ -463,10 +464,10 @@ def build_report(
 ) -> Report:
     """Aggregate raw records into robustness and scalability tables.
 
-    Robustness means are taken over non-timeout runs that carry a
-    normalized time; without any baseline the means fall back to raw
-    seconds and the report is flagged. Scalability needs a size per
-    instance (from the instance manifest).
+    Robustness means are taken over the runs that neither timed out nor
+    ended in a tool error, of their normalized times; without any baseline
+    the means fall back to raw seconds and the report is flagged.
+    Scalability needs a size per instance (from the instance manifest).
     """
     if not records:
         raise HarnessError("no records to report on")
@@ -487,18 +488,11 @@ def build_report(
     robustness = []
     for (tool, version), cell in sorted(cells.items()):
         timeouts = sum(1 for r in cell if r.outcome is Outcome.TIMEOUT)
+        kept = [r for r in cell if r.outcome not in (Outcome.TIMEOUT, Outcome.TOOL_ERROR)]
         if have_normalized:
-            values = [
-                r.normalized
-                for r in cell
-                if r.normalized is not None and r.outcome is not Outcome.TIMEOUT
-            ]
+            values = [r.normalized for r in kept if r.normalized is not None]
         else:
-            values = [
-                r.wallclock_s
-                for r in cell
-                if r.outcome not in (Outcome.TIMEOUT, Outcome.TOOL_ERROR)
-            ]
+            values = [r.wallclock_s for r in kept]
         mean = sum(values) / len(values) if values else None
         robustness.append(
             RobustnessRow(

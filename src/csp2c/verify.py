@@ -72,7 +72,6 @@ class VerifyStatus(Enum):
     PASS = "pass"
     FAIL = "fail"
     SAMPLED = "sampled"
-    SKIPPED_TOO_LARGE = "skipped-too-large"
 
 
 @dataclass(frozen=True)
@@ -272,21 +271,20 @@ def _observe(
     return [by_spec[s] for s in versions], [timing for _, timing in results]
 
 
-def _assignment_plan(
-    csp: CspInstance, bound: int, sample_count: int, rng_seed: int
-) -> tuple[list[Assignment], bool]:
+def _assignment_plan(csp: CspInstance, bound: int) -> tuple[list[Assignment], bool]:
     """Exhaustive product when it fits the bound, otherwise a seeded sample
-    that always includes the oracle witness when one exists."""
+    of DEFAULT_SAMPLE_COUNT that always includes the oracle witness when one
+    exists."""
     if csp.assignment_space_size <= bound:
         return list(all_assignments(csp)), True
-    rng = random.Random(rng_seed)
+    rng = random.Random(0)
     plan: list[Assignment] = []
     result = solve(csp, limit=min(csp.assignment_space_size, 10**6))
     if result.witness is not None:
         plan.append(result.witness)
     order = [v.id for v in csp.variables]
     pools = [v.domain.values() for v in csp.variables]
-    while len(plan) < sample_count:
+    while len(plan) < DEFAULT_SAMPLE_COUNT:
         plan.append({v: rng.choice(pool) for v, pool in zip(order, pools)})
     return plan, False
 
@@ -297,31 +295,19 @@ def differential_check(
     compile_cmd: str | None = None,
     *,
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
     workers: int = 1,
     workdir: str | None = None,
     emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None = None,
-    rng_seed: int = 0,
 ) -> VerificationReport:
     """Compare every version's program against the oracle.
 
     Exhaustive when the assignment space fits `bound`; sampled (status
-    SAMPLED) when it does not and `sample_count` > 0; SKIPPED_TOO_LARGE
-    otherwise. Compile failures raise CompileError with compiler output; a
-    compiler or driver that cannot be started or times out, and a driver
-    that exits nonzero or prints anything but one verdict per assignment,
-    raise VerifyError.
+    SAMPLED) when it does not. Compile failures raise CompileError with
+    compiler output; a compiler or driver that cannot be started or times
+    out, and a driver that exits nonzero or prints anything but one verdict
+    per assignment, raise VerifyError.
     """
-    labels = [spec.version_label for spec in versions]
-    if csp.assignment_space_size > bound and sample_count <= 0:
-        return VerificationReport(
-            instance=csp.name,
-            versions=labels,
-            assignments_checked=0,
-            status=VerifyStatus.SKIPPED_TOO_LARGE,
-        )
-
-    assignments, exhaustive = _assignment_plan(csp, bound, sample_count, rng_seed)
+    assignments, exhaustive = _assignment_plan(csp, bound)
     constraints = csp.constraints()
     expected = [
         all(constraint_satisfied(c, a) for c in constraints) for a in assignments
@@ -344,7 +330,7 @@ def differential_check(
         status = VerifyStatus.SAMPLED
     return VerificationReport(
         instance=csp.name,
-        versions=labels,
+        versions=[spec.version_label for spec in versions],
         assignments_checked=len(assignments),
         mismatches=mismatches,
         status=status,

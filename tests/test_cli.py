@@ -551,6 +551,43 @@ class TestBadInputFiles:
         assert err.startswith("error:") and str(instances) in err
         assert "entry 1 has unknown family 'bogus'" in err
 
+    def test_bench_instances_sharing_an_id_exit_2(self, capsys, tmp_path, bench_manifests):
+        tools, _ = bench_manifests
+        source = corpus_path("valid", "supports_pair")
+        entries = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            copy = tmp_path / sub / "x.xml"
+            with open(source, encoding="utf-8") as fh:
+                copy.write_text(fh.read())
+            entries.append({"path": str(copy), "family": "extensional", "size": 1})
+        instances = tmp_path / "instances.json"
+        instances.write_text(json.dumps(entries))
+        code, out, err = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", str(instances),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(instances) in err
+        assert "entries 0 and 1 share the instance id 'x'" in err
+
+    def test_report_on_zero_second_runs_draws_the_charts(self, capsys, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        from csp2c.harness import RAW_CSV_FIELDS
+
+        raw = tmp_path / "raw.csv"
+        raw.write_text(",".join(RAW_CSV_FIELDS) + "\nt,i1,extensional1,reached,0.0,,\n")
+        instances = tmp_path / "instances.json"
+        instances.write_text(json.dumps([{"path": "i1.xml", "family": "extensional", "size": 1}]))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, "report", str(raw), "--instances", str(instances), "--out-dir", str(out_dir)
+        )
+        assert code == 0, err
+        for chart in ("robustness.svg", "scalability.svg"):
+            ET.parse(out_dir / chart)
+
     def test_report_missing_records_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "report", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "o")

@@ -9,11 +9,9 @@ import pytest
 from csp2c.codegen import (
     DRIVER_PRELUDE,
     CodegenError,
-    Construct,
     Dialect,
     Family,
     Grouping,
-    Operator,
     SAT_MARKER,
     TransformSpec,
     driver_main,
@@ -108,15 +106,10 @@ class TestVersionMatrix:
 
     @pytest.mark.parametrize("family,bad", [(Family.EXTENSIONAL, 0), (Family.EXTENSIONAL, 13), (Family.INTENSIONAL, 11)])
     def test_out_of_range(self, family, bad):
-        with pytest.raises(CodegenError):
+        with pytest.raises(CodegenError, match="version must be in"):
             version_to_spec(family, bad)
-
-    def test_invalid_feature_triple_rejected(self):
-        bogus = TransformSpec(
-            Family.EXTENSIONAL, Construct.IF, Operator.NOP, Grouping.NONE
-        )
-        with pytest.raises(CodegenError):
-            _ = bogus.version
+        with pytest.raises(CodegenError, match="version must be in"):
+            TransformSpec(family, bad)
 
 
 def golden_path(name: str) -> str:
@@ -136,13 +129,23 @@ GOLDEN_CASES = [
     ("dist_alldiff", Family.INTENSIONAL, 2),
     ("dist_alldiff", Family.INTENSIONAL, 3),
     ("dist_alldiff", Family.INTENSIONAL, 9),
+    ("dist_alldiff", Family.INTENSIONAL, 10),
+    ("ext_mixed", Family.EXTENSIONAL, 3),  # mixed polarity, whole grouping
+    ("ext_mixed", Family.EXTENSIONAL, 9),
+    ("ext_mixed", Family.EXTENSIONAL, 12),  # bitwise assume
+    ("noncontig", Family.INTENSIONAL, 4),  # non-contiguous domain, bitwise
+    ("noncontig", Family.INTENSIONAL, 6),  # non-contiguous domain, NOP
+    # a fourth column names the dialect; klee when absent
+    ("supports_pair", Family.EXTENSIONAL, 2, Dialect.LLBMC),
+    ("dist_alldiff", Family.INTENSIONAL, 3, Dialect.CONCRETE),
 ]
 
 
 class TestGolden:
-    @pytest.mark.parametrize("instance,family,version", GOLDEN_CASES)
-    def test_pinned_sources(self, instance, family, version):
-        program = transform(load_corpus(instance), version_to_spec(family, version))
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_pinned_sources(self, case):
+        instance, family, version, *dialect = case
+        program = transform(load_corpus(instance), version_to_spec(family, version, *dialect))
         path = golden_path(output_filename(program))
         with open(path, "r", encoding="utf-8") as fh:
             assert program.source_text == fh.read()
@@ -407,6 +410,27 @@ class TestErrors:
         intn = load_corpus("dist_alldiff")
         with pytest.raises(CodegenError, match="table"):
             transform(intn, version_to_spec(Family.EXTENSIONAL, 1))
+
+    def test_mixed_instance_fits_no_family(self):
+        csp = CspInstance(
+            name="mixed",
+            variables=(VariableDecl("v", Domain.from_values([0, 1])),),
+            groups=(
+                (IntensionConstraint(Binary("eq", Var("v"), Const(1))),),
+                (TableConstraint(("v",), Polarity.SUPPORTS, ((1,),)),),
+            ),
+        )
+        for family in Family:
+            with pytest.raises(CodegenError, match="mixes table and intensional constraints"):
+                transform(csp, version_to_spec(family, 1))
+
+    def test_no_constraints_fit_either_family(self):
+        csp = CspInstance(
+            name="free", variables=(VariableDecl("v", Domain.from_values([0, 1])),), groups=()
+        )
+        for family in Family:
+            program = transform(csp, version_to_spec(family, 1))
+            assert program.statement_count == 0 and program.constraint_lines == ()
 
     def test_zero_variables(self):
         csp = CspInstance(name="empty", variables=(), groups=())

@@ -219,6 +219,15 @@ class TestBuildReport:
         assert row.mean_normalized == 1.0
         assert row.timeouts == 1 and row.n == 2
 
+    def test_tool_errors_excluded_from_mean_with_a_baseline(self):
+        records = [
+            rec("t", "i1", "v1", outcome=Outcome.TOOL_ERROR, wall=0.01, normalized=0.01),
+            rec("t", "i2", "v1", wall=5.0, normalized=5.0),
+        ]
+        (row,) = build_report(records).robustness
+        assert row.mean_normalized == 5.0
+        assert row.timeouts == 0 and row.n == 2
+
     def test_scalability_counts(self):
         records = [
             rec("t", "i1", "v1", outcome=Outcome.TIMEOUT, normalized=1.0),

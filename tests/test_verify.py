@@ -8,11 +8,11 @@ import time
 import pytest
 
 from csp2c import verify
-from csp2c.cli import _family_of
 from csp2c.codegen import (
     DRIVER_PRELUDE,
     Dialect,
     Family,
+    family_of,
     output_filename,
     transform,
     version_count,
@@ -117,18 +117,6 @@ class TestDifferentialCheck:
         first = report.mismatches[0]
         assert first.expected != first.observed
 
-    def test_skipped_when_too_large(self, cc_template):
-        csp = CspInstance(
-            name="huge",
-            variables=tuple(
-                VariableDecl(f"v{i}", Domain.from_ranges([(0, 9)])) for i in range(8)
-            ),
-            groups=(),
-        )
-        report = differential_check(csp, [], cc_template, bound=100, sample_count=0)
-        assert report.status is VerifyStatus.SKIPPED_TOO_LARGE
-        assert report.assignments_checked == 0
-
     def test_sampled_when_too_large(self, cc_template, tmp_path):
         csp = CspInstance(
             name="large-sampled",
@@ -146,11 +134,10 @@ class TestDifferentialCheck:
             [version_to_spec(Family.INTENSIONAL, 1)],
             cc_template,
             bound=100,
-            sample_count=32,
             workdir=str(tmp_path),
         )
         assert report.status is VerifyStatus.SAMPLED
-        assert report.assignments_checked == 32
+        assert report.assignments_checked == verify.DEFAULT_SAMPLE_COUNT == 256
         assert report.mismatches == []
 
     def test_compile_failure_reports_output(self, tmp_path):
@@ -546,7 +533,7 @@ class TestShippedBytes:
     @pytest.mark.parametrize("name", CORPUS)
     def test_llbmc_programs_pass(self, cc_template, tmp_path, name):
         csp = load_corpus(name)
-        family = _family_of(csp)
+        family = family_of(csp.constraints())
         specs = [dataclasses.replace(spec, dialect=Dialect.LLBMC) for spec in all_specs(family)]
         report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
         assert report.status is VerifyStatus.PASS, report.mismatches[:3]
@@ -584,7 +571,7 @@ class TestShippedBytes:
         template = "cc -Werror=implicit-function-declaration -O0 -o {out} {src}"
         for name in ("conflicts_group", "dist_alldiff"):
             csp = load_corpus(name)
-            family = _family_of(csp)
+            family = family_of(csp.constraints())
             programs = [
                 build_unit(csp, all_specs(family)),
                 build_unit(csp, [version_to_spec(family, 1, Dialect.LLBMC)], label="llbmc"),
