@@ -8,7 +8,6 @@ problem index). No external assets, just shapes and text.
 from __future__ import annotations
 
 import os
-import warnings
 
 from .harness import Report
 
@@ -163,21 +162,18 @@ def scalability_svg(report: Report) -> str | None:
 
 
 def emit_svg(report: Report, out_dir: str) -> list[str]:
-    """Write robustness.svg and scalability.svg; warns when a table is empty."""
+    """Write robustness.svg and scalability.svg, skipping an empty table's
+    chart; `Report.flags` already names every empty table."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     rob = robustness_svg(report)
-    if rob is None:
-        warnings.warn("robustness table empty; no robustness SVG emitted")
-    else:
+    if rob is not None:
         path = os.path.join(out_dir, "robustness.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(rob + "\n")
         written.append(path)
     scal = scalability_svg(report)
-    if scal is None:
-        warnings.warn("scalability table empty; no scalability SVG emitted")
-    else:
+    if scal is not None:
         path = os.path.join(out_dir, "scalability.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(scal + "\n")

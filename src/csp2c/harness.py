@@ -504,6 +504,9 @@ def build_report(
             )
         )
 
+    if robustness and all(row.mean_normalized is None for row in robustness):
+        flags.append("no analysis run finished; robustness means empty")
+
     scalability: list[ScalabilityRow] = []
     if sizes:
         ordered = sorted(sizes.items(), key=lambda kv: (kv[1], kv[0]))
@@ -521,6 +524,8 @@ def build_report(
             ScalabilityRow(tool=tool, size_index=idx, timeouts=n)
             for (tool, idx), n in sorted(counts.items())
         ]
+        if analysis and not scalability:
+            flags.append("no analysis record names a sized instance; scalability table empty")
     elif analysis:
         flags.append("no instance sizes; scalability table empty")
 

@@ -176,8 +176,9 @@ class TestSolveCommand:
         assert code == 1
 
     def test_limit_exit_3(self, capsys):
+        # xor_ring needs search; pigeonhole is decided at the root
         code, _, _ = run_cli(
-            capsys, "solve", corpus_path("valid", "pigeonhole"), "--limit", "1"
+            capsys, "solve", corpus_path("valid", "xor_ring"), "--limit", "1"
         )
         assert code == 3
 
@@ -871,3 +872,14 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "parse" in proc.stdout and "bench" in proc.stdout
+
+
+def test_module_entry_point_help():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "csp2c", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert "solve" in proc.stdout

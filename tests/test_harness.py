@@ -251,6 +251,16 @@ class TestBuildReport:
         assert any("raw seconds" in f for f in report.flags)
         assert report.robustness[0].mean_normalized == 5.0
 
+    def test_every_empty_table_is_flagged(self):
+        records = [rec("t", "i1", "v1", normalized=1.0)]
+        unsized = build_report(records, sizes={"other": 1})
+        assert unsized.scalability == []
+        assert any("scalability table empty" in f for f in unsized.flags)
+        assert any("scalability table empty" in f for f in build_report(records).flags)
+        timed_out = build_report([rec("t", "i1", "v1", outcome=Outcome.TIMEOUT)])
+        assert timed_out.robustness[0].mean_normalized is None
+        assert any("robustness means empty" in f for f in timed_out.flags)
+
     def test_deterministic(self):
         records = [
             rec("t", "i1", "v1", normalized=1.0),

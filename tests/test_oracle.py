@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,4 +364,125 @@ def test_search_matches_naive_enumeration_on_every_kind(csp):
         assert result.explored == len(product)
     assert 1 <= result.work <= result.explored
     # A limit at or above the product size never ends in RESOURCE_LIMIT.
+    assert solve(csp, limit=len(product)) == result
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestAllDifferentMatching:
+    def test_partial_hall_set_is_decided_at_the_root(self):
+        # a, b and c share two values; d's six values cannot help them, so a
+        # count of the union of all four domains (6 values >= 4 variables)
+        # misses what a matching finds.
+        csp = make_instance(
+            {"a": [0, 1], "b": [0, 1], "c": [0, 1], "d": range(6)},
+            [AllDifferent(("d", "a", "b", "c"))],
+        )
+        result = solve(csp, limit=1)
+        assert result.status is Status.UNSATISFIABLE
+        assert (result.explored, result.work) == (48, 1)
+
+    @pytest.mark.parametrize("pigeons", [7, 9])
+    def test_pigeonhole_is_decided_at_the_root(self, pigeons):
+        csp = pigeonhole(pigeons, pigeons - 1)
+        result = solve(csp, limit=1)
+        assert result.status is Status.UNSATISFIABLE
+        assert (result.explored, result.work) == (csp.assignment_space_size, 1)
+
+    def test_each_hall_failure_starts_from_the_restored_matching(self):
+        # b, c and d hold only 0..2 between them, so a must be 3. Both a = 1
+        # and a = 2 are Hall failures at the node that binds a, and the
+        # second is found only if the first one's repairs were undone.
+        csp = make_instance(
+            {"a": [1, 2, 3], "b": [1, 2], "c": [0, 1], "d": [0, 2]},
+            [AllDifferent(("c", "a", "b", "d"))],
+        )
+        result = solve(csp)
+        assert result.witness == {"a": 3, "b": 1, "c": 0, "d": 2}
+        # a = 1 and a = 2 pruned (8 completions each), then under a = 3, b = 1
+        # and c = 0: d = 0 filtered out and d = 2 the leaf
+        assert (result.explored, result.work) == (18, 4)
+
+    def test_matching_costs_little_where_the_filters_suffice(self):
+        # 400 variables over 0..399: the pairwise filters alone charge
+        # 21,333,200 checks and 79,801 units of work (value i of variable i
+        # is found after passing the i values before it). The matching is
+        # built once at the root and never needs a repair after that.
+        names = [f"x{i}" for i in range(400)]
+        csp = make_instance({name: range(400) for name in names}, [AllDifferent(tuple(names))])
+        result = solve(csp)
+        assert result.witness == {name: i for i, name in enumerate(names)}
+        assert result.work == 79_801
+        assert 21_333_200 < result.checks <= 1.1 * 21_333_200
+
+    def test_long_alternating_paths_do_not_recurse(self):
+        n = 300
+        names = [f"x{i}" for i in range(n)]
+        # x0 in {0}, x_i in {i-1, i}, last in {n-2}: the matching gives x_i
+        # the value i, and the last variable's failed search walks back
+        # through every other variable to x0.
+        chain = {name: [i - 1, i] if i else [0] for i, name in enumerate(names[:-1])}
+        chain[names[-1]] = [n - 2]
+        unsat = make_instance(chain, [AllDifferent(tuple(names))])
+        # x_i in {i, i+1}, last in {0}: satisfiable only by shifting every
+        # other variable up by one.
+        shift = {name: [i, i + 1] for i, name in enumerate(names[:-1])}
+        shift[names[-1]] = [0]
+        sat = make_instance(shift, [AllDifferent(tuple(names))])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 100)
+        try:
+            unsat_result, sat_result = solve(unsat), solve(sat)
+        finally:
+            sys.setrecursionlimit(old)
+        assert (unsat_result.status, unsat_result.work) == (Status.UNSATISFIABLE, 1)
+        assert sat_result.witness == {name: (i + 1) % n for i, name in enumerate(names)}
+
+
+@st.composite
+def alldifferent_instance(draw):
+    n_vars = draw(st.integers(2, 5))
+    names = [f"v{i}" for i in range(n_vars)]
+    domains = {
+        name: draw(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True))
+        for name in names
+    }
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, n_vars))
+        constraints.append(AllDifferent(tuple(draw(st.permutations(names))[:size])))
+    if draw(st.booleans()):
+        scope = tuple(draw(st.permutations(names))[: draw(st.integers(1, n_vars))])
+        row = st.tuples(*[st.sampled_from(domains[v]) for v in scope])
+        rows = draw(st.lists(row, min_size=1, max_size=8, unique=True))
+        polarity = draw(st.sampled_from([Polarity.SUPPORTS, Polarity.CONFLICTS]))
+        constraints.append(TableConstraint(scope, polarity, tuple(rows)))
+    return make_instance(domains, constraints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alldifferent_instance())
+def test_matching_agrees_with_naive_enumeration(csp):
+    order = [v.id for v in csp.variables]
+    product = [
+        dict(zip(order, combo))
+        for combo in itertools.product(*(v.domain.values() for v in csp.variables))
+    ]
+    accepted = [all(constraint_satisfied(c, a) for c in csp.constraints()) for a in product]
+    expected = [a for a, ok in zip(product, accepted) if ok]
+
+    assert enumerate_solutions(csp) == expected
+    result = solve(csp)
+    if expected:
+        assert result.status is Status.SATISFIABLE and result.witness == expected[0]
+        assert result.explored == accepted.index(True) + 1
+    else:
+        assert result.status is Status.UNSATISFIABLE
+        assert result.explored == len(product)
+    assert 1 <= result.work <= result.explored
     assert solve(csp, limit=len(product)) == result
