@@ -505,7 +505,7 @@ def build_report(
         )
 
     if robustness and all(row.mean_normalized is None for row in robustness):
-        flags.append("no analysis run finished; robustness means empty")
+        flags.append("robustness means empty; no robustness chart")
 
     scalability: list[ScalabilityRow] = []
     if sizes:

@@ -13,17 +13,14 @@ intension through `eval_expr`. A filter that empties a live set (a
 wipeout) prunes the value just bound. Every live value of the last
 variable therefore completes a solution.
 
-Each allDifferent also keeps a matching of all its unbound variables to
-distinct live values, which exists exactly when Hall's condition holds
+After the root filters, each allDifferent is checked once for Hall's
+condition: its variables must take distinct live values, which holds
+exactly when a maximum matching of variables to values covers them all
 (Régin, "A filtering algorithm for constraints of difference in CSPs",
-AAAI 1994). After a node's filters, the variable just bound releases its
-matched value, and each variable whose matched value a filter removed is
-re-matched by an augmenting path that takes an unmatched live value
-first. A variable that cannot be re-matched heads a set of variables with
-fewer live values than members (a Hall failure), so the value just bound
-is pruned as a wipeout; at the root this decides the whole instance. The
-matching is repaired, never rebuilt, and its changes are undone with the
-live sets on backtrack.
+AAAI 1994). A variable left unmatched heads a set of variables with fewer
+live values than members (a Hall failure), such as the pigeons of a
+pigeonhole, and decides the instance UNSAT. Below the root only the
+pairwise filters run.
 
 Three counts come out of a search:
 - `explored` counts complete assignments accounted for: a leaf counts 1,
@@ -31,28 +28,24 @@ Three counts come out of a search:
   It is the product size on UNSAT and the witness's rank + 1 on SAT,
   exactly as for plain enumeration.
 - `work` counts one unit per leaf and one per prune event (a filtered
-  value passed, a wipeout, or a Hall failure). The pruned subtrees are
-  disjoint and non-empty, so work <= explored <= product size.
-- `checks` counts the live values the filters and the matchings faced.
-  Each filter call is charged the size of the live set it filters, which
-  bounds the values it examines (an intension filter evaluates its
+  value passed, a wipeout, or the root's Hall failure). The pruned
+  subtrees are disjoint and non-empty, so work <= explored <= product
+  size.
+- `checks` counts the live values the filters and the root matchings
+  faced. Each filter call is charged the size of the live set it filters,
+  which bounds the values it examines (an intension filter evaluates its
   expression on each). A filter runs at most once per binding of its
-  trigger variables and faces at most its target's domain, so over a whole
-  search one filter faces at most the product size. An augmenting-path
-  search is charged the live set of each variable it expands, and expands
-  each at most once. At a node, the matching of an allDifferent over k
-  variables runs at most k such searches, over variables not yet bound. A
-  variable at depth i is unbound at i + 1 levels of the search, and the
-  nodes of a level times the domain of an unbound variable is at most the
-  product size. So over a whole search that matching faces at most
-  k * sum(depth + 1 over its scope) times the product size.
+  trigger variables and faces at most its target's domain, so over a
+  whole search one filter faces at most the product size. A matching is
+  charged the live set of each variable its augmenting-path searches
+  expand.
 
 The `limit` budget bounds both: the search ends in RESOURCE_LIMIT once
 `work` reaches `limit` or `checks` exceeds `limit` times the number of
-filters plus each matching's factor above. So a limit at or above the
-product size never ends in RESOURCE_LIMIT, and a smaller one bounds the
-run time even when each value of a large domain is filtered out one by
-one. Instances without allDifferent keep the filters-only bound.
+filters plus the root matchings' one-time charge. So a limit at or above
+the product size never ends in RESOURCE_LIMIT, and a smaller one bounds
+the run time even when each value of a large domain is filtered out one
+by one.
 
 Arithmetic is exact (Python ints) but every intermediate result is checked
 against 32-bit signed bounds, since the generated programs use C `int`;
@@ -244,6 +237,44 @@ def _filters(
         yield trigger, target, _intension_kill(constraint.expr, name)
 
 
+def _distinct_values_exist(scope: list[int], live: list[set[int]]) -> tuple[bool, int]:
+    """Whether the variables at depths `scope` can take distinct live values.
+
+    Matches them one by one, each by a breadth-first search over
+    alternating paths: an expanded variable takes an unmatched live value
+    if it has one, and otherwise offers its live values' owners a move.
+    Returns (whether every variable was matched, checks), charging the live
+    set of each expanded variable. The search is iterative, so a long path
+    does not hit Python's recursion limit.
+    """
+    owner: dict[int, int] = {}  # matched value -> its variable
+    checks = 0
+    for u in scope:
+        via: dict[int, tuple[int, int] | None] = {u: None}
+        queue = [u]
+        for x in queue:
+            values = live[x]
+            checks += len(values)
+            free = next((w for w in values if w not in owner), None)
+            if free is not None:
+                # Shift the path back to u: x takes the free value, and each
+                # variable before it the value of the one it reached.
+                step: tuple[int, int] | None = (x, free)
+                while step is not None:
+                    x, w = step
+                    owner[w] = x
+                    step = via[x]
+                break
+            for w in values:
+                y = owner[w]
+                if y not in via:
+                    via[y] = (x, w)
+                    queue.append(y)
+        else:
+            return False, checks
+    return True, checks
+
+
 def _search(
     csp: CspInstance, limit: int, stop_at_first: bool
 ) -> tuple[Status, list[Assignment], int, int, int]:
@@ -252,12 +283,12 @@ def _search(
     Returns (status, solutions in lexicographic order, explored, work,
     checks); the module docstring defines the three counts and the budget.
     Binding the variable at depth d runs filters_at[d+1], each charged the
-    size of the live set it faces, then repairs the allDifferent matchings;
-    a wipeout or a Hall failure undoes both and prunes the value. As the
-    scan passes a value it charges one unit of work and credits `explored`
-    with suffix[d+1], the completions that value accounts for (1 at a
-    leaf). The search is iterative, so a long chain of variables, or a long
-    augmenting path, does not hit Python's recursion limit.
+    size of the live set it faces, and a wipeout undoes them and prunes the
+    value. The root also checks each allDifferent for a Hall failure. As
+    the scan passes a value it charges one unit of work and credits
+    `explored` with suffix[d+1], the completions that value accounts for
+    (1 at a leaf). The search is iterative, so a long chain of variables
+    does not hit Python's recursion limit.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -274,101 +305,33 @@ def _search(
     # filters_at[0] runs at the root.
     depth_of = {name: i for i, name in enumerate(order)}
     filters_at: list[list[tuple[int, Kill]]] = [[] for _ in range(n + 1)]
-    # scopes[c]: depths of the c-th allDifferent's variables, ascending
-    scopes: list[list[int]] = []
+    alldiff_scopes: list[list[int]] = []
     for constraint in csp.constraints():
         if not constraint.scope:
             if not constraint_satisfied(constraint, {}):
                 return Status.UNSATISFIABLE, [], suffix[0], 1, 0
             continue
         if isinstance(constraint, AllDifferent):
-            scopes.append(sorted(depth_of[v] for v in constraint.scope))
+            alldiff_scopes.append([depth_of[v] for v in constraint.scope])
         for trigger, target, kill in _filters(constraint, depth_of):
             filters_at[trigger + 1].append((target, kill))
-    check_limit = limit * (
-        sum(map(len, filters_at))
-        + sum(len(scope) * sum(d + 1 for d in scope) for scope in scopes)
-    )
+    check_limit = limit * sum(map(len, filters_at))
 
     live = [set(values) for values in domains]
     # trails[d]: (target, removed values) logged by filters_at[d]
     trails: list[list[tuple[int, Iterable[int]]]] = [[] for _ in range(n + 1)]
-    # The matching of allDifferent c: mates[c] maps each unbound variable's
-    # depth to its matched value (None before it is first matched, and once
-    # it is bound), owners[c] each matched value back to its variable.
-    mates: list[dict[int, int | None]] = [dict.fromkeys(scope) for scope in scopes]
-    owners: list[dict[int, int]] = [{} for _ in scopes]
-    alldiffs_of: list[list[int]] = [[] for _ in range(n)]
-    for c, scope in enumerate(scopes):
-        for x in scope:
-            alldiffs_of[x].append(c)
-    # rematched[d]: (c, variable, previous value) for each matching change
-    # made at depth d, undone in reverse with trails[d]
-    rematched: list[list[tuple[int, int, int | None]]] = [[] for _ in range(n + 1)]
     # Holds every bound variable; entries deeper than the current depth are
     # stale, and no filter reads them.
     assignment: Assignment = {}
     explored = work = checks = 0
 
-    def match(c: int, x: int, value: int | None) -> int | None:
-        """Match x to value (None: unmatch it) in matching c; return its old value."""
-        mate, owner = mates[c], owners[c]
-        old = mate[x]
-        if old is not None:
-            del owner[old]
-        if value is not None:
-            owner[value] = x
-        mate[x] = value
-        return old
-
-    def rematch(at: int, c: int, x: int, value: int | None) -> None:
-        rematched[at].append((c, x, match(c, x, value)))
-
-    def restore(at: int) -> None:
-        trail = trails[at]
+    def restore(trail: list[tuple[int, Iterable[int]]]) -> None:
         for target, removed in trail:
             live[target].update(removed)
         trail.clear()
-        log = rematched[at]
-        while log:
-            match(*log.pop())
-
-    def augment(at: int, c: int, u: int) -> bool:
-        """Re-match u in matching c by an augmenting path, or return False.
-
-        A breadth-first search over alternating paths: each expanded
-        variable takes an unmatched live value if it has one, and otherwise
-        offers its live values' owners a move. When the search fails, the
-        variables it reached have fewer live values than members.
-        """
-        nonlocal checks
-        owner = owners[c]
-        rematch(at, c, u, None)
-        via: dict[int, tuple[int, int] | None] = {u: None}
-        queue = [u]
-        for x in queue:
-            values = live[x]
-            checks += len(values)
-            for w in values:
-                if w not in owner:
-                    # Shift the path back to u: x takes w, and each variable
-                    # before it takes the value of the one it reached.
-                    step: tuple[int, int] | None = (x, w)
-                    while step is not None:
-                        x, w = step
-                        rematch(at, c, x, w)
-                        step = via[x]
-                    return True
-            for w in values:
-                y = owner[w]
-                if y not in via:
-                    via[y] = (x, w)
-                    queue.append(y)
-        return False
 
     def narrow(at: int) -> bool:
-        """Run filters_at[at], then repair the matchings; on a wipeout or a
-        Hall failure undo both and return False."""
+        """Run filters_at[at]; on a wipeout undo them and return False."""
         nonlocal checks
         trail = trails[at]
         for target, kill in filters_at[at]:
@@ -379,24 +342,18 @@ def _search(
                 remaining.difference_update(doomed)
                 trail.append((target, doomed))
                 if not remaining:
-                    restore(at)
+                    restore(trail)
                     return False
-        if scopes:
-            if at:
-                for c in alldiffs_of[at - 1]:
-                    rematch(at, c, at - 1, None)  # bound: release its value
-                touched: Iterable[int] = [target for target, _ in trail]
-            else:
-                touched = range(n)
-            for x in touched:
-                for c in alldiffs_of[x]:
-                    if mates[c][x] not in live[x] and not augment(at, c, x):
-                        restore(at)
-                        return False
         return True
 
     if not narrow(0):
         return Status.UNSATISFIABLE, [], suffix[0], 1, checks
+    for scope in alldiff_scopes:
+        matched, cost = _distinct_values_exist(scope, live)
+        checks += cost
+        check_limit += cost
+        if not matched:
+            return Status.UNSATISFIABLE, [], suffix[0], 1, checks
     if n == 0:
         return Status.SATISFIABLE, [{}], 1, 1, checks
 
@@ -411,7 +368,7 @@ def _search(
                 break  # whole product accounted for
             cursor[depth] = 0
             depth -= 1
-            restore(depth + 1)
+            restore(trails[depth + 1])
             continue
         if work >= limit or checks > check_limit:
             # The cursor points at a value not yet accounted for, so work remains.

@@ -867,19 +867,9 @@ def test_console_script_help():
     import subprocess
     import sys
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "csp2c.cli", "--help"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert "parse" in proc.stdout and "bench" in proc.stdout
-
-
-def test_module_entry_point_help():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "csp2c", "--help"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert "solve" in proc.stdout
+    for module in ("csp2c.cli", "csp2c"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, module
+        assert "parse" in proc.stdout and "bench" in proc.stdout, module

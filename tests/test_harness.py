@@ -260,6 +260,15 @@ class TestBuildReport:
         timed_out = build_report([rec("t", "i1", "v1", outcome=Outcome.TIMEOUT)])
         assert timed_out.robustness[0].mean_normalized is None
         assert any("robustness means empty" in f for f in timed_out.flags)
+        # the only normalized run timed out; the finished one has no baseline
+        mixed = build_report(
+            [
+                rec("t", "i1", "v1", outcome=Outcome.TIMEOUT, normalized=2.0),
+                rec("t", "i2", "v1"),
+            ]
+        )
+        assert mixed.robustness[0].mean_normalized is None
+        assert any("robustness means empty" in f for f in mixed.flags)
 
     def test_deterministic(self):
         records = [

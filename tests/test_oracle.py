@@ -394,25 +394,11 @@ class TestAllDifferentMatching:
         assert result.status is Status.UNSATISFIABLE
         assert (result.explored, result.work) == (csp.assignment_space_size, 1)
 
-    def test_each_hall_failure_starts_from_the_restored_matching(self):
-        # b, c and d hold only 0..2 between them, so a must be 3. Both a = 1
-        # and a = 2 are Hall failures at the node that binds a, and the
-        # second is found only if the first one's repairs were undone.
-        csp = make_instance(
-            {"a": [1, 2, 3], "b": [1, 2], "c": [0, 1], "d": [0, 2]},
-            [AllDifferent(("c", "a", "b", "d"))],
-        )
-        result = solve(csp)
-        assert result.witness == {"a": 3, "b": 1, "c": 0, "d": 2}
-        # a = 1 and a = 2 pruned (8 completions each), then under a = 3, b = 1
-        # and c = 0: d = 0 filtered out and d = 2 the leaf
-        assert (result.explored, result.work) == (18, 4)
-
     def test_matching_costs_little_where_the_filters_suffice(self):
         # 400 variables over 0..399: the pairwise filters alone charge
         # 21,333,200 checks and 79,801 units of work (value i of variable i
-        # is found after passing the i values before it). The matching is
-        # built once at the root and never needs a repair after that.
+        # is found after passing the i values before it). The matching runs
+        # once, at the root.
         names = [f"x{i}" for i in range(400)]
         csp = make_instance({name: range(400) for name in names}, [AllDifferent(tuple(names))])
         result = solve(csp)
