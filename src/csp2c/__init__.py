@@ -17,7 +17,6 @@ from .codegen import (
     output_filename,
     transform,
     version_count,
-    version_to_spec,
 )
 from .model import (
     AllDifferent,
@@ -63,5 +62,4 @@ __all__ = [
     "solve",
     "transform",
     "version_count",
-    "version_to_spec",
 ]

@@ -31,12 +31,12 @@ from .codegen import (
     output_filename,
     transform,
     version_count,
-    version_to_spec,
     CodegenError,
 )
 from .oracle import DEFAULT_LIMIT, EvalError, Status, solve
 from .verify import (
     COMPILE_FIELDS,
+    DEFAULT_EXHAUSTIVE_BOUND,
     VerifyStatus,
     default_compile_command,
     differential_check,
@@ -77,7 +77,7 @@ def _parse_versions(
             numbers = [int(v) for v in value.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad version list {value!r}") from None
-    return [version_to_spec(family, v, dialect) for v in numbers]
+    return [TransformSpec(family, v, dialect) for v in numbers]
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +237,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     labels_by_family: dict[str, list[str]] = {}
     for inst in instances:
-        csp = parse_file(inst.path)
-        labels = []
-        for spec in _parse_versions(args.versions, Family(inst.family)):
-            for dialect in dialects:
-                program = transform(csp, replace(spec, dialect=Dialect(dialect)))
-                path = os.path.join(src_dir, output_filename(program))
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(program.source_text)
-            labels.append(spec.version_label)
+        # an error names the manifest entry's file
+        try:
+            csp = parse_file(inst.path)
+            labels = []
+            for spec in _parse_versions(args.versions, Family(inst.family)):
+                for dialect in dialects:
+                    program = transform(csp, replace(spec, dialect=Dialect(dialect)))
+                    path = os.path.join(src_dir, output_filename(program))
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(program.source_text)
+                labels.append(spec.version_label)
+        except ParseFailure as exc:
+            raise ParseFailure(
+                [replace(d, path=f"{inst.path}:{d.path}") for d in exc.diagnostics]
+            ) from None
+        except CodegenError as exc:
+            raise CodegenError(f"{inst.path}: {exc}") from None
         labels_by_family[inst.family] = labels
 
     records = harness.run_matrix(instances, labels_by_family, tools, src_dir, workers=args.workers)
@@ -333,7 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=default_compile_command(),
         help="compiler template with {src} and {out} (env CSP2C_CC)",
     )
-    p.add_argument("--bound", type=int, default=4096, help="max exhaustive assignments")
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=DEFAULT_EXHAUSTIVE_BOUND,
+        help="max exhaustive assignments",
+    )
     p.add_argument(
         "--workers",
         type=_positive_int,

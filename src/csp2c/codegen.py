@@ -1,4 +1,4 @@
-"""Emit C programs that encode a constraint instance.
+r"""Emit C programs that encode a constraint instance.
 
 One instance expands into a family of semantically equivalent programs, one
 per row of the version matrix below. Reaching the distinguished `assert(0)`
@@ -17,16 +17,20 @@ the construct, operator and grouping are read from the family's row:
 
 Three output dialects share one program body: `klee` (klee_make_symbolic /
 klee_assume), `llbmc` (nondet init / __llbmc_assume, the only difference),
-and `concrete`, the klee program made runnable. DRIVER_PRELUDE defines the
-intrinsics, `exit` and `assert` so that the program runs natively on one
-assignment at a time, as KLEE's own test replay runs it: the klee `main`
-follows, renamed to csp2c_main_0, and driver_main's `main` runs it. Run
-with no arguments, it reads whitespace-separated assignments from stdin and
-prints one `0`/`1` line per assignment; run with one integer per variable
-in argv, it prints SAT-REACHED and exits 0 when they reach assert(0), and
-exits 1 when not. A program that reads more or fewer values than there are
-variables exits 3. verify compiles the klee programs themselves with the
-same prelude, their `#include` lines resolved to empty headers.
+and `concrete`, the klee program made runnable.
+
+The replay driver lives here alone. DRIVER_PRELUDE defines the intrinsics,
+`exit` and `assert` so that a program runs natively on one assignment at a
+time, as KLEE's own test replay runs it, and driver_main's `main` runs the
+programs, each renamed to csp2c_main_<i>. A `concrete` program is the
+prelude, the klee program without its `#include` lines, and a driver main;
+build_unit embeds klee or llbmc programs byte for byte behind one prelude
+and one driver main, for verify to compile with an empty file for each of
+INCLUDED_HEADERS. Either reads whitespace-separated assignments from stdin
+and prints one line per assignment, one 0/1 verdict digit per program, so
+`printf '0 1\n' | ./prog` replays one assignment. Input that does not end
+after a whole assignment exits 2, and a program that reads more or fewer
+values than there are variables exits 3.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import Mapping, Sequence
 from .model import (
     AllDifferent,
     Binary,
+    COMPARISON_OPS,
     Const,
     Constraint,
     CspInstance,
@@ -53,7 +58,6 @@ from .model import (
     expr_nodes,
 )
 
-SAT_MARKER = "SAT-REACHED"
 WRAP_COLUMN = 100
 _DIST_MACRO = "#define dist(a,b) ((a)>(b)?(a)-(b):(b)-(a))"
 
@@ -156,10 +160,6 @@ class TransformSpec:
     @property
     def version_label(self) -> str:
         return f"{self.family.value}{self.version}"
-
-
-def version_to_spec(family: Family, version: int, dialect: Dialect = Dialect.KLEE) -> TransformSpec:
-    return TransformSpec(family, version, dialect)
 
 
 def family_of(constraints: Sequence[Constraint]) -> Family:
@@ -285,7 +285,7 @@ def _render_expr(expr: Expr, operator: Operator, c_names: Mapping[str, str]) -> 
 
 def _is_boolean_valued(expr: Expr) -> bool:
     if isinstance(expr, Binary):
-        return expr.op in ("eq", "ne", "lt", "le", "gt", "ge", "and", "or")
+        return expr.op in COMPARISON_OPS or expr.op in ("and", "or")
     return isinstance(expr, Unary) and expr.op == "not"
 
 
@@ -423,9 +423,14 @@ def _wrap(head: str, pieces: Sequence[str], joiner: str, tail: str) -> list[str]
 # ---------------------------------------------------------------------------
 
 
-# The C text ahead of a `concrete` program and of a verify unit. Its
+_LIBC_HEADERS = ("assert.h", "stdlib.h")
+# every header a klee or llbmc program includes
+INCLUDED_HEADERS = (*_LIBC_HEADERS, "klee/klee.h")
+
+# The C text ahead of a `concrete` program and of a build_unit unit. Its
 # definitions hold only if the programs' own `#include` lines resolve to
-# empty headers (verify.compile_program puts those first on CPATH).
+# empty headers: the concrete program drops them, and verify.compile_program
+# puts an empty file for each of INCLUDED_HEADERS first on CPATH.
 DRIVER_PRELUDE = """\
 /* replay driver: a program reads its values from one assignment at a time;
    a failed assume or exit rejects the assignment, and assert(0) reaches */
@@ -457,33 +462,26 @@ static void csp2c_run(int (*version)(void), const int *values, int arity) {
     if (setjmp(csp2c_jump) == 0) version();
 }
 
-/* With no arguments: read whitespace-separated assignments from stdin and
-   print one line per assignment holding one 0/1 verdict digit per version,
-   in order; exit 2 on input that does not end after a whole assignment.
-   With one integer per variable in argv: print the marker line below and
-   exit 0 when every version reaches assert(0), exit 1 otherwise.
-   A version that reads more or fewer than `arity` values exits 3. */
-static int csp2c_drive(int argc, char **argv, int (*const versions[])(void), int count, int arity) {
-    int values[arity], i, k, batch = argc == 1;
-    if (!batch && argc != arity + 1) return 2;
+/* Read whitespace-separated assignments from stdin and print one line per
+   assignment holding one 0/1 verdict digit per version, in order; exit 2 on
+   input that does not end after a whole assignment. A version that reads
+   more or fewer than `arity` values exits 3. */
+static int csp2c_drive(int (*const versions[])(void), int count, int arity) {
+    int values[arity], i, k;
     for (;;) {
         for (i = 0; i < arity; i++)
-            if ((batch ? scanf("%d", &values[i]) : sscanf(argv[i + 1], "%d", &values[i])) != 1)
-                return batch && i == 0 && feof(stdin) ? 0 : 2;
+            if (scanf("%d", &values[i]) != 1)
+                return i == 0 && feof(stdin) ? 0 : 2;
         for (k = 0; k < count; k++) {
             csp2c_run(versions[k], values, arity);
             if (csp2c_left != 0) {
                 fprintf(stderr, "csp2c_main_%d reads %d values, not %d\\n", k, arity - csp2c_left, arity);
                 return 3;
             }
-            if (batch) putchar('0' + csp2c_verdict);
-            else if (!csp2c_verdict) return 1;
+            putchar('0' + csp2c_verdict);
         }
-        if (!batch) break;
         putchar('\\n');
     }
-    printf("SAT-REACHED\\n");
-    return 0;
 }
 
 #define exit(status) csp2c_exit()
@@ -668,15 +666,10 @@ def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Co
     if spec.dialect is Dialect.CONCRETE:
         lines += DRIVER_PRELUDE.splitlines()
     elif spec.dialect is Dialect.KLEE:
-        lines += ["#include <assert.h>", "#include <stdlib.h>", "#include <klee/klee.h>"]
+        lines += [f"#include <{header}>" for header in INCLUDED_HEADERS]
     else:
-        lines += [
-            "#include <assert.h>",
-            "#include <stdlib.h>",
-            "",
-            "void __llbmc_assume(int condition);",
-            "int __llbmc_nondef_int(void);",
-        ]
+        lines += [f"#include <{header}>" for header in _LIBC_HEADERS]
+        lines += ["", "void __llbmc_assume(int condition);", "int __llbmc_nondef_int(void);"]
     if _uses_dist(constraints):
         lines += ["", _DIST_MACRO]
     lines.append("")
@@ -686,11 +679,50 @@ def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Co
 def driver_main(count: int, arity: int) -> list[str]:
     """main() of the replay driver over csp2c_main_0 .. csp2c_main_<count-1>,
     each reading `arity` values; csp2c_drive in DRIVER_PRELUDE holds the
-    batch and argv protocol."""
+    stdin protocol."""
     versions = [f"csp2c_main_{k}" for k in range(count)]
     return [
-        "int main(int argc, char **argv) {",
+        "int main(void) {",
         *_wrap("    static int (*const versions[])(void) = {", versions, ", ", "};"),
-        f"    return csp2c_drive(argc, argv, versions, {count}, {arity});",
+        f"    return csp2c_drive(versions, {count}, {arity});",
         "}",
     ]
+
+
+def _c_string(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def build_unit(
+    csp: CspInstance, programs: Sequence[GeneratedProgram], label: str = "unit1"
+) -> GeneratedProgram:
+    """One translation unit: DRIVER_PRELUDE, each of `programs` (klee or
+    llbmc programs of `csp`), and a shared main that prints one verdict
+    digit per program, in order, for each assignment read.
+
+    Program i is embedded byte for byte, with `main` renamed to
+    csp2c_main_<i> and with `#line` set to its own file name, so a compiler
+    message inside it names that file. The unit's own file is named after
+    `label`.
+    """
+    text = DRIVER_PRELUDE + "".join(
+        f"#define main csp2c_main_{i}\n#line 1 {_c_string(output_filename(program))}\n"
+        + program.source_text
+        + "#undef main\n"
+        for i, program in enumerate(programs)
+    )
+    # the shared main is numbered as lines of the unit's own file
+    filename = source_filename(csp.name, label, Dialect.CONCRETE.value)
+    main = driver_main(len(programs), len(csp.variables))
+    next_line = text.count("\n") + 2
+    text += f"#line {next_line} {_c_string(filename)}\n" + "\n".join(main) + "\n"
+    return GeneratedProgram(
+        source_text=text,
+        version_label=label,
+        statement_count=sum(p.statement_count for p in programs),
+        var_map=programs[0].var_map,
+        line_count=text.count("\n"),
+        instance_name=csp.name,
+        dialect=Dialect.CONCRETE,
+        constraint_lines=tuple(line for p in programs for line in p.constraint_lines),
+    )

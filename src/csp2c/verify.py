@@ -4,21 +4,17 @@ Programs are checked the hard way: compile the klee programs the tools
 receive, byte for byte, with an external C compiler, and pipe the whole
 assignment plan through the executable, so the verification path shares no
 evaluation code with the oracle. All versions of one pass go into one
-translation unit (with `workers` > 1, into that many units, built at once):
-codegen.DRIVER_PRELUDE first, which defines the klee and llbmc intrinsics,
-`exit` and `assert` so that each program runs natively on one assignment at
-a time; then each version's program, its `main` renamed by `#define` and a
-`#line` directive making compiler messages name the version's own file;
-then one shared `main` that prints, for every assignment, one line holding
-one 0/1 verdict digit per version. The compiler finds empty `assert.h`,
-`stdlib.h` and `klee/klee.h` first on CPATH, so the programs' own
-`#include` lines add nothing. A version's digit must be `1` exactly when
-the oracle says all constraints hold. The llbmc programs differ from the
-klee ones only in intrinsic names; `verify` does not compile them, and a
-test runs them through this same check. Compiles and driver runs go
-through `harness.run_command`: a compile runs in its own process group,
-killed whole after COMPILE_TIMEOUT_S, and DRIVER_TIMEOUT_S bounds the one
-batch run per unit.
+translation unit (with `workers` > 1, into that many units, built at once),
+which codegen.build_unit assembles around the replay driver; the compiler
+finds an empty file for each of codegen.INCLUDED_HEADERS first on CPATH,
+so the programs' own `#include` lines add nothing. The driver prints, for
+every assignment, one line holding one 0/1 verdict digit per version, and
+a version's digit must be `1` exactly when the oracle says all constraints
+hold. The llbmc programs differ from the klee ones only in intrinsic names;
+`verify` does not compile them, and a test runs them through this same
+check. Compiles and driver runs go through `harness.run_command`: a compile
+runs in its own process group, killed whole after COMPILE_TIMEOUT_S, and
+DRIVER_TIMEOUT_S bounds the one driver run per unit.
 """
 
 from __future__ import annotations
@@ -35,13 +31,11 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .codegen import (
-    DRIVER_PRELUDE,
-    Dialect,
+    INCLUDED_HEADERS,
     GeneratedProgram,
     TransformSpec,
-    driver_main,
+    build_unit,
     output_filename,
-    source_filename,
     transform,
 )
 from .harness import CommandResult, run_command
@@ -131,13 +125,15 @@ def _run(
 def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -> str:
     """Write the source, run the compiler template, return the executable path.
 
-    The compiler finds the headers klee and llbmc programs include on CPATH
-    first, in `shim` there, and empty, so DRIVER_PRELUDE's definitions hold.
+    The compiler finds codegen.INCLUDED_HEADERS, the headers klee and llbmc
+    programs include, on CPATH first, in `shim` there, and empty, so
+    DRIVER_PRELUDE's definitions hold.
     """
     shim = os.path.join(workdir, "shim")
-    os.makedirs(os.path.join(shim, "klee"), exist_ok=True)
-    for header in ("assert.h", "stdlib.h", "klee/klee.h"):
-        open(os.path.join(shim, header), "w", encoding="utf-8").close()
+    for header in INCLUDED_HEADERS:
+        path = os.path.join(shim, header)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        open(path, "w", encoding="utf-8").close()
     src = os.path.join(workdir, output_filename(program))
     exe = src[:-2]
     with open(src, "w", encoding="utf-8") as fh:
@@ -149,52 +145,9 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
     return exe
 
 
-def _c_string(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def build_unit(
-    csp: CspInstance,
-    specs: Sequence[TransformSpec],
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None = None,
-    label: str = "unit1",
-) -> GeneratedProgram:
-    """One translation unit: DRIVER_PRELUDE, the program `emitter` (by
-    default `transform`, looked up when called) gives for each of `specs`,
-    and a shared main that prints one verdict digit per spec, in order, for
-    each assignment read.
-
-    Program i is compiled as it is, with `main` renamed to csp2c_main_<i>
-    and with `#line` set to its own file name, so a compiler message inside
-    it names that file. The unit's own file is named after `label`.
-    """
-    programs = [(emitter or transform)(csp, spec) for spec in specs]
-    text = DRIVER_PRELUDE + "".join(
-        f"#define main csp2c_main_{i}\n#line 1 {_c_string(output_filename(program))}\n"
-        + program.source_text
-        + "#undef main\n"
-        for i, program in enumerate(programs)
-    )
-    # the shared main is numbered as lines of the unit's own file
-    filename = source_filename(csp.name, label, Dialect.CONCRETE.value)
-    main = driver_main(len(programs), len(csp.variables))
-    next_line = text.count("\n") + 2
-    text += f"#line {next_line} {_c_string(filename)}\n" + "\n".join(main) + "\n"
-    return GeneratedProgram(
-        source_text=text,
-        version_label=label,
-        statement_count=sum(p.statement_count for p in programs),
-        var_map=programs[0].var_map,
-        line_count=text.count("\n"),
-        instance_name=csp.name,
-        dialect=Dialect.CONCRETE,
-        constraint_lines=tuple(line for p in programs for line in p.constraint_lines),
-    )
-
-
 def _verdicts(exe: str, plan: str, count: int, width: int) -> list[list[bool]]:
-    """Pipe the plan of `count` assignments through one batch-mode run of a
-    unit's driver; one row of verdicts for each of its `width` versions.
+    """Pipe the plan of `count` assignments through one run of a unit's
+    driver; one row of verdicts for each of its `width` versions.
 
     Anything but a zero exit with exactly one line of `width` 0/1 digits per
     assignment raises VerifyError: a broken driver is never read as a verdict.
@@ -233,8 +186,9 @@ def _observe(
 
     The distinct versions are split, in order, into min(`workers`, their
     number) units of near-equal size, built, compiled and run at once; each
-    version is compiled and run once. Builds go to `workdir`, or to a
-    temporary directory removed afterwards.
+    version is compiled and run once, as the program `emitter` (by default
+    `transform`, looked up when called) gives for it. Builds go to
+    `workdir`, or to a temporary directory removed afterwards.
     """
     compile_cmd = compile_cmd or default_compile_command()
     order = [v.id for v in csp.variables]
@@ -247,7 +201,8 @@ def _observe(
     def job(index: int) -> tuple[list[list[bool]], UnitTiming]:
         specs = units[index]
         start = time.perf_counter()
-        unit = build_unit(csp, specs, emitter, f"unit{index + 1}")
+        programs = [(emitter or transform)(csp, spec) for spec in specs]
+        unit = build_unit(csp, programs, f"unit{index + 1}")
         exe = compile_program(unit, compile_cmd, tmp)
         compiled = time.perf_counter()
         rows = _verdicts(exe, plan, len(assignments), len(specs))

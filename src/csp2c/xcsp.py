@@ -469,35 +469,28 @@ class _DocParser:
 
     def parse_tuples(self, node: _Node, arity: int) -> tuple[tuple[int, ...], ...] | None:
         text = node.text.strip()
-        tuples: list[tuple[int, ...]] = []
         if "(" in text:
-            body = text
-            for match in re.finditer(r"\(([^()]*)\)", body):
-                items = [t for t in re.split(r"[\s,]+", match.group(1).strip()) if t]
-                row: list[int] = []
-                for item in items:
-                    if item == "*":
-                        self.error(node, "wildcard (*) tuples are not supported")
-                        return None
-                    if not re.fullmatch(r"-?\d+", item):
-                        self.error(node, f"cannot parse tuple value {item!r}")
-                        return None
-                    row.append(int(item))
-                tuples.append(tuple(row))
-            leftover = re.sub(r"\([^()]*\)", "", body).strip()
-            if leftover:
-                self.error(node, f"stray text in tuple list: {leftover!r}")
-                return None
+            rows = [
+                [item for item in re.split(r"[\s,]+", body) if item]
+                for body in re.findall(r"\(([^()]*)\)", text)
+            ]
+            leftover = re.sub(r"\([^()]*\)", "", text).strip()
         else:
             # Arity-1 tables may list bare values.
-            for item in text.split():
+            rows, leftover = [[item] for item in text.split()], ""
+        tuples: list[tuple[int, ...]] = []
+        for items in rows:
+            for item in items:
                 if item == "*":
                     self.error(node, "wildcard (*) tuples are not supported")
                     return None
                 if not re.fullmatch(r"-?\d+", item):
                     self.error(node, f"cannot parse tuple value {item!r}")
                     return None
-                tuples.append((int(item),))
+            tuples.append(tuple(int(item) for item in items))
+        if leftover:
+            self.error(node, f"stray text in tuple list: {leftover!r}")
+            return None
         if not tuples:
             self.error(node, "empty tuple list")
             return None

@@ -29,33 +29,26 @@ static void csp2c_run(int (*version)(void), const int *values, int arity) {
     if (setjmp(csp2c_jump) == 0) version();
 }
 
-/* With no arguments: read whitespace-separated assignments from stdin and
-   print one line per assignment holding one 0/1 verdict digit per version,
-   in order; exit 2 on input that does not end after a whole assignment.
-   With one integer per variable in argv: print the marker line below and
-   exit 0 when every version reaches assert(0), exit 1 otherwise.
-   A version that reads more or fewer than `arity` values exits 3. */
-static int csp2c_drive(int argc, char **argv, int (*const versions[])(void), int count, int arity) {
-    int values[arity], i, k, batch = argc == 1;
-    if (!batch && argc != arity + 1) return 2;
+/* Read whitespace-separated assignments from stdin and print one line per
+   assignment holding one 0/1 verdict digit per version, in order; exit 2 on
+   input that does not end after a whole assignment. A version that reads
+   more or fewer than `arity` values exits 3. */
+static int csp2c_drive(int (*const versions[])(void), int count, int arity) {
+    int values[arity], i, k;
     for (;;) {
         for (i = 0; i < arity; i++)
-            if ((batch ? scanf("%d", &values[i]) : sscanf(argv[i + 1], "%d", &values[i])) != 1)
-                return batch && i == 0 && feof(stdin) ? 0 : 2;
+            if (scanf("%d", &values[i]) != 1)
+                return i == 0 && feof(stdin) ? 0 : 2;
         for (k = 0; k < count; k++) {
             csp2c_run(versions[k], values, arity);
             if (csp2c_left != 0) {
                 fprintf(stderr, "csp2c_main_%d reads %d values, not %d\n", k, arity - csp2c_left, arity);
                 return 3;
             }
-            if (batch) putchar('0' + csp2c_verdict);
-            else if (!csp2c_verdict) return 1;
+            putchar('0' + csp2c_verdict);
         }
-        if (!batch) break;
         putchar('\n');
     }
-    printf("SAT-REACHED\n");
-    return 0;
 }
 
 #define exit(status) csp2c_exit()
@@ -84,7 +77,7 @@ int main(void) {
 }
 #undef main
 
-int main(int argc, char **argv) {
+int main(void) {
     static int (*const versions[])(void) = {csp2c_main_0};
-    return csp2c_drive(argc, argv, versions, 1, 5);
+    return csp2c_drive(versions, 1, 5);
 }

@@ -20,10 +20,10 @@ from csp2c.codegen import (
     Dialect,
     Family,
     Grouping,
+    TransformSpec,
     output_filename,
     transform,
     version_count,
-    version_to_spec,
 )
 from csp2c.harness import (
     Outcome,
@@ -192,10 +192,10 @@ def test_criterion_3_version_matrix(criterion):
         assert version_count(Family.EXTENSIONAL) == 12
         assert version_count(Family.INTENSIONAL) == 10
         for v, row in enumerate(expected_extensional, start=1):
-            spec = version_to_spec(Family.EXTENSIONAL, v)
+            spec = TransformSpec(Family.EXTENSIONAL, v)
             assert (spec.construct.value, spec.operator.value, spec.grouping.value) == row
         for v, row in enumerate(expected_intensional, start=1):
-            spec = version_to_spec(Family.INTENSIONAL, v)
+            spec = TransformSpec(Family.INTENSIONAL, v)
             assert (spec.construct.value, spec.operator.value, spec.grouping.value) == row
         assert time.monotonic() - start < 1.0
 
@@ -215,38 +215,38 @@ def test_criterion_4_golden_codegen(criterion):
     with criterion("4 golden-codegen"):
         # byte-level pins
         for name, family, version in GOLDEN_CASES:
-            program = transform(load_corpus(name), version_to_spec(family, version))
+            program = transform(load_corpus(name), TransformSpec(family, version))
             with open(os.path.join(GOLDEN_DIR, output_filename(program))) as fh:
                 assert program.source_text == fh.read(), (name, version)
 
         # structural shapes
         ext = load_corpus("conflicts_group")
-        v1 = transform(ext, version_to_spec(Family.EXTENSIONAL, 1))
+        v1 = transform(ext, TransformSpec(Family.EXTENSIONAL, 1))
         assert v1.statement_count == 2
         assert all(
             re.match(r"\s*if \(\(.+\) \|\| \(.+\)\) exit\(0\);", line)
             for line in v1.constraint_lines
         )
-        v5 = " ".join(s.strip() for s in transform(ext, version_to_spec(Family.EXTENSIONAL, 5)).constraint_lines)
+        v5 = " ".join(s.strip() for s in transform(ext, TransformSpec(Family.EXTENSIONAL, 5)).constraint_lines)
         assert v5.startswith("if (") and v5.endswith(") exit(0);")
         assert " | " in v5 and " & " in v5 and "&&" not in v5
-        v8 = " ".join(s.strip() for s in transform(ext, version_to_spec(Family.EXTENSIONAL, 8)).constraint_lines)
+        v8 = " ".join(s.strip() for s in transform(ext, TransformSpec(Family.EXTENSIONAL, 8)).constraint_lines)
         assert v8.startswith("klee_assume(!(") and v8.endswith("));")
 
         intn = load_corpus("dist_alldiff")
-        i1 = transform(intn, version_to_spec(Family.INTENSIONAL, 1))
+        i1 = transform(intn, TransformSpec(Family.INTENSIONAL, 1))
         assert i1.statement_count == 5
         assert all("; else exit(0);" in line for line in i1.constraint_lines)
-        i2 = transform(intn, version_to_spec(Family.INTENSIONAL, 2))
+        i2 = transform(intn, TransformSpec(Family.INTENSIONAL, 2))
         assert [line.strip() for line in i2.constraint_lines] == [
             "if (x0!=x1 && x0!=x2 && x1!=x2); else exit(0);",
             "if (y0==dist(x0,x1) && y1==dist(x1,x2)); else exit(0);",
         ]
-        i3 = transform(intn, version_to_spec(Family.INTENSIONAL, 3))
+        i3 = transform(intn, TransformSpec(Family.INTENSIONAL, 3))
         i3_text = " ".join(s.strip() for s in i3.constraint_lines)
         assert i3_text.endswith(") assert(0);")
         assert i3.source_text.count("assert(0)") == 1  # guarded point only
-        i9 = transform(intn, version_to_spec(Family.INTENSIONAL, 9))
+        i9 = transform(intn, TransformSpec(Family.INTENSIONAL, 9))
         assert [line.strip() for line in i9.constraint_lines] == [
             "klee_assume(x0!=x1 & x0!=x2 & x1!=x2);",
             "klee_assume(y0==dist(x0,x1) & y1==dist(x1,x2));",
@@ -264,7 +264,7 @@ def test_criterion_5_differential_soundness(cc_template, tmp_path, criterion):
         for name, family in cases:
             csp = load_corpus(name)
             specs = [
-                version_to_spec(family, v) for v in range(1, version_count(family) + 1)
+                TransformSpec(family, v) for v in range(1, version_count(family) + 1)
             ]
             report = differential_check(
                 csp, specs, cc_template, workers=4, workdir=str(tmp_path / name)
@@ -279,14 +279,14 @@ def test_criterion_5_differential_soundness(cc_template, tmp_path, criterion):
         # accepting sets identical across versions (direct cross-check)
         assert cross_version_equivalence(
             load_corpus("conflicts_group"),
-            [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 12)],
+            [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 12)],
             cc_template,
             workers=4,
             workdir=str(tmp_path / "xv-ext"),
         )
         assert cross_version_equivalence(
             load_corpus("dist_alldiff"),
-            [version_to_spec(Family.INTENSIONAL, v) for v in (1, 3, 6, 10)],
+            [TransformSpec(Family.INTENSIONAL, v) for v in (1, 3, 6, 10)],
             cc_template,
             workers=4,
             workdir=str(tmp_path / "xv-int"),
@@ -295,7 +295,7 @@ def test_criterion_5_differential_soundness(cc_template, tmp_path, criterion):
         # the fault-injection fixture must be caught
         faulty = differential_check(
             load_corpus("eq_ne"),
-            [version_to_spec(Family.INTENSIONAL, 1)],
+            [TransformSpec(Family.INTENSIONAL, 1)],
             cc_template,
             workdir=str(tmp_path / "fault"),
             emitter=corrupting_emitter,
@@ -316,14 +316,14 @@ def test_criterion_6_structural_metrics(manifest, criterion):
             csp = load_corpus(name)
             counts = {}
             for v in range(1, version_count(family) + 1):
-                spec = version_to_spec(family, v)
+                spec = TransformSpec(family, v)
                 counts[spec.grouping] = transform(csp, spec).statement_count
             assert counts[Grouping.NONE] >= counts[Grouping.PER_GROUP] >= counts[Grouping.WHOLE], name
             assert counts[Grouping.WHOLE] == 1, name
 
             for logical_v, bitwise_v in pairs[family]:
-                logical = transform(csp, version_to_spec(family, logical_v))
-                bitwise = transform(csp, version_to_spec(family, bitwise_v))
+                logical = transform(csp, TransformSpec(family, logical_v))
+                bitwise = transform(csp, TransformSpec(family, bitwise_v))
                 logical_text = re.sub(
                     r"\s+", " ", " ".join(s.strip() for s in logical.constraint_lines)
                 )
@@ -409,7 +409,7 @@ def test_criterion_8_smoke_reproduction(cc_template, tmp_path, criterion):
         csp = load_corpus("supports_pair")
         wallclocks = {}
         for v in range(1, version_count(Family.EXTENSIONAL) + 1):
-            spec = version_to_spec(Family.EXTENSIONAL, v, Dialect.KLEE)
+            spec = TransformSpec(Family.EXTENSIONAL, v, Dialect.KLEE)
             program = transform(csp, spec)
             src = tmp_path / output_filename(program)
             src.write_text(program.source_text)

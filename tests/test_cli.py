@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import shlex
+import subprocess
 import tempfile
 
 import pytest
@@ -98,6 +100,22 @@ class TestGenCommand:
         )
         assert code == 2
         assert "1..12" in err
+
+    def test_concrete_program_builds_and_replays_standalone(self, capsys, tmp_path, cc_template):
+        """`gen --dialect concrete` output needs no shim headers: the plain
+        compile template builds it, and it replays assignments from stdin."""
+        code, _, _ = run_cli(
+            capsys, "gen", corpus_path("valid", "supports_pair"), "--family", "extensional",
+            "--versions", "1", "--dialect", "concrete", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        src, exe = tmp_path / "supports_pair__extensional1__concrete.c", tmp_path / "prog"
+        env = {k: v for k, v in os.environ.items() if k != "CPATH"}
+        argv = [token.format(src=src, out=exe) for token in shlex.split(cc_template)]
+        built = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert built.returncode == 0, built.stderr
+        proc = subprocess.run([str(exe)], input="0 1\n0 0\n", capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "1\n0\n")
 
     def test_bad_version_message_matches_verify_and_bench(self, capsys, tmp_path):
         path = corpus_path("valid", "conflicts_group")
@@ -645,11 +663,11 @@ class TestBadInputFiles:
         assert err.startswith("error:")
 
 
-def _edited(manifest: str, out_dir, **changes) -> str:
-    """A copy of `manifest` whose first entry has `changes` applied."""
+def _edited(manifest: str, out_dir, entry: int = 0, **changes) -> str:
+    """A copy of `manifest` whose entry `entry` has `changes` applied."""
     with open(manifest, encoding="utf-8") as fh:
         entries = json.load(fh)
-    entries[0].update(changes)
+    entries[entry].update(changes)
     path = out_dir / ("edited-" + os.path.basename(manifest))
     path.write_text(json.dumps(entries))
     return str(path)
@@ -776,7 +794,11 @@ BAD_INPUT_CASES = {
         lambda t, tools, inst: _bench(
             tools, _edited(inst, t, path=_written(t, "x.xml", NOT_UTF8_XML)), t
         ),
-        "malformed XML",
+        "x.xml:/ (line 1): malformed XML",
+    ),
+    "bench-family-mismatch": (
+        lambda t, tools, inst: _bench(tools, _edited(inst, t, entry=1, family="intensional"), t),
+        f"error: {corpus_path('valid', 'xor_ring')}: intensional transform cannot encode table",
     ),
 }
 

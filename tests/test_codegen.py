@@ -12,13 +12,12 @@ from csp2c.codegen import (
     Dialect,
     Family,
     Grouping,
-    SAT_MARKER,
     TransformSpec,
+    build_unit,
     driver_main,
     output_filename,
     transform,
     version_count,
-    version_to_spec,
 )
 from csp2c.model import (
     Binary,
@@ -32,7 +31,7 @@ from csp2c.model import (
     VariableDecl,
 )
 from csp2c.oracle import all_assignments
-from csp2c.verify import build_unit, compile_program
+from csp2c.verify import compile_program
 
 from conftest import GOLDEN_DIR, load_corpus
 
@@ -86,7 +85,7 @@ CORPUS_BY_FAMILY = {
 class TestVersionMatrix:
     @pytest.mark.parametrize("version,construct,operator,grouping", EXTENSIONAL_TABLE)
     def test_extensional_rows(self, version, construct, operator, grouping):
-        spec = version_to_spec(Family.EXTENSIONAL, version)
+        spec = TransformSpec(Family.EXTENSIONAL, version)
         assert spec.construct.value == construct
         assert spec.operator.value == operator
         assert spec.grouping.value == grouping
@@ -94,7 +93,7 @@ class TestVersionMatrix:
 
     @pytest.mark.parametrize("version,construct,operator,grouping", INTENSIONAL_TABLE)
     def test_intensional_rows(self, version, construct, operator, grouping):
-        spec = version_to_spec(Family.INTENSIONAL, version)
+        spec = TransformSpec(Family.INTENSIONAL, version)
         assert spec.construct.value == construct
         assert spec.operator.value == operator
         assert spec.grouping.value == grouping
@@ -107,7 +106,7 @@ class TestVersionMatrix:
     @pytest.mark.parametrize("family,bad", [(Family.EXTENSIONAL, 0), (Family.EXTENSIONAL, 13), (Family.INTENSIONAL, 11)])
     def test_out_of_range(self, family, bad):
         with pytest.raises(CodegenError, match="version must be in"):
-            version_to_spec(family, bad)
+            TransformSpec(family, bad)
         with pytest.raises(CodegenError, match="version must be in"):
             TransformSpec(family, bad)
 
@@ -145,20 +144,20 @@ class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda case: "-".join(map(str, case)))
     def test_pinned_sources(self, case):
         instance, family, version, *dialect = case
-        program = transform(load_corpus(instance), version_to_spec(family, version, *dialect))
+        program = transform(load_corpus(instance), TransformSpec(family, version, *dialect))
         path = golden_path(output_filename(program))
         with open(path, "r", encoding="utf-8") as fh:
             assert program.source_text == fh.read()
 
     def test_ext_v1_shape(self):
-        program = transform(load_corpus("conflicts_group"), version_to_spec(Family.EXTENSIONAL, 1))
+        program = transform(load_corpus("conflicts_group"), TransformSpec(Family.EXTENSIONAL, 1))
         assert program.statement_count == 2
         for line in program.constraint_lines:
             assert re.match(r"\s*if \(\(.+ && .+\) \|\| \(.+ && .+\)\) exit\(0\);", line)
         assert "assert(0);" in program.source_text
 
     def test_ext_v5_shape(self):
-        program = transform(load_corpus("conflicts_group"), version_to_spec(Family.EXTENSIONAL, 5))
+        program = transform(load_corpus("conflicts_group"), TransformSpec(Family.EXTENSIONAL, 5))
         assert program.statement_count == 1
         text = " ".join(line.strip() for line in program.constraint_lines)
         assert text.count("==") == 12  # four tuples x three atoms
@@ -167,7 +166,7 @@ class TestGolden:
         assert text.startswith("if (") and text.endswith(") exit(0);")
 
     def test_ext_v8_shape(self):
-        program = transform(load_corpus("conflicts_group"), version_to_spec(Family.EXTENSIONAL, 8))
+        program = transform(load_corpus("conflicts_group"), TransformSpec(Family.EXTENSIONAL, 8))
         assert program.statement_count == 1
         text = " ".join(line.strip() for line in program.constraint_lines)
         assert text.startswith("klee_assume(!(")
@@ -175,14 +174,14 @@ class TestGolden:
         assert " || " in text and " && " in text
 
     def test_int_v1_shape(self):
-        program = transform(load_corpus("dist_alldiff"), version_to_spec(Family.INTENSIONAL, 1))
+        program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 1))
         # three pairwise atoms plus two dist equalities, one statement each
         assert program.statement_count == 5
         for line in program.constraint_lines:
             assert re.match(r"\s*if \([^&|]+\); else exit\(0\);", line)
 
     def test_int_v2_shape(self):
-        program = transform(load_corpus("dist_alldiff"), version_to_spec(Family.INTENSIONAL, 2))
+        program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 2))
         assert program.statement_count == 2
         assert program.constraint_lines[0].strip() == (
             "if (x0!=x1 && x0!=x2 && x1!=x2); else exit(0);"
@@ -192,7 +191,7 @@ class TestGolden:
         )
 
     def test_int_v3_guarded_assert(self):
-        program = transform(load_corpus("dist_alldiff"), version_to_spec(Family.INTENSIONAL, 3))
+        program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 3))
         assert program.statement_count == 1
         text = " ".join(line.strip() for line in program.constraint_lines)
         assert text == (
@@ -203,7 +202,7 @@ class TestGolden:
         assert program.source_text.count("assert(0)") == 1
 
     def test_int_v9_shape(self):
-        program = transform(load_corpus("dist_alldiff"), version_to_spec(Family.INTENSIONAL, 9))
+        program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 9))
         assert program.statement_count == 2
         assert program.constraint_lines[0].strip() == "klee_assume(x0!=x1 & x0!=x2 & x1!=x2);"
         assert program.constraint_lines[1].strip() == (
@@ -218,10 +217,11 @@ class TestProgramInvariants:
             csp = load_corpus(name)
             for v in range(1, version_count(family) + 1):
                 for dialect in (Dialect.KLEE, Dialect.LLBMC):
-                    program = transform(csp, version_to_spec(family, v, dialect))
+                    program = transform(csp, TransformSpec(family, v, dialect))
                     assert program.source_text.count("assert(0)") == 1, (name, v)
-                concrete = concrete_program(csp, family, v)
-                assert concrete.source_text.count(SAT_MARKER) == 1, (name, v)
+                concrete = concrete_program(csp, family, v).source_text
+                in_prelude = DRIVER_PRELUDE.count("assert(0)")
+                assert concrete.count("assert(0)") == 1 + in_prelude, (name, v)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_grouping_monotonicity(self, family):
@@ -229,7 +229,7 @@ class TestProgramInvariants:
             csp = load_corpus(name)
             counts = {}
             for v in range(1, version_count(family) + 1):
-                spec = version_to_spec(family, v)
+                spec = TransformSpec(family, v)
                 counts[spec.grouping] = transform(csp, spec).statement_count
             assert counts[Grouping.NONE] >= counts[Grouping.PER_GROUP], name
             assert counts[Grouping.PER_GROUP] >= counts[Grouping.WHOLE], name
@@ -242,8 +242,8 @@ class TestProgramInvariants:
         for name in CORPUS_BY_FAMILY[family]:
             csp = load_corpus(name)
             for logical_v, bitwise_v in LOGICAL_BITWISE_PAIRS[family]:
-                logical = transform(csp, version_to_spec(family, logical_v))
-                bitwise = transform(csp, version_to_spec(family, bitwise_v))
+                logical = transform(csp, TransformSpec(family, logical_v))
+                bitwise = transform(csp, TransformSpec(family, bitwise_v))
                 rewritten = encoding_tokens(logical.constraint_lines).replace(
                     "&&", "&"
                 ).replace("||", "|")
@@ -258,8 +258,8 @@ class TestProgramInvariants:
         for name in CORPUS_BY_FAMILY[family]:
             csp = load_corpus(name)
             for v in range(1, version_count(family) + 1):
-                klee = transform(csp, version_to_spec(family, v, Dialect.KLEE))
-                llbmc = transform(csp, version_to_spec(family, v, Dialect.LLBMC))
+                klee = transform(csp, TransformSpec(family, v, Dialect.KLEE))
+                llbmc = transform(csp, TransformSpec(family, v, Dialect.LLBMC))
                 normalized = encoding_tokens(llbmc.constraint_lines).replace(
                     "__llbmc_assume", "klee_assume"
                 )
@@ -267,32 +267,32 @@ class TestProgramInvariants:
 
     def test_determinism(self):
         csp = load_corpus("conflicts_group")
-        spec = version_to_spec(Family.EXTENSIONAL, 7)
+        spec = TransformSpec(Family.EXTENSIONAL, 7)
         assert transform(csp, spec).source_text == transform(csp, spec).source_text
 
     def test_version_label_and_filename(self):
-        program = transform(load_corpus("supports_pair"), version_to_spec(Family.EXTENSIONAL, 2))
+        program = transform(load_corpus("supports_pair"), TransformSpec(Family.EXTENSIONAL, 2))
         assert program.version_label == "extensional2"
         assert output_filename(program) == "supports_pair__extensional2__klee.c"
 
     def test_line_count_matches_text(self):
-        program = transform(load_corpus("ext_mixed"), version_to_spec(Family.EXTENSIONAL, 3))
+        program = transform(load_corpus("ext_mixed"), TransformSpec(Family.EXTENSIONAL, 3))
         assert program.line_count == program.source_text.count("\n")
 
     def test_var_map_covers_all_variables(self):
         csp = load_corpus("dist_alldiff")
-        program = transform(csp, version_to_spec(Family.INTENSIONAL, 5))
+        program = transform(csp, TransformSpec(Family.INTENSIONAL, 5))
         assert set(program.var_map) == set(csp.variable_ids())
 
 
 def concrete_program(csp, family, version):
-    return transform(csp, version_to_spec(family, version, Dialect.CONCRETE))
+    return transform(csp, TransformSpec(family, version, Dialect.CONCRETE))
 
 
 class TestConcreteDriver:
     def test_is_the_klee_program_plus_the_replay_driver(self):
         csp = load_corpus("supports_pair")
-        klee = transform(csp, version_to_spec(Family.EXTENSIONAL, 1)).source_text
+        klee = transform(csp, TransformSpec(Family.EXTENSIONAL, 1)).source_text
         text = concrete_program(csp, Family.EXTENSIONAL, 1).source_text
         header, main = klee.split("int main(void) {\n")
         start = header.splitlines()[0] + "\n" + DRIVER_PRELUDE
@@ -300,33 +300,13 @@ class TestConcreteDriver:
         assert "#define main csp2c_main_0\nint main(void) {\n" + main + "#undef main\n" in text
         assert text.endswith("\n".join(driver_main(1, 2)) + "\n")
 
-    def test_reads_argv_and_prints_marker(self, cc_template, tmp_path):
-        csp = load_corpus("supports_pair")
-        exe = compile_program(
-            concrete_program(csp, Family.EXTENSIONAL, 1), cc_template, str(tmp_path)
-        )
-
-        def run(*argv):
-            proc = subprocess.run([exe, *argv], capture_output=True, text=True)
-            return proc.returncode, proc.stdout
-
-        # supports_pair allows (0,1) and (1,0) over 0..1
-        assert run("0", "1") == (0, f"{SAT_MARKER}\n")
-        assert run("1", "0") == (0, f"{SAT_MARKER}\n")
-        assert run("0", "0") == (1, "")
-        # one integer per variable, or the usage exit 2
-        assert run("0") == (2, "")
-        assert run("0", "1", "1") == (2, "")
-        assert run("0", "x") == (2, "")
-
     def test_domain_checks_exit_nonzero(self, cc_template, tmp_path):
         csp = load_corpus("noncontig")
         program = concrete_program(csp, Family.INTENSIONAL, 6)
         assert "klee_assume(n0==1 || n0==3 || n0==5 || n0==6);" in program.source_text
         exe = compile_program(program, cc_template, str(tmp_path))
-        assert subprocess.run([exe, "2"], capture_output=True).returncode == 1
-        accepted = subprocess.run([exe, "3"], capture_output=True, text=True)
-        assert accepted.returncode == 0 and accepted.stdout == f"{SAT_MARKER}\n"
+        proc = subprocess.run([exe], input="2\n3\n", capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "0\n1\n")
 
     def test_batch_mode_protocol(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
@@ -349,17 +329,17 @@ class TestConcreteDriver:
         [(family, name) for family, names in CORPUS_BY_FAMILY.items() for name in names],
         ids=lambda value: getattr(value, "value", value),
     )
-    def test_batch_and_argv_modes_agree(self, family, name, cc_template, tmp_path):
-        """Every corpus instance, version and assignment: the stdin verdict
-        line reads 1 exactly when the argv run prints the marker and exits 0,
-        and the driver of one unit holding all versions prints, in its column
-        for a version, what that version's own driver prints."""
+    def test_unit_columns_match_each_versions_driver(self, family, name, cc_template, tmp_path):
+        """Every corpus instance, version and assignment: the driver of one
+        unit holding all versions prints, in its column for a version, what
+        that version's own concrete driver prints."""
         csp = load_corpus(name)
         order = [v.id for v in csp.variables]
         rows = [[str(a[v]) for v in order] for a in all_assignments(csp)]
         plan = "".join(" ".join(row) + "\n" for row in rows)
-        specs = [version_to_spec(family, v) for v in range(1, version_count(family) + 1)]
-        unit = compile_program(build_unit(csp, specs), cc_template, str(tmp_path))
+        specs = [TransformSpec(family, v) for v in range(1, version_count(family) + 1)]
+        programs = [transform(csp, spec) for spec in specs]
+        unit = compile_program(build_unit(csp, programs), cc_template, str(tmp_path))
         combined = subprocess.run([unit], input=plan, capture_output=True, text=True)
         lines = combined.stdout.splitlines()
         assert combined.returncode == 0 and len(lines) == len(rows)
@@ -371,30 +351,24 @@ class TestConcreteDriver:
             batch = subprocess.run([exe], input=plan, capture_output=True, text=True)
             assert batch.returncode == 0, v
             assert "".join(batch.stdout.splitlines()) == columns[v - 1], v
-            argv = []
-            for row in rows:
-                proc = subprocess.run([exe, *row], capture_output=True, text=True)
-                assert (proc.returncode, proc.stdout) in ((0, f"{SAT_MARKER}\n"), (1, "")), (v, row)
-                argv.append("1" if proc.returncode == 0 else "0")
-            assert batch.stdout.splitlines() == argv, v
 
 
 class TestNonContiguousDomains:
     def test_bitwise_versions_use_bitwise_disjunction(self):
         csp = load_corpus("noncontig")
-        program = transform(csp, version_to_spec(Family.INTENSIONAL, 9))
+        program = transform(csp, TransformSpec(Family.INTENSIONAL, 9))
         assert "klee_assume(n0==1 | n0==3 | n0==5 | n0==6);" in program.source_text
 
     def test_logical_versions_use_logical_disjunction(self):
         csp = load_corpus("noncontig")
-        program = transform(csp, version_to_spec(Family.INTENSIONAL, 7))
+        program = transform(csp, TransformSpec(Family.INTENSIONAL, 7))
         assert "klee_assume(n0==1 || n0==3 || n0==5 || n0==6);" in program.source_text
 
     def test_contiguous_bounds_identical_across_versions(self):
         csp = load_corpus("dist_alldiff")
         texts = set()
         for v in range(1, version_count(Family.INTENSIONAL) + 1):
-            program = transform(csp, version_to_spec(Family.INTENSIONAL, v))
+            program = transform(csp, TransformSpec(Family.INTENSIONAL, v))
             domain_lines = [
                 line for line in program.source_text.splitlines() if ">=" in line
             ]
@@ -406,10 +380,10 @@ class TestErrors:
     def test_family_mismatch(self):
         ext = load_corpus("conflicts_group")
         with pytest.raises(CodegenError, match="table"):
-            transform(ext, version_to_spec(Family.INTENSIONAL, 1))
+            transform(ext, TransformSpec(Family.INTENSIONAL, 1))
         intn = load_corpus("dist_alldiff")
         with pytest.raises(CodegenError, match="table"):
-            transform(intn, version_to_spec(Family.EXTENSIONAL, 1))
+            transform(intn, TransformSpec(Family.EXTENSIONAL, 1))
 
     def test_mixed_instance_fits_no_family(self):
         csp = CspInstance(
@@ -422,20 +396,20 @@ class TestErrors:
         )
         for family in Family:
             with pytest.raises(CodegenError, match="mixes table and intensional constraints"):
-                transform(csp, version_to_spec(family, 1))
+                transform(csp, TransformSpec(family, 1))
 
     def test_no_constraints_fit_either_family(self):
         csp = CspInstance(
             name="free", variables=(VariableDecl("v", Domain.from_values([0, 1])),), groups=()
         )
         for family in Family:
-            program = transform(csp, version_to_spec(family, 1))
+            program = transform(csp, TransformSpec(family, 1))
             assert program.statement_count == 0 and program.constraint_lines == ()
 
     def test_zero_variables(self):
         csp = CspInstance(name="empty", variables=(), groups=())
         with pytest.raises(CodegenError, match="no variables"):
-            transform(csp, version_to_spec(Family.EXTENSIONAL, 1))
+            transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
 
     def test_tuple_out_of_int32_range(self):
         csp = CspInstance(
@@ -448,7 +422,7 @@ class TestErrors:
             ),
         )
         with pytest.raises(CodegenError, match="32-bit"):
-            transform(csp, version_to_spec(Family.EXTENSIONAL, 1))
+            transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
 
     def test_constant_out_of_int32_range(self):
         csp = CspInstance(
@@ -461,7 +435,7 @@ class TestErrors:
             ),
         )
         with pytest.raises(CodegenError, match=r"constant -2147483649 exceeds 32-bit"):
-            transform(csp, version_to_spec(Family.INTENSIONAL, 1))
+            transform(csp, TransformSpec(Family.INTENSIONAL, 1))
 
     def test_negative_literals_render_parenthesized(self):
         # bare "x--3" would tokenize as pre-decrement in C
@@ -476,7 +450,7 @@ class TestErrors:
             """,
             name="negatives",
         )
-        program = transform(csp, version_to_spec(Family.INTENSIONAL, 7))
+        program = transform(csp, TransformSpec(Family.INTENSIONAL, 7))
         assert "klee_assume(n-(-3)==(-n));" in program.source_text
         assert "--" not in "".join(program.constraint_lines)
 
@@ -493,7 +467,7 @@ class TestErrors:
                 ),
             ),
         )
-        program = transform(csp, version_to_spec(Family.EXTENSIONAL, 1))
+        program = transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
         assert program.var_map["int"] == "int_v"
         assert program.var_map["while"] == "while_v"
         assert "int int_v, while_v;" in program.source_text

@@ -1,8 +1,8 @@
-"""Import rules of the package, read from its source with `ast`.
+"""Structure rules of the package, read from its source.
 
 csp2c depends on the standard library alone (`dependencies = []`); the
-oracle, the independent reference, imports only the model; and the model
-imports no other csp2c module.
+oracle, the independent reference, imports only the model; the model
+imports no other csp2c module; and codegen alone writes replay-driver C.
 """
 
 from __future__ import annotations
@@ -48,3 +48,13 @@ def test_oracle_imports_only_the_model():
 def test_model_imports_no_other_csp2c_module():
     _, siblings = imports(PACKAGE / "model.py")
     assert siblings == set()
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "codegen.py"], ids=lambda p: p.name
+)
+def test_only_codegen_writes_replay_driver_c(path):
+    """A renamed main, a `#line` directive or a driver main is assembled in
+    codegen alone, next to DRIVER_PRELUDE."""
+    text = path.read_text(encoding="utf-8")
+    assert [s for s in ("csp2c_main_", "#line", "#define main") if s in text] == []

@@ -12,11 +12,12 @@ from csp2c.codegen import (
     DRIVER_PRELUDE,
     Dialect,
     Family,
+    TransformSpec,
+    build_unit,
     family_of,
     output_filename,
     transform,
     version_count,
-    version_to_spec,
 )
 from csp2c.model import (
     CspInstance,
@@ -28,7 +29,6 @@ from csp2c.verify import (
     CompileError,
     VerifyError,
     VerifyStatus,
-    build_unit,
     compile_program,
     cross_version_equivalence,
     differential_check,
@@ -39,7 +39,7 @@ from conftest import CORPUS_DIR, load_corpus
 
 
 def all_specs(family: Family):
-    return [version_to_spec(family, v) for v in range(1, version_count(family) + 1)]
+    return [TransformSpec(family, v) for v in range(1, version_count(family) + 1)]
 
 
 def corrupting_emitter(csp, spec):
@@ -107,7 +107,7 @@ class TestDifferentialCheck:
         csp = load_corpus("eq_ne")
         report = differential_check(
             csp,
-            [version_to_spec(Family.INTENSIONAL, 1)],
+            [TransformSpec(Family.INTENSIONAL, 1)],
             cc_template,
             workdir=str(tmp_path),
             emitter=corrupting_emitter,
@@ -131,7 +131,7 @@ class TestDifferentialCheck:
         )
         report = differential_check(
             csp,
-            [version_to_spec(Family.INTENSIONAL, 1)],
+            [TransformSpec(Family.INTENSIONAL, 1)],
             cc_template,
             bound=100,
             workdir=str(tmp_path),
@@ -145,7 +145,7 @@ class TestDifferentialCheck:
         with pytest.raises(CompileError):
             differential_check(
                 csp,
-                [version_to_spec(Family.EXTENSIONAL, 1)],
+                [TransformSpec(Family.EXTENSIONAL, 1)],
                 "false",
                 workdir=str(tmp_path),
             )
@@ -155,7 +155,7 @@ class TestDifferentialCheck:
         with pytest.raises(VerifyError, match="no-such-cc-csp2c"):
             differential_check(
                 csp,
-                [version_to_spec(Family.EXTENSIONAL, 1)],
+                [TransformSpec(Family.EXTENSIONAL, 1)],
                 "no-such-cc-csp2c -o {out} {src}",
                 workdir=str(tmp_path),
             )
@@ -166,7 +166,7 @@ class TestDifferentialCheck:
         with pytest.raises(VerifyError, match="timed out"):
             differential_check(
                 csp,
-                [version_to_spec(Family.EXTENSIONAL, 1)],
+                [TransformSpec(Family.EXTENSIONAL, 1)],
                 "sleep 5",
                 workdir=str(tmp_path),
             )
@@ -180,7 +180,7 @@ class TestDifferentialCheck:
         with pytest.raises(VerifyError, match="timed out"):
             differential_check(
                 csp,
-                [version_to_spec(Family.EXTENSIONAL, 1)],
+                [TransformSpec(Family.EXTENSIONAL, 1)],
                 f"sh -c '({loop}) & wait' {{out}} {{src}}",
                 workdir=str(tmp_path / "build"),
             )
@@ -248,14 +248,14 @@ class TestDifferentialCheck:
         assert report.status is VerifyStatus.PASS
         assert cross_version_equivalence(
             csp,
-            [version_to_spec(Family.INTENSIONAL, v) for v in (2, 4)],
+            [TransformSpec(Family.INTENSIONAL, v) for v in (2, 4)],
             cc_template,
             workdir=str(tmp_path / "xv"),
         )
 
     def test_workers_agree_with_serial(self, cc_template, tmp_path):
         csp = load_corpus("eq_ne")
-        specs = [version_to_spec(Family.INTENSIONAL, 1)]
+        specs = [TransformSpec(Family.INTENSIONAL, 1)]
         serial = differential_check(csp, specs, cc_template, workdir=str(tmp_path / "s"))
         parallel = differential_check(
             csp, specs, cc_template, workers=4, workdir=str(tmp_path / "p")
@@ -266,7 +266,7 @@ class TestDifferentialCheck:
 
     def test_concurrent_versions_match_serial(self, cc_template, tmp_path):
         csp = load_corpus("xor_ring")
-        specs = all_specs(Family.EXTENSIONAL) + [version_to_spec(Family.EXTENSIONAL, 1)]
+        specs = all_specs(Family.EXTENSIONAL) + [TransformSpec(Family.EXTENSIONAL, 1)]
         serial = differential_check(csp, specs, cc_template, workdir=str(tmp_path / "s"))
         concurrent = differential_check(
             csp, specs, cc_template, workers=3, workdir=str(tmp_path / "c")
@@ -309,7 +309,7 @@ class TestDifferentialCheck:
 
     def test_corrupting_emitter_flips_the_encoding_not_main(self):
         csp = load_corpus("eq_ne")
-        spec = version_to_spec(Family.INTENSIONAL, 1)
+        spec = TransformSpec(Family.INTENSIONAL, 1)
         clean = transform(csp, spec)
         faulty = corrupting_emitter(csp, spec).source_text.splitlines()
         lines = clean.source_text.splitlines()
@@ -356,8 +356,8 @@ class TestDifferentialCheck:
             # the shared loop silently skips the first assignment: one line too few
             (
                 "main",
-                "if (!batch && argc != arity + 1) return 2;",
-                'if (!batch && argc != arity + 1) return 2;\n    if (batch) scanf("%*[^\\n]");',
+                "int values[arity], i, k;",
+                'int values[arity], i, k;\n    scanf("%*[^\\n]");',
                 "printed 63 verdict lines for 64 assignments",
             ),
             # the shared loop prints a token that is not a verdict
@@ -382,7 +382,7 @@ class TestDifferentialCheck:
         with pytest.raises(VerifyError, match=error):
             differential_check(
                 csp,
-                [version_to_spec(Family.EXTENSIONAL, 1)],
+                [TransformSpec(Family.EXTENSIONAL, 1)],
                 cc_template,
                 workdir=str(tmp_path),
                 emitter=emitter,
@@ -399,7 +399,7 @@ class TestDifferentialCheck:
         with pytest.raises(VerifyError, match="not a line of 2 0/1 verdict digits"):
             differential_check(
                 csp,
-                [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 2)],
+                [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 2)],
                 cc_template,
                 workdir=str(tmp_path),
             )
@@ -418,7 +418,7 @@ class TestDifferentialCheck:
             differential_check(
                 csp, all_specs(Family.EXTENSIONAL), cc_template, workdir=str(tmp_path), emitter=emit
             )
-        program = transform(csp, version_to_spec(Family.EXTENSIONAL, 5))
+        program = transform(csp, TransformSpec(Family.EXTENSIONAL, 5))
         line = program.source_text.splitlines().index("    /* CSP is satisfiable */") + 1
         errors = [l for l in info.value.output.splitlines() if "error:" in l]
         assert errors and all(
@@ -485,7 +485,7 @@ class TestDifferentialCheck:
 
     def test_timings_per_unit(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
-        specs = [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 5)]
+        specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 5)]
         report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
         assert report.versions == ["extensional1", "extensional5", "extensional8", "extensional5"]
         (timing,) = report.timings
@@ -494,7 +494,7 @@ class TestDifferentialCheck:
 
     def test_verdict_independent_of_version_order(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
-        specs = [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 5, 8)]
+        specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8)]
         forward = differential_check(csp, specs, cc_template, workdir=str(tmp_path / "f"))
         backward = differential_check(
             csp, list(reversed(specs)), cc_template, workdir=str(tmp_path / "b")
@@ -552,7 +552,7 @@ class TestShippedBytes:
         with pytest.raises(VerifyError, match=f"exited with status 3: .*{error}"):
             differential_check(
                 load_corpus("conflicts_group"),
-                [version_to_spec(Family.EXTENSIONAL, 1)],
+                [TransformSpec(Family.EXTENSIONAL, 1)],
                 cc_template,
                 workdir=str(tmp_path),
                 emitter=emitter,
@@ -561,9 +561,9 @@ class TestShippedBytes:
     def test_the_unit_holds_each_klee_program_verbatim(self):
         csp = load_corpus("conflicts_group")
         specs = all_specs(Family.EXTENSIONAL)
-        unit = build_unit(csp, specs).source_text
-        for spec in specs:
-            program = transform(csp, spec)
+        programs = [transform(csp, spec) for spec in specs]
+        unit = build_unit(csp, programs).source_text
+        for program in programs:
             line = f'#line 1 "{output_filename(program)}"\n'
             assert line + program.source_text + "#undef main\n" in unit
 
@@ -573,9 +573,9 @@ class TestShippedBytes:
             csp = load_corpus(name)
             family = family_of(csp.constraints())
             programs = [
-                build_unit(csp, all_specs(family)),
-                build_unit(csp, [version_to_spec(family, 1, Dialect.LLBMC)], label="llbmc"),
-                transform(csp, version_to_spec(family, 1, Dialect.CONCRETE)),
+                build_unit(csp, [transform(csp, spec) for spec in all_specs(family)]),
+                build_unit(csp, [transform(csp, TransformSpec(family, 1, Dialect.LLBMC))], "llbmc"),
+                transform(csp, TransformSpec(family, 1, Dialect.CONCRETE)),
             ]
             for program in programs:
                 compile_program(program, template, str(tmp_path / name))
@@ -584,7 +584,7 @@ class TestShippedBytes:
 class TestCrossVersionEquivalence:
     def test_selected_versions_agree(self, cc_template, tmp_path):
         csp = load_corpus("conflicts_group")
-        specs = [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 5, 8)]
+        specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8)]
         assert cross_version_equivalence(csp, specs, cc_template, workdir=str(tmp_path))
 
     def test_zero_constraint_instance_trivially_agrees(self, cc_template, tmp_path):
@@ -596,12 +596,12 @@ class TestCrossVersionEquivalence:
             ),
             groups=(),
         )
-        specs = [version_to_spec(Family.EXTENSIONAL, v) for v in (1, 3, 8)]
+        specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 3, 8)]
         assert cross_version_equivalence(csp, specs, cc_template, workdir=str(tmp_path))
 
     def test_fault_injection_breaks_equivalence(self, cc_template, tmp_path):
         csp = load_corpus("eq_ne")
-        specs = [version_to_spec(Family.INTENSIONAL, 1), version_to_spec(Family.INTENSIONAL, 3)]
+        specs = [TransformSpec(Family.INTENSIONAL, 1), TransformSpec(Family.INTENSIONAL, 3)]
 
         def emit(csp_arg, spec):
             if spec.version == 3:
