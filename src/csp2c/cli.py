@@ -33,6 +33,7 @@ from .codegen import (
     version_count,
     CodegenError,
 )
+from .model import ModelError
 from .oracle import DEFAULT_LIMIT, EvalError, Status, solve
 from .verify import (
     COMPILE_FIELDS,
@@ -55,6 +56,7 @@ _EXIT_CODES: dict[type[Exception], int] = {
     VerifyError: EXIT_FAIL,  # CompileError too
     CodegenError: EXIT_PARSE,
     EvalError: EXIT_PARSE,  # Int32Overflow too
+    ModelError: EXIT_PARSE,  # a domain too large to enumerate
     harness.HarnessError: EXIT_PARSE,
     argparse.ArgumentTypeError: EXIT_PARSE,
     OSError: EXIT_PARSE,

@@ -31,14 +31,27 @@ and prints one line per assignment, one 0/1 verdict digit per program, so
 `printf '0 1\n' | ./prog` replays one assignment. Input that does not end
 after a whole assignment exits 2, and a program that reads more or fewer
 values than there are variables exits 3.
+
+An instance is analysed once, not once per cell: transform keeps the
+analysis of the instance it saw last, keyed on the instance's identity and
+dropped with it. The analysis holds the family and encodability checks,
+the C names, whether `dist` is used, and each constraint's rendered pieces
+for the two operator classes that differ, LOGICAL (NOP renders the same)
+and BITWISE; a cell only lays those pieces out into statements. The
+encodability check bounds every intension node by interval arithmetic
+from the declared domains, bottom-up, and rejects a node whose interval
+leaves 32-bit signed range, since its C `int` arithmetic could overflow.
+The oracle evaluates expressions with its own code, so each checks the
+other.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     AllDifferent,
@@ -47,6 +60,7 @@ from .model import (
     Const,
     Constraint,
     CspInstance,
+    Domain,
     Expr,
     INT32_MAX,
     INT32_MIN,
@@ -55,7 +69,6 @@ from .model import (
     TableConstraint,
     Unary,
     Var,
-    expr_nodes,
 )
 
 WRAP_COLUMN = 100
@@ -317,17 +330,6 @@ def _conjuncts(expr: Expr) -> list[Expr]:
 # Encoding units and statement layout
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Unit:
-    """One constraint statement. A violation unit's pieces form a disjunction
-    that is true when some constraint is broken (conflicts tables); any other
-    unit's pieces form the condition under which its constraints hold."""
-
-    violation: bool
-    pieces: tuple[str, ...]
-    joiner: str
-
-
 # (violation, construct) -> head and tail of a unit's statement; {assume}
 # is the dialect's assume function
 _STATEMENTS = {
@@ -379,33 +381,20 @@ def _condition_pieces(
     ]
 
 
-def _units(
-    grouped: Sequence[Sequence[Constraint]], operator: Operator, c_names: Mapping[str, str]
-) -> list[_Unit]:
-    """A bucket of conflicts tables only makes a violation unit over all their
-    tuples, any other bucket the conjunction of its constraints' pieces: one
-    unit per bucket, or one per piece under NOP."""
-    and_op, or_op = _join_ops(operator)
-    units: list[_Unit] = []
-    for bucket in grouped:
-        # never empty (the parser rejects a <group> without <args>); tables
-        # only or no tables (transform's family check)
-        violation = isinstance(bucket[0], TableConstraint) and all(
-            c.polarity is Polarity.CONFLICTS for c in bucket
-        )
-        pieces_of = _tuple_conjunctions if violation else _condition_pieces
-        pieces: list[str] = []
-        for c in bucket:
-            pieces.extend(pieces_of(c, operator, c_names))
-        joiner = or_op if violation else and_op
-        if operator is Operator.NOP:
-            units.extend(_Unit(violation, (piece,), joiner) for piece in pieces)
-        else:
-            units.append(_Unit(violation, tuple(pieces), joiner))
-    return units
+def _domain_condition(
+    domain: Domain, name: str, operator: Operator
+) -> tuple[tuple[str, ...], str]:
+    """Pieces and joiner for one variable's domain membership condition."""
+    if domain.is_contiguous:
+        # common preamble shape, identical across versions
+        return (f"{name}>={domain.lo} && {name}<={domain.hi}",), " && "
+    _, or_op = _join_ops(operator)
+    return tuple(f"{name}=={value}" for value in domain.values()), or_op
 
 
 def _wrap(head: str, pieces: Sequence[str], joiner: str, tail: str) -> list[str]:
+    if len(pieces) == 1:
+        return [head + pieces[0] + tail]
     one_line = head + joiner.join(pieces) + tail
     if len(one_line) <= WRAP_COLUMN or len(pieces) == 1:
         return [one_line]
@@ -526,88 +515,264 @@ def _c_names(csp: CspInstance) -> dict[str, str]:
     return mapping
 
 
-def _uses_dist(constraints: Sequence[Constraint]) -> bool:
-    return any(
-        isinstance(n, Binary) and n.op == "dist"
-        for c in constraints
-        if isinstance(c, IntensionConstraint)
-        for n in expr_nodes(c.expr)
-    )
+# ---------------------------------------------------------------------------
+# Per-instance analysis
+# ---------------------------------------------------------------------------
 
 
-def _check_value_ranges(csp: CspInstance, constraints: Sequence[Constraint]) -> None:
-    for var in csp.variables:
-        if var.domain.lo < INT32_MIN or var.domain.hi > INT32_MAX:
-            raise CodegenError(f"domain of {var.id} exceeds 32-bit signed range")
-    for c in constraints:
-        if isinstance(c, TableConstraint):
-            values, kind = (v for row in c.tuples for v in row), "tuple value"
-        elif isinstance(c, IntensionConstraint):
-            values = (n.value for n in expr_nodes(c.expr) if isinstance(n, Const))
-            kind = "constant"
+def _xcsp_text(expr: Expr) -> str:
+    """`expr` in XCSP3's functional syntax, to name it in a message."""
+    if isinstance(expr, Const):
+        return str(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Unary):
+        return f"{expr.op}({_xcsp_text(expr.operand)})"
+    return f"{expr.op}({_xcsp_text(expr.left)},{_xcsp_text(expr.right)})"
+
+
+def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def _interval(
+    expr: Expr, bounds: Mapping[str, tuple[int, int]], ops: set[str]
+) -> tuple[int, int]:
+    """Bounds lo, hi on the value of `expr` over the product of `bounds`
+    (each variable's declared lo..hi), computed bottom-up by interval
+    arithmetic; each binary operator met goes into `ops`. A subexpression
+    whose interval leaves 32-bit signed range raises CodegenError naming it:
+    the C `int` arithmetic that computes it could overflow."""
+    if isinstance(expr, Var):
+        return bounds[expr.name]
+    if isinstance(expr, Const):
+        value = expr.value
+        if value < INT32_MIN or value > INT32_MAX:
+            raise CodegenError(f"constant {value} exceeds 32-bit signed range")
+        return value, value
+    if isinstance(expr, Unary):
+        lo, hi = _interval(expr.operand, bounds, ops)
+        if expr.op == "not":
+            return 0, 1
+        lo, hi = (-hi, -lo) if expr.op == "neg" else _abs_interval(lo, hi)
+    else:
+        a_lo, a_hi = _interval(expr.left, bounds, ops)
+        b_lo, b_hi = _interval(expr.right, bounds, ops)
+        op = expr.op
+        ops.add(op)
+        if op == "add":
+            lo, hi = a_lo + b_lo, a_hi + b_hi
+        elif op == "sub":
+            lo, hi = a_lo - b_hi, a_hi - b_lo
+        elif op == "mul":
+            products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+            lo, hi = min(products), max(products)
+        elif op == "dist":
+            # the dist macro subtracts the smaller operand from the larger
+            lo, hi = _abs_interval(a_lo - b_hi, a_hi - b_lo)
         else:
-            continue
-        for value in values:
-            if value < INT32_MIN or value > INT32_MAX:
-                raise CodegenError(f"{kind} {value} exceeds 32-bit signed range")
+            return 0, 1  # comparisons and logic
+    if lo < INT32_MIN or hi > INT32_MAX:
+        raise CodegenError(
+            f"{_xcsp_text(expr)} takes values in {lo}..{hi}, outside 32-bit signed range"
+        )
+    return lo, hi
 
 
-def _grouped_constraints(
-    csp: CspInstance, constraints: list[Constraint], grouping: Grouping
-) -> Sequence[Sequence[Constraint]]:
-    if grouping is Grouping.NONE:
-        return [[c] for c in constraints]
-    if grouping is Grouping.PER_GROUP:
-        return csp.groups
-    return [constraints] if constraints else []
+# An instance's C text under one operator class, BITWISE or LOGICAL (NOP
+# renders as LOGICAL): the pieces of each constraint, and the (pieces,
+# joiner) domain condition of each variable.
+_Rendered = tuple[list[tuple[str, ...]], list[tuple[tuple[str, ...], str]]]
 
 
-def _domain_condition(
-    var_id: str, csp: CspInstance, operator: Operator, c_names: Mapping[str, str]
-) -> tuple[list[str], str]:
-    """Pieces and joiner for one variable's domain membership condition."""
-    domain = csp.domain_of(var_id)
-    name = c_names[var_id]
-    if domain.is_contiguous:
-        # common preamble shape, identical across versions
-        return [f"{name}>={domain.lo} && {name}<={domain.hi}"], " && "
-    _, or_op = _join_ops(operator)
-    return [f"{name}=={value}" for value in domain.values()], or_op
+class _Analysis:
+    """What transform needs of one instance, whatever the cell: the family
+    and encodability checks, C names, whether dist is used, and the rendered
+    pieces of each operator class, made when first asked for."""
+
+    def __init__(self, csp: CspInstance):
+        if not csp.variables:
+            raise CodegenError("instance has no variables")
+        # no reference to `csp` itself, so that the memo lets it go
+        self.variables = csp.variables
+        self.groups = csp.groups
+        self.constraints = csp.constraints()
+        # None when there are no constraints: either family encodes them
+        self.family = family_of(self.constraints) if self.constraints else None
+        # the first reason no cell can encode the instance, if any
+        self.invalid: str | None = None
+        self.c_names = _c_names(csp)
+        # per constraint: a conflicts table, whose rendered pieces are its
+        # tuple conjunctions; any other constraint's are its condition
+        self.conflicts = [
+            isinstance(c, TableConstraint) and c.polarity is Polarity.CONFLICTS
+            for c in self.constraints
+        ]
+        self.uses_dist = False
+        # per constraint: whether BITWISE renders it differently from LOGICAL
+        self._bitwise_differs = [not isinstance(c, AllDifferent) for c in self.constraints]
+        # LOGICAL, BITWISE. Threads that transform at once may each render
+        # one; any of them is right, so no lock is needed.
+        self._rendered: list[_Rendered | None] = [None, None]
+        try:
+            self._check_encodable()
+        except CodegenError as exc:
+            self.invalid = str(exc)
+
+    def _check_encodable(self) -> None:
+        """Empty tables first, then every value against 32-bit signed range:
+        domains, tuple values, and the interval of each intension node."""
+        for c in self.constraints:
+            if isinstance(c, TableConstraint) and not c.tuples:
+                raise CodegenError("cannot encode a table constraint with no tuples")
+        bounds = {}
+        for var in self.variables:
+            if var.domain.lo < INT32_MIN or var.domain.hi > INT32_MAX:
+                raise CodegenError(f"domain of {var.id} exceeds 32-bit signed range")
+            bounds[var.id] = (var.domain.lo, var.domain.hi)
+        for i, c in enumerate(self.constraints):
+            if isinstance(c, TableConstraint):
+                for value in (v for row in c.tuples for v in row):
+                    if value < INT32_MIN or value > INT32_MAX:
+                        raise CodegenError(f"tuple value {value} exceeds 32-bit signed range")
+            elif isinstance(c, IntensionConstraint):
+                ops: set[str] = set()
+                _interval(c.expr, bounds, ops)
+                self.uses_dist = self.uses_dist or "dist" in ops
+                # only and/or render differently under BITWISE
+                self._bitwise_differs[i] = "and" in ops or "or" in ops
+
+    def rendered(self, operator: Operator) -> _Rendered:
+        bitwise = operator is Operator.BITWISE
+        rendered = self._rendered[bitwise]
+        if rendered is None:
+            rendered = self._rendered[bitwise] = self._render(operator)
+        return rendered
+
+    def _render(self, operator: Operator) -> _Rendered:
+        """Render every constraint and domain; BITWISE shares LOGICAL's text
+        where the two are the same."""
+        c_names = self.c_names
+        bitwise = operator is Operator.BITWISE
+        same_pieces, same_domains = self.rendered(Operator.LOGICAL) if bitwise else ([], [])
+        pieces = []
+        for i, (c, conflicts) in enumerate(zip(self.constraints, self.conflicts)):
+            if bitwise and not self._bitwise_differs[i]:
+                pieces.append(same_pieces[i])
+            elif conflicts:
+                pieces.append(tuple(_tuple_conjunctions(c, operator, c_names)))
+            else:
+                pieces.append(tuple(_condition_pieces(c, operator, c_names)))
+        domains = [
+            same_domains[i]
+            if bitwise and v.domain.is_contiguous
+            else _domain_condition(v.domain, c_names[v.id], operator)
+            for i, v in enumerate(self.variables)
+        ]
+        return pieces, domains
+
+
+# the analysis of the instance transformed last, with a weak reference to that
+# instance; it goes when the instance does. A race between threads can only
+# drop it or make one more, so no lock is needed.
+_last: tuple[weakref.ref[CspInstance], _Analysis] | None = None
+
+
+def _forget(ref: weakref.ref[CspInstance]) -> None:
+    global _last
+    last = _last
+    if last is not None and last[0] is ref:
+        _last = None
+
+
+def _analysis(csp: CspInstance) -> _Analysis:
+    """The analysis of `csp`, made once while it is the instance transformed
+    last. The memo is keyed on identity: hashing a frozen instance would walk
+    every constraint."""
+    global _last
+    last = _last
+    if last is not None and last[0]() is csp:
+        return last[1]
+    analysis = _Analysis(csp)
+    _last = (weakref.ref(csp, _forget), analysis)
+    return analysis
+
+
+def check_encodable(csp: CspInstance) -> None:
+    """Raise CodegenError when no cell of the version matrix can encode
+    `csp`: it has no variables, mixes table and intensional constraints, has
+    a table without tuples, or has a value or an intension subexpression
+    that can leave 32-bit signed range."""
+    analysis = _analysis(csp)
+    if analysis.invalid is not None:
+        raise CodegenError(analysis.invalid)
+
+
+def _units(
+    analysis: _Analysis, pieces: list[tuple[str, ...]], grouping: Grouping, operator: Operator
+) -> Iterable[tuple[bool, Sequence[str]]]:
+    """(violation, pieces) of each bucket's unit. A bucket of conflicts tables
+    only makes a violation unit, whose pieces form a disjunction that is true
+    when some constraint is broken; any other bucket makes the conjunction of
+    its constraints' condition pieces."""
+    conflicts = analysis.conflicts
+    count = len(pieces)
+    if grouping is Grouping.NONE or (
+        grouping is Grouping.PER_GROUP and len(analysis.groups) == count
+    ):
+        return zip(conflicts, pieces)  # one constraint per bucket
+    if grouping is Grouping.WHOLE:
+        buckets = [(0, count)] if count else []
+    else:
+        buckets = []
+        start = 0
+        for group in analysis.groups:
+            buckets.append((start, start + len(group)))
+            start += len(group)
+    units = []
+    for start, stop in buckets:
+        if all(conflicts[start:stop]):
+            units.append((True, [p for i in range(start, stop) for p in pieces[i]]))
+        else:
+            # tables only or no tables (the family check)
+            units.append((False, [
+                p
+                for i in range(start, stop)
+                for p in (
+                    _condition_pieces(analysis.constraints[i], operator, analysis.c_names)
+                    if conflicts[i]
+                    else pieces[i]
+                )
+            ]))
+    return units
 
 
 def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     """Emit the C program for one cell of the version matrix."""
-    if not csp.variables:
-        raise CodegenError("instance has no variables")
-    constraints = csp.constraints()
-    if constraints and family_of(constraints) is not spec.family:
+    analysis = _analysis(csp)
+    if analysis.family is not None and analysis.family is not spec.family:
         raise CodegenError(
             "extensional transform requires table constraints only"
             if spec.family is Family.EXTENSIONAL
             else "intensional transform cannot encode table constraints"
         )
-    for c in constraints:
-        if isinstance(c, TableConstraint) and not c.tuples:
-            raise CodegenError("cannot encode a table constraint with no tuples")
-    _check_value_ranges(csp, constraints)
+    if analysis.invalid is not None:
+        raise CodegenError(analysis.invalid)
 
-    c_names = _c_names(csp)
-    units = _units(_grouped_constraints(csp, constraints, spec.grouping), spec.operator, c_names)
-    # intensional if/whole: the one unit guards the distinguished assert(0)
-    guarded = (
-        spec.family is Family.INTENSIONAL
-        and spec.construct is Construct.IF
-        and spec.grouping is Grouping.WHOLE
-        and bool(units)
-    )
-
+    construct, operator, grouping = _ROWS[spec.family][spec.version - 1]
+    pieces, domains = analysis.rendered(operator)
+    and_op, or_op = _join_ops(operator)
+    c_names = analysis.c_names
     llbmc = spec.dialect is Dialect.LLBMC
     assume_fn = "__llbmc_assume" if llbmc else "klee_assume"
     indent = "    "
 
     body: list[str] = []
-    order = [v.id for v in csp.variables]
-    names = [c_names[v] for v in order]
+    names = [c_names[v.id] for v in csp.variables]
 
     # declarations and symbolic marking
     body.extend(_wrap(indent + "int ", names, ", ", ";"))
@@ -620,19 +785,41 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
 
     # domains
     body.append(indent + "/* enforce variable domains */")
-    for v in order:
-        pieces, joiner = _domain_condition(v, csp, spec.operator, c_names)
-        body.extend(_wrap(indent + f"{assume_fn}(", pieces, joiner, ");"))
+    head = indent + f"{assume_fn}("
+    for domain_pieces, joiner in domains:
+        body.extend(_wrap(head, domain_pieces, joiner, ");"))
 
     # constraints
+    units = _units(analysis, pieces, grouping, operator)
+    # intensional if/whole: the one unit guards the distinguished assert(0)
+    guarded = (
+        spec.family is Family.INTENSIONAL
+        and construct is Construct.IF
+        and grouping is Grouping.WHOLE
+        and bool(analysis.constraints)
+    )
+    # (head, tail, joiner) of a unit's statement, indexed by its violation flag
+    statements = tuple(
+        (
+            indent + _STATEMENTS[violation, construct][0].format(assume=assume_fn),
+            ") assert(0);" if guarded else _STATEMENTS[violation, construct][1],
+            or_op if violation else and_op,
+        )
+        for violation in (False, True)
+    )
+    nop = operator is Operator.NOP
     constraint_lines: list[str] = []
-    for unit in units:
-        head, tail = _STATEMENTS[unit.violation, spec.construct]
-        if guarded:
-            tail = ") assert(0);"
-        head = indent + head.format(assume=assume_fn)
-        constraint_lines.extend(_wrap(head, unit.pieces, unit.joiner, tail))
-    if units and not guarded:
+    statement_count = 0
+    for violation, unit_pieces in units:
+        head, tail, joiner = statements[violation]
+        if nop:
+            # one statement per piece
+            constraint_lines += [head + piece + tail for piece in unit_pieces]
+            statement_count += len(unit_pieces)
+        else:
+            constraint_lines += _wrap(head, unit_pieces, joiner, tail)
+            statement_count += 1
+    if statement_count and not guarded:
         body.append(indent + "/* constraints */")
         body.extend(constraint_lines)
 
@@ -644,12 +831,12 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     main = ["int main(void) {"] + body + ["}"]
     if spec.dialect is Dialect.CONCRETE:
         main = ["#define main csp2c_main_0", *main, "#undef main", "", *driver_main(1, len(names))]
-    source = "\n".join(_file_header(csp, spec, constraints) + main) + "\n"
+    source = "\n".join(_file_header(csp.name, spec, analysis.uses_dist) + main) + "\n"
 
     return GeneratedProgram(
         source_text=source,
         version_label=spec.version_label,
-        statement_count=len(units),
+        statement_count=statement_count,
         var_map=c_names,
         line_count=source.count("\n"),
         instance_name=csp.name,
@@ -658,9 +845,9 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     )
 
 
-def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Constraint]) -> list[str]:
+def _file_header(name: str, spec: TransformSpec, uses_dist: bool) -> list[str]:
     lines = [
-        f"/* {csp.name}: {spec.family.value} version {spec.version} "
+        f"/* {name}: {spec.family.value} version {spec.version} "
         f"({spec.construct.value}, {spec.operator.value}, grouping={spec.grouping.value}) */"
     ]
     if spec.dialect is Dialect.CONCRETE:
@@ -670,7 +857,7 @@ def _file_header(csp: CspInstance, spec: TransformSpec, constraints: Sequence[Co
     else:
         lines += [f"#include <{header}>" for header in _LIBC_HEADERS]
         lines += ["", "void __llbmc_assume(int condition);", "int __llbmc_nondef_int(void);"]
-    if _uses_dist(constraints):
+    if uses_dist:
         lines += ["", _DIST_MACRO]
     lines.append("")
     return lines

@@ -19,6 +19,9 @@ from typing import Iterable, Iterator, Mapping, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+# Domain.values() lists at most this many values; no search walks a larger
+# domain, and listing one alone would take gigabytes
+MAX_LISTED_VALUES = 10**6
 
 
 class ModelError(Exception):
@@ -30,7 +33,7 @@ class ModelError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Domain:
     """A finite set of integers stored as disjoint ascending inclusive ranges."""
 
@@ -80,6 +83,12 @@ class Domain:
         return Domain(tuple(merged))
 
     def values(self) -> list[int]:
+        """Every value, ascending; ModelError above MAX_LISTED_VALUES values."""
+        if self.size > MAX_LISTED_VALUES:
+            raise ModelError(
+                f"domain {self.lo}..{self.hi} has {self.size} values, "
+                f"more than the {MAX_LISTED_VALUES} csp2c can enumerate"
+            )
         out: list[int] = []
         for lo, hi in self.ranges:
             out.extend(range(lo, hi + 1))
@@ -105,7 +114,7 @@ class Domain:
         return len(self.ranges) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableDecl:
     id: str
     domain: Domain
@@ -120,17 +129,17 @@ BINARY_OPS = ("add", "sub", "mul", "eq", "ne", "lt", "le", "gt", "ge", "and", "o
 COMPARISON_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str
     operand: "Expr"
@@ -140,7 +149,7 @@ class Unary:
             raise ModelError(f"unknown unary operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str
     left: "Expr"
@@ -181,7 +190,7 @@ class Polarity(Enum):
     CONFLICTS = "conflicts"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableConstraint:
     """Extensional constraint: an explicit tuple list over an ordered scope."""
 
@@ -190,18 +199,34 @@ class TableConstraint:
     tuples: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.scope:
-            raise ModelError("table constraint with empty scope")
-        if len(set(self.scope)) != len(self.scope):
-            raise ModelError(f"table scope has repeated variables: {self.scope}")
+        _check_table_scope(self.scope)
         for t in self.tuples:
             if len(t) != len(self.scope):
                 raise ModelError(
                     f"tuple {t} has arity {len(t)}, scope has arity {len(self.scope)}"
                 )
 
+    def with_scope(self, scope: tuple[str, ...]) -> "TableConstraint":
+        """The same table over `scope`, which has this table's arity. The
+        tuples are shared and were checked when this table was built, so
+        only the scope is checked."""
+        _check_table_scope(scope)
+        if len(scope) != len(self.scope):
+            raise ModelError(f"scope {scope} has arity {len(scope)}, table has {len(self.scope)}")
+        table = object.__new__(TableConstraint)
+        for name, value in (("scope", scope), ("polarity", self.polarity), ("tuples", self.tuples)):
+            object.__setattr__(table, name, value)
+        return table
 
-@dataclass(frozen=True)
+
+def _check_table_scope(scope: tuple[str, ...]) -> None:
+    if not scope:
+        raise ModelError("table constraint with empty scope")
+    if len(set(scope)) != len(scope):
+        raise ModelError(f"table scope has repeated variables: {scope}")
+
+
+@dataclass(frozen=True, slots=True)
 class IntensionConstraint:
     """Constraint given by a 0/1-valued expression over its variables."""
 
@@ -212,7 +237,7 @@ class IntensionConstraint:
         return expr_variables(self.expr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllDifferent:
     scope: tuple[str, ...]
 
@@ -221,6 +246,9 @@ class AllDifferent:
             raise ModelError(f"allDifferent scope has repeated variables: {self.scope}")
         if len(self.scope) < 2:
             raise ModelError("allDifferent needs at least 2 variables")
+
+    def with_scope(self, scope: tuple[str, ...]) -> "AllDifferent":
+        return AllDifferent(scope)
 
 
 Constraint = Union[TableConstraint, IntensionConstraint, AllDifferent]

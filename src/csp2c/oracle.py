@@ -47,6 +47,9 @@ the product size never ends in RESOURCE_LIMIT, and a smaller one bounds
 the run time even when each value of a large domain is filtered out one
 by one.
 
+The search lists every domain's values, so a domain of more than
+model.MAX_LISTED_VALUES values raises ModelError before it starts.
+
 Arithmetic is exact (Python ints) but every intermediate result is checked
 against 32-bit signed bounds, since the generated programs use C `int`;
 an instance that overflows raises Int32Overflow rather than silently

@@ -35,6 +35,7 @@ from .codegen import (
     GeneratedProgram,
     TransformSpec,
     build_unit,
+    check_encodable,
     output_filename,
     transform,
 )
@@ -257,11 +258,14 @@ def differential_check(
     """Compare every version's program against the oracle.
 
     Exhaustive when the assignment space fits `bound`; sampled (status
-    SAMPLED) when it does not. Compile failures raise CompileError with
-    compiler output; a compiler or driver that cannot be started or times
-    out, and a driver that exits nonzero or prints anything but one verdict
-    per assignment, raise VerifyError.
+    SAMPLED) when it does not. An instance no program can encode raises
+    CodegenError before the oracle runs, so an intension subexpression that
+    can overflow is named as transform names it. Compile failures raise
+    CompileError with compiler output; a compiler or driver that cannot be
+    started or times out, and a driver that exits nonzero or prints anything
+    but one verdict per assignment, raise VerifyError.
     """
+    check_encodable(csp)
     assignments, exhaustive = _assignment_plan(csp, bound)
     constraints = csp.constraints()
     expected = [

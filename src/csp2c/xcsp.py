@@ -54,6 +54,12 @@ from .model import (
 # one entry of an <args> row: a flattened variable id or an integer
 Arg = Union[str, int]
 
+_INT_RE = re.compile(r"-?\d+")
+_RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
+_PLACEHOLDER_RE = re.compile(r"%\d+")
+# a variable reference: a name, an array element `x[3]` or a whole array `x[]`
+_REFERENCE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d*)\])?")
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -150,7 +156,7 @@ def _fill_scope(scope: tuple[str, ...], args: Sequence[Arg]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     tag: str
     attrib: dict[str, str]
@@ -207,31 +213,93 @@ def _parse_xml(text: str | bytes) -> _Node:
 # Intensional expression syntax
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>-?\d+)"
-    r"|(?P<ph>%\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*)"
-    r"|(?P<punct>[(),]))"
-)
+# one token, after any whitespace: an integer, a `%i` placeholder, a name
+# (an operator or a variable, possibly an array element) or punctuation
+_TOKEN_RE = re.compile(r"\s*(-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),])")
 
 # n-ary in XCSP3; folded left-to-right into binary nodes
 _FOLDABLE = ("add", "mul", "and", "or")
 _BINARY_ONLY = ("sub", "eq", "ne", "lt", "le", "gt", "ge", "dist")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
+def _unexpected_character(text: str) -> str:
+    """The first character of `text` that starts no token."""
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise IntensionSyntaxError(f"unexpected character {rest[0]!r}")
-        tokens.append(m.group(m.lastgroup))
+    while m := _TOKEN_RE.match(text, pos):
         pos = m.end()
+    return text[pos:].lstrip()[0]
+
+
+def _tokenize(text: str) -> list[str]:
+    # findall skips what no token matches, so the tokens spell the text
+    # without its whitespace exactly when every character was matched
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        raise IntensionSyntaxError(f"unexpected character {_unexpected_character(text)!r}")
     return tokens
+
+
+def _build(op: str, args: list[Expr]) -> Expr:
+    if op in UNARY_OPS:
+        if len(args) != 1:
+            raise IntensionSyntaxError(f"{op} takes 1 argument, got {len(args)}")
+        if op == "abs" and isinstance(args[0], Binary) and args[0].op == "sub":
+            return Binary("dist", args[0].left, args[0].right)
+        return Unary(op, args[0])
+    if op in _FOLDABLE:
+        if len(args) < 2:
+            raise IntensionSyntaxError(f"{op} takes at least 2 arguments")
+        node = args[0]
+        for right in args[1:]:
+            node = Binary(op, node, right)
+        return node
+    if op in _BINARY_ONLY:
+        if len(args) != 2:
+            raise IntensionSyntaxError(f"{op} takes 2 arguments, got {len(args)}")
+        return Binary(op, args[0], args[1])
+    raise IntensionSyntaxError(f"unknown operator {op!r}")
+
+
+def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
+    """The tree of functional prefix syntax, each variable or `%i` token
+    turned into a leaf by `leaf`, left to right, as the tree is built."""
+    tokens = _tokenize(text)
+    end = len(tokens)
+    pos = 0
+
+    def expr() -> Expr:
+        nonlocal pos
+        if pos == end:
+            raise IntensionSyntaxError("unexpected end of expression")
+        tok = tokens[pos]
+        pos += 1
+        first = tok[0]
+        if first == "-" or first.isdecimal():
+            return Const(int(tok))
+        if first in "(),":
+            raise IntensionSyntaxError(f"unexpected {tok!r}")
+        if first == "%" or pos == end or tokens[pos] != "(":
+            return leaf(tok)
+        pos += 1
+        args = [expr()]
+        while pos < end and tokens[pos] == ",":
+            pos += 1
+            args.append(expr())
+        if pos == end:
+            raise IntensionSyntaxError("unexpected end of expression")
+        if tokens[pos] != ")":
+            raise IntensionSyntaxError(f"expected ')', found {tokens[pos]!r}")
+        pos += 1
+        return _build(tok, args)
+
+    tree = expr()
+    if pos != end:
+        raise IntensionSyntaxError(f"trailing input after expression: {tokens[pos]!r}")
+    return tree
+
+
+def _unresolved_leaf(token: str) -> Expr:
+    return Placeholder(int(token[1:])) if token[0] == "%" else Var(token)
 
 
 def parse_intension(text: str) -> Expr:
@@ -240,68 +308,7 @@ def parse_intension(text: str) -> Expr:
     `%i` placeholders are kept as Placeholder nodes, which a <group>'s args
     rows fill; abs(sub(a,b)) is normalized to dist(a,b).
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise IntensionSyntaxError("unexpected end of expression")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise IntensionSyntaxError(f"expected {expected!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    def expr() -> Expr:
-        tok = take()
-        if re.fullmatch(r"-?\d+", tok):
-            return Const(int(tok))
-        if tok.startswith("%"):
-            return Placeholder(int(tok[1:]))
-        if tok in "(),":
-            raise IntensionSyntaxError(f"unexpected {tok!r}")
-        if peek() == "(":
-            return call(tok)
-        return Var(tok)
-
-    def call(op: str) -> Expr:
-        take("(")
-        args = [expr()]
-        while peek() == ",":
-            take(",")
-            args.append(expr())
-        take(")")
-        return build(op, args)
-
-    def build(op: str, args: list[Expr]) -> Expr:
-        if op in UNARY_OPS:
-            if len(args) != 1:
-                raise IntensionSyntaxError(f"{op} takes 1 argument, got {len(args)}")
-            node = Unary(op, args[0])
-            if op == "abs" and isinstance(args[0], Binary) and args[0].op == "sub":
-                return Binary("dist", args[0].left, args[0].right)
-            return node
-        if op in _FOLDABLE:
-            if len(args) < 2:
-                raise IntensionSyntaxError(f"{op} takes at least 2 arguments")
-            node = args[0]
-            for right in args[1:]:
-                node = Binary(op, node, right)
-            return node
-        if op in _BINARY_ONLY:
-            if len(args) != 2:
-                raise IntensionSyntaxError(f"{op} takes 2 arguments, got {len(args)}")
-            return Binary(op, args[0], args[1])
-        raise IntensionSyntaxError(f"unknown operator {op!r}")
-
-    tree = expr()
-    if pos != len(tokens):
-        raise IntensionSyntaxError(f"trailing input after expression: {tokens[pos]!r}")
-    return tree
+    return _parse_tree(text, _unresolved_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +329,8 @@ class _DocParser:
         # every <var> id of the document, so no array element takes one
         self._scalar_ids: set[str] = set()
         self._group_counter = 0
+        # intension leaf token -> its resolved Var, shared by every tree
+        self._leaves: dict[str, Var] = {}
 
     def error(self, node: _Node, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic("error", node.path, node.line, message))
@@ -334,11 +343,11 @@ class _DocParser:
     def parse_domain(self, node: _Node) -> Domain | None:
         ranges: list[tuple[int, int]] = []
         for token in node.text.split():
-            m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", token)
+            m = _RANGE_RE.fullmatch(token)
             if m:
                 ranges.append((int(m.group(1)), int(m.group(2))))
                 continue
-            if re.fullmatch(r"-?\d+", token):
+            if _INT_RE.fullmatch(token):
                 v = int(token)
                 ranges.append((v, v))
                 continue
@@ -414,40 +423,41 @@ class _DocParser:
     def resolve_token(
         self, node: _Node, token: str, *, allow_placeholder: bool, allow_int: bool
     ) -> Union[str, int, None]:
-        if re.fullmatch(r"%\d+", token):
+        if _PLACEHOLDER_RE.fullmatch(token):
             if allow_placeholder:
                 return token
             self.error(node, f"placeholder {token} outside a <group> template")
             return None
-        if re.fullmatch(r"-?\d+", token):
+        if _INT_RE.fullmatch(token):
             if allow_int:
                 return int(token)
             self.error(node, f"integer {token} where a variable is required")
             return None
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", token)
-        if m:
-            flat = self.flatten_map.get(token)
-            if flat is None:
-                self.error(node, f"reference to undeclared array element {token!r}")
-                return None
-            return flat
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*\[\]", token):
-            return token  # expanded by resolve_scope
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
+        m = _REFERENCE_RE.fullmatch(token)
+        if m is None:
+            self.error(node, f"cannot parse variable token {token!r}")
+            return None
+        index = m.group(2)
+        if index is None:
             if token in self._declared:
                 return token
             self.error(node, f"reference to undeclared variable {token!r}")
             return None
-        self.error(node, f"cannot parse variable token {token!r}")
-        return None
+        if not index:
+            return token  # a whole array, expanded by resolve_scope
+        flat = self.flatten_map.get(token)
+        if flat is None:
+            self.error(node, f"reference to undeclared array element {token!r}")
+            return None
+        return flat
 
     def resolve_scope(
         self, node: _Node, text: str, *, allow_placeholder: bool, allow_int: bool = False
     ) -> list[Union[str, int]] | None:
         out: list[Union[str, int]] = []
         for token in text.split():
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\[\]", token)
-            if m:
+            m = _REFERENCE_RE.fullmatch(token)
+            if m and m.group(2) == "":
                 members = self._arrays.get(m.group(1))
                 if not members:
                     self.error(node, f"reference to undeclared array {m.group(1)!r}")
@@ -484,7 +494,7 @@ class _DocParser:
                 if item == "*":
                     self.error(node, "wildcard (*) tuples are not supported")
                     return None
-                if not re.fullmatch(r"-?\d+", item):
+                if not _INT_RE.fullmatch(item):
                     self.error(node, f"cannot parse tuple value {item!r}")
                     return None
             tuples.append(tuple(int(item) for item in items))
@@ -508,7 +518,8 @@ class _DocParser:
     ) -> _Template | None:
         """`make` over `scope`, whose `%i` tokens an args row fills. The
         model's checks run once here, each `%i` standing for a variable of
-        its own, and again on every row."""
+        its own; each row checks its scope again, and a table's shared tuple
+        list is not checked again."""
         try:
             checked = make(scope)
         except ModelError as exc:
@@ -517,7 +528,7 @@ class _DocParser:
         slots = tuple(sorted({int(v[1:]) for v in scope if v.startswith("%")}))
         if not slots:
             return _Template((), lambda args: checked)
-        return _Template(slots, lambda args: make(_fill_scope(scope, args)))
+        return _Template(slots, lambda args: checked.with_scope(_fill_scope(scope, args)))
 
     def parse_extension(self, node: _Node, *, templated: bool) -> _Template | None:
         list_node = None
@@ -556,33 +567,34 @@ class _DocParser:
         if node.children:
             self.error(node, "unsupported <intension> with child elements")
             return None
-        try:
-            tree = parse_intension(node.text.strip())
-        except IntensionSyntaxError as exc:
-            self.error(node, f"bad intension expression: {exc}")
-            return None
         slots: set[int] = set()
-        failed = False
 
-        def resolve(leaf: Expr) -> Expr:
-            nonlocal failed
-            if isinstance(leaf, Var):
+        def leaf(token: str) -> Expr:
+            if token[0] == "%":
+                index = int(token[1:])
+                if not templated:
+                    self.error(node, f"placeholder %{index} outside a <group> template")
+                slots.add(index)
+                return Placeholder(index)
+            var = self._leaves.get(token)
+            if var is None:
                 resolved = self.resolve_token(
-                    node, leaf.name, allow_placeholder=False, allow_int=False
+                    node, token, allow_placeholder=False, allow_int=False
                 )
                 if resolved is None:
-                    failed = True
-                    return leaf
-                return Var(str(resolved))
-            if isinstance(leaf, Placeholder):
-                if not templated:
-                    self.error(node, f"placeholder %{leaf.index} outside a <group> template")
-                    failed = True
-                slots.add(leaf.index)
-            return leaf
+                    return Var(token)
+                var = self._leaves[token] = Var(str(resolved))
+            return var
 
-        tree = _map_leaves(tree, resolve)
-        if failed:
+        # a leaf's diagnostics stand only if the whole expression parses
+        mark = len(self.diagnostics)
+        try:
+            tree = _parse_tree(node.text.strip(), leaf)
+        except IntensionSyntaxError as exc:
+            del self.diagnostics[mark:]
+            self.error(node, f"bad intension expression: {exc}")
+            return None
+        if len(self.diagnostics) > mark:
             return None
         if not slots:
             constraint = IntensionConstraint(tree)

@@ -6,6 +6,7 @@ import json
 import os
 import shlex
 import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -278,6 +279,65 @@ class TestOverflowIsAnError:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "32-bit" in err
+
+
+# instances whose C arithmetic can overflow though every value is in range,
+# with the subexpression that overflows
+PRODUCT_OVERFLOWS = {
+    "product": ("x y", "eq(mul(x,y),6)", "mul(x,y) takes values in 0..10000000000"),
+    "sum-of-square": ("y z", "eq(add(y,mul(z,z)),1)", "mul(z,z) takes values in 0..10000000000"),
+}
+
+
+@pytest.mark.parametrize("command", ["gen", "bench", "verify"])
+@pytest.mark.parametrize("case", list(PRODUCT_OVERFLOWS))
+def test_overflowing_subexpression_is_named(capsys, tmp_path, cc_template, command, case):
+    names, expr, message = PRODUCT_OVERFLOWS[case]
+    xml = tmp_path / f"{case}.xml"
+    xml.write_text(
+        '<instance format="XCSP3" type="CSP"><variables>'
+        + "".join(f'<var id="{name}"> 0..100000 </var>' for name in names.split())
+        + f"</variables><constraints><intension> {expr} </intension></constraints></instance>"
+    )
+    out_dir = tmp_path / "o"
+    if command == "gen":
+        argv = ["gen", str(xml), "--family", "intensional", "--out-dir", str(out_dir)]
+    elif command == "verify":
+        argv = ["verify", str(xml), "--cc", cc_template]
+    else:
+        tools = tmp_path / "tools.json"
+        tools.write_text(json.dumps([{"name": "t", "run": "true {src}", "kind": "analysis"}]))
+        instances = tmp_path / "instances.json"
+        instances.write_text(json.dumps([{"path": str(xml), "family": "intensional", "size": 1}]))
+        argv = ["bench", "--tools", str(tools), "--instances", str(instances),
+                "--out-dir", str(out_dir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert not list(out_dir.rglob("*.c"))
+
+
+def test_solve_on_a_huge_domain_is_an_error_within_400_mb(tmp_path):
+    """Listing 2*10**9 values would need gigabytes; the oracle refuses first."""
+    resource = pytest.importorskip("resource")
+    xml = tmp_path / "huge.xml"
+    xml.write_text(
+        '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..2000000000 </var>'
+        "</variables><constraints><intension> eq(x,5) </intension></constraints></instance>"
+    )
+    limit = 400 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "csp2c", "solve", str(xml)],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: domain 0..2000000000 has 2000000001 values")
+    assert "Traceback" not in proc.stderr
 
 
 class TestVerifyCommand:

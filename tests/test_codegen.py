@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import subprocess
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csp2c.codegen import (
     DRIVER_PRELUDE,
@@ -16,10 +19,15 @@ from csp2c.codegen import (
     build_unit,
     driver_main,
     output_filename,
+    source_filename,
     transform,
     version_count,
 )
 from csp2c.model import (
+    BINARY_OPS,
+    INT32_MAX,
+    INT32_MIN,
+    UNARY_OPS,
     Binary,
     Const,
     CspInstance,
@@ -27,10 +35,11 @@ from csp2c.model import (
     IntensionConstraint,
     Polarity,
     TableConstraint,
+    Unary,
     Var,
     VariableDecl,
 )
-from csp2c.oracle import all_assignments
+from csp2c.oracle import all_assignments, eval_expr
 from csp2c.verify import compile_program
 
 from conftest import GOLDEN_DIR, load_corpus
@@ -471,3 +480,174 @@ class TestErrors:
         assert program.var_map["int"] == "int_v"
         assert program.var_map["while"] == "while_v"
         assert "int int_v, while_v;" in program.source_text
+
+
+def ranged_instance(bounds: dict[str, tuple[int, int]], expr, name: str = "ranges") -> CspInstance:
+    return CspInstance(
+        name=name,
+        variables=tuple(VariableDecl(v, Domain((lohi,))) for v, lohi in bounds.items()),
+        groups=((IntensionConstraint(expr),),),
+    )
+
+
+def intensional_specs():
+    return [
+        TransformSpec(Family.INTENSIONAL, version, dialect)
+        for version in range(1, version_count(Family.INTENSIONAL) + 1)
+        for dialect in Dialect
+    ]
+
+
+X_Y = {"x": (0, 100_000), "y": (0, 100_000)}
+MIN_ZERO = {"m": (INT32_MIN, 0), "z": (0, 0)}
+
+# (variable bounds, expression, the message naming the subexpression that
+# can leave 32-bit signed range)
+OVERFLOWS = {
+    "product": (X_Y, Binary("eq", Binary("mul", Var("x"), Var("y")), Const(6)),
+                "mul(x,y) takes values in 0..10000000000"),
+    "inner-square": (
+        {"y": (0, 100_000), "z": (0, 100_000)},
+        Binary("eq", Binary("add", Var("y"), Binary("mul", Var("z"), Var("z"))), Const(1)),
+        "mul(z,z) takes values in 0..10000000000",
+    ),
+    # the largest product is of the two lower bounds
+    "mixed-sign-product": (
+        {"n": (-1, 0), "m": (INT32_MIN, INT32_MIN + 1)},
+        Binary("ne", Binary("mul", Var("n"), Var("m")), Const(0)),
+        "mul(n,m) takes values in 0..2147483648",
+    ),
+    "neg-min": (MIN_ZERO, Binary("gt", Unary("neg", Var("m")), Const(0)),
+                "neg(m) takes values in 0..2147483648"),
+    "abs-min": (MIN_ZERO, Binary("gt", Unary("abs", Var("m")), Const(0)),
+                "abs(m) takes values in 0..2147483648"),
+    "dist-min": (MIN_ZERO, Binary("gt", Binary("dist", Var("m"), Var("z")), Const(0)),
+                 "dist(m,z) takes values in 0..2147483648"),
+    "sum-past-max": (
+        {"x": (0, 1)}, Binary("lt", Binary("add", Var("x"), Const(INT32_MAX)), Const(0)),
+        f"add(x,{INT32_MAX}) takes values in {INT32_MAX}..{INT32_MAX + 1}",
+    ),
+    "difference-past-min": (
+        MIN_ZERO, Binary("lt", Binary("sub", Var("m"), Const(1)), Const(0)),
+        f"sub(m,1) takes values in {INT32_MIN - 1}..-1",
+    ),
+}
+
+ACCEPTED = {
+    # 46340**2 fits, 46341**2 does not
+    "largest-square": ({"x": (0, 46_340)}, Binary("eq", Binary("mul", Var("x"), Var("x")), Const(6))),
+    # comparisons and logic give 0 or 1, whatever their operands
+    "scaled-truth": (
+        X_Y,
+        Binary("ne", Binary("mul", Binary("and", Binary("ge", Var("x"), Var("y")), Var("x")),
+                            Const(INT32_MAX)), Const(0)),
+    ),
+    "neg-above-min": ({"m": (INT32_MIN + 1, 0)}, Binary("gt", Unary("neg", Var("m")), Const(0))),
+    "not-of-min": ({"m": (INT32_MIN, 0)}, Unary("not", Var("m"))),
+}
+
+
+class TestIntervalPass:
+    @pytest.mark.parametrize("case", list(OVERFLOWS))
+    def test_subexpression_that_can_overflow_is_named(self, case):
+        bounds, expr, message = OVERFLOWS[case]
+        csp = ranged_instance(bounds, expr)
+        for spec in intensional_specs():
+            with pytest.raises(CodegenError) as info:
+                transform(csp, spec)
+            assert str(info.value) == message + ", outside 32-bit signed range"
+
+    @pytest.mark.parametrize("case", list(ACCEPTED))
+    def test_ranges_that_fit_are_accepted(self, case):
+        bounds, expr = ACCEPTED[case]
+        for spec in intensional_specs():
+            assert transform(ranged_instance(bounds, expr), spec).statement_count == 1
+
+
+# values near the edges of int32 and of its square root, and small ones
+EDGES = (INT32_MIN, INT32_MIN + 1, -65536, -46341, -46340, 46340, 46341, 65536,
+         INT32_MAX - 1, INT32_MAX)
+SCALARS = st.one_of(st.integers(-3, 3), st.sampled_from(EDGES), st.integers(INT32_MIN, INT32_MAX))
+BOUNDS = st.tuples(SCALARS, st.integers(0, 2)).map(lambda t: (t[0], min(t[0] + t[1], INT32_MAX)))
+TREES = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["a", "b"])), st.builds(Const, SCALARS)),
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(UNARY_OPS), sub),
+        st.builds(Binary, st.sampled_from(BINARY_OPS), sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=BOUNDS, b=BOUNDS, expr=TREES)
+def test_accepted_instances_never_overflow_in_the_oracle(a, b, expr):
+    """The oracle checks every intermediate value of every assignment; the
+    interval pass must never accept an instance on which one leaves int32."""
+    csp = ranged_instance({"a": a, "b": b}, expr)
+    try:
+        transform(csp, TransformSpec(Family.INTENSIONAL, 1))
+    except CodegenError:
+        return
+    for assignment in all_assignments(csp):
+        eval_expr(expr, assignment)  # Int32Overflow fails the test
+
+
+def fresh_transform(csp: CspInstance, spec: TransformSpec) -> str:
+    """The program or the CodegenError message for `spec`, from a copy of
+    `csp` that no transform has seen."""
+    try:
+        return transform(dataclasses.replace(csp), spec).source_text
+    except CodegenError as exc:
+        return f"CodegenError: {exc}"
+
+
+def transform_text(csp: CspInstance, spec: TransformSpec) -> str:
+    try:
+        return transform(csp, spec).source_text
+    except CodegenError as exc:
+        return f"CodegenError: {exc}"
+
+
+class TestAnalysisMemo:
+    def test_instances_sharing_a_name_do_not_share_an_analysis(self):
+        bounds = {"x": (0, 3), "y": (0, 3)}
+        first = ranged_instance(bounds, Binary("lt", Var("x"), Var("y")), name="twin")
+        second = ranged_instance(
+            bounds,
+            Binary("or", Binary("eq", Binary("dist", Var("x"), Var("y")), Const(1)),
+                   Binary("eq", Var("x"), Const(0))),
+            name="twin",
+        )
+        for spec in intensional_specs():
+            want = {id(csp): fresh_transform(csp, spec) for csp in (first, second)}
+            assert want[id(first)] != want[id(second)]
+            for csp in (first, second, second, first):
+                assert transform_text(csp, spec) == want[id(csp)]
+
+    def test_corpus_cells_in_reverse_order_match_fresh_transforms_and_golden(self):
+        instances = {name: load_corpus(name) for names in CORPUS_BY_FAMILY.values() for name in names}
+        cells = [
+            (name, TransformSpec(family, version, dialect))
+            for name in instances
+            for family in Family
+            for version in range(1, version_count(family) + 1)
+            for dialect in Dialect
+        ]
+        golden = 0
+        for name, spec in reversed(cells):
+            text = transform_text(instances[name], spec)
+            assert text == fresh_transform(instances[name], spec), (name, spec)
+            path = golden_path(source_filename(name, spec.version_label, spec.dialect.value))
+            if os.path.exists(path):
+                golden += 1
+                with open(path, "r", encoding="utf-8") as fh:
+                    assert text == fh.read()
+        assert golden == len(os.listdir(GOLDEN_DIR))
+
+    def test_memo_keeps_no_instance_alive(self):
+        csp = load_corpus("dist_alldiff")
+        ref = weakref.ref(csp)
+        transform(csp, TransformSpec(Family.INTENSIONAL, 1))
+        del csp
+        assert ref() is None

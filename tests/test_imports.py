@@ -1,8 +1,9 @@
 """Structure rules of the package, read from its source.
 
 csp2c depends on the standard library alone (`dependencies = []`); the
-oracle, the independent reference, imports only the model; the model
-imports no other csp2c module; and codegen alone writes replay-driver C.
+oracle, the independent reference, imports only the model, and codegen
+does not import the oracle; the model imports no other csp2c module; and
+codegen alone writes replay-driver C.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def test_absolute_imports_are_standard_library(path):
 def test_oracle_imports_only_the_model():
     _, siblings = imports(PACKAGE / "oracle.py")
     assert siblings == {"model"}
+
+
+def test_codegen_does_not_import_the_oracle():
+    """codegen's interval analysis and the oracle's evaluator stay apart, so
+    each checks the other."""
+    _, siblings = imports(PACKAGE / "codegen.py")
+    assert "oracle" not in siblings
 
 
 def test_model_imports_no_other_csp2c_module():

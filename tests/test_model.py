@@ -10,6 +10,7 @@ from csp2c.model import (
     CspInstance,
     Domain,
     IntensionConstraint,
+    MAX_LISTED_VALUES,
     ModelError,
     Polarity,
     TableConstraint,
@@ -56,7 +57,26 @@ class TestDomain:
         assert d.values() == sorted(expected)
 
 
+    def test_values_refuses_a_domain_too_large_to_list(self):
+        assert len(Domain(((1, MAX_LISTED_VALUES),)).values()) == MAX_LISTED_VALUES
+        with pytest.raises(ModelError, match="0..2000000000 has 2000000001 values"):
+            Domain(((0, 2 * 10**9),)).values()
+        with pytest.raises(ModelError, match="more than the"):
+            Domain(((0, 0), (2, MAX_LISTED_VALUES + 1))).values()
+
+
 class TestConstraintInvariants:
+    def test_with_scope_shares_the_tuples_and_checks_the_scope(self):
+        table = TableConstraint(("%0", "%1"), Polarity.CONFLICTS, ((0, 1), (1, 0)))
+        row = table.with_scope(("a", "b"))
+        assert row == TableConstraint(("a", "b"), Polarity.CONFLICTS, ((0, 1), (1, 0)))
+        assert row.tuples is table.tuples
+        with pytest.raises(ModelError, match="repeated variables"):
+            table.with_scope(("a", "a"))
+        with pytest.raises(ModelError, match="arity"):
+            table.with_scope(("a", "b", "c"))
+        assert AllDifferent(("%0", "%1")).with_scope(("a", "b")) == AllDifferent(("a", "b"))
+
     def test_tuple_arity_checked(self):
         with pytest.raises(ModelError, match="arity"):
             TableConstraint(("a", "b", "c"), Polarity.SUPPORTS, ((0, 1),))

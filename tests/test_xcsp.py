@@ -396,3 +396,40 @@ class TestFlattenedNames:
         assert diagnostics(text) == [
             "error at /instance[1]/variables[1]/array[2] (line 1): duplicate variable id 'x0'"
         ]
+
+
+class TestOnePassIntension:
+    """Each <intension> is tokenized by one scan and its leaves resolved as
+    the tree is built."""
+
+    def test_one_var_per_token_per_document(self):
+        csp = parse_document(
+            document(SIX, "<intension> eq(x[1],x[2]) </intension><intension> lt(x[2],x[1]) </intension>")
+        )
+        first, second = csp.constraints()
+        assert first.expr.left is second.expr.right and first.expr.right is second.expr.left
+        assert first.expr.left == Var("x1")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a syntax error stands alone: the leaves before it report nothing
+            ("eq(y,x[0]))", "bad intension expression: trailing input after expression: ')'"),
+            ("eq(y,x[0]", "bad intension expression: unexpected end of expression"),
+            # an unexpected character is found before the tree is built
+            ("eq(y,x[0]$)", "bad intension expression: unexpected character '$'"),
+            ("eq(y,%%1)", "bad intension expression: unexpected character '%'"),
+        ],
+    )
+    def test_syntax_errors_hide_leaf_errors(self, text, message):
+        assert diagnostics(document(SIX, f"<intension> {text} </intension>")) == [
+            f"error at /instance[1]/constraints[1]/intension[1] (line 1): {message}"
+        ]
+
+    def test_leaf_errors_are_reported_left_to_right(self):
+        where = "error at /instance[1]/constraints[1]/intension[1] (line 1)"
+        assert diagnostics(document(SIX, "<intension> eq(add(y,%1),x[9]) </intension>")) == [
+            f"{where}: reference to undeclared variable 'y'",
+            f"{where}: placeholder %1 outside a <group> template",
+            f"{where}: reference to undeclared array element 'x[9]'",
+        ]
