@@ -11,39 +11,49 @@ parse diagnostics exit 2, an error in `_EXIT_CODES` prints `error: ...`
 and exits with its code, and any other exception is a bug and keeps its
 traceback.
 The CSP2C_CC environment variable sets the default C compiler template
-(default: "cc -O1 -o {out} {src}").
+(default: "cc -O1 -o {out} {src}"); it is read when `verify` runs.
+
+A command loads only the modules it runs. The model, the parser and the
+oracle are imported with this module; codegen, verify, harness and charts
+are bound here as lazy modules, registered in sys.modules at once but run
+on first attribute access, so `parse` and `solve` never execute them (nor
+the `subprocess` and `concurrent.futures` imports they bring).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
+import types
 from dataclasses import replace
+from typing import Callable
 
-from . import charts, harness
-from .codegen import (
-    Dialect,
-    Family,
-    TransformSpec,
-    family_of,
-    output_filename,
-    transform,
-    version_count,
-    CodegenError,
-)
-from .model import ModelError
-from .oracle import DEFAULT_LIMIT, EvalError, Status, solve
-from .verify import (
-    COMPILE_FIELDS,
-    DEFAULT_EXHAUSTIVE_BOUND,
-    VerifyStatus,
-    default_compile_command,
-    differential_check,
-    VerifyError,
-)
+from .oracle import DEFAULT_LIMIT, Status, solve
 from .xcsp import ParseFailure, parse_file
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The csp2c module `name`, executed on first attribute access (the
+    importlib.util.LazyLoader recipe); an imported module is returned as is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+codegen = _lazy("codegen")
+verify = _lazy("verify")
+harness = _lazy("harness")
+charts = _lazy("charts")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,16 +61,26 @@ EXIT_PARSE = 2
 EXIT_LIMIT = 3
 
 # the exit code of each error a command raises on bad input or a failed
-# check, reported as "error: ..."; any other exception is a bug
-_EXIT_CODES: dict[type[Exception], int] = {
-    VerifyError: EXIT_FAIL,  # CompileError too
-    CodegenError: EXIT_PARSE,
-    EvalError: EXIT_PARSE,  # Int32Overflow too
-    ModelError: EXIT_PARSE,  # a domain too large to enumerate
-    harness.HarnessError: EXIT_PARSE,
-    argparse.ArgumentTypeError: EXIT_PARSE,
-    OSError: EXIT_PARSE,
+# check, reported as "error: ..."; any other exception is a bug. A class is
+# named by module and qualified name, so matching an error loads no module.
+_EXIT_CODES: dict[str, int] = {
+    "csp2c.verify.VerifyError": EXIT_FAIL,  # CompileError too
+    "csp2c.codegen.CodegenError": EXIT_PARSE,
+    "csp2c.oracle.EvalError": EXIT_PARSE,  # Int32Overflow too
+    "csp2c.model.ModelError": EXIT_PARSE,  # a domain too large to enumerate
+    "csp2c.harness.HarnessError": EXIT_PARSE,
+    "argparse.ArgumentTypeError": EXIT_PARSE,
+    "builtins.OSError": EXIT_PARSE,
 }
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The code of the nearest class of `exc` in `_EXIT_CODES`; None for a bug."""
+    for cls in type(exc).__mro__:
+        code = _EXIT_CODES.get(f"{cls.__module__}.{cls.__qualname__}")
+        if code is not None:
+            return code
+    return None
 
 
 def _plural(n: int, word: str) -> str:
@@ -68,18 +88,18 @@ def _plural(n: int, word: str) -> str:
 
 
 def _parse_versions(
-    value: str, family: Family, dialect: Dialect = Dialect.KLEE
-) -> list[TransformSpec]:
+    value: str, family: codegen.Family, dialect: str = "klee"
+) -> list[codegen.TransformSpec]:
     """The specs of a `--versions` list ("all" or e.g. "1,5,8"); a bad list
     raises ArgumentTypeError, a version out of range CodegenError."""
     if value == "all":
-        numbers = list(range(1, version_count(family) + 1))
+        numbers = list(range(1, codegen.version_count(family) + 1))
     else:
         try:
             numbers = [int(v) for v in value.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad version list {value!r}") from None
-    return [TransformSpec(family, v, dialect) for v in numbers]
+    return [codegen.TransformSpec(family, v, codegen.Dialect(dialect)) for v in numbers]
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +140,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     csp = parse_file(args.file)
-    specs = _parse_versions(args.versions, Family(args.family), Dialect(args.dialect))
+    specs = _parse_versions(args.versions, codegen.Family(args.family), args.dialect)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for spec in specs:
-        program = transform(csp, spec)
-        path = os.path.join(args.out_dir, output_filename(program))
+        program = codegen.transform(csp, spec)
+        path = os.path.join(args.out_dir, codegen.output_filename(program))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(program.source_text)
         rows.append(
@@ -184,9 +204,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     csp = parse_file(args.file)
-    specs = _parse_versions(args.versions, family_of(csp.constraints()))
-    harness.check_template(args.cc, COMPILE_FIELDS)
-    report = differential_check(csp, specs, args.cc, bound=args.bound, workers=args.workers)
+    specs = _parse_versions(args.versions, codegen.family_of(csp.constraints()))
+    cc = verify.default_compile_command() if args.cc is None else args.cc
+    bound = verify.DEFAULT_EXHAUSTIVE_BOUND if args.bound is None else args.bound
+    harness.check_template(cc, verify.COMPILE_FIELDS)
+    report = verify.differential_check(csp, specs, cc, bound=bound, workers=args.workers)
     first = None
     if report.mismatches:
         m = report.mismatches[0]
@@ -220,9 +242,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(
                 f"  mismatch {m.version_label}: [{a}] oracle={m.expected} driver={m.observed}"
             )
-    if report.status is VerifyStatus.PASS:
+    if report.status is verify.VerifyStatus.PASS:
         return EXIT_OK
-    if report.status is VerifyStatus.FAIL:
+    if report.status is verify.VerifyStatus.FAIL:
         return EXIT_FAIL
     return EXIT_LIMIT
 
@@ -243,10 +265,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             csp = parse_file(inst.path)
             labels = []
-            for spec in _parse_versions(args.versions, Family(inst.family)):
+            for spec in _parse_versions(args.versions, codegen.Family(inst.family)):
                 for dialect in dialects:
-                    program = transform(csp, replace(spec, dialect=Dialect(dialect)))
-                    path = os.path.join(src_dir, output_filename(program))
+                    program = codegen.transform(
+                        csp, replace(spec, dialect=codegen.Dialect(dialect))
+                    )
+                    path = os.path.join(src_dir, codegen.output_filename(program))
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.write(program.source_text)
                 labels.append(spec.version_label)
@@ -254,8 +278,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ParseFailure(
                 [replace(d, path=f"{inst.path}:{d.path}") for d in exc.diagnostics]
             ) from None
-        except CodegenError as exc:
-            raise CodegenError(f"{inst.path}: {exc}") from None
+        except codegen.CodegenError as exc:
+            raise codegen.CodegenError(f"{inst.path}: {exc}") from None
         labels_by_family[inst.family] = labels
 
     records = harness.run_matrix(instances, labels_by_family, tools, src_dir, workers=args.workers)
@@ -292,14 +316,19 @@ def _write_report(
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
-    return number
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least `minimum`."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {number}")
+        return number
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument(
         "--limit",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=DEFAULT_LIMIT,
         help="search budget: leaves plus pruned branches, and this many live "
         "values per filter on average (default %(default)s)",
@@ -340,18 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--versions", default="all")
     p.add_argument(
         "--cc",
-        default=default_compile_command(),
         help="compiler template with {src} and {out} (env CSP2C_CC)",
     )
     p.add_argument(
         "--bound",
-        type=int,
-        default=DEFAULT_EXHAUSTIVE_BOUND,
+        type=_int_at_least(0),
         help="max exhaustive assignments",
     )
     p.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help="translation units, each holding a share of the versions, built and run at once",
     )
@@ -365,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--versions", default="all")
     p.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help="jobs run at once; above 1 the records are stamped as indicative",
     )
@@ -396,9 +423,12 @@ def main(argv: list[str] | None = None) -> int:
             for d in exc.diagnostics:
                 print(str(d), file=sys.stderr)
         return EXIT_PARSE
-    except tuple(_EXIT_CODES) as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+        return code
 
 
 if __name__ == "__main__":

@@ -217,6 +217,11 @@ def _parse_xml(text: str | bytes) -> _Node:
 # (an operator or a variable, possibly an array element) or punctuation
 _TOKEN_RE = re.compile(r"\s*(-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),])")
 
+# The most operators on one path from an intension's root to a leaf. The
+# oracle's evaluator and codegen's passes recurse once per level, and
+# Python's default recursion limit is 1000 frames; this keeps half of them
+# for the caller's own stack.
+MAX_EXPR_DEPTH = 500
 # n-ary in XCSP3; folded left-to-right into binary nodes
 _FOLDABLE = ("add", "mul", "and", "or")
 _BINARY_ONLY = ("sub", "eq", "ne", "lt", "le", "gt", "ge", "dist")
@@ -239,35 +244,47 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _build(op: str, args: list[Expr]) -> Expr:
+def _build(op: str, args: list[tuple[Expr, int]]) -> tuple[Expr, int]:
+    """The node of `op` over its (argument, depth) pairs, with its depth."""
     if op in UNARY_OPS:
         if len(args) != 1:
             raise IntensionSyntaxError(f"{op} takes 1 argument, got {len(args)}")
-        if op == "abs" and isinstance(args[0], Binary) and args[0].op == "sub":
-            return Binary("dist", args[0].left, args[0].right)
-        return Unary(op, args[0])
+        [(arg, depth)] = args
+        if op == "abs" and isinstance(arg, Binary) and arg.op == "sub":
+            return Binary("dist", arg.left, arg.right), depth
+        return Unary(op, arg), depth + 1
     if op in _FOLDABLE:
         if len(args) < 2:
             raise IntensionSyntaxError(f"{op} takes at least 2 arguments")
-        node = args[0]
-        for right in args[1:]:
+        node, depth = args[0]
+        for right, right_depth in args[1:]:
             node = Binary(op, node, right)
-        return node
+            depth = max(depth, right_depth) + 1
+        return node, depth
     if op in _BINARY_ONLY:
         if len(args) != 2:
             raise IntensionSyntaxError(f"{op} takes 2 arguments, got {len(args)}")
-        return Binary(op, args[0], args[1])
+        (left, left_depth), (right, right_depth) = args
+        return Binary(op, left, right), max(left_depth, right_depth) + 1
     raise IntensionSyntaxError(f"unknown operator {op!r}")
+
+
+def _too_deep() -> IntensionSyntaxError:
+    return IntensionSyntaxError(f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators")
 
 
 def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
     """The tree of functional prefix syntax, each variable or `%i` token
-    turned into a leaf by `leaf`, left to right, as the tree is built."""
+    turned into a leaf by `leaf`, left to right, as the tree is built.
+
+    Neither the written nesting nor the tree, where an n-ary operator folds
+    into n-1 levels, may be more than MAX_EXPR_DEPTH operators deep."""
     tokens = _tokenize(text)
     end = len(tokens)
     pos = 0
 
-    def expr() -> Expr:
+    def expr(nesting: int) -> tuple[Expr, int]:
+        """The next expression and its depth in operators."""
         nonlocal pos
         if pos == end:
             raise IntensionSyntaxError("unexpected end of expression")
@@ -275,16 +292,18 @@ def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
         pos += 1
         first = tok[0]
         if first == "-" or first.isdecimal():
-            return Const(int(tok))
+            return Const(int(tok)), 0
         if first in "(),":
             raise IntensionSyntaxError(f"unexpected {tok!r}")
         if first == "%" or pos == end or tokens[pos] != "(":
-            return leaf(tok)
+            return leaf(tok), 0
+        if nesting == MAX_EXPR_DEPTH:
+            raise _too_deep()
         pos += 1
-        args = [expr()]
+        args = [expr(nesting + 1)]
         while pos < end and tokens[pos] == ",":
             pos += 1
-            args.append(expr())
+            args.append(expr(nesting + 1))
         if pos == end:
             raise IntensionSyntaxError("unexpected end of expression")
         if tokens[pos] != ")":
@@ -292,9 +311,11 @@ def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
         pos += 1
         return _build(tok, args)
 
-    tree = expr()
+    tree, depth = expr(0)
     if pos != end:
         raise IntensionSyntaxError(f"trailing input after expression: {tokens[pos]!r}")
+    if depth > MAX_EXPR_DEPTH:
+        raise _too_deep()
     return tree
 
 

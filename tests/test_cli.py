@@ -236,6 +236,45 @@ class TestSolveCommand:
         assert args.limit == DEFAULT_LIMIT
 
 
+def deep_instance(tmp_path, args: int) -> str:
+    """x in 0..1 with `ge(add(x,...,x),0)` of `args` arguments, `args`
+    operators deep."""
+    path = tmp_path / f"deep{args}.xml"
+    path.write_text(
+        '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0 1 </var></variables>'
+        "<constraints><intension> ge(add(" + ",".join(["x"] * args) + "),0) </intension>"
+        "</constraints></instance>"
+    )
+    return str(path)
+
+
+class TestDeepExpressions:
+    """An intension deeper than the parser's limit exits 2 with a diagnostic
+    on every command; one at the limit runs through the recursive oracle
+    and codegen passes, here under pytest's own deep stack."""
+
+    @pytest.mark.parametrize("command", ["parse", "solve", "gen", "verify"])
+    def test_too_deep_is_a_parse_diagnostic(self, capsys, tmp_path, command):
+        from csp2c.xcsp import MAX_EXPR_DEPTH
+
+        extra = {"gen": ["--family", "intensional", "--out-dir", str(tmp_path)]}.get(command, [])
+        code, out, err = run_cli(capsys, command, deep_instance(tmp_path, 1200), *extra)
+        assert code == 2 and out == ""
+        assert err == (
+            "error at /instance[1]/constraints[1]/intension[1] (line 1): bad intension "
+            f"expression: nested deeper than the limit of {MAX_EXPR_DEPTH} operators\n"
+        )
+
+    def test_the_limit_runs_on_every_command(self, capsys, tmp_path, cc_template):
+        from csp2c.xcsp import MAX_EXPR_DEPTH
+
+        path = deep_instance(tmp_path, MAX_EXPR_DEPTH)
+        gen = ["gen", path, "--family", "intensional", "--out-dir", str(tmp_path)]
+        assert run_cli(capsys, "solve", path)[0] == 0
+        assert run_cli(capsys, *gen)[0] == 0
+        assert run_cli(capsys, "verify", path, "--versions", "1,2", "--cc", cc_template)[0] == 0
+
+
 class TestWorkersOption:
     @pytest.mark.parametrize("workers", ["0", "-3", "many"])
     @pytest.mark.parametrize("command", ["verify", "bench"])
@@ -412,6 +451,20 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", eq_ne)
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("bound", ["-1", "many"])
+    def test_bad_bound_is_usage_error(self, capsys, bound):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", corpus_path("valid", "eq_ne"), "--bound", bound])
+        assert info.value.code == 2
+        assert "--bound" in capsys.readouterr().err
+
+    def test_bound_0_samples(self, capsys, cc_template):
+        code, out, _ = run_cli(
+            capsys, "verify", corpus_path("valid", "eq_ne"), "--versions", "1",
+            "--cc", cc_template, "--bound", "0",
+        )
+        assert code == 3 and "sampled" in out
 
     def test_missing_compiler_exits_1(self, capsys):
         code, out, err = run_cli(

@@ -4,6 +4,7 @@ import pytest
 
 from csp2c.model import AllDifferent, Binary, Const, IntensionConstraint, Polarity, Var
 from csp2c.xcsp import (
+    MAX_EXPR_DEPTH,
     IntensionSyntaxError,
     ParseFailure,
     Placeholder,
@@ -433,3 +434,54 @@ class TestOnePassIntension:
             f"{where}: placeholder %1 outside a <group> template",
             f"{where}: reference to undeclared array element 'x[9]'",
         ]
+
+
+def nested(depth: int) -> str:
+    """An expression `depth` operators deep, written `depth` levels deep."""
+    return "neg(" * depth + "x" + ")" * depth
+
+
+def folded(depth: int) -> str:
+    """An expression `depth` operators deep, written 2 levels deep: n-ary
+    `add` folds into one level per argument after the first."""
+    return "ge(add(" + ",".join(["x"] * depth) + "),0)"
+
+
+class TestDepthLimit:
+    """An intension more than MAX_EXPR_DEPTH operators deep is a diagnostic,
+    so the recursive evaluators behind it never exhaust Python's stack."""
+
+    @pytest.mark.parametrize("text", [nested, folded], ids=["nested", "folded"])
+    def test_the_limit_is_accepted_and_one_more_is_rejected(self, text):
+        parse_intension(text(MAX_EXPR_DEPTH))
+        with pytest.raises(IntensionSyntaxError, match=f"limit of {MAX_EXPR_DEPTH} operators"):
+            parse_intension(text(MAX_EXPR_DEPTH + 1))
+
+    def test_far_deeper_nesting_is_rejected_before_the_stack_runs_out(self):
+        with pytest.raises(IntensionSyntaxError, match="limit"):
+            parse_intension(nested(50_000))
+
+    def test_abs_of_sub_counts_as_written(self):
+        """abs(sub(a,b)) becomes one dist node, but the parser nests twice."""
+        half = MAX_EXPR_DEPTH // 2
+        parse_intension("abs(sub(" * half + "x" + ",0))" * half)
+        with pytest.raises(IntensionSyntaxError, match="limit"):
+            parse_intension("abs(sub(" * (half + 1) + "x" + ",0))" * (half + 1))
+
+    def test_diagnostic_names_the_element_and_the_limit(self):
+        text = document('<var id="x"> 0 1 </var>', f"<intension> {folded(1200)} </intension>")
+        assert diagnostics(text) == [
+            "error at /instance[1]/constraints[1]/intension[1] (line 1): bad intension "
+            f"expression: nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
+        ]
+
+    def test_a_template_at_the_limit_is_filled(self):
+        template = "ge(add(" + ",".join(["%0"] * (MAX_EXPR_DEPTH - 1)) + "),%1)"
+        csp = parse_document(
+            document(
+                '<var id="x"> 0 1 </var><var id="y"> 0 1 </var>',
+                f"<group><intension> {template} </intension>"
+                "<args> x y </args><args> y x </args></group>",
+            )
+        )
+        assert [c.scope for c in csp.constraints()] == [("x", "y"), ("y", "x")]
