@@ -15,38 +15,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllDifferent",
-    "Construct",
-    "CspInstance",
-    "Dialect",
-    "Domain",
-    "Family",
-    "GeneratedProgram",
-    "Grouping",
-    "IntensionConstraint",
-    "Operator",
-    "ParseDiagnostic",
-    "ParseFailure",
-    "Polarity",
-    "SolveResult",
-    "Status",
-    "TableConstraint",
-    "TransformSpec",
-    "VariableDecl",
-    "VerificationReport",
-    "cross_version_equivalence",
-    "differential_check",
-    "enumerate_solutions",
-    "output_filename",
-    "parse_document",
-    "parse_file",
-    "solve",
-    "transform",
-    "version_count",
-]
-
-# the module that defines each name of __all__
+# the module that defines each exported name
 _EXPORTS = {
     name: module
     for module, names in {
@@ -77,6 +46,8 @@ _EXPORTS = {
     }.items()
     for name in names
 }
+
+__all__ = sorted(_EXPORTS)
 
 _SUBMODULES = ("charts", "cli", "codegen", "harness", "model", "oracle", "verify", "xcsp")
 

@@ -251,7 +251,8 @@ def _spaced(op: str) -> str:
 
 
 def _render_expr(expr: Expr, operator: Operator, c_names: Mapping[str, str]) -> tuple[str, int]:
-    """Render to C text; returns (text, precedence of its top operator)."""
+    """Render to C text; returns (text, precedence of its top operator).
+    One call per level of the tree, so any tree the model accepts renders."""
     if isinstance(expr, Const):
         # parenthesized when negative: a bare minus next to `-`/`--` tokenizes wrong
         if expr.value < 0:
@@ -278,13 +279,17 @@ def _render_expr(expr: Expr, operator: Operator, c_names: Mapping[str, str]) -> 
         bitwise = operator is Operator.BITWISE
         c_op = ("&" if bitwise else "&&") if expr.op == "and" else ("|" if bitwise else "||")
         prec = _PREC[c_op]
-        left = _render_truth(expr.left, operator, c_names, coerce=bitwise)
-        right = _render_truth(expr.right, operator, c_names, coerce=bitwise)
-        if left[1] < prec:
-            left = (f"({left[0]})", prec)
-        if right[1] < prec:
-            right = (f"({right[0]})", prec)
-        return f"{left[0]}{_spaced(c_op)}{right[0]}", prec
+        sides = []
+        for side in (expr.left, expr.right):
+            text, side_prec = _render_expr(side, operator, c_names)
+            # bitwise joins need 0/1 values, so non-boolean operands get an
+            # explicit !=0 (C's && and || already truth-test)
+            if bitwise and not _is_boolean_valued(side):
+                if side_prec < _PREC["!="]:
+                    text = f"({text})"
+                text, side_prec = f"{text}!=0", _PREC["!="]
+            sides.append(f"({text})" if side_prec < prec else text)
+        return f"{sides[0]}{_spaced(c_op)}{sides[1]}", prec
     c_op = _C_OP[expr.op]
     prec = _PREC[c_op]
     left, lp = _render_expr(expr.left, operator, c_names)
@@ -300,19 +305,6 @@ def _is_boolean_valued(expr: Expr) -> bool:
     if isinstance(expr, Binary):
         return expr.op in COMPARISON_OPS or expr.op in ("and", "or")
     return isinstance(expr, Unary) and expr.op == "not"
-
-
-def _render_truth(
-    expr: Expr, operator: Operator, c_names: Mapping[str, str], *, coerce: bool
-) -> tuple[str, int]:
-    """Render an and/or operand; bitwise joins need 0/1 values, so non-boolean
-    operands get an explicit !=0 (C's && and || already truth-test)."""
-    text, prec = _render_expr(expr, operator, c_names)
-    if coerce and not _is_boolean_valued(expr):
-        if prec < _PREC["!="]:
-            text = f"({text})"
-        return f"{text}!=0", _PREC["!="]
-    return text, prec
 
 
 def _as_piece(expr: Expr, operator: Operator, c_names: Mapping[str, str], joiner_prec: int) -> str:
@@ -478,9 +470,13 @@ static int csp2c_drive(int (*const versions[])(void), int count, int arity) {
 """
 
 # C keywords, the functions and macros a program names (the prelude's
-# `exit` and `assert` macros call csp2c_exit and csp2c_reached), and the
-# macros and objects of the headers the dialects include (stdio.h,
-# stdlib.h, assert.h); a variable named like one of these gets a `_v` suffix.
+# `exit` and `assert` macros call csp2c_exit and csp2c_reached), the
+# object-like macros and objects of the headers the dialects include
+# (stdio.h, setjmp.h, stdlib.h, assert.h) and GNU C's predefined `unix` and
+# `linux`; a variable named like one of these gets a `_v` suffix. Every
+# other name they declare, `__llbmc_assume` too, has a prefix C reserves
+# for the implementation, `__` or `_` and a capital, and a variable named
+# so gets a `v` prefix.
 _RESERVED_C_NAMES = frozenset({
     "auto", "break", "case", "char", "const", "continue", "default", "do",
     "double", "else", "enum", "extern", "float", "for", "goto", "if", "inline",
@@ -488,11 +484,13 @@ _RESERVED_C_NAMES = frozenset({
     "static", "struct", "switch", "typedef", "union", "unsigned", "void",
     "volatile", "while",
     "main", "abs", "dist", "exit", "printf", "atoi", "assert",
-    "klee_make_symbolic", "klee_assume", "__llbmc_nondef_int", "__llbmc_assume",
-    "csp2c_exit", "csp2c_reached",
+    "klee_make_symbolic", "klee_assume", "csp2c_exit", "csp2c_reached",
     "NULL", "EOF", "BUFSIZ", "FILENAME_MAX", "FOPEN_MAX", "L_tmpnam", "TMP_MAX",
-    "SEEK_SET", "SEEK_CUR", "SEEK_END", "stdin", "stdout", "stderr",
-    "RAND_MAX", "EXIT_SUCCESS", "EXIT_FAILURE", "MB_CUR_MAX",
+    "L_ctermid", "P_tmpdir", "SEEK_SET", "SEEK_CUR", "SEEK_END", "stdin", "stdout",
+    "stderr", "RAND_MAX", "EXIT_SUCCESS", "EXIT_FAILURE", "MB_CUR_MAX", "static_assert",
+    "BIG_ENDIAN", "LITTLE_ENDIAN", "PDP_ENDIAN", "BYTE_ORDER", "FD_SETSIZE", "NFDBITS",
+    "WNOHANG", "WUNTRACED", "WSTOPPED", "WEXITED", "WCONTINUED", "WNOWAIT",
+    "unix", "linux",
 })
 
 
@@ -503,6 +501,8 @@ def _c_names(csp: CspInstance) -> dict[str, str]:
         base = re.sub(r"[^A-Za-z0-9_]", "_", var.id)
         if not base or base[0].isdigit():
             base = "v_" + base
+        elif base.startswith("__") or (base[0] == "_" and base[1:2].isupper()):
+            base = "v" + base
         if base in _RESERVED_C_NAMES:
             base = base + "_v"
         candidate = base

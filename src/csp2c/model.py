@@ -6,7 +6,10 @@ threads. Constraints come in three kinds: extensional tables (positive
 trees, and allDifferent. An instance holds its constraints in groups, one
 per XCSP3 `<group>` or lone constraint element. The parser expands every
 `<group>` template into concrete constraints, so nothing here knows about
-templates or `%i` placeholders.
+templates or `%i` placeholders. An expression tree is at most
+MAX_EXPR_DEPTH operators deep, however it is built: a node past the limit
+raises ModelError when it is made, so no recursive walk of a tree exhausts
+Python's stack.
 """
 
 from __future__ import annotations
@@ -14,14 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import ClassVar, Iterable, Iterator, Mapping, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 # Domain.values() lists at most this many values; no search walks a larger
 # domain, and listing one alone would take gigabytes
 MAX_LISTED_VALUES = 10**6
+# The most operators on one path from an expression tree's root to a leaf.
+# The oracle's evaluator and codegen's passes recurse once per level, and
+# Python's default recursion limit is 1000 frames; this keeps half of them
+# for the caller's own stack.
+MAX_EXPR_DEPTH = 500
 
 
 class ModelError(Exception):
@@ -133,20 +140,33 @@ COMPARISON_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 class Var:
     name: str
 
+    depth: ClassVar[int] = 0
+
 
 @dataclass(frozen=True, slots=True)
 class Const:
     value: int
+
+    depth: ClassVar[int] = 0
+
+
+def _set_depth(node: "Unary | Binary", depth: int) -> None:
+    if depth > MAX_EXPR_DEPTH:
+        raise ModelError(f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators")
+    object.__setattr__(node, "depth", depth)
 
 
 @dataclass(frozen=True, slots=True)
 class Unary:
     op: str
     operand: "Expr"
+    # operators on the longest path from this node to a leaf, this one included
+    depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.op not in UNARY_OPS:
             raise ModelError(f"unknown unary operator {self.op!r}")
+        _set_depth(self, self.operand.depth + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,10 +174,12 @@ class Binary:
     op: str
     left: "Expr"
     right: "Expr"
+    depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.op not in BINARY_OPS:
             raise ModelError(f"unknown binary operator {self.op!r}")
+        _set_depth(self, max(self.left.depth, self.right.depth) + 1)
 
 
 Expr = Union[Var, Const, Unary, Binary]
@@ -272,29 +294,9 @@ class CspInstance:
     def variable_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)
 
-    @cached_property
-    def _domains(self) -> dict[str, Domain]:
-        return {v.id: v.domain for v in self.variables}
-
-    def domain_of(self, var_id: str) -> Domain:
-        return self._domains[var_id]
-
     def constraints(self) -> list[Constraint]:
         return [c for group in self.groups for c in group]
 
     @property
     def assignment_space_size(self) -> int:
         return math.prod(v.domain.size for v in self.variables)
-
-
-def validate_instance(csp: CspInstance) -> None:
-    """Check id uniqueness and that every scope variable is declared."""
-    ids = csp.variable_ids()
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ModelError(f"duplicate variable ids: {', '.join(dupes)}")
-    declared = set(ids)
-    for constraint in csp.constraints():
-        for v in constraint.scope:
-            if v not in declared:
-                raise ModelError(f"constraint references undeclared variable {v!r}")

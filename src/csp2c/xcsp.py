@@ -21,7 +21,12 @@ row, so the model, the oracle and the code generator never see a template
 or a placeholder. Array variables are flattened to scalars (x[2] -> x2) and
 the mapping is kept on the instance; where that name belongs to another
 variable, underscores go before the index (x1[0] -> x1_0 next to x[10]).
-Parsing is a pure function of the input text and linear in its size.
+An <intension> may nest at most model.MAX_EXPR_DEPTH operators deep, both
+as written and as a tree, where an n-ary operator folds into one level per
+argument after the first. The model holds every tree to that limit, parsed
+or built through the library, and the reader turns a tree past it into a
+diagnostic. Parsing is a pure function of the input text and linear in its
+size.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import os
 import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 from .model import (
     AllDifferent,
@@ -41,6 +46,7 @@ from .model import (
     Domain,
     Expr,
     IntensionConstraint,
+    MAX_EXPR_DEPTH,
     ModelError,
     Polarity,
     TableConstraint,
@@ -48,7 +54,6 @@ from .model import (
     UNARY_OPS,
     Var,
     VariableDecl,
-    validate_instance,
 )
 
 # one entry of an <args> row: a flattened variable id or an integer
@@ -91,6 +96,8 @@ class Placeholder:
     every slot from the group's <args> rows, so no CspInstance holds one."""
 
     index: int
+
+    depth: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -217,11 +224,6 @@ def _parse_xml(text: str | bytes) -> _Node:
 # (an operator or a variable, possibly an array element) or punctuation
 _TOKEN_RE = re.compile(r"\s*(-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),])")
 
-# The most operators on one path from an intension's root to a leaf. The
-# oracle's evaluator and codegen's passes recurse once per level, and
-# Python's default recursion limit is 1000 frames; this keeps half of them
-# for the caller's own stack.
-MAX_EXPR_DEPTH = 500
 # n-ary in XCSP3; folded left-to-right into binary nodes
 _FOLDABLE = ("add", "mul", "and", "or")
 _BINARY_ONLY = ("sub", "eq", "ne", "lt", "le", "gt", "ge", "dist")
@@ -244,47 +246,41 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _build(op: str, args: list[tuple[Expr, int]]) -> tuple[Expr, int]:
-    """The node of `op` over its (argument, depth) pairs, with its depth."""
+def _build(op: str, args: list[Expr]) -> Expr:
+    """The node of `op` over its arguments."""
     if op in UNARY_OPS:
         if len(args) != 1:
             raise IntensionSyntaxError(f"{op} takes 1 argument, got {len(args)}")
-        [(arg, depth)] = args
+        [arg] = args
         if op == "abs" and isinstance(arg, Binary) and arg.op == "sub":
-            return Binary("dist", arg.left, arg.right), depth
-        return Unary(op, arg), depth + 1
+            return Binary("dist", arg.left, arg.right)
+        return Unary(op, arg)
     if op in _FOLDABLE:
         if len(args) < 2:
             raise IntensionSyntaxError(f"{op} takes at least 2 arguments")
-        node, depth = args[0]
-        for right, right_depth in args[1:]:
+        node = args[0]
+        for right in args[1:]:
             node = Binary(op, node, right)
-            depth = max(depth, right_depth) + 1
-        return node, depth
+        return node
     if op in _BINARY_ONLY:
         if len(args) != 2:
             raise IntensionSyntaxError(f"{op} takes 2 arguments, got {len(args)}")
-        (left, left_depth), (right, right_depth) = args
-        return Binary(op, left, right), max(left_depth, right_depth) + 1
+        return Binary(op, *args)
     raise IntensionSyntaxError(f"unknown operator {op!r}")
-
-
-def _too_deep() -> IntensionSyntaxError:
-    return IntensionSyntaxError(f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators")
 
 
 def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
     """The tree of functional prefix syntax, each variable or `%i` token
     turned into a leaf by `leaf`, left to right, as the tree is built.
 
-    Neither the written nesting nor the tree, where an n-ary operator folds
-    into n-1 levels, may be more than MAX_EXPR_DEPTH operators deep."""
+    The written nesting may be at most MAX_EXPR_DEPTH operators deep, which
+    bounds this parser's own recursion; the model holds the tree, where an
+    n-ary operator folds into n-1 levels, to the same limit."""
     tokens = _tokenize(text)
     end = len(tokens)
     pos = 0
 
-    def expr(nesting: int) -> tuple[Expr, int]:
-        """The next expression and its depth in operators."""
+    def expr(nesting: int) -> Expr:
         nonlocal pos
         if pos == end:
             raise IntensionSyntaxError("unexpected end of expression")
@@ -292,13 +288,15 @@ def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
         pos += 1
         first = tok[0]
         if first == "-" or first.isdecimal():
-            return Const(int(tok)), 0
+            return Const(int(tok))
         if first in "(),":
             raise IntensionSyntaxError(f"unexpected {tok!r}")
         if first == "%" or pos == end or tokens[pos] != "(":
-            return leaf(tok), 0
+            return leaf(tok)
         if nesting == MAX_EXPR_DEPTH:
-            raise _too_deep()
+            raise IntensionSyntaxError(
+                f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
+            )
         pos += 1
         args = [expr(nesting + 1)]
         while pos < end and tokens[pos] == ",":
@@ -311,11 +309,12 @@ def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
         pos += 1
         return _build(tok, args)
 
-    tree, depth = expr(0)
+    try:
+        tree = expr(0)
+    except ModelError as exc:
+        raise IntensionSyntaxError(str(exc)) from None
     if pos != end:
         raise IntensionSyntaxError(f"trailing input after expression: {tokens[pos]!r}")
-    if depth > MAX_EXPR_DEPTH:
-        raise _too_deep()
     return tree
 
 
@@ -737,17 +736,12 @@ def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance
     if parser.diagnostics:
         raise ParseFailure(parser.diagnostics)
 
-    instance = CspInstance(
+    return CspInstance(
         name=name,
         variables=tuple(parser.variables),
         groups=tuple(parser.groups),
         flatten_map=dict(parser.flatten_map),
     )
-    try:
-        validate_instance(instance)
-    except ModelError as exc:
-        raise ParseFailure([ParseDiagnostic("error", root.path, root.line, str(exc))]) from exc
-    return instance
 
 
 def parse_file(path: str) -> CspInstance:

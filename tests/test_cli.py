@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from csp2c.cli import main
 from csp2c.harness import Outcome, load_records_csv
+from csp2c.model import MAX_EXPR_DEPTH
+from csp2c.xcsp import parse_file
 
 from conftest import corpus_path
 
@@ -255,8 +257,6 @@ class TestDeepExpressions:
 
     @pytest.mark.parametrize("command", ["parse", "solve", "gen", "verify"])
     def test_too_deep_is_a_parse_diagnostic(self, capsys, tmp_path, command):
-        from csp2c.xcsp import MAX_EXPR_DEPTH
-
         extra = {"gen": ["--family", "intensional", "--out-dir", str(tmp_path)]}.get(command, [])
         code, out, err = run_cli(capsys, command, deep_instance(tmp_path, 1200), *extra)
         assert code == 2 and out == ""
@@ -266,13 +266,48 @@ class TestDeepExpressions:
         )
 
     def test_the_limit_runs_on_every_command(self, capsys, tmp_path, cc_template):
-        from csp2c.xcsp import MAX_EXPR_DEPTH
-
         path = deep_instance(tmp_path, MAX_EXPR_DEPTH)
         gen = ["gen", path, "--family", "intensional", "--out-dir", str(tmp_path)]
         assert run_cli(capsys, "solve", path)[0] == 0
         assert run_cli(capsys, *gen)[0] == 0
         assert run_cli(capsys, "verify", path, "--versions", "1,2", "--cc", cc_template)[0] == 0
+
+
+def _eqs(count: int) -> str:
+    return ",".join(["eq(x,0)"] * count)
+
+
+# Intensions exactly MAX_EXPR_DEPTH operators deep, one per rendering path
+AT_THE_LIMIT = {
+    "or": f"or({_eqs(MAX_EXPR_DEPTH)})",
+    "not-and": f"not(and({_eqs(MAX_EXPR_DEPTH - 1)}))",
+    "not": "not(" * (MAX_EXPR_DEPTH - 1) + "eq(x,0)" + ")" * (MAX_EXPR_DEPTH - 1),
+    "neg": "eq(" + "neg(" * (MAX_EXPR_DEPTH - 1) + "x" + ")" * (MAX_EXPR_DEPTH - 1) + ",0)",
+    "abs-sub": "eq(abs(sub(add(" + ",".join(["x"] * (MAX_EXPR_DEPTH - 1)) + "),0)),0)",
+}
+
+
+@pytest.mark.parametrize("shape", AT_THE_LIMIT)
+def test_every_shape_at_the_limit_runs_on_every_command(capsys, tmp_path, cc_template, shape):
+    """Each level of the tree takes one frame in the oracle and in codegen,
+    so a tree the model accepts solves, renders in every cell and dialect,
+    and verifies."""
+    path = tmp_path / f"{shape}.xml"
+    path.write_text(
+        '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0 1 </var></variables>'
+        f"<constraints><intension> {AT_THE_LIMIT[shape]} </intension></constraints></instance>"
+    )
+    [constraint] = parse_file(str(path)).constraints()
+    assert constraint.expr.depth == MAX_EXPR_DEPTH
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0 and out.startswith(f"{shape}: satisfiable")
+    for dialect in ("klee", "llbmc", "concrete"):
+        out_dir = tmp_path / dialect
+        gen = ["gen", str(path), "--family", "intensional", "--versions", "all"]
+        assert run_cli(capsys, *gen, "--dialect", dialect, "--out-dir", str(out_dir))[0] == 0
+        assert len(list(out_dir.glob(f"*__{dialect}.c"))) == 10
+    code, out, _ = run_cli(capsys, "verify", str(path), "--versions", "all", "--cc", cc_template)
+    assert code == 0 and out.startswith(f"{shape}: pass (10 versions x 2 assignments)")
 
 
 class TestWorkersOption:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+import shutil
 import subprocess
 import weakref
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from csp2c.codegen import (
     DRIVER_PRELUDE,
+    INCLUDED_HEADERS,
     CodegenError,
     Dialect,
     Family,
@@ -480,6 +482,41 @@ class TestErrors:
         assert program.var_map["int"] == "int_v"
         assert program.var_map["while"] == "while_v"
         assert "int int_v, while_v;" in program.source_text
+
+
+def header_macros(tmp_path) -> set[str]:
+    """Every object-like macro `cc -E -dM` reports for the headers the
+    prelude and the programs include, the compiler's predefined ones too.
+    A header the compiler cannot find (klee/klee.h without KLEE) is left
+    out."""
+    if shutil.which("cc") is None:
+        pytest.skip("no system C compiler available")
+    headers = re.findall(r"#include <([^>]+)>", DRIVER_PRELUDE) + list(INCLUDED_HEADERS)
+    src = tmp_path / "headers.c"
+    src.write_text(
+        "".join(f"#if __has_include(<{h}>)\n#include <{h}>\n#endif\n" for h in headers)
+    )
+    proc = subprocess.run(
+        ["cc", "-E", "-dM", str(src)], capture_output=True, text=True, check=True
+    )
+    # `#define NAME value`; a function-like macro's name is followed by `(`
+    return set(re.findall(r"^#define ([A-Za-z_][A-Za-z0-9_]*)(?![(\w])", proc.stdout, re.M))
+
+
+def test_no_c_name_is_a_header_macro(tmp_path):
+    """Each macro name is a C identifier, which the reader accepts as an id."""
+    macros = header_macros(tmp_path)
+    assert {"unix", "linux", "P_tmpdir", "L_ctermid", "_IOFBF", "_IOLBF", "_IONBF"} <= macros
+    ids = sorted(macros)
+    csp = CspInstance(
+        name="macros",
+        variables=tuple(VariableDecl(i, Domain.from_values([0, 1])) for i in ids),
+        groups=(),
+    )
+    var_map = transform(csp, TransformSpec(Family.EXTENSIONAL, 1)).var_map
+    assert sorted(var_map) == ids
+    assert sorted(set(var_map.values()) & macros) == []
+    assert len(set(var_map.values())) == len(ids)
 
 
 def ranged_instance(bounds: dict[str, tuple[int, int]], expr, name: str = "ranges") -> CspInstance:

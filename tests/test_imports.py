@@ -2,8 +2,9 @@
 
 csp2c depends on the standard library alone (`dependencies = []`); the
 oracle, the independent reference, imports only the model, and codegen
-does not import the oracle; the model imports no other csp2c module; and
-codegen alone writes replay-driver C.
+does not import the oracle; the model imports no other csp2c module;
+codegen alone writes replay-driver C; and the model alone sets the
+expression-depth limit.
 """
 
 from __future__ import annotations
@@ -66,3 +67,23 @@ def test_only_codegen_writes_replay_driver_c(path):
     codegen alone, next to DRIVER_PRELUDE."""
     text = path.read_text(encoding="utf-8")
     assert [s for s in ("csp2c_main_", "#line", "#define main") if s in text] == []
+
+
+def assigned_names(path: Path) -> set[str]:
+    """Every name the module binds by assignment."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets = [node.target]
+        else:
+            continue
+        names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_model_sets_the_depth_limit(path):
+    """MAX_EXPR_DEPTH is checked where trees are built; other modules import it."""
+    assert ("MAX_EXPR_DEPTH" in assigned_names(path)) == (path.name == "model.py")

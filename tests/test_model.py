@@ -10,6 +10,7 @@ from csp2c.model import (
     CspInstance,
     Domain,
     IntensionConstraint,
+    MAX_EXPR_DEPTH,
     MAX_LISTED_VALUES,
     ModelError,
     Polarity,
@@ -98,6 +99,39 @@ class TestExprNodes:
             "Binary", "Unary", "Var", "Binary", "Const", "Binary", "Var", "Var",
         ]
         assert expr_variables(expr) == ("b", "a")
+
+
+class TestExprDepth:
+    """The model holds every tree to MAX_EXPR_DEPTH operators, however it is
+    built, so no recursive walk of one exhausts Python's stack."""
+
+    def test_depth_counts_operators_on_the_longest_path(self):
+        expr = Binary("add", Unary("neg", Unary("abs", Var("b"))), Const(1))
+        assert (Var("b").depth, Const(1).depth, expr.left.depth, expr.depth) == (0, 0, 2, 3)
+
+    def test_depth_is_neither_compared_nor_shown(self):
+        expr = Unary("not", Binary("eq", Var("a"), Const(0)))
+        assert expr == Unary("not", Binary("eq", Var("a"), Const(0)))
+        assert "depth" not in repr(expr)
+        with pytest.raises(TypeError):
+            Unary("neg", Var("a"), 1)
+
+    def test_a_hand_folded_tree_stops_at_the_limit(self):
+        node = Var("x")
+        message = f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
+        with pytest.raises(ModelError, match=message):
+            for _ in range(1200):
+                node = Binary("add", node, Var("x"))
+        assert node.depth == MAX_EXPR_DEPTH
+
+    def test_a_unary_chain_stops_at_the_limit(self):
+        node = Var("x")
+        for _ in range(MAX_EXPR_DEPTH):
+            node = Unary("neg", node)
+        with pytest.raises(ModelError, match="limit"):
+            Unary("neg", node)
+        with pytest.raises(ModelError, match="limit"):
+            Binary("eq", Const(0), node)
 
 
 class TestInstance:

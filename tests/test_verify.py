@@ -483,6 +483,30 @@ class TestDifferentialCheck:
             )
             assert proc.returncode == 0, proc.stderr
 
+    def test_variables_named_after_predefined_and_reserved_macros(self, cc_template, tmp_path):
+        """GNU C predefines `unix` and `linux` as 1, stdio.h defines
+        `P_tmpdir` and `_IOFBF`, and `__` names belong to the compiler."""
+        names = ["unix", "linux", "P_tmpdir", "_IOFBF", "__x", "static_assert"]
+        variables = "".join(f'<var id="{n}"> 0 1 </var>' for n in names)
+        csp = parse_document(
+            f"""
+            <instance format="XCSP3" type="CSP">
+              <variables>{variables}</variables>
+              <constraints>
+                <intension> ne(unix,linux) </intension>
+                <intension> lt(P_tmpdir,add(_IOFBF,__x)) </intension>
+                <intension> eq(static_assert,unix) </intension>
+              </constraints>
+            </instance>
+            """,
+            name="predefined",
+        )
+        report = differential_check(
+            csp, all_specs(Family.INTENSIONAL), cc_template, workdir=str(tmp_path)
+        )
+        assert report.status is VerifyStatus.PASS
+        assert report.assignments_checked == 2 ** len(names)
+
     def test_timings_per_unit(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
         specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 5)]

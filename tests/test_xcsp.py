@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csp2c.model import AllDifferent, Binary, Const, IntensionConstraint, Polarity, Var
 from csp2c.xcsp import (
@@ -13,7 +17,7 @@ from csp2c.xcsp import (
     parse_intension,
 )
 
-from conftest import corpus_path, load_corpus
+from conftest import CORPUS_DIR, corpus_path, load_corpus
 
 
 class TestParseIntension:
@@ -485,3 +489,62 @@ class TestDepthLimit:
             )
         )
         assert [c.scope for c in csp.constraints()] == [("x", "y"), ("y", "x")]
+
+
+VALID_DOCUMENTS = {
+    path.name: path.read_text(encoding="utf-8")
+    for path in sorted(Path(CORPUS_DIR, "valid").glob("*.xml"))
+}
+# a name, an array element or a whole array, in element text or an id value
+_NAME_RE = re.compile(r"[A-Za-z_%][A-Za-z0-9_]*(?:\[\d*\])?")
+_EXTRA_NAMES = ("x", "y", "z", "x0", "x2", "x_0", "x[0]", "x[2]", "x[9]", "x[]", "a", "p", "%0")
+# a line holding one whole element that declares or references variables
+_ELEMENT_LINE_RE = re.compile(r"^ *<(var|array|list|args|intension|allDifferent)\b.*\n", re.M)
+
+
+def _name_spans(text: str) -> list[tuple[int, int]]:
+    spans = []
+    for value in re.finditer(r'id="([^"]*)"|>([^<]*)<', text):
+        group = 1 if value.group(1) is not None else 2
+        offset = value.start(group)
+        spans += [(offset + m.start(), offset + m.end()) for m in _NAME_RE.finditer(value[group])]
+    return spans
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid corpus document with up to four edits: a name in element
+    text or an id replaced by another, or an element line copied or
+    dropped."""
+    text = VALID_DOCUMENTS[draw(st.sampled_from(sorted(VALID_DOCUMENTS)))]
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["rename", "copy", "drop"]))
+        if edit == "rename":
+            spans = _name_spans(text)
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                names = sorted({text[a:b] for a, b in spans} | set(_EXTRA_NAMES))
+                text = text[:start] + draw(st.sampled_from(names)) + text[end:]
+            continue
+        lines = list(_ELEMENT_LINE_RE.finditer(text))
+        if lines:
+            line = draw(st.sampled_from(lines))
+            kept = line.group(0) * 2 if edit == "copy" else ""
+            text = text[: line.start()] + kept + text[line.end() :]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_parsed_instances_declare_each_variable_once(text):
+    """Whatever the edits, a document that parses declares every variable
+    once and every constraint names only declared variables."""
+    try:
+        csp = parse_document(text)
+    except ParseFailure:
+        return
+    ids = csp.variable_ids()
+    assert len(set(ids)) == len(ids)
+    declared = set(ids)
+    assert {v for c in csp.constraints() for v in c.scope} <= declared
+    assert set(csp.flatten_map.values()) <= declared
