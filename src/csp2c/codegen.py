@@ -19,18 +19,19 @@ Three output dialects share one program body: `klee` (klee_make_symbolic /
 klee_assume), `llbmc` (nondet init / __llbmc_assume, the only difference),
 and `concrete`, the klee program made runnable.
 
-The replay driver lives here alone. DRIVER_PRELUDE defines the intrinsics,
-`exit` and `assert` so that a program runs natively on one assignment at a
-time, as KLEE's own test replay runs it, and driver_main's `main` runs the
-programs, each renamed to csp2c_main_<i>. A `concrete` program is the
-prelude, the klee program without its `#include` lines, and a driver main;
-build_unit embeds klee or llbmc programs byte for byte behind one prelude
-and one driver main, for verify to compile with an empty file for each of
-INCLUDED_HEADERS. Either reads whitespace-separated assignments from stdin
-and prints one line per assignment, one 0/1 verdict digit per program, so
-`printf '0 1\n' | ./prog` replays one assignment. Input that does not end
-after a whole assignment exits 2, and a program that reads more or fewer
-values than there are variables exits 3.
+The replay driver lives here alone, and build_unit alone makes programs
+runnable. DRIVER_PRELUDE defines the intrinsics, `exit` and `assert` so
+that a program runs natively on one assignment at a time, as KLEE's own
+test replay runs it, and driver_main's `main` runs the programs, each
+renamed to csp2c_main_<i>. build_unit embeds klee or llbmc programs behind
+one prelude and one driver main, each with its `#include` lines of
+INCLUDED_HEADERS blanked and every other line as emitted; a `concrete`
+program is build_unit of its one klee program. A unit reads
+whitespace-separated assignments from stdin and prints one line per
+assignment, one 0/1 verdict digit per program, so `printf '0 1\n' | ./prog`
+replays one assignment. Input that does not end after a whole assignment
+exits 2, and a program that reads more or fewer values than there are
+variables exits 3.
 
 An instance is analysed once, not once per cell: transform keeps the
 analysis of the instance it saw last, keyed on the instance's identity and
@@ -72,7 +73,7 @@ from .model import (
 )
 
 WRAP_COLUMN = 100
-_DIST_MACRO = "#define dist(a,b) ((a)>(b)?(a)-(b):(b)-(a))"
+_DIST_MACRO = "#define dist(a,b) abs((a)-(b))"
 
 
 class CodegenError(Exception):
@@ -283,10 +284,9 @@ def _render_expr(expr: Expr, operator: Operator, c_names: Mapping[str, str]) -> 
         for side in (expr.left, expr.right):
             text, side_prec = _render_expr(side, operator, c_names)
             # bitwise joins need 0/1 values, so non-boolean operands get an
-            # explicit !=0 (C's && and || already truth-test)
+            # explicit !=0 (C's && and || already truth-test); a non-boolean
+            # node renders at arithmetic precedence or above, so no parens
             if bitwise and not _is_boolean_valued(side):
-                if side_prec < _PREC["!="]:
-                    text = f"({text})"
                 text, side_prec = f"{text}!=0", _PREC["!="]
             sides.append(f"({text})" if side_prec < prec else text)
         return f"{sides[0]}{_spaced(c_op)}{sides[1]}", prec
@@ -352,7 +352,8 @@ def _tuple_conjunctions(
 def _condition_pieces(
     constraint: Constraint, operator: Operator, c_names: Mapping[str, str]
 ) -> list[str]:
-    """Conjunct pieces whose AND is the constraint's satisfaction condition."""
+    """Conjunct pieces whose AND is the constraint's satisfaction condition,
+    for any constraint but a conflicts table (see _units)."""
     and_op, or_op = _join_ops(operator)
     and_prec = _PREC[and_op.strip()]
     if isinstance(constraint, AllDifferent):
@@ -363,10 +364,7 @@ def _condition_pieces(
             for b in scope[i + 1 :]
         ]
     if isinstance(constraint, TableConstraint):
-        disjunction = or_op.join(_tuple_conjunctions(constraint, operator, c_names))
-        if constraint.polarity is Polarity.SUPPORTS:
-            return [f"({disjunction})"]
-        return [f"!({disjunction})"]
+        return ["(" + or_op.join(_tuple_conjunctions(constraint, operator, c_names)) + ")"]
     return [
         _as_piece(conjunct, operator, c_names, and_prec)
         for conjunct in _conjuncts(constraint.expr)
@@ -388,7 +386,7 @@ def _wrap(head: str, pieces: Sequence[str], joiner: str, tail: str) -> list[str]
     if len(pieces) == 1:
         return [head + pieces[0] + tail]
     one_line = head + joiner.join(pieces) + tail
-    if len(one_line) <= WRAP_COLUMN or len(pieces) == 1:
+    if len(one_line) <= WRAP_COLUMN:
         return [one_line]
     indent = " " * len(head)
     trailing_op = joiner.rstrip()
@@ -407,11 +405,13 @@ def _wrap(head: str, pieces: Sequence[str], joiner: str, tail: str) -> list[str]
 _LIBC_HEADERS = ("assert.h", "stdlib.h")
 # every header a klee or llbmc program includes
 INCLUDED_HEADERS = (*_LIBC_HEADERS, "klee/klee.h")
+_INCLUDE_LINE = re.compile(
+    "^(?:" + "|".join(re.escape(f"#include <{h}>") for h in INCLUDED_HEADERS) + ")$", re.M
+)
 
-# The C text ahead of a `concrete` program and of a build_unit unit. Its
-# definitions hold only if the programs' own `#include` lines resolve to
-# empty headers: the concrete program drops them, and verify.compile_program
-# puts an empty file for each of INCLUDED_HEADERS first on CPATH.
+# The C text ahead of the programs of a build_unit unit. Its definitions
+# hold because build_unit blanks the programs' `#include` lines of
+# INCLUDED_HEADERS.
 DRIVER_PRELUDE = """\
 /* replay driver: a program reads its values from one assignment at a time;
    a failed assume or exit rejects the assignment, and assert(0) reaches */
@@ -572,7 +572,8 @@ def _interval(
             products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
             lo, hi = min(products), max(products)
         elif op == "dist":
-            # the dist macro subtracts the smaller operand from the larger
+            # the dist macro is abs((a)-(b)): with |a-b| in range, the
+            # difference lies within +-INT32_MAX, so neither - nor abs overflows
             lo, hi = _abs_interval(a_lo - b_hi, a_hi - b_lo)
         else:
             return 0, 1  # comparisons and logic
@@ -713,12 +714,13 @@ def check_encodable(csp: CspInstance) -> None:
 
 
 def _units(
-    analysis: _Analysis, pieces: list[tuple[str, ...]], grouping: Grouping, operator: Operator
+    analysis: _Analysis, pieces: list[tuple[str, ...]], grouping: Grouping, or_op: str
 ) -> Iterable[tuple[bool, Sequence[str]]]:
     """(violation, pieces) of each bucket's unit. A bucket of conflicts tables
     only makes a violation unit, whose pieces form a disjunction that is true
     when some constraint is broken; any other bucket makes the conjunction of
-    its constraints' condition pieces."""
+    its constraints' condition pieces, a conflicts table's being the negated
+    disjunction of its tuple conjunctions (`or_op` joins them)."""
     conflicts = analysis.conflicts
     count = len(pieces)
     if grouping is Grouping.NONE or (
@@ -742,11 +744,7 @@ def _units(
             units.append((False, [
                 p
                 for i in range(start, stop)
-                for p in (
-                    _condition_pieces(analysis.constraints[i], operator, analysis.c_names)
-                    if conflicts[i]
-                    else pieces[i]
-                )
+                for p in (("!(" + or_op.join(pieces[i]) + ")",) if conflicts[i] else pieces[i])
             ]))
     return units
 
@@ -790,7 +788,7 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
         body.extend(_wrap(head, domain_pieces, joiner, ");"))
 
     # constraints
-    units = _units(analysis, pieces, grouping, operator)
+    units = _units(analysis, pieces, grouping, or_op)
     # intensional if/whole: the one unit guards the distinguished assert(0)
     guarded = (
         spec.family is Family.INTENSIONAL
@@ -829,20 +827,21 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     body.append(indent + "return 0;")
 
     main = ["int main(void) {"] + body + ["}"]
-    if spec.dialect is Dialect.CONCRETE:
-        main = ["#define main csp2c_main_0", *main, "#undef main", "", *driver_main(1, len(names))]
     source = "\n".join(_file_header(csp.name, spec, analysis.uses_dist) + main) + "\n"
 
-    return GeneratedProgram(
+    program = GeneratedProgram(
         source_text=source,
         version_label=spec.version_label,
         statement_count=statement_count,
         var_map=c_names,
         line_count=source.count("\n"),
         instance_name=csp.name,
-        dialect=spec.dialect,
+        dialect=Dialect.LLBMC if llbmc else Dialect.KLEE,
         constraint_lines=tuple(constraint_lines),
     )
+    if spec.dialect is Dialect.CONCRETE:
+        return build_unit(csp, [program], spec.version_label)
+    return program
 
 
 def _file_header(name: str, spec: TransformSpec, uses_dist: bool) -> list[str]:
@@ -850,13 +849,11 @@ def _file_header(name: str, spec: TransformSpec, uses_dist: bool) -> list[str]:
         f"/* {name}: {spec.family.value} version {spec.version} "
         f"({spec.construct.value}, {spec.operator.value}, grouping={spec.grouping.value}) */"
     ]
-    if spec.dialect is Dialect.CONCRETE:
-        lines += DRIVER_PRELUDE.splitlines()
-    elif spec.dialect is Dialect.KLEE:
-        lines += [f"#include <{header}>" for header in INCLUDED_HEADERS]
-    else:
+    if spec.dialect is Dialect.LLBMC:
         lines += [f"#include <{header}>" for header in _LIBC_HEADERS]
         lines += ["", "void __llbmc_assume(int condition);", "int __llbmc_nondef_int(void);"]
+    else:
+        lines += [f"#include <{header}>" for header in INCLUDED_HEADERS]
     if uses_dist:
         lines += ["", _DIST_MACRO]
     lines.append("")
@@ -887,14 +884,15 @@ def build_unit(
     llbmc programs of `csp`), and a shared main that prints one verdict
     digit per program, in order, for each assignment read.
 
-    Program i is embedded byte for byte, with `main` renamed to
-    csp2c_main_<i> and with `#line` set to its own file name, so a compiler
-    message inside it names that file. The unit's own file is named after
-    `label`.
+    Program i is embedded with its `#include` lines of INCLUDED_HEADERS
+    blank, so that the prelude's definitions stand, and every other line as
+    it is: `main` is renamed to csp2c_main_<i> and `#line` names the
+    program's own file, so a compiler message inside it names that file and
+    line. The unit's own file is named after `label`.
     """
     text = DRIVER_PRELUDE + "".join(
         f"#define main csp2c_main_{i}\n#line 1 {_c_string(output_filename(program))}\n"
-        + program.source_text
+        + _INCLUDE_LINE.sub("", program.source_text)
         + "#undef main\n"
         for i, program in enumerate(programs)
     )

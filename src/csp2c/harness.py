@@ -288,17 +288,16 @@ def run_command(
     subs: Mapping[str, str],
     timeout_s: float,
     stdin: str | None = None,
-    env: Mapping[str, str] | None = None,
 ) -> CommandResult:
     """Run a command template in its own process group: the one place csp2c
     starts a child process.
 
     The template is shell-split before its fields (`{src}`, `{out}`, ...)
     are filled in each token, so a path with spaces stays one argument. The
-    child reads `stdin`, or /dev/null, and gets `env`, or csp2c's own
-    environment. On timeout the group gets SIGTERM, then SIGKILL after
-    KILL_GRACE_S. A command that cannot be started has returncode None and
-    the reason as stderr.
+    child reads `stdin`, or /dev/null, and inherits csp2c's environment. On
+    timeout the group gets SIGTERM, then SIGKILL after KILL_GRACE_S. A
+    command that cannot be started has returncode None and the reason as
+    stderr.
     """
     argv = [token.format(**subs) for token in shlex.split(template)]
     start = time.monotonic()
@@ -311,7 +310,6 @@ def run_command(
             text=True,
             errors="replace",
             start_new_session=True,
-            env=env,
         )
     except OSError as exc:
         return CommandResult(argv, None, "", str(exc), time.monotonic() - start, False)

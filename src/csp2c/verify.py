@@ -1,13 +1,13 @@
 """Differential testing of generated programs against the search oracle.
 
 Programs are checked the hard way: compile the klee programs the tools
-receive, byte for byte, with an external C compiler, and pipe the whole
-assignment plan through the executable, so the verification path shares no
-evaluation code with the oracle. All versions of one pass go into one
-translation unit (with `workers` > 1, into that many units, built at once),
-which codegen.build_unit assembles around the replay driver; the compiler
-finds an empty file for each of codegen.INCLUDED_HEADERS first on CPATH,
-so the programs' own `#include` lines add nothing. The driver prints, for
+receive with an external C compiler, and pipe the whole assignment plan
+through the executable, so the verification path shares no evaluation code
+with the oracle. All versions of one pass go into one translation unit
+(with `workers` > 1, into that many units, built at once), which
+codegen.build_unit assembles around the replay driver; it blanks the
+programs' `#include` lines of codegen.INCLUDED_HEADERS and keeps every
+other line the tools receive as it is. The driver prints, for
 every assignment, one line holding one 0/1 verdict digit per version, and
 a version's digit must be `1` exactly when the oracle says all constraints
 hold. The llbmc programs differ from the klee ones only in intrinsic names;
@@ -31,7 +31,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .codegen import (
-    INCLUDED_HEADERS,
     GeneratedProgram,
     TransformSpec,
     build_unit,
@@ -107,15 +106,11 @@ def default_compile_command() -> str:
 
 
 def _run(
-    template: str,
-    subs: dict[str, str],
-    timeout_s: float,
-    stdin: str | None = None,
-    env: dict[str, str] | None = None,
+    template: str, subs: dict[str, str], timeout_s: float, stdin: str | None = None
 ) -> CommandResult:
     """harness.run_command, with a timeout or a failure to start raised as
     VerifyError."""
-    result = run_command(template, subs, timeout_s, stdin, env)
+    result = run_command(template, subs, timeout_s, stdin)
     if result.returncode is None:
         raise VerifyError(f"cannot run {shlex.join(result.argv)}: {result.stderr}")
     if result.timed_out:
@@ -124,23 +119,15 @@ def _run(
 
 
 def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -> str:
-    """Write the source, run the compiler template, return the executable path.
-
-    The compiler finds codegen.INCLUDED_HEADERS, the headers klee and llbmc
-    programs include, on CPATH first, in `shim` there, and empty, so
-    DRIVER_PRELUDE's definitions hold.
-    """
-    shim = os.path.join(workdir, "shim")
-    for header in INCLUDED_HEADERS:
-        path = os.path.join(shim, header)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        open(path, "w", encoding="utf-8").close()
+    """Write the source into `workdir`, made if missing, run the compiler
+    template, and return the executable path. The program is compiled as
+    it is, in the compiler's own environment."""
+    os.makedirs(workdir, exist_ok=True)
     src = os.path.join(workdir, output_filename(program))
     exe = src[:-2]
     with open(src, "w", encoding="utf-8") as fh:
         fh.write(program.source_text)
-    env = dict(os.environ, CPATH=os.pathsep.join(filter(None, (shim, os.environ.get("CPATH")))))
-    result = _run(compile_cmd, dict(zip(COMPILE_FIELDS, (src, exe))), COMPILE_TIMEOUT_S, env=env)
+    result = _run(compile_cmd, dict(zip(COMPILE_FIELDS, (src, exe))), COMPILE_TIMEOUT_S)
     if result.returncode != 0 or not os.path.exists(exe):
         raise CompileError(shlex.join(result.argv), result.stdout + result.stderr)
     return exe

@@ -457,14 +457,12 @@ class _DocParser:
         if m is None:
             self.error(node, f"cannot parse variable token {token!r}")
             return None
-        index = m.group(2)
-        if index is None:
+        if m.group(2) is None:
             if token in self._declared:
                 return token
             self.error(node, f"reference to undeclared variable {token!r}")
             return None
-        if not index:
-            return token  # a whole array, expanded by resolve_scope
+        # a whole array, `x[]`, never comes here: resolve_scope expands it
         flat = self.flatten_map.get(token)
         if flat is None:
             self.error(node, f"reference to undeclared array element {token!r}")

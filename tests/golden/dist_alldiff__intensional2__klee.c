@@ -3,7 +3,7 @@
 #include <stdlib.h>
 #include <klee/klee.h>
 
-#define dist(a,b) ((a)>(b)?(a)-(b):(b)-(a))
+#define dist(a,b) abs((a)-(b))
 
 int main(void) {
     int x0, x1, x2, y0, y1;

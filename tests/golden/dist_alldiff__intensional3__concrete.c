@@ -1,4 +1,3 @@
-/* dist_alldiff: intensional version 3 (if, logical, grouping=all) */
 /* replay driver: a program reads its values from one assignment at a time;
    a failed assume or exit rejects the assignment, and assert(0) reaches */
 #include <setjmp.h>
@@ -53,10 +52,15 @@ static int csp2c_drive(int (*const versions[])(void), int count, int arity) {
 
 #define exit(status) csp2c_exit()
 #define assert(condition) ((condition) ? (void)0 : csp2c_reached())
-
-#define dist(a,b) ((a)>(b)?(a)-(b):(b)-(a))
-
 #define main csp2c_main_0
+#line 1 "dist_alldiff__intensional3__klee.c"
+/* dist_alldiff: intensional version 3 (if, logical, grouping=all) */
+
+
+
+
+#define dist(a,b) abs((a)-(b))
+
 int main(void) {
     int x0, x1, x2, y0, y1;
     /* declare variables symbolic */
@@ -76,7 +80,7 @@ int main(void) {
     return 0;
 }
 #undef main
-
+#line 84 "dist_alldiff__intensional3__concrete.c"
 int main(void) {
     static int (*const versions[])(void) = {csp2c_main_0};
     return csp2c_drive(versions, 1, 5);

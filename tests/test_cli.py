@@ -105,7 +105,7 @@ class TestGenCommand:
         assert "1..12" in err
 
     def test_concrete_program_builds_and_replays_standalone(self, capsys, tmp_path, cc_template):
-        """`gen --dialect concrete` output needs no shim headers: the plain
+        """`gen --dialect concrete` output needs no KLEE headers: the plain
         compile template builds it, and it replays assignments from stdin."""
         code, _, _ = run_cli(
             capsys, "gen", corpus_path("valid", "supports_pair"), "--family", "extensional",
@@ -113,9 +113,8 @@ class TestGenCommand:
         )
         assert code == 0
         src, exe = tmp_path / "supports_pair__extensional1__concrete.c", tmp_path / "prog"
-        env = {k: v for k, v in os.environ.items() if k != "CPATH"}
         argv = [token.format(src=src, out=exe) for token in shlex.split(cc_template)]
-        built = subprocess.run(argv, capture_output=True, text=True, env=env)
+        built = subprocess.run(argv, capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
         proc = subprocess.run([str(exe)], input="0 1\n0 0\n", capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "1\n0\n")
@@ -310,6 +309,30 @@ def test_every_shape_at_the_limit_runs_on_every_command(capsys, tmp_path, cc_tem
     assert code == 0 and out.startswith(f"{shape}: pass (10 versions x 2 assignments)")
 
 
+def test_nested_dist_preprocesses_linearly(capsys, tmp_path, cc_template):
+    """The dist macro names each argument once, so ten nested dist levels
+    expand to a few KB in the preprocessor (naming them three times made
+    730 KB, too much for the compiler), and every cell compiles and
+    verifies."""
+    expr = "x"
+    for _ in range(10):
+        expr = f"abs(sub({expr},1))"
+    path = tmp_path / "nested_dist.xml"
+    path.write_text(
+        '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..12 </var></variables>'
+        f"<constraints><intension> eq({expr},0) </intension></constraints></instance>"
+    )
+    gen = ["gen", str(path), "--family", "intensional", "--versions", "all"]
+    assert run_cli(capsys, *gen, "--dialect", "concrete", "--out-dir", str(tmp_path))[0] == 0
+    sources = sorted(tmp_path.glob("nested_dist__*__concrete.c"))
+    assert len(sources) == 10
+    for src in sources:
+        expanded = subprocess.run(["cc", "-E", str(src)], capture_output=True, text=True, check=True)
+        assert len(expanded.stdout) < 50_000, src.name
+    code, out, _ = run_cli(capsys, "verify", str(path), "--versions", "all", "--cc", cc_template)
+    assert code == 0 and out.startswith("nested_dist: pass (10 versions x 13 assignments)")
+
+
 class TestWorkersOption:
     @pytest.mark.parametrize("workers", ["0", "-3", "many"])
     @pytest.mark.parametrize("command", ["verify", "bench"])
@@ -415,6 +438,29 @@ def test_solve_on_a_huge_domain_is_an_error_within_400_mb(tmp_path):
 
 
 class TestVerifyCommand:
+    def test_a_klee_include_directory_on_the_compile_line_passes(self, capsys, tmp_path, cc_template):
+        """A compile line copied from a KLEE build names KLEE's include
+        directory. The unit includes none of the programs' headers, so
+        KLEE's declarations, which the klee programs compile against, do
+        not meet the replay prelude's."""
+        inc = tmp_path / "inc"
+        (inc / "klee").mkdir(parents=True)
+        (inc / "klee" / "klee.h").write_text(
+            "#include <stddef.h>\n#include <stdint.h>\n"
+            "void klee_make_symbolic(void *addr, size_t nbytes, const char *name);\n"
+            "void klee_assume(uintptr_t condition);\n"
+        )
+        path = corpus_path("valid", "supports_pair")
+        gen = ["gen", path, "--family", "extensional", "--versions", "all", "--out-dir"]
+        assert run_cli(capsys, *gen, str(tmp_path))[0] == 0
+        for src in tmp_path.glob("*__klee.c"):
+            argv = ["cc", "-fsyntax-only", f"-I{inc}", str(src)]
+            assert subprocess.run(argv, capture_output=True).returncode == 0, src.name
+        template = shlex.join(["cc", f"-I{inc}", "-O1"]) + " -o {out} {src}"
+        code, out, err = run_cli(capsys, "verify", path, "--versions", "all", "--cc", template)
+        assert (code, err) == (0, "")
+        assert out.startswith("supports_pair: pass")
+
     def test_pass_exit_0(self, capsys, cc_template):
         code, out, _ = run_cli(
             capsys,

@@ -19,7 +19,6 @@ from csp2c.codegen import (
     Grouping,
     TransformSpec,
     build_unit,
-    driver_main,
     output_filename,
     source_filename,
     transform,
@@ -301,15 +300,15 @@ def concrete_program(csp, family, version):
 
 
 class TestConcreteDriver:
-    def test_is_the_klee_program_plus_the_replay_driver(self):
-        csp = load_corpus("supports_pair")
-        klee = transform(csp, TransformSpec(Family.EXTENSIONAL, 1)).source_text
-        text = concrete_program(csp, Family.EXTENSIONAL, 1).source_text
-        header, main = klee.split("int main(void) {\n")
-        start = header.splitlines()[0] + "\n" + DRIVER_PRELUDE
-        assert text.startswith(start) and "#include" not in text[len(start):]
-        assert "#define main csp2c_main_0\nint main(void) {\n" + main + "#undef main\n" in text
-        assert text.endswith("\n".join(driver_main(1, 2)) + "\n")
+    def test_is_the_unit_of_its_klee_program(self):
+        """A concrete program is what verify compiles for that one version."""
+        for family, names in CORPUS_BY_FAMILY.items():
+            for name in names:
+                csp = load_corpus(name)
+                for v in range(1, version_count(family) + 1):
+                    klee = transform(csp, TransformSpec(family, v))
+                    unit = build_unit(csp, [klee], klee.version_label)
+                    assert concrete_program(csp, family, v) == unit, (name, v)
 
     def test_domain_checks_exit_nonzero(self, cc_template, tmp_path):
         csp = load_corpus("noncontig")

@@ -3,8 +3,8 @@
 csp2c depends on the standard library alone (`dependencies = []`); the
 oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
-codegen alone writes replay-driver C; and the model alone sets the
-expression-depth limit.
+codegen alone writes replay-driver C; the harness alone starts child
+processes; and the model alone sets the expression-depth limit.
 """
 
 from __future__ import annotations
@@ -67,6 +67,13 @@ def test_only_codegen_writes_replay_driver_c(path):
     codegen alone, next to DRIVER_PRELUDE."""
     text = path.read_text(encoding="utf-8")
     assert [s for s in ("csp2c_main_", "#line", "#define main") if s in text] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_harness_imports_subprocess(path):
+    """harness.run_command is the one place csp2c starts a child process."""
+    absolute, _ = imports(path)
+    assert ("subprocess" in absolute) == (path.name == "harness.py")
 
 
 def assigned_names(path: Path) -> set[str]:

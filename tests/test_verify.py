@@ -10,6 +10,7 @@ import pytest
 from csp2c import verify
 from csp2c.codegen import (
     DRIVER_PRELUDE,
+    INCLUDED_HEADERS,
     Dialect,
     Family,
     TransformSpec,
@@ -583,13 +584,23 @@ class TestShippedBytes:
             )
 
     def test_the_unit_holds_each_klee_program_verbatim(self):
+        """Each klee or llbmc program keeps its line count and every line but
+        its `#include` lines of INCLUDED_HEADERS, which are blank."""
         csp = load_corpus("conflicts_group")
-        specs = all_specs(Family.EXTENSIONAL)
-        programs = [transform(csp, spec) for spec in specs]
-        unit = build_unit(csp, programs).source_text
-        for program in programs:
-            line = f'#line 1 "{output_filename(program)}"\n'
-            assert line + program.source_text + "#undef main\n" in unit
+        includes = {f"#include <{header}>" for header in INCLUDED_HEADERS}
+        for dialect in (Dialect.KLEE, Dialect.LLBMC):
+            programs = [
+                transform(csp, TransformSpec(Family.EXTENSIONAL, v, dialect)) for v in range(1, 13)
+            ]
+            unit = build_unit(csp, programs).source_text
+            for program in programs:
+                start = unit.index(f'#line 1 "{output_filename(program)}"\n')
+                start = unit.index("\n", start) + 1
+                embedded = unit[start : unit.index("#undef main\n", start)]
+                assert embedded.count("\n") == program.line_count
+                lines = program.source_text.splitlines()
+                assert includes & set(lines)
+                assert embedded.splitlines() == ["" if line in includes else line for line in lines]
 
     def test_driver_declares_every_function_it_calls(self, cc_template, tmp_path):
         template = "cc -Werror=implicit-function-declaration -O0 -o {out} {src}"
