@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -217,28 +218,32 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
                 dialect=entry.get("dialect", "klee"),
             )
         )
+    # the tool name keys the records, so two tools must not share one
+    _check_unique(path, "tool name", [tool.name for tool in tools])
     return tools
 
 
 def load_instance_manifest(path: str) -> list[BenchInstance]:
     base = os.path.dirname(os.path.abspath(path))
     instances = []
-    # instance id -> index of the entry that has it; the id names the
-    # generated sources and the records, so it must be unique
-    first_entry: dict[str, int] = {}
     for i, entry in enumerate(_load_entries(path, ("path", "family", "size"))):
         _check_entry(path, i, entry, _INSTANCE_KEYS)
         p = entry["path"]
         if not os.path.isabs(p):
             p = os.path.join(base, p)
-        instance = BenchInstance(path=p, family=entry["family"], size=entry["size"])
-        first = first_entry.setdefault(instance.instance_id, i)
-        if first != i:
-            raise HarnessError(
-                f"{path}: entries {first} and {i} share the instance id {instance.instance_id!r}"
-            )
-        instances.append(instance)
+        instances.append(BenchInstance(path=p, family=entry["family"], size=entry["size"]))
+    # the instance id names the generated sources and the records
+    _check_unique(path, "instance id", [inst.instance_id for inst in instances])
     return instances
+
+
+def _check_unique(path: str, what: str, keys: Sequence[str]) -> None:
+    """HarnessError naming the first two manifest entries whose keys are equal."""
+    first_entry: dict[str, int] = {}
+    for i, key in enumerate(keys):
+        first = first_entry.setdefault(key, i)
+        if first != i:
+            raise HarnessError(f"{path}: entries {first} and {i} share the {what} {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +592,14 @@ def emit_csv(report: Report, out_dir: str) -> list[str]:
     return [raw_path, rob_path, scal_path]
 
 
+def _seconds(text: str) -> float:
+    """A time or a time ratio: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
 def load_records_csv(path: str) -> list[RunRecord]:
     """Read a raw.csv written by emit_csv; files from before the note column
     was added load with empty notes. HarnessError names the line of a bad row."""
@@ -607,8 +620,8 @@ def load_records_csv(path: str) -> list[RunRecord]:
                         instance=row["instance"],
                         version=row["version"],
                         outcome=Outcome(row["outcome"]),
-                        wallclock_s=float(row["wallclock_s"]),
-                        normalized=float(row["normalized"]) if row["normalized"] else None,
+                        wallclock_s=_seconds(row["wallclock_s"]),
+                        normalized=_seconds(row["normalized"]) if row["normalized"] else None,
                         note=row.get("note", ""),
                     )
                 )

@@ -7,7 +7,8 @@ Supported elements:
                   domains are whitespace lists mixing integers and "l..u" ranges
   <constraints>   with:
     <extension>   <list> scope </list> plus exactly one of
-                  <supports>/<conflicts> holding "(v,..,v) (v,..,v)" tuples
+                  <supports>/<conflicts> holding "(v,..,v) (v,..,v)" tuples,
+                  spaces allowed around each comma-separated integer
                   (bare integers allowed for arity-1 scopes)
     <intension>   functional prefix syntax, e.g. eq(%0,dist(%1,%2))
     <allDifferent> whitespace-separated scope
@@ -15,10 +16,16 @@ Supported elements:
                   followed by one <args> row per instantiated constraint
 
 Anything else is rejected with an "unsupported" diagnostic naming the
-element; tuple wildcards (*) are rejected. Groups end here: the reader
-parses each template once and builds one concrete constraint per <args>
-row, so the model, the oracle and the code generator never see a template
-or a placeholder. Array variables are flattened to scalars (x[2] -> x2) and
+element; tuple wildcards (*) are rejected. A method that rejects an
+element raises _Reject, as the model raises ModelError; the nearest loop
+over sibling elements (the children of <variables>, of <constraints> or of
+a <group>, or the document element alone) records it as diagnostics of the
+element and goes on with the next sibling, so one pass reports every bad
+element. A document with any diagnostic raises ParseFailure.
+
+Groups end here: the reader parses each template once and builds one
+concrete constraint per <args> row, so the model, the oracle and the code
+generator never see a template or a placeholder. Array variables are flattened to scalars (x[2] -> x2) and
 the mapping is kept on the instance; where that name belongs to another
 variable, underscores go before the index (x1[0] -> x1_0 next to x[10]).
 An <intension> may nest at most model.MAX_EXPR_DEPTH operators deep, both
@@ -336,6 +343,17 @@ def parse_intension(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+class _Reject(Exception):
+    """Raised by a parse_* or resolve_* method that rejects an element: each
+    message becomes a diagnostic of `node` where the reader loops over the
+    rejected element and its siblings."""
+
+    def __init__(self, node: _Node, *messages: str):
+        super().__init__(*messages)
+        self.node = node
+        self.messages = messages
+
+
 class _DocParser:
     def __init__(self, name: str):
         self.name = name
@@ -355,32 +373,34 @@ class _DocParser:
     def error(self, node: _Node, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic("error", node.path, node.line, message))
 
-    def unsupported(self, node: _Node) -> None:
-        self.error(node, f"unsupported XCSP3 element <{node.tag}>")
+    def attempt(self, node: _Node, parse: Callable[[_Node], object]) -> bool:
+        """Whether `parse(node)` ran through. A rejection or a ModelError
+        becomes diagnostics instead, and the caller goes on with the next
+        sibling of `node`."""
+        try:
+            parse(node)
+            return True
+        except _Reject as reject:
+            for message in reject.messages:
+                self.error(reject.node, message)
+        except ModelError as exc:
+            self.error(node, str(exc))
+        return False
 
     # -- variables ----------------------------------------------------------
 
-    def parse_domain(self, node: _Node) -> Domain | None:
+    def parse_domain(self, node: _Node) -> Domain:
         ranges: list[tuple[int, int]] = []
         for token in node.text.split():
-            m = _RANGE_RE.fullmatch(token)
-            if m:
+            if m := _RANGE_RE.fullmatch(token):
                 ranges.append((int(m.group(1)), int(m.group(2))))
-                continue
-            if _INT_RE.fullmatch(token):
-                v = int(token)
-                ranges.append((v, v))
-                continue
-            self.error(node, f"cannot parse domain token {token!r}")
-            return None
+            elif _INT_RE.fullmatch(token):
+                ranges.append((int(token), int(token)))
+            else:
+                raise _Reject(node, f"cannot parse domain token {token!r}")
         if not ranges:
-            self.error(node, "empty domain")
-            return None
-        try:
-            return Domain.from_ranges(ranges)
-        except ModelError as exc:
-            self.error(node, str(exc))
-            return None
+            raise _Reject(node, "empty domain")
+        return Domain.from_ranges(ranges)
 
     def declare(self, node: _Node, var_id: str, domain: Domain) -> None:
         if var_id in self._declared:
@@ -391,38 +411,32 @@ class _DocParser:
 
     def parse_variables(self, node: _Node) -> None:
         for child in node.children:
-            if child.tag == "var":
-                var_id = child.attrib.get("id")
-                if not var_id:
-                    self.error(child, "<var> without id")
-                    continue
-                if child.attrib.get("type", "integer") != "integer":
-                    self.error(child, f"unsupported var type {child.attrib['type']!r}")
-                    continue
-                domain = self.parse_domain(child)
-                if domain is not None:
-                    self.declare(child, var_id, domain)
-            elif child.tag == "array":
-                self.parse_array(child)
-            else:
-                self.unsupported(child)
+            self.attempt(child, self.parse_variable)
+
+    def parse_variable(self, node: _Node) -> None:
+        if node.tag == "array":
+            self.parse_array(node)
+            return
+        if node.tag != "var":
+            raise _Reject(node, f"unsupported XCSP3 element <{node.tag}>")
+        var_id = node.attrib.get("id")
+        if not var_id:
+            raise _Reject(node, "<var> without id")
+        if node.attrib.get("type", "integer") != "integer":
+            raise _Reject(node, f"unsupported var type {node.attrib['type']!r}")
+        self.declare(node, var_id, self.parse_domain(node))
 
     def parse_array(self, node: _Node) -> None:
         array_id = node.attrib.get("id")
         size = node.attrib.get("size", "")
         if not array_id:
-            self.error(node, "<array> without id")
-            return
+            raise _Reject(node, "<array> without id")
         m = re.fullmatch(r"\[(\d+)\]", size.strip())
         if not m:
-            self.error(node, f"unsupported array size {size!r} (only one dimension)")
-            return
+            raise _Reject(node, f"unsupported array size {size!r} (only one dimension)")
         if node.children:
-            self.error(node, "unsupported <array> with child elements")
-            return
+            raise _Reject(node, "unsupported <array> with child elements")
         domain = self.parse_domain(node)
-        if domain is None:
-            return
         members = self._arrays.setdefault(array_id, {})
         for i in range(int(m.group(1))):
             key = f"{array_id}[{i}]"
@@ -442,178 +456,146 @@ class _DocParser:
 
     def resolve_token(
         self, node: _Node, token: str, *, allow_placeholder: bool, allow_int: bool
-    ) -> Union[str, int, None]:
+    ) -> Union[str, int]:
         if _PLACEHOLDER_RE.fullmatch(token):
             if allow_placeholder:
                 return token
-            self.error(node, f"placeholder {token} outside a <group> template")
-            return None
+            raise _Reject(node, f"placeholder {token} outside a <group> template")
         if _INT_RE.fullmatch(token):
             if allow_int:
                 return int(token)
-            self.error(node, f"integer {token} where a variable is required")
-            return None
+            raise _Reject(node, f"integer {token} where a variable is required")
         m = _REFERENCE_RE.fullmatch(token)
         if m is None:
-            self.error(node, f"cannot parse variable token {token!r}")
-            return None
+            raise _Reject(node, f"cannot parse variable token {token!r}")
         if m.group(2) is None:
             if token in self._declared:
                 return token
-            self.error(node, f"reference to undeclared variable {token!r}")
-            return None
+            raise _Reject(node, f"reference to undeclared variable {token!r}")
         # a whole array, `x[]`, never comes here: resolve_scope expands it
         flat = self.flatten_map.get(token)
         if flat is None:
-            self.error(node, f"reference to undeclared array element {token!r}")
-            return None
+            raise _Reject(node, f"reference to undeclared array element {token!r}")
         return flat
 
     def resolve_scope(
         self, node: _Node, text: str, *, allow_placeholder: bool, allow_int: bool = False
-    ) -> list[Union[str, int]] | None:
+    ) -> list[Union[str, int]]:
         out: list[Union[str, int]] = []
         for token in text.split():
             m = _REFERENCE_RE.fullmatch(token)
             if m and m.group(2) == "":
                 members = self._arrays.get(m.group(1))
                 if not members:
-                    self.error(node, f"reference to undeclared array {m.group(1)!r}")
-                    return None
+                    raise _Reject(node, f"reference to undeclared array {m.group(1)!r}")
                 out.extend(members.values())
-                continue
-            resolved = self.resolve_token(
-                node, token, allow_placeholder=allow_placeholder, allow_int=allow_int
-            )
-            if resolved is None:
-                return None
-            out.append(resolved)
+            else:
+                out.append(
+                    self.resolve_token(
+                        node, token, allow_placeholder=allow_placeholder, allow_int=allow_int
+                    )
+                )
         if not out:
-            self.error(node, "empty variable list")
-            return None
+            raise _Reject(node, "empty variable list")
         return out
 
     # -- constraints ---------------------------------------------------------
 
-    def parse_tuples(self, node: _Node, arity: int) -> tuple[tuple[int, ...], ...] | None:
+    def parse_tuples(self, node: _Node, arity: int) -> tuple[tuple[int, ...], ...]:
         text = node.text.strip()
         if "(" in text:
             rows = [
-                [item for item in re.split(r"[\s,]+", body) if item]
+                [item.strip() for item in body.split(",")]
                 for body in re.findall(r"\(([^()]*)\)", text)
             ]
             leftover = re.sub(r"\([^()]*\)", "", text).strip()
         else:
             # Arity-1 tables may list bare values.
             rows, leftover = [[item] for item in text.split()], ""
-        tuples: list[tuple[int, ...]] = []
         for items in rows:
             for item in items:
                 if item == "*":
-                    self.error(node, "wildcard (*) tuples are not supported")
-                    return None
+                    raise _Reject(node, "wildcard (*) tuples are not supported")
                 if not _INT_RE.fullmatch(item):
-                    self.error(node, f"cannot parse tuple value {item!r}")
-                    return None
-            tuples.append(tuple(int(item) for item in items))
+                    raise _Reject(node, f"cannot parse tuple value {item!r}")
         if leftover:
-            self.error(node, f"stray text in tuple list: {leftover!r}")
-            return None
-        if not tuples:
-            self.error(node, "empty tuple list")
-            return None
+            raise _Reject(node, f"stray text in tuple list: {leftover!r}")
+        if not rows:
+            raise _Reject(node, "empty tuple list")
+        tuples = tuple(tuple(map(int, items)) for items in rows)
         for row in tuples:
             if len(row) != arity:
-                self.error(
-                    node,
-                    f"tuple {row} has arity {len(row)}, scope has arity {arity}",
-                )
-                return None
-        return tuple(tuples)
+                raise _Reject(node, f"tuple {row} has arity {len(row)}, scope has arity {arity}")
+        return tuples
 
     def scope_template(
-        self, node: _Node, scope: tuple[str, ...], make: Callable[[tuple[str, ...]], Constraint]
-    ) -> _Template | None:
+        self, scope: tuple[str, ...], make: Callable[[tuple[str, ...]], Constraint]
+    ) -> _Template:
         """`make` over `scope`, whose `%i` tokens an args row fills. The
         model's checks run once here, each `%i` standing for a variable of
         its own; each row checks its scope again, and a table's shared tuple
         list is not checked again."""
-        try:
-            checked = make(scope)
-        except ModelError as exc:
-            self.error(node, str(exc))
-            return None
+        checked = make(scope)
         slots = tuple(sorted({int(v[1:]) for v in scope if v.startswith("%")}))
         if not slots:
             return _Template((), lambda args: checked)
         return _Template(slots, lambda args: checked.with_scope(_fill_scope(scope, args)))
 
-    def parse_extension(self, node: _Node, *, templated: bool) -> _Template | None:
-        list_node = None
-        table_node = None
-        polarity = None
+    def parse_extension(self, node: _Node, *, templated: bool) -> _Template:
+        list_node = table_node = None
         for child in node.children:
             if child.tag == "list":
                 list_node = child
-            elif child.tag in ("supports", "conflicts"):
-                if table_node is not None:
-                    self.error(child, "extension has more than one tuple list")
-                    return None
-                table_node = child
-                polarity = Polarity(child.tag)
+            elif child.tag not in ("supports", "conflicts"):
+                raise _Reject(child, f"unsupported XCSP3 element <{child.tag}>")
+            elif table_node is not None:
+                raise _Reject(child, "extension has more than one tuple list")
             else:
-                self.unsupported(child)
-                return None
+                table_node = child
         if list_node is None:
-            self.error(node, "<extension> without <list>")
-            return None
-        if table_node is None or polarity is None:
-            self.error(node, "<extension> without <supports> or <conflicts>")
-            return None
+            raise _Reject(node, "<extension> without <list>")
+        if table_node is None:
+            raise _Reject(node, "<extension> without <supports> or <conflicts>")
         scope = self.resolve_scope(list_node, list_node.text, allow_placeholder=templated)
-        if scope is None:
-            return None
         tuples = self.parse_tuples(table_node, arity=len(scope))
-        if tuples is None:
-            return None
+        polarity = Polarity(table_node.tag)
         # every row shares the one parsed tuple list
         return self.scope_template(
-            node, tuple(map(str, scope)), lambda vs: TableConstraint(vs, polarity, tuples)
+            tuple(map(str, scope)), lambda vs: TableConstraint(vs, polarity, tuples)
         )
 
-    def parse_intension_node(self, node: _Node, *, templated: bool) -> _Template | None:
+    def parse_intension_node(self, node: _Node, *, templated: bool) -> _Template:
         if node.children:
-            self.error(node, "unsupported <intension> with child elements")
-            return None
+            raise _Reject(node, "unsupported <intension> with child elements")
         slots: set[int] = set()
+        # the leaves' messages stand only if the whole expression parses
+        leaf_errors: list[str] = []
 
         def leaf(token: str) -> Expr:
             if token[0] == "%":
                 index = int(token[1:])
                 if not templated:
-                    self.error(node, f"placeholder %{index} outside a <group> template")
+                    leaf_errors.append(f"placeholder %{index} outside a <group> template")
                 slots.add(index)
                 return Placeholder(index)
             var = self._leaves.get(token)
             if var is None:
-                resolved = self.resolve_token(
-                    node, token, allow_placeholder=False, allow_int=False
-                )
-                if resolved is None:
+                try:
+                    resolved = self.resolve_token(
+                        node, token, allow_placeholder=False, allow_int=False
+                    )
+                except _Reject as reject:
+                    leaf_errors.extend(reject.messages)
                     return Var(token)
                 var = self._leaves[token] = Var(str(resolved))
             return var
 
-        # a leaf's diagnostics stand only if the whole expression parses
-        mark = len(self.diagnostics)
         try:
             tree = _parse_tree(node.text.strip(), leaf)
         except IntensionSyntaxError as exc:
-            del self.diagnostics[mark:]
-            self.error(node, f"bad intension expression: {exc}")
-            return None
-        if len(self.diagnostics) > mark:
-            return None
+            raise _Reject(node, f"bad intension expression: {exc}") from None
+        if leaf_errors:
+            raise _Reject(node, *leaf_errors)
         if not slots:
             constraint = IntensionConstraint(tree)
             return _Template((), lambda args: constraint)
@@ -621,78 +603,60 @@ class _DocParser:
             tuple(sorted(slots)), lambda args: IntensionConstraint(_fill_expr(tree, args))
         )
 
-    def parse_alldifferent(self, node: _Node, *, templated: bool) -> _Template | None:
+    def parse_alldifferent(self, node: _Node, *, templated: bool) -> _Template:
         if node.children:
-            self.error(node, "unsupported <allDifferent> with child elements")
-            return None
+            raise _Reject(node, "unsupported <allDifferent> with child elements")
         scope = self.resolve_scope(node, node.text, allow_placeholder=templated)
-        if scope is None:
-            return None
-        return self.scope_template(node, tuple(map(str, scope)), AllDifferent)
+        return self.scope_template(tuple(map(str, scope)), AllDifferent)
 
-    def parse_constraint(self, node: _Node, *, templated: bool) -> _Template | None:
+    def parse_constraint(self, node: _Node, *, templated: bool) -> _Template:
         if node.tag == "extension":
             return self.parse_extension(node, templated=templated)
         if node.tag == "intension":
             return self.parse_intension_node(node, templated=templated)
         if node.tag == "allDifferent":
             return self.parse_alldifferent(node, templated=templated)
-        self.unsupported(node)
-        return None
+        raise _Reject(node, f"unsupported XCSP3 element <{node.tag}>")
 
     def parse_group(self, node: _Node) -> None:
         self._group_counter += 1
         group_name = f"group#{self._group_counter}"
-        template: _Template | None = None
+        # the first template that parses, and every args row that does
+        templates: list[_Template] = []
         args_rows: list[tuple[Arg, ...]] = []
-        ok = True
-        for child in node.children:
+
+        def parse_child(child: _Node) -> None:
             if child.tag == "args":
-                row = self.resolve_scope(
-                    child, child.text, allow_placeholder=False, allow_int=True
-                )
-                if row is None:
-                    ok = False
-                else:
-                    args_rows.append(tuple(row))
-            elif template is None:
-                template = self.parse_constraint(child, templated=True)
-                if template is None:
-                    ok = False
+                row = self.resolve_scope(child, child.text, allow_placeholder=False, allow_int=True)
+                args_rows.append(tuple(row))
+            elif not templates:
+                templates.append(self.parse_constraint(child, templated=True))
             else:
-                self.error(child, "group has more than one constraint template")
-                ok = False
-        if template is None:
+                raise _Reject(child, "group has more than one constraint template")
+
+        # a list, not a generator: every child is attempted
+        ok = all([self.attempt(child, parse_child) for child in node.children])
+        if not templates:
             if ok:
-                self.error(node, "<group> without a constraint template")
-            return
-        if not args_rows:
-            self.error(node, "<group> without <args>")
-            return
-        if not ok:
-            return
-        try:
-            self.groups.append(template.instantiate(group_name, args_rows))
-        except ModelError as exc:
-            self.error(node, str(exc))
+                raise _Reject(node, "<group> without a constraint template")
+        elif not args_rows:
+            raise _Reject(node, "<group> without <args>")
+        elif ok:
+            self.groups.append(templates[0].instantiate(group_name, args_rows))
 
     def parse_constraints(self, node: _Node) -> None:
         for child in node.children:
-            if child.tag == "group":
-                self.parse_group(child)
-            else:
-                lone = self.parse_constraint(child, templated=False)
-                if lone is not None:
-                    self.groups.append((lone.build(()),))
+            self.attempt(child, self.parse_group if child.tag == "group" else self.parse_lone)
+
+    def parse_lone(self, node: _Node) -> None:
+        self.groups.append((self.parse_constraint(node, templated=False).build(()),))
 
     def parse_root(self, root: _Node) -> None:
         if root.tag != "instance":
-            self.error(root, f"document element must be <instance>, found <{root.tag}>")
-            return
+            raise _Reject(root, f"document element must be <instance>, found <{root.tag}>")
         doc_type = root.attrib.get("type", "CSP")
         if doc_type != "CSP":
-            self.error(root, f"unsupported instance type {doc_type!r} (only CSP)")
-            return
+            raise _Reject(root, f"unsupported instance type {doc_type!r} (only CSP)")
         self._scalar_ids = {
             var.attrib.get("id", "")
             for section in root.children
@@ -708,11 +672,12 @@ class _DocParser:
             elif child.tag == "constraints":
                 self.parse_constraints(child)
             else:
-                self.unsupported(child)
+                # an unsupported section stops nothing else
+                self.error(child, f"unsupported XCSP3 element <{child.tag}>")
         if not seen_vars:
-            self.error(root, "missing <variables> section")
-        elif not self.variables:
-            self.error(root, "instance declares no variables")
+            raise _Reject(root, "missing <variables> section")
+        if not self.variables:
+            raise _Reject(root, "instance declares no variables")
 
 
 def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance:
@@ -730,7 +695,7 @@ def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance
             [ParseDiagnostic("error", "/", line, f"malformed XML: {exc}")]
         ) from exc
 
-    parser.parse_root(root)
+    parser.attempt(root, parser.parse_root)
     if parser.diagnostics:
         raise ParseFailure(parser.diagnostics)
 

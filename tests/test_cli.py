@@ -784,6 +784,21 @@ class TestBadInputFiles:
         assert err.startswith("error:") and str(instances) in err
         assert "entries 0 and 1 share the instance id 'x'" in err
 
+    def test_bench_tools_sharing_a_name_exit_2(self, capsys, tmp_path, bench_manifests):
+        _, instances = bench_manifests
+        tools = tmp_path / "tools.json"
+        tools.write_text(
+            json.dumps([{"name": "t", "run": "true {src}"}, {"name": "t", "run": "false {src}"}])
+        )
+        code, out, err = run_cli(
+            capsys, "bench", "--tools", str(tools), "--instances", instances,
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(tools) in err
+        assert "entries 0 and 1 share the tool name 't'" in err
+        assert not (tmp_path / "o" / "robustness.csv").exists()
+
     def test_report_on_zero_second_runs_draws_the_charts(self, capsys, tmp_path):
         import xml.etree.ElementTree as ET
 

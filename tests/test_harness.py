@@ -116,6 +116,16 @@ class TestRunMatrix:
         assert all(r.outcome is Outcome.TOOL_ERROR for r in ghost)
         assert all(r.outcome is Outcome.REACHED for r in fake)
 
+    def test_missing_source_is_tool_error_and_run_continues(self, tmp_path, two_instances):
+        src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
+        tool = ToolSpec(name="fake", run="echo REACH {src}", success_pattern="REACH")
+        first, second = run_matrix(two_instances, {"extensional": LABELS[:1]}, [tool], src_dir)
+        assert (first.instance, first.outcome) == ("inst0", Outcome.REACHED)
+        missing = source_path(src_dir, "inst1", LABELS[0], "klee")
+        assert (second.instance, second.version, second.outcome, second.wallclock_s, second.note) == (
+            "inst1", LABELS[0], Outcome.TOOL_ERROR, 0.0, f"missing source {missing}"
+        )
+
     def test_record_completeness_formula(self, tmp_path, two_instances):
         src_dir = make_sources(tmp_path, two_instances, LABELS)
         tools = [
@@ -334,6 +344,20 @@ class TestCsvRoundTrip:
         with pytest.raises(HarnessError, match="expected 7 fields"):
             load_records_csv(str(raw))
 
+    @pytest.mark.parametrize(
+        "wall, normalized", [("nan", ""), ("inf", ""), ("-1.0", ""), ("1.0", "inf"), ("1.0", "nan")]
+    )
+    def test_times_must_be_finite_and_non_negative(self, tmp_path, wall, normalized):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "tool,instance,version,outcome,wallclock_s,normalized,note\n"
+            "t,i1,v1,timeout,0.0,0.0,\n"
+            f"t,i1,v2,reached,{wall},{normalized},\n"
+        )
+        with pytest.raises(HarnessError, match="is not a finite number >= 0") as info:
+            load_records_csv(str(raw))
+        assert str(info.value).startswith(f"{raw}:3: ")
+
     def test_manifest_loaders(self, tmp_path):
         tools_json = tmp_path / "tools.json"
         tools_json.write_text(
@@ -365,6 +389,11 @@ class TestCsvRoundTrip:
                 '[{"path": "a.xml", "family": "extensional", "size": 3},'
                 ' {"path": "b.xml", "family": "bogus", "size": 3}]',
                 "entry 1 has unknown family 'bogus'",
+            ),
+            (
+                load_tool_manifest,
+                '[{"name": "t", "run": "true {src}"}, {"name": "t", "run": "false {src}"}]',
+                "entries 0 and 1 share the tool name 't'",
             ),
             (
                 load_tool_manifest,

@@ -4,7 +4,8 @@ csp2c depends on the standard library alone (`dependencies = []`); the
 oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
 codegen alone writes replay-driver C; the harness alone starts child
-processes; and the model alone sets the expression-depth limit.
+processes; the model alone sets the expression-depth limit; and a test
+pins each message the XCSP3 reader rejects an element with.
 """
 
 from __future__ import annotations
@@ -94,3 +95,40 @@ def assigned_names(path: Path) -> set[str]:
 def test_only_the_model_sets_the_depth_limit(path):
     """MAX_EXPR_DEPTH is checked where trees are built; other modules import it."""
     assert ("MAX_EXPR_DEPTH" in assigned_names(path)) == (path.name == "model.py")
+
+
+def literal_prefix(node: ast.expr) -> str | None:
+    """The text a string or f-string starts with, before its first `{...}`."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        prefix = ""
+        for part in node.values:
+            if not isinstance(part, ast.Constant):
+                break
+            prefix += part.value
+        return prefix
+    return None
+
+
+def rejection_messages(path: Path) -> list[ast.expr]:
+    """The message arguments of every `_Reject(node, *messages)` in the module."""
+    return [
+        message
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Reject"
+        for message in node.args[1:]
+    ]
+
+
+def test_every_parser_rejection_has_a_diagnostic_table_row():
+    """Each message the XCSP3 reader rejects an element with is pinned by a
+    row of test_xcsp.DIAGNOSTIC_TABLE; a message passed on unchanged
+    (`*messages`) was raised, and so pinned, where it was made."""
+    from test_xcsp import DIAGNOSTIC_TABLE
+
+    pinned = [expected.split("): ", 1)[1] for _, expected in DIAGNOSTIC_TABLE.values()]
+    messages = [m for m in rejection_messages(PACKAGE / "xcsp.py") if not isinstance(m, ast.Starred)]
+    prefixes = [literal_prefix(m) for m in messages]
+    assert len(prefixes) > 20 and all(prefixes), [ast.unparse(m) for m in messages]
+    assert [p for p in prefixes if not any(m.startswith(p) for m in pinned)] == []

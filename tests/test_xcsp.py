@@ -491,6 +491,191 @@ class TestDepthLimit:
         assert [c.scope for c in csp.constraints()] == [("x", "y"), ("y", "x")]
 
 
+def at(where: str, message: str) -> str:
+    """A diagnostic's text on line 1 under /instance[1]."""
+    return f"error at /instance[1]{where} (line 1): {message}"
+
+
+V, C = "/variables[1]", "/constraints[1]"
+
+
+def vars_doc(variables: str) -> str:
+    return document(SIX + variables, "")
+
+
+def table_doc(tuples: str) -> str:
+    return document(SIX, f"<extension><list> x[0] x[1] </list><supports> {tuples} </supports></extension>")
+
+
+# Every diagnostic that rejects an element, one document each. A rejection
+# the reader adds needs a row here (tests/test_imports.py checks it).
+DIAGNOSTIC_TABLE = {
+    # <var>, <array> and domains
+    "var-without-id": (vars_doc("<var> 0 1 </var>"), at(f"{V}/var[1]", "<var> without id")),
+    "var-type": (
+        vars_doc('<var id="s" type="symbolic"> a b </var>'),
+        at(f"{V}/var[1]", "unsupported var type 'symbolic'"),
+    ),
+    "variables-child": (
+        vars_doc('<matrix id="m"/>'), at(f"{V}/matrix[1]", "unsupported XCSP3 element <matrix>")
+    ),
+    "array-without-id": (
+        vars_doc('<array size="[2]"> 0 1 </array>'), at(f"{V}/array[2]", "<array> without id")
+    ),
+    "array-size": (
+        vars_doc('<array id="y" size="[2][2]"> 0 1 </array>'),
+        at(f"{V}/array[2]", "unsupported array size '[2][2]' (only one dimension)"),
+    ),
+    "array-children": (
+        vars_doc('<array id="y" size="[2]"><domain for="y[0]"> 0 1 </domain></array>'),
+        at(f"{V}/array[2]", "unsupported <array> with child elements"),
+    ),
+    "domain-token": (
+        vars_doc('<var id="v"> 0 a </var>'), at(f"{V}/var[1]", "cannot parse domain token 'a'")
+    ),
+    "domain-range": (vars_doc('<var id="v"> 3..1 </var>'), at(f"{V}/var[1]", "bad domain range 3..1")),
+    "domain-empty": (vars_doc('<var id="v"> </var>'), at(f"{V}/var[1]", "empty domain")),
+    "duplicate-id": (
+        vars_doc('<var id="v"> 0 </var><var id="v"> 1 </var>'),
+        at(f"{V}/var[2]", "duplicate variable id 'v'"),
+    ),
+    # scopes
+    "scope-placeholder": (
+        document(SIX, "<allDifferent> %0 x[1] </allDifferent>"),
+        at(f"{C}/allDifferent[1]", "placeholder %0 outside a <group> template"),
+    ),
+    "scope-integer": (
+        document(SIX, "<allDifferent> x[0] 3 </allDifferent>"),
+        at(f"{C}/allDifferent[1]", "integer 3 where a variable is required"),
+    ),
+    "scope-token": (
+        document(SIX, "<allDifferent> x[0] x-1 </allDifferent>"),
+        at(f"{C}/allDifferent[1]", "cannot parse variable token 'x-1'"),
+    ),
+    "scope-undeclared-variable": (
+        document(SIX, "<allDifferent> x[0] y </allDifferent>"),
+        at(f"{C}/allDifferent[1]", "reference to undeclared variable 'y'"),
+    ),
+    "scope-undeclared-element": (
+        document(SIX, "<allDifferent> x[0] x[6] </allDifferent>"),
+        at(f"{C}/allDifferent[1]", "reference to undeclared array element 'x[6]'"),
+    ),
+    "scope-undeclared-array": (
+        document(SIX, "<allDifferent> y[] </allDifferent>"),
+        at(f"{C}/allDifferent[1]", "reference to undeclared array 'y'"),
+    ),
+    "scope-empty": (
+        document(SIX, "<allDifferent> </allDifferent>"),
+        at(f"{C}/allDifferent[1]", "empty variable list"),
+    ),
+    # tuples
+    "tuple-wildcard": (
+        table_doc("(0,*)"),
+        at(f"{C}/extension[1]/supports[1]", "wildcard (*) tuples are not supported"),
+    ),
+    "tuple-value": (
+        table_doc("(0,a)"), at(f"{C}/extension[1]/supports[1]", "cannot parse tuple value 'a'")
+    ),
+    "tuple-stray": (
+        table_doc("(0,1) 2"), at(f"{C}/extension[1]/supports[1]", "stray text in tuple list: '2'")
+    ),
+    "tuple-empty": (table_doc(""), at(f"{C}/extension[1]/supports[1]", "empty tuple list")),
+    "tuple-arity": (
+        table_doc("(0,1,2)"),
+        at(f"{C}/extension[1]/supports[1]", "tuple (0, 1, 2) has arity 3, scope has arity 2"),
+    ),
+    # constraint elements
+    "extension-two-lists": (
+        document(
+            SIX,
+            "<extension><list> x[0] </list><supports> 0 </supports>"
+            "<conflicts> 1 </conflicts></extension>",
+        ),
+        at(f"{C}/extension[1]/conflicts[1]", "extension has more than one tuple list"),
+    ),
+    "extension-child": (
+        document(SIX, "<extension><list> x[0] </list><supports> 0 </supports><except/></extension>"),
+        at(f"{C}/extension[1]/except[1]", "unsupported XCSP3 element <except>"),
+    ),
+    "extension-without-list": (
+        document(SIX, "<extension><supports> 0 </supports></extension>"),
+        at(f"{C}/extension[1]", "<extension> without <list>"),
+    ),
+    "extension-without-tuples": (
+        document(SIX, "<extension><list> x[0] </list></extension>"),
+        at(f"{C}/extension[1]", "<extension> without <supports> or <conflicts>"),
+    ),
+    "intension-children": (
+        document(SIX, "<intension><function> eq(x[0],1) </function></intension>"),
+        at(f"{C}/intension[1]", "unsupported <intension> with child elements"),
+    ),
+    "intension-arguments": (
+        document(SIX, "<intension> eq(add(x[0]),1) </intension>"),
+        at(f"{C}/intension[1]", "bad intension expression: add takes at least 2 arguments"),
+    ),
+    "intension-end": (
+        document(SIX, "<intension> eq(x, </intension>"),
+        at(f"{C}/intension[1]", "bad intension expression: unexpected end of expression"),
+    ),
+    "alldifferent-children": (
+        document(SIX, "<allDifferent><list> x[0] x[1] </list></allDifferent>"),
+        at(f"{C}/allDifferent[1]", "unsupported <allDifferent> with child elements"),
+    ),
+    "constraint-element": (
+        document(SIX, "<sum><list> x[0] x[1] </list></sum>"),
+        at(f"{C}/sum[1]", "unsupported XCSP3 element <sum>"),
+    ),
+    # groups
+    "group-two-templates": (
+        document(
+            SIX,
+            "<group><allDifferent> %0 %1 </allDifferent><allDifferent> %1 %0 </allDifferent>"
+            "<args> x[0] x[1] </args></group>",
+        ),
+        at(f"{C}/group[1]/allDifferent[2]", "group has more than one constraint template"),
+    ),
+    "group-without-template": (
+        document(SIX, "<group><args> x[0] x[1] </args></group>"),
+        at(f"{C}/group[1]", "<group> without a constraint template"),
+    ),
+    "group-without-args": (
+        document(SIX, "<group><allDifferent> %0 %1 </allDifferent></group>"),
+        at(f"{C}/group[1]", "<group> without <args>"),
+    ),
+    # the document
+    "root": ("<csp/>", "error at /csp[1] (line 1): document element must be <instance>, found <csp>"),
+    "instance-type": (
+        '<instance type="COP"><variables/></instance>',
+        at("", "unsupported instance type 'COP' (only CSP)"),
+    ),
+    "instance-section": (
+        '<instance><variables><var id="v"> 0 </var></variables><annotations/></instance>',
+        at("/annotations[1]", "unsupported XCSP3 element <annotations>"),
+    ),
+    "missing-variables": ("<instance><constraints/></instance>", at("", "missing <variables> section")),
+    "no-variables": ("<instance><variables/></instance>", at("", "instance declares no variables")),
+}
+
+
+@pytest.mark.parametrize("text, expected", DIAGNOSTIC_TABLE.values(), ids=DIAGNOSTIC_TABLE.keys())
+def test_each_rejection_is_one_located_diagnostic(text, expected):
+    assert diagnostics(text) == [expected]
+
+
+class TestTupleLists:
+    def test_items_are_separated_by_commas_with_optional_spaces(self):
+        csp = parse_document(table_doc("(0, 3) ( 1 ,2 )"))
+        assert csp.constraints()[0].tuples == ((0, 3), (1, 2))
+
+    @pytest.mark.parametrize(
+        "tuples, item", [("(1,,2) (0 3)", "''"), ("(0 3)", "'0 3'"), ("(0,1,)", "''")]
+    )
+    def test_a_missing_comma_or_item_is_rejected(self, tuples, item):
+        assert diagnostics(table_doc(tuples)) == [
+            at(f"{C}/extension[1]/supports[1]", f"cannot parse tuple value {item}")
+        ]
+
+
 VALID_DOCUMENTS = {
     path.name: path.read_text(encoding="utf-8")
     for path in sorted(Path(CORPUS_DIR, "valid").glob("*.xml"))
