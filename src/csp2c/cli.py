@@ -10,8 +10,13 @@ commands raise; `main` alone turns an error into output and an exit code:
 parse diagnostics exit 2, an error in `_EXIT_CODES` prints `error: ...`
 and exits with its code, and any other exception is a bug and keeps its
 traceback.
-The CSP2C_CC environment variable sets the default C compiler template
-(default: "cc -O1 -o {out} {src}"); it is read when `verify` runs.
+The CSP2C_CC environment variable replaces the default C compiler template,
+verify.DEFAULT_CC: "cc -O0 -fsanitize=signed-integer-overflow
+-fsanitize-undefined-trap-on-error -o {out} {src}", `-O0` made safe by a
+trapping signed-overflow check (verify's docstring says why). It is read
+when `verify` runs, and `verify` prints the template it ran. A driver
+killed by SIGILL has hit that check: `verify` exits 1 with an error naming
+the version and the assignment.
 
 A command loads only the modules it runs. The model, the parser and the
 oracle are imported with this module; codegen, verify, harness and charts
@@ -227,6 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         {"versions": list(t.versions), "compile_s": t.compile_s, "run_s": t.run_s}
                         for t in report.timings
                     ],
+                    "cc": cc,
                 }
             )
         )
@@ -235,6 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{report.instance}: {report.status.value} "
             f"({len(report.versions)} versions x {report.assignments_checked} assignments)"
         )
+        print(f"  cc: {cc}")
         for t in report.timings:
             print(f"  {', '.join(t.versions)}: compile {t.compile_s:.3f} s, run {t.run_s:.3f} s")
         for m in report.mismatches[:10]:

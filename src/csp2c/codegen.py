@@ -31,7 +31,8 @@ whitespace-separated assignments from stdin and prints one line per
 assignment, one 0/1 verdict digit per program, so `printf '0 1\n' | ./prog`
 replays one assignment. Input that does not end after a whole assignment
 exits 2, and a program that reads more or fewer values than there are
-variables exits 3.
+variables exits 3. Its stdout is unbuffered, so a unit that dies mid-run
+leaves every verdict digit it printed before.
 
 An instance is analysed once, not once per cell: transform keeps the
 analysis of the instance it saw last, keyed on the instance's identity and
@@ -446,9 +447,12 @@ static void csp2c_run(int (*version)(void), const int *values, int arity) {
 /* Read whitespace-separated assignments from stdin and print one line per
    assignment holding one 0/1 verdict digit per version, in order; exit 2 on
    input that does not end after a whole assignment. A version that reads
-   more or fewer than `arity` values exits 3. */
+   more or fewer than `arity` values exits 3. stdout is unbuffered, so a
+   run that dies keeps every digit printed before: its whole lines count
+   the assignments done, and the digits of its last line the versions. */
 static int csp2c_drive(int (*const versions[])(void), int count, int arity) {
     int values[arity], i, k;
+    setvbuf(stdout, NULL, _IONBF, 0);
     for (;;) {
         for (i = 0; i < arity; i++)
             if (scanf("%d", &values[i]) != 1)

@@ -15,6 +15,18 @@ hold. The llbmc programs differ from the klee ones only in intrinsic names;
 check. Compiles and driver runs go through `harness.run_command`: a compile
 runs in its own process group, killed whole after COMPILE_TIMEOUT_S, and
 DRIVER_TIMEOUT_S bounds the one driver run per unit.
+
+The default compile command, DEFAULT_CC, is `cc -O0` with gcc's and clang's
+signed-overflow check in trap form (`-fsanitize=signed-integer-overflow
+-fsanitize-undefined-trap-on-error`), which needs no runtime library. `-O0`
+compiles a unit in about half the time of `-O1`. The check makes it safe:
+signed `int` overflow, the undefined behaviour a program could hit, traps
+instead of wrapping silently (as at `-O0` alone) or being assumed away by
+the optimiser (as at `-O1`). A driver killed by SIGILL has hit that trap:
+the program's C semantics break the promise there, so it is a VerifyError
+naming the version and the assignment, never a verdict. CSP2C_CC, or an
+explicit `compile_cmd`, replaces the whole template; a compiler that
+rejects the flags fails with CompileError.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import os
 import random
 import shlex
 import shutil
+import signal
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +57,10 @@ from .oracle import Assignment, all_assignments, constraint_satisfied, solve
 
 DEFAULT_EXHAUSTIVE_BOUND = 4096
 DEFAULT_SAMPLE_COUNT = 256
-DEFAULT_CC = "cc -O1 -o {out} {src}"
+DEFAULT_CC = (
+    "cc -O0 -fsanitize=signed-integer-overflow -fsanitize-undefined-trap-on-error"
+    " -o {out} {src}"
+)
 # the fields a compile command template may name
 COMPILE_FIELDS = ("src", "out")
 COMPILE_TIMEOUT_S = 120
@@ -133,18 +149,48 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
     return exe
 
 
-def _verdicts(exe: str, plan: str, count: int, width: int) -> list[list[bool]]:
-    """Pipe the plan of `count` assignments through one run of a unit's
-    driver; one row of verdicts for each of its `width` versions.
+def _died_at(
+    stdout: str, programs: Sequence[GeneratedProgram], assignments: Sequence[Assignment]
+) -> str:
+    """Where a driver run that died had got to, read from its unbuffered
+    output: its whole lines count the assignments done, and the digits of
+    its last, partial line the versions done on the next one. Empty when
+    the output names no version and assignment of the unit."""
+    row = stdout.count("\n")
+    partial = stdout[stdout.rfind("\n") + 1 :]
+    if row >= len(assignments) or len(partial) >= len(programs) or partial.strip("01"):
+        return ""
+    program = programs[len(partial)]
+    values = " ".join(f"{name}={value}" for name, value in assignments[row].items())
+    where = f"{program.version_label} ({output_filename(program)})"
+    return f", running {where} on assignment {values},"
 
-    Anything but a zero exit with exactly one line of `width` 0/1 digits per
-    assignment raises VerifyError: a broken driver is never read as a verdict.
+
+def _verdicts(
+    exe: str,
+    plan: str,
+    programs: Sequence[GeneratedProgram],
+    assignments: Sequence[Assignment],
+) -> list[list[bool]]:
+    """Pipe the plan of `assignments` through one run of a unit's driver;
+    one row of verdicts for each of its `programs`, in order.
+
+    Anything but a zero exit with exactly one line of one 0/1 digit per
+    program for each assignment raises VerifyError: a broken driver is never
+    read as a verdict. A driver that exits nonzero or is killed (SIGILL is
+    the trap of DEFAULT_CC's signed-overflow check) is named with the
+    version and the assignment it was running.
     """
+    count, width = len(assignments), len(programs)
     proc = _run("{exe}", {"exe": exe}, DRIVER_TIMEOUT_S, stdin=plan)
     if proc.returncode != 0:
+        # a driver killed by signal N has returncode -N
+        killed = {s.value: s.name for s in signal.Signals}.get(-proc.returncode)
         stderr = proc.stderr.strip()
         raise VerifyError(
-            f"driver {exe} exited with status {proc.returncode}"
+            f"driver {exe}{_died_at(proc.stdout, programs, assignments)}"
+            f" exited with status {proc.returncode}"
+            + (f" (killed by {killed})" if killed else "")
             + (f": {stderr}" if stderr else "")
         )
     lines = proc.stdout.splitlines()
@@ -193,7 +239,7 @@ def _observe(
         unit = build_unit(csp, programs, f"unit{index + 1}")
         exe = compile_program(unit, compile_cmd, tmp)
         compiled = time.perf_counter()
-        rows = _verdicts(exe, plan, len(assignments), len(specs))
+        rows = _verdicts(exe, plan, programs, assignments)
         timing = UnitTiming(
             tuple(spec.version_label for spec in specs),
             compiled - start,

@@ -31,9 +31,12 @@ static void csp2c_run(int (*version)(void), const int *values, int arity) {
 /* Read whitespace-separated assignments from stdin and print one line per
    assignment holding one 0/1 verdict digit per version, in order; exit 2 on
    input that does not end after a whole assignment. A version that reads
-   more or fewer than `arity` values exits 3. */
+   more or fewer than `arity` values exits 3. stdout is unbuffered, so a
+   run that dies keeps every digit printed before: its whole lines count
+   the assignments done, and the digits of its last line the versions. */
 static int csp2c_drive(int (*const versions[])(void), int count, int arity) {
     int values[arity], i, k;
+    setvbuf(stdout, NULL, _IONBF, 0);
     for (;;) {
         for (i = 0; i < arity; i++)
             if (scanf("%d", &values[i]) != 1)
@@ -80,7 +83,7 @@ int main(void) {
     return 0;
 }
 #undef main
-#line 84 "dist_alldiff__intensional3__concrete.c"
+#line 87 "dist_alldiff__intensional3__concrete.c"
 int main(void) {
     static int (*const versions[])(void) = {csp2c_main_0};
     return csp2c_drive(versions, 1, 5);

@@ -17,7 +17,7 @@ from csp2c.harness import Outcome, load_records_csv
 from csp2c.model import MAX_EXPR_DEPTH
 from csp2c.xcsp import parse_file
 
-from conftest import corpus_path
+from conftest import NOT_EQUAL_XML, corpus_path, overflowing_emitter
 
 
 def run_cli(capsys, *argv):
@@ -511,6 +511,38 @@ class TestVerifyCommand:
         assert [line.split(":")[0].strip() for line in timing_lines] == [
             "extensional1", "extensional5, extensional8",
         ]
+
+    def test_output_names_the_compile_template_that_ran(self, capsys, monkeypatch, cc_template):
+        from csp2c.verify import DEFAULT_CC
+
+        supports_pair = corpus_path("valid", "supports_pair")
+        monkeypatch.delenv("CSP2C_CC", raising=False)
+        code, out, _ = run_cli(capsys, "verify", supports_pair, "--versions", "1")
+        assert code == 0
+        assert out.splitlines()[1] == f"  cc: {DEFAULT_CC}"
+        # a template from CSP2C_CC is the one reported, in both output modes
+        template = "cc -O1 -o {out} {src}"
+        monkeypatch.setenv("CSP2C_CC", template)
+        code, out, _ = run_cli(capsys, "verify", supports_pair, "--versions", "1")
+        assert code == 0 and out.splitlines()[1] == f"  cc: {template}"
+        code, out, _ = run_cli(capsys, "verify", "--machine", supports_pair, "--versions", "1")
+        assert code == 0 and json.loads(out)["cc"] == template
+
+    def test_signed_overflow_exits_1_naming_version_and_assignment(
+        self, capsys, monkeypatch, tmp_path, cc_template
+    ):
+        from csp2c import verify
+
+        path = tmp_path / "overflow.xml"
+        path.write_text(NOT_EQUAL_XML)
+        monkeypatch.delenv("CSP2C_CC", raising=False)
+        monkeypatch.setattr(verify, "transform", overflowing_emitter("intensional4"))
+        code, out, err = run_cli(capsys, "verify", str(path), "--versions", "all")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: driver ")
+        where = "intensional4 (overflow__intensional4__klee.c) on assignment x=1 y=0"
+        assert f", running {where}," in line
 
     @pytest.mark.parametrize(
         "template, message",

@@ -36,7 +36,7 @@ from csp2c.verify import (
 )
 from csp2c.xcsp import parse_document, parse_intension
 
-from conftest import CORPUS_DIR, load_corpus
+from conftest import CORPUS_DIR, NOT_EQUAL_XML, load_corpus, overflowing_emitter
 
 
 def all_specs(family: Family):
@@ -388,6 +388,24 @@ class TestDifferentialCheck:
                 workdir=str(tmp_path),
                 emitter=emitter,
             )
+
+    def test_signed_overflow_is_verify_error_naming_version_and_assignment(
+        self, cc_template, tmp_path
+    ):
+        # -O1 PASSes this program: the overflow wraps and assert(0) is reached
+        csp = parse_document(NOT_EQUAL_XML, name="overflow")
+        with pytest.raises(VerifyError) as info:
+            differential_check(
+                csp,
+                all_specs(Family.INTENSIONAL),
+                verify.DEFAULT_CC,
+                workdir=str(tmp_path),
+                emitter=overflowing_emitter("intensional4"),
+            )
+        message = str(info.value)
+        where = "intensional4 (overflow__intensional4__klee.c) on assignment x=1 y=0"
+        assert f", running {where}," in message
+        assert "exited with status -" in message and "(killed by SIG" in message
 
     def test_verdict_line_of_the_wrong_width_is_verify_error(
         self, cc_template, tmp_path, monkeypatch
