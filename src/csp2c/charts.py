@@ -166,16 +166,11 @@ def emit_svg(report: Report, out_dir: str) -> list[str]:
     chart; `Report.flags` already names every empty table."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    rob = robustness_svg(report)
-    if rob is not None:
-        path = os.path.join(out_dir, "robustness.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rob + "\n")
-        written.append(path)
-    scal = scalability_svg(report)
-    if scal is not None:
-        path = os.path.join(out_dir, "scalability.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(scal + "\n")
-        written.append(path)
+    for name, render in (("robustness", robustness_svg), ("scalability", scalability_svg)):
+        svg = render(report)
+        if svg is not None:
+            path = os.path.join(out_dir, f"{name}.svg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(svg + "\n")
+            written.append(path)
     return written

@@ -210,10 +210,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     csp = parse_file(args.file)
     specs = _parse_versions(args.versions, codegen.family_of(csp.constraints()))
-    cc = verify.default_compile_command() if args.cc is None else args.cc
     bound = verify.DEFAULT_EXHAUSTIVE_BOUND if args.bound is None else args.bound
-    harness.check_template(cc, verify.COMPILE_FIELDS)
-    report = verify.differential_check(csp, specs, cc, bound=bound, workers=args.workers)
+    report = verify.differential_check(csp, specs, args.cc, bound=bound, workers=args.workers)
     first = None
     if report.mismatches:
         m = report.mismatches[0]
@@ -232,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         {"versions": list(t.versions), "compile_s": t.compile_s, "run_s": t.run_s}
                         for t in report.timings
                     ],
-                    "cc": cc,
+                    "cc": report.compile_cmd,
                 }
             )
         )
@@ -241,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{report.instance}: {report.status.value} "
             f"({len(report.versions)} versions x {report.assignments_checked} assignments)"
         )
-        print(f"  cc: {cc}")
+        print(f"  cc: {report.compile_cmd}")
         for t in report.timings:
             print(f"  {', '.join(t.versions)}: compile {t.compile_s:.3f} s, run {t.run_s:.3f} s")
         for m in report.mismatches[:10]:

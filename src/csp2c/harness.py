@@ -9,8 +9,11 @@ per instance on the original XCSP3 file and anchor time normalization.
 Every child process csp2c starts, the verifier's compiler and drivers
 included, goes through `run_command`. It runs in its own process group,
 and a timeout kills the whole group, so no child survives past timeout +
-grace. Timing runs default to a single worker; records of a parallel run
-are stamped as indicative.
+grace; an interrupt kills the group at once. Each ToolSpec checks its
+prepare and run templates when it is built, so a bad template never
+reaches a job, and each job of `run_matrix` makes its one RunRecord.
+Timing runs default to a single worker; records of a parallel run are
+stamped as indicative.
 """
 
 from __future__ import annotations
@@ -68,8 +71,13 @@ class ToolSpec:
     dialect: str = "klee"
 
     def __post_init__(self) -> None:
-        if not self.run:
-            raise HarnessError(f"tool {self.name!r} has no run command")
+        for key, template in (("prepare", self.prepare), ("run", self.run)):
+            # an empty prepare means none; an empty run is an error
+            if template or key == "run":
+                try:
+                    check_template(template, TOOL_FIELDS)
+                except HarnessError as exc:
+                    raise HarnessError(f"{key!r}: {exc}") from None
         if self.timeout_s <= 0:
             raise HarnessError(f"tool {self.name!r} has non-positive timeout")
 
@@ -200,15 +208,8 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
     tools = []
     for i, entry in enumerate(_load_entries(path, ("name", "run"))):
         _check_entry(path, i, entry, _TOOL_KEYS)
-        for key in ("prepare", "run"):
-            # an empty prepare means none; an empty run is an error
-            if entry.get(key) or key == "run":
-                try:
-                    check_template(entry[key], TOOL_FIELDS)
-                except HarnessError as exc:
-                    raise HarnessError(f"{path}: entry {i} {key!r}: {exc}") from None
-        tools.append(
-            ToolSpec(
+        try:
+            tool = ToolSpec(
                 name=entry["name"],
                 run=entry["run"],
                 prepare=entry.get("prepare"),
@@ -217,7 +218,9 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
                 kind=ToolKind(entry.get("kind", "analysis")),
                 dialect=entry.get("dialect", "klee"),
             )
-        )
+        except HarnessError as exc:
+            raise HarnessError(f"{path}: entry {i} {exc}") from None
+        tools.append(tool)
     # the tool name keys the records, so two tools must not share one
     _check_unique(path, "tool name", [tool.name for tool in tools])
     return tools
@@ -271,7 +274,8 @@ def _field_names(text: str) -> Iterable[str]:
 def check_template(template: str, fields: Sequence[str]) -> None:
     """Raise HarnessError unless run_command can fill `template` from
     `fields`: an empty template, an unbalanced quote, a stray brace and a
-    field not in `fields` are errors. Templates are checked once, when read."""
+    field not in `fields` are errors. The owner of a template checks it once:
+    ToolSpec when it is built, verify before it compiles anything."""
     try:
         words = shlex.split(template)
         names = {name for word in words for name in _field_names(word)}
@@ -300,9 +304,10 @@ def run_command(
     The template is shell-split before its fields (`{src}`, `{out}`, ...)
     are filled in each token, so a path with spaces stays one argument. The
     child reads `stdin`, or /dev/null, and inherits csp2c's environment. On
-    timeout the group gets SIGTERM, then SIGKILL after KILL_GRACE_S. A
-    command that cannot be started has returncode None and the reason as
-    stderr.
+    timeout the group gets SIGTERM, then SIGKILL after KILL_GRACE_S; an
+    exception while waiting, such as KeyboardInterrupt, kills the group at
+    once and propagates. A command that cannot be started has returncode
+    None and the reason as stderr.
     """
     argv = [token.format(**subs) for token in shlex.split(template)]
     start = time.monotonic()
@@ -320,15 +325,22 @@ def run_command(
         return CommandResult(argv, None, "", str(exc), time.monotonic() - start, False)
     timed_out = False
     try:
-        stdout, stderr = proc.communicate(stdin, timeout=timeout_s)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        _signal_group(proc.pid, signal.SIGTERM)
         try:
-            stdout, stderr = proc.communicate(timeout=KILL_GRACE_S)
+            stdout, stderr = proc.communicate(stdin, timeout=timeout_s)
         except subprocess.TimeoutExpired:
-            _signal_group(proc.pid, signal.SIGKILL)
-            stdout, stderr = proc.communicate()
+            timed_out = True
+            _signal_group(proc.pid, signal.SIGTERM)
+            try:
+                stdout, stderr = proc.communicate(timeout=KILL_GRACE_S)
+            except subprocess.TimeoutExpired:
+                _signal_group(proc.pid, signal.SIGKILL)
+                stdout, stderr = proc.communicate()
+    except BaseException:
+        # an interrupt: the child leads its own session, so the terminal's
+        # SIGINT never reached it
+        _signal_group(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
     return CommandResult(argv, proc.returncode, stdout, stderr, time.monotonic() - start, timed_out)
 
 
@@ -351,29 +363,24 @@ def _classify(result: CommandResult, pattern: str) -> Outcome:
     return Outcome.NOT_REACHED
 
 
-def _execute(tool: ToolSpec, src: str, note: str = "") -> RunRecord:
-    """Run one tool invocation; instance/version are filled in by the caller.
+def _execute(tool: ToolSpec, src: str) -> tuple[Outcome, float]:
+    """Run one tool invocation: its outcome and wallclock.
 
     The prepare and run steps share one deadline, `timeout_s` after the
-    job starts; the recorded wallclock is the run step's.
+    job starts. The wallclock is the run step's, or the prepare step's when
+    that step fails, or 0 when the prepare step used up the deadline.
     """
     subs = dict(zip(TOOL_FIELDS, (src, os.path.splitext(src)[0] + ".bc", src + ".out")))
     deadline = time.monotonic() + tool.timeout_s
-
-    def record(outcome: Outcome, wall: float) -> RunRecord:
-        return RunRecord(
-            tool=tool.name, instance="", version="", outcome=outcome, wallclock_s=wall, note=note
-        )
-
     if tool.prepare:
         prep = run_command(tool.prepare, subs, tool.timeout_s)
         if prep.timed_out or prep.returncode != 0:
-            return record(Outcome.TIMEOUT if prep.timed_out else Outcome.TOOL_ERROR, prep.wall_s)
+            return (Outcome.TIMEOUT if prep.timed_out else Outcome.TOOL_ERROR), prep.wall_s
     remaining = deadline - time.monotonic()
     if remaining <= 0:
-        return record(Outcome.TIMEOUT, 0.0)
+        return Outcome.TIMEOUT, 0.0
     run = run_command(tool.run, subs, remaining)
-    return record(_classify(run, tool.success_pattern), run.wall_s)
+    return _classify(run, tool.success_pattern), run.wall_s
 
 
 def source_path(source_dir: str, instance_id: str, version_label: str, dialect: str) -> str:
@@ -408,19 +415,11 @@ def run_matrix(
     def run_job(job: tuple[ToolSpec, str, str, str]) -> RunRecord:
         tool, src, instance_id, version = job
         if tool.kind is ToolKind.ANALYSIS and not os.path.exists(src):
-            record = RunRecord(
-                tool=tool.name,
-                instance=instance_id,
-                version=version,
-                outcome=Outcome.TOOL_ERROR,
-                wallclock_s=0.0,
-                note=f"missing source {src}",
-            )
-            return record
-        record = _execute(tool, src, note)
-        record.instance = instance_id
-        record.version = version
-        return record
+            outcome, wall, why = Outcome.TOOL_ERROR, 0.0, f"missing source {src}"
+        else:
+            outcome, wall = _execute(tool, src)
+            why = note
+        return RunRecord(tool.name, instance_id, version, outcome, wall, note=why)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -59,19 +59,7 @@ class Domain:
 
     @staticmethod
     def from_values(values: Iterable[int]) -> "Domain":
-        vals = sorted(set(values))
-        if not vals:
-            raise ModelError("empty domain")
-        ranges: list[tuple[int, int]] = []
-        lo = hi = vals[0]
-        for v in vals[1:]:
-            if v == hi + 1:
-                hi = v
-            else:
-                ranges.append((lo, hi))
-                lo = hi = v
-        ranges.append((lo, hi))
-        return Domain(tuple(ranges))
+        return Domain.from_ranges((v, v) for v in values)
 
     @staticmethod
     def from_ranges(pairs: Iterable[tuple[int, int]]) -> "Domain":

@@ -26,7 +26,9 @@ the optimiser (as at `-O1`). A driver killed by SIGILL has hit that trap:
 the program's C semantics break the promise there, so it is a VerifyError
 naming the version and the assignment, never a verdict. CSP2C_CC, or an
 explicit `compile_cmd`, replaces the whole template; a compiler that
-rejects the flags fails with CompileError.
+rejects the flags fails with CompileError. This module owns the template:
+`differential_check` and `cross_version_equivalence` check it against
+COMPILE_FIELDS before anything else runs, and the report names it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .codegen import (
     output_filename,
     transform,
 )
-from .harness import CommandResult, run_command
+from .harness import CommandResult, check_template, run_command
 from .model import CspInstance
 from .oracle import Assignment, all_assignments, constraint_satisfied, solve
 
@@ -111,6 +113,8 @@ class VerificationReport:
     status: VerifyStatus = VerifyStatus.PASS
     # one entry per translation unit, each listing its distinct versions
     timings: list[UnitTiming] = field(default_factory=list)
+    # the compile command template that built the units
+    compile_cmd: str = ""
 
     @property
     def passed(self) -> bool:
@@ -119,6 +123,14 @@ class VerificationReport:
 
 def default_compile_command() -> str:
     return os.environ.get("CSP2C_CC", DEFAULT_CC)
+
+
+def _compile_template(compile_cmd: str | None) -> str:
+    """`compile_cmd`, or default_compile_command() when it is None, checked
+    against COMPILE_FIELDS; HarnessError names what is wrong with it."""
+    template = default_compile_command() if compile_cmd is None else compile_cmd
+    check_template(template, COMPILE_FIELDS)
+    return template
 
 
 def _run(
@@ -210,7 +222,7 @@ def _observe(
     csp: CspInstance,
     versions: Sequence[TransformSpec],
     assignments: Sequence[Assignment],
-    compile_cmd: str | None,
+    compile_cmd: str,
     workers: int,
     workdir: str | None,
     emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None,
@@ -224,7 +236,6 @@ def _observe(
     `transform`, looked up when called) gives for it. Builds go to
     `workdir`, or to a temporary directory removed afterwards.
     """
-    compile_cmd = compile_cmd or default_compile_command()
     order = [v.id for v in csp.variables]
     plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
     tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
@@ -291,13 +302,16 @@ def differential_check(
     """Compare every version's program against the oracle.
 
     Exhaustive when the assignment space fits `bound`; sampled (status
-    SAMPLED) when it does not. An instance no program can encode raises
-    CodegenError before the oracle runs, so an intension subexpression that
-    can overflow is named as transform names it. Compile failures raise
-    CompileError with compiler output; a compiler or driver that cannot be
-    started or times out, and a driver that exits nonzero or prints anything
-    but one verdict per assignment, raise VerifyError.
+    SAMPLED) when it does not. A compile template that cannot be filled
+    from COMPILE_FIELDS raises HarnessError first; then an instance no
+    program can encode raises CodegenError before the oracle runs, so an
+    intension subexpression that can overflow is named as transform names
+    it. Compile failures raise CompileError with compiler output; a
+    compiler or driver that cannot be started or times out, and a driver
+    that exits nonzero or prints anything but one verdict per assignment,
+    raise VerifyError.
     """
+    compile_cmd = _compile_template(compile_cmd)
     check_encodable(csp)
     assignments, exhaustive = _assignment_plan(csp, bound)
     constraints = csp.constraints()
@@ -327,6 +341,7 @@ def differential_check(
         mismatches=mismatches,
         status=status,
         timings=timings,
+        compile_cmd=compile_cmd,
     )
 
 
@@ -340,7 +355,9 @@ def cross_version_equivalence(
     workdir: str | None = None,
     emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None = None,
 ) -> bool:
-    """True iff all versions accept exactly the same assignments."""
+    """True iff all versions accept exactly the same assignments; a bad
+    compile template raises HarnessError before anything runs."""
+    compile_cmd = _compile_template(compile_cmd)
     if csp.assignment_space_size > bound:
         raise VerifyError(
             f"assignment space {csp.assignment_space_size} exceeds bound {bound}"

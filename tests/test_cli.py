@@ -18,6 +18,8 @@ from csp2c.model import MAX_EXPR_DEPTH
 from csp2c.xcsp import parse_file
 
 from conftest import NOT_EQUAL_XML, corpus_path, overflowing_emitter
+from test_verify import corrupting_emitter
+from test_xcsp import UNARY_GROUP
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +52,16 @@ class TestParseCommand:
         empty.write_text("")
         code, _, err = run_cli(capsys, "parse", str(empty))
         assert code == 2
+
+    def test_machine_output_of_an_invalid_file_lists_its_diagnostics(self, capsys):
+        path = corpus_path("invalid", "unsupported_element")
+        code, out, err = run_cli(capsys, "parse", "--machine", path)
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["ok"] is False and list(payload) == ["ok", "diagnostics"]
+        (diagnostic,) = payload["diagnostics"]
+        assert set(diagnostic) == {"severity", "path", "line", "message"}
+        assert "<sum>" in diagnostic["message"]
 
 
 class TestGenCommand:
@@ -527,6 +539,10 @@ class TestVerifyCommand:
         assert code == 0 and out.splitlines()[1] == f"  cc: {template}"
         code, out, _ = run_cli(capsys, "verify", "--machine", supports_pair, "--versions", "1")
         assert code == 0 and json.loads(out)["cc"] == template
+        # --cc wins over CSP2C_CC
+        argv = ["verify", "--machine", supports_pair, "--versions", "1", "--cc", cc_template]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["cc"] == cc_template
 
     def test_signed_overflow_exits_1_naming_version_and_assignment(
         self, capsys, monkeypatch, tmp_path, cc_template
@@ -564,6 +580,59 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", eq_ne)
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
+
+    def test_a_wrong_program_fails_with_exit_1_naming_its_mismatches(
+        self, capsys, monkeypatch, cc_template
+    ):
+        from csp2c import verify
+
+        monkeypatch.setattr(verify, "transform", corrupting_emitter)
+        eq_ne = corpus_path("valid", "eq_ne")
+        code, out, err = run_cli(capsys, "verify", eq_ne, "--versions", "1", "--cc", cc_template)
+        assert (code, err) == (1, "")
+        assert out.startswith("eq_ne: fail (1 versions x 8 assignments)")
+        mismatches = [line for line in out.splitlines() if line.startswith("  mismatch ")]
+        assert mismatches[0] == "  mismatch intensional1: [i0=0 i1=0 i2=0] oracle=False driver=True"
+        assert len(mismatches) == 4
+        argv = ["verify", "--machine", eq_ne, "--versions", "1", "--cc", cc_template]
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 1 and (payload["status"], payload["mismatches"]) == ("fail", 4)
+        assert payload["first_mismatch"] == {
+            "version": "intensional1",
+            "assignment": {"i0": 0, "i1": 0, "i2": 0},
+        }
+
+    def test_a_unary_group_template_passes_on_every_assignment(self, capsys, tmp_path, cc_template):
+        path = tmp_path / "unary.xml"
+        path.write_text(UNARY_GROUP)
+        code, out, _ = run_cli(
+            capsys, "verify", "--machine", str(path), "--versions", "all", "--cc", cc_template
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["status"] == "pass"
+        assert payload["versions"] == [f"intensional{v}" for v in range(1, 11)]
+        assert payload["assignments_checked"] == 125
+
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    def test_a_domain_beyond_32_bits_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "wide.xml"
+        path.write_text(
+            '<instance format="XCSP3" type="CSP"><variables><var id="a"> 0..2147483648 </var>'
+            "</variables><constraints><intension> lt(a,1) </intension></constraints></instance>"
+        )
+        extra = ["--family", "intensional", "--out-dir", str(tmp_path)] if command == "gen" else []
+        code, out, err = run_cli(capsys, command, str(path), *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: domain of a exceeds 32-bit signed range\n"
+
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    def test_a_bad_version_list_exits_2(self, capsys, tmp_path, command):
+        extra = ["--family", "extensional", "--out-dir", str(tmp_path)] if command == "gen" else []
+        supports_pair = corpus_path("valid", "supports_pair")
+        code, out, err = run_cli(capsys, command, supports_pair, "--versions", "1,x", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: bad version list '1,x'\n"
 
     @pytest.mark.parametrize("bound", ["-1", "many"])
     def test_bad_bound_is_usage_error(self, capsys, bound):

@@ -470,6 +470,8 @@ class TestErrors:
             variables=(
                 VariableDecl("int", Domain.from_values([0, 1])),
                 VariableDecl("while", Domain.from_values([0, 1])),
+                # collides with the name "int" is given
+                VariableDecl("int_v", Domain.from_values([0, 1])),
             ),
             groups=(
                 (
@@ -480,7 +482,8 @@ class TestErrors:
         program = transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
         assert program.var_map["int"] == "int_v"
         assert program.var_map["while"] == "while_v"
-        assert "int int_v, while_v;" in program.source_text
+        assert program.var_map["int_v"] == "int_v_1"
+        assert "int int_v, while_v, int_v_1;" in program.source_text
 
 
 def header_macros(tmp_path) -> set[str]:

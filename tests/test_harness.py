@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import os
+import re
+import signal
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from csp2c.harness import (
     load_instance_manifest,
     load_records_csv,
     load_tool_manifest,
+    run_command,
     run_matrix,
     source_path,
 )
@@ -165,6 +168,54 @@ class TestRunMatrix:
         tool = ToolSpec(name="prep", prepare="false", run="echo hi")
         (record,) = run_matrix(two_instances[:1], {"extensional": LABELS[:1]}, [tool], src_dir)
         assert record.outcome is Outcome.TOOL_ERROR
+
+
+class TestToolSpec:
+    @pytest.mark.parametrize(
+        "templates, message",
+        [
+            ({"run": "x {nope}"}, "'run': bad command template 'x {nope}': unknown field {nope}"),
+            ({"run": ""}, "'run': empty command template"),
+            (
+                {"run": "x {src}", "prepare": "cc {exe}"},
+                "'prepare': bad command template 'cc {exe}': unknown field {exe}",
+            ),
+            ({"run": "x '{src}"}, "'run': bad command template \"x '{src}\": No closing quotation"),
+        ],
+        ids=["unknown-field", "empty-run", "bad-prepare", "unbalanced-quote"],
+    )
+    def test_a_bad_template_is_rejected_when_built(self, templates, message):
+        with pytest.raises(HarnessError, match=re.escape(message)):
+            ToolSpec(name="t", **templates)
+
+    def test_an_empty_prepare_means_none(self, tmp_path, two_instances):
+        src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
+        tool = ToolSpec(name="t", run="echo REACH {src}", prepare="", success_pattern="REACH")
+        (record,) = run_matrix(two_instances[:1], {"extensional": LABELS[:1]}, [tool], src_dir)
+        assert record.outcome is Outcome.REACHED
+
+
+class _Interrupt(BaseException):
+    """Raised by a SIGALRM handler, as KeyboardInterrupt is by SIGINT's."""
+
+
+def test_an_interrupt_kills_the_commands_process_group(tmp_path):
+    pid_file = tmp_path / "pid"
+
+    def interrupt(signum, frame):
+        raise _Interrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(_Interrupt):
+            run_command("sh -c 'echo $$ > {out}; exec sleep 30'", {"out": str(pid_file)}, 60)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # the shell led the group and its pid is the group id; nothing is left in it
+    with pytest.raises(ProcessLookupError):
+        os.killpg(int(pid_file.read_text()), 0)
 
 
 def rec(tool, instance, version, outcome=Outcome.NOT_REACHED, wall=1.0, normalized=None):

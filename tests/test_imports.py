@@ -4,8 +4,9 @@ csp2c depends on the standard library alone (`dependencies = []`); the
 oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
 codegen alone writes replay-driver C; the harness alone starts child
-processes; the model alone sets the expression-depth limit; and a test
-pins each message the XCSP3 reader rejects an element with.
+processes; the model alone sets the expression-depth limit; the harness
+and verify alone check command templates, each its own; and a test pins
+each message the XCSP3 reader rejects an element with.
 """
 
 from __future__ import annotations
@@ -95,6 +96,37 @@ def assigned_names(path: Path) -> set[str]:
 def test_only_the_model_sets_the_depth_limit(path):
     """MAX_EXPR_DEPTH is checked where trees are built; other modules import it."""
     assert ("MAX_EXPR_DEPTH" in assigned_names(path)) == (path.name == "model.py")
+
+
+def names(path: Path) -> tuple[set[str], set[str]]:
+    """(every name the module calls, every name it mentions), a dotted name
+    `a.b` counted by its last part."""
+    called: set[str] = set()
+    mentioned: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            mentioned.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            mentioned.add(node.attr)
+        elif isinstance(node, ast.alias):
+            mentioned.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+    return called, mentioned
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_owners_of_a_template_check_it(path):
+    """harness.ToolSpec checks a tool's templates and verify its compile
+    template; a template is checked once, by the code that fills it."""
+    called, _ = names(path)
+    assert ("check_template" in called) == (path.name in ("harness.py", "verify.py"))
+
+
+def test_the_cli_leaves_the_compile_template_to_verify():
+    _, mentioned = names(PACKAGE / "cli.py")
+    assert mentioned & {"check_template", "COMPILE_FIELDS", "default_compile_command"} == set()
 
 
 def literal_prefix(node: ast.expr) -> str | None:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import time
 
 import pytest
 
 from csp2c import verify
+from csp2c.harness import HarnessError
 from csp2c.codegen import (
     DRIVER_PRELUDE,
     INCLUDED_HEADERS,
@@ -632,6 +634,65 @@ class TestShippedBytes:
             ]
             for program in programs:
                 compile_program(program, template, str(tmp_path / name))
+
+
+def forbid_any_run(monkeypatch):
+    """Fail the test on any encodability check, oracle run or compile."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before the compile template was checked")
+
+    for name in (
+        "check_encodable", "all_assignments", "solve", "constraint_satisfied", "compile_program"
+    ):
+        monkeypatch.setattr(verify, name, ran)
+
+
+BAD_TEMPLATES = pytest.mark.parametrize(
+    "template, message",
+    [
+        ("cc -o {exe} {src}", "bad command template 'cc -o {exe} {src}': unknown field {exe}"),
+        ("cc -o {out} '{src}", "No closing quotation"),
+        ("", "empty command template"),
+    ],
+    ids=["unknown-field", "unbalanced-quote", "empty"],
+)
+
+
+class TestCompileTemplate:
+    """verify owns its compile template: it checks it before anything runs
+    and names it in the report."""
+
+    @BAD_TEMPLATES
+    def test_differential_check_rejects_a_bad_template_first(self, monkeypatch, template, message):
+        forbid_any_run(monkeypatch)
+        specs = [TransformSpec(Family.INTENSIONAL, 1)]
+        with pytest.raises(HarnessError, match=re.escape(message)):
+            differential_check(load_corpus("eq_ne"), specs, template)
+
+    @BAD_TEMPLATES
+    def test_cross_version_equivalence_rejects_a_bad_template_first(
+        self, monkeypatch, template, message
+    ):
+        forbid_any_run(monkeypatch)
+        specs = [TransformSpec(Family.INTENSIONAL, 1)]
+        with pytest.raises(HarnessError, match=re.escape(message)):
+            cross_version_equivalence(load_corpus("eq_ne"), specs, template, bound=0)
+
+    def test_a_bad_template_in_the_environment_is_rejected_first(self, monkeypatch):
+        forbid_any_run(monkeypatch)
+        monkeypatch.setenv("CSP2C_CC", "cc -o {exe} {src}")
+        with pytest.raises(HarnessError, match=re.escape("unknown field {exe}")):
+            differential_check(load_corpus("eq_ne"), [TransformSpec(Family.INTENSIONAL, 1)])
+
+    def test_the_report_names_the_template_that_built_the_units(
+        self, monkeypatch, cc_template, tmp_path
+    ):
+        csp, specs = load_corpus("eq_ne"), [TransformSpec(Family.INTENSIONAL, 1)]
+        assert differential_check(csp, specs, cc_template).compile_cmd == cc_template
+        template = "cc -O1 -o {out} {src}"
+        monkeypatch.setenv("CSP2C_CC", template)
+        assert differential_check(csp, specs).compile_cmd == template
 
 
 class TestCrossVersionEquivalence:

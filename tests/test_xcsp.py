@@ -227,6 +227,18 @@ FIG_TEMPLATE = (
 )
 
 
+# a <group> intension template with unary operators and a constant, over
+# three variables in -2..2 (125 assignments)
+UNARY_VARS = '<array id="x" size="[3]"> -2..2 </array>'
+UNARY_ROWS = [(0, 1), (1, 2), (2, 0)]
+UNARY_GROUP = document(
+    UNARY_VARS,
+    "<group><intension> not(eq(neg(%0),add(%1,1))) </intension>"
+    + "".join(f"<args> x[{a}] x[{b}] </args>" for a, b in UNARY_ROWS)
+    + "</group>",
+)
+
+
 def fig_group(*rows: str) -> str:
     return "<group>" + FIG_TEMPLATE + "".join(f"<args> {r} </args>" for r in rows) + "</group>"
 
@@ -264,6 +276,16 @@ class TestGroupExpansion:
         first, second = csp.constraints()
         assert first.expr == Binary("eq", Var("x4"), Binary("dist", Var("x0"), Var("x1")))
         assert second.expr == Binary("eq", Var("x5"), Binary("dist", Var("x1"), Var("x2")))
+
+    def test_unary_template_rows_equal_the_constraints_written_out(self):
+        by_hand = document(
+            UNARY_VARS,
+            "".join(
+                f"<intension> not(eq(neg(x[{a}]),add(x[{b}],1))) </intension>"
+                for a, b in UNARY_ROWS
+            ),
+        )
+        assert parse_document(UNARY_GROUP).constraints() == parse_document(by_hand).constraints()
 
     def test_arity_mismatch_names_group_and_vector(self):
         text = document(SIX, fig_group("x[0] x[1] x[2]") + fig_group("x[0] x[1]"))
