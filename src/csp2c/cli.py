@@ -22,7 +22,9 @@ A command loads only the modules it runs. The model, the parser and the
 oracle are imported with this module; codegen, verify, harness and charts
 are bound here as lazy modules, registered in sys.modules at once but run
 on first attribute access, so `parse` and `solve` never execute them (nor
-the `subprocess` and `concurrent.futures` imports they bring).
+the `subprocess` import harness brings). harness.run_jobs imports
+`concurrent.futures` only for a pool: `--workers` above 1 and more than
+one job.
 """
 
 from __future__ import annotations
@@ -150,9 +152,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     rows = []
     for spec in specs:
         program = codegen.transform(csp, spec)
-        path = os.path.join(args.out_dir, codegen.output_filename(program))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(program.source_text)
+        path = harness.write_program(program, args.out_dir)
         rows.append(
             {
                 "file": path,
@@ -259,7 +259,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     instances = harness.load_instance_manifest(args.instances)
     os.makedirs(args.out_dir, exist_ok=True)
     src_dir = os.path.join(args.out_dir, "src")
-    os.makedirs(src_dir, exist_ok=True)
 
     dialects = sorted(
         {t.dialect for t in tools if t.kind is harness.ToolKind.ANALYSIS}
@@ -275,9 +274,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     program = codegen.transform(
                         csp, replace(spec, dialect=codegen.Dialect(dialect))
                     )
-                    path = os.path.join(src_dir, codegen.output_filename(program))
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(program.source_text)
+                    harness.write_program(program, src_dir)
                 labels.append(spec.version_label)
         except ParseFailure as exc:
             raise ParseFailure(

@@ -9,7 +9,9 @@ per instance on the original XCSP3 file and anchor time normalization.
 Every child process csp2c starts, the verifier's compiler and drivers
 included, goes through `run_command`. It runs in its own process group,
 and a timeout kills the whole group, so no child survives past timeout +
-grace; an interrupt kills the group at once. Each ToolSpec checks its
+grace; an interrupt kills the group at once. `run_jobs` runs bench's jobs
+and the verifier's units, in the calling thread or, with workers > 1, in
+a pool that an interrupt stops the same way. Each ToolSpec checks its
 prepare and run templates when it is built, so a bad template never
 reaches a job, and each job of `run_matrix` makes its one RunRecord.
 Timing runs default to a single worker; records of a parallel run are
@@ -28,12 +30,11 @@ import signal
 import string
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .codegen import Dialect, Family, source_filename
+from .codegen import Dialect, Family, GeneratedProgram, source_filename
 
 DEFAULT_TIMEOUT_S = 1000.0
 # poll(2), under subprocess's wait, takes its timeout in milliseconds as a C int
@@ -292,6 +293,11 @@ def check_template(template: str, fields: Sequence[str]) -> None:
         )
 
 
+# the process group of each child that run_command is waiting on, which
+# run_jobs kills when an interrupt reaches a pool
+_waited_groups: set[int] = set()
+
+
 def run_command(
     template: str,
     subs: Mapping[str, str],
@@ -306,8 +312,9 @@ def run_command(
     child reads `stdin`, or /dev/null, and inherits csp2c's environment. On
     timeout the group gets SIGTERM, then SIGKILL after KILL_GRACE_S; an
     exception while waiting, such as KeyboardInterrupt, kills the group at
-    once and propagates. A command that cannot be started has returncode
-    None and the reason as stderr.
+    once and propagates. While it waits, the group is in `_waited_groups`.
+    A command that cannot be started has returncode None and the reason as
+    stderr.
     """
     argv = [token.format(**subs) for token in shlex.split(template)]
     start = time.monotonic()
@@ -324,6 +331,7 @@ def run_command(
     except OSError as exc:
         return CommandResult(argv, None, "", str(exc), time.monotonic() - start, False)
     timed_out = False
+    _waited_groups.add(proc.pid)
     try:
         try:
             stdout, stderr = proc.communicate(stdin, timeout=timeout_s)
@@ -341,6 +349,8 @@ def run_command(
         _signal_group(proc.pid, signal.SIGKILL)
         proc.wait()
         raise
+    finally:
+        _waited_groups.discard(proc.pid)
     return CommandResult(argv, proc.returncode, stdout, stderr, time.monotonic() - start, timed_out)
 
 
@@ -350,6 +360,42 @@ def _signal_group(pid: int, sig: signal.Signals) -> None:
         os.killpg(pid, sig)
     except ProcessLookupError:
         pass
+
+
+def run_jobs(job: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
+    """`job` of each item, in item order: the one way csp2c runs jobs at once.
+
+    With `workers` <= 1 or fewer than two items the jobs run in the calling
+    thread, so run_command's interrupt kill applies to them as it is.
+    Otherwise `workers` threads share them. A job's exception propagates as
+    from pool.map: the first in item order wins, the queued jobs are
+    cancelled and the running ones finish. An interrupt (a BaseException
+    that is not an Exception) cancels the queued jobs and kills the group
+    of every child run_command waits on, again until every running job has
+    ended, so none starts its next step; then it propagates.
+    """
+    if workers <= 1 or len(items) < 2:
+        return [job(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    futures = [pool.submit(job, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    except Exception:
+        # a job's error: shutdown below cancels the queued jobs and waits
+        raise
+    except BaseException:
+        # an interrupt, which only this thread sees: the children lead
+        # their own sessions, so the terminal's SIGINT never reached them
+        running = [future for future in futures if not future.cancel()]
+        while running:
+            for group in list(_waited_groups):
+                _signal_group(group, signal.SIGKILL)
+            running = list(wait(running, timeout=0.05).not_done)
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _classify(result: CommandResult, pattern: str) -> Outcome:
@@ -387,6 +433,18 @@ def source_path(source_dir: str, instance_id: str, version_label: str, dialect: 
     return os.path.join(source_dir, source_filename(instance_id, version_label, dialect))
 
 
+def write_program(program: GeneratedProgram, directory: str) -> str:
+    """Write `program`'s source to its file in `directory`, made if missing;
+    the file's path."""
+    os.makedirs(directory, exist_ok=True)
+    path = source_path(
+        directory, program.instance_name, program.version_label, program.dialect.value
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(program.source_text)
+    return path
+
+
 def run_matrix(
     instances: Sequence[BenchInstance],
     version_labels_by_family: Mapping[str, Sequence[str]],
@@ -421,12 +479,7 @@ def run_matrix(
             why = note
         return RunRecord(tool.name, instance_id, version, outcome, wall, note=why)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_job, jobs))
-    else:
-        records = [run_job(job) for job in jobs]
-
+    records = run_jobs(run_job, jobs, workers)
     normalize_records(records, tools)
     return records
 

@@ -4,10 +4,11 @@ Programs are checked the hard way: compile the klee programs the tools
 receive with an external C compiler, and pipe the whole assignment plan
 through the executable, so the verification path shares no evaluation code
 with the oracle. All versions of one pass go into one translation unit
-(with `workers` > 1, into that many units, built at once), which
-codegen.build_unit assembles around the replay driver; it blanks the
-programs' `#include` lines of codegen.INCLUDED_HEADERS and keeps every
-other line the tools receive as it is. The driver prints, for
+(with `workers` > 1, into that many units, built at once by
+harness.run_jobs), which codegen.build_unit assembles around the replay
+driver; it blanks the programs' `#include` lines of
+codegen.INCLUDED_HEADERS and keeps every other line the tools receive as
+it is. The driver prints, for
 every assignment, one line holding one 0/1 verdict digit per version, and
 a version's digit must be `1` exactly when the oracle says all constraints
 hold. The llbmc programs differ from the klee ones only in intrinsic names;
@@ -40,7 +41,6 @@ import shutil
 import signal
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -53,7 +53,7 @@ from .codegen import (
     output_filename,
     transform,
 )
-from .harness import CommandResult, check_template, run_command
+from .harness import CommandResult, check_template, run_command, run_jobs, write_program
 from .model import CspInstance
 from .oracle import Assignment, all_assignments, constraint_satisfied, solve
 
@@ -150,11 +150,8 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
     """Write the source into `workdir`, made if missing, run the compiler
     template, and return the executable path. The program is compiled as
     it is, in the compiler's own environment."""
-    os.makedirs(workdir, exist_ok=True)
-    src = os.path.join(workdir, output_filename(program))
+    src = write_program(program, workdir)
     exe = src[:-2]
-    with open(src, "w", encoding="utf-8") as fh:
-        fh.write(program.source_text)
     result = _run(compile_cmd, dict(zip(COMPILE_FIELDS, (src, exe))), COMPILE_TIMEOUT_S)
     if result.returncode != 0 or not os.path.exists(exe):
         raise CompileError(shlex.join(result.argv), result.stdout + result.stderr)
@@ -231,9 +228,9 @@ def _observe(
     and one timing per translation unit.
 
     The distinct versions are split, in order, into min(`workers`, their
-    number) units of near-equal size, built, compiled and run at once; each
-    version is compiled and run once, as the program `emitter` (by default
-    `transform`, looked up when called) gives for it. Builds go to
+    number) units of near-equal size, built, compiled and run at once by
+    harness.run_jobs; each version is compiled and run once, as the program
+    `emitter` (by default `transform`, looked up when called) gives for it. Builds go to
     `workdir`, or to a temporary directory removed afterwards.
     """
     order = [v.id for v in csp.variables]
@@ -259,9 +256,7 @@ def _observe(
         return rows, timing
 
     try:
-        # a pass without versions has no units, and a pool needs one thread
-        with ThreadPoolExecutor(max_workers=max(n, 1)) as pool:
-            results = list(pool.map(job, range(n)))
+        results = run_jobs(job, range(n), n)
     finally:
         if workdir is None:
             shutil.rmtree(tmp, ignore_errors=True)

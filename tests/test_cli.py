@@ -5,13 +5,16 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csp2c
 from csp2c.cli import main
 from csp2c.harness import Outcome, load_records_csv
 from csp2c.model import MAX_EXPR_DEPTH
@@ -1139,6 +1142,73 @@ class TestErrorBoundary:
         monkeypatch.setattr("csp2c.cli.solve", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["solve", corpus_path("valid", "supports_pair")])
+
+
+def _sleeper(pids) -> str:
+    """A command that appends its pid to `pids`, then becomes `sleep 20`: a
+    child csp2c itself waits on and reaps."""
+    return "sh -c " + shlex.quote(f"echo $$ >> {shlex.quote(str(pids))}; exec sleep 20")
+
+
+def _interrupt(argv, pids, running: int) -> tuple[int, float, list[int]]:
+    """Run csp2c on `argv` and send it SIGINT once `running` children have
+    written their pids; its return code, its seconds from SIGINT to exit,
+    and the pids written by then, each of whose groups is gone."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(csp2c.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csp2c", *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and (
+            not pids.exists() or len(pids.read_text().split()) < running
+        ):
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        proc.wait(timeout=60)
+        seconds = time.monotonic() - start
+        started = [int(p) for p in pids.read_text().split()]
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pid, 0)
+        return proc.returncode, seconds, started
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+class TestInterrupt:
+    """An interrupt kills the group of every child csp2c waits on, whatever
+    `--workers` is, and no queued job starts."""
+
+    @pytest.mark.parametrize(
+        "versions, running", [(["--versions", "1"], 1), (["--workers", "3"], 3)],
+        ids=["one-unit", "three-units"],
+    )
+    def test_verify_stops_its_compilers(self, tmp_path, versions, running):
+        pids = tmp_path / "pids"
+        argv = ["verify", corpus_path("valid", "eq_ne"), "--cc", _sleeper(pids), *versions]
+        code, seconds, started = _interrupt(argv, pids, running)
+        assert code == -signal.SIGINT and seconds < 3, seconds
+        assert len(started) == running
+
+    def test_bench_stops_its_tools_and_starts_no_queued_job(self, tmp_path):
+        pids = tmp_path / "pids"
+        tools = tmp_path / "tools.json"
+        tools.write_text(json.dumps([{"name": "slow", "run": _sleeper(pids), "timeout_s": 60}]))
+        instances = tmp_path / "instances.json"
+        instances.write_text(json.dumps(
+            [{"path": corpus_path("valid", "supports_pair"), "family": "extensional", "size": 1}]
+        ))
+        argv = ["bench", "--tools", str(tools), "--instances", str(instances),
+                "--out-dir", str(tmp_path / "o"), "--versions", "1,2,3", "--workers", "2"]
+        code, seconds, started = _interrupt(argv, pids, 2)
+        assert code == -signal.SIGINT and seconds < 3, seconds
+        # the third job was queued behind the two running ones
+        assert len(started) == 2
 
 
 # any JSON value; strings stand for text, and a lone surrogate escape is a

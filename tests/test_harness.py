@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import signal
+import threading
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from csp2c import harness
 from csp2c.harness import (
     BenchInstance,
     HarnessError,
@@ -21,6 +24,7 @@ from csp2c.harness import (
     load_records_csv,
     load_tool_manifest,
     run_command,
+    run_jobs,
     run_matrix,
     source_path,
 )
@@ -199,23 +203,102 @@ class _Interrupt(BaseException):
     """Raised by a SIGALRM handler, as KeyboardInterrupt is by SIGINT's."""
 
 
-def test_an_interrupt_kills_the_commands_process_group(tmp_path):
-    pid_file = tmp_path / "pid"
+@contextlib.contextmanager
+def interrupted_after(seconds: float):
+    """Expect the block to end in an _Interrupt raised `seconds` into it."""
 
     def interrupt(signum, frame):
         raise _Interrupt
 
     previous = signal.signal(signal.SIGALRM, interrupt)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         with pytest.raises(_Interrupt):
-            run_command("sh -c 'echo $$ > {out}; exec sleep 30'", {"out": str(pid_file)}, 60)
+            yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_interrupt_kills_the_commands_process_group(tmp_path):
+    pid_file = tmp_path / "pid"
+    with interrupted_after(1.0):
+        run_command("sh -c 'echo $$ > {out}; exec sleep 30'", {"out": str(pid_file)}, 60)
     # the shell led the group and its pid is the group id; nothing is left in it
     with pytest.raises(ProcessLookupError):
         os.killpg(int(pid_file.read_text()), 0)
+    assert harness._waited_groups == set()
+
+
+@pytest.mark.parametrize(
+    "template, timeout_s, returncode, timed_out",
+    [("true", 10, 0, False), ("sleep 5", 0.2, -signal.SIGTERM, True),
+     ("no-such-tool-csp2c", 10, None, False)],
+    ids=["returns", "times-out", "cannot-start"],
+)
+def test_run_command_forgets_its_group_however_it_ends(template, timeout_s, returncode, timed_out):
+    result = run_command(template, {}, timeout_s)
+    assert (result.returncode, result.timed_out) == (returncode, timed_out)
+    assert harness._waited_groups == set()
+
+
+class TestRunJobs:
+    def test_results_come_back_in_item_order(self):
+        def job(i):
+            time.sleep(0.05 * (4 - i))  # the later items finish first
+            return i * i
+
+        assert run_jobs(job, range(4), 4) == [0, 1, 4, 9]
+
+    @pytest.mark.parametrize(
+        "items, workers", [(range(3), 1), (range(3), 0), ([0], 4), ([], 4)]
+    )
+    def test_one_worker_or_one_job_runs_in_the_calling_thread(self, items, workers):
+        threads = run_jobs(lambda _: threading.current_thread(), items, workers)
+        assert threads == [threading.current_thread()] * len(items)
+
+    def test_a_pool_runs_jobs_in_other_threads(self):
+        threads = run_jobs(lambda _: threading.current_thread(), range(2), 2)
+        assert threading.current_thread() not in threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_jobs_exception_propagates_and_queued_jobs_never_start(self, workers):
+        started, finished = [], []
+
+        def job(i):
+            started.append(i)
+            if i == 0:
+                raise ValueError("job 0")
+            time.sleep(1.0)
+            finished.append(i)
+
+        with pytest.raises(ValueError, match="job 0"):
+            run_jobs(job, range(6), workers)
+        # a freed thread may take one more job before the queue is cancelled,
+        # and the running jobs finish before the error propagates
+        assert started[0] == 0 and len(started) <= 1 + 2 * (workers - 1)
+        assert sorted(finished) == sorted(started[1:])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupt_kills_every_running_jobs_group_and_starts_no_queued_job(
+    tmp_path, workers
+):
+    started = []
+
+    def job(i):
+        started.append(i)
+        run_command("sh -c 'echo $$ > {out}; exec sleep 30'", {"out": str(tmp_path / f"{i}")}, 60)
+
+    start = time.monotonic()
+    with interrupted_after(1.0):
+        run_jobs(job, range(workers + 1), workers)
+    assert time.monotonic() - start < 3.0
+    assert sorted(started) == list(range(workers))
+    for i in started:
+        with pytest.raises(ProcessLookupError):
+            os.killpg(int((tmp_path / f"{i}").read_text()), 0)
+    assert harness._waited_groups == set()
 
 
 def rec(tool, instance, version, outcome=Outcome.NOT_REACHED, wall=1.0, normalized=None):

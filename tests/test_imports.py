@@ -4,7 +4,7 @@ csp2c depends on the standard library alone (`dependencies = []`); the
 oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
 codegen alone writes replay-driver C; the harness alone starts child
-processes; the model alone sets the expression-depth limit; the harness
+processes and runs jobs at once; the model alone sets the expression-depth limit; the harness
 and verify alone check command templates, each its own; and a test pins
 each message the XCSP3 reader rejects an element with.
 """
@@ -76,6 +76,13 @@ def test_only_the_harness_imports_subprocess(path):
     """harness.run_command is the one place csp2c starts a child process."""
     absolute, _ = imports(path)
     assert ("subprocess" in absolute) == (path.name == "harness.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_harness_imports_concurrent_futures(path):
+    """harness.run_jobs is the one way csp2c runs jobs at once."""
+    absolute, _ = imports(path)
+    assert ("concurrent" in absolute) == (path.name == "harness.py")
 
 
 def assigned_names(path: Path) -> set[str]:

@@ -2,8 +2,9 @@
 
 `csp2c.cli` binds codegen, verify, harness and charts as lazy modules, and
 the package root resolves its names on first use, so `parse` and `solve`
-run neither those modules nor the `subprocess` and `concurrent.futures`
-imports they bring. Each check here runs in a fresh interpreter (`-S`, so
+run neither those modules nor the `subprocess` import harness brings; and
+`concurrent.futures` is imported only for a pool of jobs, with `--workers`
+above 1 and more than one job. Each check here runs in a fresh interpreter (`-S`, so
 no site hook imports anything first), since this test process has loaded
 everything already.
 """
@@ -58,14 +59,24 @@ def test_parse_and_solve_run_no_codegen_verify_harness_or_charts(argv):
     assert result == {"code": 0, "executed": [], "imported": []}
 
 
-def test_verify_runs_the_modules_it_uses():
+def verify_fresh(*options: str) -> dict:
     result = run_fresh(
-        COMMAND_SCRIPT, "verify", "--versions", "1", "--cc", "true {src} {out}",
+        COMMAND_SCRIPT, "verify", *options, "--cc", "true {src} {out}",
         corpus_path("valid", "conflicts_group"),
     )
     # `true` builds no driver, so verify fails; by then it has loaded its modules
     assert result["code"] == 1
     assert result["executed"] == ["csp2c.codegen", "csp2c.verify", "csp2c.harness"]
+    return result
+
+
+def test_verify_runs_the_modules_it_uses():
+    # one unit runs in the calling thread, with no pool
+    assert verify_fresh("--versions", "1")["imported"] == ["subprocess"]
+
+
+def test_verify_imports_a_pool_for_two_units():
+    result = verify_fresh("--versions", "1,2", "--workers", "2")
     assert result["imported"] == ["subprocess", "concurrent.futures"]
 
 
