@@ -41,7 +41,7 @@ _EXPORTS = {
             "VariableDecl",
         ),
         "oracle": ("SolveResult", "Status", "enumerate_solutions", "solve"),
-        "verify": ("VerificationReport", "cross_version_equivalence", "differential_check"),
+        "verify": ("VerificationReport", "differential_check"),
         "xcsp": ("ParseDiagnostic", "ParseFailure", "parse_document", "parse_file"),
     }.items()
     for name in names

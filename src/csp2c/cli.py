@@ -8,8 +8,9 @@ benchmark matrix), report (rebuild tables/charts from a raw records CSV).
 Exit codes are listed in the "Exit codes" table of README.md. The
 commands raise; `main` alone turns an error into output and an exit code:
 parse diagnostics exit 2, an error in `_EXIT_CODES` prints `error: ...`
-and exits with its code, and any other exception is a bug and keeps its
-traceback.
+and exits with its code, an interrupt (Ctrl-C) prints `interrupted` and
+exits 130 once every child csp2c waited on is killed, and any other
+exception is a bug and keeps its traceback.
 The CSP2C_CC environment variable replaces the default C compiler template,
 verify.DEFAULT_CC: "cc -O0 -fsanitize=signed-integer-overflow
 -fsanitize-undefined-trap-on-error -o {out} {src}", `-O0` made safe by a
@@ -66,6 +67,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a command Ctrl-C stopped
 
 # the exit code of each error a command raises on bad input or a failed
 # check, reported as "error: ..."; any other exception is a bug. A class is
@@ -425,6 +427,10 @@ def main(argv: list[str] | None = None) -> int:
             for d in exc.diagnostics:
                 print(str(d), file=sys.stderr)
         return EXIT_PARSE
+    except KeyboardInterrupt:
+        # harness.run_jobs and run_command have killed their children's groups
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:

@@ -34,6 +34,14 @@ exits 2, and a program that reads more or fewer values than there are
 variables exits 3. Its stdout is unbuffered, so a unit that dies mid-run
 leaves every verdict digit it printed before.
 
+A value is true when it is nonzero, as in XCSP3 and the model, so `and`
+and `or` take integer operands. C's `&&` and `||` truth-test their
+operands, but `&` and `|` do not. So under BITWISE every operand of a join
+that is not 0/1-valued (anything but a comparison, `and`, `or` or `not`)
+is written `x!=0`: each side of a nested and/or, each top-level conjunct of
+a constraint, and a whole constraint, which grouping joins with `&`.
+_operand alone writes that truth-test.
+
 An instance is analysed once, not once per cell: transform keeps the
 analysis of the instance it saw last, keyed on the instance's identity and
 dropped with it. The analysis holds the family and encodability checks,
@@ -281,16 +289,11 @@ def _render_expr(expr: Expr, operator: Operator, c_names: Mapping[str, str]) -> 
         bitwise = operator is Operator.BITWISE
         c_op = ("&" if bitwise else "&&") if expr.op == "and" else ("|" if bitwise else "||")
         prec = _PREC[c_op]
-        sides = []
-        for side in (expr.left, expr.right):
-            text, side_prec = _render_expr(side, operator, c_names)
-            # bitwise joins need 0/1 values, so non-boolean operands get an
-            # explicit !=0 (C's && and || already truth-test); a non-boolean
-            # node renders at arithmetic precedence or above, so no parens
-            if bitwise and not _is_boolean_valued(side):
-                text, side_prec = f"{text}!=0", _PREC["!="]
-            sides.append(f"({text})" if side_prec < prec else text)
-        return f"{sides[0]}{_spaced(c_op)}{sides[1]}", prec
+        left, lp = _render_expr(expr.left, operator, c_names)
+        left = _operand(expr.left, left, lp, operator, prec)
+        right, rp = _render_expr(expr.right, operator, c_names)
+        right = _operand(expr.right, right, rp, operator, prec)
+        return f"{left}{_spaced(c_op)}{right}", prec
     c_op = _C_OP[expr.op]
     prec = _PREC[c_op]
     left, lp = _render_expr(expr.left, operator, c_names)
@@ -308,8 +311,13 @@ def _is_boolean_valued(expr: Expr) -> bool:
     return isinstance(expr, Unary) and expr.op == "not"
 
 
-def _as_piece(expr: Expr, operator: Operator, c_names: Mapping[str, str], joiner_prec: int) -> str:
-    text, prec = _render_expr(expr, operator, c_names)
+def _operand(expr: Expr, text: str, prec: int, operator: Operator, joiner_prec: int) -> str:
+    """`expr`, already rendered as (`text`, `prec`), as an operand of an
+    and/or join whose C operator has precedence `joiner_prec`: under BITWISE
+    a non-boolean operand is truth-tested with `!=0`, since `&` and `|` need
+    0/1 values; then it is parenthesised below the joiner's precedence."""
+    if operator is Operator.BITWISE and not _is_boolean_valued(expr):
+        text, prec = f"{text}!=0", _PREC["!="]
     return f"({text})" if prec < joiner_prec else text
 
 
@@ -366,10 +374,11 @@ def _condition_pieces(
         ]
     if isinstance(constraint, TableConstraint):
         return ["(" + or_op.join(_tuple_conjunctions(constraint, operator, c_names)) + ")"]
-    return [
-        _as_piece(conjunct, operator, c_names, and_prec)
-        for conjunct in _conjuncts(constraint.expr)
-    ]
+    pieces = []
+    for conjunct in _conjuncts(constraint.expr):
+        text, prec = _render_expr(conjunct, operator, c_names)
+        pieces.append(_operand(conjunct, text, prec, operator, and_prec))
+    return pieces
 
 
 def _domain_condition(
@@ -648,8 +657,11 @@ class _Analysis:
                 ops: set[str] = set()
                 _interval(c.expr, bounds, ops)
                 self.uses_dist = self.uses_dist or "dist" in ops
-                # only and/or render differently under BITWISE
-                self._bitwise_differs[i] = "and" in ops or "or" in ops
+                # BITWISE writes and/or as &/| and truth-tests a non-boolean
+                # constraint, which grouping joins with &
+                self._bitwise_differs[i] = (
+                    "and" in ops or "or" in ops or not _is_boolean_valued(c.expr)
+                )
 
     def rendered(self, operator: Operator) -> _Rendered:
         bitwise = operator is Operator.BITWISE

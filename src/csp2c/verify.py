@@ -28,8 +28,12 @@ the program's C semantics break the promise there, so it is a VerifyError
 naming the version and the assignment, never a verdict. CSP2C_CC, or an
 explicit `compile_cmd`, replaces the whole template; a compiler that
 rejects the flags fails with CompileError. This module owns the template:
-`differential_check` and `cross_version_equivalence` check it against
-COMPILE_FIELDS before anything else runs, and the report names it.
+`differential_check` checks it against COMPILE_FIELDS before anything else
+runs, and the report names it.
+
+`differential_check` is the one check of the version matrix: every
+version is compared with the oracle, so a PASS in every version also means
+that all versions accept the same assignments.
 """
 
 from __future__ import annotations
@@ -338,25 +342,3 @@ def differential_check(
         timings=timings,
         compile_cmd=compile_cmd,
     )
-
-
-def cross_version_equivalence(
-    csp: CspInstance,
-    versions: Sequence[TransformSpec],
-    compile_cmd: str | None = None,
-    *,
-    bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    workers: int = 1,
-    workdir: str | None = None,
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None = None,
-) -> bool:
-    """True iff all versions accept exactly the same assignments; a bad
-    compile template raises HarnessError before anything runs."""
-    compile_cmd = _compile_template(compile_cmd)
-    if csp.assignment_space_size > bound:
-        raise VerifyError(
-            f"assignment space {csp.assignment_space_size} exceeds bound {bound}"
-        )
-    assignments = list(all_assignments(csp))
-    rows, _ = _observe(csp, versions, assignments, compile_cmd, workers, workdir, emitter)
-    return all(row == rows[0] for row in rows)

@@ -1150,14 +1150,14 @@ def _sleeper(pids) -> str:
     return "sh -c " + shlex.quote(f"echo $$ >> {shlex.quote(str(pids))}; exec sleep 20")
 
 
-def _interrupt(argv, pids, running: int) -> tuple[int, float, list[int]]:
+def _interrupt(argv, pids, running: int) -> tuple[int, str, float, list[int]]:
     """Run csp2c on `argv` and send it SIGINT once `running` children have
-    written their pids; its return code, its seconds from SIGINT to exit,
-    and the pids written by then, each of whose groups is gone."""
+    written their pids; its return code, its stderr, its seconds from SIGINT
+    to exit, and the pids written by then, each of whose groups is gone."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(csp2c.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "csp2c", *argv],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     try:
         deadline = time.monotonic() + 30
@@ -1167,13 +1167,13 @@ def _interrupt(argv, pids, running: int) -> tuple[int, float, list[int]]:
             time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
         start = time.monotonic()
-        proc.wait(timeout=60)
+        _, stderr = proc.communicate(timeout=60)
         seconds = time.monotonic() - start
         started = [int(p) for p in pids.read_text().split()]
         for pid in started:
             with pytest.raises(ProcessLookupError):
                 os.killpg(pid, 0)
-        return proc.returncode, seconds, started
+        return proc.returncode, stderr, seconds, started
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -1182,7 +1182,8 @@ def _interrupt(argv, pids, running: int) -> tuple[int, float, list[int]]:
 
 class TestInterrupt:
     """An interrupt kills the group of every child csp2c waits on, whatever
-    `--workers` is, and no queued job starts."""
+    `--workers` is, and no queued job starts; csp2c then prints one
+    `interrupted` line and exits 130."""
 
     @pytest.mark.parametrize(
         "versions, running", [(["--versions", "1"], 1), (["--workers", "3"], 3)],
@@ -1191,8 +1192,8 @@ class TestInterrupt:
     def test_verify_stops_its_compilers(self, tmp_path, versions, running):
         pids = tmp_path / "pids"
         argv = ["verify", corpus_path("valid", "eq_ne"), "--cc", _sleeper(pids), *versions]
-        code, seconds, started = _interrupt(argv, pids, running)
-        assert code == -signal.SIGINT and seconds < 3, seconds
+        code, stderr, seconds, started = _interrupt(argv, pids, running)
+        assert code == 130 and stderr == "interrupted\n" and seconds < 3, (code, stderr, seconds)
         assert len(started) == running
 
     def test_bench_stops_its_tools_and_starts_no_queued_job(self, tmp_path):
@@ -1205,8 +1206,8 @@ class TestInterrupt:
         ))
         argv = ["bench", "--tools", str(tools), "--instances", str(instances),
                 "--out-dir", str(tmp_path / "o"), "--versions", "1,2,3", "--workers", "2"]
-        code, seconds, started = _interrupt(argv, pids, 2)
-        assert code == -signal.SIGINT and seconds < 3, seconds
+        code, stderr, seconds, started = _interrupt(argv, pids, 2)
+        assert code == 130 and stderr == "interrupted\n" and seconds < 3, (code, stderr, seconds)
         # the third job was queued behind the two running ones
         assert len(started) == 2
 

@@ -105,6 +105,34 @@ def test_only_the_model_sets_the_depth_limit(path):
     assert ("MAX_EXPR_DEPTH" in assigned_names(path)) == (path.name == "model.py")
 
 
+def test_only_operand_writes_a_truth_test():
+    """codegen writes the bitwise truth-test `!=0` in one function, _operand,
+    which renders every operand of an and/or join; docstrings that describe
+    it write no C."""
+    tree = ast.parse((PACKAGE / "codegen.py").read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and ast.get_docstring(node) is not None
+    }
+    inside = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_operand"
+        for inner in ast.walk(node)
+    }
+    writers = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "!=0" in node.value and id(node) not in docstrings
+    ]
+    assert writers and all(id(node) in inside for node in writers), [
+        (node.lineno, node.value) for node in writers
+    ]
+
+
 def names(path: Path) -> tuple[set[str], set[str]]:
     """(every name the module calls, every name it mentions), a dotted name
     `a.b` counted by its last part."""

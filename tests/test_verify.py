@@ -7,25 +7,37 @@ import subprocess
 import time
 
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from csp2c import verify
 from csp2c.harness import HarnessError
 from csp2c.codegen import (
     DRIVER_PRELUDE,
+    CodegenError,
     INCLUDED_HEADERS,
     Dialect,
     Family,
     TransformSpec,
     build_unit,
+    check_encodable,
     family_of,
     output_filename,
     transform,
     version_count,
 )
 from csp2c.model import (
+    BINARY_OPS,
+    UNARY_OPS,
+    AllDifferent,
+    Binary,
+    Const,
     CspInstance,
     Domain,
     IntensionConstraint,
+    Polarity,
+    TableConstraint,
+    Unary,
+    Var,
     VariableDecl,
 )
 from csp2c.verify import (
@@ -33,7 +45,6 @@ from csp2c.verify import (
     VerifyError,
     VerifyStatus,
     compile_program,
-    cross_version_equivalence,
     differential_check,
 )
 from csp2c.xcsp import parse_document, parse_intension
@@ -249,12 +260,6 @@ class TestDifferentialCheck:
             csp, all_specs(Family.INTENSIONAL), cc_template, workdir=str(tmp_path)
         )
         assert report.status is VerifyStatus.PASS
-        assert cross_version_equivalence(
-            csp,
-            [TransformSpec(Family.INTENSIONAL, v) for v in (2, 4)],
-            cc_template,
-            workdir=str(tmp_path / "xv"),
-        )
 
     def test_workers_agree_with_serial(self, cc_template, tmp_path):
         csp = load_corpus("eq_ne")
@@ -670,15 +675,6 @@ class TestCompileTemplate:
         with pytest.raises(HarnessError, match=re.escape(message)):
             differential_check(load_corpus("eq_ne"), specs, template)
 
-    @BAD_TEMPLATES
-    def test_cross_version_equivalence_rejects_a_bad_template_first(
-        self, monkeypatch, template, message
-    ):
-        forbid_any_run(monkeypatch)
-        specs = [TransformSpec(Family.INTENSIONAL, 1)]
-        with pytest.raises(HarnessError, match=re.escape(message)):
-            cross_version_equivalence(load_corpus("eq_ne"), specs, template, bound=0)
-
     def test_a_bad_template_in_the_environment_is_rejected_first(self, monkeypatch):
         forbid_any_run(monkeypatch)
         monkeypatch.setenv("CSP2C_CC", "cc -o {exe} {src}")
@@ -696,10 +692,14 @@ class TestCompileTemplate:
 
 
 class TestCrossVersionEquivalence:
+    """All versions accept the same assignments: each is checked against the
+    oracle, so a PASS of them all implies it."""
+
     def test_selected_versions_agree(self, cc_template, tmp_path):
         csp = load_corpus("conflicts_group")
         specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8)]
-        assert cross_version_equivalence(csp, specs, cc_template, workdir=str(tmp_path))
+        report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
+        assert report.status is VerifyStatus.PASS
 
     def test_zero_constraint_instance_trivially_agrees(self, cc_template, tmp_path):
         csp = CspInstance(
@@ -711,7 +711,9 @@ class TestCrossVersionEquivalence:
             groups=(),
         )
         specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 3, 8)]
-        assert cross_version_equivalence(csp, specs, cc_template, workdir=str(tmp_path))
+        report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
+        assert report.status is VerifyStatus.PASS
+        assert report.assignments_checked == 4
 
     def test_fault_injection_breaks_equivalence(self, cc_template, tmp_path):
         csp = load_corpus("eq_ne")
@@ -722,17 +724,163 @@ class TestCrossVersionEquivalence:
                 return corrupting_emitter(csp_arg, spec)
             return transform(csp_arg, spec)
 
-        assert not cross_version_equivalence(
-            csp, specs, cc_template, workdir=str(tmp_path), emitter=emit
-        )
+        report = differential_check(csp, specs, cc_template, workdir=str(tmp_path), emitter=emit)
+        assert report.status is VerifyStatus.FAIL
+        assert {m.version_label for m in report.mismatches} == {"intensional3"}
 
-    def test_bound_enforced(self, cc_template):
-        csp = CspInstance(
-            name="huge2",
-            variables=tuple(
-                VariableDecl(f"v{i}", Domain.from_ranges([(0, 9)])) for i in range(8)
+
+# Under the bitwise operator a value that is not 0/1 must be truth-tested
+# before `&` joins it: a top-level conjunct (grouping `yes`), and a whole
+# constraint (grouping `all`). Both documents are satisfiable.
+ADD_AND_GE_XML = """<instance format="XCSP3" type="CSP">
+  <variables>
+    <var id="x"> 0..4 </var>  <var id="y"> 0..4 </var>
+  </variables>
+  <constraints>
+    <intension> and(add(x,y),ge(x,y)) </intension>
+  </constraints>
+</instance>
+"""
+BARE_VALUES_XML = """<instance format="XCSP3" type="CSP">
+  <variables>
+    <var id="v0"> 0..3 </var>  <var id="v1"> 0..3 </var>
+  </variables>
+  <constraints>
+    <intension> sub(v0,v1) </intension>
+    <intension> -3 </intension>
+    <intension> v0 </intension>
+  </constraints>
+</instance>
+"""
+
+
+def _if_lines(*conditions):
+    return tuple(f"    if ({c}); else exit(0);" for c in conditions)
+
+
+def _assume_lines(*conditions):
+    return tuple(f"    klee_assume({c});" for c in conditions)
+
+
+class TestBitwiseTruthTests:
+    """Under the bitwise operator every operand of `&`/`|` that is not 0/1 is
+    written `!=0`; the logical and NOP versions keep their text."""
+
+    @pytest.mark.parametrize(
+        "name, xml, lines",
+        [
+            (
+                "add_and_ge",
+                ADD_AND_GE_XML,
+                {
+                    1: _if_lines("x+y", "x>=y"),
+                    2: _if_lines("x+y && x>=y"),
+                    3: ("    if (x+y && x>=y) assert(0);",),
+                    4: _if_lines("x+y!=0 & x>=y"),
+                    5: ("    if (x+y!=0 & x>=y) assert(0);",),
+                    6: _assume_lines("x+y", "x>=y"),
+                    7: _assume_lines("x+y && x>=y"),
+                    8: _assume_lines("x+y && x>=y"),
+                    9: _assume_lines("x+y!=0 & x>=y"),
+                    10: _assume_lines("x+y!=0 & x>=y"),
+                },
             ),
-            groups=(),
-        )
-        with pytest.raises(VerifyError, match="exceeds bound"):
-            cross_version_equivalence(csp, [], cc_template, bound=10)
+            (
+                "bare_values",
+                BARE_VALUES_XML,
+                {
+                    1: _if_lines("v0-v1", "(-3)", "v0"),
+                    2: _if_lines("v0-v1", "(-3)", "v0"),
+                    3: ("    if (v0-v1 && (-3) && v0) assert(0);",),
+                    4: _if_lines("v0-v1!=0", "(-3)!=0", "v0!=0"),
+                    5: ("    if (v0-v1!=0 & (-3)!=0 & v0!=0) assert(0);",),
+                    6: _assume_lines("v0-v1", "(-3)", "v0"),
+                    7: _assume_lines("v0-v1", "(-3)", "v0"),
+                    8: _assume_lines("v0-v1 && (-3) && v0"),
+                    9: _assume_lines("v0-v1!=0", "(-3)!=0", "v0!=0"),
+                    10: _assume_lines("v0-v1!=0 & (-3)!=0 & v0!=0"),
+                },
+            ),
+        ],
+        ids=["top-level-conjunct", "whole-constraints"],
+    )
+    def test_every_version_keeps_the_promise(self, cc_template, tmp_path, name, xml, lines):
+        csp = parse_document(xml, name=name)
+        specs = all_specs(Family.INTENSIONAL)
+        assert {s.version: transform(csp, s).constraint_lines for s in specs} == lines
+        # the klee programs, and the llbmc ones as TestShippedBytes checks them
+        for dialect in (Dialect.KLEE, Dialect.LLBMC):
+            report = differential_check(
+                csp,
+                [dataclasses.replace(s, dialect=dialect) for s in specs],
+                cc_template,
+                workdir=str(tmp_path / dialect.value),
+            )
+            assert report.status is VerifyStatus.PASS, (dialect, report.mismatches[:3])
+            assert report.assignments_checked == csp.assignment_space_size
+
+
+@st.composite
+def expr_trees(draw, names, depth=4):
+    """An intension tree of at most `depth` operator levels over every model
+    operator; a leaf is a variable (70%) or a constant in -3..3."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        if draw(st.integers(0, 9)) < 7:
+            return Var(draw(st.sampled_from(names)))
+        return Const(draw(st.integers(-3, 3)))
+    op = draw(st.sampled_from(UNARY_OPS + BINARY_OPS))
+    if op in UNARY_OPS:
+        return Unary(op, draw(expr_trees(names, depth - 1)))
+    return Binary(op, draw(expr_trees(names, depth - 1)), draw(expr_trees(names, depth - 1)))
+
+
+@st.composite
+def random_instances(draw):
+    """(family, instance): 1-4 variables with 1-4 values each from -3..4, and
+    0-4 constraints of the family, in groups of consecutive constraints.
+    Tables have 1-6 rows drawn from their scope's domains plus 9; one
+    intensional constraint in five is an allDifferent."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    domains = {
+        name: draw(st.lists(st.integers(-3, 4), min_size=1, max_size=4, unique=True))
+        for name in names
+    }
+    family = draw(st.sampled_from(Family))
+    constraints = []
+    for _ in range(draw(st.integers(0, 4))):
+        scope = tuple(draw(st.permutations(names))[: draw(st.integers(1, len(names)))])
+        if family is Family.EXTENSIONAL:
+            row = st.tuples(*[st.sampled_from(domains[v] + [9]) for v in scope])
+            rows = draw(st.lists(row, min_size=1, max_size=6, unique=True))
+            polarity = draw(st.sampled_from(Polarity))
+            constraints.append(TableConstraint(scope, polarity, tuple(rows)))
+        elif len(scope) >= 2 and draw(st.integers(0, 4)) == 0:
+            constraints.append(AllDifferent(scope))
+        else:
+            constraints.append(IntensionConstraint(draw(expr_trees(names))))
+    groups = []
+    for c in constraints:
+        if groups and draw(st.booleans()):
+            groups[-1].append(c)
+        else:
+            groups.append([c])
+    csp = CspInstance(
+        name="random",
+        variables=tuple(VariableDecl(n, Domain.from_values(domains[n])) for n in names),
+        groups=tuple(tuple(group) for group in groups),
+    )
+    return family, csp
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=random_instances())
+@example(case=(Family.INTENSIONAL, parse_document(ADD_AND_GE_XML, name="add_and_ge")))
+@example(case=(Family.INTENSIONAL, parse_document(BARE_VALUES_XML, name="bare_values")))
+def test_every_version_keeps_the_promise_on_random_instances(cc_template, case):
+    family, csp = case
+    try:
+        check_encodable(csp)
+    except CodegenError:
+        reject()  # an intension node that can leave 32-bit range
+    report = differential_check(csp, all_specs(family), cc_template)
+    assert report.status is VerifyStatus.PASS, report.mismatches[:3]
