@@ -52,7 +52,9 @@ encodability check bounds every intension node by interval arithmetic
 from the declared domains, bottom-up, and rejects a node whose interval
 leaves 32-bit signed range, since its C `int` arithmetic could overflow.
 The oracle evaluates expressions with its own code, so each checks the
-other.
+other. transform raises CodegenError for an instance no cell can encode;
+verify emits every program before its oracle runs, so that is its
+encodability check too.
 """
 
 from __future__ import annotations
@@ -482,7 +484,8 @@ static int csp2c_drive(int (*const versions[])(void), int count, int arity) {
 #define assert(condition) ((condition) ? (void)0 : csp2c_reached())
 """
 
-# C keywords, the functions and macros a program names (the prelude's
+# C keywords and GNU C's `asm` and `typeof` (keywords under gcc's default
+# -std=gnu17), the functions and macros a program names (the prelude's
 # `exit` and `assert` macros call csp2c_exit and csp2c_reached), the
 # object-like macros and objects of the headers the dialects include
 # (stdio.h, setjmp.h, stdlib.h, assert.h) and GNU C's predefined `unix` and
@@ -495,7 +498,7 @@ _RESERVED_C_NAMES = frozenset({
     "double", "else", "enum", "extern", "float", "for", "goto", "if", "inline",
     "int", "long", "register", "restrict", "return", "short", "signed", "sizeof",
     "static", "struct", "switch", "typedef", "union", "unsigned", "void",
-    "volatile", "while",
+    "volatile", "while", "asm", "typeof",
     "main", "abs", "dist", "exit", "printf", "atoi", "assert",
     "klee_make_symbolic", "klee_assume", "csp2c_exit", "csp2c_reached",
     "NULL", "EOF", "BUFSIZ", "FILENAME_MAX", "FOPEN_MAX", "L_tmpnam", "TMP_MAX",
@@ -633,11 +636,11 @@ class _Analysis:
         # one; any of them is right, so no lock is needed.
         self._rendered: list[_Rendered | None] = [None, None]
         try:
-            self._check_encodable()
+            self._check_values()
         except CodegenError as exc:
             self.invalid = str(exc)
 
-    def _check_encodable(self) -> None:
+    def _check_values(self) -> None:
         """Empty tables first, then every value against 32-bit signed range:
         domains, tuple values, and the interval of each intension node."""
         for c in self.constraints:
@@ -717,16 +720,6 @@ def _analysis(csp: CspInstance) -> _Analysis:
     analysis = _Analysis(csp)
     _last = (weakref.ref(csp, _forget), analysis)
     return analysis
-
-
-def check_encodable(csp: CspInstance) -> None:
-    """Raise CodegenError when no cell of the version matrix can encode
-    `csp`: it has no variables, mixes table and intensional constraints, has
-    a table without tuples, or has a value or an intension subexpression
-    that can leave 32-bit signed range."""
-    analysis = _analysis(csp)
-    if analysis.invalid is not None:
-        raise CodegenError(analysis.invalid)
 
 
 def _units(

@@ -11,9 +11,10 @@ included, goes through `run_command`. It runs in its own process group,
 and a timeout kills the whole group, so no child survives past timeout +
 grace; an interrupt kills the group at once. `run_jobs` runs bench's jobs
 and the verifier's units, in the calling thread or, with workers > 1, in
-a pool that an interrupt stops the same way. Each ToolSpec checks its
-prepare and run templates when it is built, so a bad template never
-reaches a job, and each job of `run_matrix` makes its one RunRecord.
+a pool that an interrupt stops the same way. ToolSpec (its templates too)
+and BenchInstance check every field when built, so a bad value never
+reaches a job; a manifest loader only reads, resolves paths and checks
+names are unique. Each job of `run_matrix` makes its one RunRecord.
 Timing runs default to a single worker; records of a parallel run are
 stamped as indicative.
 """
@@ -30,7 +31,7 @@ import signal
 import string
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -64,23 +65,23 @@ class Outcome(Enum):
 class ToolSpec:
     name: str
     run: str
-    prepare: str | None = None
+    prepare: str = ""  # none when empty
     timeout_s: float = DEFAULT_TIMEOUT_S
     success_pattern: str = ""
-    kind: ToolKind = ToolKind.ANALYSIS
+    kind: ToolKind = ToolKind.ANALYSIS  # given as a member or its value
     # which generated dialect this tool consumes ("klee" or "llbmc")
     dialect: str = "klee"
 
     def __post_init__(self) -> None:
+        _check_fields(self, _TOOL_KEYS)
+        object.__setattr__(self, "kind", ToolKind(self.kind))
         for key, template in (("prepare", self.prepare), ("run", self.run)):
-            # an empty prepare means none; an empty run is an error
+            # an empty run is an error
             if template or key == "run":
                 try:
                     check_template(template, TOOL_FIELDS)
                 except HarnessError as exc:
                     raise HarnessError(f"{key!r}: {exc}") from None
-        if self.timeout_s <= 0:
-            raise HarnessError(f"tool {self.name!r} has non-positive timeout")
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,9 @@ class BenchInstance:
     path: str
     family: str
     size: int
+
+    def __post_init__(self) -> None:
+        _check_fields(self, _INSTANCE_KEYS)
 
     @property
     def instance_id(self) -> str:
@@ -134,8 +138,9 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _load_entries(path: str, required: tuple[str, ...]) -> list[dict[str, Any]]:
-    """A manifest's entries; HarnessError names the file, entry and missing key."""
+def _load_entries(path: str, required: tuple[str, ...], make: Callable[[dict], Any]) -> list[Any]:
+    """`make` of each of a manifest's entries; HarnessError names the file,
+    the entry, and its missing key or what `make` raised."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -152,7 +157,13 @@ def _load_entries(path: str, required: tuple[str, ...]) -> list[dict[str, Any]]:
         for key in required:
             if key not in entry:
                 raise HarnessError(f"{path}: entry {i} has no {key!r} key")
-    return raw
+    made = []
+    for i, entry in enumerate(raw):
+        try:
+            made.append(make(entry))
+        except HarnessError as exc:
+            raise HarnessError(f"{path}: entry {i} {exc}") from None
+    return made
 
 
 def _is_number(value: Any) -> bool:
@@ -170,9 +181,10 @@ def _is_pattern(value: Any) -> bool:
     return True
 
 
-def _one_of(enum: type[Enum]) -> tuple[Callable[[Any], bool], str, str]:
+def _one_of(enum: type[Enum], members: bool = False) -> tuple[Callable[[Any], bool], str, str]:
     values = [member.value for member in enum]
-    return (lambda v: v in values), "unknown", "one of " + ", ".join(values)
+    allowed = values + list(enum) if members else values
+    return (lambda v: v in allowed), "unknown", "one of " + ", ".join(values)
 
 
 # key: (check, what a value that fails it is called, what the key expects)
@@ -187,7 +199,7 @@ _TOOL_KEYS = {
         f"a number of seconds in (0, {MAX_TIMEOUT_S}]",
     ),
     "success_pattern": (_is_pattern, "bad", "a regular expression"),
-    "kind": _one_of(ToolKind),
+    "kind": _one_of(ToolKind, members=True),
     "dialect": _one_of(Dialect),
 }
 _INSTANCE_KEYS = {
@@ -197,31 +209,18 @@ _INSTANCE_KEYS = {
 }
 
 
-def _check_entry(path: str, i: int, entry: Mapping[str, Any], keys: Mapping[str, Any]) -> None:
+def _check_fields(obj: Any, keys: Mapping[str, Any]) -> None:
+    """HarnessError naming the first field of `obj` that fails its check."""
     for key, (valid, word, expected) in keys.items():
-        if key in entry and not valid(entry[key]):
-            raise HarnessError(
-                f"{path}: entry {i} has {word} {key} {entry[key]!r}; expected {expected}"
-            )
+        value = getattr(obj, key)
+        if not valid(value):
+            raise HarnessError(f"has {word} {key} {value!r}; expected {expected}")
 
 
 def load_tool_manifest(path: str) -> list[ToolSpec]:
-    tools = []
-    for i, entry in enumerate(_load_entries(path, ("name", "run"))):
-        _check_entry(path, i, entry, _TOOL_KEYS)
-        try:
-            tool = ToolSpec(
-                name=entry["name"],
-                run=entry["run"],
-                prepare=entry.get("prepare"),
-                timeout_s=float(entry.get("timeout_s", DEFAULT_TIMEOUT_S)),
-                success_pattern=entry.get("success_pattern", ""),
-                kind=ToolKind(entry.get("kind", "analysis")),
-                dialect=entry.get("dialect", "klee"),
-            )
-        except HarnessError as exc:
-            raise HarnessError(f"{path}: entry {i} {exc}") from None
-        tools.append(tool)
+    tools = _load_entries(
+        path, ("name", "run"), lambda e: ToolSpec(**{k: e[k] for k in _TOOL_KEYS if k in e})
+    )
     # the tool name keys the records, so two tools must not share one
     _check_unique(path, "tool name", [tool.name for tool in tools])
     return tools
@@ -229,13 +228,13 @@ def load_tool_manifest(path: str) -> list[ToolSpec]:
 
 def load_instance_manifest(path: str) -> list[BenchInstance]:
     base = os.path.dirname(os.path.abspath(path))
-    instances = []
-    for i, entry in enumerate(_load_entries(path, ("path", "family", "size"))):
-        _check_entry(path, i, entry, _INSTANCE_KEYS)
-        p = entry["path"]
-        if not os.path.isabs(p):
-            p = os.path.join(base, p)
-        instances.append(BenchInstance(path=p, family=entry["family"], size=entry["size"]))
+
+    def make(entry: dict) -> BenchInstance:
+        inst = BenchInstance(**{k: entry[k] for k in _INSTANCE_KEYS})
+        # relative to the manifest's directory; join keeps an absolute path
+        return replace(inst, path=os.path.join(base, inst.path))
+
+    instances = _load_entries(path, tuple(_INSTANCE_KEYS), make)
     # the instance id names the generated sources and the records
     _check_unique(path, "instance id", [inst.instance_id for inst in instances])
     return instances

@@ -405,10 +405,11 @@ def solve(csp: CspInstance, limit: int = DEFAULT_LIMIT) -> SolveResult:
     )
 
 
-def enumerate_solutions(csp: CspInstance, limit: int = DEFAULT_LIMIT) -> list[Assignment]:
-    """All satisfying assignments, in lexicographic order, found within the
-    search budget."""
-    _, solutions, _, _, _ = _search(csp, limit, stop_at_first=False)
+def enumerate_solutions(csp: CspInstance) -> list[Assignment]:
+    """All satisfying assignments, in lexicographic order. The budget is
+    the product size, which never ends in RESOURCE_LIMIT, so the list is
+    complete."""
+    _, solutions, _, _, _ = _search(csp, csp.assignment_space_size, stop_at_first=False)
     return solutions
 
 

@@ -33,7 +33,11 @@ runs, and the report names it.
 
 `differential_check` is the one check of the version matrix: every
 version is compared with the oracle, so a PASS in every version also means
-that all versions accept the same assignments.
+that all versions accept the same assignments. It emits each distinct
+version's program in the calling thread before the oracle runs, so
+emission is the one encodability check, and the units' jobs only build,
+compile and run. Its mismatches follow `versions`, then the plan, so the
+first names the first listed version that fails.
 """
 
 from __future__ import annotations
@@ -49,14 +53,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from .codegen import (
-    GeneratedProgram,
-    TransformSpec,
-    build_unit,
-    check_encodable,
-    output_filename,
-    transform,
-)
+from .codegen import GeneratedProgram, TransformSpec, build_unit, output_filename, transform
 from .harness import CommandResult, check_template, run_command, run_jobs, write_program
 from .model import CspInstance
 from .oracle import Assignment, all_assignments, constraint_satisfied, solve
@@ -100,7 +97,7 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class UnitTiming:
-    """One translation unit: the versions it holds, the time to emit and
+    """One translation unit: the versions it holds, the time to build and
     compile it, and the time of its one driver run."""
 
     versions: tuple[str, ...]
@@ -221,39 +218,35 @@ def _verdicts(
 
 def _observe(
     csp: CspInstance,
-    versions: Sequence[TransformSpec],
+    programs: Sequence[GeneratedProgram],
     assignments: Sequence[Assignment],
     compile_cmd: str,
     workers: int,
     workdir: str | None,
-    emitter: Callable[[CspInstance, TransformSpec], GeneratedProgram] | None,
 ) -> tuple[list[list[bool]], list[UnitTiming]]:
-    """One row of driver verdicts per version, in the order of `assignments`,
+    """One row of driver verdicts per program, in the order of `assignments`,
     and one timing per translation unit.
 
-    The distinct versions are split, in order, into min(`workers`, their
-    number) units of near-equal size, built, compiled and run at once by
-    harness.run_jobs; each version is compiled and run once, as the program
-    `emitter` (by default `transform`, looked up when called) gives for it. Builds go to
-    `workdir`, or to a temporary directory removed afterwards.
+    The programs are split, in order, into min(`workers`, their number)
+    units of near-equal size, each built, compiled and run once by
+    harness.run_jobs. Builds go to `workdir`, or to a temporary directory
+    removed afterwards.
     """
     order = [v.id for v in csp.variables]
     plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
     tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
-    distinct = list(dict.fromkeys(versions))
-    n = min(max(workers, 1), len(distinct))
-    units = [distinct[len(distinct) * i // n : len(distinct) * (i + 1) // n] for i in range(n)]
+    n = min(max(workers, 1), len(programs))
+    units = [programs[len(programs) * i // n : len(programs) * (i + 1) // n] for i in range(n)]
 
     def job(index: int) -> tuple[list[list[bool]], UnitTiming]:
-        specs = units[index]
+        members = units[index]
         start = time.perf_counter()
-        programs = [(emitter or transform)(csp, spec) for spec in specs]
-        unit = build_unit(csp, programs, f"unit{index + 1}")
+        unit = build_unit(csp, members, f"unit{index + 1}")
         exe = compile_program(unit, compile_cmd, tmp)
         compiled = time.perf_counter()
-        rows = _verdicts(exe, plan, programs, assignments)
+        rows = _verdicts(exe, plan, members, assignments)
         timing = UnitTiming(
-            tuple(spec.version_label for spec in specs),
+            tuple(program.version_label for program in members),
             compiled - start,
             time.perf_counter() - compiled,
         )
@@ -264,10 +257,7 @@ def _observe(
     finally:
         if workdir is None:
             shutil.rmtree(tmp, ignore_errors=True)
-    by_spec = {
-        spec: row for specs, (rows, _) in zip(units, results) for spec, row in zip(specs, rows)
-    }
-    return [by_spec[s] for s in versions], [timing for _, timing in results]
+    return [row for rows, _ in results for row in rows], [timing for _, timing in results]
 
 
 def _assignment_plan(csp: CspInstance, bound: int) -> tuple[list[Assignment], bool]:
@@ -302,31 +292,37 @@ def differential_check(
 
     Exhaustive when the assignment space fits `bound`; sampled (status
     SAMPLED) when it does not. A compile template that cannot be filled
-    from COMPILE_FIELDS raises HarnessError first; then an instance no
-    program can encode raises CodegenError before the oracle runs, so an
-    intension subexpression that can overflow is named as transform names
-    it. Compile failures raise CompileError with compiler output; a
-    compiler or driver that cannot be started or times out, and a driver
-    that exits nonzero or prints anything but one verdict per assignment,
-    raise VerifyError.
+    from COMPILE_FIELDS raises HarnessError first. Then each distinct
+    version's program is emitted, by `emitter` (by default `transform`,
+    looked up when called), before the oracle runs: an instance no program
+    can encode raises CodegenError there, naming an intension
+    subexpression that can overflow. Compile failures raise CompileError
+    with compiler output; a compiler or driver that cannot be started or
+    times out, and a driver that exits nonzero or prints anything but one
+    verdict per assignment, raise VerifyError.
+
+    Mismatches are listed by version, in the order of `versions`, then by
+    assignment, in plan order; each assignment names its variables in
+    declaration order.
     """
     compile_cmd = _compile_template(compile_cmd)
-    check_encodable(csp)
+    emitted = {spec: (emitter or transform)(csp, spec) for spec in dict.fromkeys(versions)}
     assignments, exhaustive = _assignment_plan(csp, bound)
     constraints = csp.constraints()
     expected = [
         all(constraint_satisfied(c, a) for c in constraints) for a in assignments
     ]
     rows, timings = _observe(
-        csp, versions, assignments, compile_cmd, workers, workdir, emitter
+        csp, list(emitted.values()), assignments, compile_cmd, workers, workdir
     )
+    observed = dict(zip(emitted, rows))
+    order = [v.id for v in csp.variables]
     mismatches = [
-        Mismatch(spec.version_label, tuple(sorted(a.items())), want, got)
-        for spec, observed in zip(versions, rows)
-        for a, want, got in zip(assignments, expected, observed)
+        Mismatch(spec.version_label, tuple((v, a[v]) for v in order), want, got)
+        for spec in versions
+        for a, want, got in zip(assignments, expected, observed[spec])
         if want != got
     ]
-    mismatches.sort(key=lambda m: (m.version_label, m.assignment))
     if mismatches:
         status = VerifyStatus.FAIL
     elif exhaustive:

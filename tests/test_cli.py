@@ -21,7 +21,7 @@ from csp2c.model import MAX_EXPR_DEPTH
 from csp2c.xcsp import parse_file
 
 from conftest import NOT_EQUAL_XML, corpus_path, overflowing_emitter
-from test_verify import corrupting_emitter
+from test_verify import LT_YX_XML, corrupting_emitter, weakening_emitter
 from test_xcsp import UNARY_GROUP
 
 
@@ -605,6 +605,24 @@ class TestVerifyCommand:
             "version": "intensional1",
             "assignment": {"i0": 0, "i1": 0, "i2": 0},
         }
+
+    def test_the_first_mismatch_is_the_first_listed_version_that_fails(
+        self, capsys, monkeypatch, tmp_path, cc_template
+    ):
+        from csp2c import verify
+
+        monkeypatch.setattr(verify, "transform", weakening_emitter)
+        path = tmp_path / "lt_yx.xml"
+        path.write_text(LT_YX_XML)
+        argv = ["verify", str(path), "--versions", "all", "--cc", cc_template]
+        code, out, _ = run_cli(capsys, *argv)
+        mismatches = [line for line in out.splitlines() if line.startswith("  mismatch ")]
+        assert code == 1
+        assert mismatches[0] == "  mismatch intensional4: [y=0 x=0] oracle=False driver=True"
+        code, out, _ = run_cli(capsys, *argv, "--machine")
+        first = json.loads(out)["first_mismatch"]
+        assert code == 1 and first == {"version": "intensional4", "assignment": {"y": 0, "x": 0}}
+        assert list(first["assignment"]) == ["y", "x"]
 
     def test_a_unary_group_template_passes_on_every_assignment(self, capsys, tmp_path, cc_template):
         path = tmp_path / "unary.xml"

@@ -472,6 +472,9 @@ class TestErrors:
                 VariableDecl("while", Domain.from_values([0, 1])),
                 # collides with the name "int" is given
                 VariableDecl("int_v", Domain.from_values([0, 1])),
+                # keywords of gcc's default -std=gnu17
+                VariableDecl("asm", Domain.from_values([0, 1])),
+                VariableDecl("typeof", Domain.from_values([0, 1])),
             ),
             groups=(
                 (
@@ -483,7 +486,9 @@ class TestErrors:
         assert program.var_map["int"] == "int_v"
         assert program.var_map["while"] == "while_v"
         assert program.var_map["int_v"] == "int_v_1"
-        assert "int int_v, while_v, int_v_1;" in program.source_text
+        assert program.var_map["asm"] == "asm_v"
+        assert program.var_map["typeof"] == "typeof_v"
+        assert "int int_v, while_v, int_v_1, asm_v, typeof_v;" in program.source_text
 
 
 def header_macros(tmp_path) -> set[str]:

@@ -198,6 +198,47 @@ class TestToolSpec:
         (record,) = run_matrix(two_instances[:1], {"extensional": LABELS[:1]}, [tool], src_dir)
         assert record.outcome is Outcome.REACHED
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"timeout_s": float("nan")}, "has bad timeout_s nan; expected a number of seconds"),
+            ({"timeout_s": float("inf")}, "has bad timeout_s inf; expected a number of seconds"),
+            ({"timeout_s": 1e12}, "has bad timeout_s 1000000000000.0; expected a number"),
+            ({"success_pattern": "("}, "has bad success_pattern '('; expected a regular expression"),
+            ({"dialect": "bogus"}, "has unknown dialect 'bogus'; expected one of klee, llbmc"),
+            ({"prepare": None}, "has bad prepare None; expected a string"),
+        ],
+        ids=["nan-timeout", "inf-timeout", "huge-timeout", "bad-pattern", "bad-dialect",
+             "none-prepare"],
+    )
+    def test_a_bad_field_is_rejected_when_built(self, fields, message):
+        """A tool built in Python is checked as a manifest entry is, so a bad
+        value never reaches run_matrix's jobs."""
+        with pytest.raises(HarnessError, match="^" + re.escape(message)):
+            ToolSpec(name="t", run="echo", **fields)
+
+    def test_a_kind_may_be_given_by_its_value(self, tmp_path, two_instances):
+        tool = ToolSpec(name="base", run="echo {src}", kind="baseline")
+        assert tool.kind is ToolKind.BASELINE
+        # a baseline runs once per instance, on the original file
+        records = run_matrix(two_instances, {"extensional": LABELS}, [tool], str(tmp_path))
+        assert [(r.version, r.outcome) for r in records] == [("", Outcome.NOT_REACHED)] * 2
+
+
+class TestBenchInstance:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("p.xml", "bogus", 1), "has unknown family 'bogus'; expected one of extensional"),
+            (("p.xml", "extensional", 1.5), "has bad size 1.5; expected an integer"),
+            (("a\0b.xml", "extensional", 1), "has bad path 'a\\x00b.xml'; expected a file name"),
+        ],
+        ids=["bad-family", "bad-size", "nul-in-path"],
+    )
+    def test_a_bad_field_is_rejected_when_built(self, fields, message):
+        with pytest.raises(HarnessError, match="^" + re.escape(message)):
+            BenchInstance(*fields)
+
 
 class _Interrupt(BaseException):
     """Raised by a SIGALRM handler, as KeyboardInterrupt is by SIGINT's."""

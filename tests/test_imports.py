@@ -5,8 +5,10 @@ oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
 codegen alone writes replay-driver C; the harness alone starts child
 processes and runs jobs at once; the model alone sets the expression-depth limit; the harness
-and verify alone check command templates, each its own; and a test pins
-each message the XCSP3 reader rejects an element with.
+and verify alone check command templates, each its own; verify emits in
+differential_check alone; ToolSpec and BenchInstance alone check their
+fields; and a test pins each message the XCSP3 reader rejects an element
+with.
 """
 
 from __future__ import annotations
@@ -162,6 +164,41 @@ def test_only_the_owners_of_a_template_check_it(path):
 def test_the_cli_leaves_the_compile_template_to_verify():
     _, mentioned = names(PACKAGE / "cli.py")
     assert mentioned & {"check_template", "COMPILE_FIELDS", "default_compile_command"} == set()
+
+
+def enclosing_functions(path: Path, name: str) -> set[str]:
+    """The qualified names (`Class.method`, `function.inner`) of the
+    functions in which the module uses the name `name`; "" for a use at
+    module level."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.Name) and node.id == name:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+@pytest.mark.parametrize("name", ["transform", "emitter"])
+def test_verify_emits_only_in_differential_check(name):
+    """differential_check emits every program before the oracle runs, so
+    emission is its encodability check and no unit job emits."""
+    assert enclosing_functions(PACKAGE / "verify.py", name) == {"differential_check"}
+
+
+def test_only_the_dataclasses_check_their_fields():
+    """ToolSpec and BenchInstance check their own fields when built; the
+    manifest loaders leave every field check to them."""
+    assert enclosing_functions(PACKAGE / "harness.py", "_check_fields") == {
+        "ToolSpec.__post_init__",
+        "BenchInstance.__post_init__",
+    }
 
 
 def literal_prefix(node: ast.expr) -> str | None:

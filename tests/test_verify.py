@@ -19,7 +19,6 @@ from csp2c.codegen import (
     Family,
     TransformSpec,
     build_unit,
-    check_encodable,
     family_of,
     output_filename,
     transform,
@@ -81,6 +80,42 @@ def patching_emitter(old, new):
         )
 
     return emit
+
+
+# y is declared before x, so the plan runs y=0 x=0 first
+LT_YX_XML = """<instance format="XCSP3" type="CSP">
+  <variables>
+    <var id="y"> 0..2 </var>  <var id="x"> 0..2 </var>
+  </variables>
+  <constraints>
+    <intension> lt(y,x) </intension>
+  </constraints>
+</instance>
+"""
+
+
+def weakening_emitter(csp, spec):
+    """Fault-injection fixture: intensional 4 and 10 test `y<=x` for `y<x`,
+    so both accept y == x."""
+    program = transform(csp, spec)
+    if spec.version not in (4, 10):
+        return program
+    assert "y<x" in program.source_text
+    return dataclasses.replace(program, source_text=program.source_text.replace("y<x", "y<=x"))
+
+
+# `asm` and `typeof` are keywords of gcc's default -std=gnu17; `bool` is a
+# C23 keyword that gcc 12 still takes as a name
+GNU_KEYWORDS_XML = """<instance format="XCSP3" type="CSP">
+  <variables>
+    <var id="asm"> 0..2 </var>  <var id="typeof"> 0..2 </var>  <var id="bool"> 0 1 </var>
+  </variables>
+  <constraints>
+    <intension> ne(asm,typeof) </intension>
+    <intension> le(bool,add(asm,typeof)) </intension>
+  </constraints>
+</instance>
+"""
 
 
 def patch_shared_main(monkeypatch, old, new):
@@ -533,6 +568,50 @@ class TestDifferentialCheck:
         assert report.status is VerifyStatus.PASS
         assert report.assignments_checked == 2 ** len(names)
 
+    def test_variables_named_after_gnu_keywords(self, cc_template, tmp_path):
+        csp = parse_document(GNU_KEYWORDS_XML, name="gnu_keywords")
+        report = differential_check(
+            csp, all_specs(Family.INTENSIONAL), cc_template, workdir=str(tmp_path)
+        )
+        assert report.status is VerifyStatus.PASS
+        assert report.assignments_checked == 18
+
+    def test_mismatches_follow_the_versions_then_the_plan(self, cc_template, tmp_path):
+        """The first mismatch names the first listed version that fails, not
+        the first label in string order, and its assignment lists the
+        variables in declaration order."""
+        csp = parse_document(LT_YX_XML, name="lt_yx")
+        report = differential_check(
+            csp,
+            all_specs(Family.INTENSIONAL),
+            cc_template,
+            workdir=str(tmp_path),
+            emitter=weakening_emitter,
+        )
+        assert report.status is VerifyStatus.FAIL
+        ties = [(("y", v), ("x", v)) for v in range(3)]
+        assert [(m.version_label, m.assignment) for m in report.mismatches] == [
+            (label, pairs) for label in ("intensional4", "intensional10") for pairs in ties
+        ]
+        assert all(not m.expected and m.observed for m in report.mismatches)
+
+    def test_an_unencodable_instance_is_rejected_before_the_oracle_runs(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("ran before the programs were emitted")
+
+        for name in ("solve", "all_assignments", "constraint_satisfied", "compile_program"):
+            monkeypatch.setattr(verify, name, ran)
+        csp = parse_document(
+            """<instance format="XCSP3" type="CSP">
+              <variables> <var id="x"> 0..50000 </var> <var id="y"> 0..50000 </var> </variables>
+              <constraints> <intension> lt(mul(x,y),7) </intension> </constraints>
+            </instance>""",
+            name="wide",
+        )
+        message = "mul(x,y) takes values in 0..2500000000, outside 32-bit signed range"
+        with pytest.raises(CodegenError, match=re.escape(message)):
+            differential_check(csp, all_specs(Family.INTENSIONAL), "cc -o {out} {src}")
+
     def test_timings_per_unit(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
         specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 5)]
@@ -642,13 +721,13 @@ class TestShippedBytes:
 
 
 def forbid_any_run(monkeypatch):
-    """Fail the test on any encodability check, oracle run or compile."""
+    """Fail the test on any emission, oracle run or compile."""
 
     def ran(*args, **kwargs):
         raise AssertionError("ran before the compile template was checked")
 
     for name in (
-        "check_encodable", "all_assignments", "solve", "constraint_satisfied", "compile_program"
+        "transform", "all_assignments", "solve", "constraint_satisfied", "compile_program"
     ):
         monkeypatch.setattr(verify, name, ran)
 
@@ -834,13 +913,21 @@ def expr_trees(draw, names, depth=4):
     return Binary(op, draw(expr_trees(names, depth - 1)), draw(expr_trees(names, depth - 1)))
 
 
+# plain names, and names of C keywords, of functions and objects a program
+# sees, of the prelude's functions, and one C reserves for the implementation
+NAME_POOL = [
+    "v0", "v1", "v2", "v3",
+    "asm", "typeof", "int", "main", "exit", "abs", "stdin", "csp2c_exit", "_X",
+]
+
+
 @st.composite
 def random_instances(draw):
-    """(family, instance): 1-4 variables with 1-4 values each from -3..4, and
-    0-4 constraints of the family, in groups of consecutive constraints.
-    Tables have 1-6 rows drawn from their scope's domains plus 9; one
-    intensional constraint in five is an allDifferent."""
-    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    """(family, instance): 1-4 variables, named from NAME_POOL, with 1-4
+    values each from -3..4, and 0-4 constraints of the family, in groups of
+    consecutive constraints. Tables have 1-6 rows drawn from their scope's
+    domains plus 9; one intensional constraint in five is an allDifferent."""
+    names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=4, unique=True))
     domains = {
         name: draw(st.lists(st.integers(-3, 4), min_size=1, max_size=4, unique=True))
         for name in names
@@ -876,11 +963,11 @@ def random_instances(draw):
 @given(case=random_instances())
 @example(case=(Family.INTENSIONAL, parse_document(ADD_AND_GE_XML, name="add_and_ge")))
 @example(case=(Family.INTENSIONAL, parse_document(BARE_VALUES_XML, name="bare_values")))
+@example(case=(Family.INTENSIONAL, parse_document(GNU_KEYWORDS_XML, name="gnu_keywords")))
 def test_every_version_keeps_the_promise_on_random_instances(cc_template, case):
     family, csp = case
     try:
-        check_encodable(csp)
+        report = differential_check(csp, all_specs(family), cc_template)
     except CodegenError:
         reject()  # an intension node that can leave 32-bit range
-    report = differential_check(csp, all_specs(family), cc_template)
     assert report.status is VerifyStatus.PASS, report.mismatches[:3]
