@@ -36,11 +36,10 @@ import json
 import os
 import sys
 import types
-from dataclasses import replace
 from typing import Callable
 
 from .oracle import DEFAULT_LIMIT, Status, solve
-from .xcsp import ParseFailure, parse_file
+from .xcsp import ParseDiagnostic, ParseFailure, parse_file
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -273,14 +272,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
             labels = []
             for spec in _parse_versions(args.versions, codegen.Family(inst.family)):
                 for dialect in dialects:
-                    program = codegen.transform(
-                        csp, replace(spec, dialect=codegen.Dialect(dialect))
+                    cell = codegen.TransformSpec(
+                        spec.family, spec.version, codegen.Dialect(dialect)
                     )
+                    program = codegen.transform(csp, cell)
                     harness.write_program(program, src_dir)
                 labels.append(spec.version_label)
         except ParseFailure as exc:
             raise ParseFailure(
-                [replace(d, path=f"{inst.path}:{d.path}") for d in exc.diagnostics]
+                [
+                    ParseDiagnostic(d.severity, f"{inst.path}:{d.path}", d.line, d.message)
+                    for d in exc.diagnostics
+                ]
             ) from None
         except codegen.CodegenError as exc:
             raise codegen.CodegenError(f"{inst.path}: {exc}") from None

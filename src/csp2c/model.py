@@ -10,14 +10,20 @@ templates or `%i` placeholders. An expression tree is at most
 MAX_EXPR_DEPTH operators deep, however it is built: a node past the limit
 raises ModelError when it is made, so no recursive walk of a tree exhausts
 Python's stack.
+
+The value classes are plain `__slots__` classes over one base, Frozen, and
+so are the oracle's SolveResult and the XCSP3 reader's values. They are
+not dataclasses because `parse` and `solve` each start a new interpreter:
+importing `dataclasses` (which imports `inspect`) and generating each
+class's methods took about half of csp2c's own import time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar, Iterable, Iterator, Mapping, Union
+from operator import attrgetter
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, Union
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -35,27 +41,74 @@ class ModelError(Exception):
     """A structurally invalid instance or constraint."""
 
 
+# sets a slot of a Frozen object, whose own __setattr__ refuses
+set_slot = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in `_fields`, in constructor order, and its
+    `__init__` sets each slot through `set_slot`. Two objects are equal, and
+    hash equal, when they are of the same class with equal fields. `repr`
+    reads `Name(field=value, ...)`. Copy and pickle call the class with the
+    fields in order. Assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: ClassVar[tuple[str, ...]]
+    # the fields' values: the value itself for one field, else a tuple
+    _key: ClassVar[attrgetter]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
 # ---------------------------------------------------------------------------
 # Domains and variables
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Domain:
+class Domain(Frozen):
     """A finite set of integers stored as disjoint ascending inclusive ranges."""
 
+    __slots__ = _fields = ("ranges",)
     ranges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if not self.ranges:
+    def __init__(self, ranges: tuple[tuple[int, int], ...]) -> None:
+        if not ranges:
             raise ModelError("empty domain")
         prev_hi = None
-        for lo, hi in self.ranges:
+        for lo, hi in ranges:
             if lo > hi:
                 raise ModelError(f"bad domain range {lo}..{hi}")
             if prev_hi is not None and lo <= prev_hi:
                 raise ModelError("domain ranges must be disjoint and ascending")
             prev_hi = hi
+        set_slot(self, "ranges", ranges)
 
     @staticmethod
     def from_values(values: Iterable[int]) -> "Domain":
@@ -109,10 +162,14 @@ class Domain:
         return len(self.ranges) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class VariableDecl:
+class VariableDecl(Frozen):
+    __slots__ = _fields = ("id", "domain")
     id: str
     domain: Domain
+
+    def __init__(self, id: str, domain: Domain) -> None:
+        set_slot(self, "id", id)
+        set_slot(self, "domain", domain)
 
 
 # ---------------------------------------------------------------------------
@@ -124,50 +181,65 @@ BINARY_OPS = ("add", "sub", "mul", "eq", "ne", "lt", "le", "gt", "ge", "and", "o
 COMPARISON_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(Frozen):
+    __slots__ = _fields = ("name",)
     name: str
 
     depth: ClassVar[int] = 0
 
+    def __init__(self, name: str) -> None:
+        set_slot(self, "name", name)
 
-@dataclass(frozen=True, slots=True)
-class Const:
+
+class Const(Frozen):
+    __slots__ = _fields = ("value",)
     value: int
 
     depth: ClassVar[int] = 0
 
+    def __init__(self, value: int) -> None:
+        set_slot(self, "value", value)
 
-def _set_depth(node: "Unary | Binary", depth: int) -> None:
+
+def _checked_depth(depth: int) -> int:
     if depth > MAX_EXPR_DEPTH:
         raise ModelError(f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators")
-    object.__setattr__(node, "depth", depth)
+    return depth
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
+# An operator node's `depth` is a slot but not a field, so equality, hash
+# and repr leave it out.
+class Unary(Frozen):
+    __slots__ = ("op", "operand", "depth")
+    _fields = ("op", "operand")
     op: str
     operand: "Expr"
     # operators on the longest path from this node to a leaf, this one included
-    depth: int = field(init=False, compare=False, repr=False)
+    depth: int
 
-    def __post_init__(self) -> None:
-        if self.op not in UNARY_OPS:
-            raise ModelError(f"unknown unary operator {self.op!r}")
-        _set_depth(self, self.operand.depth + 1)
+    def __init__(self, op: str, operand: "Expr") -> None:
+        if op not in UNARY_OPS:
+            raise ModelError(f"unknown unary operator {op!r}")
+        set_slot(self, "depth", _checked_depth(operand.depth + 1))
+        set_slot(self, "op", op)
+        set_slot(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
+class Binary(Frozen):
+    __slots__ = ("op", "left", "right", "depth")
+    _fields = ("op", "left", "right")
     op: str
     left: "Expr"
     right: "Expr"
-    depth: int = field(init=False, compare=False, repr=False)
+    depth: int
 
-    def __post_init__(self) -> None:
-        if self.op not in BINARY_OPS:
-            raise ModelError(f"unknown binary operator {self.op!r}")
-        _set_depth(self, max(self.left.depth, self.right.depth) + 1)
+    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
+        if op not in BINARY_OPS:
+            raise ModelError(f"unknown binary operator {op!r}")
+        set_slot(self, "depth", _checked_depth(max(left.depth, right.depth) + 1))
+        set_slot(self, "op", op)
+        set_slot(self, "left", left)
+        set_slot(self, "right", right)
 
 
 Expr = Union[Var, Const, Unary, Binary]
@@ -200,21 +272,29 @@ class Polarity(Enum):
     CONFLICTS = "conflicts"
 
 
-@dataclass(frozen=True, slots=True)
-class TableConstraint:
+class TableConstraint(Frozen):
     """Extensional constraint: an explicit tuple list over an ordered scope."""
 
+    __slots__ = _fields = ("scope", "polarity", "tuples")
     scope: tuple[str, ...]
     polarity: Polarity
     tuples: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        _check_table_scope(self.scope)
-        for t in self.tuples:
-            if len(t) != len(self.scope):
-                raise ModelError(
-                    f"tuple {t} has arity {len(t)}, scope has arity {len(self.scope)}"
-                )
+    def __init__(
+        self, scope: tuple[str, ...], polarity: Polarity, tuples: tuple[tuple[int, ...], ...]
+    ) -> None:
+        _check_table_scope(scope)
+        for t in tuples:
+            if len(t) != len(scope):
+                raise ModelError(f"tuple {t} has arity {len(t)}, scope has arity {len(scope)}")
+        self._assign(scope, polarity, tuples)
+
+    def _assign(
+        self, scope: tuple[str, ...], polarity: Polarity, tuples: tuple[tuple[int, ...], ...]
+    ) -> None:
+        set_slot(self, "scope", scope)
+        set_slot(self, "polarity", polarity)
+        set_slot(self, "tuples", tuples)
 
     def with_scope(self, scope: tuple[str, ...]) -> "TableConstraint":
         """The same table over `scope`, which has this table's arity. The
@@ -224,8 +304,7 @@ class TableConstraint:
         if len(scope) != len(self.scope):
             raise ModelError(f"scope {scope} has arity {len(scope)}, table has {len(self.scope)}")
         table = object.__new__(TableConstraint)
-        for name, value in (("scope", scope), ("polarity", self.polarity), ("tuples", self.tuples)):
-            object.__setattr__(table, name, value)
+        table._assign(scope, self.polarity, self.tuples)
         return table
 
 
@@ -236,26 +315,30 @@ def _check_table_scope(scope: tuple[str, ...]) -> None:
         raise ModelError(f"table scope has repeated variables: {scope}")
 
 
-@dataclass(frozen=True, slots=True)
-class IntensionConstraint:
+class IntensionConstraint(Frozen):
     """Constraint given by a 0/1-valued expression over its variables."""
 
+    __slots__ = _fields = ("expr",)
     expr: Expr
+
+    def __init__(self, expr: Expr) -> None:
+        set_slot(self, "expr", expr)
 
     @property
     def scope(self) -> tuple[str, ...]:
         return expr_variables(self.expr)
 
 
-@dataclass(frozen=True, slots=True)
-class AllDifferent:
+class AllDifferent(Frozen):
+    __slots__ = _fields = ("scope",)
     scope: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.scope)) != len(self.scope):
-            raise ModelError(f"allDifferent scope has repeated variables: {self.scope}")
-        if len(self.scope) < 2:
+    def __init__(self, scope: tuple[str, ...]) -> None:
+        if len(set(scope)) != len(scope):
+            raise ModelError(f"allDifferent scope has repeated variables: {scope}")
+        if len(scope) < 2:
             raise ModelError("allDifferent needs at least 2 variables")
+        set_slot(self, "scope", scope)
 
     def with_scope(self, scope: tuple[str, ...]) -> "AllDifferent":
         return AllDifferent(scope)
@@ -269,15 +352,29 @@ Constraint = Union[TableConstraint, IntensionConstraint, AllDifferent]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CspInstance:
+class CspInstance(Frozen):
+    _fields = ("name", "variables", "groups", "flatten_map")
+    # codegen memoizes its analysis of an instance through a weak reference
+    __slots__ = _fields + ("__weakref__",)
     name: str
     variables: tuple[VariableDecl, ...]
     # one tuple per XCSP3 <group> (its instantiated constraints, in <args>
     # order) or lone constraint element
     groups: tuple[tuple[Constraint, ...], ...]
     # Original XCSP3 name (e.g. "x[2]") -> flattened scalar id (e.g. "x2").
-    flatten_map: Mapping[str, str] = field(default_factory=dict)
+    flatten_map: Mapping[str, str]
+
+    def __init__(
+        self,
+        name: str,
+        variables: tuple[VariableDecl, ...],
+        groups: tuple[tuple[Constraint, ...], ...],
+        flatten_map: Mapping[str, str] | None = None,
+    ) -> None:
+        set_slot(self, "name", name)
+        set_slot(self, "variables", variables)
+        set_slot(self, "groups", groups)
+        set_slot(self, "flatten_map", {} if flatten_map is None else flatten_map)
 
     def variable_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)

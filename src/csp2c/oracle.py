@@ -62,7 +62,6 @@ computes for some input.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
@@ -73,12 +72,14 @@ from .model import (
     Constraint,
     CspInstance,
     Expr,
+    Frozen,
     INT32_MAX,
     INT32_MIN,
     Polarity,
     TableConstraint,
     Unary,
     Var,
+    set_slot,
 )
 
 DEFAULT_LIMIT = 10**7
@@ -102,13 +103,22 @@ class Status(Enum):
     RESOURCE_LIMIT = "resource-limit"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Frozen):
+    __slots__ = _fields = ("status", "witness", "explored", "work", "checks")
     status: Status
     witness: Assignment | None
     explored: int
     work: int
     checks: int
+
+    def __init__(
+        self, status: Status, witness: Assignment | None, explored: int, work: int, checks: int
+    ) -> None:
+        set_slot(self, "status", status)
+        set_slot(self, "witness", witness)
+        set_slot(self, "explored", explored)
+        set_slot(self, "work", work)
+        set_slot(self, "checks", checks)
 
 
 def _check32(value: int) -> int:

@@ -21,7 +21,10 @@ element raises _Reject, as the model raises ModelError; the nearest loop
 over sibling elements (the children of <variables>, of <constraints> or of
 a <group>, or the document element alone) records it as diagnostics of the
 element and goes on with the next sibling, so one pass reports every bad
-element. A document with any diagnostic raises ParseFailure.
+element. An element that references a rejected <var> or <array> is
+rejected with no message, since that declaration was reported, so one
+fault gives one diagnostic. A document with any diagnostic raises
+ParseFailure.
 
 Groups end here: the reader parses each template once and builds one
 concrete constraint per <args> row, so the model, the oracle and the code
@@ -41,7 +44,6 @@ from __future__ import annotations
 import os
 import re
 import xml.parsers.expat
-from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence, Union
 
 from .model import (
@@ -52,6 +54,7 @@ from .model import (
     CspInstance,
     Domain,
     Expr,
+    Frozen,
     IntensionConstraint,
     MAX_EXPR_DEPTH,
     ModelError,
@@ -61,6 +64,7 @@ from .model import (
     UNARY_OPS,
     Var,
     VariableDecl,
+    set_slot,
 )
 
 # one entry of an <args> row: a flattened variable id or an integer
@@ -73,12 +77,18 @@ _PLACEHOLDER_RE = re.compile(r"%\d+")
 _REFERENCE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d*)\])?")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(Frozen):
+    __slots__ = _fields = ("severity", "path", "line", "message")
     severity: str  # "error" | "warning"
     path: str
     line: int | None
     message: str
+
+    def __init__(self, severity: str, path: str, line: int | None, message: str) -> None:
+        set_slot(self, "severity", severity)
+        set_slot(self, "path", path)
+        set_slot(self, "line", line)
+        set_slot(self, "message", message)
 
     def __str__(self) -> str:
         where = self.path if self.line is None else f"{self.path} (line {self.line})"
@@ -97,24 +107,33 @@ class IntensionSyntaxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Placeholder:
+class Placeholder(Frozen):
     """A `%i` slot in a <group> template's intension tree. The reader fills
     every slot from the group's <args> rows, so no CspInstance holds one."""
 
+    __slots__ = _fields = ("index",)
     index: int
 
     depth: ClassVar[int] = 0
 
+    def __init__(self, index: int) -> None:
+        set_slot(self, "index", index)
 
-@dataclass(frozen=True)
-class _Template:
+
+class _Template(Frozen):
     """One parsed constraint element. `build` fills the `%i` slots, whose
     indices `slots` lists in ascending order, from one args row; a lone
     constraint has no slots and `build(())` returns it."""
 
+    __slots__ = _fields = ("slots", "build")
     slots: tuple[int, ...]
     build: Callable[[Sequence[Arg]], Constraint]
+
+    def __init__(
+        self, slots: tuple[int, ...], build: Callable[[Sequence[Arg]], Constraint]
+    ) -> None:
+        set_slot(self, "slots", slots)
+        set_slot(self, "build", build)
 
     def instantiate(self, name: str, rows: Sequence[tuple[Arg, ...]]) -> tuple[Constraint, ...]:
         """One constraint per args row, in row order; ModelError names the
@@ -170,17 +189,21 @@ def _fill_scope(scope: tuple[str, ...], args: Sequence[Arg]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class _Node:
-    tag: str
-    attrib: dict[str, str]
-    line: int
-    children: list["_Node"] = field(default_factory=list)
-    _text: list[str] = field(default_factory=list)
-    parent_path: str = ""
-    sibling_index: int = 1
-    # children seen so far per tag, for the next child's sibling_index
-    _tag_counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "tag", "attrib", "line", "children", "_text", "parent_path", "sibling_index", "_tag_counts"
+    )
+
+    def __init__(self, tag: str, attrib: dict[str, str], line: int) -> None:
+        self.tag = tag
+        self.attrib = attrib
+        self.line = line
+        self.children: list[_Node] = []
+        self._text: list[str] = []
+        self.parent_path = ""
+        self.sibling_index = 1
+        # children seen so far per tag, for the next child's sibling_index
+        self._tag_counts: dict[str, int] = {}
 
     @property
     def text(self) -> str:
@@ -366,6 +389,10 @@ class _DocParser:
         self._arrays: dict[str, dict[int, str]] = {}
         # every <var> id of the document, so no array element takes one
         self._scalar_ids: set[str] = set()
+        # the ids of the <var> and <array> elements rejected ("" for one
+        # without an id): each was reported once, so an element referencing
+        # one is rejected with no message of its own
+        self._rejected: set[str] = set()
         self._group_counter = 0
         # intension leaf token -> its resolved Var, shared by every tree
         self._leaves: dict[str, Var] = {}
@@ -411,7 +438,8 @@ class _DocParser:
 
     def parse_variables(self, node: _Node) -> None:
         for child in node.children:
-            self.attempt(child, self.parse_variable)
+            if not self.attempt(child, self.parse_variable) and child.tag in ("var", "array"):
+                self._rejected.add(child.attrib.get("id", ""))
 
     def parse_variable(self, node: _Node) -> None:
         if node.tag == "array":
@@ -471,12 +499,19 @@ class _DocParser:
         if m.group(2) is None:
             if token in self._declared:
                 return token
+            self.reject_reference(node, token)
             raise _Reject(node, f"reference to undeclared variable {token!r}")
         # a whole array, `x[]`, never comes here: resolve_scope expands it
         flat = self.flatten_map.get(token)
         if flat is None:
+            self.reject_reference(node, m.group(1))
             raise _Reject(node, f"reference to undeclared array element {token!r}")
         return flat
+
+    def reject_reference(self, node: _Node, name: str) -> None:
+        """A silent rejection of `node` if `name` is a rejected declaration's id."""
+        if name in self._rejected:
+            raise _Reject(node)
 
     def resolve_scope(
         self, node: _Node, text: str, *, allow_placeholder: bool, allow_int: bool = False
@@ -487,6 +522,7 @@ class _DocParser:
             if m and m.group(2) == "":
                 members = self._arrays.get(m.group(1))
                 if not members:
+                    self.reject_reference(node, m.group(1))
                     raise _Reject(node, f"reference to undeclared array {m.group(1)!r}")
                 out.extend(members.values())
             else:
@@ -568,14 +604,15 @@ class _DocParser:
         if node.children:
             raise _Reject(node, "unsupported <intension> with child elements")
         slots: set[int] = set()
-        # the leaves' messages stand only if the whole expression parses
-        leaf_errors: list[str] = []
+        # the leaves' rejections stand only if the whole expression parses;
+        # one may carry no message
+        leaf_errors: list[tuple[str, ...]] = []
 
         def leaf(token: str) -> Expr:
             if token[0] == "%":
                 index = int(token[1:])
                 if not templated:
-                    leaf_errors.append(f"placeholder %{index} outside a <group> template")
+                    leaf_errors.append((f"placeholder %{index} outside a <group> template",))
                 slots.add(index)
                 return Placeholder(index)
             var = self._leaves.get(token)
@@ -585,7 +622,7 @@ class _DocParser:
                         node, token, allow_placeholder=False, allow_int=False
                     )
                 except _Reject as reject:
-                    leaf_errors.extend(reject.messages)
+                    leaf_errors.append(reject.messages)
                     return Var(token)
                 var = self._leaves[token] = Var(str(resolved))
             return var
@@ -595,7 +632,7 @@ class _DocParser:
         except IntensionSyntaxError as exc:
             raise _Reject(node, f"bad intension expression: {exc}") from None
         if leaf_errors:
-            raise _Reject(node, *leaf_errors)
+            raise _Reject(node, *(message for messages in leaf_errors for message in messages))
         if not slots:
             constraint = IntensionConstraint(tree)
             return _Template((), lambda args: constraint)
@@ -635,14 +672,13 @@ class _DocParser:
                 raise _Reject(child, "group has more than one constraint template")
 
         # a list, not a generator: every child is attempted
-        ok = all([self.attempt(child, parse_child) for child in node.children])
+        if not all([self.attempt(child, parse_child) for child in node.children]):
+            return
         if not templates:
-            if ok:
-                raise _Reject(node, "<group> without a constraint template")
-        elif not args_rows:
+            raise _Reject(node, "<group> without a constraint template")
+        if not args_rows:
             raise _Reject(node, "<group> without <args>")
-        elif ok:
-            self.groups.append(templates[0].instantiate(group_name, args_rows))
+        self.groups.append(templates[0].instantiate(group_name, args_rows))
 
     def parse_constraints(self, node: _Node) -> None:
         for child in node.children:
@@ -676,7 +712,8 @@ class _DocParser:
                 self.error(child, f"unsupported XCSP3 element <{child.tag}>")
         if not seen_vars:
             raise _Reject(root, "missing <variables> section")
-        if not self.variables:
+        # a rejected declaration was reported already
+        if not self.variables and not self._rejected:
             raise _Reject(root, "instance declares no variables")
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import shutil
@@ -641,7 +640,8 @@ def fresh_transform(csp: CspInstance, spec: TransformSpec) -> str:
     """The program or the CodegenError message for `spec`, from a copy of
     `csp` that no transform has seen."""
     try:
-        return transform(dataclasses.replace(csp), spec).source_text
+        copy = CspInstance(csp.name, csp.variables, csp.groups, csp.flatten_map)
+        return transform(copy, spec).source_text
     except CodegenError as exc:
         return f"CodegenError: {exc}"
 

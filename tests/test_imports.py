@@ -7,8 +7,8 @@ codegen alone writes replay-driver C; the harness alone starts child
 processes and runs jobs at once; the model alone sets the expression-depth limit; the harness
 and verify alone check command templates, each its own; verify emits in
 differential_check alone; ToolSpec and BenchInstance alone check their
-fields; and a test pins each message the XCSP3 reader rejects an element
-with.
+fields; the modules `parse` and `solve` import use no dataclasses; and a
+test pins each message the XCSP3 reader rejects an element with.
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ def imports(path: Path) -> tuple[set[str], set[str]]:
 def test_absolute_imports_are_standard_library(path):
     absolute, _ = imports(path)
     assert sorted(absolute - set(sys.stdlib_module_names)) == []
+
+
+@pytest.mark.parametrize("name", ["model.py", "oracle.py", "xcsp.py", "cli.py"])
+def test_the_start_up_modules_import_nothing_from_dataclasses(name):
+    """`parse` and `solve` import these modules alone; importing
+    `dataclasses` and building dataclasses cost about half their import."""
+    absolute, _ = imports(PACKAGE / name)
+    assert "dataclasses" not in absolute
 
 
 def test_oracle_imports_only_the_model():

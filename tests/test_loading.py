@@ -2,7 +2,8 @@
 
 `csp2c.cli` binds codegen, verify, harness and charts as lazy modules, and
 the package root resolves its names on first use, so `parse` and `solve`
-run neither those modules nor the `subprocess` import harness brings; and
+run neither those modules nor the `subprocess` import harness brings, nor
+import `dataclasses` or the `inspect` it imports; and
 `concurrent.futures` is imported only for a pool of jobs, with `--workers`
 above 1 and more than one job. Each check here runs in a fresh interpreter (`-S`, so
 no site hook imports anything first), since this test process has loaded
@@ -49,6 +50,7 @@ print(json.dumps({
     # type() reads no attribute, so it does not load a lazy module
     "executed": [n for n in %r if type(sys.modules.get(n)) is types.ModuleType],
     "imported": [n for n in ("subprocess", "concurrent.futures") if n in sys.modules],
+    "dataclasses": [n for n in ("dataclasses", "inspect") if n in sys.modules],
 }))
 """ % (LAZY,)
 
@@ -56,7 +58,7 @@ print(json.dumps({
 @pytest.mark.parametrize("argv", [["solve", "--machine"], ["parse"]], ids=lambda a: a[0])
 def test_parse_and_solve_run_no_codegen_verify_harness_or_charts(argv):
     result = run_fresh(COMMAND_SCRIPT, *argv, corpus_path("valid", "conflicts_group"))
-    assert result == {"code": 0, "executed": [], "imported": []}
+    assert result == {"code": 0, "executed": [], "imported": [], "dataclasses": []}
 
 
 def verify_fresh(*options: str) -> dict:

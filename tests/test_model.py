@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +25,8 @@ from csp2c.model import (
     expr_nodes,
     expr_variables,
 )
+from csp2c.oracle import SolveResult, Status
+from csp2c.xcsp import ParseDiagnostic, Placeholder, _Template
 
 
 class TestDomain:
@@ -143,3 +149,134 @@ class TestInstance:
             groups=((a, b), (c,)),
         )
         assert csp.constraints() == [a, b, c]
+
+
+X, ONE = Var(name="x"), Const(value=1)
+# one value of each immutable class, built by keyword: (class, fields)
+VALUES = [
+    (Domain, {"ranges": ((0, 3), (5, 5))}),
+    (VariableDecl, {"id": "x", "domain": Domain(((0, 1),))}),
+    (Var, {"name": "x"}),
+    (Const, {"value": 1}),
+    (Unary, {"op": "neg", "operand": X}),
+    (Binary, {"op": "add", "left": X, "right": ONE}),
+    (TableConstraint, {"scope": ("x", "y"), "polarity": Polarity.SUPPORTS, "tuples": ((0, 1),)}),
+    (IntensionConstraint, {"expr": Binary("eq", X, ONE)}),
+    (AllDifferent, {"scope": ("x", "y")}),
+    (
+        CspInstance,
+        {
+            "name": "t",
+            "variables": (VariableDecl("x0", Domain(((0, 1),))),),
+            "groups": ((IntensionConstraint(Binary("eq", Var("x0"), ONE)),),),
+            "flatten_map": {"x[0]": "x0"},
+        },
+    ),
+    (
+        SolveResult,
+        {"status": Status.UNSATISFIABLE, "witness": None, "explored": 4, "work": 2, "checks": 3},
+    ),
+    (
+        SolveResult,
+        {"status": Status.SATISFIABLE, "witness": {"x": 1}, "explored": 2, "work": 2, "checks": 1},
+    ),
+    (ParseDiagnostic, {"severity": "error", "path": "/instance[1]", "line": None, "message": "m"}),
+    (Placeholder, {"index": 1}),
+    # a picklable function as the template's build
+    (_Template, {"slots": (0,), "build": tuple}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields", VALUES, ids=[f"{cls.__name__}-{i}" for i, (cls, _) in enumerate(VALUES)]
+)
+class TestValueSemantics:
+    """Model, oracle and reader values behave as immutable values: equal by
+    class and fields, printed by field, copied and pickled whole."""
+
+    def test_equal_fields_are_equal_and_hash_equal(self, cls, fields):
+        value, twin = cls(**fields), cls(**copy.deepcopy(fields))
+        assert value == twin and not value != twin
+        if any(isinstance(v, dict) for v in fields.values()):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+        else:
+            assert hash(value) == hash(twin)
+
+    def test_another_class_is_never_equal(self, cls, fields):
+        value = cls(**fields)
+        subclass = type("Other", (cls,), {})
+        assert value != subclass(**fields) and subclass(**fields) != value
+        assert value != tuple(fields.values())
+        others = [other(**f) for other, f in VALUES if other is not cls]
+        assert [other for other in others if other == value or value == other] == []
+
+    def test_fields_can_be_neither_assigned_nor_deleted(self, cls, fields):
+        value = cls(**fields)
+        for name in [*fields, "depth"] if cls in (Unary, Binary) else fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert {name: getattr(value, name) for name in fields} == fields
+
+    def test_repr_names_each_field(self, cls, fields):
+        shown = ", ".join(f"{name}={v!r}" for name, v in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+    def test_copies_and_pickles_are_equal(self, cls, fields):
+        value = cls(**fields)
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is cls and clone == value
+            assert getattr(clone, "depth", None) == getattr(value, "depth", None)
+
+
+def test_an_operator_node_prints_without_its_depth():
+    assert repr(Binary(op="add", left=X, right=ONE)) == (
+        "Binary(op='add', left=Var(name='x'), right=Const(value=1))"
+    )
+    assert repr(Unary("neg", Unary("abs", X))) == (
+        "Unary(op='neg', operand=Unary(op='abs', operand=Var(name='x')))"
+    )
+
+
+def test_an_instance_has_its_own_flatten_map_and_a_weak_reference():
+    first, second = (CspInstance(name="t", variables=(), groups=()) for _ in range(2))
+    assert first.flatten_map == {} and first.flatten_map is not second.flatten_map
+    assert weakref.ref(first)() is first
+
+
+DEEP = Var("x")
+for _ in range(MAX_EXPR_DEPTH):
+    DEEP = Unary("neg", DEEP)
+TOO_DEEP = f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Domain(()), "empty domain"),
+        (lambda: Domain(((2, 1),)), "bad domain range 2..1"),
+        (lambda: Domain(((0, 3), (3, 5))), "domain ranges must be disjoint and ascending"),
+        (lambda: Unary("sqrt", X), "unknown unary operator 'sqrt'"),
+        (lambda: Binary("pow", X, ONE), "unknown binary operator 'pow'"),
+        (lambda: Unary("neg", DEEP), TOO_DEEP),
+        (lambda: Binary("add", ONE, DEEP), TOO_DEEP),
+        (lambda: TableConstraint((), Polarity.SUPPORTS, ()), "table constraint with empty scope"),
+        (
+            lambda: TableConstraint(("x", "x"), Polarity.SUPPORTS, ()),
+            "table scope has repeated variables: ('x', 'x')",
+        ),
+        (
+            lambda: TableConstraint(("x",), Polarity.CONFLICTS, ((1, 2),)),
+            "tuple (1, 2) has arity 2, scope has arity 1",
+        ),
+        (lambda: AllDifferent(("x", "x")), "allDifferent scope has repeated variables: ('x', 'x')"),
+        (lambda: AllDifferent(("x",)), "allDifferent needs at least 2 variables"),
+    ],
+)
+def test_each_construction_check_keeps_its_message(build, message):
+    with pytest.raises(ModelError) as info:
+        build()
+    assert str(info.value) == message

@@ -466,7 +466,8 @@ class TestDifferentialCheck:
             )
 
     def test_compile_error_names_the_versions_own_file(self, cc_template, tmp_path):
-        csp = dataclasses.replace(load_corpus("conflicts_group"), name='say "hi"')
+        corpus = load_corpus("conflicts_group")
+        csp = CspInstance('say "hi"', corpus.variables, corpus.groups, corpus.flatten_map)
 
         def emit(csp_arg, spec):
             program = transform(csp_arg, spec)

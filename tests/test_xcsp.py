@@ -684,6 +684,39 @@ def test_each_rejection_is_one_located_diagnostic(text, expected):
     assert diagnostics(text) == [expected]
 
 
+class TestOneFaultOneDiagnostic:
+    """A rejected <var> or <array> is reported once: an element that
+    references it is rejected with no message of its own."""
+
+    def test_references_to_a_rejected_array_add_nothing(self):
+        text = document(
+            '<array id="x" size="[2]"> 5..2 </array><var id="y"> 0..1 </var>',
+            "<intension> eq(x[0],y) </intension><allDifferent> x[] </allDifferent>"
+            "<group><intension> ne(%0,%1) </intension>"
+            "<args> x[0] y </args><args> x[1] y </args></group>",
+        )
+        assert diagnostics(text) == [at(f"{V}/array[1]", "bad domain range 5..2")]
+
+    def test_a_rejected_variable_is_not_reported_missing(self):
+        assert diagnostics(document('<var id="x"> 5..2 </var>', "")) == [
+            at(f"{V}/var[1]", "bad domain range 5..2")
+        ]
+
+    def test_references_to_a_rejected_scalar_add_nothing(self):
+        text = document(
+            SIX + '<var id="y" type="symbolic"> a b </var>',
+            "<extension><list> x[0] y </list><supports> (0,0) </supports></extension>"
+            "<intension> eq(y,1) </intension><allDifferent> y x[1] </allDifferent>"
+            "<allDifferent> x[1] z </allDifferent>"
+            "<group><intension> eq(%0,y) </intension><args> x[0] </args></group>",
+        )
+        # `z` was never declared, so its reference is still reported
+        assert diagnostics(text) == [
+            at(f"{V}/var[1]", "unsupported var type 'symbolic'"),
+            at(f"{C}/allDifferent[2]", "reference to undeclared variable 'z'"),
+        ]
+
+
 class TestTupleLists:
     def test_items_are_separated_by_commas_with_optional_spaces(self):
         csp = parse_document(table_doc("(0, 3) ( 1 ,2 )"))
