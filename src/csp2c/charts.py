@@ -87,7 +87,7 @@ def robustness_svg(report: Report) -> str | None:
     if not rows:
         return None
     tools = sorted({r.tool for r in rows})
-    versions = sorted({r.version for r in rows})
+    versions = list(dict.fromkeys(r.version for r in rows))  # the table's order
     max_val = (max(r.mean_normalized for r in rows) or 1.0) * 1.1
     y_label = "raw seconds" if any("raw seconds" in f for f in report.flags) else "time vs baseline"
     svg = _frame("Transformation robustness", y_label, "transformation version", max_val)

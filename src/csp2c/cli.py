@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: parse (summarize an XCSP3 file), gen (emit C programs), solve
-(satisfiability by forward-checking search), verify (differential check of
-generated code against the solver), bench (run external tools over a
-benchmark matrix), report (rebuild tables/charts from a raw records CSV).
+Subcommands: parse (summarize an XCSP3 file), gen (emit the C programs of
+the instance's family, codegen.family_of), solve (satisfiability by
+forward-checking search), verify (differential check of those programs
+against the solver), bench (run external tools over a benchmark matrix),
+report (rebuild tables/charts from a raw records CSV).
 
 Exit codes are listed in the "Exit codes" table of README.md. The
 commands raise; `main` alone turns an error into output and an exit code:
@@ -98,13 +99,13 @@ def _plural(n: int, word: str) -> str:
 def _parse_versions(
     value: str, family: codegen.Family, dialect: str = "klee"
 ) -> list[codegen.TransformSpec]:
-    """The specs of a `--versions` list ("all" or e.g. "1,5,8"); a bad list
-    raises ArgumentTypeError, a version out of range CodegenError."""
+    """The specs of a `--versions` list ("all" or e.g. "1,5,8"), a repeat
+    dropped; a bad list raises ArgumentTypeError, a version out of range CodegenError."""
     if value == "all":
-        numbers = list(range(1, codegen.version_count(family) + 1))
+        numbers = range(1, codegen.version_count(family) + 1)
     else:
         try:
-            numbers = [int(v) for v in value.split(",")]
+            numbers = dict.fromkeys(int(v) for v in value.split(","))
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad version list {value!r}") from None
     return [codegen.TransformSpec(family, v, codegen.Dialect(dialect)) for v in numbers]
@@ -148,7 +149,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     csp = parse_file(args.file)
-    specs = _parse_versions(args.versions, codegen.Family(args.family), args.dialect)
+    specs = _parse_versions(args.versions, codegen.family_of(csp.constraints()), args.dialect)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for spec in specs:
@@ -269,19 +270,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # an error names the manifest entry's file
         try:
             csp = parse_file(inst.path)
-            labels = []
-            for spec in _parse_versions(args.versions, codegen.Family(inst.family)):
-                for dialect in dialects:
-                    cell = codegen.TransformSpec(
-                        spec.family, spec.version, codegen.Dialect(dialect)
-                    )
-                    program = codegen.transform(csp, cell)
-                    harness.write_program(program, src_dir)
-                labels.append(spec.version_label)
+            family = codegen.Family(inst.family)
+            labels = [spec.version_label for spec in _parse_versions(args.versions, family)]
+            for dialect in dialects:
+                for spec in _parse_versions(args.versions, family, dialect):
+                    harness.write_program(codegen.transform(csp, spec), src_dir)
         except ParseFailure as exc:
             raise ParseFailure(
                 [
-                    ParseDiagnostic(d.severity, f"{inst.path}:{d.path}", d.line, d.message)
+                    ParseDiagnostic(f"{inst.path}:{d.path}", d.line, d.message)
                     for d in exc.diagnostics
                 ]
             ) from None
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate C programs for a version range")
     p.add_argument("file")
-    p.add_argument("--family", choices=["extensional", "intensional"], required=True)
     p.add_argument("--versions", default="all", help='"all" or comma list, e.g. 1,5,8')
     p.add_argument("--dialect", choices=["klee", "llbmc", "concrete"], default="klee")
     p.add_argument("--out-dir", default="generated")
@@ -422,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseFailure as exc:
         if getattr(args, "machine", False):
             diagnostics = [
-                {"severity": d.severity, "path": d.path, "line": d.line, "message": d.message}
+                {"severity": "error", "path": d.path, "line": d.line, "message": d.message}
                 for d in exc.diagnostics
             ]
             print(json.dumps({"ok": False, "diagnostics": diagnostics}))

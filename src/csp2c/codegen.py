@@ -205,12 +205,14 @@ class GeneratedProgram:
     source_text: str
     version_label: str
     statement_count: int
-    var_map: Mapping[str, str]
-    line_count: int
     instance_name: str
     dialect: Dialect
     # the rendered constraint-encoding statements, for structural checks
     constraint_lines: tuple[str, ...]
+
+    @property
+    def line_count(self) -> int:
+        return self.source_text.count("\n")
 
 
 def source_filename(instance: str, version_label: str, dialect: str) -> str:
@@ -842,8 +844,6 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
         source_text=source,
         version_label=spec.version_label,
         statement_count=statement_count,
-        var_map=c_names,
-        line_count=source.count("\n"),
         instance_name=csp.name,
         dialect=Dialect.LLBMC if llbmc else Dialect.KLEE,
         constraint_lines=tuple(constraint_lines),
@@ -914,8 +914,6 @@ def build_unit(
         source_text=text,
         version_label=label,
         statement_count=sum(p.statement_count for p in programs),
-        var_map=programs[0].var_map,
-        line_count=text.count("\n"),
         instance_name=csp.name,
         dialect=Dialect.CONCRETE,
         constraint_lines=tuple(line for p in programs for line in p.constraint_lines),

@@ -520,8 +520,9 @@ def build_report(
 
     Robustness means are taken over the runs that neither timed out nor
     ended in a tool error, of their normalized times; without any baseline
-    the means fall back to raw seconds and the report is flagged.
-    Scalability needs a size per instance (from the instance manifest).
+    the means fall back to raw seconds and the report is flagged. Rows go
+    by tool name, then in the order the tool's versions ran. Scalability
+    needs a size per instance (from the instance manifest).
     """
     if not records:
         raise HarnessError("no records to report on")
@@ -540,7 +541,7 @@ def build_report(
     for r in analysis:
         cells.setdefault((r.tool, r.version), []).append(r)
     robustness = []
-    for (tool, version), cell in sorted(cells.items()):
+    for (tool, version), cell in sorted(cells.items(), key=lambda item: item[0][0]):
         timeouts = sum(1 for r in cell if r.outcome is Outcome.TIMEOUT)
         kept = [r for r in cell if r.outcome not in (Outcome.TIMEOUT, Outcome.TOOL_ERROR)]
         if have_normalized:

@@ -78,21 +78,19 @@ _REFERENCE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d*)\])?")
 
 
 class ParseDiagnostic(Frozen):
-    __slots__ = _fields = ("severity", "path", "line", "message")
-    severity: str  # "error" | "warning"
+    __slots__ = _fields = ("path", "line", "message")
     path: str
     line: int | None
     message: str
 
-    def __init__(self, severity: str, path: str, line: int | None, message: str) -> None:
-        set_slot(self, "severity", severity)
+    def __init__(self, path: str, line: int | None, message: str) -> None:
         set_slot(self, "path", path)
         set_slot(self, "line", line)
         set_slot(self, "message", message)
 
     def __str__(self) -> str:
         where = self.path if self.line is None else f"{self.path} (line {self.line})"
-        return f"{self.severity} at {where}: {self.message}"
+        return f"error at {where}: {self.message}"
 
 
 class ParseFailure(Exception):
@@ -398,7 +396,7 @@ class _DocParser:
         self._leaves: dict[str, Var] = {}
 
     def error(self, node: _Node, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic("error", node.path, node.line, message))
+        self.diagnostics.append(ParseDiagnostic(node.path, node.line, message))
 
     def attempt(self, node: _Node, parse: Callable[[_Node], object]) -> bool:
         """Whether `parse(node)` ran through. A rejection or a ModelError
@@ -464,9 +462,12 @@ class _DocParser:
             raise _Reject(node, f"unsupported array size {size!r} (only one dimension)")
         if node.children:
             raise _Reject(node, "unsupported <array> with child elements")
+        count = int(m.group(1))
+        if count == 0:
+            raise _Reject(node, f"array {array_id!r} of size 0 declares no variables")
         domain = self.parse_domain(node)
         members = self._arrays.setdefault(array_id, {})
-        for i in range(int(m.group(1))):
+        for i in range(count):
             key = f"{array_id}[{i}]"
             # a redeclared array keeps its names, and declare reports them
             flat = self.flatten_map.get(key) or self._flat_id(array_id, i)
@@ -728,9 +729,7 @@ def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance
         root = _parse_xml(xml_text)
     except xml.parsers.expat.ExpatError as exc:
         line = getattr(exc, "lineno", None)
-        raise ParseFailure(
-            [ParseDiagnostic("error", "/", line, f"malformed XML: {exc}")]
-        ) from exc
+        raise ParseFailure([ParseDiagnostic("/", line, f"malformed XML: {exc}")]) from exc
 
     parser.attempt(root, parser.parse_root)
     if parser.diagnostics:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import csp2c
 from csp2c.cli import main
+from csp2c.codegen import TransformSpec, family_of, version_count
 from csp2c.harness import Outcome, load_records_csv
 from csp2c.model import MAX_EXPR_DEPTH
 from csp2c.xcsp import parse_file
@@ -73,8 +76,6 @@ class TestGenCommand:
             capsys,
             "gen",
             corpus_path("valid", "conflicts_group"),
-            "--family",
-            "extensional",
             "--versions",
             "all",
             "--out-dir",
@@ -92,8 +93,6 @@ class TestGenCommand:
             capsys,
             "gen",
             corpus_path("valid", "conflicts_group"),
-            "--family",
-            "extensional",
             "--versions",
             "5",
             "--out-dir",
@@ -109,8 +108,6 @@ class TestGenCommand:
             capsys,
             "gen",
             corpus_path("valid", "conflicts_group"),
-            "--family",
-            "extensional",
             "--versions",
             "13",
             "--out-dir",
@@ -123,8 +120,8 @@ class TestGenCommand:
         """`gen --dialect concrete` output needs no KLEE headers: the plain
         compile template builds it, and it replays assignments from stdin."""
         code, _, _ = run_cli(
-            capsys, "gen", corpus_path("valid", "supports_pair"), "--family", "extensional",
-            "--versions", "1", "--dialect", "concrete", "--out-dir", str(tmp_path),
+            capsys, "gen", corpus_path("valid", "supports_pair"), "--versions", "1",
+            "--dialect", "concrete", "--out-dir", str(tmp_path),
         )
         assert code == 0
         src, exe = tmp_path / "supports_pair__extensional1__concrete.c", tmp_path / "prog"
@@ -136,10 +133,7 @@ class TestGenCommand:
 
     def test_bad_version_message_matches_verify_and_bench(self, capsys, tmp_path):
         path = corpus_path("valid", "conflicts_group")
-        _, _, gen_err = run_cli(
-            capsys, "gen", path, "--family", "extensional", "--versions", "0",
-            "--out-dir", str(tmp_path),
-        )
+        _, _, gen_err = run_cli(capsys, "gen", path, "--versions", "0", "--out-dir", str(tmp_path))
         _, _, verify_err = run_cli(capsys, "verify", path, "--versions", "0")
         assert gen_err == verify_err
         assert gen_err.startswith("error:") and "1..12" in gen_err
@@ -148,8 +142,6 @@ class TestGenCommand:
         args = [
             "gen",
             corpus_path("valid", "dist_alldiff"),
-            "--family",
-            "intensional",
             "--versions",
             "all",
         ]
@@ -161,24 +153,36 @@ class TestGenCommand:
                 second = (tmp_path / "b" / name).read_bytes()
                 assert first == second, name
 
-    def test_family_mismatch_is_error(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys,
-            "gen",
-            corpus_path("valid", "dist_alldiff"),
-            "--family",
-            "extensional",
-            "--out-dir",
-            str(tmp_path),
+    def test_the_family_is_read_from_the_instance(self, capsys, tmp_path, manifest):
+        for name in manifest["valid"]:
+            path = corpus_path("valid", name)
+            family = family_of(parse_file(path).constraints())
+            code, out, _ = run_cli(
+                capsys, "gen", path, "--versions", "all", "--machine", "--out-dir", str(tmp_path)
+            )
+            assert code == 0, name
+            assert [json.loads(line)["version"] for line in out.splitlines()] == [
+                TransformSpec(family, v).version_label
+                for v in range(1, version_count(family) + 1)
+            ], name
+
+    def test_a_repeated_version_is_written_once(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "gen", corpus_path("valid", "conflicts_group"), "--versions", "5,1,5",
+            "--machine", "--out-dir", str(tmp_path),
         )
-        assert code == 2
-        assert "table" in err
+        assert code == 0
+        assert [json.loads(line)["version"] for line in out.splitlines()] == [
+            "extensional5", "extensional1"
+        ]
+        with open(tmp_path / "gen_manifest.csv") as fh:
+            assert len(fh.readlines()) == 3  # header + 2 rows
 
     def test_bad_versions_write_nothing(self, capsys, tmp_path):
         out_dir = tmp_path / "gen"
         code, _, err = run_cli(
-            capsys, "gen", corpus_path("valid", "conflicts_group"), "--family", "extensional",
-            "--versions", "1,13", "--out-dir", str(out_dir),
+            capsys, "gen", corpus_path("valid", "conflicts_group"), "--versions", "1,13",
+            "--out-dir", str(out_dir),
         )
         assert code == 2 and err.startswith("error:")
         assert not out_dir.exists()
@@ -191,9 +195,7 @@ class TestGenCommand:
             "</constraints></instance>"
         )
         out_dir = tmp_path / "gen"
-        code, _, err = run_cli(
-            capsys, "gen", str(xml), "--family", "intensional", "--out-dir", str(out_dir)
-        )
+        code, _, err = run_cli(capsys, "gen", str(xml), "--out-dir", str(out_dir))
         assert code == 2
         assert err.startswith("error:") and "2000000000000" in err
         assert not [name for name in os.listdir(out_dir) if name.endswith(".c")]
@@ -271,7 +273,7 @@ class TestDeepExpressions:
 
     @pytest.mark.parametrize("command", ["parse", "solve", "gen", "verify"])
     def test_too_deep_is_a_parse_diagnostic(self, capsys, tmp_path, command):
-        extra = {"gen": ["--family", "intensional", "--out-dir", str(tmp_path)]}.get(command, [])
+        extra = {"gen": ["--out-dir", str(tmp_path)]}.get(command, [])
         code, out, err = run_cli(capsys, command, deep_instance(tmp_path, 1200), *extra)
         assert code == 2 and out == ""
         assert err == (
@@ -281,7 +283,7 @@ class TestDeepExpressions:
 
     def test_the_limit_runs_on_every_command(self, capsys, tmp_path, cc_template):
         path = deep_instance(tmp_path, MAX_EXPR_DEPTH)
-        gen = ["gen", path, "--family", "intensional", "--out-dir", str(tmp_path)]
+        gen = ["gen", path, "--out-dir", str(tmp_path)]
         assert run_cli(capsys, "solve", path)[0] == 0
         assert run_cli(capsys, *gen)[0] == 0
         assert run_cli(capsys, "verify", path, "--versions", "1,2", "--cc", cc_template)[0] == 0
@@ -317,7 +319,7 @@ def test_every_shape_at_the_limit_runs_on_every_command(capsys, tmp_path, cc_tem
     assert code == 0 and out.startswith(f"{shape}: satisfiable")
     for dialect in ("klee", "llbmc", "concrete"):
         out_dir = tmp_path / dialect
-        gen = ["gen", str(path), "--family", "intensional", "--versions", "all"]
+        gen = ["gen", str(path), "--versions", "all"]
         assert run_cli(capsys, *gen, "--dialect", dialect, "--out-dir", str(out_dir))[0] == 0
         assert len(list(out_dir.glob(f"*__{dialect}.c"))) == 10
     code, out, _ = run_cli(capsys, "verify", str(path), "--versions", "all", "--cc", cc_template)
@@ -337,7 +339,7 @@ def test_nested_dist_preprocesses_linearly(capsys, tmp_path, cc_template):
         '<instance format="XCSP3" type="CSP"><variables><var id="x"> 0..12 </var></variables>'
         f"<constraints><intension> eq({expr},0) </intension></constraints></instance>"
     )
-    gen = ["gen", str(path), "--family", "intensional", "--versions", "all"]
+    gen = ["gen", str(path), "--versions", "all"]
     assert run_cli(capsys, *gen, "--dialect", "concrete", "--out-dir", str(tmp_path))[0] == 0
     sources = sorted(tmp_path.glob("nested_dist__*__concrete.c"))
     assert len(sources) == 10
@@ -413,7 +415,7 @@ def test_overflowing_subexpression_is_named(capsys, tmp_path, cc_template, comma
     )
     out_dir = tmp_path / "o"
     if command == "gen":
-        argv = ["gen", str(xml), "--family", "intensional", "--out-dir", str(out_dir)]
+        argv = ["gen", str(xml), "--out-dir", str(out_dir)]
     elif command == "verify":
         argv = ["verify", str(xml), "--cc", cc_template]
     else:
@@ -466,7 +468,7 @@ class TestVerifyCommand:
             "void klee_assume(uintptr_t condition);\n"
         )
         path = corpus_path("valid", "supports_pair")
-        gen = ["gen", path, "--family", "extensional", "--versions", "all", "--out-dir"]
+        gen = ["gen", path, "--versions", "all", "--out-dir"]
         assert run_cli(capsys, *gen, str(tmp_path))[0] == 0
         for src in tmp_path.glob("*__klee.c"):
             argv = ["cc", "-fsyntax-only", f"-I{inc}", str(src)]
@@ -488,6 +490,14 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "pass" in out
+
+    def test_a_repeated_version_is_checked_once(self, capsys, cc_template):
+        code, out, _ = run_cli(
+            capsys, "verify", corpus_path("valid", "supports_pair"), "--versions", "1,1",
+            "--machine", "--cc", cc_template,
+        )
+        assert code == 0
+        assert json.loads(out)["versions"] == ["extensional1"]
 
     def test_machine_output(self, capsys, cc_template):
         code, out, _ = run_cli(
@@ -642,14 +652,14 @@ class TestVerifyCommand:
             '<instance format="XCSP3" type="CSP"><variables><var id="a"> 0..2147483648 </var>'
             "</variables><constraints><intension> lt(a,1) </intension></constraints></instance>"
         )
-        extra = ["--family", "intensional", "--out-dir", str(tmp_path)] if command == "gen" else []
+        extra = ["--out-dir", str(tmp_path)] if command == "gen" else []
         code, out, err = run_cli(capsys, command, str(path), *extra)
         assert (code, out) == (2, "")
         assert err == "error: domain of a exceeds 32-bit signed range\n"
 
     @pytest.mark.parametrize("command", ["gen", "verify"])
     def test_a_bad_version_list_exits_2(self, capsys, tmp_path, command):
-        extra = ["--family", "extensional", "--out-dir", str(tmp_path)] if command == "gen" else []
+        extra = ["--out-dir", str(tmp_path)] if command == "gen" else []
         supports_pair = corpus_path("valid", "supports_pair")
         code, out, err = run_cli(capsys, command, supports_pair, "--versions", "1,x", *extra)
         assert (code, out) == (2, "")
@@ -785,6 +795,37 @@ class TestBenchAndReport:
         for name in ("raw.csv", "robustness.csv", "scalability.csv",
                      "robustness.svg", "scalability.svg"):
             assert (report_dir / name).read_bytes() == (bench_dir / name).read_bytes(), name
+
+    def test_a_repeated_version_runs_once(self, capsys, tmp_path, bench_manifests):
+        tools, instances = bench_manifests
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(out_dir), "--versions", "1,1,10,2",
+        )
+        assert code == 0
+        versions = ["extensional1", "extensional10", "extensional2"]
+        records = load_records_csv(str(out_dir / "raw.csv"))
+        assert [(r.instance, r.version) for r in records if r.version] == [
+            (instance, version) for instance in ("supports_pair", "xor_ring") for version in versions
+        ]
+        with open(out_dir / "robustness.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["version"], row["n"]) for row in rows] == [(v, "2") for v in versions]
+
+    def test_robustness_lists_versions_in_run_order(self, capsys, tmp_path, bench_manifests):
+        tools, instances = bench_manifests
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(out_dir), "--versions", "all",
+        )
+        assert code == 0
+        versions = [f"extensional{v}" for v in range(1, 13)]
+        with open(out_dir / "robustness.csv", newline="") as fh:
+            assert [row["version"] for row in csv.DictReader(fh)] == versions
+        svg = (out_dir / "robustness.svg").read_text(encoding="utf-8")
+        assert re.findall(r">(extensional\d+)</text>", svg) == versions
 
     def test_parallel_note_survives_report(self, capsys, tmp_path, bench_manifests):
         tools, instances = bench_manifests
@@ -1091,8 +1132,7 @@ BAD_INPUT_CASES = {
     ),
     "gen-out-dir-is-a-file": (
         lambda t, tools, inst: [
-            "gen", corpus_path("valid", "supports_pair"), "--family", "extensional",
-            "--out-dir", _written(t, "file", b""),
+            "gen", corpus_path("valid", "supports_pair"), "--out-dir", _written(t, "file", b""),
         ],
         "File exists",
     ),
@@ -1108,8 +1148,7 @@ BAD_INPUT_CASES = {
     ),
     "gen-not-utf8": (
         lambda t, tools, inst: [
-            "gen", _written(t, "x.xml", NOT_UTF8_XML), "--family", "extensional",
-            "--out-dir", str(t / "o"),
+            "gen", _written(t, "x.xml", NOT_UTF8_XML), "--out-dir", str(t / "o"),
         ],
         "malformed XML",
     ),

