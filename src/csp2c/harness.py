@@ -30,6 +30,7 @@ import shlex
 import signal
 import string
 import subprocess
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -38,7 +39,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from .codegen import Dialect, Family, GeneratedProgram, source_filename
 
 DEFAULT_TIMEOUT_S = 1000.0
-# poll(2), under subprocess's wait, takes its timeout in milliseconds as a C int
+# the longest timeout a tool may state: 2**31 - 1 milliseconds, about 24.8 days
 MAX_TIMEOUT_S = (2**31 - 1) // 1000
 KILL_GRACE_S = 2.0
 # the fields a tool's prepare and run templates may name
@@ -330,18 +331,24 @@ def run_command(
     except OSError as exc:
         return CommandResult(argv, None, "", str(exc), time.monotonic() - start, False)
     timed_out = False
+    finished = threading.Event()
+
+    def watch() -> None:
+        # communicate with a timeout would wake up ever more rarely to poll
+        # the child; this thread sleeps until the deadline or the end
+        nonlocal timed_out
+        if finished.wait(timeout_s):
+            return
+        timed_out = True
+        _signal_group(proc.pid, signal.SIGTERM)
+        if not finished.wait(KILL_GRACE_S):
+            _signal_group(proc.pid, signal.SIGKILL)
+
+    watchdog = threading.Thread(target=watch)
     _waited_groups.add(proc.pid)
+    watchdog.start()
     try:
-        try:
-            stdout, stderr = proc.communicate(stdin, timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            timed_out = True
-            _signal_group(proc.pid, signal.SIGTERM)
-            try:
-                stdout, stderr = proc.communicate(timeout=KILL_GRACE_S)
-            except subprocess.TimeoutExpired:
-                _signal_group(proc.pid, signal.SIGKILL)
-                stdout, stderr = proc.communicate()
+        stdout, stderr = proc.communicate(stdin)
     except BaseException:
         # an interrupt: the child leads its own session, so the terminal's
         # SIGINT never reached it
@@ -349,6 +356,8 @@ def run_command(
         proc.wait()
         raise
     finally:
+        finished.set()
+        watchdog.join()
         _waited_groups.discard(proc.pid)
     return CommandResult(argv, proc.returncode, stdout, stderr, time.monotonic() - start, timed_out)
 

@@ -17,9 +17,10 @@ Supported elements:
 
 Anything else is rejected with an "unsupported" diagnostic naming the
 element; tuple wildcards (*) are rejected. A method that rejects an
-element raises _Reject, as the model raises ModelError; the nearest loop
-over sibling elements (the children of <variables>, of <constraints> or of
-a <group>, or the document element alone) records it as diagnostics of the
+element raises _Reject, as the model raises ModelError; the nearest place
+that takes sibling elements one at a time (a loop over the children of
+<variables> or of a <group>, the end tag of a child of <constraints>, or
+the start tag of the document element) records it as diagnostics of the
 element and goes on with the next sibling, so one pass reports every bad
 element. An element that references a rejected <var> or <array> is
 rejected with no message, since that declaration was reported, so one
@@ -28,15 +29,28 @@ ParseFailure.
 
 Groups end here: the reader parses each template once and builds one
 concrete constraint per <args> row, so the model, the oracle and the code
-generator never see a template or a placeholder. Array variables are flattened to scalars (x[2] -> x2) and
-the mapping is kept on the instance; where that name belongs to another
-variable, underscores go before the index (x1[0] -> x1_0 next to x[10]).
+generator never see a template or a placeholder. Array variables are
+flattened to scalars (x[2] -> x2) and the mapping is kept on the instance;
+where that name belongs to another variable, underscores go before the
+index (x1[0] -> x1_0 next to x[10]).
 An <intension> may nest at most model.MAX_EXPR_DEPTH operators deep, both
 as written and as a tree, where an n-ary operator folds into one level per
 argument after the first. The model holds every tree to that limit, parsed
 or built through the library, and the reader turns a tree past it into a
 diagnostic. Parsing is a pure function of the input text and linear in its
 size.
+
+The reader is driven by expat's events and holds no tree of the document.
+It checks the document element at its start tag; a rejected one is the one
+diagnostic. It parses each child of <constraints> at its end tag and then
+drops it, so it holds one constraint element at a time. It holds a run of
+<variables> sections, and any unsupported section among them, until the
+next <constraints> section starts or the document ends, and parses the run
+then, with every <var> id of the run known, so x[1] becomes x_1 next to a
+later <var id="x1">. A <variables> section after <constraints> (not valid
+XCSP3) starts a new run, so its <var> can no longer rename an earlier
+array's element. Malformed XML, found wherever it is, is the one
+diagnostic.
 """
 
 from __future__ import annotations
@@ -183,65 +197,35 @@ def _fill_scope(scope: tuple[str, ...], args: Sequence[Arg]) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Minimal DOM with line numbers (expat keeps us honest about malformed input)
+# Elements with line numbers, built as expat reads them
 # ---------------------------------------------------------------------------
 
 
 class _Node:
-    __slots__ = (
-        "tag", "attrib", "line", "children", "_text", "parent_path", "sibling_index", "_tag_counts"
-    )
+    """One element as read so far. An element the reader has still to parse
+    keeps its text and its child elements; any other keeps neither, and its
+    `_text` is None."""
 
-    def __init__(self, tag: str, attrib: dict[str, str], line: int) -> None:
+    __slots__ = ("tag", "attrib", "line", "path", "children", "_text", "_tag_counts")
+
+    def __init__(self, tag: str, attrib: dict[str, str], line: int, path: str, keep: bool) -> None:
         self.tag = tag
         self.attrib = attrib
         self.line = line
+        self.path = path
         self.children: list[_Node] = []
-        self._text: list[str] = []
-        self.parent_path = ""
-        self.sibling_index = 1
-        # children seen so far per tag, for the next child's sibling_index
+        self._text: list[str] | None = [] if keep else None
+        # children seen so far per tag, for the next child's sibling index
         self._tag_counts: dict[str, int] = {}
 
     @property
     def text(self) -> str:
         return "".join(self._text)
 
-    @property
-    def path(self) -> str:
-        return f"{self.parent_path}/{self.tag}[{self.sibling_index}]"
-
-
-def _parse_xml(text: str | bytes) -> _Node:
-    parser = xml.parsers.expat.ParserCreate()
-    root: list[_Node] = []
-    stack: list[_Node] = []
-
-    def start(tag: str, attrib: dict[str, str]) -> None:
-        node = _Node(tag=tag, attrib=dict(attrib), line=parser.CurrentLineNumber)
-        if stack:
-            parent = stack[-1]
-            node.parent_path = parent.path
-            node.sibling_index = parent._tag_counts[tag] = parent._tag_counts.get(tag, 0) + 1
-            parent.children.append(node)
-        else:
-            root.append(node)
-        stack.append(node)
-
-    def end(tag: str) -> None:
-        stack.pop()
-
-    def chars(data: str) -> None:
-        if stack:
-            stack[-1]._text.append(data)
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
-    parser.Parse(text, True)
-    if not root:
-        raise xml.parsers.expat.ExpatError("no document element")
-    return root[0]
+    def child_path(self, tag: str) -> str:
+        """The path of the next child element with tag `tag`."""
+        count = self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
+        return f"{self.path}/{tag}[{count}]"
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +350,8 @@ def parse_intension(text: str) -> Expr:
 
 class _Reject(Exception):
     """Raised by a parse_* or resolve_* method that rejects an element: each
-    message becomes a diagnostic of `node` where the reader loops over the
-    rejected element and its siblings."""
+    message becomes a diagnostic of `node` where the reader takes the
+    rejected element and its siblings one at a time."""
 
     def __init__(self, node: _Node, *messages: str):
         super().__init__(*messages)
@@ -394,6 +378,12 @@ class _DocParser:
         self._group_counter = 0
         # intension leaf token -> its resolved Var, shared by every tree
         self._leaves: dict[str, Var] = {}
+        # the open elements, the document element first
+        self._open: list[_Node] = []
+        # the sections read since the last <constraints> started, not yet parsed
+        self._held: list[_Node] = []
+        self._seen_variables = False
+        self._expat: xml.parsers.expat.XMLParserType | None = None
 
     def error(self, node: _Node, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(node.path, node.line, message))
@@ -681,41 +671,123 @@ class _DocParser:
             raise _Reject(node, "<group> without <args>")
         self.groups.append(templates[0].instantiate(group_name, args_rows))
 
-    def parse_constraints(self, node: _Node) -> None:
-        for child in node.children:
-            self.attempt(child, self.parse_group if child.tag == "group" else self.parse_lone)
-
     def parse_lone(self, node: _Node) -> None:
         self.groups.append((self.parse_constraint(node, templated=False).build(()),))
 
-    def parse_root(self, root: _Node) -> None:
+    # -- the document, as expat reads it -----------------------------------
+
+    def read(self, feed: Callable[[xml.parsers.expat.XMLParserType], object]) -> None:
+        """Parse the document that `feed` hands to an expat parser, each
+        element as soon as it can be. ExpatError propagates."""
+        expat = self._expat = xml.parsers.expat.ParserCreate()
+        expat.buffer_text = True
+        expat.StartElementHandler = self.start
+        expat.EndElementHandler = self.end
+        expat.CharacterDataHandler = self.chars
+        try:
+            feed(expat)
+        finally:
+            # the handlers refer to this reader: drop the cycle
+            self._expat = None
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        open_ = self._open
+        line = self._expat.CurrentLineNumber
+        if not open_:
+            root = _Node(tag, attrib, line, f"/{tag}[1]", keep=False)
+            open_.append(root)
+            if not self.attempt(root, self.open_root):
+                # the one diagnostic: expat reads on only to find malformed XML
+                expat = self._expat
+                expat.StartElementHandler = expat.EndElementHandler = None
+                expat.CharacterDataHandler = None
+            return
+        parent = open_[-1]
+        path = parent.child_path(tag)
+        if len(open_) == 1:
+            # a section: any but <constraints> is held until the next
+            # <constraints> starts or the document ends, a <variables>
+            # section with its elements
+            node = _Node(tag, attrib, line, path, keep=tag == "variables")
+            if tag == "constraints":
+                self.parse_held()
+            else:
+                self._held.append(node)
+        elif parent._text is not None:
+            node = _Node(tag, attrib, line, path, keep=True)
+            parent.children.append(node)
+        else:
+            # a child of <constraints> keeps its elements until its end tag;
+            # below an unsupported section nothing is kept
+            keep = len(open_) == 2 and parent.tag == "constraints"
+            node = _Node(tag, attrib, line, path, keep)
+        open_.append(node)
+
+    def end(self, tag: str) -> None:
+        open_ = self._open
+        node = open_.pop()
+        if len(open_) == 2 and open_[1].tag == "constraints":
+            self.attempt(node, self.parse_group if node.tag == "group" else self.parse_lone)
+        elif not open_:
+            self.parse_held()
+            self.attempt(node, self.close_root)
+
+    def chars(self, data: str) -> None:
+        text = self._open[-1]._text
+        if text is not None:
+            text.append(data)
+
+    def open_root(self, root: _Node) -> None:
         if root.tag != "instance":
             raise _Reject(root, f"document element must be <instance>, found <{root.tag}>")
         doc_type = root.attrib.get("type", "CSP")
         if doc_type != "CSP":
             raise _Reject(root, f"unsupported instance type {doc_type!r} (only CSP)")
-        self._scalar_ids = {
+
+    def parse_held(self) -> None:
+        """Parse the sections held since the last <constraints> started.
+        The <var> ids of all of them are known first, so an array element
+        takes no name a later <var> of the run declares."""
+        held, self._held = self._held, []
+        self._scalar_ids.update(
             var.attrib.get("id", "")
-            for section in root.children
+            for section in held
             if section.tag == "variables"
             for var in section.children
             if var.tag == "var"
-        }
-        seen_vars = False
-        for child in root.children:
-            if child.tag == "variables":
-                seen_vars = True
-                self.parse_variables(child)
-            elif child.tag == "constraints":
-                self.parse_constraints(child)
+        )
+        for section in held:
+            if section.tag == "variables":
+                self._seen_variables = True
+                self.parse_variables(section)
             else:
                 # an unsupported section stops nothing else
-                self.error(child, f"unsupported XCSP3 element <{child.tag}>")
-        if not seen_vars:
+                self.error(section, f"unsupported XCSP3 element <{section.tag}>")
+
+    def close_root(self, root: _Node) -> None:
+        if not self._seen_variables:
             raise _Reject(root, "missing <variables> section")
         # a rejected declaration was reported already
         if not self.variables and not self._rejected:
             raise _Reject(root, "instance declares no variables")
+
+
+def _parse(feed: Callable[[xml.parsers.expat.XMLParserType], object], name: str) -> CspInstance:
+    reader = _DocParser(name)
+    try:
+        reader.read(feed)
+    except xml.parsers.expat.ExpatError as exc:
+        # malformed XML is the one diagnostic, whatever was found before it
+        line = getattr(exc, "lineno", None)
+        raise ParseFailure([ParseDiagnostic("/", line, f"malformed XML: {exc}")]) from exc
+    if reader.diagnostics:
+        raise ParseFailure(reader.diagnostics)
+    return CspInstance(
+        name=name,
+        variables=tuple(reader.variables),
+        groups=tuple(reader.groups),
+        flatten_map=dict(reader.flatten_map),
+    )
 
 
 def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance:
@@ -724,28 +796,12 @@ def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance
     Raises ParseFailure carrying every collected diagnostic when the
     document is malformed, uses unsupported features, or is inconsistent.
     """
-    parser = _DocParser(name)
-    try:
-        root = _parse_xml(xml_text)
-    except xml.parsers.expat.ExpatError as exc:
-        line = getattr(exc, "lineno", None)
-        raise ParseFailure([ParseDiagnostic("/", line, f"malformed XML: {exc}")]) from exc
-
-    parser.attempt(root, parser.parse_root)
-    if parser.diagnostics:
-        raise ParseFailure(parser.diagnostics)
-
-    return CspInstance(
-        name=name,
-        variables=tuple(parser.variables),
-        groups=tuple(parser.groups),
-        flatten_map=dict(parser.flatten_map),
-    )
+    return _parse(lambda expat: expat.Parse(xml_text, True), name)
 
 
 def parse_file(path: str) -> CspInstance:
     # expat reads the bytes, so a file that is not UTF-8 (or not in the
     # encoding it declares) is a malformed-XML diagnostic
+    name = os.path.splitext(os.path.basename(path))[0]
     with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_document(data, name=os.path.splitext(os.path.basename(path))[0])
+        return _parse(lambda expat: expat.ParseFile(fh), name)

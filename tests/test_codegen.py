@@ -27,6 +27,7 @@ from csp2c.codegen import (
 )
 from csp2c.model import (
     BINARY_OPS,
+    COMPARISON_OPS,
     INT32_MAX,
     INT32_MIN,
     UNARY_OPS,
@@ -42,7 +43,7 @@ from csp2c.model import (
     VariableDecl,
 )
 from csp2c.oracle import all_assignments, eval_expr
-from csp2c.verify import compile_program
+from csp2c.verify import VerifyStatus, compile_program, differential_check
 
 from conftest import GOLDEN_DIR, load_corpus
 
@@ -640,6 +641,41 @@ def test_accepted_instances_never_overflow_in_the_oracle(a, b, expr):
         return
     for assignment in all_assignments(csp):
         eval_expr(expr, assignment)  # Int32Overflow fails the test
+
+
+def _near(edge_offset_width: tuple[int, int, int]) -> tuple[int, int]:
+    edge, offset, width = edge_offset_width
+    lo = max(INT32_MIN, min(edge + offset, INT32_MAX))
+    return lo, min(lo + width, INT32_MAX)
+
+
+# up to three values a couple of steps from an edge of int32 or of its root
+EDGE_BOUNDS = st.tuples(st.sampled_from(EDGES), st.integers(-2, 2), st.integers(0, 2)).map(_near)
+ARITHMETIC = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["a", "b"])), st.builds(Const, SCALARS)),
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "abs"]), sub),
+        st.builds(Binary, st.sampled_from(["add", "sub", "mul", "dist"]), sub, sub),
+    ),
+    max_leaves=4,
+)
+COMPARISONS = st.builds(Binary, st.sampled_from(COMPARISON_OPS), ARITHMETIC, ARITHMETIC)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(a=EDGE_BOUNDS, b=EDGE_BOUNDS, expr=COMPARISONS)
+def test_accepted_instances_never_trip_the_overflow_trap(cc_template, a, b, expr):
+    """What the interval pass accepts, the programs compute in int32: every
+    version, compiled with the trapping signed-overflow check, runs every
+    assignment without SIGILL (a VerifyError) and agrees with the oracle."""
+    csp = ranged_instance({"a": a, "b": b}, expr)
+    count = version_count(Family.INTENSIONAL)
+    versions = [TransformSpec(Family.INTENSIONAL, v) for v in range(1, count + 1)]
+    try:
+        report = differential_check(csp, versions, cc_template)
+    except CodegenError:
+        return
+    assert report.status is VerifyStatus.PASS, report.mismatches[:3]
 
 
 def fresh_transform(csp: CspInstance, spec: TransformSpec) -> str:

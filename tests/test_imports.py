@@ -4,8 +4,9 @@ csp2c depends on the standard library alone (`dependencies = []`); the
 oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
 codegen alone writes replay-driver C; the harness alone starts child
-processes and runs jobs at once; the model alone sets the expression-depth limit; the harness
-and verify alone check command templates, each its own; verify emits in
+processes and runs jobs at once, and waits for a child without polling;
+the model alone sets the expression-depth limit; the harness and verify
+alone check command templates, each its own; verify emits in
 differential_check alone; ToolSpec and BenchInstance alone check their
 fields; codegen alone spells a family name; the modules `parse` and
 `solve` import use no dataclasses; and a test pins each message the
@@ -94,6 +95,27 @@ def test_only_the_harness_imports_concurrent_futures(path):
     """harness.run_jobs is the one way csp2c runs jobs at once."""
     absolute, _ = imports(path)
     assert ("concurrent" in absolute) == (path.name == "harness.py")
+
+
+def test_the_harness_never_polls_a_child():
+    """Popen.communicate and Popen.wait with a timeout poll the child in
+    growing sleeps (0.5 ms, 1 ms, 2 ms, ...), about 1 ms a short child;
+    run_command blocks until the child ends and a thread sleeps to its
+    deadline instead. (concurrent.futures.wait is a function, not one of
+    these methods.)"""
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    polls = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("communicate", "wait")
+        and (
+            any(keyword.arg == "timeout" for keyword in node.keywords)
+            or node.func.attr == "communicate" and len(node.args) > 1
+        )
+    ]
+    assert polls == []
 
 
 def assigned_names(path: Path) -> set[str]:

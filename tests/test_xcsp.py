@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -727,6 +729,90 @@ class TestOneFaultOneDiagnostic:
             at(f"{V}/var[1]", "unsupported var type 'symbolic'"),
             at(f"{C}/allDifferent[2]", "reference to undeclared variable 'z'"),
         ]
+
+
+class TestDocumentOrder:
+    """The reader parses each constraint element at its end tag and each run
+    of <variables> sections before the next <constraints> section starts;
+    what it reports is what a reader of the whole document would."""
+
+    @pytest.mark.parametrize(
+        "start, end, expected",
+        [
+            ('<instance type="COP">', "</instance>",
+             at("", "unsupported instance type 'COP' (only CSP)")),
+            ("<csp>", "</csp>",
+             "error at /csp[1] (line 1): document element must be <instance>, found <csp>"),
+        ],
+        ids=["type", "tag"],
+    )
+    def test_a_rejected_document_element_is_the_one_diagnostic(self, start, end, expected):
+        text = (
+            f"{start}<variables>{SIX}<var> 0 1 </var></variables>"
+            f"<constraints><intension> eq(y,1) </intension></constraints><foo/>{end}"
+        )
+        assert diagnostics(text) == [expected]
+
+    def test_malformed_xml_after_bad_constraints_is_the_one_diagnostic(self):
+        text = document(SIX, "<intension> eq(y,1) </intension><allDifferent> z </allDifferent>")
+        found = diagnostics(text.replace("</instance>", "</instanc>"))
+        assert len(found) == 1
+        assert found[0].startswith("error at / (line 1): malformed XML: mismatched tag")
+
+    @pytest.mark.parametrize("between", ["", "<objectives/>"], ids=["adjacent", "apart"])
+    def test_a_run_of_variables_sections_knows_every_var_id_first(self, between):
+        text = (
+            '<instance type="CSP"><variables><array id="x" size="[11]"> 0..1 </array></variables>'
+            f'{between}<variables><var id="x10"> 0 1 </var></variables>'
+            "<constraints><intension> lt(x[10],x10) </intension></constraints></instance>"
+        )
+        if between:
+            unsupported = at("/objectives[1]", "unsupported XCSP3 element <objectives>")
+            assert diagnostics(text) == [unsupported]
+            return
+        csp = parse_document(text)
+        assert csp.flatten_map["x[10]"] == "x_10"
+        assert csp.constraints()[0].scope == ("x_10", "x10")
+
+    def test_constraints_before_variables_cannot_see_them(self):
+        text = (
+            '<instance><constraints><intension> eq(x,1) </intension></constraints>'
+            '<variables><var id="x"> 0 1 </var></variables></instance>'
+        )
+        assert diagnostics(text) == [
+            at(f"{C}/intension[1]", "reference to undeclared variable 'x'")
+        ]
+
+    def test_sibling_indices_count_past_thousands_of_elements(self):
+        good = "<intension> eq(x[0],1) </intension>" * 3999
+        text = document(SIX, good + "<intension> eq(y,1) </intension>")
+        assert diagnostics(text) == [
+            at(f"{C}/intension[4000]", "reference to undeclared variable 'y'")
+        ]
+
+
+def test_parsing_holds_no_document_tree():
+    """The traced peak of parsing 4000 <intension> elements stays close to
+    what the instance keeps: the reader holds one constraint element at a
+    time, not a tree of the document next to the instance."""
+    text = document(
+        '<array id="x" size="[100]"> 0..9 </array>',
+        "".join(
+            f"<intension> ne(x[{i % 100}],x[{(7 * i + 1) % 100}]) </intension>" for i in range(4000)
+        ),
+    ).encode()
+    parse_document(text)  # fills the regex and other caches first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        csp = parse_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(csp.constraints()) == 4000
+    assert peak < 1.5 * retained, (peak, retained)
 
 
 class TestTupleLists:
