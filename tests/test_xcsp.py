@@ -759,20 +759,20 @@ class TestDocumentOrder:
         assert len(found) == 1
         assert found[0].startswith("error at / (line 1): malformed XML: mismatched tag")
 
-    @pytest.mark.parametrize("between", ["", "<objectives/>"], ids=["adjacent", "apart"])
-    def test_a_run_of_variables_sections_knows_every_var_id_first(self, between):
-        text = (
-            '<instance type="CSP"><variables><array id="x" size="[11]"> 0..1 </array></variables>'
-            f'{between}<variables><var id="x10"> 0 1 </var></variables>'
-            "<constraints><intension> lt(x[10],x10) </intension></constraints></instance>"
-        )
-        if between:
-            unsupported = at("/objectives[1]", "unsupported XCSP3 element <objectives>")
-            assert diagnostics(text) == [unsupported]
-            return
-        csp = parse_document(text)
+    RUN = (
+        '<instance type="CSP"><variables><array id="x" size="[11]"> 0..1 </array></variables>'
+        '{between}<variables><var id="x10"> 0 1 </var></variables>'
+        "<constraints><intension> lt(x[10],x10) </intension></constraints></instance>"
+    )
+
+    def test_a_run_of_variables_sections_knows_every_var_id_first(self):
+        csp = parse_document(self.RUN.format(between=""))
         assert csp.flatten_map["x[10]"] == "x_10"
         assert csp.constraints()[0].scope == ("x_10", "x10")
+
+    def test_an_unsupported_section_does_not_end_the_run(self):
+        text = self.RUN.format(between="<objectives/>")
+        assert diagnostics(text) == [at("/objectives[1]", "unsupported XCSP3 element <objectives>")]
 
     def test_constraints_before_variables_cannot_see_them(self):
         text = (
