@@ -21,8 +21,6 @@ _EXPORTS = {
     for module, names in {
         "codegen": (
             "Construct",
-            "Dialect",
-            "Family",
             "GeneratedProgram",
             "Grouping",
             "Operator",
@@ -34,7 +32,9 @@ _EXPORTS = {
         "model": (
             "AllDifferent",
             "CspInstance",
+            "Dialect",
             "Domain",
+            "Family",
             "IntensionConstraint",
             "Polarity",
             "TableConstraint",

@@ -20,13 +20,15 @@ when `verify` runs, and `verify` prints the template it ran. A driver
 killed by SIGILL has hit that check: `verify` exits 1 with an error naming
 the version and the assignment.
 
-A command loads only the modules it runs. The model, the parser and the
-oracle are imported with this module; codegen, verify, harness and charts
-are bound here as lazy modules, registered in sys.modules at once but run
-on first attribute access, so `parse` and `solve` never execute them (nor
-the `subprocess` import harness brings). harness.run_jobs imports
-`concurrent.futures` only for a pool: `--workers` above 1 and more than
-one job.
+A command loads only the modules it runs. Every other csp2c module is
+bound here as a lazy module, registered in sys.modules at once but run on
+first attribute access, so importing this module runs none of them:
+`parse` runs the parser and the model, `solve` the oracle too, and
+`report` only the harness, the model (whose Family and Dialect the harness
+checks manifests against) and the charts. harness.run_command imports
+`subprocess` and `threading` only to start a child, and harness.run_jobs
+imports `concurrent.futures` only for a pool: `--workers` above 1 and
+more than one job.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ import os
 import sys
 import types
 from typing import Callable
-
-# xcsp first: compiling the largest module before the oracle and the model
-# are loaded keeps a start without a bytecode cache about 0.25 MB smaller
-from .xcsp import ParseDiagnostic, ParseFailure, parse_file
-from .oracle import DEFAULT_LIMIT, Status, solve
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -60,6 +57,11 @@ def _lazy(name: str) -> types.ModuleType:
     return module
 
 
+# The model too, though only its error is named here: perfbench/spans.py
+# finds every module it wraps in sys.modules once this one is imported.
+xcsp = _lazy("xcsp")
+model = _lazy("model")
+oracle = _lazy("oracle")
 codegen = _lazy("codegen")
 verify = _lazy("verify")
 harness = _lazy("harness")
@@ -85,10 +87,14 @@ _EXIT_CODES: dict[str, int] = {
 }
 
 
+def _qualified(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
 def _exit_code(exc: Exception) -> int | None:
     """The code of the nearest class of `exc` in `_EXIT_CODES`; None for a bug."""
     for cls in type(exc).__mro__:
-        code = _EXIT_CODES.get(f"{cls.__module__}.{cls.__qualname__}")
+        code = _EXIT_CODES.get(_qualified(cls))
         if code is not None:
             return code
     return None
@@ -119,7 +125,7 @@ def _parse_versions(
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    csp = parse_file(args.file)
+    csp = xcsp.parse_file(args.file)
     constraints = csp.constraints()
     if args.machine:
         print(
@@ -150,7 +156,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    csp = parse_file(args.file)
+    csp = xcsp.parse_file(args.file)
     specs = _parse_versions(args.versions, codegen.family_of(csp.constraints()), args.dialect)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
@@ -183,8 +189,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    csp = parse_file(args.file)
-    result = solve(csp, limit=args.limit)
+    csp = xcsp.parse_file(args.file)
+    result = oracle.solve(csp, limit=args.limit)
     if args.machine:
         print(
             json.dumps(
@@ -204,15 +210,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         if result.witness is not None:
             print(" ".join(f"{k}={v}" for k, v in result.witness.items()))
-    if result.status is Status.SATISFIABLE:
+    if result.status is oracle.Status.SATISFIABLE:
         return EXIT_OK
-    if result.status is Status.UNSATISFIABLE:
+    if result.status is oracle.Status.UNSATISFIABLE:
         return EXIT_FAIL
     return EXIT_LIMIT
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    csp = parse_file(args.file)
+    csp = xcsp.parse_file(args.file)
     specs = _parse_versions(args.versions, codegen.family_of(csp.constraints()))
     bound = verify.DEFAULT_EXHAUSTIVE_BOUND if args.bound is None else args.bound
     report = verify.differential_check(csp, specs, args.cc, bound=bound, workers=args.workers)
@@ -272,10 +278,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # an error names the manifest entry's file
         try:
             labels = _write_programs(inst, args.versions, dialects, src_dir)
-        except ParseFailure as exc:
-            raise ParseFailure(
+        except xcsp.ParseFailure as exc:
+            raise xcsp.ParseFailure(
                 [
-                    ParseDiagnostic(f"{inst.path}:{d.path}", d.line, d.message)
+                    xcsp.ParseDiagnostic(f"{inst.path}:{d.path}", d.line, d.message)
                     for d in exc.diagnostics
                 ]
             ) from None
@@ -295,7 +301,7 @@ def _write_programs(
     `src_dir`; the version labels. The instance, and with it codegen's
     analysis of it, is released when this returns, before the next one is
     parsed."""
-    csp = parse_file(inst.path)
+    csp = xcsp.parse_file(inst.path)
     family = codegen.Family(inst.family)
     labels = [spec.version_label for spec in _parse_versions(versions, family)]
     for dialect in dialects:
@@ -348,6 +354,26 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+class _OracleLimit(str):
+    """`solve --limit`'s default. argparse passes a string default through
+    the option's type only when the option is not given, so the oracle is
+    loaded for it only then; help prints it the same way."""
+
+    def __str__(self) -> str:
+        return str(_limit(self))
+
+
+def _limit(value: str) -> int:
+    """`solve --limit`'s type: a positive integer; its default is the
+    oracle's DEFAULT_LIMIT. The XCSP3 reader is loaded before the oracle,
+    as `solve` runs them: compiling the largest module before the model and
+    the oracle keeps a start without a bytecode cache about 0.45 MB smaller."""
+    if isinstance(value, _OracleLimit):
+        xcsp.parse_file  # noqa: B018  (loads the reader)
+        return oracle.DEFAULT_LIMIT
+    return _int_at_least(1)(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csp2c",
@@ -372,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument(
         "--limit",
-        type=_int_at_least(1),
-        default=DEFAULT_LIMIT,
+        type=_limit,
+        default=_OracleLimit(),
         help="search budget: leaves plus pruned branches, and this many live "
         "values per filter on average (default %(default)s)",
     )
@@ -428,22 +454,23 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseFailure as exc:
-        if getattr(args, "machine", False):
-            diagnostics = [
-                {"severity": "error", "path": d.path, "line": d.line, "message": d.message}
-                for d in exc.diagnostics
-            ]
-            print(json.dumps({"ok": False, "diagnostics": diagnostics}))
-        else:
-            for d in exc.diagnostics:
-                print(str(d), file=sys.stderr)
-        return EXIT_PARSE
     except KeyboardInterrupt:
         # harness.run_jobs and run_command have killed their children's groups
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
     except Exception as exc:
+        # matched by name, as in _EXIT_CODES, so that an error loads no module
+        if _qualified(type(exc)) == "csp2c.xcsp.ParseFailure":
+            if getattr(args, "machine", False):
+                diagnostics = [
+                    {"severity": "error", "path": d.path, "line": d.line, "message": d.message}
+                    for d in exc.diagnostics
+                ]
+                print(json.dumps({"ok": False, "diagnostics": diagnostics}))
+            else:
+                for d in exc.diagnostics:
+                    print(str(d), file=sys.stderr)
+            return EXIT_PARSE
         code = _exit_code(exc)
         if code is None:
             raise

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -72,8 +71,11 @@ from .model import (
     Const,
     Constraint,
     CspInstance,
+    Dialect,
     Domain,
     Expr,
+    Family,
+    Frozen,
     INT32_MAX,
     INT32_MIN,
     IntensionConstraint,
@@ -91,11 +93,6 @@ class CodegenError(Exception):
     pass
 
 
-class Family(Enum):
-    EXTENSIONAL = "extensional"
-    INTENSIONAL = "intensional"
-
-
 class Construct(Enum):
     IF = "if"
     ASSUME = "assume"
@@ -111,12 +108,6 @@ class Grouping(Enum):
     NONE = "no"
     PER_GROUP = "yes"
     WHOLE = "all"
-
-
-class Dialect(Enum):
-    KLEE = "klee"
-    LLBMC = "llbmc"
-    CONCRETE = "concrete"
 
 
 _EXT_ROWS: tuple[tuple[Construct, Operator, Grouping], ...] = (
@@ -154,21 +145,20 @@ def version_count(family: Family) -> int:
     return len(_ROWS[family])
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(Frozen):
     """One cell of the version matrix, in one dialect; the construct,
     operator and grouping are read from the family's row."""
 
+    __slots__ = _fields = ("family", "version", "dialect")
     family: Family
     version: int
-    dialect: Dialect = Dialect.KLEE
+    dialect: Dialect
 
-    def __post_init__(self) -> None:
-        count = version_count(self.family)
-        if not 1 <= self.version <= count:
-            raise CodegenError(
-                f"{self.family.value} version must be in 1..{count}, got {self.version}"
-            )
+    def __init__(self, family: Family, version: int, dialect: Dialect = Dialect.KLEE) -> None:
+        count = version_count(family)
+        if not 1 <= version <= count:
+            raise CodegenError(f"{family.value} version must be in 1..{count}, got {version}")
+        self._set(family, version, dialect)
 
     @property
     def construct(self) -> Construct:
@@ -200,8 +190,11 @@ def family_of(constraints: Sequence[Constraint]) -> Family:
     )
 
 
-@dataclass(frozen=True)
-class GeneratedProgram:
+class GeneratedProgram(Frozen):
+    __slots__ = _fields = (
+        "source_text", "version_label", "statement_count", "instance_name", "dialect",
+        "constraint_lines",
+    )
     source_text: str
     version_label: str
     statement_count: int
@@ -209,6 +202,19 @@ class GeneratedProgram:
     dialect: Dialect
     # the rendered constraint-encoding statements, for structural checks
     constraint_lines: tuple[str, ...]
+
+    def __init__(
+        self,
+        source_text: str,
+        version_label: str,
+        statement_count: int,
+        instance_name: str,
+        dialect: Dialect,
+        constraint_lines: tuple[str, ...],
+    ) -> None:
+        self._set(
+            source_text, version_label, statement_count, instance_name, dialect, constraint_lines
+        )
 
     @property
     def line_count(self) -> int:

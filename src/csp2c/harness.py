@@ -29,14 +29,14 @@ import re
 import shlex
 import signal
 import string
-import subprocess
-import threading
 import time
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from .codegen import Dialect, Family, GeneratedProgram, source_filename
+from .model import Dialect, Family, Frozen, set_slot
+
+if TYPE_CHECKING:
+    from .codegen import GeneratedProgram
 
 DEFAULT_TIMEOUT_S = 1000.0
 # the longest timeout a tool may state: 2**31 - 1 milliseconds, about 24.8 days
@@ -62,21 +62,33 @@ class Outcome(Enum):
     TOOL_ERROR = "tool-error"
 
 
-@dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(Frozen):
+    __slots__ = _fields = (
+        "name", "run", "prepare", "timeout_s", "success_pattern", "kind", "dialect"
+    )
     name: str
     run: str
-    prepare: str = ""  # none when empty
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    success_pattern: str = ""
-    kind: ToolKind = ToolKind.ANALYSIS  # given as a member or its value
+    prepare: str  # none when empty
+    timeout_s: float
+    success_pattern: str
+    kind: ToolKind
     # which generated dialect this tool consumes ("klee" or "llbmc")
-    dialect: str = "klee"
+    dialect: str
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        run: str,
+        prepare: str = "",
+        timeout_s: float = DEFAULT_TIMEOUT_S,
+        success_pattern: str = "",
+        kind: ToolKind | str = ToolKind.ANALYSIS,  # a member or its value
+        dialect: str = "klee",
+    ) -> None:
+        self._set(name, run, prepare, timeout_s, success_pattern, kind, dialect)
         _check_fields(self, _TOOL_KEYS)
-        object.__setattr__(self, "kind", ToolKind(self.kind))
-        for key, template in (("prepare", self.prepare), ("run", self.run)):
+        set_slot(self, "kind", ToolKind(kind))
+        for key, template in (("prepare", prepare), ("run", run)):
             # an empty run is an error
             if template or key == "run":
                 try:
@@ -85,13 +97,14 @@ class ToolSpec:
                     raise HarnessError(f"{key!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class BenchInstance:
+class BenchInstance(Frozen):
+    __slots__ = _fields = ("path", "family", "size")
     path: str
     family: str
     size: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, path: str, family: str, size: int) -> None:
+        self._set(path, family, size)
         _check_fields(self, _INSTANCE_KEYS)
 
     @property
@@ -99,39 +112,70 @@ class BenchInstance:
         return os.path.splitext(os.path.basename(self.path))[0]
 
 
-@dataclass
-class RunRecord:
+class RunRecord(Frozen):
+    __slots__ = _fields = (
+        "tool", "instance", "version", "outcome", "wallclock_s", "normalized", "note"
+    )
     tool: str
     instance: str
     version: str
     outcome: Outcome
     wallclock_s: float
-    normalized: float | None = None
-    note: str = ""
+    normalized: float | None
+    note: str
+
+    def __init__(
+        self,
+        tool: str,
+        instance: str,
+        version: str,
+        outcome: Outcome,
+        wallclock_s: float,
+        normalized: float | None = None,
+        note: str = "",
+    ) -> None:
+        self._set(tool, instance, version, outcome, wallclock_s, normalized, note)
 
 
-@dataclass(frozen=True)
-class RobustnessRow:
+class RobustnessRow(Frozen):
+    __slots__ = _fields = ("tool", "version", "mean_normalized", "timeouts", "n")
     tool: str
     version: str
     mean_normalized: float | None
     timeouts: int
     n: int
 
+    def __init__(
+        self, tool: str, version: str, mean_normalized: float | None, timeouts: int, n: int
+    ) -> None:
+        self._set(tool, version, mean_normalized, timeouts, n)
 
-@dataclass(frozen=True)
-class ScalabilityRow:
+
+class ScalabilityRow(Frozen):
+    __slots__ = _fields = ("tool", "size_index", "timeouts")
     tool: str
     size_index: int
     timeouts: int
 
+    def __init__(self, tool: str, size_index: int, timeouts: int) -> None:
+        self._set(tool, size_index, timeouts)
 
-@dataclass
-class Report:
+
+class Report(Frozen):
+    __slots__ = _fields = ("robustness", "scalability", "records", "flags")
     robustness: list[RobustnessRow]
     scalability: list[ScalabilityRow]
     records: list[RunRecord]
-    flags: list[str] = field(default_factory=list)
+    flags: Sequence[str]
+
+    def __init__(
+        self,
+        robustness: list[RobustnessRow],
+        scalability: list[ScalabilityRow],
+        records: list[RunRecord],
+        flags: Sequence[str] = (),
+    ) -> None:
+        self._set(robustness, scalability, records, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +277,7 @@ def load_instance_manifest(path: str) -> list[BenchInstance]:
     def make(entry: dict) -> BenchInstance:
         inst = BenchInstance(**{k: entry[k] for k in _INSTANCE_KEYS})
         # relative to the manifest's directory; join keeps an absolute path
-        return replace(inst, path=os.path.join(base, inst.path))
+        return BenchInstance(os.path.join(base, inst.path), inst.family, inst.size)
 
     instances = _load_entries(path, tuple(_INSTANCE_KEYS), make)
     # the instance id names the generated sources and the records
@@ -255,14 +299,25 @@ def _check_unique(path: str, what: str, keys: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(Frozen):
+    __slots__ = _fields = ("argv", "returncode", "stdout", "stderr", "wall_s", "timed_out")
     argv: list[str]
     returncode: int | None  # None when the command could not be started
     stdout: str
     stderr: str
     wall_s: float
     timed_out: bool
+
+    def __init__(
+        self,
+        argv: list[str],
+        returncode: int | None,
+        stdout: str,
+        stderr: str,
+        wall_s: float,
+        timed_out: bool,
+    ) -> None:
+        self._set(argv, returncode, stdout, stderr, wall_s, timed_out)
 
 
 def _field_names(text: str) -> Iterable[str]:
@@ -316,6 +371,10 @@ def run_command(
     A command that cannot be started has returncode None and the reason as
     stderr.
     """
+    # imported here, so that `report` imports neither
+    import subprocess
+    import threading
+
     argv = [token.format(**subs) for token in shlex.split(template)]
     start = time.monotonic()
     try:
@@ -438,6 +497,9 @@ def _execute(tool: ToolSpec, src: str) -> tuple[Outcome, float]:
 
 
 def source_path(source_dir: str, instance_id: str, version_label: str, dialect: str) -> str:
+    # codegen is loaded here, by the commands that write or run programs, not by `report`
+    from .codegen import source_filename
+
     return os.path.join(source_dir, source_filename(instance_id, version_label, dialect))
 
 
@@ -493,7 +555,9 @@ def run_matrix(
 
 
 def normalize_records(records: list[RunRecord], tools: Sequence[ToolSpec]) -> None:
-    """Fill normalized = wallclock / baseline-wallclock per instance, in place.
+    """Give each analysis record normalized = wallclock / baseline-wallclock
+    per instance: the list is updated in place, each such record replaced
+    by one built with its ratio.
 
     The first baseline tool anchors the ratio; records without a usable
     baseline (missing, zero, or errored) keep normalized=None.
@@ -508,12 +572,15 @@ def normalize_records(records: list[RunRecord], tools: Sequence[ToolSpec]) -> No
         if r.tool == anchor and r.outcome is not Outcome.TOOL_ERROR
     }
     analysis_names = {t.name for t in tools if t.kind is ToolKind.ANALYSIS}
-    for r in records:
+    for i, r in enumerate(records):
         if r.tool not in analysis_names:
             continue
         base = baseline_wall.get(r.instance)
         if base is not None and base > 0:
-            r.normalized = r.wallclock_s / base
+            ratio = r.wallclock_s / base
+            records[i] = RunRecord(
+                r.tool, r.instance, r.version, r.outcome, r.wallclock_s, ratio, r.note
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +732,9 @@ def load_records_csv(path: str) -> list[RunRecord]:
     """Read a raw.csv written by emit_csv; files from before the note column
     was added load with empty notes. HarnessError names the line of a bad row."""
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "rb") as fh:
+        # decoded line by line, so bytes that are not UTF-8 are named at their line
+        reader = csv.DictReader(line.decode("utf-8") for line in fh)
         try:
             if reader.fieldnames not in (RAW_CSV_FIELDS, RAW_CSV_FIELDS[:-1]):
                 raise HarnessError(f"{path}: unexpected raw CSV header: {reader.fieldnames!r}")
@@ -686,7 +754,10 @@ def load_records_csv(path: str) -> list[RunRecord]:
                         note=row.get("note", ""),
                     )
                 )
-        # a bad outcome or number, bytes that are not UTF-8, or a field over csv's limit
+        except UnicodeDecodeError as exc:
+            # raised as the next line was read, before the reader counted it
+            raise HarnessError(f"{path}:{reader.line_num + 1}: {exc}") from None
+        # a bad outcome or number, or a field over csv's limit
         except (ValueError, csv.Error) as exc:
             raise HarnessError(f"{path}:{reader.line_num}: {exc}") from None
     return records

@@ -12,10 +12,11 @@ raises ModelError when it is made, so no recursive walk of a tree exhausts
 Python's stack.
 
 The value classes are plain `__slots__` classes over one base, Frozen, and
-so are the oracle's SolveResult and the XCSP3 reader's values. They are
-not dataclasses because `parse` and `solve` each start a new interpreter:
-importing `dataclasses` (which imports `inspect`) and generating each
-class's methods took about half of csp2c's own import time.
+so is every other value csp2c defines, in the oracle, the XCSP3 reader,
+codegen, verify and the harness. Their methods are written out, not
+generated when the module is imported: each command starts a new
+interpreter, and generating them (with `inspect` imported to do it) took
+about half of csp2c's own import time.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ class Frozen:
     """Base of the immutable value classes.
 
     A subclass lists its fields in `_fields`, in constructor order, and its
-    `__init__` sets each slot through `set_slot`. Two objects are equal, and
-    hash equal, when they are of the same class with equal fields. `repr`
-    reads `Name(field=value, ...)`. Copy and pickle call the class with the
-    fields in order. Assigning or deleting an attribute raises
-    AttributeError.
+    `__init__` sets each slot through `set_slot`, or all of them at once
+    through `_set`. Two objects are equal, and hash equal, when they are of
+    the same class with equal fields. `repr` reads `Name(field=value, ...)`.
+    Copy and pickle call the class with the fields in order. Assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -64,6 +65,11 @@ class Frozen:
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values: Any) -> None:
+        """Set the fields to `values`, in `_fields` order."""
+        for name, value in zip(self._fields, values, strict=True):
+            set_slot(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -345,6 +351,20 @@ class AllDifferent(Frozen):
 
 
 Constraint = Union[TableConstraint, IntensionConstraint, AllDifferent]
+
+
+# The version matrix's families (codegen.family_of reads an instance's) and
+# the dialects its programs are written in. codegen re-exports both; they
+# live here so that the harness checks a manifest without loading codegen.
+class Family(Enum):
+    EXTENSIONAL = "extensional"
+    INTENSIONAL = "intensional"
+
+
+class Dialect(Enum):
+    KLEE = "klee"
+    LLBMC = "llbmc"
+    CONCRETE = "concrete"
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,12 @@ import shutil
 import signal
 import tempfile
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 from .codegen import GeneratedProgram, TransformSpec, build_unit, output_filename, transform
 from .harness import CommandResult, check_template, run_command, run_jobs, write_program
-from .model import CspInstance
+from .model import CspInstance, Frozen
 from .oracle import Assignment, all_assignments, constraint_satisfied, solve
 
 DEFAULT_EXHAUSTIVE_BOUND = 4096
@@ -87,35 +86,62 @@ class VerifyStatus(Enum):
     SAMPLED = "sampled"
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Frozen):
+    __slots__ = _fields = ("version_label", "assignment", "expected", "observed")
     version_label: str
     assignment: tuple[tuple[str, int], ...]
     expected: bool
     observed: bool
 
+    def __init__(
+        self,
+        version_label: str,
+        assignment: tuple[tuple[str, int], ...],
+        expected: bool,
+        observed: bool,
+    ) -> None:
+        self._set(version_label, assignment, expected, observed)
 
-@dataclass(frozen=True)
-class UnitTiming:
+
+class UnitTiming(Frozen):
     """One translation unit: the versions it holds, the time to build and
     compile it, and the time of its one driver run."""
 
+    __slots__ = _fields = ("versions", "compile_s", "run_s")
     versions: tuple[str, ...]
     compile_s: float
     run_s: float
 
+    def __init__(self, versions: tuple[str, ...], compile_s: float, run_s: float) -> None:
+        self._set(versions, compile_s, run_s)
 
-@dataclass
-class VerificationReport:
+
+class VerificationReport(Frozen):
+    __slots__ = _fields = (
+        "instance", "versions", "assignments_checked", "mismatches", "status", "timings",
+        "compile_cmd",
+    )
     instance: str
     versions: list[str]
     assignments_checked: int
-    mismatches: list[Mismatch] = field(default_factory=list)
-    status: VerifyStatus = VerifyStatus.PASS
+    mismatches: list[Mismatch]
+    status: VerifyStatus
     # one entry per translation unit, each listing its distinct versions
-    timings: list[UnitTiming] = field(default_factory=list)
+    timings: list[UnitTiming]
     # the compile command template that built the units
-    compile_cmd: str = ""
+    compile_cmd: str
+
+    def __init__(
+        self,
+        instance: str,
+        versions: list[str],
+        assignments_checked: int,
+        mismatches: list[Mismatch],
+        status: VerifyStatus,
+        timings: list[UnitTiming],
+        compile_cmd: str,
+    ) -> None:
+        self._set(instance, versions, assignments_checked, mismatches, status, timings, compile_cmd)
 
     @property
     def passed(self) -> bool:

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import shutil
 
 import pytest
 
-from csp2c.codegen import transform
+from csp2c.codegen import GeneratedProgram, transform
 from csp2c.verify import default_compile_command
 from csp2c.xcsp import parse_file
 
@@ -37,6 +36,18 @@ NOT_EQUAL_XML = """<instance format="XCSP3" type="CSP">
 """
 
 
+def with_source(program, source_text: str, instance_name: str | None = None):
+    """`program` with `source_text`, and `instance_name` if given."""
+    return GeneratedProgram(
+        source_text,
+        program.version_label,
+        program.statement_count,
+        program.instance_name if instance_name is None else instance_name,
+        program.dialect,
+        program.constraint_lines,
+    )
+
+
 def overflowing_emitter(version_label: str):
     """Fault-injection fixture: transform, but the program of `version_label`
     adds 1 to INT_MAX just before its assert(0) when x == 1, a signed
@@ -49,7 +60,7 @@ def overflowing_emitter(version_label: str):
         line = "\n    assert(0);\n"
         assert line in program.source_text
         overflow = "\n    { volatile int big = 2147483647; big = big + (x == 1); }" + line
-        return dataclasses.replace(program, source_text=program.source_text.replace(line, overflow))
+        return with_source(program, program.source_text.replace(line, overflow))
 
     return emit
 

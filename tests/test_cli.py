@@ -1128,7 +1128,13 @@ BAD_INPUT_CASES = {
             "report", _written(t, "raw.csv", RAW_HEADER + b"t,\xff,v1,timeout,1.0,,\n"),
             "--out-dir", str(t / "o"),
         ],
-        "raw.csv:",
+        "raw.csv:2: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "records-header-not-utf8": (
+        lambda t, tools, inst: [
+            "report", _written(t, "raw.csv", b"\xff\xfe" + RAW_HEADER), "--out-dir", str(t / "o"),
+        ],
+        "raw.csv:1: 'utf-8' codec can't decode byte 0xff",
     ),
     "gen-out-dir-is-a-file": (
         lambda t, tools, inst: [
@@ -1196,7 +1202,7 @@ class TestErrorBoundary:
         def broken(*args, **kwargs):
             raise ValueError("a bug")
 
-        monkeypatch.setattr("csp2c.cli.solve", broken)
+        monkeypatch.setattr("csp2c.oracle.solve", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["solve", corpus_path("valid", "supports_pair")])
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import shutil
@@ -45,7 +44,7 @@ from csp2c.model import (
 from csp2c.oracle import all_assignments, eval_expr
 from csp2c.verify import VerifyStatus, compile_program, differential_check
 
-from conftest import GOLDEN_DIR, load_corpus
+from conftest import GOLDEN_DIR, load_corpus, with_source
 
 # feature columns per version, frozen
 EXTENSIONAL_TABLE = [
@@ -291,7 +290,7 @@ class TestProgramInvariants:
         program = transform(load_corpus("ext_mixed"), TransformSpec(Family.EXTENSIONAL, 3))
         assert program.line_count == program.source_text.count("\n")
         # read from the text, so a program with new text counts its lines
-        edited = dataclasses.replace(program, source_text=program.source_text + "/* */\n")
+        edited = with_source(program, program.source_text + "/* */\n")
         assert edited.line_count == program.line_count + 1
 
     def test_c_names_cover_all_variables(self):

@@ -8,9 +8,9 @@ processes and runs jobs at once, and waits for a child without polling;
 the model alone sets the expression-depth limit; the harness and verify
 alone check command templates, each its own; verify emits in
 differential_check alone; ToolSpec and BenchInstance alone check their
-fields; codegen alone spells a family name; the modules `parse` and
-`solve` import use no dataclasses; and a test pins each message the
-XCSP3 reader rejects an element with.
+fields; model.Family and codegen's messages alone spell a family name; no
+module uses dataclasses; the CLI binds every other csp2c module lazily;
+and a test pins each message the XCSP3 reader rejects an element with.
 """
 
 from __future__ import annotations
@@ -48,12 +48,26 @@ def test_absolute_imports_are_standard_library(path):
     assert sorted(absolute - set(sys.stdlib_module_names)) == []
 
 
-@pytest.mark.parametrize("name", ["model.py", "oracle.py", "xcsp.py", "cli.py"])
-def test_the_start_up_modules_import_nothing_from_dataclasses(name):
-    """`parse` and `solve` import these modules alone; importing
-    `dataclasses` and building dataclasses cost about half their import."""
-    absolute, _ = imports(PACKAGE / name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_start_up_modules_import_nothing_from_dataclasses(path):
+    """Each command starts a new interpreter, and importing `dataclasses`
+    and building dataclasses cost about half of csp2c's own import; every
+    value class is a model.Frozen instead."""
+    absolute, _ = imports(path)
     assert "dataclasses" not in absolute
+
+
+def test_the_cli_binds_its_siblings_lazily():
+    """cli imports no csp2c module: it binds each one through _lazy, so
+    importing it runs none and a command runs only the modules it uses."""
+    _, siblings = imports(PACKAGE / "cli.py")
+    assert siblings == set()
+    bound = {
+        node.args[0].value
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy"
+    }
+    assert bound == {p.stem for p in MODULES if not p.stem.startswith("_")} - {"cli"}
 
 
 def test_oracle_imports_only_the_model():
@@ -174,15 +188,16 @@ def test_only_operand_writes_a_truth_test():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_codegen_spells_a_family_name(path):
-    """codegen.Family names the two families, and codegen.family_of reads an
-    instance's; any other module takes a family from them."""
+    """model.Family, which codegen re-exports, names the two families, and
+    codegen.family_of reads an instance's and codegen's messages name them;
+    any other module takes a family from them."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     spelled = [
         node.value
         for node in string_constants(tree)
         if "extensional" in node.value or "intensional" in node.value
     ]
-    assert bool(spelled) == (path.name == "codegen.py"), spelled
+    assert bool(spelled) == (path.name in ("codegen.py", "model.py")), spelled
 
 
 def names(path: Path) -> tuple[set[str], set[str]]:
@@ -242,12 +257,12 @@ def test_verify_emits_only_in_differential_check(name):
     assert enclosing_functions(PACKAGE / "verify.py", name) == {"differential_check"}
 
 
-def test_only_the_dataclasses_check_their_fields():
-    """ToolSpec and BenchInstance check their own fields when built; the
-    manifest loaders leave every field check to them."""
+def test_only_the_manifest_values_check_their_fields():
+    """ToolSpec and BenchInstance check their own fields in their
+    constructors; the manifest loaders leave every field check to them."""
     assert enclosing_functions(PACKAGE / "harness.py", "_check_fields") == {
-        "ToolSpec.__post_init__",
-        "BenchInstance.__post_init__",
+        "ToolSpec.__init__",
+        "BenchInstance.__init__",
     }
 
 

@@ -1,13 +1,13 @@
 """What each command loads, and the names the package root re-exports.
 
-`csp2c.cli` binds codegen, verify, harness and charts as lazy modules, and
-the package root resolves its names on first use, so `parse` and `solve`
-run neither those modules nor the `subprocess` import harness brings, nor
-import `dataclasses` or the `inspect` it imports; and
-`concurrent.futures` is imported only for a pool of jobs, with `--workers`
-above 1 and more than one job. Each check here runs in a fresh interpreter (`-S`, so
-no site hook imports anything first), since this test process has loaded
-everything already.
+`csp2c.cli` binds every csp2c module it uses as a lazy module, and the
+package root resolves its names on first use, so importing the CLI runs no
+csp2c module and each command runs only the modules it uses. No command
+imports `dataclasses` or the `inspect` it imports; `subprocess` is
+imported only to start a child, and `concurrent.futures` only for a pool
+of jobs, with `--workers` above 1 and more than one job. Each check here
+runs in a fresh interpreter (`-S`, so no site hook imports anything
+first), since this test process has loaded everything already.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from conftest import corpus_path
 
 SRC = Path(csp2c.__file__).resolve().parent.parent
 SPANS = SRC.parent / "perfbench" / "spans.py"
-LAZY = ("csp2c.codegen", "csp2c.verify", "csp2c.harness", "csp2c.charts")
+SIBLINGS = ("cli", "model", "xcsp", "oracle", "codegen", "verify", "harness", "charts")
+WATCHED = ("dataclasses", "inspect", "subprocess", "concurrent.futures")
 
 
 def run_fresh(script: str, *argv: str) -> dict:
@@ -48,27 +49,74 @@ code = main(sys.argv[1:])
 print(json.dumps({
     "code": code,
     # type() reads no attribute, so it does not load a lazy module
-    "executed": [n for n in %r if type(sys.modules.get(n)) is types.ModuleType],
-    "imported": [n for n in ("subprocess", "concurrent.futures") if n in sys.modules],
-    "dataclasses": [n for n in ("dataclasses", "inspect") if n in sys.modules],
+    "executed": [n for n in %r if type(sys.modules.get("csp2c." + n)) is types.ModuleType],
+    "imported": [n for n in %r if n in sys.modules],
 }))
-""" % (LAZY,)
+""" % (SIBLINGS, WATCHED)
+
+INSTANCE = corpus_path("valid", "conflicts_group")
+# `true` builds no driver, so verify fails; by then it has loaded its modules
+VERIFY = ["verify", "--cc", "true {src} {out}"]
+
+# command: (exit code, the csp2c modules it runs, what it imports of WATCHED);
+# the harness checks manifests against the model's Family and Dialect
+LOADED = {
+    "parse": (0, ["cli", "model", "xcsp"], []),
+    "solve": (0, ["cli", "model", "xcsp", "oracle"], []),
+    "gen": (0, ["cli", "model", "xcsp", "codegen", "harness"], []),
+    "verify": (
+        1, ["cli", "model", "xcsp", "oracle", "codegen", "verify", "harness"], ["subprocess"]
+    ),
+    "bench": (0, ["cli", "model", "xcsp", "codegen", "harness", "charts"], ["subprocess"]),
+    "report": (0, ["cli", "model", "harness", "charts"], []),
+}
 
 
-@pytest.mark.parametrize("argv", [["solve", "--machine"], ["parse"]], ids=lambda a: a[0])
-def test_parse_and_solve_run_no_codegen_verify_harness_or_charts(argv):
-    result = run_fresh(COMMAND_SCRIPT, *argv, corpus_path("valid", "conflicts_group"))
-    assert result == {"code": 0, "executed": [], "imported": [], "dataclasses": []}
+def command_argv(command: str, tmp: Path) -> list[str]:
+    """A run of `command` on the corpus, its files written to `tmp`."""
+    tools, instances = tmp / "tools.json", tmp / "instances.json"
+    tools.write_text(json.dumps([{"name": "stub", "run": "true {src}"}]))
+    instances.write_text(json.dumps([{"path": INSTANCE, "family": "extensional", "size": 6}]))
+    raw = tmp / "raw.csv"
+    raw.write_text(
+        "tool,instance,version,outcome,wallclock_s,normalized,note\n"
+        "stub,conflicts_group,extensional1,not-reached,0.5,,\n"
+    )
+    return {
+        "parse": ["parse", INSTANCE],
+        "solve": ["solve", "--machine", INSTANCE],
+        "gen": ["gen", "--versions", "1", "--out-dir", str(tmp / "gen"), INSTANCE],
+        "verify": [*VERIFY, "--versions", "1", INSTANCE],
+        "bench": [
+            "bench", "--tools", str(tools), "--instances", str(instances), "--versions", "1",
+            "--out-dir", str(tmp / "bench"),
+        ],
+        "report": ["report", str(raw), "--instances", str(instances), "--out-dir", str(tmp / "r")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(LOADED))
+def test_each_command_runs_only_the_modules_it_uses(command, tmp_path):
+    result = run_fresh(COMMAND_SCRIPT, *command_argv(command, tmp_path))
+    assert (result["code"], result["executed"], result["imported"]) == LOADED[command]
+
+
+def test_importing_the_cli_runs_no_csp2c_module():
+    script = """
+import json, sys, types
+import csp2c.cli
+print(json.dumps({
+    "executed": [n for n in %r if type(sys.modules.get("csp2c." + n)) is types.ModuleType],
+    "registered": [n for n in %r if "csp2c." + n in sys.modules],
+}))
+""" % (SIBLINGS, SIBLINGS)
+    assert run_fresh(script) == {"executed": ["cli"], "registered": list(SIBLINGS)}
 
 
 def verify_fresh(*options: str) -> dict:
-    result = run_fresh(
-        COMMAND_SCRIPT, "verify", *options, "--cc", "true {src} {out}",
-        corpus_path("valid", "conflicts_group"),
-    )
-    # `true` builds no driver, so verify fails; by then it has loaded its modules
+    result = run_fresh(COMMAND_SCRIPT, *VERIFY, *options, INSTANCE)
     assert result["code"] == 1
-    assert result["executed"] == ["csp2c.codegen", "csp2c.verify", "csp2c.harness"]
+    assert result["executed"] == LOADED["verify"][1]
     return result
 
 

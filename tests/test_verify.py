@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import subprocess
@@ -48,7 +47,7 @@ from csp2c.verify import (
 )
 from csp2c.xcsp import parse_document, parse_intension
 
-from conftest import CORPUS_DIR, NOT_EQUAL_XML, load_corpus, overflowing_emitter
+from conftest import CORPUS_DIR, NOT_EQUAL_XML, load_corpus, overflowing_emitter, with_source
 
 
 def all_specs(family: Family):
@@ -60,9 +59,9 @@ def corrupting_emitter(csp, spec):
     flipped to ==."""
     program = transform(csp, spec)
     assert "!=" in program.source_text
-    return dataclasses.replace(
+    return with_source(
         program,
-        source_text=program.source_text.replace("!=", "==", 1),
+        program.source_text.replace("!=", "==", 1),
         instance_name=program.instance_name + "-faulty",
     )
 
@@ -73,9 +72,9 @@ def patching_emitter(old, new):
     def emit(csp, spec):
         program = transform(csp, spec)
         assert old in program.source_text
-        return dataclasses.replace(
+        return with_source(
             program,
-            source_text=program.source_text.replace(old, new),
+            program.source_text.replace(old, new),
             instance_name=program.instance_name + "-patched",
         )
 
@@ -101,7 +100,7 @@ def weakening_emitter(csp, spec):
     if spec.version not in (4, 10):
         return program
     assert "y<x" in program.source_text
-    return dataclasses.replace(program, source_text=program.source_text.replace("y<x", "y<=x"))
+    return with_source(program, program.source_text.replace("y<x", "y<=x"))
 
 
 # `asm` and `typeof` are keywords of gcc's default -std=gnu17; `bool` is a
@@ -125,7 +124,7 @@ def patch_shared_main(monkeypatch, old, new):
     def compile_patched(program, compile_cmd, workdir):
         assert program.source_text.startswith(DRIVER_PRELUDE) and old in DRIVER_PRELUDE
         text = program.source_text.replace(old, new, 1)
-        return compile_program(dataclasses.replace(program, source_text=text), compile_cmd, workdir)
+        return compile_program(with_source(program, text), compile_cmd, workdir)
 
     compile_program = verify.compile_program
     monkeypatch.setattr(verify, "compile_program", compile_patched)
@@ -474,7 +473,7 @@ class TestDifferentialCheck:
             if spec.version != 5:
                 return program
             text = program.source_text.replace("/* CSP is satisfiable */", "no_such_name;")
-            return dataclasses.replace(program, source_text=text)
+            return with_source(program, text)
 
         with pytest.raises(CompileError) as info:
             differential_check(
@@ -537,7 +536,7 @@ class TestDifferentialCheck:
         assert report.assignments_checked == 2 ** len(names)
         # llbmc declares its own intrinsics, so its programs compile as they are
         for spec in all_specs(Family.INTENSIONAL):
-            program = transform(csp, dataclasses.replace(spec, dialect=Dialect.LLBMC))
+            program = transform(csp, TransformSpec(spec.family, spec.version, Dialect.LLBMC))
             src = tmp_path / f"llbmc{spec.version}.c"
             src.write_text(program.source_text)
             proc = subprocess.run(
@@ -652,7 +651,7 @@ class TestShippedBytes:
             line = "    klee_assume(i0==i1);\n"
             assert line.rstrip() in program.constraint_lines
             text = program.source_text.replace(line, edit(line))
-            return dataclasses.replace(program, source_text=text)
+            return with_source(program, text)
 
         report = differential_check(
             csp, all_specs(Family.INTENSIONAL), cc_template, workdir=str(tmp_path), emitter=emit
@@ -664,7 +663,7 @@ class TestShippedBytes:
     def test_llbmc_programs_pass(self, cc_template, tmp_path, name):
         csp = load_corpus(name)
         family = family_of(csp.constraints())
-        specs = [dataclasses.replace(spec, dialect=Dialect.LLBMC) for spec in all_specs(family)]
+        specs = [TransformSpec(family, spec.version, Dialect.LLBMC) for spec in all_specs(family)]
         report = differential_check(csp, specs, cc_template, workdir=str(tmp_path))
         assert report.status is VerifyStatus.PASS, report.mismatches[:3]
         assert report.assignments_checked == csp.assignment_space_size
@@ -892,7 +891,7 @@ class TestBitwiseTruthTests:
         for dialect in (Dialect.KLEE, Dialect.LLBMC):
             report = differential_check(
                 csp,
-                [dataclasses.replace(s, dialect=dialect) for s in specs],
+                [TransformSpec(s.family, s.version, dialect) for s in specs],
                 cc_template,
                 workdir=str(tmp_path / dialect.value),
             )
