@@ -237,7 +237,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     "mismatches": len(report.mismatches),
                     "first_mismatch": first,
                     "timings": [
-                        {"versions": list(t.versions), "compile_s": t.compile_s, "run_s": t.run_s}
+                        {
+                            "versions": list(t.versions),
+                            "programs": t.programs,
+                            "compile_s": t.compile_s,
+                            "run_s": t.run_s,
+                        }
                         for t in report.timings
                     ],
                     "cc": report.compile_cmd,
@@ -251,7 +256,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         print(f"  cc: {report.compile_cmd}")
         for t in report.timings:
-            print(f"  {', '.join(t.versions)}: compile {t.compile_s:.3f} s, run {t.run_s:.3f} s")
+            programs = f"{t.programs} program" + ("s" if t.programs != 1 else "")
+            print(
+                f"  {', '.join(t.versions)}: {programs},"
+                f" compile {t.compile_s:.3f} s, run {t.run_s:.3f} s"
+            )
         for m in report.mismatches[:10]:
             a = " ".join(f"{k}={v}" for k, v in m.assignment)
             print(

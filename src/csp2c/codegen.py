@@ -859,11 +859,18 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     return program
 
 
-def _file_header(name: str, spec: TransformSpec, uses_dist: bool) -> list[str]:
-    lines = [
+def version_comment(name: str, spec: TransformSpec) -> str:
+    """Line 1 of the program of `spec` for the instance `name`, a comment
+    naming the cell; verify runs cells whose programs differ in this line
+    alone as one program."""
+    return (
         f"/* {name}: {spec.family.value} version {spec.version} "
         f"({spec.construct.value}, {spec.operator.value}, grouping={spec.grouping.value}) */"
-    ]
+    )
+
+
+def _file_header(name: str, spec: TransformSpec, uses_dist: bool) -> list[str]:
+    lines = [version_comment(name, spec)]
     if spec.dialect is Dialect.LLBMC:
         lines += [f"#include <{header}>" for header in _LIBC_HEADERS]
         lines += ["", "void __llbmc_assume(int condition);", "int __llbmc_nondef_int(void);"]

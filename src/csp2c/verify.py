@@ -3,19 +3,24 @@
 Programs are checked the hard way: compile the klee programs the tools
 receive with an external C compiler, and pipe the whole assignment plan
 through the executable, so the verification path shares no evaluation code
-with the oracle. All versions of one pass go into one translation unit
-(with `workers` > 1, into that many units, built at once by
+with the oracle. Versions whose programs are equal but for line 1, the
+comment codegen.version_comment writes for each cell, share one program,
+compiled and run once: on the corpus, 118 cells are 77 programs. Each
+distinct program of a pass goes into one translation unit (with `workers`
+> 1, the programs are split among that many units, built at once by
 harness.run_jobs), which codegen.build_unit assembles around the replay
 driver; it blanks the programs' `#include` lines of
 codegen.INCLUDED_HEADERS and keeps every other line the tools receive as
-it is. The driver prints, for
-every assignment, one line holding one 0/1 verdict digit per version, and
-a version's digit must be `1` exactly when the oracle says all constraints
-hold. The llbmc programs differ from the klee ones only in intrinsic names;
-`verify` does not compile them, and a test runs them through this same
-check. Compiles and driver runs go through `harness.run_command`: a compile
-runs in its own process group, killed whole after COMPILE_TIMEOUT_S, and
-DRIVER_TIMEOUT_S bounds the one driver run per unit.
+it is, so a compiler message in a program names the file of the first
+version that shares it. The driver prints, for every assignment, one line
+holding one 0/1 verdict digit per program, and the digit of every version
+that shares a program must be `1` exactly when the oracle says all
+constraints hold. The llbmc programs differ from the klee ones only in
+intrinsic names; `verify` does not compile them, and a test runs them
+through this same check. Compiles and driver runs go through
+`harness.run_command`: a compile runs in its own process group, killed
+whole after COMPILE_TIMEOUT_S, and DRIVER_TIMEOUT_S bounds the one driver
+run per unit.
 
 The default compile command, DEFAULT_CC, is `cc -O0` with gcc's and clang's
 signed-overflow check in trap form (`-fsanitize=signed-integer-overflow
@@ -25,11 +30,11 @@ signed `int` overflow, the undefined behaviour a program could hit, traps
 instead of wrapping silently (as at `-O0` alone) or being assumed away by
 the optimiser (as at `-O1`). A driver killed by SIGILL has hit that trap:
 the program's C semantics break the promise there, so it is a VerifyError
-naming the version and the assignment, never a verdict. CSP2C_CC, or an
-explicit `compile_cmd`, replaces the whole template; a compiler that
-rejects the flags fails with CompileError. This module owns the template:
-`differential_check` checks it against COMPILE_FIELDS before anything else
-runs, and the report names it.
+naming the versions that share the program and the assignment, never a
+verdict. CSP2C_CC, or an explicit `compile_cmd`, replaces the whole
+template; a compiler that rejects the flags fails with CompileError. This
+module owns the template: `differential_check` checks it against
+COMPILE_FIELDS before anything else runs, and the report names it.
 
 `differential_check` is the one check of the version matrix: every
 version is compared with the oracle, so a PASS in every version also means
@@ -52,7 +57,14 @@ import time
 from enum import Enum
 from typing import Callable, Sequence
 
-from .codegen import GeneratedProgram, TransformSpec, build_unit, output_filename, transform
+from .codegen import (
+    GeneratedProgram,
+    TransformSpec,
+    build_unit,
+    output_filename,
+    transform,
+    version_comment,
+)
 from .harness import CommandResult, check_template, run_command, run_jobs, write_program
 from .model import CspInstance, Frozen
 from .oracle import Assignment, all_assignments, constraint_satisfied, solve
@@ -104,16 +116,20 @@ class Mismatch(Frozen):
 
 
 class UnitTiming(Frozen):
-    """One translation unit: the versions it holds, the time to build and
-    compile it, and the time of its one driver run."""
+    """One translation unit: every version whose verdicts came from it, in
+    the order of `versions`, the number of distinct programs it compiled,
+    the time to build and compile it, and the time of its one driver run."""
 
-    __slots__ = _fields = ("versions", "compile_s", "run_s")
+    __slots__ = _fields = ("versions", "programs", "compile_s", "run_s")
     versions: tuple[str, ...]
+    programs: int
     compile_s: float
     run_s: float
 
-    def __init__(self, versions: tuple[str, ...], compile_s: float, run_s: float) -> None:
-        self._set(versions, compile_s, run_s)
+    def __init__(
+        self, versions: tuple[str, ...], programs: int, compile_s: float, run_s: float
+    ) -> None:
+        self._set(versions, programs, compile_s, run_s)
 
 
 class VerificationReport(Frozen):
@@ -126,7 +142,7 @@ class VerificationReport(Frozen):
     assignments_checked: int
     mismatches: list[Mismatch]
     status: VerifyStatus
-    # one entry per translation unit, each listing its distinct versions
+    # one entry per translation unit; each distinct version is in one of them
     timings: list[UnitTiming]
     # the compile command template that built the units
     compile_cmd: str
@@ -186,45 +202,50 @@ def compile_program(program: GeneratedProgram, compile_cmd: str, workdir: str) -
 
 
 def _died_at(
-    stdout: str, programs: Sequence[GeneratedProgram], assignments: Sequence[Assignment]
+    stdout: str,
+    sharers: Sequence[Sequence[GeneratedProgram]],
+    assignments: Sequence[Assignment],
 ) -> str:
     """Where a driver run that died had got to, read from its unbuffered
     output: its whole lines count the assignments done, and the digits of
-    its last, partial line the versions done on the next one. Empty when
-    the output names no version and assignment of the unit."""
+    its last, partial line the programs done on the next one. The program it
+    was running is named by every version that shares it and by the file of
+    the first. Empty when the output names no program and assignment of the
+    unit."""
     row = stdout.count("\n")
     partial = stdout[stdout.rfind("\n") + 1 :]
-    if row >= len(assignments) or len(partial) >= len(programs) or partial.strip("01"):
+    if row >= len(assignments) or len(partial) >= len(sharers) or partial.strip("01"):
         return ""
-    program = programs[len(partial)]
+    programs = sharers[len(partial)]
+    labels = ", ".join(program.version_label for program in programs)
     values = " ".join(f"{name}={value}" for name, value in assignments[row].items())
-    where = f"{program.version_label} ({output_filename(program)})"
-    return f", running {where} on assignment {values},"
+    return f", running {labels} ({output_filename(programs[0])}) on assignment {values},"
 
 
 def _verdicts(
     exe: str,
     plan: str,
-    programs: Sequence[GeneratedProgram],
+    sharers: Sequence[Sequence[GeneratedProgram]],
     assignments: Sequence[Assignment],
 ) -> list[list[bool]]:
     """Pipe the plan of `assignments` through one run of a unit's driver;
-    one row of verdicts for each of its `programs`, in order.
+    one row of verdicts for each of its programs, in order. `sharers` holds,
+    for each program, the programs of the versions that share it.
 
     Anything but a zero exit with exactly one line of one 0/1 digit per
     program for each assignment raises VerifyError: a broken driver is never
     read as a verdict. A driver that exits nonzero or is killed (SIGILL is
     the trap of DEFAULT_CC's signed-overflow check) is named with the
-    version and the assignment it was running.
+    versions and the assignment it was running.
     """
-    count, width = len(assignments), len(programs)
+    count, width = len(assignments), len(sharers)
     proc = _run("{exe}", {"exe": exe}, DRIVER_TIMEOUT_S, stdin=plan)
     if proc.returncode != 0:
         # a driver killed by signal N has returncode -N
         killed = {s.value: s.name for s in signal.Signals}.get(-proc.returncode)
         stderr = proc.stderr.strip()
         raise VerifyError(
-            f"driver {exe}{_died_at(proc.stdout, programs, assignments)}"
+            f"driver {exe}{_died_at(proc.stdout, sharers, assignments)}"
             f" exited with status {proc.returncode}"
             + (f" (killed by {killed})" if killed else "")
             + (f": {stderr}" if stderr else "")
@@ -245,34 +266,42 @@ def _verdicts(
 def _observe(
     csp: CspInstance,
     programs: Sequence[GeneratedProgram],
+    shared: Sequence[int],
     assignments: Sequence[Assignment],
     compile_cmd: str,
     workers: int,
     workdir: str | None,
 ) -> tuple[list[list[bool]], list[UnitTiming]]:
-    """One row of driver verdicts per program, in the order of `assignments`,
-    and one timing per translation unit.
+    """One row of driver verdicts per distinct program, in the order of
+    `assignments`, and one timing per translation unit.
 
-    The programs are split, in order, into min(`workers`, their number)
-    units of near-equal size, each built, compiled and run once by
-    harness.run_jobs. Builds go to `workdir`, or to a temporary directory
-    removed afterwards.
+    `programs` are the distinct versions' programs and program i is distinct
+    program shared[i], as _share numbers them; a unit compiles the first
+    program of each. The distinct programs are split, in order, into
+    min(`workers`, their number) units of near-equal size, each built,
+    compiled and run once by harness.run_jobs. Builds go to `workdir`, or to
+    a temporary directory removed afterwards.
     """
     order = [v.id for v in csp.variables]
     plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
+    sharers: list[list[GeneratedProgram]] = [[] for _ in set(shared)]
+    for program, k in zip(programs, shared):
+        sharers[k].append(program)
+    count = len(sharers)
+    n = min(max(workers, 1), count)
     tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
-    n = min(max(workers, 1), len(programs))
-    units = [programs[len(programs) * i // n : len(programs) * (i + 1) // n] for i in range(n)]
 
     def job(index: int) -> tuple[list[list[bool]], UnitTiming]:
-        members = units[index]
+        low, high = count * index // n, count * (index + 1) // n
+        members = sharers[low:high]
         start = time.perf_counter()
-        unit = build_unit(csp, members, f"unit{index + 1}")
+        unit = build_unit(csp, [group[0] for group in members], f"unit{index + 1}")
         exe = compile_program(unit, compile_cmd, tmp)
         compiled = time.perf_counter()
         rows = _verdicts(exe, plan, members, assignments)
         timing = UnitTiming(
-            tuple(program.version_label for program in members),
+            tuple(p.version_label for p, k in zip(programs, shared) if low <= k < high),
+            len(members),
             compiled - start,
             time.perf_counter() - compiled,
         )
@@ -284,6 +313,23 @@ def _observe(
         if workdir is None:
             shutil.rmtree(tmp, ignore_errors=True)
     return [row for rows, _ in results for row in rows], [timing for _, timing in results]
+
+
+def _share(csp: CspInstance, emitted: dict[TransformSpec, GeneratedProgram]) -> list[int]:
+    """For each emitted program, in order, the number of the distinct
+    program it is, counted from 0 in order of first appearance. Programs are
+    one when their texts are equal but for line 1, where each holds the
+    comment codegen.version_comment writes for its own spec; a program
+    whose line 1 is anything else is one only with a program of the same
+    whole text."""
+    numbers: dict[tuple[bool, str], int] = {}
+    shared = []
+    for spec, program in emitted.items():
+        head = version_comment(csp.name, spec) + "\n"
+        text = program.source_text
+        key = (True, text[len(head) :]) if text.startswith(head) else (False, text)
+        shared.append(numbers.setdefault(key, len(numbers)))
+    return shared
 
 
 def _assignment_plan(csp: CspInstance, bound: int) -> tuple[list[Assignment], bool]:
@@ -322,10 +368,13 @@ def differential_check(
     version's program is emitted, by `emitter` (by default `transform`,
     looked up when called), before the oracle runs: an instance no program
     can encode raises CodegenError there, naming an intension
-    subexpression that can overflow. Compile failures raise CompileError
-    with compiler output; a compiler or driver that cannot be started or
-    times out, and a driver that exits nonzero or prints anything but one
-    verdict per assignment, raise VerifyError.
+    subexpression that can overflow. Programs equal but for their line-1
+    comment are compiled and run once, for all the versions that share
+    them; an emitter that changes any other byte keeps its program apart.
+    Compile failures raise CompileError with compiler output; a compiler
+    or driver that cannot be started or times out, and a driver that exits
+    nonzero or prints anything but one verdict per assignment, raise
+    VerifyError.
 
     Mismatches are listed by version, in the order of `versions`, then by
     assignment, in plan order; each assignment names its variables in
@@ -338,10 +387,11 @@ def differential_check(
     expected = [
         all(constraint_satisfied(c, a) for c in constraints) for a in assignments
     ]
+    shared = _share(csp, emitted)
     rows, timings = _observe(
-        csp, list(emitted.values()), assignments, compile_cmd, workers, workdir
+        csp, list(emitted.values()), shared, assignments, compile_cmd, workers, workdir
     )
-    observed = dict(zip(emitted, rows))
+    observed = {spec: rows[k] for spec, k in zip(emitted, shared)}
     order = [v.id for v in csp.variables]
     mismatches = [
         Mismatch(spec.version_label, tuple((v, a[v]) for v in order), want, got)

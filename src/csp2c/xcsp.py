@@ -289,45 +289,49 @@ def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
     bounds this parser's own recursion; the model holds the tree, where an
     n-ary operator folds into n-1 levels, to the same limit."""
     tokens = _tokenize(text)
-    end = len(tokens)
-    pos = 0
-
-    def expr(nesting: int) -> Expr:
-        nonlocal pos
-        if pos == end:
-            raise IntensionSyntaxError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        first = tok[0]
-        if first == "-" or first.isdecimal():
-            return Const(int(tok))
-        if first in "(),":
-            raise IntensionSyntaxError(f"unexpected {tok!r}")
-        if first == "%" or pos == end or tokens[pos] != "(":
-            return leaf(tok)
-        if nesting == MAX_EXPR_DEPTH:
-            raise IntensionSyntaxError(
-                f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
-            )
-        pos += 1
-        args = [expr(nesting + 1)]
-        while pos < end and tokens[pos] == ",":
-            pos += 1
-            args.append(expr(nesting + 1))
-        if pos == end:
-            raise IntensionSyntaxError("unexpected end of expression")
-        if tokens[pos] != ")":
-            raise IntensionSyntaxError(f"expected ')', found {tokens[pos]!r}")
-        pos += 1
-        return _build(tok, args)
-
     try:
-        tree = expr(0)
+        tree, pos = _parse_expr(tokens, 0, leaf, 0)
     except ModelError as exc:
         raise IntensionSyntaxError(str(exc)) from None
-    if pos != end:
+    if pos != len(tokens):
         raise IntensionSyntaxError(f"trailing input after expression: {tokens[pos]!r}")
     return tree
+
+
+def _parse_expr(
+    tokens: list[str], pos: int, leaf: Callable[[str], Expr], nesting: int
+) -> tuple[Expr, int]:
+    """The expression that starts at tokens[pos], `nesting` operators deep,
+    and the position after it. A module-level function, not a closure over
+    the tokens: a closure that calls itself is a reference cycle, which
+    would keep each parse's tokens and leaves until the cyclic collector
+    ran."""
+    end = len(tokens)
+    if pos == end:
+        raise IntensionSyntaxError("unexpected end of expression")
+    tok = tokens[pos]
+    pos += 1
+    first = tok[0]
+    if first == "-" or first.isdecimal():
+        return Const(int(tok)), pos
+    if first in "(),":
+        raise IntensionSyntaxError(f"unexpected {tok!r}")
+    if first == "%" or pos == end or tokens[pos] != "(":
+        return leaf(tok), pos
+    if nesting == MAX_EXPR_DEPTH:
+        raise IntensionSyntaxError(
+            f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
+        )
+    arg, pos = _parse_expr(tokens, pos + 1, leaf, nesting + 1)
+    args = [arg]
+    while pos < end and tokens[pos] == ",":
+        arg, pos = _parse_expr(tokens, pos + 1, leaf, nesting + 1)
+        args.append(arg)
+    if pos == end:
+        raise IntensionSyntaxError("unexpected end of expression")
+    if tokens[pos] != ")":
+        raise IntensionSyntaxError(f"expected ')', found {tokens[pos]!r}")
+    return _build(tok, args), pos + 1
 
 
 def _unresolved_leaf(token: str) -> Expr:

@@ -537,6 +537,21 @@ class TestVerifyCommand:
             "extensional1", "extensional5, extensional8",
         ]
 
+    def test_timings_count_the_distinct_programs(self, capsys, cc_template):
+        # supports_pair's 12 versions are 4 programs
+        args = ("verify", corpus_path("valid", "supports_pair"), "--versions", "all")
+        code, out, _ = run_cli(capsys, *args, "--cc", cc_template)
+        assert code == 0
+        (line,) = [line for line in out.splitlines() if "compile" in line]
+        labels = ", ".join(f"extensional{v}" for v in range(1, 13))
+        assert re.fullmatch(
+            rf"  {labels}: 4 programs, compile \d+\.\d{{3}} s, run \d+\.\d{{3}} s", line
+        )
+        code, out, _ = run_cli(capsys, *args, "--cc", cc_template, "--machine")
+        assert code == 0
+        (timing,) = json.loads(out)["timings"]
+        assert timing["programs"] == 4 and len(timing["versions"]) == 12
+
     def test_output_names_the_compile_template_that_ran(self, capsys, monkeypatch, cc_template):
         from csp2c.verify import DEFAULT_CC
 

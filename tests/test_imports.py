@@ -5,6 +5,7 @@ oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
 codegen alone writes replay-driver C; the harness alone starts child
 processes and runs jobs at once, and waits for a child without polling;
+no nested function names itself, so none is a reference cycle;
 the model alone sets the expression-depth limit; the harness and verify
 alone check command templates, each its own; verify emits in
 differential_check alone; ToolSpec and BenchInstance alone check their
@@ -130,6 +131,28 @@ def test_the_harness_never_polls_a_child():
         )
     ]
     assert polls == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_function_names_itself(path):
+    """A nested function that names itself, to recurse, holds a cell that
+    holds the function: a reference cycle, which keeps all the closure
+    reaches (a parse's tokens, its leaves, the reader) until the cyclic
+    collector runs. Recursion is for module-level functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    cycles = {
+        (inner.lineno, inner.name)
+        for outer in ast.walk(tree)
+        if isinstance(outer, FUNCTIONS)
+        for inner in ast.walk(outer)
+        if inner is not outer
+        and isinstance(inner, FUNCTIONS)
+        and any(isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner))
+    }
+    assert sorted(cycles) == []
 
 
 def assigned_names(path: Path) -> set[str]:

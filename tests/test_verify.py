@@ -316,11 +316,15 @@ class TestDifferentialCheck:
         assert serial.status is concurrent.status is VerifyStatus.PASS
         assert concurrent.versions == serial.versions
         labels = [spec.version_label for spec in all_specs(Family.EXTENSIONAL)]
-        # the duplicate runs once; 12 versions split in order into 3 units of 4
+        # the duplicate runs once; xor_ring's 12 versions are 8 programs,
+        # {1,2} {3} {4,5} {6} {7,8} {9} {10,11} {12}, split in order into
+        # units of 2, 3 and 3 programs
         assert [list(t.versions) for t in serial.timings] == [labels]
         assert [list(t.versions) for t in concurrent.timings] == [
-            labels[:4], labels[4:8], labels[8:],
+            labels[:3], labels[3:8], labels[8:],
         ]
+        assert [t.programs for t in serial.timings] == [8]
+        assert [t.programs for t in concurrent.timings] == [2, 3, 3]
 
     def test_three_workers_build_three_units_that_agree_with_serial(
         self, cc_template, tmp_path
@@ -631,6 +635,80 @@ class TestDifferentialCheck:
         assert forward.status == backward.status
         assert forward.mismatches == backward.mismatches
         assert sorted(forward.versions) == sorted(backward.versions)
+
+
+class TestSharedPrograms:
+    """Versions whose programs differ only in their line-1 comment share one
+    compiled program; any other difference keeps them apart."""
+
+    def test_all_versions_of_supports_pair_are_four_programs(self, cc_template, tmp_path):
+        csp = load_corpus("supports_pair")
+        report = differential_check(
+            csp, all_specs(Family.EXTENSIONAL), cc_template, workdir=str(tmp_path)
+        )
+        assert report.status is VerifyStatus.PASS
+        assert len(report.versions) == 12
+        (unit,) = tmp_path.glob("*.c")
+        lines = unit.read_text().splitlines()
+        assert len([l for l in lines if l.startswith("#define main csp2c_main_")]) == 4
+        (timing,) = report.timings
+        assert timing.programs == 4
+        assert list(timing.versions) == report.versions
+
+    def test_an_edit_to_one_of_two_equal_programs_fails_that_version_alone(
+        self, cc_template, tmp_path
+    ):
+        # versions 1 and 2 of supports_pair are one program; (1, 1) is no support
+        patched = patching_emitter("(a==1 && b==0)", "(a==1 && b==1)")
+
+        def emit(csp_arg, spec):
+            return (patched if spec.version == 1 else transform)(csp_arg, spec)
+
+        csp = load_corpus("supports_pair")
+        specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 2)]
+        report = differential_check(csp, specs, cc_template, workdir=str(tmp_path), emitter=emit)
+        assert report.status is VerifyStatus.FAIL
+        assert {m.version_label for m in report.mismatches} == {"extensional1"}
+        assert [t.programs for t in report.timings] == [2]
+
+    def test_a_program_with_another_cells_comment_is_not_shared(self, cc_template, tmp_path):
+        """Only the comment codegen writes for a version's own cell is set
+        aside: version 2 with version 1's line 1 is version 1's whole text,
+        yet a program of its own."""
+        csp = load_corpus("supports_pair")
+        first = transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
+
+        def emit(csp_arg, spec):
+            program = transform(csp_arg, spec)
+            return program if spec.version == 1 else with_source(program, first.source_text)
+
+        specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 2)]
+        report = differential_check(csp, specs, cc_template, workdir=str(tmp_path), emitter=emit)
+        assert report.status is VerifyStatus.PASS
+        assert [t.programs for t in report.timings] == [2]
+
+    def test_a_trap_in_a_shared_program_names_every_version_that_shares_it(
+        self, cc_template, tmp_path
+    ):
+        # versions 1, 2 and 4 of this instance are one program; with 2 and 4
+        # given the overflow, {2, 4} is the second program the driver runs
+        csp = parse_document(NOT_EQUAL_XML, name="overflow")
+
+        def emit(csp_arg, spec):
+            if spec.version in (2, 4):
+                return overflowing_emitter(spec.version_label)(csp_arg, spec)
+            return transform(csp_arg, spec)
+
+        with pytest.raises(VerifyError) as info:
+            differential_check(
+                csp,
+                all_specs(Family.INTENSIONAL),
+                verify.DEFAULT_CC,
+                workdir=str(tmp_path),
+                emitter=emit,
+            )
+        where = "intensional2, intensional4 (overflow__intensional2__klee.c) on assignment x=1 y=0"
+        assert f", running {where}," in str(info.value)
 
 
 class TestShippedBytes:

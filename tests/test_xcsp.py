@@ -815,6 +815,32 @@ def test_parsing_holds_no_document_tree():
     assert peak < 1.5 * retained, (peak, retained)
 
 
+def test_parsing_and_transforming_leave_no_garbage():
+    """Parsing lone and <group> intension constraints and emitting every
+    version makes no reference cycle: reference counting frees it all as
+    soon as the instance is dropped, with the cyclic collector off."""
+    from csp2c.codegen import Family, TransformSpec, transform, version_count
+
+    text = document(
+        SIX,
+        "<intension> ne(x[0],add(x[1],1)) </intension>"
+        "<intension> le(dist(x[2],x[3]),2) </intension>"
+        "<group><intension> lt(%0,%1) </intension>"
+        "<args> x[4] x[5] </args><args> x[5] x[0] </args></group>",
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        csp = parse_document(text)
+        assert len(csp.constraints()) == 4
+        for version in range(1, version_count(Family.INTENSIONAL) + 1):
+            transform(csp, TransformSpec(Family.INTENSIONAL, version))
+        del csp
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestTupleLists:
     def test_items_are_separated_by_commas_with_optional_spaces(self):
         csp = parse_document(table_doc("(0, 3) ( 1 ,2 )"))
