@@ -256,9 +256,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         print(f"  cc: {report.compile_cmd}")
         for t in report.timings:
-            programs = f"{t.programs} program" + ("s" if t.programs != 1 else "")
             print(
-                f"  {', '.join(t.versions)}: {programs},"
+                f"  {', '.join(t.versions)}: {_plural(t.programs, 'program')},"
                 f" compile {t.compile_s:.3f} s, run {t.run_s:.3f} s"
             )
         for m in report.mismatches[:10]:
@@ -431,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_int_at_least(1),
         default=1,
-        help="translation units, each holding a share of the versions, built and run at once",
+        help="translation units built and run at once, each a share of the distinct programs",
     )
     p.add_argument("--machine", action="store_true", help="JSON output")
     p.set_defaults(func=cmd_verify)

@@ -158,7 +158,7 @@ class TransformSpec(Frozen):
         count = version_count(family)
         if not 1 <= version <= count:
             raise CodegenError(f"{family.value} version must be in 1..{count}, got {version}")
-        self._set(family, version, dialect)
+        Frozen.__init__(self, family, version, dialect)
 
     @property
     def construct(self) -> Construct:
@@ -202,19 +202,6 @@ class GeneratedProgram(Frozen):
     dialect: Dialect
     # the rendered constraint-encoding statements, for structural checks
     constraint_lines: tuple[str, ...]
-
-    def __init__(
-        self,
-        source_text: str,
-        version_label: str,
-        statement_count: int,
-        instance_name: str,
-        dialect: Dialect,
-        constraint_lines: tuple[str, ...],
-    ) -> None:
-        self._set(
-            source_text, version_label, statement_count, instance_name, dialect, constraint_lines
-        )
 
     @property
     def line_count(self) -> int:

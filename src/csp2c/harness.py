@@ -33,7 +33,7 @@ import time
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from .model import Dialect, Family, Frozen, set_slot
+from .model import Dialect, Family, Frozen
 
 if TYPE_CHECKING:
     from .codegen import GeneratedProgram
@@ -85,9 +85,7 @@ class ToolSpec(Frozen):
         kind: ToolKind | str = ToolKind.ANALYSIS,  # a member or its value
         dialect: str = "klee",
     ) -> None:
-        self._set(name, run, prepare, timeout_s, success_pattern, kind, dialect)
-        _check_fields(self, _TOOL_KEYS)
-        set_slot(self, "kind", ToolKind(kind))
+        _check_fields(_TOOL_KEYS, (name, run, prepare, timeout_s, success_pattern, kind, dialect))
         for key, template in (("prepare", prepare), ("run", run)):
             # an empty run is an error
             if template or key == "run":
@@ -95,6 +93,9 @@ class ToolSpec(Frozen):
                     check_template(template, TOOL_FIELDS)
                 except HarnessError as exc:
                     raise HarnessError(f"{key!r}: {exc}") from None
+        Frozen.__init__(
+            self, name, run, prepare, timeout_s, success_pattern, ToolKind(kind), dialect
+        )
 
 
 class BenchInstance(Frozen):
@@ -104,8 +105,8 @@ class BenchInstance(Frozen):
     size: int
 
     def __init__(self, path: str, family: str, size: int) -> None:
-        self._set(path, family, size)
-        _check_fields(self, _INSTANCE_KEYS)
+        _check_fields(_INSTANCE_KEYS, (path, family, size))
+        Frozen.__init__(self, path, family, size)
 
     @property
     def instance_id(self) -> str:
@@ -123,18 +124,7 @@ class RunRecord(Frozen):
     wallclock_s: float
     normalized: float | None
     note: str
-
-    def __init__(
-        self,
-        tool: str,
-        instance: str,
-        version: str,
-        outcome: Outcome,
-        wallclock_s: float,
-        normalized: float | None = None,
-        note: str = "",
-    ) -> None:
-        self._set(tool, instance, version, outcome, wallclock_s, normalized, note)
+    _defaults = {"normalized": None, "note": ""}
 
 
 class RobustnessRow(Frozen):
@@ -145,20 +135,12 @@ class RobustnessRow(Frozen):
     timeouts: int
     n: int
 
-    def __init__(
-        self, tool: str, version: str, mean_normalized: float | None, timeouts: int, n: int
-    ) -> None:
-        self._set(tool, version, mean_normalized, timeouts, n)
-
 
 class ScalabilityRow(Frozen):
     __slots__ = _fields = ("tool", "size_index", "timeouts")
     tool: str
     size_index: int
     timeouts: int
-
-    def __init__(self, tool: str, size_index: int, timeouts: int) -> None:
-        self._set(tool, size_index, timeouts)
 
 
 class Report(Frozen):
@@ -167,15 +149,7 @@ class Report(Frozen):
     scalability: list[ScalabilityRow]
     records: list[RunRecord]
     flags: Sequence[str]
-
-    def __init__(
-        self,
-        robustness: list[RobustnessRow],
-        scalability: list[ScalabilityRow],
-        records: list[RunRecord],
-        flags: Sequence[str] = (),
-    ) -> None:
-        self._set(robustness, scalability, records, flags)
+    _defaults = {"flags": ()}
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +228,10 @@ _INSTANCE_KEYS = {
 }
 
 
-def _check_fields(obj: Any, keys: Mapping[str, Any]) -> None:
-    """HarnessError naming the first field of `obj` that fails its check."""
-    for key, (valid, word, expected) in keys.items():
-        value = getattr(obj, key)
+def _check_fields(keys: Mapping[str, Any], values: Sequence[Any]) -> None:
+    """HarnessError naming the first of `values`, one per key of `keys` in
+    order, that fails its check."""
+    for (key, (valid, word, expected)), value in zip(keys.items(), values, strict=True):
         if not valid(value):
             raise HarnessError(f"has {word} {key} {value!r}; expected {expected}")
 
@@ -307,17 +281,6 @@ class CommandResult(Frozen):
     stderr: str
     wall_s: float
     timed_out: bool
-
-    def __init__(
-        self,
-        argv: list[str],
-        returncode: int | None,
-        stdout: str,
-        stderr: str,
-        wall_s: float,
-        timed_out: bool,
-    ) -> None:
-        self._set(argv, returncode, stdout, stderr, wall_s, timed_out)
 
 
 def _field_names(text: str) -> Iterable[str]:

@@ -13,10 +13,13 @@ Python's stack.
 
 The value classes are plain `__slots__` classes over one base, Frozen, and
 so is every other value csp2c defines, in the oracle, the XCSP3 reader,
-codegen, verify and the harness. Their methods are written out, not
-generated when the module is imported: each command starts a new
-interpreter, and generating them (with `inspect` imported to do it) took
-about half of csp2c's own import time.
+codegen, verify and the harness. A class lists its fields in `_fields` and
+the defaults of any a caller may leave out in `_defaults`; Frozen's one
+constructor takes the fields by position or by keyword, and a class writes
+its own only to check them first. Nothing is generated when the module is
+imported: each command starts a new interpreter, and generating methods
+(with `inspect` imported to do it) took about half of csp2c's own import
+time.
 """
 
 from __future__ import annotations
@@ -49,16 +52,22 @@ set_slot = object.__setattr__
 class Frozen:
     """Base of the immutable value classes.
 
-    A subclass lists its fields in `_fields`, in constructor order, and its
-    `__init__` sets each slot through `set_slot`, or all of them at once
-    through `_set`. Two objects are equal, and hash equal, when they are of
-    the same class with equal fields. `repr` reads `Name(field=value, ...)`.
-    Copy and pickle call the class with the fields in order. Assigning or
-    deleting an attribute raises AttributeError.
+    A subclass lists its fields in `_fields`, and the values of any it lets
+    a caller leave out in `_defaults`. The one constructor takes the fields
+    by position, in `_fields` order, or by keyword, and raises TypeError for
+    a missing or unknown one, as a function would. A subclass that checks
+    its fields does so in its own `__init__`, then calls `Frozen.__init__`.
+    Two objects are equal, and hash equal, when they are of the same class
+    with equal fields. `repr` reads `Name(field=value, ...)`. Copy and
+    pickle call the class with the fields in order. Assigning or deleting
+    an attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields: ClassVar[tuple[str, ...]]
+    # field -> the value of a field left out; one value is shared by every
+    # object built without it, so each is immutable
+    _defaults: ClassVar[Mapping[str, Any]] = {}
     # the fields' values: the value itself for one field, else a tuple
     _key: ClassVar[attrgetter]
 
@@ -66,10 +75,31 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls._fields)
 
-    def _set(self, *values: Any) -> None:
-        """Set the fields to `values`, in `_fields` order."""
-        for name, value in zip(self._fields, values, strict=True):
-            set_slot(self, name, value)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        # every field by position, the common call, needs no binding
+        if kwargs or len(args) != len(fields):
+            name = f"{self.__class__.__qualname__}()"
+            if len(args) > len(fields):
+                raise TypeError(f"{name} got {len(args)} arguments for its fields {fields}")
+            given = dict(zip(fields, args))
+            for key, value in kwargs.items():
+                if key in given:
+                    raise TypeError(f"{name} got multiple values for argument {key!r}")
+                if key not in fields:
+                    raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
+                given[key] = value
+            given = {**self._defaults, **given}
+            missing = ", ".join(repr(key) for key in fields if key not in given)
+            if missing:
+                raise TypeError(f"{name} missing required arguments: {missing}")
+            args = tuple(given[key] for key in fields)
+        # a counter, not zip or enumerate, as it is the cheaper loop: one
+        # parse builds tens of thousands of values
+        i = 0
+        for key in fields:
+            set_slot(self, key, args[i])
+            i += 1
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -114,7 +144,7 @@ class Domain(Frozen):
             if prev_hi is not None and lo <= prev_hi:
                 raise ModelError("domain ranges must be disjoint and ascending")
             prev_hi = hi
-        set_slot(self, "ranges", ranges)
+        Frozen.__init__(self, ranges)
 
     @staticmethod
     def from_values(values: Iterable[int]) -> "Domain":
@@ -173,10 +203,6 @@ class VariableDecl(Frozen):
     id: str
     domain: Domain
 
-    def __init__(self, id: str, domain: Domain) -> None:
-        set_slot(self, "id", id)
-        set_slot(self, "domain", domain)
-
 
 # ---------------------------------------------------------------------------
 # Intensional expression trees
@@ -193,18 +219,12 @@ class Var(Frozen):
 
     depth: ClassVar[int] = 0
 
-    def __init__(self, name: str) -> None:
-        set_slot(self, "name", name)
-
 
 class Const(Frozen):
     __slots__ = _fields = ("value",)
     value: int
 
     depth: ClassVar[int] = 0
-
-    def __init__(self, value: int) -> None:
-        set_slot(self, "value", value)
 
 
 def _checked_depth(depth: int) -> int:
@@ -227,8 +247,7 @@ class Unary(Frozen):
         if op not in UNARY_OPS:
             raise ModelError(f"unknown unary operator {op!r}")
         set_slot(self, "depth", _checked_depth(operand.depth + 1))
-        set_slot(self, "op", op)
-        set_slot(self, "operand", operand)
+        Frozen.__init__(self, op, operand)
 
 
 class Binary(Frozen):
@@ -243,9 +262,7 @@ class Binary(Frozen):
         if op not in BINARY_OPS:
             raise ModelError(f"unknown binary operator {op!r}")
         set_slot(self, "depth", _checked_depth(max(left.depth, right.depth) + 1))
-        set_slot(self, "op", op)
-        set_slot(self, "left", left)
-        set_slot(self, "right", right)
+        Frozen.__init__(self, op, left, right)
 
 
 Expr = Union[Var, Const, Unary, Binary]
@@ -293,14 +310,7 @@ class TableConstraint(Frozen):
         for t in tuples:
             if len(t) != len(scope):
                 raise ModelError(f"tuple {t} has arity {len(t)}, scope has arity {len(scope)}")
-        self._assign(scope, polarity, tuples)
-
-    def _assign(
-        self, scope: tuple[str, ...], polarity: Polarity, tuples: tuple[tuple[int, ...], ...]
-    ) -> None:
-        set_slot(self, "scope", scope)
-        set_slot(self, "polarity", polarity)
-        set_slot(self, "tuples", tuples)
+        Frozen.__init__(self, scope, polarity, tuples)
 
     def with_scope(self, scope: tuple[str, ...]) -> "TableConstraint":
         """The same table over `scope`, which has this table's arity. The
@@ -310,7 +320,7 @@ class TableConstraint(Frozen):
         if len(scope) != len(self.scope):
             raise ModelError(f"scope {scope} has arity {len(scope)}, table has {len(self.scope)}")
         table = object.__new__(TableConstraint)
-        table._assign(scope, self.polarity, self.tuples)
+        Frozen.__init__(table, scope, self.polarity, self.tuples)
         return table
 
 
@@ -327,9 +337,6 @@ class IntensionConstraint(Frozen):
     __slots__ = _fields = ("expr",)
     expr: Expr
 
-    def __init__(self, expr: Expr) -> None:
-        set_slot(self, "expr", expr)
-
     @property
     def scope(self) -> tuple[str, ...]:
         return expr_variables(self.expr)
@@ -344,7 +351,7 @@ class AllDifferent(Frozen):
             raise ModelError(f"allDifferent scope has repeated variables: {scope}")
         if len(scope) < 2:
             raise ModelError("allDifferent needs at least 2 variables")
-        set_slot(self, "scope", scope)
+        Frozen.__init__(self, scope)
 
     def with_scope(self, scope: tuple[str, ...]) -> "AllDifferent":
         return AllDifferent(scope)
@@ -391,10 +398,8 @@ class CspInstance(Frozen):
         groups: tuple[tuple[Constraint, ...], ...],
         flatten_map: Mapping[str, str] | None = None,
     ) -> None:
-        set_slot(self, "name", name)
-        set_slot(self, "variables", variables)
-        set_slot(self, "groups", groups)
-        set_slot(self, "flatten_map", {} if flatten_map is None else flatten_map)
+        # each instance gets its own empty map
+        Frozen.__init__(self, name, variables, groups, {} if flatten_map is None else flatten_map)
 
     def variable_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)

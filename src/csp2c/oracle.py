@@ -79,7 +79,6 @@ from .model import (
     TableConstraint,
     Unary,
     Var,
-    set_slot,
 )
 
 DEFAULT_LIMIT = 10**7
@@ -110,15 +109,6 @@ class SolveResult(Frozen):
     explored: int
     work: int
     checks: int
-
-    def __init__(
-        self, status: Status, witness: Assignment | None, explored: int, work: int, checks: int
-    ) -> None:
-        set_slot(self, "status", status)
-        set_slot(self, "witness", witness)
-        set_slot(self, "explored", explored)
-        set_slot(self, "work", work)
-        set_slot(self, "checks", checks)
 
 
 def _check32(value: int) -> int:
@@ -305,7 +295,7 @@ def _search(
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    order = [v.id for v in csp.variables]
+    order = csp.variable_ids()
     domains = [v.domain.values() for v in csp.variables]
     n = len(order)
 
@@ -425,6 +415,6 @@ def enumerate_solutions(csp: CspInstance) -> list[Assignment]:
 
 def all_assignments(csp: CspInstance) -> Iterator[Assignment]:
     """Lexicographic iterator over the full domain product (no constraints)."""
-    order = [v.id for v in csp.variables]
+    order = csp.variable_ids()
     for values in itertools.product(*(v.domain.values() for v in csp.variables)):
         yield dict(zip(order, values))

@@ -105,15 +105,6 @@ class Mismatch(Frozen):
     expected: bool
     observed: bool
 
-    def __init__(
-        self,
-        version_label: str,
-        assignment: tuple[tuple[str, int], ...],
-        expected: bool,
-        observed: bool,
-    ) -> None:
-        self._set(version_label, assignment, expected, observed)
-
 
 class UnitTiming(Frozen):
     """One translation unit: every version whose verdicts came from it, in
@@ -125,11 +116,6 @@ class UnitTiming(Frozen):
     programs: int
     compile_s: float
     run_s: float
-
-    def __init__(
-        self, versions: tuple[str, ...], programs: int, compile_s: float, run_s: float
-    ) -> None:
-        self._set(versions, programs, compile_s, run_s)
 
 
 class VerificationReport(Frozen):
@@ -146,18 +132,6 @@ class VerificationReport(Frozen):
     timings: list[UnitTiming]
     # the compile command template that built the units
     compile_cmd: str
-
-    def __init__(
-        self,
-        instance: str,
-        versions: list[str],
-        assignments_checked: int,
-        mismatches: list[Mismatch],
-        status: VerifyStatus,
-        timings: list[UnitTiming],
-        compile_cmd: str,
-    ) -> None:
-        self._set(instance, versions, assignments_checked, mismatches, status, timings, compile_cmd)
 
     @property
     def passed(self) -> bool:
@@ -282,7 +256,7 @@ def _observe(
     compiled and run once by harness.run_jobs. Builds go to `workdir`, or to
     a temporary directory removed afterwards.
     """
-    order = [v.id for v in csp.variables]
+    order = csp.variable_ids()
     plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
     sharers: list[list[GeneratedProgram]] = [[] for _ in set(shared)]
     for program, k in zip(programs, shared):
@@ -343,7 +317,7 @@ def _assignment_plan(csp: CspInstance, bound: int) -> tuple[list[Assignment], bo
     result = solve(csp, limit=min(csp.assignment_space_size, 10**6))
     if result.witness is not None:
         plan.append(result.witness)
-    order = [v.id for v in csp.variables]
+    order = csp.variable_ids()
     pools = [v.domain.values() for v in csp.variables]
     while len(plan) < DEFAULT_SAMPLE_COUNT:
         plan.append({v: rng.choice(pool) for v, pool in zip(order, pools)})
@@ -392,7 +366,7 @@ def differential_check(
         csp, list(emitted.values()), shared, assignments, compile_cmd, workers, workdir
     )
     observed = {spec: rows[k] for spec, k in zip(emitted, shared)}
-    order = [v.id for v in csp.variables]
+    order = csp.variable_ids()
     mismatches = [
         Mismatch(spec.version_label, tuple((v, a[v]) for v in order), want, got)
         for spec in versions

@@ -78,7 +78,6 @@ from .model import (
     UNARY_OPS,
     Var,
     VariableDecl,
-    set_slot,
 )
 
 # one entry of an <args> row: a flattened variable id or an integer
@@ -96,11 +95,6 @@ class ParseDiagnostic(Frozen):
     path: str
     line: int | None
     message: str
-
-    def __init__(self, path: str, line: int | None, message: str) -> None:
-        set_slot(self, "path", path)
-        set_slot(self, "line", line)
-        set_slot(self, "message", message)
 
     def __str__(self) -> str:
         where = self.path if self.line is None else f"{self.path} (line {self.line})"
@@ -128,9 +122,6 @@ class Placeholder(Frozen):
 
     depth: ClassVar[int] = 0
 
-    def __init__(self, index: int) -> None:
-        set_slot(self, "index", index)
-
 
 class _Template(Frozen):
     """One parsed constraint element. `build` fills the `%i` slots, whose
@@ -140,12 +131,6 @@ class _Template(Frozen):
     __slots__ = _fields = ("slots", "build")
     slots: tuple[int, ...]
     build: Callable[[Sequence[Arg]], Constraint]
-
-    def __init__(
-        self, slots: tuple[int, ...], build: Callable[[Sequence[Arg]], Constraint]
-    ) -> None:
-        set_slot(self, "slots", slots)
-        set_slot(self, "build", build)
 
     def instantiate(self, name: str, rows: Sequence[tuple[Arg, ...]]) -> tuple[Constraint, ...]:
         """One constraint per args row, in row order; ModelError names the

@@ -5,7 +5,8 @@ oracle, the independent reference, imports only the model, and codegen
 does not import the oracle; the model imports no other csp2c module;
 codegen alone writes replay-driver C; the harness alone starts child
 processes and runs jobs at once, and waits for a child without polling;
-no nested function names itself, so none is a reference cycle;
+no nested function names itself, so none is a reference cycle; no
+model.Frozen subclass writes out a constructor that only stores its fields;
 the model alone sets the expression-depth limit; the harness and verify
 alone check command templates, each its own; verify emits in
 differential_check alone; ToolSpec and BenchInstance alone check their
@@ -153,6 +154,49 @@ def test_no_nested_function_names_itself(path):
         and any(isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner))
     }
     assert sorted(cycles) == []
+
+
+# the calls that store a value's fields
+STORERS = {"set_slot", "self._set", "Frozen.__init__"}
+
+
+def store_only_constructors(path: Path) -> list[str]:
+    """The model.Frozen subclasses whose own `__init__` only passes its
+    parameters, unchanged, to the calls that store fields."""
+
+    def stores(stmt: ast.stmt) -> bool:
+        if not isinstance(stmt, ast.Expr):
+            return False
+        call = stmt.value
+        if isinstance(call, ast.Constant):  # a docstring
+            return True
+        return (
+            isinstance(call, ast.Call)
+            and ast.unparse(call.func) in STORERS
+            and all(
+                isinstance(arg, (ast.Name, ast.Constant))
+                or isinstance(arg, ast.Starred) and isinstance(arg.value, ast.Name)
+                for arg in [*call.args, *(k.value for k in call.keywords)]
+            )
+        )
+
+    return [
+        cls.name
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        and any(ast.unparse(base).split(".")[-1] == "Frozen" for base in cls.bases)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        and all(stores(stmt) for stmt in init.body)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_value_class_writes_out_a_constructor_that_only_stores(path):
+    """Frozen's one constructor takes and stores the fields; a subclass
+    writes its own only to check them or to work one out, and then calls
+    Frozen.__init__."""
+    assert store_only_constructors(path) == []
 
 
 def assigned_names(path: Path) -> set[str]:

@@ -7,12 +7,28 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
+from csp2c.codegen import GeneratedProgram, TransformSpec
+from csp2c.harness import (
+    DEFAULT_TIMEOUT_S,
+    BenchInstance,
+    CommandResult,
+    Outcome,
+    Report,
+    RobustnessRow,
+    RunRecord,
+    ScalabilityRow,
+    ToolKind,
+    ToolSpec,
+)
 from csp2c.model import (
     AllDifferent,
     Binary,
     Const,
     CspInstance,
+    Dialect,
     Domain,
+    Family,
+    Frozen,
     IntensionConstraint,
     MAX_EXPR_DEPTH,
     MAX_LISTED_VALUES,
@@ -26,6 +42,7 @@ from csp2c.model import (
     expr_variables,
 )
 from csp2c.oracle import SolveResult, Status
+from csp2c.verify import Mismatch, UnitTiming, VerificationReport, VerifyStatus
 from csp2c.xcsp import ParseDiagnostic, Placeholder, _Template
 
 
@@ -152,6 +169,25 @@ class TestInstance:
 
 
 X, ONE = Var(name="x"), Const(value=1)
+RECORD = {
+    "tool": "k",
+    "instance": "t",
+    "version": "intensional2",
+    "outcome": Outcome.REACHED,
+    "wallclock_s": 1.5,
+    "normalized": 0.75,
+    "note": "",
+}
+ROBUSTNESS = {
+    "tool": "k", "version": "intensional2", "mean_normalized": 0.75, "timeouts": 0, "n": 3
+}
+SCALABILITY = {"tool": "k", "size_index": 1, "timeouts": 2}
+MISMATCH = {
+    "version_label": "intensional1", "assignment": (("x", 1),), "expected": True, "observed": False
+}
+TIMING = {
+    "versions": ("intensional1", "intensional2"), "programs": 1, "compile_s": 0.5, "run_s": 0.01
+}
 # one value of each immutable class, built by keyword: (class, fields)
 VALUES = [
     (Domain, {"ranges": ((0, 3), (5, 5))}),
@@ -184,6 +220,68 @@ VALUES = [
     (Placeholder, {"index": 1}),
     # a picklable function as the template's build
     (_Template, {"slots": (0,), "build": tuple}),
+    (TransformSpec, {"family": Family.INTENSIONAL, "version": 2, "dialect": Dialect.LLBMC}),
+    (
+        GeneratedProgram,
+        {
+            "source_text": "int main(void) { return 0; }\n",
+            "version_label": "intensional2",
+            "statement_count": 1,
+            "instance_name": "t",
+            "dialect": Dialect.KLEE,
+            "constraint_lines": ("x == 1",),
+        },
+    ),
+    (
+        ToolSpec,
+        {
+            "name": "k",
+            "run": "k {bitcode}",
+            "prepare": "cc -o {bitcode} {src}",
+            "timeout_s": 5.0,
+            "success_pattern": "ASSERTION FAIL",
+            "kind": ToolKind.BASELINE,
+            "dialect": "llbmc",
+        },
+    ),
+    (BenchInstance, {"path": "instances/t.xml", "family": "intensional", "size": 3}),
+    (RunRecord, RECORD),
+    (RobustnessRow, ROBUSTNESS),
+    (ScalabilityRow, SCALABILITY),
+    (
+        Report,
+        {
+            "robustness": [RobustnessRow(**ROBUSTNESS)],
+            "scalability": [ScalabilityRow(**SCALABILITY)],
+            "records": [RunRecord(**RECORD)],
+            "flags": ("k: no timeouts",),
+        },
+    ),
+    (
+        CommandResult,
+        {
+            "argv": ["k", "t.bc"],
+            "returncode": None,
+            "stdout": "",
+            "stderr": "not found",
+            "wall_s": 0.25,
+            "timed_out": False,
+        },
+    ),
+    (Mismatch, MISMATCH),
+    (UnitTiming, TIMING),
+    (
+        VerificationReport,
+        {
+            "instance": "t",
+            "versions": ["intensional1", "intensional2"],
+            "assignments_checked": 4,
+            "mismatches": [Mismatch(**MISMATCH)],
+            "status": VerifyStatus.FAIL,
+            "timings": [UnitTiming(**TIMING)],
+            "compile_cmd": "cc -o {out} {src}",
+        },
+    ),
 ]
 
 
@@ -191,13 +289,13 @@ VALUES = [
     "cls, fields", VALUES, ids=[f"{cls.__name__}-{i}" for i, (cls, _) in enumerate(VALUES)]
 )
 class TestValueSemantics:
-    """Model, oracle and reader values behave as immutable values: equal by
-    class and fields, printed by field, copied and pickled whole."""
+    """Every value class csp2c defines behaves as an immutable value: equal
+    by class and fields, printed by field, copied and pickled whole."""
 
     def test_equal_fields_are_equal_and_hash_equal(self, cls, fields):
         value, twin = cls(**fields), cls(**copy.deepcopy(fields))
         assert value == twin and not value != twin
-        if any(isinstance(v, dict) for v in fields.values()):
+        if any(isinstance(v, (dict, list)) for v in fields.values()):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(value)
         else:
@@ -245,6 +343,61 @@ def test_an_instance_has_its_own_flatten_map_and_a_weak_reference():
     first, second = (CspInstance(name="t", variables=(), groups=()) for _ in range(2))
     assert first.flatten_map == {} and first.flatten_map is not second.flatten_map
     assert weakref.ref(first)() is first
+
+
+def test_a_value_takes_its_fields_by_position_or_keyword_and_defaults_the_rest():
+    assert RunRecord(*RECORD.values()) == RunRecord(**RECORD)
+    short = RunRecord("k", "t", "intensional2", Outcome.REACHED, wallclock_s=1.5)
+    assert (short.normalized, short.note) == (None, "")
+    assert RunRecord("k", "t", "intensional2", Outcome.REACHED, 1.5, note="n") == RunRecord(
+        **{**RECORD, "normalized": None, "note": "n"}
+    )
+    tool = ToolSpec(name="k", run="k {bitcode}")
+    assert (tool.prepare, tool.timeout_s, tool.success_pattern, tool.kind, tool.dialect) == (
+        "", DEFAULT_TIMEOUT_S, "", ToolKind.ANALYSIS, "klee"
+    )
+    assert ToolSpec(name="k", run="k {bitcode}", kind="baseline").kind is ToolKind.BASELINE
+    assert Report([], [], []).flags == ()
+    assert TransformSpec(Family.EXTENSIONAL, 1).dialect is Dialect.KLEE
+
+
+VALUE_CLASSES = {cls for cls, _ in VALUES}
+
+
+def test_the_table_holds_every_value_class():
+    defined = {cls for cls in Frozen.__subclasses__() if cls.__module__.startswith("csp2c.")}
+    assert sorted(cls.__name__ for cls in defined - VALUE_CLASSES) == []
+
+
+def test_every_default_is_an_immutable_field_value():
+    """One default is shared by every value built without its field."""
+    defaults = [(cls, key, value) for cls in VALUE_CLASSES for key, value in cls._defaults.items()]
+    assert {(cls.__name__, key) for cls, key, _ in defaults} >= {("RunRecord", "note")}
+    for cls, key, value in defaults:
+        assert key in cls._fields
+        hash(value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Var(), "missing .*'name'"),
+        (lambda: Var("x", "y"), "arguments for its fields"),
+        (lambda: Var(nam="x"), "unexpected keyword argument 'nam'"),
+        (lambda: Var("x", name="y"), "multiple values for argument 'name'"),
+        (lambda: Binary("add", X), "missing .*'right'"),
+        (lambda: RunRecord("k", "t", "intensional2", Outcome.REACHED), "missing .*'wallclock_s'"),
+        (lambda: RunRecord(**RECORD, seconds=1.0), "unexpected keyword argument 'seconds'"),
+        (lambda: Mismatch(version_label="v", assignment=(), expected=True), "missing .*'observed'"),
+        (lambda: UnitTiming(("v",), 1, 0.5, 0.01, 0.0), "arguments for its fields"),
+        (lambda: ToolSpec(run="k"), "missing .*'name'"),
+    ],
+    ids=["none", "extra", "unknown", "twice", "binary", "record", "keyword", "mismatch",
+         "timing", "tool"],
+)
+def test_a_missing_or_unknown_field_is_a_type_error(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
 
 
 DEEP = Var("x")
