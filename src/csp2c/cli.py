@@ -24,8 +24,8 @@ A command loads only the modules it runs. Every other csp2c module is
 bound here as a lazy module, registered in sys.modules at once but run on
 first attribute access, so importing this module runs none of them:
 `parse` runs the parser and the model, `solve` the oracle too, and
-`report` only the harness, the model (whose Family and Dialect the harness
-checks manifests against) and the charts. harness.run_command imports
+`report` only the harness, the model (every harness value class is a
+model.Frozen) and the charts. harness.run_command imports
 `subprocess` and `threading` only to start a child, and harness.run_jobs
 imports `concurrent.futures` only for a pool: `--workers` above 1 and
 more than one job.

@@ -154,8 +154,6 @@ class Domain(Frozen):
     def from_ranges(pairs: Iterable[tuple[int, int]]) -> "Domain":
         # Merge overlapping or adjacent ranges so the normal form is unique.
         ordered = sorted(pairs)
-        if not ordered:
-            raise ModelError("empty domain")
         merged: list[tuple[int, int]] = []
         for lo, hi in ordered:
             if lo > hi:
@@ -380,7 +378,7 @@ class Dialect(Enum):
 
 
 class CspInstance(Frozen):
-    _fields = ("name", "variables", "groups", "flatten_map")
+    _fields = ("name", "variables", "groups")
     # codegen memoizes its analysis of an instance through a weak reference
     __slots__ = _fields + ("__weakref__",)
     name: str
@@ -388,18 +386,6 @@ class CspInstance(Frozen):
     # one tuple per XCSP3 <group> (its instantiated constraints, in <args>
     # order) or lone constraint element
     groups: tuple[tuple[Constraint, ...], ...]
-    # Original XCSP3 name (e.g. "x[2]") -> flattened scalar id (e.g. "x2").
-    flatten_map: Mapping[str, str]
-
-    def __init__(
-        self,
-        name: str,
-        variables: tuple[VariableDecl, ...],
-        groups: tuple[tuple[Constraint, ...], ...],
-        flatten_map: Mapping[str, str] | None = None,
-    ) -> None:
-        # each instance gets its own empty map
-        Frozen.__init__(self, name, variables, groups, {} if flatten_map is None else flatten_map)
 
     def variable_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables)

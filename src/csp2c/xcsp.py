@@ -29,10 +29,11 @@ ParseFailure.
 
 Groups end here: the reader parses each template once and builds one
 concrete constraint per <args> row, so the model, the oracle and the code
-generator never see a template or a placeholder. Array variables are
-flattened to scalars (x[2] -> x2) and the mapping is kept on the instance;
-where that name belongs to another variable, underscores go before the
-index (x1[0] -> x1_0 next to x[10]).
+generator never see a template or a placeholder. A template's `%i` is a
+variable name until a row fills it, a scope token or a Var("%i") leaf, so
+the template is checked once as an ordinary constraint. Array variables
+are flattened to scalars (x[2] -> x2); where that name belongs to another
+variable, underscores go before the index (x1[0] -> x1_0 next to x[10]).
 An <intension> may nest at most model.MAX_EXPR_DEPTH operators deep, both
 as written and as a tree, where an n-ary operator folds into one level per
 argument after the first. The model holds every tree to that limit, parsed
@@ -58,7 +59,7 @@ from __future__ import annotations
 import os
 import re
 import xml.parsers.expat
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .model import (
     AllDifferent,
@@ -113,70 +114,39 @@ class IntensionSyntaxError(ValueError):
     pass
 
 
-class Placeholder(Frozen):
-    """A `%i` slot in a <group> template's intension tree. The reader fills
-    every slot from the group's <args> rows, so no CspInstance holds one."""
-
-    __slots__ = _fields = ("index",)
-    index: int
-
-    depth: ClassVar[int] = 0
+# a parsed constraint element: its `%i` tokens -> their indices i, and the
+# function that builds its constraint from one args row, which parse_group
+# checks first; a lone constraint has no slots and `build(())` returns it
+_Parsed = tuple[Mapping[str, int], Callable[[Sequence[Arg]], Constraint]]
 
 
-class _Template(Frozen):
-    """One parsed constraint element. `build` fills the `%i` slots, whose
-    indices `slots` lists in ascending order, from one args row; a lone
-    constraint has no slots and `build(())` returns it."""
-
-    __slots__ = _fields = ("slots", "build")
-    slots: tuple[int, ...]
-    build: Callable[[Sequence[Arg]], Constraint]
-
-    def instantiate(self, name: str, rows: Sequence[tuple[Arg, ...]]) -> tuple[Constraint, ...]:
-        """One constraint per args row, in row order; ModelError names the
-        group and the first bad row."""
-        count = len(self.slots)
-        if self.slots != tuple(range(count)):
-            raise ModelError(f"placeholder indices are not contiguous from %0: {self.slots}")
-        if not count:
-            raise ModelError(f"{name}: args given for a template without placeholders")
-        out = []
-        for row in rows:
-            if len(row) != count:
-                raise ModelError(
-                    f"{name}: args vector {row} has {len(row)} entries, template expects {count}"
-                )
-            out.append(self.build(row))
-        return tuple(out)
-
-
-def _map_leaves(expr: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
-    """The tree with each leaf replaced by `leaf(leaf)`, visited left to right."""
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _map_leaves(expr.operand, leaf))
+def _fill_expr(expr: Expr, slots: Mapping[str, int], args: Sequence[Arg]) -> Expr:
+    """The tree with each `%i` leaf, a Var named in `slots`, replaced by its
+    entry of the args row."""
+    if isinstance(expr, Var):
+        index = slots.get(expr.name)
+        if index is None:
+            return expr
+        arg = args[index]
+        return Const(arg) if isinstance(arg, int) else Var(arg)
     if isinstance(expr, Binary):
-        return Binary(expr.op, _map_leaves(expr.left, leaf), _map_leaves(expr.right, leaf))
-    return leaf(expr)
+        left = _fill_expr(expr.left, slots, args)
+        return Binary(expr.op, left, _fill_expr(expr.right, slots, args))
+    if isinstance(expr, Unary):
+        return Unary(expr.op, _fill_expr(expr.operand, slots, args))
+    return expr
 
 
-def _fill_expr(tree: Expr, args: Sequence[Arg]) -> Expr:
-    def fill(leaf: Expr) -> Expr:
-        if isinstance(leaf, Placeholder):
-            arg = args[leaf.index]
-            return Const(arg) if isinstance(arg, int) else Var(arg)
-        return leaf
-
-    return _map_leaves(tree, fill)
-
-
-def _fill_scope(scope: tuple[str, ...], args: Sequence[Arg]) -> tuple[str, ...]:
+def _fill_scope(
+    scope: tuple[str, ...], slots: Mapping[str, int], args: Sequence[Arg]
+) -> tuple[str, ...]:
     out = []
     for token in scope:
-        if token.startswith("%"):
-            arg = args[int(token[1:])]
-            if isinstance(arg, int):
-                raise ModelError(f"integer argument {arg} used as a scope variable")
-            token = arg
+        index = slots.get(token)
+        if index is not None:
+            token = args[index]
+            if isinstance(token, int):
+                raise ModelError(f"integer argument {token} used as a scope variable")
         out.append(token)
     return tuple(out)
 
@@ -319,17 +289,14 @@ def _parse_expr(
     return _build(tok, args), pos + 1
 
 
-def _unresolved_leaf(token: str) -> Expr:
-    return Placeholder(int(token[1:])) if token[0] == "%" else Var(token)
-
-
 def parse_intension(text: str) -> Expr:
     """Parse functional prefix syntax into an expression tree.
 
-    `%i` placeholders are kept as Placeholder nodes, which a <group>'s args
-    rows fill; abs(sub(a,b)) is normalized to dist(a,b).
+    Each variable token is a Var of that name, a `%i` placeholder too
+    (Var("%i")), as a <group> template keeps it until an args row fills it;
+    abs(sub(a,b)) is normalized to dist(a,b).
     """
-    return _parse_tree(text, _unresolved_leaf)
+    return _parse_tree(text, Var)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +320,8 @@ class _DocParser:
         self.name = name
         self.diagnostics: list[ParseDiagnostic] = []
         self.variables: list[VariableDecl] = []
-        self.flatten_map: dict[str, str] = {}
+        # array element as written (x[2]) -> its flattened id (x2)
+        self._flattened: dict[str, str] = {}
         self.groups: list[tuple[Constraint, ...]] = []
         self._declared: set[str] = set()
         # array id -> {index: flattened id}, in declaration order
@@ -364,7 +332,6 @@ class _DocParser:
         # without an id): each was reported once, so an element referencing
         # one is rejected with no message of its own
         self._rejected: set[str] = set()
-        self._group_counter = 0
         # intension leaf token -> its resolved Var, shared by every tree
         self._leaves: dict[str, Var] = {}
         # the open elements, the document element first
@@ -449,8 +416,8 @@ class _DocParser:
         for i in range(count):
             key = f"{array_id}[{i}]"
             # a redeclared array keeps its names, and declare reports them
-            flat = self.flatten_map.get(key) or self._flat_id(array_id, i)
-            self.flatten_map[key] = members[i] = flat
+            flat = self._flattened.get(key) or self._flat_id(array_id, i)
+            self._flattened[key] = members[i] = flat
             self.declare(node, flat, domain)
 
     def _flat_id(self, array_id: str, i: int) -> str:
@@ -482,7 +449,7 @@ class _DocParser:
             self.reject_reference(node, token)
             raise _Reject(node, f"reference to undeclared variable {token!r}")
         # a whole array, `x[]`, never comes here: resolve_scope expands it
-        flat = self.flatten_map.get(token)
+        flat = self._flattened.get(token)
         if flat is None:
             self.reject_reference(node, m.group(1))
             raise _Reject(node, f"reference to undeclared array element {token!r}")
@@ -546,18 +513,19 @@ class _DocParser:
 
     def scope_template(
         self, scope: tuple[str, ...], make: Callable[[tuple[str, ...]], Constraint]
-    ) -> _Template:
-        """`make` over `scope`, whose `%i` tokens an args row fills. The
-        model's checks run once here, each `%i` standing for a variable of
-        its own; each row checks its scope again, and a table's shared tuple
-        list is not checked again."""
+    ) -> _Parsed:
+        """`make` over `scope`, whose `%i` tokens an args row fills. A `%i`
+        is a variable name until then, in a scope as in an intension tree,
+        so the model's checks run once here, each `%i` standing for a
+        variable of its own; each row checks its scope again, and a table's
+        shared tuple list is not checked again."""
         checked = make(scope)
-        slots = tuple(sorted({int(v[1:]) for v in scope if v.startswith("%")}))
+        slots = {token: int(token[1:]) for token in scope if token[0] == "%"}
         if not slots:
-            return _Template((), lambda args: checked)
-        return _Template(slots, lambda args: checked.with_scope(_fill_scope(scope, args)))
+            return slots, lambda args: checked
+        return slots, lambda args: checked.with_scope(_fill_scope(scope, slots, args))
 
-    def parse_extension(self, node: _Node, *, templated: bool) -> _Template:
+    def parse_extension(self, node: _Node, *, templated: bool) -> _Parsed:
         list_node = table_node = None
         for child in node.children:
             if child.tag == "list":
@@ -580,21 +548,20 @@ class _DocParser:
             tuple(map(str, scope)), lambda vs: TableConstraint(vs, polarity, tuples)
         )
 
-    def parse_intension_node(self, node: _Node, *, templated: bool) -> _Template:
+    def parse_intension_node(self, node: _Node, *, templated: bool) -> _Parsed:
         if node.children:
             raise _Reject(node, "unsupported <intension> with child elements")
-        slots: set[int] = set()
+        slots: dict[str, int] = {}
         # the leaves' rejections stand only if the whole expression parses;
         # one may carry no message
         leaf_errors: list[tuple[str, ...]] = []
 
         def leaf(token: str) -> Expr:
             if token[0] == "%":
-                index = int(token[1:])
+                index = slots[token] = int(token[1:])
                 if not templated:
                     leaf_errors.append((f"placeholder %{index} outside a <group> template",))
-                slots.add(index)
-                return Placeholder(index)
+                return Var(token)
             var = self._leaves.get(token)
             if var is None:
                 try:
@@ -615,18 +582,16 @@ class _DocParser:
             raise _Reject(node, *(message for messages in leaf_errors for message in messages))
         if not slots:
             constraint = IntensionConstraint(tree)
-            return _Template((), lambda args: constraint)
-        return _Template(
-            tuple(sorted(slots)), lambda args: IntensionConstraint(_fill_expr(tree, args))
-        )
+            return slots, lambda args: constraint
+        return slots, lambda args: IntensionConstraint(_fill_expr(tree, slots, args))
 
-    def parse_alldifferent(self, node: _Node, *, templated: bool) -> _Template:
+    def parse_alldifferent(self, node: _Node, *, templated: bool) -> _Parsed:
         if node.children:
             raise _Reject(node, "unsupported <allDifferent> with child elements")
         scope = self.resolve_scope(node, node.text, allow_placeholder=templated)
         return self.scope_template(tuple(map(str, scope)), AllDifferent)
 
-    def parse_constraint(self, node: _Node, *, templated: bool) -> _Template:
+    def parse_constraint(self, node: _Node, *, templated: bool) -> _Parsed:
         if node.tag == "extension":
             return self.parse_extension(node, templated=templated)
         if node.tag == "intension":
@@ -636,10 +601,10 @@ class _DocParser:
         raise _Reject(node, f"unsupported XCSP3 element <{node.tag}>")
 
     def parse_group(self, node: _Node) -> None:
-        self._group_counter += 1
-        group_name = f"group#{self._group_counter}"
+        """One constraint per args row, built in row order; the first bad
+        row rejects the group."""
         # the first template that parses, and every args row that does
-        templates: list[_Template] = []
+        templates: list[_Parsed] = []
         args_rows: list[tuple[Arg, ...]] = []
 
         def parse_child(child: _Node) -> None:
@@ -658,10 +623,25 @@ class _DocParser:
             raise _Reject(node, "<group> without a constraint template")
         if not args_rows:
             raise _Reject(node, "<group> without <args>")
-        self.groups.append(templates[0].instantiate(group_name, args_rows))
+        slots, build = templates[0]
+        indices = tuple(sorted(set(slots.values())))
+        count = len(indices)
+        if indices != tuple(range(count)):
+            raise _Reject(node, f"placeholder indices are not contiguous from %0: {indices}")
+        if not count:
+            raise _Reject(node, "args given for a template without placeholders")
+        group = []
+        for row in args_rows:
+            if len(row) != count:
+                raise _Reject(
+                    node, f"args vector {row} has {len(row)} entries, template expects {count}"
+                )
+            group.append(build(row))
+        self.groups.append(tuple(group))
 
     def parse_lone(self, node: _Node) -> None:
-        self.groups.append((self.parse_constraint(node, templated=False).build(()),))
+        _, build = self.parse_constraint(node, templated=False)
+        self.groups.append((build(()),))
 
     # -- the document, as expat reads it -----------------------------------
 
@@ -771,12 +751,7 @@ def _parse(feed: Callable[[xml.parsers.expat.XMLParserType], object], name: str)
         raise ParseFailure([ParseDiagnostic("/", line, f"malformed XML: {exc}")]) from exc
     if reader.diagnostics:
         raise ParseFailure(reader.diagnostics)
-    return CspInstance(
-        name=name,
-        variables=tuple(reader.variables),
-        groups=tuple(reader.groups),
-        flatten_map=dict(reader.flatten_map),
-    )
+    return CspInstance(name, tuple(reader.variables), tuple(reader.groups))
 
 
 def parse_document(xml_text: str | bytes, name: str = "instance") -> CspInstance:

@@ -681,7 +681,7 @@ def fresh_transform(csp: CspInstance, spec: TransformSpec) -> str:
     """The program or the CodegenError message for `spec`, from a copy of
     `csp` that no transform has seen."""
     try:
-        copy = CspInstance(csp.name, csp.variables, csp.groups, csp.flatten_map)
+        copy = CspInstance(csp.name, csp.variables, csp.groups)
         return transform(copy, spec).source_text
     except CodegenError as exc:
         return f"CodegenError: {exc}"

@@ -7,7 +7,8 @@ codegen alone writes replay-driver C; the harness alone starts child
 processes and runs jobs at once, and waits for a child without polling;
 no nested function names itself, so none is a reference cycle; no
 model.Frozen subclass writes out a constructor that only stores its fields;
-the model alone sets the expression-depth limit; the harness and verify
+the model alone sets the expression-depth limit and defines expression
+node types (no other class has a `depth`); the harness and verify
 alone check command templates, each its own; verify emits in
 differential_check alone; ToolSpec and BenchInstance alone check their
 fields; model.Family and codegen's messages alone spell a family name; no
@@ -217,6 +218,38 @@ def assigned_names(path: Path) -> set[str]:
 def test_only_the_model_sets_the_depth_limit(path):
     """MAX_EXPR_DEPTH is checked where trees are built; other modules import it."""
     assert ("MAX_EXPR_DEPTH" in assigned_names(path)) == (path.name == "model.py")
+
+
+def classes_with_a_depth(path: Path) -> list[str]:
+    """The classes that give their objects a `depth`: by a class variable,
+    an annotation, a property or a `__slots__` entry."""
+    found = []
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign):
+                targets = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                targets = {stmt.target.id}
+            else:
+                targets = {stmt.name} if isinstance(stmt, ast.FunctionDef) else set()
+            slots = "__slots__" in targets and any(
+                isinstance(c, ast.Constant) and c.value == "depth" for c in ast.walk(stmt.value)
+            )
+            if "depth" in targets or slots:
+                found.append(cls.name)
+                break
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_model_defines_expression_nodes(path):
+    """The model reads each operand's `depth` when it builds an operator
+    node, so a class with one could enter a model tree; only the model's
+    four node types have one."""
+    expected = ["Var", "Const", "Unary", "Binary"] if path.name == "model.py" else []
+    assert classes_with_a_depth(path) == expected
 
 
 def string_constants(tree: ast.AST) -> list[ast.Constant]:

@@ -59,7 +59,7 @@ INSTANCE = corpus_path("valid", "conflicts_group")
 VERIFY = ["verify", "--cc", "true {src} {out}"]
 
 # command: (exit code, the csp2c modules it runs, what it imports of WATCHED);
-# the harness checks manifests against the model's Family and Dialect
+# the harness runs the model, whose Frozen is the base of its value classes
 LOADED = {
     "parse": (0, ["cli", "model", "xcsp"], []),
     "solve": (0, ["cli", "model", "xcsp", "oracle"], []),

@@ -43,7 +43,7 @@ from csp2c.model import (
 )
 from csp2c.oracle import SolveResult, Status
 from csp2c.verify import Mismatch, UnitTiming, VerificationReport, VerifyStatus
-from csp2c.xcsp import ParseDiagnostic, Placeholder, _Template
+from csp2c.xcsp import ParseDiagnostic
 
 
 class TestDomain:
@@ -63,9 +63,9 @@ class TestDomain:
         assert d.ranges == ((0, 9),)
 
     def test_empty_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="^empty domain$"):
             Domain.from_values([])
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="^empty domain$"):
             Domain(())
 
     def test_bad_range_rejected(self):
@@ -205,7 +205,6 @@ VALUES = [
             "name": "t",
             "variables": (VariableDecl("x0", Domain(((0, 1),))),),
             "groups": ((IntensionConstraint(Binary("eq", Var("x0"), ONE)),),),
-            "flatten_map": {"x[0]": "x0"},
         },
     ),
     (
@@ -217,9 +216,20 @@ VALUES = [
         {"status": Status.SATISFIABLE, "witness": {"x": 1}, "explored": 2, "work": 2, "checks": 1},
     ),
     (ParseDiagnostic, {"path": "/instance[1]", "line": None, "message": "m"}),
-    (Placeholder, {"index": 1}),
-    # a picklable function as the template's build
-    (_Template, {"slots": (0,), "build": tuple}),
+    # a <group> template's `%i` slot is a variable leaf like any other
+    (Var, {"name": "%0"}),
+    # an instance with a constraint of each kind
+    (
+        CspInstance,
+        {
+            "name": "u",
+            "variables": tuple(VariableDecl(v, Domain(((0, 1),))) for v in "xy"),
+            "groups": (
+                (TableConstraint(("x", "y"), Polarity.CONFLICTS, ((0, 0), (1, 1))),),
+                (AllDifferent(("x", "y")), IntensionConstraint(Binary("lt", X, Var("y")))),
+            ),
+        },
+    ),
     (TransformSpec, {"family": Family.INTENSIONAL, "version": 2, "dialect": Dialect.LLBMC}),
     (
         GeneratedProgram,
@@ -339,9 +349,9 @@ def test_an_operator_node_prints_without_its_depth():
     )
 
 
-def test_an_instance_has_its_own_flatten_map_and_a_weak_reference():
+def test_an_instance_hashes_and_has_a_weak_reference():
     first, second = (CspInstance(name="t", variables=(), groups=()) for _ in range(2))
-    assert first.flatten_map == {} and first.flatten_map is not second.flatten_map
+    assert first == second and hash(first) == hash(second)
     assert weakref.ref(first)() is first
 
 

@@ -470,7 +470,7 @@ class TestDifferentialCheck:
 
     def test_compile_error_names_the_versions_own_file(self, cc_template, tmp_path):
         corpus = load_corpus("conflicts_group")
-        csp = CspInstance('say "hi"', corpus.variables, corpus.groups, corpus.flatten_map)
+        csp = CspInstance('say "hi"', corpus.variables, corpus.groups)
 
         def emit(csp_arg, spec):
             program = transform(csp_arg, spec)

@@ -13,7 +13,6 @@ from csp2c.xcsp import (
     MAX_EXPR_DEPTH,
     IntensionSyntaxError,
     ParseFailure,
-    Placeholder,
     parse_document,
     parse_file,
     parse_intension,
@@ -25,7 +24,10 @@ from conftest import CORPUS_DIR, corpus_path, load_corpus
 class TestParseIntension:
     def test_dist_template(self):
         tree = parse_intension("eq(%0,dist(%1,%2))")
-        assert tree == Binary("eq", Placeholder(0), Binary("dist", Placeholder(1), Placeholder(2)))
+        assert tree == Binary("eq", Var("%0"), Binary("dist", Var("%1"), Var("%2")))
+
+    def test_a_placeholder_is_a_variable_leaf(self):
+        assert parse_intension("eq(%0,x)") == Binary("eq", Var("%0"), Var("x"))
 
     def test_simple_binary(self):
         assert parse_intension("ne(x0,x1)") == Binary("ne", Var("x0"), Var("x1"))
@@ -97,7 +99,6 @@ class TestParseDocument:
         assert constraints[0].tuples == ((0, 0, 0), (0, 1, 0))
         assert constraints[0].scope == ("x0", "x1", "x2")
         assert constraints[1].scope == ("x3", "x4", "x5")
-        assert csp.flatten_map["x[4]"] == "x4"
 
     def test_alldifferent_document(self):
         csp = parse_document(
@@ -292,7 +293,20 @@ class TestGroupExpansion:
         text = document(SIX, fig_group("x[0] x[1] x[2]") + fig_group("x[0] x[1]"))
         assert diagnostics(text) == [
             "error at /instance[1]/constraints[1]/group[2] (line 1): "
-            "group#2: args vector ('x0', 'x1') has 2 entries, template expects 3"
+            "args vector ('x0', 'x1') has 2 entries, template expects 3"
+        ]
+
+    def test_a_row_diagnostic_is_located_by_the_group_path_alone(self):
+        text = (
+            f"<instance><variables>{SIX}</variables>"
+            f"<constraints>{fig_group('x[0] x[1] x[2]')}</constraints>"
+            f"<constraints>{fig_group('x[0] x[1]')}</constraints></instance>"
+        )
+        assert diagnostics(text) == [
+            at(
+                "/constraints[2]/group[1]",
+                "args vector ('x0', 'x1') has 2 entries, template expects 3",
+            )
         ]
 
     def test_deterministic_and_order_preserving(self):
@@ -327,7 +341,7 @@ class TestGroupExpansion:
             (
                 "<group><allDifferent> %0 %1 </allDifferent><args> x[] </args></group>",
                 "group[1]",
-                "group#1: args vector ('x0', 'x1', 'x2', 'x3', 'x4', 'x5') has 6 entries, "
+                "args vector ('x0', 'x1', 'x2', 'x3', 'x4', 'x5') has 6 entries, "
                 "template expects 2",
             ),
             (
@@ -345,7 +359,7 @@ class TestGroupExpansion:
                 "<group><extension><list> x[0] x[1] </list><supports> (0,0) </supports>"
                 "</extension><args> x[0] x[1] </args></group>",
                 "group[1]",
-                "group#1: args given for a template without placeholders",
+                "args given for a template without placeholders",
             ),
             (
                 "<group><allDifferent> %0 x[0] x[0] </allDifferent><args> x[1] </args></group>",
@@ -367,6 +381,51 @@ class TestGroupExpansion:
         assert diagnostics(document(SIX, group)) == [
             f"error at /instance[1]/constraints[1]/{where} (line 1): {message}"
         ]
+
+
+# the intension templates of the property below: an n-ary operator,
+# abs(sub(..)) and a variable of the template's own
+INTENSION_TEMPLATES = ["le(add(%0,%1,%2),%3)", "ne(abs(sub(%0,%1)),%2)", "eq(%1,mul(%0,x[5]))"]
+_SLOT_RE = re.compile(r"%(\d+)")
+
+
+@st.composite
+def templated_groups(draw):
+    """A constraint template over SIX, of each kind, and its args rows, each
+    a tuple of the texts its slots take."""
+    kind = draw(st.sampled_from(["supports", "conflicts", "allDifferent", "intension"]))
+    if kind == "intension":
+        expr = draw(st.sampled_from(INTENSION_TEMPLATES))
+        template = f"<intension> {expr} </intension>"
+        arity = len(set(_SLOT_RE.findall(expr)))
+        arg = st.one_of(st.integers(0, 5).map("x[{}]".format), st.integers(-3, 3).map(str))
+        row = st.tuples(*[arg] * arity)
+    else:
+        arity = draw(st.integers(2 if kind == "allDifferent" else 1, 4))
+        scope = " ".join(f"%{i}" for i in draw(st.permutations(range(arity))))
+        if kind == "allDifferent":
+            template = f"<allDifferent> {scope} </allDifferent>"
+        else:
+            table = draw(st.lists(st.tuples(*[st.integers(0, 3)] * arity), min_size=1, max_size=4))
+            tuples = " ".join(f"({','.join(map(str, t))})" for t in table)
+            template = f"<extension><list> {scope} </list><{kind}> {tuples} </{kind}></extension>"
+        # distinct variables, as a table or allDifferent scope needs
+        row = st.permutations([f"x[{i}]" for i in range(6)]).map(lambda p: tuple(p[:arity]))
+    return template, draw(st.lists(row, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(templated_groups())
+def test_a_group_equals_its_rows_written_out(group):
+    """A <group> gives exactly the constraints of its template with each
+    args row substituted as text into a lone element."""
+    template, rows = group
+    args = "".join(f"<args> {' '.join(row)} </args>" for row in rows)
+    by_hand = "".join(_SLOT_RE.sub(lambda m: row[int(m[1])], template) for row in rows)
+    assert (
+        parse_document(document(SIX, f"<group>{template}{args}</group>")).constraints()
+        == parse_document(document(SIX, by_hand)).constraints()
+    )
 
 
 class TestLinearFrontEnd:
@@ -404,7 +463,6 @@ class TestFlattenedNames:
         (constraint,) = csp.constraints()
         left, right = constraint.scope
         assert left != right
-        assert (left, right) == (csp.flatten_map["x[10]"], csp.flatten_map["x1[0]"])
         assert (left, right) == ("x10", "x1_0")
 
     def test_scalar_ids_keep_their_names(self):
@@ -669,6 +727,20 @@ DIAGNOSTIC_TABLE = {
         document(SIX, "<group><allDifferent> %0 %1 </allDifferent></group>"),
         at(f"{C}/group[1]", "<group> without <args>"),
     ),
+    "group-slot-gap": (
+        document(
+            SIX, "<group><intension> eq(%0,%2) </intension><args> x[0] x[1] x[2] </args></group>"
+        ),
+        at(f"{C}/group[1]", "placeholder indices are not contiguous from %0: (0, 2)"),
+    ),
+    "group-without-slots": (
+        document(SIX, "<group><allDifferent> x[0] x[1] </allDifferent><args> x[2] </args></group>"),
+        at(f"{C}/group[1]", "args given for a template without placeholders"),
+    ),
+    "group-short-row": (
+        document(SIX, "<group><allDifferent> %0 %1 </allDifferent><args> x[0] </args></group>"),
+        at(f"{C}/group[1]", "args vector ('x0',) has 1 entries, template expects 2"),
+    ),
     # the document
     "root": ("<csp/>", "error at /csp[1] (line 1): document element must be <instance>, found <csp>"),
     "instance-type": (
@@ -767,7 +839,6 @@ class TestDocumentOrder:
 
     def test_a_run_of_variables_sections_knows_every_var_id_first(self):
         csp = parse_document(self.RUN.format(between=""))
-        assert csp.flatten_map["x[10]"] == "x_10"
         assert csp.constraints()[0].scope == ("x_10", "x10")
 
     def test_an_unsupported_section_does_not_end_the_run(self):
@@ -859,6 +930,15 @@ VALID_DOCUMENTS = {
     path.name: path.read_text(encoding="utf-8")
     for path in sorted(Path(CORPUS_DIR, "valid").glob("*.xml"))
 }
+
+
+@pytest.mark.parametrize("name", sorted(VALID_DOCUMENTS))
+def test_a_parsed_instance_is_a_hashable_value(name):
+    """A model tree holds only model nodes, so an instance is a value."""
+    first, second = (parse_document(VALID_DOCUMENTS[name]) for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+
+
 # a name, an array element or a whole array, in element text or an id value
 _NAME_RE = re.compile(r"[A-Za-z_%][A-Za-z0-9_]*(?:\[\d*\])?")
 _EXTRA_NAMES = ("x", "y", "z", "x0", "x2", "x_0", "x[0]", "x[2]", "x[9]", "x[]", "a", "p", "%0")
@@ -911,4 +991,3 @@ def test_parsed_instances_declare_each_variable_once(text):
     assert len(set(ids)) == len(ids)
     declared = set(ids)
     assert {v for c in csp.constraints() for v in c.scope} <= declared
-    assert set(csp.flatten_map.values()) <= declared
