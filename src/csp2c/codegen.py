@@ -15,6 +15,10 @@ the construct, operator and grouping are read from the family's row:
                2..5  = if     x (logical | bitwise) x (yes | all)
                7..10 = assume x (logical | bitwise) x (yes | all)
 
+An instance with a table constraint takes the extensional rows, any other
+the intensional rows (family_of): an extensional cell renders every kind of
+constraint, and joins a conflicts table to the others' conditions as `!(...)`.
+
 Three output dialects share one program body: `klee` (klee_make_symbolic /
 klee_assume), `llbmc` (nondet init / __llbmc_assume, the only difference),
 and `concrete`, the klee program made runnable.
@@ -178,16 +182,11 @@ class TransformSpec(Frozen):
 
 
 def family_of(constraints: Sequence[Constraint]) -> Family:
-    """The family that can encode `constraints`: extensional for tables only
-    (or none), intensional for no tables."""
-    kinds = {type(c) for c in constraints}
-    if kinds <= {TableConstraint}:
+    """The rows an instance takes: extensional when it has a table constraint,
+    mixed with other kinds or not, or no constraint; intensional otherwise."""
+    if not constraints or any(isinstance(c, TableConstraint) for c in constraints):
         return Family.EXTENSIONAL
-    if kinds <= {IntensionConstraint, AllDifferent}:
-        return Family.INTENSIONAL
-    raise CodegenError(
-        "instance mixes table and intensional constraints; no single family applies"
-    )
+    return Family.INTENSIONAL
 
 
 class GeneratedProgram(Frozen):
@@ -744,7 +743,6 @@ def _units(
         if all(conflicts[start:stop]):
             units.append((True, [p for i in range(start, stop) for p in pieces[i]]))
         else:
-            # tables only or no tables (the family check)
             units.append((False, [
                 p
                 for i in range(start, stop)
@@ -758,9 +756,8 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
     analysis = _analysis(csp)
     if analysis.family is not None and analysis.family is not spec.family:
         raise CodegenError(
-            "extensional transform requires table constraints only"
-            if spec.family is Family.EXTENSIONAL
-            else "intensional transform cannot encode table constraints"
+            f"instance takes the {analysis.family.value} rows (extensional with a table "
+            f"constraint, intensional without), not the {spec.family.value} rows"
         )
     if analysis.invalid is not None:
         raise CodegenError(analysis.invalid)

@@ -433,6 +433,8 @@ class _DocParser:
         self, node: _Node, token: str, *, allow_placeholder: bool, allow_int: bool
     ) -> Union[str, int]:
         if _PLACEHOLDER_RE.fullmatch(token):
+            if token[1] == "0" and len(token) > 2:
+                raise _Reject(node, f"placeholder {token} has a leading zero")
             if allow_placeholder:
                 return token
             raise _Reject(node, f"placeholder {token} outside a <group> template")
@@ -557,21 +559,20 @@ class _DocParser:
         leaf_errors: list[tuple[str, ...]] = []
 
         def leaf(token: str) -> Expr:
-            if token[0] == "%":
-                index = slots[token] = int(token[1:])
-                if not templated:
-                    leaf_errors.append((f"placeholder %{index} outside a <group> template",))
-                return Var(token)
             var = self._leaves.get(token)
             if var is None:
                 try:
                     resolved = self.resolve_token(
-                        node, token, allow_placeholder=False, allow_int=False
+                        node, token, allow_placeholder=templated, allow_int=False
                     )
                 except _Reject as reject:
                     leaf_errors.append(reject.messages)
                     return Var(token)
-                var = self._leaves[token] = Var(str(resolved))
+                var = Var(str(resolved))
+                if token[0] == "%":
+                    slots[token] = int(token[1:])
+                else:
+                    self._leaves[token] = var
             return var
 
         try:

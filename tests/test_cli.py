@@ -811,6 +811,44 @@ class TestBenchAndReport:
                      "robustness.svg", "scalability.svg"):
             assert (report_dir / name).read_bytes() == (bench_dir / name).read_bytes(), name
 
+    def test_a_mixed_instance_benches_in_the_extensional_rows(self, capsys, tmp_path):
+        """An instance whose tables share it with intension and allDifferent
+        constraints runs in every extensional version and in no intensional
+        one."""
+        tools = _written(tmp_path, "tools.json", json.dumps([{
+            "name": "stub", "run": "echo ASSERTION FAIL on {src}",
+            "success_pattern": "ASSERTION FAIL", "timeout_s": 30, "kind": "analysis",
+        }]).encode())
+        path = corpus_path("valid", "mixed_sat")
+        entry = {"path": path, "family": "extensional", "size": 7, "expected": "sat"}
+        instances = _written(tmp_path, "instances.json", json.dumps([entry]).encode())
+        bench_dir, report_dir = tmp_path / "bench", tmp_path / "report"
+        code, _, _ = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(bench_dir), "--versions", "all",
+        )
+        assert code == 0
+        labels = [f"extensional{v}" for v in range(1, 13)]
+        assert sorted(os.listdir(bench_dir / "src")) == sorted(
+            f"mixed_sat__{label}__klee.c" for label in labels
+        )
+        records = load_records_csv(str(bench_dir / "raw.csv"))
+        assert [(r.tool, r.instance, r.version) for r in records] == [
+            ("stub", "mixed_sat", label) for label in labels
+        ]
+        code, _, _ = run_cli(
+            capsys, "report", str(bench_dir / "raw.csv"), "--instances", instances,
+            "--out-dir", str(report_dir),
+        )
+        assert code == 0
+        for name in ("robustness.csv", "scalability.csv", "robustness.svg", "scalability.svg"):
+            assert (report_dir / name).read_bytes() == (bench_dir / name).read_bytes(), name
+
+        as_intensional = _edited(instances, tmp_path, family="intensional")
+        code, out, err = run_cli(capsys, *_bench(tools, as_intensional, tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: instance takes the extensional rows "), err
+
     def test_a_repeated_version_runs_once(self, capsys, tmp_path, bench_manifests):
         tools, instances = bench_manifests
         out_dir = tmp_path / "out"
@@ -1189,7 +1227,7 @@ BAD_INPUT_CASES = {
     ),
     "bench-family-mismatch": (
         lambda t, tools, inst: _bench(tools, _edited(inst, t, entry=1, family="intensional"), t),
-        f"error: {corpus_path('valid', 'xor_ring')}: intensional transform cannot encode table",
+        f"error: {corpus_path('valid', 'xor_ring')}: instance takes the extensional rows",
     ),
 }
 

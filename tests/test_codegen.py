@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import shutil
@@ -19,6 +20,7 @@ from csp2c.codegen import (
     TransformSpec,
     _c_names,
     build_unit,
+    family_of,
     output_filename,
     source_filename,
     transform,
@@ -30,6 +32,7 @@ from csp2c.model import (
     INT32_MAX,
     INT32_MIN,
     UNARY_OPS,
+    AllDifferent,
     Binary,
     Const,
     CspInstance,
@@ -44,7 +47,7 @@ from csp2c.model import (
 from csp2c.oracle import all_assignments, eval_expr
 from csp2c.verify import VerifyStatus, compile_program, differential_check
 
-from conftest import GOLDEN_DIR, load_corpus, with_source
+from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus, with_source
 
 # feature columns per version, frozen
 EXTENSIONAL_TABLE = [
@@ -80,7 +83,9 @@ LOGICAL_BITWISE_PAIRS = {
 }
 
 CORPUS_BY_FAMILY = {
-    Family.EXTENSIONAL: ["conflicts_group", "supports_pair", "xor_ring", "ext_mixed"],
+    Family.EXTENSIONAL: [
+        "conflicts_group", "supports_pair", "xor_ring", "ext_mixed", "mixed_sat", "mixed_unsat",
+    ],
     Family.INTENSIONAL: [
         "dist_alldiff",
         "pigeonhole",
@@ -145,6 +150,8 @@ GOLDEN_CASES = [
     ("ext_mixed", Family.EXTENSIONAL, 12),  # bitwise assume
     ("noncontig", Family.INTENSIONAL, 4),  # non-contiguous domain, bitwise
     ("noncontig", Family.INTENSIONAL, 6),  # non-contiguous domain, NOP
+    # one statement joins a conflicts table's !(...), intensions and an allDifferent
+    ("mixed_sat", Family.EXTENSIONAL, 6),
     # a fourth column names the dialect; klee when absent
     ("supports_pair", Family.EXTENSIONAL, 2, Dialect.LLBMC),
     ("dist_alldiff", Family.INTENSIONAL, 3, Dialect.CONCRETE),
@@ -398,18 +405,33 @@ class TestErrors:
         with pytest.raises(CodegenError, match="table"):
             transform(intn, TransformSpec(Family.EXTENSIONAL, 1))
 
-    def test_mixed_instance_fits_no_family(self):
+    def test_mixed_instance_takes_the_extensional_rows(self):
         csp = CspInstance(
             name="mixed",
-            variables=(VariableDecl("v", Domain.from_values([0, 1])),),
+            variables=(
+                VariableDecl("v", Domain.from_values([0, 1])),
+                VariableDecl("w", Domain.from_values([0, 1])),
+            ),
             groups=(
-                (IntensionConstraint(Binary("eq", Var("v"), Const(1))),),
-                (TableConstraint(("v",), Polarity.SUPPORTS, ((1,),)),),
+                (
+                    IntensionConstraint(Binary("eq", Var("v"), Const(1))),
+                    TableConstraint(("v",), Polarity.SUPPORTS, ((1,),)),
+                ),
+                (
+                    TableConstraint(("w",), Polarity.CONFLICTS, ((1,),)),
+                    AllDifferent(("v", "w")),
+                ),
             ),
         )
-        for family in Family:
-            with pytest.raises(CodegenError, match="mixes table and intensional constraints"):
-                transform(csp, TransformSpec(family, 1))
+        assert family_of(csp.constraints()) is Family.EXTENSIONAL
+        for version in range(1, version_count(Family.EXTENSIONAL) + 1):
+            program = transform(csp, TransformSpec(Family.EXTENSIONAL, version))
+            text = encoding_tokens(program.constraint_lines)
+            assert "v==1" in text and "w==1" in text and "v!=w" in text, (version, text)
+        for version in range(1, version_count(Family.INTENSIONAL) + 1):
+            rejection = r"^instance takes the extensional rows .* not the intensional rows$"
+            with pytest.raises(CodegenError, match=rejection):
+                transform(csp, TransformSpec(Family.INTENSIONAL, version))
 
     def test_no_constraints_fit_either_family(self):
         csp = CspInstance(
@@ -728,7 +750,7 @@ class TestAnalysisMemo:
                 golden += 1
                 with open(path, "r", encoding="utf-8") as fh:
                     assert text == fh.read()
-        assert golden == len(os.listdir(GOLDEN_DIR))
+        assert golden == len([name for name in os.listdir(GOLDEN_DIR) if name.endswith(".c")])
 
     def test_memo_keeps_no_instance_alive(self):
         csp = load_corpus("dist_alldiff")
@@ -736,3 +758,40 @@ class TestAnalysisMemo:
         transform(csp, TransformSpec(Family.INTENSIONAL, 1))
         del csp
         assert ref() is None
+
+
+PROGRAM_HASHES = os.path.join(GOLDEN_DIR, "program_hashes.txt")
+
+
+def program_hashes() -> dict[str, str]:
+    """The sha256 of every program transform gives for a valid corpus
+    instance, in each version of the instance's family and each dialect, by
+    the program's file name."""
+    hashes = {}
+    for name in sorted(os.listdir(os.path.join(CORPUS_DIR, "valid"))):
+        csp = load_corpus(name[: -len(".xml")])
+        family = family_of(csp.constraints())
+        for version in range(1, version_count(family) + 1):
+            for dialect in Dialect:
+                program = transform(csp, TransformSpec(family, version, dialect))
+                digest = hashlib.sha256(program.source_text.encode("utf-8")).hexdigest()
+                hashes[output_filename(program)] = digest
+    return hashes
+
+
+def test_every_corpus_program_matches_its_pinned_hash():
+    """Each cell's program is byte for byte the one tests/golden/program_hashes.txt
+    pins, in `sha256sum` format. After a deliberate change to the programs,
+    regenerate the table with
+    `PYTHONPATH=src python tests/test_codegen.py > tests/golden/program_hashes.txt`."""
+    with open(PROGRAM_HASHES, "r", encoding="utf-8") as fh:
+        pinned = {name: digest for digest, name in map(str.split, fh)}
+    hashes = program_hashes()
+    assert len(hashes) > 300
+    cells = sorted(hashes.keys() | pinned.keys())
+    assert [name for name in cells if hashes.get(name) != pinned.get(name)] == []
+
+
+if __name__ == "__main__":
+    for name, digest in sorted(program_hashes().items()):
+        print(f"{digest}  {name}")

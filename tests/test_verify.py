@@ -1001,20 +1001,27 @@ NAME_POOL = [
 
 @st.composite
 def random_instances(draw):
-    """(family, instance): 1-4 variables, named from NAME_POOL, with 1-4
-    values each from -3..4, and 0-4 constraints of the family, in groups of
-    consecutive constraints. Tables have 1-6 rows drawn from their scope's
-    domains plus 9; one intensional constraint in five is an allDifferent."""
+    """1-4 variables, named from NAME_POOL, with 1-4 values each from
+    -3..4, and 0-4 constraints in groups of consecutive constraints. The
+    constraints are tables only, intension and allDifferent only, or both
+    mixed, so one group may hold several kinds. Tables have either polarity
+    and 1-6 rows drawn from their scope's domains plus 9; one non-table
+    constraint in five is an allDifferent."""
     names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, max_size=4, unique=True))
     domains = {
         name: draw(st.lists(st.integers(-3, 4), min_size=1, max_size=4, unique=True))
         for name in names
     }
-    family = draw(st.sampled_from(Family))
+    # per constraint, whether it is a table: all, none, or some of each
+    tables = draw(st.one_of(
+        st.integers(0, 4).map(lambda n: [True] * n),
+        st.integers(0, 4).map(lambda n: [False] * n),
+        st.lists(st.booleans(), min_size=2, max_size=4).filter(lambda ts: len(set(ts)) == 2),
+    ))
     constraints = []
-    for _ in range(draw(st.integers(0, 4))):
+    for table in tables:
         scope = tuple(draw(st.permutations(names))[: draw(st.integers(1, len(names)))])
-        if family is Family.EXTENSIONAL:
+        if table:
             row = st.tuples(*[st.sampled_from(domains[v] + [9]) for v in scope])
             rows = draw(st.lists(row, min_size=1, max_size=6, unique=True))
             polarity = draw(st.sampled_from(Polarity))
@@ -1029,23 +1036,21 @@ def random_instances(draw):
             groups[-1].append(c)
         else:
             groups.append([c])
-    csp = CspInstance(
+    return CspInstance(
         name="random",
         variables=tuple(VariableDecl(n, Domain.from_values(domains[n])) for n in names),
         groups=tuple(tuple(group) for group in groups),
     )
-    return family, csp
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=random_instances())
-@example(case=(Family.INTENSIONAL, parse_document(ADD_AND_GE_XML, name="add_and_ge")))
-@example(case=(Family.INTENSIONAL, parse_document(BARE_VALUES_XML, name="bare_values")))
-@example(case=(Family.INTENSIONAL, parse_document(GNU_KEYWORDS_XML, name="gnu_keywords")))
-def test_every_version_keeps_the_promise_on_random_instances(cc_template, case):
-    family, csp = case
+@given(csp=random_instances())
+@example(csp=parse_document(ADD_AND_GE_XML, name="add_and_ge"))
+@example(csp=parse_document(BARE_VALUES_XML, name="bare_values"))
+@example(csp=parse_document(GNU_KEYWORDS_XML, name="gnu_keywords"))
+def test_every_version_keeps_the_promise_on_random_instances(cc_template, csp):
     try:
-        report = differential_check(csp, all_specs(family), cc_template)
+        report = differential_check(csp, all_specs(family_of(csp.constraints())), cc_template)
     except CodegenError:
         reject()  # an intension node that can leave 32-bit range
     assert report.status is VerifyStatus.PASS, report.mismatches[:3]

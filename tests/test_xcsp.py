@@ -331,6 +331,44 @@ class TestGroupExpansion:
         assert csp.constraints() == [IntensionConstraint(Binary("ge", Var("x0"), Const(3)))]
 
     @pytest.mark.parametrize(
+        "constraints, where, token",
+        [
+            ("<group><allDifferent> %00 %1 </allDifferent><args> x[0] x[1] </args></group>",
+             "group[1]/allDifferent[1]", "%00"),
+            ("<group><extension><list> %0 %01 </list><supports> (0,0) </supports></extension>"
+             "<args> x[0] x[1] </args></group>", "group[1]/extension[1]/list[1]", "%01"),
+            ("<group><intension> eq(%01,%0) </intension><args> x[0] x[1] </args></group>",
+             "group[1]/intension[1]", "%01"),
+            ("<intension> eq(%01,x[0]) </intension>", "intension[1]", "%01"),
+            ("<allDifferent> %010 x[0] </allDifferent>", "allDifferent[1]", "%010"),
+        ],
+        ids=["alldifferent", "table", "intension", "lone-intension", "lone-alldifferent"],
+    )
+    def test_a_slot_with_a_leading_zero_is_rejected_as_written(self, constraints, where, token):
+        assert diagnostics(document(SIX, constraints)) == [
+            f"error at /instance[1]/constraints[1]/{where} (line 1): "
+            f"placeholder {token} has a leading zero"
+        ]
+
+    def test_slots_0_and_10_are_read(self):
+        def sum_of(pattern):
+            return ",".join(pattern.format(i) for i in range(10))
+
+        scope = " ".join(f"%{i}" for i in range(11))
+        csp = parse_document(
+            document(
+                '<array id="y" size="[11]"> 0..20 </array>',
+                f"<group><allDifferent> {scope} </allDifferent><args> y[] </args></group>"
+                f"<group><intension> eq(%10,add({sum_of('%{}')})) </intension>"
+                "<args> y[] </args></group>",
+            )
+        )
+        assert csp.constraints() == [
+            AllDifferent(tuple(f"y{i}" for i in range(11))),
+            IntensionConstraint(parse_intension(f"eq(y10,add({sum_of('y{}')}))")),
+        ]
+
+    @pytest.mark.parametrize(
         "group, where, message",
         [
             (
@@ -736,6 +774,10 @@ DIAGNOSTIC_TABLE = {
     "group-without-slots": (
         document(SIX, "<group><allDifferent> x[0] x[1] </allDifferent><args> x[2] </args></group>"),
         at(f"{C}/group[1]", "args given for a template without placeholders"),
+    ),
+    "group-slot-leading-zero": (
+        document(SIX, "<group><allDifferent> %00 %1 </allDifferent><args> x[0] x[1] </args></group>"),
+        at(f"{C}/group[1]/allDifferent[1]", "placeholder %00 has a leading zero"),
     ),
     "group-short-row": (
         document(SIX, "<group><allDifferent> %0 %1 </allDifferent><args> x[0] </args></group>"),
