@@ -63,7 +63,9 @@ def criterion(capfd):
     return _criterion
 
 
-EXT_CORPUS = ["conflicts_group", "supports_pair", "xor_ring", "ext_mixed"]
+EXT_CORPUS = [
+    "conflicts_group", "supports_pair", "xor_ring", "ext_mixed", "mixed_sat", "mixed_unsat",
+]
 INT_CORPUS = ["dist_alldiff", "pigeonhole", "diff_triangle", "product_sign", "eq_ne"]
 
 

@@ -1012,10 +1012,11 @@ def random_instances(draw):
         name: draw(st.lists(st.integers(-3, 4), min_size=1, max_size=4, unique=True))
         for name in names
     }
-    # per constraint, whether it is a table: all, none, or some of each
+    # per constraint, whether it is a table: all, none, or some of each; an
+    # empty instance takes the extensional rows, so only the first draws one
     tables = draw(st.one_of(
         st.integers(0, 4).map(lambda n: [True] * n),
-        st.integers(0, 4).map(lambda n: [False] * n),
+        st.integers(1, 4).map(lambda n: [False] * n),
         st.lists(st.booleans(), min_size=2, max_size=4).filter(lambda ts: len(set(ts)) == 2),
     ))
     constraints = []
