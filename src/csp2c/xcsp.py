@@ -31,7 +31,8 @@ Groups end here: the reader parses each template once and builds one
 concrete constraint per <args> row, so the model, the oracle and the code
 generator never see a template or a placeholder. A template's `%i` is a
 variable name until a row fills it, a scope token or a Var("%i") leaf, so
-the template is checked once as an ordinary constraint. Array variables
+the template is checked once as an ordinary constraint; every slot token
+passes resolve_token, which rejects one with a leading zero (%01). Array variables
 are flattened to scalars (x[2] -> x2); where that name belongs to another
 variable, underscores go before the index (x1[0] -> x1_0 next to x[10]).
 An <intension> may nest at most model.MAX_EXPR_DEPTH operators deep, both
