@@ -282,10 +282,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         {t.dialect for t in tools if t.kind is harness.ToolKind.ANALYSIS}
     )
     labels_by_family: dict[str, list[str]] = {}
+    same_program: dict[tuple[str, str, str], str] = {}
     for inst in instances:
         # an error names the manifest entry's file
         try:
-            labels = _write_programs(inst, args.versions, dialects, src_dir)
+            labels = _write_programs(inst, args.versions, dialects, src_dir, same_program)
         except xcsp.ParseFailure as exc:
             raise xcsp.ParseFailure(
                 [
@@ -297,24 +298,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise codegen.CodegenError(f"{inst.path}: {exc}") from None
         labels_by_family[inst.family] = labels
 
-    records = harness.run_matrix(instances, labels_by_family, tools, src_dir, workers=args.workers)
+    records = harness.run_matrix(
+        instances, labels_by_family, tools, src_dir,
+        workers=args.workers, same_program=same_program,
+    )
     sizes = {inst.instance_id: inst.size for inst in instances}
     return _write_report(records, sizes, args.out_dir)
 
 
 def _write_programs(
-    inst: harness.BenchInstance, versions: str, dialects: list[str], src_dir: str
+    inst: harness.BenchInstance,
+    versions: str,
+    dialects: list[str],
+    src_dir: str,
+    same_program: dict[tuple[str, str, str], str],
 ) -> list[str]:
     """Write the program of each version of `inst` in each dialect to
-    `src_dir`; the version labels. The instance, and with it codegen's
-    analysis of it, is released when this returns, before the next one is
-    parsed."""
+    `src_dir`, and add to `same_program` each version that shares an earlier
+    one's program (harness.write_versions); the version labels. The
+    instance, and with it codegen's analysis of it, is released when this
+    returns, before the next one is parsed."""
     csp = xcsp.parse_file(inst.path)
     family = codegen.Family(inst.family)
     labels = [spec.version_label for spec in _parse_versions(versions, family)]
     for dialect in dialects:
-        for spec in _parse_versions(versions, family, dialect):
-            harness.write_program(codegen.transform(csp, spec), src_dir)
+        specs = _parse_versions(versions, family, dialect)
+        same_program.update(harness.write_versions(csp, specs, src_dir))
     return labels
 
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 import re
 import weakref
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     AllDifferent,
@@ -845,12 +845,57 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
 
 def version_comment(name: str, spec: TransformSpec) -> str:
     """Line 1 of the program of `spec` for the instance `name`, a comment
-    naming the cell; verify runs cells whose programs differ in this line
-    alone as one program."""
+    naming the cell; cells whose programs differ in this line alone are one
+    program (first_sharers)."""
     return (
         f"/* {name}: {spec.family.value} version {spec.version} "
         f"({spec.construct.value}, {spec.operator.value}, grouping={spec.grouping.value}) */"
     )
+
+
+def first_sharers(
+    name: str,
+    programs: Iterable[tuple[TransformSpec, str]],
+    recall: Callable[[int, int], str],
+) -> list[int]:
+    """For each (spec, source text) of `programs`, the programs of one
+    instance `name` and one dialect, in order: the index of the first that
+    is the same program, its own index when none before it is. The one rule
+    of csp2c for "the same program", which verify and bench both follow:
+    two texts are the same program when they are equal but for line 1,
+    where each holds version_comment(name, spec) for its own spec; a text
+    whose line 1 is anything else is the same only as one of the same whole
+    text. `programs` is read one at a time and no text is kept: a text is
+    compared only with the earlier ones of its length, each as
+    `recall(index, start)` gives it, from the character `start` on."""
+    firsts: list[int] = []
+    # where the compared part of each text starts: after line 1, or at 0
+    starts: list[int] = []
+    # (whether line 1 is left out, length compared) -> indices of distinct programs
+    candidates: dict[tuple[bool, int], list[int]] = {}
+    for spec, text in programs:
+        head = version_comment(name, spec) + "\n"
+        start = len(head) if text.startswith(head) else 0
+        length = len(text) - start
+        same = candidates.setdefault((start > 0, length), [])
+        k = len(firsts)
+        for earlier in same:
+            if _is_tail(recall(earlier, starts[earlier]), text, length):
+                k = earlier
+                break
+        else:
+            same.append(k)
+        firsts.append(k)
+        starts.append(start)
+        # dropped before the next text is made
+        del text
+    return firsts
+
+
+def _is_tail(part: str, text: str, length: int) -> bool:
+    """Whether `part` is the last `length` characters of `text`, compared in
+    place, so no copy of them is made."""
+    return len(part) == length and text.endswith(part)
 
 
 def _file_header(name: str, spec: TransformSpec, uses_dist: bool) -> list[str]:

@@ -3,8 +3,11 @@
 Tools are described by a manifest (JSON): a run command template, an
 optional prepare step (e.g. bitcode compilation), a wall-clock timeout, and
 a success pattern that classifies "the distinguished point was reached".
-Analysis tools run once per (instance x version); baseline solvers run once
-per instance on the original XCSP3 file and anchor time normalization.
+Analysis tools run once per distinct program of an instance and dialect:
+versions whose programs are the same by codegen.first_sharers run once, on
+the first version's file, and every version still gets its file and its
+record. Baseline solvers run once per instance on the original XCSP3 file
+and anchor time normalization.
 
 Every child process csp2c starts, the verifier's compiler and drivers
 included, goes through `run_command`. It runs in its own process group,
@@ -14,9 +17,10 @@ and the verifier's units, in the calling thread or, with workers > 1, in
 a pool that an interrupt stops the same way. ToolSpec (its templates too)
 and BenchInstance check every field when built, so a bad value never
 reaches a job; a manifest loader only reads, resolves paths and checks
-names are unique. Each job of `run_matrix` makes its one RunRecord.
-Timing runs default to a single worker; records of a parallel run are
-stamped as indicative.
+names are unique. Each job of `run_matrix` makes one RunRecord, and a
+version that shares its program takes a copy noted `same program as
+<label>`. Timing runs default to a single worker; records of a parallel run
+are stamped as indicative.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 from .model import Dialect, Family, Frozen
 
 if TYPE_CHECKING:
-    from .codegen import GeneratedProgram
+    from .codegen import GeneratedProgram, TransformSpec
+    from .model import CspInstance
 
 DEFAULT_TIMEOUT_S = 1000.0
 # the longest timeout a tool may state: 2**31 - 1 milliseconds, about 24.8 days
@@ -400,29 +405,62 @@ def run_jobs(job: Callable[[Any], Any], items: Sequence[Any], workers: int) -> l
     Otherwise `workers` threads share them. A job's exception propagates as
     from pool.map: the first in item order wins, the queued jobs are
     cancelled and the running ones finish. An interrupt (a BaseException
-    that is not an Exception) cancels the queued jobs and kills the group
-    of every child run_command waits on, again until every running job has
-    ended, so none starts its next step; then it propagates.
+    that is not an Exception) is seen within 0.05 s, whichever thread the
+    signal was given to, and wherever it lands, even in the middle of
+    submitting the jobs: it stops every job that has not started and kills
+    the group of every child run_command waits on, again until every
+    started job has ended, so none starts its next step; then it propagates.
     """
     if workers <= 1 or len(items) < 2:
         return [job(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor, wait
+    import threading
+    from concurrent.futures import Future, ThreadPoolExecutor, wait
+
+    # the jobs started and not yet ended, and whether an interrupt came;
+    # read and changed under the lock, so no job starts once it came
+    lock = threading.Lock()
+    started = 0
+    interrupted = False
+
+    def guarded(item: Any) -> Any:
+        nonlocal started
+        with lock:
+            if interrupted:
+                return None
+            started += 1
+        try:
+            return job(item)
+        finally:
+            with lock:
+                started -= 1
+
+    def result(future: Future) -> Any:
+        # waited for in steps: a SIGINT that a worker thread happens to take
+        # wakes no lock this thread waits on, and its handler runs here only
+        # once this thread runs again
+        while not wait((future,), timeout=0.05).done:
+            pass
+        return future.result()
 
     pool = ThreadPoolExecutor(max_workers=workers)
-    futures = [pool.submit(job, item) for item in items]
     try:
-        return [future.result() for future in futures]
+        # an interrupt may land in a submission, after its worker thread
+        # has taken the job but before the future is returned: the count,
+        # not the futures, tells which jobs run
+        futures = [pool.submit(guarded, item) for item in items]
+        return [result(future) for future in futures]
     except Exception:
         # a job's error: shutdown below cancels the queued jobs and waits
         raise
     except BaseException:
         # an interrupt, which only this thread sees: the children lead
         # their own sessions, so the terminal's SIGINT never reached them
-        running = [future for future in futures if not future.cancel()]
-        while running:
+        with lock:
+            interrupted = True
+        while started:
             for group in list(_waited_groups):
                 _signal_group(group, signal.SIGKILL)
-            running = list(wait(running, timeout=0.05).not_done)
+            time.sleep(0.05)
         raise
     finally:
         pool.shutdown(cancel_futures=True)
@@ -478,6 +516,40 @@ def write_program(program: GeneratedProgram, directory: str) -> str:
     return path
 
 
+def write_versions(
+    csp: CspInstance, specs: Sequence[TransformSpec], directory: str
+) -> dict[tuple[str, str, str], str]:
+    """Write the program of each of `specs`, cells of `csp` in one dialect,
+    to its file in `directory`. For each version whose program is the same
+    as an earlier one's by codegen.first_sharers, the label of the first of
+    those, keyed as run_matrix's `same_program` is. The programs are emitted
+    and written one at a time, and an earlier one is read back from its file
+    to be compared, so no program is held."""
+    from .codegen import first_sharers, transform
+
+    paths: list[str] = []
+
+    def written() -> Iterable[tuple[TransformSpec, str]]:
+        for spec in specs:
+            program = transform(csp, spec)
+            paths.append(write_program(program, directory))
+            yield spec, program.source_text
+            # dropped before the next program is made
+            del program
+
+    def recall(k: int, start: int) -> str:
+        with open(paths[k], "r", encoding="utf-8", newline="") as fh:
+            fh.read(start)
+            return fh.read()
+
+    firsts = first_sharers(csp.name, written(), recall)
+    return {
+        (csp.name, specs[i].version_label, specs[i].dialect.value): specs[k].version_label
+        for i, k in enumerate(firsts)
+        if k != i
+    }
+
+
 def run_matrix(
     instances: Sequence[BenchInstance],
     version_labels_by_family: Mapping[str, Sequence[str]],
@@ -485,23 +557,42 @@ def run_matrix(
     source_dir: str,
     *,
     workers: int = 1,
+    same_program: Mapping[tuple[str, str, str], str] | None = None,
 ) -> list[RunRecord]:
     """One record per (analysis tool x instance x version) plus one per
     (baseline tool x instance). Missing tool binaries yield tool-error
     records; the run continues. With workers > 1 the jobs share the CPUs,
-    so every record is stamped as indicative."""
+    so every record is stamped as indicative.
+
+    `same_program` maps (instance id, version label, dialect) to the label
+    of an earlier version of the instance whose program in that dialect is
+    the same, as write_versions gives it. An analysis tool runs once per
+    distinct program, on the first version's file, and a version that
+    shares it takes that record's outcome and time, its note naming the
+    version (`same program as <label>`)."""
     note = "parallel, timings indicative" if workers > 1 else ""
+    same_program = same_program or {}
 
     jobs: list[tuple[ToolSpec, str, str, str]] = []  # tool, src, instance, version
+    # per record, in order: its version and the index of the job it takes
+    slots: list[tuple[str, int]] = []
     for tool in tools:
         if tool.kind is ToolKind.BASELINE:
             for inst in instances:
+                slots.append(("", len(jobs)))
                 jobs.append((tool, inst.path, inst.instance_id, ""))
-        else:
-            for inst in instances:
-                for label in version_labels_by_family.get(inst.family, []):
-                    src = source_path(source_dir, inst.instance_id, label, tool.dialect)
-                    jobs.append((tool, src, inst.instance_id, label))
+            continue
+        for inst in instances:
+            job_of: dict[str, int] = {}
+            for label in version_labels_by_family.get(inst.family, []):
+                first = same_program.get((inst.instance_id, label, tool.dialect))
+                if first in job_of:
+                    slots.append((label, job_of[first]))
+                    continue
+                job_of[label] = len(jobs)
+                slots.append((label, len(jobs)))
+                src = source_path(source_dir, inst.instance_id, label, tool.dialect)
+                jobs.append((tool, src, inst.instance_id, label))
 
     def run_job(job: tuple[ToolSpec, str, str, str]) -> RunRecord:
         tool, src, instance_id, version = job
@@ -512,7 +603,17 @@ def run_matrix(
             why = note
         return RunRecord(tool.name, instance_id, version, outcome, wall, note=why)
 
-    records = run_jobs(run_job, jobs, workers)
+    ran = run_jobs(run_job, jobs, workers)
+    records = []
+    for version, k in slots:
+        record = ran[k]
+        if record.version != version:
+            why = "; ".join(filter(None, (record.note, f"same program as {record.version}")))
+            record = RunRecord(
+                record.tool, record.instance, version, record.outcome, record.wallclock_s,
+                note=why,
+            )
+        records.append(record)
     normalize_records(records, tools)
     return records
 

@@ -16,10 +16,11 @@ so is every other value csp2c defines, in the oracle, the XCSP3 reader,
 codegen, verify and the harness. A class lists its fields in `_fields` and
 the defaults of any a caller may leave out in `_defaults`; Frozen's one
 constructor takes the fields by position or by keyword, and a class writes
-its own only to check them first. Nothing is generated when the module is
-imported: each command starts a new interpreter, and generating methods
-(with `inspect` imported to do it) took about half of csp2c's own import
-time.
+its own only to check them first (Unary and Binary, built once per
+operator a parse reads, also set their slots themselves). Nothing is
+generated when the module is imported: each command starts a new
+interpreter, and generating methods (with `inspect` imported to do it)
+took about half of csp2c's own import time.
 """
 
 from __future__ import annotations
@@ -225,14 +226,12 @@ class Const(Frozen):
     depth: ClassVar[int] = 0
 
 
-def _checked_depth(depth: int) -> int:
-    if depth > MAX_EXPR_DEPTH:
-        raise ModelError(f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators")
-    return depth
+_TOO_DEEP = f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
 
 
 # An operator node's `depth` is a slot but not a field, so equality, hash
-# and repr leave it out.
+# and repr leave it out. A parse builds one node per operator, so these two
+# set their slots themselves, without Frozen.__init__'s loop over the fields.
 class Unary(Frozen):
     __slots__ = ("op", "operand", "depth")
     _fields = ("op", "operand")
@@ -244,8 +243,12 @@ class Unary(Frozen):
     def __init__(self, op: str, operand: "Expr") -> None:
         if op not in UNARY_OPS:
             raise ModelError(f"unknown unary operator {op!r}")
-        set_slot(self, "depth", _checked_depth(operand.depth + 1))
-        Frozen.__init__(self, op, operand)
+        depth = operand.depth + 1
+        if depth > MAX_EXPR_DEPTH:
+            raise ModelError(_TOO_DEEP)
+        set_slot(self, "op", op)
+        set_slot(self, "operand", operand)
+        set_slot(self, "depth", depth)
 
 
 class Binary(Frozen):
@@ -259,8 +262,13 @@ class Binary(Frozen):
     def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
         if op not in BINARY_OPS:
             raise ModelError(f"unknown binary operator {op!r}")
-        set_slot(self, "depth", _checked_depth(max(left.depth, right.depth) + 1))
-        Frozen.__init__(self, op, left, right)
+        depth = (left.depth if left.depth > right.depth else right.depth) + 1
+        if depth > MAX_EXPR_DEPTH:
+            raise ModelError(_TOO_DEEP)
+        set_slot(self, "op", op)
+        set_slot(self, "left", left)
+        set_slot(self, "right", right)
+        set_slot(self, "depth", depth)
 
 
 Expr = Union[Var, Const, Unary, Binary]

@@ -4,8 +4,9 @@ Programs are checked the hard way: compile the klee programs the tools
 receive with an external C compiler, and pipe the whole assignment plan
 through the executable, so the verification path shares no evaluation code
 with the oracle. Versions whose programs are equal but for line 1, the
-comment codegen.version_comment writes for each cell, share one program,
-compiled and run once: on the corpus, 118 cells are 77 programs. Each
+comment codegen.version_comment writes for each cell, share one program
+(codegen.first_sharers, the rule bench follows too), compiled and run
+once: on the corpus, 142 cells are 101 programs. Each
 distinct program of a pass goes into one translation unit (with `workers`
 > 1, the programs are split among that many units, built at once by
 harness.run_jobs), which codegen.build_unit assembles around the replay
@@ -61,9 +62,9 @@ from .codegen import (
     GeneratedProgram,
     TransformSpec,
     build_unit,
+    first_sharers,
     output_filename,
     transform,
-    version_comment,
 )
 from .harness import CommandResult, check_template, run_command, run_jobs, write_program
 from .model import CspInstance, Frozen
@@ -291,19 +292,16 @@ def _observe(
 
 def _share(csp: CspInstance, emitted: dict[TransformSpec, GeneratedProgram]) -> list[int]:
     """For each emitted program, in order, the number of the distinct
-    program it is, counted from 0 in order of first appearance. Programs are
-    one when their texts are equal but for line 1, where each holds the
-    comment codegen.version_comment writes for its own spec; a program
-    whose line 1 is anything else is one only with a program of the same
-    whole text."""
-    numbers: dict[tuple[bool, str], int] = {}
-    shared = []
-    for spec, program in emitted.items():
-        head = version_comment(csp.name, spec) + "\n"
-        text = program.source_text
-        key = (True, text[len(head) :]) if text.startswith(head) else (False, text)
-        shared.append(numbers.setdefault(key, len(numbers)))
-    return shared
+    program it is by codegen.first_sharers, counted from 0 in order of
+    first appearance."""
+    programs = list(emitted.values())
+    firsts = first_sharers(
+        csp.name,
+        ((spec, program.source_text) for spec, program in emitted.items()),
+        lambda k, start: programs[k].source_text[start:],
+    )
+    numbers: dict[int, int] = {}
+    return [numbers.setdefault(k, len(numbers)) for k in firsts]
 
 
 def _assignment_plan(csp: CspInstance, bound: int) -> tuple[list[Assignment], bool]:

@@ -40,7 +40,8 @@ as written and as a tree, where an n-ary operator folds into one level per
 argument after the first. The model holds every tree to that limit, parsed
 or built through the library, and the reader turns a tree past it into a
 diagnostic. Parsing is a pure function of the input text and linear in its
-size.
+size. The intension trees of one document share their leaves: one Var per
+distinct variable token and one Const per distinct integer token.
 
 The reader is driven by expat's events and holds no tree of the document.
 It checks the document element at its start tag; a rejected one is the one
@@ -237,16 +238,17 @@ def _build(op: str, args: list[Expr]) -> Expr:
     raise IntensionSyntaxError(f"unknown operator {op!r}")
 
 
-def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
+def _parse_tree(text: str, leaf: Callable[[str], Expr], consts: dict[str, Const]) -> Expr:
     """The tree of functional prefix syntax, each variable or `%i` token
-    turned into a leaf by `leaf`, left to right, as the tree is built.
+    turned into a leaf by `leaf`, left to right, as the tree is built, and
+    each integer token into its Const in `consts`, which takes any not there.
 
     The written nesting may be at most MAX_EXPR_DEPTH operators deep, which
     bounds this parser's own recursion; the model holds the tree, where an
     n-ary operator folds into n-1 levels, to the same limit."""
     tokens = _tokenize(text)
     try:
-        tree, pos = _parse_expr(tokens, 0, leaf, 0)
+        tree, pos = _parse_expr(tokens, 0, leaf, consts, 0)
     except ModelError as exc:
         raise IntensionSyntaxError(str(exc)) from None
     if pos != len(tokens):
@@ -255,7 +257,11 @@ def _parse_tree(text: str, leaf: Callable[[str], Expr]) -> Expr:
 
 
 def _parse_expr(
-    tokens: list[str], pos: int, leaf: Callable[[str], Expr], nesting: int
+    tokens: list[str],
+    pos: int,
+    leaf: Callable[[str], Expr],
+    consts: dict[str, Const],
+    nesting: int,
 ) -> tuple[Expr, int]:
     """The expression that starts at tokens[pos], `nesting` operators deep,
     and the position after it. A module-level function, not a closure over
@@ -269,7 +275,10 @@ def _parse_expr(
     pos += 1
     first = tok[0]
     if first == "-" or first.isdecimal():
-        return Const(int(tok)), pos
+        const = consts.get(tok)
+        if const is None:
+            const = consts[tok] = Const(int(tok))
+        return const, pos
     if first in "(),":
         raise IntensionSyntaxError(f"unexpected {tok!r}")
     if first == "%" or pos == end or tokens[pos] != "(":
@@ -278,10 +287,10 @@ def _parse_expr(
         raise IntensionSyntaxError(
             f"nested deeper than the limit of {MAX_EXPR_DEPTH} operators"
         )
-    arg, pos = _parse_expr(tokens, pos + 1, leaf, nesting + 1)
+    arg, pos = _parse_expr(tokens, pos + 1, leaf, consts, nesting + 1)
     args = [arg]
     while pos < end and tokens[pos] == ",":
-        arg, pos = _parse_expr(tokens, pos + 1, leaf, nesting + 1)
+        arg, pos = _parse_expr(tokens, pos + 1, leaf, consts, nesting + 1)
         args.append(arg)
     if pos == end:
         raise IntensionSyntaxError("unexpected end of expression")
@@ -297,7 +306,7 @@ def parse_intension(text: str) -> Expr:
     (Var("%i")), as a <group> template keeps it until an args row fills it;
     abs(sub(a,b)) is normalized to dist(a,b).
     """
-    return _parse_tree(text, Var)
+    return _parse_tree(text, Var, {})
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +342,10 @@ class _DocParser:
         # without an id): each was reported once, so an element referencing
         # one is rejected with no message of its own
         self._rejected: set[str] = set()
-        # intension leaf token -> its resolved Var, shared by every tree
+        # intension leaf token -> its resolved Var, and integer token -> its
+        # Const, each shared by every tree
         self._leaves: dict[str, Var] = {}
+        self._consts: dict[str, Const] = {}
         # the open elements, the document element first
         self._open: list[_Node] = []
         # the sections read since the last <constraints> started, not yet parsed
@@ -577,7 +588,7 @@ class _DocParser:
             return var
 
         try:
-            tree = _parse_tree(node.text.strip(), leaf)
+            tree = _parse_tree(node.text.strip(), leaf, self._consts)
         except IntensionSyntaxError as exc:
             raise _Reject(node, f"bad intension expression: {exc}") from None
         if leaf_errors:

@@ -39,7 +39,7 @@ from csp2c.oracle import Status, constraint_satisfied, enumerate_solutions, solv
 from csp2c.verify import VerifyStatus, differential_check
 from csp2c.xcsp import parse_document, parse_file, parse_intension, ParseFailure
 
-from conftest import GOLDEN_DIR, corpus_path, load_corpus
+from conftest import CORPUS_DIR, GOLDEN_DIR, corpus_path, load_corpus
 from test_verify import corrupting_emitter
 
 
@@ -61,12 +61,6 @@ def criterion(capfd):
         announce("PASS")
 
     return _criterion
-
-
-EXT_CORPUS = [
-    "conflicts_group", "supports_pair", "xor_ring", "ext_mixed", "mixed_sat", "mixed_unsat",
-]
-INT_CORPUS = ["dist_alldiff", "pigeonhole", "diff_triangle", "product_sign", "eq_ne"]
 
 
 def test_criterion_1_parser_coverage(manifest, criterion):
@@ -255,13 +249,14 @@ def test_criterion_4_golden_codegen(criterion):
         ]
 
 
-def test_criterion_5_differential_soundness(cc_template, tmp_path, criterion):
+def test_criterion_5_differential_soundness(manifest, cc_template, tmp_path, criterion):
     with criterion("5 differential-soundness"):
         start = time.monotonic()
-        cases = [(name, Family.EXTENSIONAL) for name in EXT_CORPUS] + [
-            (name, Family.INTENSIONAL) for name in INT_CORPUS
-        ]
-        assert len(cases) >= 8
+        # every valid corpus instance, in the family its manifest entry names
+        cases = [(name, Family(entry["family"])) for name, entry in manifest["valid"].items()]
+        assert sorted(name for name, _ in cases) == sorted(
+            name[: -len(".xml")] for name in os.listdir(os.path.join(CORPUS_DIR, "valid"))
+        )
         statuses = {"sat": 0, "unsat": 0}
         for name, family in cases:
             csp = load_corpus(name)

@@ -810,6 +810,9 @@ class TestBenchAndReport:
         for name in ("raw.csv", "robustness.csv", "scalability.csv",
                      "robustness.svg", "scalability.svg"):
             assert (report_dir / name).read_bytes() == (bench_dir / name).read_bytes(), name
+        # records copied from the first version of their program are among them
+        notes = [r.note for r in load_records_csv(str(bench_dir / "raw.csv"))]
+        assert notes.count("same program as extensional1") == 2 + 1
 
     def test_a_mixed_instance_benches_in_the_extensional_rows(self, capsys, tmp_path):
         """An instance whose tables share it with intension and allDifferent
@@ -913,6 +916,58 @@ class TestBenchAndReport:
         assert code == 0
         records = load_records_csv(str(out_dir / "raw.csv"))
         assert [r.outcome for r in records] == [Outcome.REACHED, Outcome.REACHED]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_tool_runs_once_per_distinct_program(
+        self, capsys, tmp_path, bench_manifests, workers
+    ):
+        """Versions whose programs differ in line 1 alone run once, prepare
+        step included, and each takes the record of the first of them."""
+        _, instances = bench_manifests
+        runs = {name: tmp_path / f"{name}.runs" for name in ("a", "a-prepare", "b")}
+        tools = _written(tmp_path, "counting.json", json.dumps([
+            {"name": "a", "prepare": _appending(runs["a-prepare"]),
+             "run": _appending(runs["a"], "ASSERTION FAIL"),
+             "success_pattern": "ASSERTION FAIL", "timeout_s": 30},
+            {"name": "b", "run": _appending(runs["b"]), "timeout_s": 30},
+            {"name": "base", "run": "echo solved {src}", "kind": "baseline", "timeout_s": 30},
+        ]).encode())
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            capsys, "bench", "--tools", tools, "--instances", instances,
+            "--out-dir", str(out_dir), "--versions", "all", "--workers", workers,
+        )
+        assert code == 0
+        # (instance, version) -> the first version whose text after line 1 is its own
+        src = out_dir / "src"
+        first_of = {}
+        for instance in ("supports_pair", "xor_ring"):
+            seen: dict[str, str] = {}
+            for label in (f"extensional{v}" for v in range(1, 13)):
+                text = (src / f"{instance}__{label}__klee.c").read_text(encoding="utf-8")
+                first_of[instance, label] = seen.setdefault(text.split("\n", 1)[1], label)
+        firsts = sorted(
+            str(src / f"{instance}__{label}__klee.c")
+            for (instance, label), first in first_of.items()
+            if first == label
+        )
+        assert len(firsts) == 4 + 8  # of 2 x 12 versions
+        for name, path in runs.items():
+            assert sorted(path.read_text().split()) == firsts, name
+
+        records = load_records_csv(str(out_dir / "raw.csv"))
+        assert len(records) == 2 * 24 + 2
+        by_key = {(r.tool, r.instance, r.version): r for r in records}
+        parallel = ["parallel, timings indicative"] if workers == "2" else []
+        for r in records:
+            first = first_of.get((r.instance, r.version), r.version)
+            same = [f"same program as {first}"] if first != r.version else []
+            assert r.note == "; ".join(parallel + same), r
+            twin = by_key[r.tool, r.instance, first]
+            assert (r.outcome, r.wallclock_s, r.normalized) == (
+                twin.outcome, twin.wallclock_s, twin.normalized
+            )
+        assert ("note: parallel, timings indicative" in out) == bool(parallel)
 
     def test_bad_versions_and_family_mismatch_exit_2(self, capsys, tmp_path, bench_manifests):
         tools, instances = bench_manifests
@@ -1096,6 +1151,12 @@ def _edited(manifest: str, out_dir, entry: int = 0, **changes) -> str:
     path = out_dir / ("edited-" + os.path.basename(manifest))
     path.write_text(json.dumps(entries))
     return str(path)
+
+
+def _appending(path, then: str = "") -> str:
+    """A tool command that appends the {src} it runs on to `path`, then prints `then`."""
+    script = f'echo "$0" >> {shlex.quote(str(path))}; echo {then}'
+    return f"sh -c {shlex.quote(script)} {{src}}"
 
 
 def _written(out_dir, name: str, data: bytes) -> str:
@@ -1321,10 +1382,11 @@ class TestInterrupt:
             [{"path": corpus_path("valid", "supports_pair"), "family": "extensional", "size": 1}]
         ))
         argv = ["bench", "--tools", str(tools), "--instances", str(instances),
-                "--out-dir", str(tmp_path / "o"), "--versions", "1,2,3", "--workers", "2"]
+                "--out-dir", str(tmp_path / "o"), "--versions", "1,4,7", "--workers", "2"]
         code, stderr, seconds, started = _interrupt(argv, pids, 2)
         assert code == 130 and stderr == "interrupted\n" and seconds < 3, (code, stderr, seconds)
-        # the third job was queued behind the two running ones
+        # three distinct programs, so three jobs: the third was queued
+        # behind the two running ones
         assert len(started) == 2
 
 

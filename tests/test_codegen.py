@@ -21,9 +21,11 @@ from csp2c.codegen import (
     _c_names,
     build_unit,
     family_of,
+    first_sharers,
     output_filename,
     source_filename,
     transform,
+    version_comment,
     version_count,
 )
 from csp2c.model import (
@@ -777,6 +779,34 @@ def program_hashes() -> dict[str, str]:
                 digest = hashlib.sha256(program.source_text.encode("utf-8")).hexdigest()
                 hashes[output_filename(program)] = digest
     return hashes
+
+
+class TestFirstSharers:
+    """codegen's one rule for "the same program": texts equal but for the
+    line-1 comment of each one's own cell."""
+
+    SPECS = [TransformSpec(Family.INTENSIONAL, v) for v in (1, 2, 3, 4)]
+
+    def _texts(self, *bodies):
+        return [version_comment("t", spec) + "\n" + body for spec, body in zip(self.SPECS, bodies)]
+
+    def test_each_text_names_the_first_with_its_program(self):
+        texts = self._texts("int a;\n", "int bb;\n", "int c;\n", "int a;\n")
+        recalled = []
+
+        def recall(k, start):
+            recalled.append(k)
+            return texts[k][start:]
+
+        assert first_sharers("t", zip(self.SPECS, texts), recall) == [0, 1, 2, 0]
+        # only the earlier texts of a text's own length are read back
+        assert recalled == [0, 0]
+
+    def test_another_cells_comment_is_part_of_the_text(self):
+        (own,) = self._texts("int a;\n")
+        texts = [own, own, own, own.replace("intensional", "extensional", 1)]
+        firsts = first_sharers("t", zip(self.SPECS, texts), lambda k, start: texts[k][start:])
+        assert firsts == [0, 1, 1, 3]
 
 
 def test_every_corpus_program_matches_its_pinned_hash():

@@ -27,7 +27,12 @@ from csp2c.harness import (
     run_jobs,
     run_matrix,
     source_path,
+    write_versions,
 )
+from csp2c.codegen import Family, TransformSpec
+from csp2c.xcsp import parse_file
+
+from conftest import corpus_path
 
 
 def make_sources(tmp_path, instances, labels, dialect="klee"):
@@ -160,6 +165,41 @@ class TestRunMatrix:
         records = run_matrix(two_instances, {"extensional": LABELS[:1]}, tools, src_dir)
         analysis = [r for r in records if r.tool == "fast"]
         assert all(r.normalized is not None and r.normalized > 0 for r in analysis)
+
+    def test_sharing_a_program_changes_only_times_and_notes(self, tmp_path):
+        """Every version keeps its file and its record, in order; one that
+        shares an earlier version's program takes that record's outcome and
+        times instead of running."""
+        instances = [
+            BenchInstance(corpus_path("valid", name), "extensional", size)
+            for size, name in enumerate(["supports_pair", "xor_ring"], 1)
+        ]
+        specs = [TransformSpec(Family.EXTENSIONAL, v) for v in range(1, 13)]
+        labels = {"extensional": [spec.version_label for spec in specs]}
+        src_dir = str(tmp_path / "src")
+        same_program = {}
+        for inst in instances:
+            same_program.update(write_versions(parse_file(inst.path), specs, src_dir))
+        assert len(os.listdir(src_dir)) == 24
+        assert len(same_program) == 8 + 4
+        tools = [
+            ToolSpec(name="grep", run="grep -c assert {src}", success_pattern="^[1-9]"),
+            ToolSpec(name="base", run="wc -c {src}", kind=ToolKind.BASELINE),
+        ]
+        alone = run_matrix(instances, labels, tools, src_dir)
+        shared = run_matrix(instances, labels, tools, src_dir, same_program=same_program)
+        assert [(r.tool, r.instance, r.version, r.outcome) for r in shared] == [
+            (r.tool, r.instance, r.version, r.outcome) for r in alone
+        ]
+        by_key = {(r.instance, r.version): r for r in shared if r.version}
+        for r in shared:
+            first = same_program.get((r.instance, r.version, "klee"))
+            if first is None:
+                assert r.note == ""
+                continue
+            twin = by_key[r.instance, first]
+            assert r.note == f"same program as {first}" and twin.note == ""
+            assert (r.wallclock_s, r.normalized) == (twin.wallclock_s, twin.normalized)
 
     def test_prepare_and_run_share_one_deadline(self, tmp_path, two_instances):
         src_dir = make_sources(tmp_path, two_instances[:1], LABELS[:1])
@@ -340,6 +380,65 @@ def test_an_interrupt_kills_every_running_jobs_group_and_starts_no_queued_job(
         with pytest.raises(ProcessLookupError):
             os.killpg(int((tmp_path / f"{i}").read_text()), 0)
     assert harness._waited_groups == set()
+
+
+def test_an_interrupt_in_a_submission_stops_the_job_it_submitted(tmp_path, monkeypatch):
+    """The interrupt lands as the second job's worker thread starts, before
+    the pool hands back that job's future; the job still starts no child
+    that outlives run_jobs."""
+    start = threading.Thread.start
+    workers = []
+
+    def interrupted_start(thread):
+        start(thread)
+        if thread.name.startswith("ThreadPoolExecutor"):
+            workers.append(thread)
+            if len(workers) == 2:
+                raise _Interrupt
+
+    monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+
+    def job(i):
+        if i == 1:
+            time.sleep(0.3)  # its child starts after the first job's is killed
+        run_command("sh -c 'echo $$ > {out}; exec sleep 30'", {"out": str(tmp_path / f"{i}")}, 60)
+
+    began = time.monotonic()
+    with pytest.raises(_Interrupt):
+        run_jobs(job, range(3), 2)
+    assert time.monotonic() - began < 3.0
+    time.sleep(0.5)
+    assert not (tmp_path / "2").exists()
+    assert_groups_gone(tmp_path.glob("[01]"))
+
+
+def assert_groups_gone(pid_files):
+    """No process group is left of the pid each killed child wrote; a child
+    killed before it wrote one left an empty file."""
+    for path in pid_files:
+        pid = path.read_text()
+        if pid:
+            with pytest.raises(ProcessLookupError):
+                os.killpg(int(pid), 0)
+    assert harness._waited_groups == set()
+
+
+def test_an_interrupt_that_a_worker_thread_takes_still_stops_the_jobs(tmp_path):
+    """The kernel hands a process's signal to any thread that does not block
+    it, and Python runs the handler in the main thread: one a worker thread
+    took must still reach run_jobs while it waits for the jobs."""
+
+    def job(i):
+        if i == 0:
+            time.sleep(0.3)  # run_jobs waits for this job by then
+            signal.pthread_kill(threading.get_ident(), signal.SIGALRM)
+        run_command("sh -c 'echo $$ > {out}; exec sleep 30'", {"out": str(tmp_path / f"{i}")}, 60)
+
+    start = time.monotonic()
+    with interrupted_after(60.0):
+        run_jobs(job, range(2), 2)
+    assert time.monotonic() - start < 3.0
+    assert_groups_gone(tmp_path.glob("[01]"))
 
 
 def rec(tool, instance, version, outcome=Outcome.NOT_REACHED, wall=1.0, normalized=None):

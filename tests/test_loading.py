@@ -28,7 +28,9 @@ from conftest import corpus_path
 SRC = Path(csp2c.__file__).resolve().parent.parent
 SPANS = SRC.parent / "perfbench" / "spans.py"
 SIBLINGS = ("cli", "model", "xcsp", "oracle", "codegen", "verify", "harness", "charts")
-WATCHED = ("dataclasses", "inspect", "subprocess", "concurrent.futures")
+# modules no command may import unless it says so in LOADED; hashlib loads
+# OpenSSL, which adds megabytes to a command's peak memory
+WATCHED = ("dataclasses", "inspect", "subprocess", "concurrent.futures", "hashlib")
 
 
 def run_fresh(script: str, *argv: str) -> dict:

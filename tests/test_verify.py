@@ -655,6 +655,30 @@ class TestSharedPrograms:
         assert timing.programs == 4
         assert list(timing.versions) == report.versions
 
+    def test_the_corpus_folds_by_codegens_rule(self, monkeypatch):
+        """verify numbers the distinct programs by codegen.first_sharers: the
+        11 pure corpus instances' 118 cells are 77 programs, and the two
+        mixed ones' 24 cells 24."""
+        calls = []
+        rule = verify.first_sharers
+        monkeypatch.setattr(verify, "first_sharers", lambda *a: calls.append(a[0]) or rule(*a))
+        counts = {}
+        for name in CORPUS:
+            csp = load_corpus(name)
+            specs = all_specs(family_of(csp.constraints()))
+            emitted = {spec: transform(csp, spec) for spec in specs}
+            shared = verify._share(csp, emitted)
+            # distinct texts after line 1, numbered in order of first appearance
+            bodies = {}
+            for program in emitted.values():
+                bodies.setdefault(program.source_text.split("\n", 1)[1], len(bodies))
+            assert shared == [bodies[p.source_text.split("\n", 1)[1]] for p in emitted.values()]
+            counts[name] = (len(shared), len(bodies))
+        assert calls == CORPUS
+        mixed = ("mixed_sat", "mixed_unsat")
+        assert [sum(n) for n in zip(*(counts.pop(name) for name in mixed))] == [24, 24]
+        assert [sum(n) for n in zip(*counts.values())] == [118, 77]
+
     def test_an_edit_to_one_of_two_equal_programs_fails_that_version_alone(
         self, cc_template, tmp_path
     ):
@@ -1002,7 +1026,7 @@ NAME_POOL = [
 @st.composite
 def random_instances(draw):
     """1-4 variables, named from NAME_POOL, with 1-4 values each from
-    -3..4, and 0-4 constraints in groups of consecutive constraints. The
+    -3..4, and 1-4 constraints in groups of consecutive constraints. The
     constraints are tables only, intension and allDifferent only, or both
     mixed, so one group may hold several kinds. Tables have either polarity
     and 1-6 rows drawn from their scope's domains plus 9; one non-table
@@ -1012,10 +1036,10 @@ def random_instances(draw):
         name: draw(st.lists(st.integers(-3, 4), min_size=1, max_size=4, unique=True))
         for name in names
     }
-    # per constraint, whether it is a table: all, none, or some of each; an
-    # empty instance takes the extensional rows, so only the first draws one
+    # per constraint, whether it is a table: all, none, or some of each; the
+    # instance with no constraint is an explicit example of the test
     tables = draw(st.one_of(
-        st.integers(0, 4).map(lambda n: [True] * n),
+        st.integers(1, 4).map(lambda n: [True] * n),
         st.integers(1, 4).map(lambda n: [False] * n),
         st.lists(st.booleans(), min_size=2, max_size=4).filter(lambda ts: len(set(ts)) == 2),
     ))
@@ -1046,6 +1070,7 @@ def random_instances(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(csp=random_instances())
+@example(csp=CspInstance("empty", (VariableDecl("v0", Domain.from_values([-3, 4])),), ()))
 @example(csp=parse_document(ADD_AND_GE_XML, name="add_and_ge"))
 @example(csp=parse_document(BARE_VALUES_XML, name="bare_values"))
 @example(csp=parse_document(GNU_KEYWORDS_XML, name="gnu_keywords"))

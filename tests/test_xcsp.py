@@ -534,6 +534,20 @@ class TestOnePassIntension:
         assert first.expr.left is second.expr.right and first.expr.right is second.expr.left
         assert first.expr.left == Var("x1")
 
+    def test_one_const_per_token_per_document(self):
+        csp = parse_document(
+            document(
+                SIX,
+                "<intension> eq(add(x[0],3),3) </intension>"
+                "<group><intension> ne(%0,-2) </intension><args> x[1] </args><args> x[2] </args>"
+                "</group><intension> lt(x[3],-2) </intension>",
+            )
+        )
+        first, second, third, fourth = (c.expr for c in csp.constraints())
+        assert first.left.right is first.right and first.right == Const(3)
+        # a template's constant is every row's, and a lone constraint's too
+        assert second.right is third.right is fourth.right and fourth.right == Const(-2)
+
     @pytest.mark.parametrize(
         "text,message",
         [
