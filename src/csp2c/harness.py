@@ -37,11 +37,10 @@ import time
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from .model import Dialect, Family, Frozen
+from .model import CspInstance, Dialect, Family, Frozen
 
 if TYPE_CHECKING:
     from .codegen import GeneratedProgram, TransformSpec
-    from .model import CspInstance
 
 DEFAULT_TIMEOUT_S = 1000.0
 # the longest timeout a tool may state: 2**31 - 1 milliseconds, about 24.8 days
@@ -583,16 +582,14 @@ def run_matrix(
                 jobs.append((tool, inst.path, inst.instance_id, ""))
             continue
         for inst in instances:
-            job_of: dict[str, int] = {}
+            job_of: dict[str, int] = {}  # the first version of a program -> its job
             for label in version_labels_by_family.get(inst.family, []):
-                first = same_program.get((inst.instance_id, label, tool.dialect))
-                if first in job_of:
-                    slots.append((label, job_of[first]))
-                    continue
-                job_of[label] = len(jobs)
-                slots.append((label, len(jobs)))
-                src = source_path(source_dir, inst.instance_id, label, tool.dialect)
-                jobs.append((tool, src, inst.instance_id, label))
+                first = same_program.get((inst.instance_id, label, tool.dialect), label)
+                if first not in job_of:
+                    job_of[first] = len(jobs)
+                    src = source_path(source_dir, inst.instance_id, first, tool.dialect)
+                    jobs.append((tool, src, inst.instance_id, first))
+                slots.append((label, job_of[first]))
 
     def run_job(job: tuple[ToolSpec, str, str, str]) -> RunRecord:
         tool, src, instance_id, version = job
