@@ -48,17 +48,19 @@ _operand alone writes that truth-test.
 
 An instance is analysed once, not once per cell: transform keeps the
 analysis of the instance it saw last, keyed on the instance's identity and
-dropped with it. The analysis holds the family and encodability checks,
-the C names, whether `dist` is used, and each constraint's rendered pieces
-for the two operator classes that differ, LOGICAL (NOP renders the same)
-and BITWISE; a cell only lays those pieces out into statements. The
-encodability check bounds every intension node by interval arithmetic
-from the declared domains, bottom-up, and rejects a node whose interval
-leaves 32-bit signed range, since its C `int` arithmetic could overflow.
-The oracle evaluates expressions with its own code, so each checks the
-other. transform raises CodegenError for an instance no cell can encode;
-verify emits every program before its oracle runs, so that is its
-encodability check too.
+dropped with it. The analysis is one pass over the constraints, after
+checks for empty tables and out-of-range domains. It holds the family and
+encodability checks, the C names, whether `dist` is used, and the C text
+of each constraint and domain for the two operator classes that differ,
+LOGICAL (NOP renders the same) and BITWISE, which shares LOGICAL's text
+where the two agree; a cell only lays those pieces out into statements.
+One walk over each intension tree gives every node both its C text and a
+bound on its value, by interval arithmetic from the declared domains,
+bottom-up, and rejects the first node whose interval leaves 32-bit signed
+range, since its C `int` arithmetic could overflow. The oracle evaluates
+expressions with its own code, so each checks the other. transform raises
+CodegenError for an instance no cell can encode; verify emits every
+program before its oracle runs, so that is its encodability check too.
 """
 
 from __future__ import annotations
@@ -69,20 +71,19 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
-    AllDifferent,
     Binary,
     COMPARISON_OPS,
     Const,
     Constraint,
     CspInstance,
     Dialect,
-    Domain,
     Expr,
     Family,
     Frozen,
     INT32_MAX,
     INT32_MIN,
     IntensionConstraint,
+    ModelError,
     Polarity,
     TableConstraint,
     Unary,
@@ -216,7 +217,7 @@ def output_filename(program: GeneratedProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# C expression rendering (precedence-aware, canonical spacing)
+# C expression text (precedence-aware, canonical spacing)
 # ---------------------------------------------------------------------------
 
 _PREC = {
@@ -237,7 +238,7 @@ _PREC = {
 _UNARY_PREC = 9
 _PRIMARY_PREC = 10
 # regrouping is harmless for these, so equal-precedence right operands skip parens
-_ASSOCIATIVE = {"+", "*", "&&", "||", "&", "|"}
+_ASSOCIATIVE = {"+", "*"}
 
 _C_OP = {
     "add": "+",
@@ -252,53 +253,10 @@ _C_OP = {
 }
 
 
-def _spaced(op: str) -> str:
-    return f" {op} " if op in ("&&", "||", "&", "|") else op
-
-
-def _render_expr(expr: Expr, operator: Operator, c_names: Mapping[str, str]) -> tuple[str, int]:
-    """Render to C text; returns (text, precedence of its top operator).
-    One call per level of the tree, so any tree the model accepts renders."""
-    if isinstance(expr, Const):
-        # parenthesized when negative: a bare minus next to `-`/`--` tokenizes wrong
-        if expr.value < 0:
-            return f"({expr.value})", _PRIMARY_PREC
-        return str(expr.value), _PRIMARY_PREC
-    if isinstance(expr, Var):
-        return c_names[expr.name], _PRIMARY_PREC
-    if isinstance(expr, Unary):
-        text, prec = _render_expr(expr.operand, operator, c_names)
-        if expr.op == "abs":
-            return f"abs({text})", _PRIMARY_PREC
-        if prec < _UNARY_PREC:
-            text = f"({text})"
-        if expr.op == "neg":
-            return f"(-{text})", _PRIMARY_PREC
-        return f"!{text}", _UNARY_PREC
-
-    assert isinstance(expr, Binary)
-    if expr.op == "dist":
-        left, _ = _render_expr(expr.left, operator, c_names)
-        right, _ = _render_expr(expr.right, operator, c_names)
-        return f"dist({left},{right})", _PRIMARY_PREC
-    if expr.op in ("and", "or"):
-        bitwise = operator is Operator.BITWISE
-        c_op = ("&" if bitwise else "&&") if expr.op == "and" else ("|" if bitwise else "||")
-        prec = _PREC[c_op]
-        left, lp = _render_expr(expr.left, operator, c_names)
-        left = _operand(expr.left, left, lp, operator, prec)
-        right, rp = _render_expr(expr.right, operator, c_names)
-        right = _operand(expr.right, right, rp, operator, prec)
-        return f"{left}{_spaced(c_op)}{right}", prec
-    c_op = _C_OP[expr.op]
-    prec = _PREC[c_op]
-    left, lp = _render_expr(expr.left, operator, c_names)
-    right, rp = _render_expr(expr.right, operator, c_names)
-    if lp < prec:
-        left = f"({left})"
-    if rp < prec or (rp == prec and c_op not in _ASSOCIATIVE):
-        right = f"({right})"
-    return f"{left}{_spaced(c_op)}{right}", prec
+def _paren(text: str, prec: int, least: int) -> str:
+    """`text`, of precedence `prec`, where an operand of precedence `least`
+    or more stands bare."""
+    return f"({text})" if prec < least else text
 
 
 def _is_boolean_valued(expr: Expr) -> bool:
@@ -307,14 +265,16 @@ def _is_boolean_valued(expr: Expr) -> bool:
     return isinstance(expr, Unary) and expr.op == "not"
 
 
-def _operand(expr: Expr, text: str, prec: int, operator: Operator, joiner_prec: int) -> str:
-    """`expr`, already rendered as (`text`, `prec`), as an operand of an
-    and/or join whose C operator has precedence `joiner_prec`: under BITWISE
-    a non-boolean operand is truth-tested with `!=0`, since `&` and `|` need
-    0/1 values; then it is parenthesised below the joiner's precedence."""
+def _operand(expr: Expr, form: tuple[str, int], operator: Operator, joiner_prec: int) -> str:
+    """`expr`, already rendered as `form`, its C (text, precedence), as an
+    operand of an and/or join whose C operator has precedence `joiner_prec`:
+    under BITWISE a non-boolean operand is truth-tested with `!=0`, since `&`
+    and `|` need 0/1 values; then it is parenthesised below the joiner's
+    precedence."""
+    text, prec = form
     if operator is Operator.BITWISE and not _is_boolean_valued(expr):
         text, prec = f"{text}!=0", _PREC["!="]
-    return f"({text})" if prec < joiner_prec else text
+    return _paren(text, prec, joiner_prec)
 
 
 def _conjuncts(expr: Expr) -> list[Expr]:
@@ -341,51 +301,6 @@ def _join_ops(operator: Operator) -> tuple[str, str]:
     if operator is Operator.BITWISE:
         return " & ", " | "
     return " && ", " || "
-
-
-def _tuple_conjunctions(
-    constraint: TableConstraint, operator: Operator, c_names: Mapping[str, str]
-) -> list[str]:
-    and_op, _ = _join_ops(operator)
-    out = []
-    for row in constraint.tuples:
-        atoms = [f"{c_names[v]}=={value}" for v, value in zip(constraint.scope, row)]
-        out.append("(" + and_op.join(atoms) + ")")
-    return out
-
-
-def _condition_pieces(
-    constraint: Constraint, operator: Operator, c_names: Mapping[str, str]
-) -> list[str]:
-    """Conjunct pieces whose AND is the constraint's satisfaction condition,
-    for any constraint but a conflicts table (see _units)."""
-    and_op, or_op = _join_ops(operator)
-    and_prec = _PREC[and_op.strip()]
-    if isinstance(constraint, AllDifferent):
-        scope = constraint.scope
-        return [
-            f"{c_names[a]}!={c_names[b]}"
-            for i, a in enumerate(scope)
-            for b in scope[i + 1 :]
-        ]
-    if isinstance(constraint, TableConstraint):
-        return ["(" + or_op.join(_tuple_conjunctions(constraint, operator, c_names)) + ")"]
-    pieces = []
-    for conjunct in _conjuncts(constraint.expr):
-        text, prec = _render_expr(conjunct, operator, c_names)
-        pieces.append(_operand(conjunct, text, prec, operator, and_prec))
-    return pieces
-
-
-def _domain_condition(
-    domain: Domain, name: str, operator: Operator
-) -> tuple[tuple[str, ...], str]:
-    """Pieces and joiner for one variable's domain membership condition."""
-    if domain.is_contiguous:
-        # common preamble shape, identical across versions
-        return (f"{name}>={domain.lo} && {name}<={domain.hi}",), " && "
-    _, or_op = _join_ops(operator)
-    return tuple(f"{name}=={value}" for value in domain.values()), or_op
 
 
 def _wrap(head: str, pieces: Sequence[str], joiner: str, tail: str) -> list[str]:
@@ -549,61 +464,14 @@ def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
     return 0, max(-lo, hi)
 
 
-def _interval(
-    expr: Expr, bounds: Mapping[str, tuple[int, int]], ops: set[str]
-) -> tuple[int, int]:
-    """Bounds lo, hi on the value of `expr` over the product of `bounds`
-    (each variable's declared lo..hi), computed bottom-up by interval
-    arithmetic; each binary operator met goes into `ops`. A subexpression
-    whose interval leaves 32-bit signed range raises CodegenError naming it:
-    the C `int` arithmetic that computes it could overflow."""
-    if isinstance(expr, Var):
-        return bounds[expr.name]
-    if isinstance(expr, Const):
-        value = expr.value
-        if value < INT32_MIN or value > INT32_MAX:
-            raise CodegenError(f"constant {value} exceeds 32-bit signed range")
-        return value, value
-    if isinstance(expr, Unary):
-        lo, hi = _interval(expr.operand, bounds, ops)
-        if expr.op == "not":
-            return 0, 1
-        lo, hi = (-hi, -lo) if expr.op == "neg" else _abs_interval(lo, hi)
-    else:
-        a_lo, a_hi = _interval(expr.left, bounds, ops)
-        b_lo, b_hi = _interval(expr.right, bounds, ops)
-        op = expr.op
-        ops.add(op)
-        if op == "add":
-            lo, hi = a_lo + b_lo, a_hi + b_hi
-        elif op == "sub":
-            lo, hi = a_lo - b_hi, a_hi - b_lo
-        elif op == "mul":
-            products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-            lo, hi = min(products), max(products)
-        elif op == "dist":
-            # the dist macro is abs((a)-(b)): with |a-b| in range, the
-            # difference lies within +-INT32_MAX, so neither - nor abs overflows
-            lo, hi = _abs_interval(a_lo - b_hi, a_hi - b_lo)
-        else:
-            return 0, 1  # comparisons and logic
-    if lo < INT32_MIN or hi > INT32_MAX:
-        raise CodegenError(
-            f"{_xcsp_text(expr)} takes values in {lo}..{hi}, outside 32-bit signed range"
-        )
-    return lo, hi
-
-
-# An instance's C text under one operator class, BITWISE or LOGICAL (NOP
-# renders as LOGICAL): the pieces of each constraint, and the (pieces,
-# joiner) domain condition of each variable.
-_Rendered = tuple[list[tuple[str, ...]], list[tuple[tuple[str, ...], str]]]
+# What _Analysis._walk gives a node: lo, hi and its C (text, precedence) forms
+_Walked = tuple[int, int, Sequence[tuple[str, int]]]
 
 
 class _Analysis:
     """What transform needs of one instance, whatever the cell: the family
-    and encodability checks, C names, whether dist is used, and the rendered
-    pieces of each operator class, made when first asked for."""
+    and encodability checks, C names, whether dist is used, and the C text
+    of each operator class, made in one pass over the constraints."""
 
     def __init__(self, csp: CspInstance):
         if not csp.variables:
@@ -614,80 +482,158 @@ class _Analysis:
         self.constraints = csp.constraints()
         # None when there are no constraints: either family encodes them
         self.family = family_of(self.constraints) if self.constraints else None
-        # the first reason no cell can encode the instance, if any
-        self.invalid: str | None = None
-        self.c_names = _c_names(csp)
-        # per constraint: a conflicts table, whose rendered pieces are its
-        # tuple conjunctions; any other constraint's are its condition
+        self.c_names = c_names = _c_names(csp)
+        # per constraint: a conflicts table, whose pieces are its tuple
+        # conjunctions; any other constraint's are its condition
         self.conflicts = [
             isinstance(c, TableConstraint) and c.polarity is Polarity.CONFLICTS
             for c in self.constraints
         ]
         self.uses_dist = False
-        # per constraint: whether BITWISE renders it differently from LOGICAL
-        self._bitwise_differs = [not isinstance(c, AllDifferent) for c in self.constraints]
-        # LOGICAL, BITWISE. Threads that transform at once may each render
-        # one; any of them is right, so no lock is needed.
-        self._rendered: list[_Rendered | None] = [None, None]
+        # LOGICAL's C text, then BITWISE's (NOP renders as LOGICAL), each the
+        # pieces of every constraint and the (pieces, joiner) domain condition
+        # of every variable; BITWISE holds LOGICAL's tuples where they agree
+        self.rendered: tuple[tuple[list, list], ...] = (([], []), ([], []))
+        (logical, logical_domains), (bitwise, bitwise_domains) = self.rendered
+        # the first reason no cell can encode the instance, if any, as the
+        # error to raise and its message
+        self.invalid: tuple[type[Exception], str] | None = None
         try:
-            self._check_values()
-        except CodegenError as exc:
-            self.invalid = str(exc)
+            # empty tables first, then every value against 32-bit signed
+            # range: domains, then each constraint's tuple values or the
+            # interval of each intension node
+            for c in self.constraints:
+                if isinstance(c, TableConstraint) and not c.tuples:
+                    raise CodegenError("cannot encode a table constraint with no tuples")
+            # each variable's walk: its declared lo..hi and its C name
+            leaves = {}
+            for var in self.variables:
+                lo, hi = var.domain.lo, var.domain.hi
+                if lo < INT32_MIN or hi > INT32_MAX:
+                    raise CodegenError(f"domain of {var.id} exceeds 32-bit signed range")
+                leaves[var.id] = lo, hi, ((c_names[var.id], _PRIMARY_PREC),)
+            for c, conflicts in zip(self.constraints, self.conflicts):
+                if isinstance(c, IntensionConstraint):
+                    texts: tuple[list[str], list[str]] = ([], [])
+                    for conjunct in _conjuncts(c.expr):
+                        forms = self._walk(conjunct, leaves)[2]
+                        texts[0].append(_operand(conjunct, forms[0], Operator.LOGICAL, _PREC["&&"]))
+                        texts[1].append(_operand(conjunct, forms[-1], Operator.BITWISE, _PREC["&"]))
+                elif isinstance(c, TableConstraint):
+                    for value in (v for row in c.tuples for v in row):
+                        if value < INT32_MIN or value > INT32_MAX:
+                            raise CodegenError(f"tuple value {value} exceeds 32-bit signed range")
+                    atoms = [
+                        [f"{c_names[v]}=={value}" for v, value in zip(c.scope, row)]
+                        for row in c.tuples
+                    ]
+                    texts = ([], [])
+                    for operator, text in zip((Operator.LOGICAL, Operator.BITWISE), texts):
+                        and_op, or_op = _join_ops(operator)
+                        rows = [f"({and_op.join(row)})" for row in atoms]
+                        text += rows if conflicts else [f"({or_op.join(rows)})"]
+                else:  # allDifferent
+                    names = [c_names[v] for v in c.scope]
+                    pairs = [f"{a}!={b}" for i, a in enumerate(names) for b in names[i + 1 :]]
+                    texts = (pairs, pairs)
+                pieces = tuple(texts[0])
+                logical.append(pieces)
+                bitwise.append(pieces if texts[1] == texts[0] else tuple(texts[1]))
+            # last: a domain too large to list raises ModelError, which comes
+            # after every fault above
+            for var in self.variables:
+                name, domain = c_names[var.id], var.domain
+                if domain.is_contiguous:
+                    # common preamble shape, identical across versions
+                    condition = (f"{name}>={domain.lo} && {name}<={domain.hi}",), " && "
+                    logical_domains.append(condition)
+                    bitwise_domains.append(condition)
+                else:
+                    values = tuple(f"{name}=={value}" for value in domain.values())
+                    logical_domains.append((values, " || "))
+                    bitwise_domains.append((values, " | "))
+        except (CodegenError, ModelError) as exc:
+            self.invalid = type(exc), str(exc)
 
-    def _check_values(self) -> None:
-        """Empty tables first, then every value against 32-bit signed range:
-        domains, tuple values, and the interval of each intension node."""
-        for c in self.constraints:
-            if isinstance(c, TableConstraint) and not c.tuples:
-                raise CodegenError("cannot encode a table constraint with no tuples")
-        bounds = {}
-        for var in self.variables:
-            if var.domain.lo < INT32_MIN or var.domain.hi > INT32_MAX:
-                raise CodegenError(f"domain of {var.id} exceeds 32-bit signed range")
-            bounds[var.id] = (var.domain.lo, var.domain.hi)
-        for i, c in enumerate(self.constraints):
-            if isinstance(c, TableConstraint):
-                for value in (v for row in c.tuples for v in row):
-                    if value < INT32_MIN or value > INT32_MAX:
-                        raise CodegenError(f"tuple value {value} exceeds 32-bit signed range")
-            elif isinstance(c, IntensionConstraint):
-                ops: set[str] = set()
-                _interval(c.expr, bounds, ops)
-                self.uses_dist = self.uses_dist or "dist" in ops
-                # BITWISE writes and/or as &/| and truth-tests a non-boolean
-                # constraint, which grouping joins with &
-                self._bitwise_differs[i] = (
-                    "and" in ops or "or" in ops or not _is_boolean_valued(c.expr)
-                )
-
-    def rendered(self, operator: Operator) -> _Rendered:
-        bitwise = operator is Operator.BITWISE
-        rendered = self._rendered[bitwise]
-        if rendered is None:
-            rendered = self._rendered[bitwise] = self._render(operator)
-        return rendered
-
-    def _render(self, operator: Operator) -> _Rendered:
-        """Render every constraint and domain; BITWISE shares LOGICAL's text
-        where the two are the same."""
-        c_names = self.c_names
-        bitwise = operator is Operator.BITWISE
-        same_pieces, same_domains = self.rendered(Operator.LOGICAL) if bitwise else ([], [])
-        pieces = []
-        for i, (c, conflicts) in enumerate(zip(self.constraints, self.conflicts)):
-            if bitwise and not self._bitwise_differs[i]:
-                pieces.append(same_pieces[i])
-            elif conflicts:
-                pieces.append(tuple(_tuple_conjunctions(c, operator, c_names)))
+    def _walk(self, expr: Expr, leaves: Mapping[str, _Walked]) -> _Walked:
+        """Bounds lo, hi on the value of `expr` over the declared domains, by
+        interval arithmetic, and its forms, each a C (text, precedence):
+        LOGICAL's, then BITWISE's if it differs, so the last form is
+        BITWISE's either way. `leaves` holds each variable's. Nodes are visited
+        in post-order, left operand first, one call per level of the tree,
+        so any tree the model accepts is walked; the first node whose
+        interval leaves 32-bit signed range raises CodegenError naming it,
+        since the C `int` arithmetic that computes it could overflow."""
+        if isinstance(expr, Var):
+            return leaves[expr.name]
+        if isinstance(expr, Const):
+            value = expr.value
+            if value < INT32_MIN or value > INT32_MAX:
+                raise CodegenError(f"constant {value} exceeds 32-bit signed range")
+            # parenthesized when negative: a bare minus next to `-`/`--` tokenizes wrong
+            return value, value, ((f"({value})" if value < 0 else str(value), _PRIMARY_PREC),)
+        op = expr.op
+        if isinstance(expr, Unary):
+            lo, hi, forms = self._walk(expr.operand, leaves)
+            if op == "abs":
+                lo, hi = _abs_interval(lo, hi)
+                forms = [(f"abs({text})", _PRIMARY_PREC) for text, _ in forms]
+            elif op == "neg":
+                lo, hi = -hi, -lo
+                forms = [(f"(-{_paren(*form, _UNARY_PREC)})", _PRIMARY_PREC) for form in forms]
             else:
-                pieces.append(tuple(_condition_pieces(c, operator, c_names)))
-        domains = [
-            same_domains[i]
-            if bitwise and v.domain.is_contiguous
-            else _domain_condition(v.domain, c_names[v.id], operator)
-            for i, v in enumerate(self.variables)
-        ]
-        return pieces, domains
+                lo, hi = 0, 1
+                forms = [("!" + _paren(*form, _UNARY_PREC), _UNARY_PREC) for form in forms]
+        else:
+            a_lo, a_hi, left = self._walk(expr.left, leaves)
+            b_lo, b_hi, right = self._walk(expr.right, leaves)
+            logic = op in ("and", "or")
+            # the operands' forms under LOGICAL, then under BITWISE if it differs
+            pairs = [(left[0], right[0])]
+            if logic or len(left) + len(right) > 2:
+                pairs.append((left[-1], right[-1]))
+            if logic:
+                lo, hi = 0, 1
+                forms = []
+                for operator, (a, b) in zip((Operator.LOGICAL, Operator.BITWISE), pairs):
+                    and_op, or_op = _join_ops(operator)
+                    join = and_op if op == "and" else or_op
+                    prec = _PREC[join.strip()]
+                    a_text = _operand(expr.left, a, operator, prec)
+                    forms.append((a_text + join + _operand(expr.right, b, operator, prec), prec))
+            elif op == "dist":
+                self.uses_dist = True
+                # the dist macro is abs((a)-(b)): with |a-b| in range, the
+                # difference lies within +-INT32_MAX, so neither - nor abs overflows
+                lo, hi = _abs_interval(a_lo - b_hi, a_hi - b_lo)
+                forms = [(f"dist({a[0]},{b[0]})", _PRIMARY_PREC) for a, b in pairs]
+            else:
+                if op == "add":
+                    lo, hi = a_lo + b_lo, a_hi + b_hi
+                elif op == "sub":
+                    lo, hi = a_lo - b_hi, a_hi - b_lo
+                elif op == "mul":
+                    products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+                    lo, hi = min(products), max(products)
+                else:
+                    lo, hi = 0, 1  # comparisons
+                c_op = _C_OP[op]
+                prec = _PREC[c_op]
+                # a right operand of equal precedence stands bare only where
+                # regrouping is harmless
+                right_least = prec if c_op in _ASSOCIATIVE else prec + 1
+                forms = []
+                for (a, a_prec), (b, b_prec) in pairs:
+                    if a_prec < prec:
+                        a = f"({a})"
+                    if b_prec < right_least:
+                        b = f"({b})"
+                    forms.append((a + c_op + b, prec))
+        if lo < INT32_MIN or hi > INT32_MAX:
+            raise CodegenError(
+                f"{_xcsp_text(expr)} takes values in {lo}..{hi}, outside 32-bit signed range"
+            )
+        return lo, hi, forms
 
 
 # the analysis of the instance transformed last, with a weak reference to that
@@ -760,10 +706,11 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
             f"constraint, intensional without), not the {spec.family.value} rows"
         )
     if analysis.invalid is not None:
-        raise CodegenError(analysis.invalid)
+        error, message = analysis.invalid
+        raise error(message)
 
     construct, operator, grouping = _ROWS[spec.family][spec.version - 1]
-    pieces, domains = analysis.rendered(operator)
+    pieces, domains = analysis.rendered[operator is Operator.BITWISE]
     and_op, or_op = _join_ops(operator)
     c_names = analysis.c_names
     llbmc = spec.dialect is Dialect.LLBMC

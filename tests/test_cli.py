@@ -1332,9 +1332,13 @@ def _interrupt(argv, pids, running: int) -> tuple[int, str, float, list[int]]:
     written their pids; its return code, its stderr, its seconds from SIGINT
     to exit, and the pids written by then, each of whose groups is gone."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(csp2c.__file__)))
+    # SIGINT at its default, so that Python installs its KeyboardInterrupt
+    # handler even when this suite runs with SIGINT ignored, as a shell's
+    # background job does
     proc = subprocess.Popen(
         [sys.executable, "-m", "csp2c", *argv],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         deadline = time.monotonic() + 30

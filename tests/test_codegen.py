@@ -461,6 +461,77 @@ class TestErrors:
         with pytest.raises(CodegenError, match="32-bit"):
             transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
 
+    def test_table_with_no_tuples(self):
+        csp = CspInstance(
+            name="empty_table",
+            variables=(VariableDecl("v", Domain.from_values([0, 1])),),
+            groups=((TableConstraint(("v",), Polarity.SUPPORTS, ()),),),
+        )
+        for version in range(1, version_count(Family.EXTENSIONAL) + 1):
+            with pytest.raises(CodegenError) as info:
+                transform(csp, TransformSpec(Family.EXTENSIONAL, version))
+            assert str(info.value) == "cannot encode a table constraint with no tuples"
+
+    def test_tuple_value_past_int32_is_named(self):
+        from csp2c.xcsp import parse_document
+
+        csp = parse_document(
+            """
+            <instance format="XCSP3" type="CSP">
+              <variables><var id="a"> 0..1 </var><var id="b"> 0..1 </var></variables>
+              <constraints>
+                <extension><list> a b </list><supports> (0,2147483648) </supports></extension>
+              </constraints>
+            </instance>
+            """,
+            name="wide_tuple",
+        )
+        with pytest.raises(CodegenError) as info:
+            transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
+        assert str(info.value) == "tuple value 2147483648 exceeds 32-bit signed range"
+
+    # (variables' bounds, constraints, the message of the fault reported first)
+    FIRST_FAULTS = {
+        "empty-table-after-overflow": (
+            {"x": (0, 100_000), "y": (0, 100_000)},
+            (
+                IntensionConstraint(Binary("eq", Binary("mul", Var("x"), Var("y")), Const(6))),
+                TableConstraint(("x",), Polarity.SUPPORTS, ()),
+            ),
+            "cannot encode a table constraint with no tuples",
+        ),
+        "domain-before-overflow": (
+            {"x": (0, 100_000), "y": (0, 100_000), "w": (0, INT32_MAX + 1)},
+            (IntensionConstraint(Binary("eq", Binary("mul", Var("x"), Var("y")), Const(6))),),
+            "domain of w exceeds 32-bit signed range",
+        ),
+        "first-of-two-overflows": (
+            {"x": (0, 100_000), "y": (0, 100_000)},
+            (
+                IntensionConstraint(
+                    Binary("lt", Binary("add", Var("x"), Const(INT32_MAX)), Var("y"))
+                ),
+                IntensionConstraint(Binary("eq", Binary("mul", Var("x"), Var("y")), Const(6))),
+            ),
+            f"add(x,{INT32_MAX}) takes values in {INT32_MAX}..{INT32_MAX + 100_000}, "
+            "outside 32-bit signed range",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(FIRST_FAULTS))
+    def test_the_first_fault_is_reported(self, case):
+        bounds, constraints, message = self.FIRST_FAULTS[case]
+        csp = CspInstance(
+            name=case,
+            variables=tuple(VariableDecl(v, Domain((lohi,))) for v, lohi in bounds.items()),
+            groups=(constraints,),
+        )
+        family = family_of(csp.constraints())
+        for version in range(1, version_count(family) + 1):
+            with pytest.raises(CodegenError) as info:
+                transform(csp, TransformSpec(family, version))
+            assert str(info.value) == message
+
     def test_constant_out_of_int32_range(self):
         csp = CspInstance(
             name="big",
@@ -603,6 +674,17 @@ OVERFLOWS = {
     "difference-past-min": (
         MIN_ZERO, Binary("lt", Binary("sub", Var("m"), Const(1)), Const(0)),
         f"sub(m,1) takes values in {INT32_MIN - 1}..-1",
+    ),
+    # both operands overflow: the left one is named
+    "left-of-two": (
+        X_Y, Binary("lt", Binary("mul", Var("x"), Var("y")), Binary("mul", Var("y"), Var("y"))),
+        "mul(x,y) takes values in 0..10000000000",
+    ),
+    # every node on the path overflows: the innermost is named
+    "innermost": (
+        X_Y, Binary("gt", Unary("neg", Binary("sub", Binary("mul", Var("y"), Var("x")), Var("x"))),
+                    Const(0)),
+        "mul(y,x) takes values in 0..10000000000",
     ),
 }
 

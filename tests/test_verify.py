@@ -933,6 +933,38 @@ BARE_VALUES_XML = """<instance format="XCSP3" type="CSP">
   </constraints>
 </instance>
 """
+# every operator the corpus's intension instances leave out, nested and/or,
+# precedence parentheses, and a constraint that is not 0/1-valued
+EVERY_OPERATOR_XML = """<instance format="XCSP3" type="CSP">
+  <variables>
+    <var id="x"> -2..2 </var>  <var id="y"> -2..2 </var>  <var id="z"> -2 0 2 </var>
+  </variables>
+  <constraints>
+    <intension> ne(neg(neg(x)),y) </intension>
+    <intension> gt(abs(add(x,-2)),y) </intension>
+    <intension> not(lt(x,y)) </intension>
+    <intension> or(x,and(y,z)) </intension>
+    <intension> ge(mul(add(x,y),z),sub(x,sub(y,z))) </intension>
+    <intension> sub(x,-1) </intension>
+  </constraints>
+</instance>
+"""
+EVERY_OPERATOR_LOGICAL = (
+    "(-(-x))!=y", "abs(x+(-2))>y", "!(x<y)", "(x || y && z)", "(x+y)*z>=x-(y-z)", "x-(-1)",
+)
+EVERY_OPERATOR_BITWISE = (
+    "(-(-x))!=y", "abs(x+(-2))>y", "!(x<y)", "(x!=0 | y!=0 & z!=0)", "(x+y)*z>=x-(y-z)",
+    "x-(-1)!=0",
+)
+
+
+def _wrapped(head, conditions, joiner, tail):
+    """One statement over `conditions`, one a line, as codegen wraps a long one."""
+    indent = " " * len(head)
+    return tuple(
+        (indent if i else head) + c + (tail if i == len(conditions) - 1 else joiner)
+        for i, c in enumerate(conditions)
+    )
 
 
 def _if_lines(*conditions):
@@ -982,8 +1014,24 @@ class TestBitwiseTruthTests:
                     10: _assume_lines("v0-v1!=0 & (-3)!=0 & v0!=0"),
                 },
             ),
+            (
+                "every_operator",
+                EVERY_OPERATOR_XML,
+                {
+                    1: _if_lines(*EVERY_OPERATOR_LOGICAL),
+                    2: _if_lines(*EVERY_OPERATOR_LOGICAL),
+                    3: _wrapped("    if (", EVERY_OPERATOR_LOGICAL, " &&", ") assert(0);"),
+                    4: _if_lines(*EVERY_OPERATOR_BITWISE),
+                    5: _wrapped("    if (", EVERY_OPERATOR_BITWISE, " &", ") assert(0);"),
+                    6: _assume_lines(*EVERY_OPERATOR_LOGICAL),
+                    7: _assume_lines(*EVERY_OPERATOR_LOGICAL),
+                    8: _wrapped("    klee_assume(", EVERY_OPERATOR_LOGICAL, " &&", ");"),
+                    9: _assume_lines(*EVERY_OPERATOR_BITWISE),
+                    10: _wrapped("    klee_assume(", EVERY_OPERATOR_BITWISE, " &", ");"),
+                },
+            ),
         ],
-        ids=["top-level-conjunct", "whole-constraints"],
+        ids=["top-level-conjunct", "whole-constraints", "every-operator"],
     )
     def test_every_version_keeps_the_promise(self, cc_template, tmp_path, name, xml, lines):
         csp = parse_document(xml, name=name)

@@ -942,28 +942,55 @@ def test_parsing_holds_no_document_tree():
     assert peak < 1.5 * retained, (peak, retained)
 
 
+# (document, constraints in it) for each family: every operator, both table
+# polarities and a non-contiguous domain
+GARBAGE_FREE = {
+    "intensional": (
+        document(
+            SIX + '<var id="z"> -2 0 2 </var>',
+            "<intension> ne(x[0],add(x[1],1)) </intension>"
+            "<intension> le(dist(x[2],x[3]),2) </intension>"
+            "<group><intension> lt(%0,%1) </intension>"
+            "<args> x[4] x[5] </args><args> x[5] x[0] </args></group>"
+            "<intension> ne(neg(neg(x[0])),x[1]) </intension>"
+            "<intension> gt(abs(add(x[0],-2)),x[1]) </intension>"
+            "<intension> not(lt(x[0],x[1])) </intension>"
+            "<intension> or(x[0],and(x[1],z)) </intension>"
+            "<intension> ge(mul(add(x[0],x[1]),z),sub(x[0],sub(x[1],z))) </intension>"
+            "<intension> sub(x[0],-1) </intension>",
+        ),
+        10,
+    ),
+    "extensional": (
+        document(
+            SIX + '<var id="w"> -1 1 3 </var>',
+            "<extension><list> x[0] w </list><supports> (0,-1) (1,3) (2,1) </supports></extension>"
+            f"<group>{FIG_TEMPLATE}"
+            "<args> x[1] x[2] x[3] </args><args> x[3] x[4] x[5] </args></group>"
+            "<intension> or(eq(x[0],w),lt(x[1],x[2])) </intension>"
+            "<allDifferent> x[0] x[5] w </allDifferent>",
+        ),
+        5,
+    ),
+}
+
+
 def test_parsing_and_transforming_leave_no_garbage():
-    """Parsing lone and <group> intension constraints and emitting every
-    version makes no reference cycle: reference counting frees it all as
-    soon as the instance is dropped, with the cyclic collector off."""
+    """Parsing lone and <group> constraints and emitting every version makes
+    no reference cycle: reference counting frees it all as soon as the
+    instance is dropped, with the cyclic collector off."""
     from csp2c.codegen import Family, TransformSpec, transform, version_count
 
-    text = document(
-        SIX,
-        "<intension> ne(x[0],add(x[1],1)) </intension>"
-        "<intension> le(dist(x[2],x[3]),2) </intension>"
-        "<group><intension> lt(%0,%1) </intension>"
-        "<args> x[4] x[5] </args><args> x[5] x[0] </args></group>",
-    )
     gc.collect()
     gc.disable()
     try:
-        csp = parse_document(text)
-        assert len(csp.constraints()) == 4
-        for version in range(1, version_count(Family.INTENSIONAL) + 1):
-            transform(csp, TransformSpec(Family.INTENSIONAL, version))
-        del csp
-        assert gc.collect() == 0
+        for family, (text, count) in GARBAGE_FREE.items():
+            csp = parse_document(text)
+            assert len(csp.constraints()) == count
+            for version in range(1, version_count(Family(family)) + 1):
+                transform(csp, TransformSpec(Family(family), version))
+            del csp
+            assert gc.collect() == 0, family
     finally:
         gc.enable()
 
