@@ -193,15 +193,12 @@ def family_of(constraints: Sequence[Constraint]) -> Family:
 class GeneratedProgram(Frozen):
     __slots__ = _fields = (
         "source_text", "version_label", "statement_count", "instance_name", "dialect",
-        "constraint_lines",
     )
     source_text: str
     version_label: str
     statement_count: int
     instance_name: str
     dialect: Dialect
-    # the rendered constraint-encoding statements, for structural checks
-    constraint_lines: tuple[str, ...]
 
     @property
     def line_count(self) -> int:
@@ -554,6 +551,9 @@ class _Analysis:
                     bitwise_domains.append((values, " | "))
         except (CodegenError, ModelError) as exc:
             self.invalid = type(exc), str(exc)
+        except KeyError as exc:
+            # a name looked up in `leaves` or `c_names` that no variable declares
+            self.invalid = ModelError, f"constraint over undeclared variable {exc.args[0]!r}"
 
     def _walk(self, expr: Expr, leaves: Mapping[str, _Walked]) -> _Walked:
         """Bounds lo, hi on the value of `expr` over the declared domains, by
@@ -754,24 +754,24 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
         for violation in (False, True)
     )
     nop = operator is Operator.NOP
-    constraint_lines: list[str] = []
+    statement_lines: list[str] = []
     statement_count = 0
     for violation, unit_pieces in units:
         head, tail, joiner = statements[violation]
         if nop:
             # one statement per piece
-            constraint_lines += [head + piece + tail for piece in unit_pieces]
+            statement_lines += [head + piece + tail for piece in unit_pieces]
             statement_count += len(unit_pieces)
         else:
-            constraint_lines += _wrap(head, unit_pieces, joiner, tail)
+            statement_lines += _wrap(head, unit_pieces, joiner, tail)
             statement_count += 1
     if statement_count and not guarded:
         body.append(indent + "/* constraints */")
-        body.extend(constraint_lines)
+        body.extend(statement_lines)
 
     # distinguished point
     body.append(indent + "/* CSP is satisfiable */")
-    body.extend(constraint_lines if guarded else [indent + "assert(0);"])
+    body.extend(statement_lines if guarded else [indent + "assert(0);"])
     body.append(indent + "return 0;")
 
     main = ["int main(void) {"] + body + ["}"]
@@ -783,7 +783,6 @@ def transform(csp: CspInstance, spec: TransformSpec) -> GeneratedProgram:
         statement_count=statement_count,
         instance_name=csp.name,
         dialect=Dialect.LLBMC if llbmc else Dialect.KLEE,
-        constraint_lines=tuple(constraint_lines),
     )
     if spec.dialect is Dialect.CONCRETE:
         return build_unit(csp, [program], spec.version_label)
@@ -905,5 +904,4 @@ def build_unit(
         statement_count=sum(p.statement_count for p in programs),
         instance_name=csp.name,
         dialect=Dialect.CONCRETE,
-        constraint_lines=tuple(line for p in programs for line in p.constraint_lines),
     )

@@ -48,7 +48,8 @@ the run time even when each value of a large domain is filtered out one
 by one.
 
 The search lists every domain's values, so a domain of more than
-model.MAX_LISTED_VALUES values raises ModelError before it starts.
+model.MAX_LISTED_VALUES values raises ModelError before it starts, as does
+a constraint over a variable the instance does not declare.
 
 Arithmetic is exact (Python ints) but every intermediate result is checked
 against 32-bit signed bounds, since the generated programs use C `int`;
@@ -75,6 +76,7 @@ from .model import (
     Frozen,
     INT32_MAX,
     INT32_MIN,
+    ModelError,
     Polarity,
     TableConstraint,
     Unary,
@@ -314,10 +316,13 @@ def _search(
             if not constraint_satisfied(constraint, {}):
                 return Status.UNSATISFIABLE, [], suffix[0], 1, 0
             continue
-        if isinstance(constraint, AllDifferent):
-            alldiff_scopes.append([depth_of[v] for v in constraint.scope])
-        for trigger, target, kill in _filters(constraint, depth_of):
-            filters_at[trigger + 1].append((target, kill))
+        try:
+            if isinstance(constraint, AllDifferent):
+                alldiff_scopes.append([depth_of[v] for v in constraint.scope])
+            for trigger, target, kill in _filters(constraint, depth_of):
+                filters_at[trigger + 1].append((target, kill))
+        except KeyError as exc:
+            raise ModelError(f"constraint over undeclared variable {exc.args[0]!r}") from None
     check_limit = limit * sum(map(len, filters_at))
 
     live = [set(values) for values in domains]

@@ -241,67 +241,54 @@ def _verdicts(
 def _observe(
     csp: CspInstance,
     programs: Sequence[GeneratedProgram],
-    shared: Sequence[int],
+    firsts: Sequence[int],
     assignments: Sequence[Assignment],
     compile_cmd: str,
     workers: int,
     workdir: str | None,
-) -> tuple[list[list[bool]], list[UnitTiming]]:
+) -> tuple[dict[int, list[bool]], list[UnitTiming]]:
     """One row of driver verdicts per distinct program, in the order of
-    `assignments`, and one timing per translation unit.
+    `assignments`, keyed by the program's index, and one timing per
+    translation unit.
 
-    `programs` are the distinct versions' programs and program i is distinct
-    program shared[i], as _share numbers them; a unit compiles the first
-    program of each. The distinct programs are split, in order, into
-    min(`workers`, their number) units of near-equal size, each built,
-    compiled and run once by harness.run_jobs. Builds go to `workdir`, or to
-    a temporary directory removed afterwards.
+    `programs` are the distinct versions' programs, and program i is the
+    same program as program firsts[i], as codegen.first_sharers gives them;
+    a unit compiles the first program of each index. The distinct programs
+    are split, in order, into min(`workers`, their number) units of
+    near-equal size, each built, compiled and run once by harness.run_jobs.
+    Builds go to `workdir`, or to a temporary directory removed afterwards.
     """
     order = csp.variable_ids()
     plan = "".join(" ".join(str(a[v]) for v in order) + "\n" for a in assignments)
-    sharers: list[list[GeneratedProgram]] = [[] for _ in set(shared)]
-    for program, k in zip(programs, shared):
-        sharers[k].append(program)
-    count = len(sharers)
+    sharers: dict[int, list[GeneratedProgram]] = {}
+    for program, k in zip(programs, firsts):
+        sharers.setdefault(k, []).append(program)
+    distinct = list(sharers)
+    count = len(distinct)
     n = min(max(workers, 1), count)
     tmp = workdir or tempfile.mkdtemp(prefix="csp2c-verify-")
 
-    def job(index: int) -> tuple[list[list[bool]], UnitTiming]:
-        low, high = count * index // n, count * (index + 1) // n
-        members = sharers[low:high]
+    def job(index: int) -> tuple[dict[int, list[bool]], UnitTiming]:
+        members = distinct[count * index // n : count * (index + 1) // n]
         start = time.perf_counter()
-        unit = build_unit(csp, [group[0] for group in members], f"unit{index + 1}")
+        unit = build_unit(csp, [programs[k] for k in members], f"unit{index + 1}")
         exe = compile_program(unit, compile_cmd, tmp)
         compiled = time.perf_counter()
-        rows = _verdicts(exe, plan, members, assignments)
+        rows = _verdicts(exe, plan, [sharers[k] for k in members], assignments)
         timing = UnitTiming(
-            tuple(p.version_label for p, k in zip(programs, shared) if low <= k < high),
+            tuple(p.version_label for p, k in zip(programs, firsts) if k in members),
             len(members),
             compiled - start,
             time.perf_counter() - compiled,
         )
-        return rows, timing
+        return dict(zip(members, rows)), timing
 
     try:
         results = run_jobs(job, range(n), n)
     finally:
         if workdir is None:
             shutil.rmtree(tmp, ignore_errors=True)
-    return [row for rows, _ in results for row in rows], [timing for _, timing in results]
-
-
-def _share(csp: CspInstance, emitted: dict[TransformSpec, GeneratedProgram]) -> list[int]:
-    """For each emitted program, in order, the number of the distinct
-    program it is by codegen.first_sharers, counted from 0 in order of
-    first appearance."""
-    programs = list(emitted.values())
-    firsts = first_sharers(
-        csp.name,
-        ((spec, program.source_text) for spec, program in emitted.items()),
-        lambda k, start: programs[k].source_text[start:],
-    )
-    numbers: dict[int, int] = {}
-    return [numbers.setdefault(k, len(numbers)) for k in firsts]
+    return {k: row for rows, _ in results for k, row in rows.items()}, [t for _, t in results]
 
 
 def _assignment_plan(csp: CspInstance, bound: int) -> tuple[list[Assignment], bool]:
@@ -359,11 +346,14 @@ def differential_check(
     expected = [
         all(constraint_satisfied(c, a) for c in constraints) for a in assignments
     ]
-    shared = _share(csp, emitted)
-    rows, timings = _observe(
-        csp, list(emitted.values()), shared, assignments, compile_cmd, workers, workdir
+    programs = list(emitted.values())
+    firsts = first_sharers(
+        csp.name,
+        ((spec, program.source_text) for spec, program in emitted.items()),
+        lambda k, start: programs[k].source_text[start:],
     )
-    observed = {spec: rows[k] for spec, k in zip(emitted, shared)}
+    rows, timings = _observe(csp, programs, firsts, assignments, compile_cmd, workers, workdir)
+    observed = {spec: rows[k] for spec, k in zip(emitted, firsts)}
     order = csp.variable_ids()
     mismatches = [
         Mismatch(spec.version_label, tuple((v, a[v]) for v in order), want, got)

@@ -190,28 +190,22 @@ class _Node:
 # ---------------------------------------------------------------------------
 
 # one token, after any whitespace: an integer, a `%i` placeholder, a name
-# (an operator or a variable, possibly an array element) or punctuation
-_TOKEN_RE = re.compile(r"\s*(-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),])")
+# (an operator or a variable, possibly an array element) or punctuation; or,
+# in the last group, a character at which no token starts
+_TOKEN_RE = re.compile(r"\s*(?:(-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),])|(\S))")
 
 # n-ary in XCSP3; folded left-to-right into binary nodes
 _FOLDABLE = ("add", "mul", "and", "or")
 _BINARY_ONLY = ("sub", "eq", "ne", "lt", "le", "gt", "ge", "dist")
 
 
-def _unexpected_character(text: str) -> str:
-    """The first character of `text` that starts no token."""
-    pos = 0
-    while m := _TOKEN_RE.match(text, pos):
-        pos = m.end()
-    return text[pos:].lstrip()[0]
-
-
 def _tokenize(text: str) -> list[str]:
-    # findall skips what no token matches, so the tokens spell the text
-    # without its whitespace exactly when every character was matched
-    tokens = _TOKEN_RE.findall(text)
-    if "".join(tokens) != "".join(text.split()):
-        raise IntensionSyntaxError(f"unexpected character {_unexpected_character(text)!r}")
+    # every character but whitespace is matched, as a token or in the last group
+    matches = _TOKEN_RE.findall(text)
+    tokens = [token for token, _ in matches if token]
+    if len(tokens) < len(matches):
+        bad = next(char for _, char in matches if char)
+        raise IntensionSyntaxError(f"unexpected character {bad!r}")
     return tokens
 
 
@@ -326,8 +320,7 @@ class _Reject(Exception):
 
 
 class _DocParser:
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self) -> None:
         self.diagnostics: list[ParseDiagnostic] = []
         self.variables: list[VariableDecl] = []
         # array element as written (x[2]) -> its flattened id (x2)
@@ -755,7 +748,7 @@ class _DocParser:
 
 
 def _parse(feed: Callable[[xml.parsers.expat.XMLParserType], object], name: str) -> CspInstance:
-    reader = _DocParser(name)
+    reader = _DocParser()
     try:
         reader.read(feed)
     except xml.parsers.expat.ExpatError as exc:

@@ -44,8 +44,22 @@ def with_source(program, source_text: str, instance_name: str | None = None):
         program.statement_count,
         program.instance_name if instance_name is None else instance_name,
         program.dialect,
-        program.constraint_lines,
     )
+
+
+def statement_lines(program) -> tuple[str, ...]:
+    """The constraint statements of a klee, llbmc or concrete program, read
+    from its text: the lines between its `/* constraints */` and
+    `/* CSP is satisfiable */` comments, or, when it has no statement before
+    its distinguished point, the lines after the second comment up to
+    `return 0;` unless they are only the bare `assert(0);`."""
+    lines = program.source_text.splitlines()
+    if "    /* constraints */" in lines:
+        start = lines.index("    /* constraints */") + 1
+        return tuple(lines[start : lines.index("    /* CSP is satisfiable */", start)])
+    start = lines.index("    /* CSP is satisfiable */") + 1
+    tail = lines[start : lines.index("    return 0;", start)]
+    return () if tail == ["    assert(0);"] else tuple(tail)
 
 
 def overflowing_emitter(version_label: str):

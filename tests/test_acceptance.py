@@ -39,7 +39,7 @@ from csp2c.oracle import Status, constraint_satisfied, enumerate_solutions, solv
 from csp2c.verify import VerifyStatus, differential_check
 from csp2c.xcsp import parse_document, parse_file, parse_intension, ParseFailure
 
-from conftest import CORPUS_DIR, GOLDEN_DIR, corpus_path, load_corpus
+from conftest import CORPUS_DIR, GOLDEN_DIR, corpus_path, load_corpus, statement_lines
 from test_verify import corrupting_emitter
 
 
@@ -221,29 +221,29 @@ def test_criterion_4_golden_codegen(criterion):
         assert v1.statement_count == 2
         assert all(
             re.match(r"\s*if \(\(.+\) \|\| \(.+\)\) exit\(0\);", line)
-            for line in v1.constraint_lines
+            for line in statement_lines(v1)
         )
-        v5 = " ".join(s.strip() for s in transform(ext, TransformSpec(Family.EXTENSIONAL, 5)).constraint_lines)
+        v5 = " ".join(s.strip() for s in statement_lines(transform(ext, TransformSpec(Family.EXTENSIONAL, 5))))
         assert v5.startswith("if (") and v5.endswith(") exit(0);")
         assert " | " in v5 and " & " in v5 and "&&" not in v5
-        v8 = " ".join(s.strip() for s in transform(ext, TransformSpec(Family.EXTENSIONAL, 8)).constraint_lines)
+        v8 = " ".join(s.strip() for s in statement_lines(transform(ext, TransformSpec(Family.EXTENSIONAL, 8))))
         assert v8.startswith("klee_assume(!(") and v8.endswith("));")
 
         intn = load_corpus("dist_alldiff")
         i1 = transform(intn, TransformSpec(Family.INTENSIONAL, 1))
         assert i1.statement_count == 5
-        assert all("; else exit(0);" in line for line in i1.constraint_lines)
+        assert all("; else exit(0);" in line for line in statement_lines(i1))
         i2 = transform(intn, TransformSpec(Family.INTENSIONAL, 2))
-        assert [line.strip() for line in i2.constraint_lines] == [
+        assert [line.strip() for line in statement_lines(i2)] == [
             "if (x0!=x1 && x0!=x2 && x1!=x2); else exit(0);",
             "if (y0==dist(x0,x1) && y1==dist(x1,x2)); else exit(0);",
         ]
         i3 = transform(intn, TransformSpec(Family.INTENSIONAL, 3))
-        i3_text = " ".join(s.strip() for s in i3.constraint_lines)
+        i3_text = " ".join(s.strip() for s in statement_lines(i3))
         assert i3_text.endswith(") assert(0);")
         assert i3.source_text.count("assert(0)") == 1  # guarded point only
         i9 = transform(intn, TransformSpec(Family.INTENSIONAL, 9))
-        assert [line.strip() for line in i9.constraint_lines] == [
+        assert [line.strip() for line in statement_lines(i9)] == [
             "klee_assume(x0!=x1 & x0!=x2 & x1!=x2);",
             "klee_assume(y0==dist(x0,x1) & y1==dist(x1,x2));",
         ]
@@ -321,10 +321,10 @@ def test_criterion_6_structural_metrics(manifest, criterion):
                 logical = transform(csp, TransformSpec(family, logical_v))
                 bitwise = transform(csp, TransformSpec(family, bitwise_v))
                 logical_text = re.sub(
-                    r"\s+", " ", " ".join(s.strip() for s in logical.constraint_lines)
+                    r"\s+", " ", " ".join(s.strip() for s in statement_lines(logical))
                 )
                 bitwise_text = re.sub(
-                    r"\s+", " ", " ".join(s.strip() for s in bitwise.constraint_lines)
+                    r"\s+", " ", " ".join(s.strip() for s in statement_lines(bitwise))
                 )
                 assert logical_text.replace("&&", "&").replace("||", "|") == bitwise_text, (
                     name,

@@ -47,6 +47,31 @@ def test_bar_heights_proportional_to_means():
     assert abs(bar1 / bar2 - 4.0) < 1e-3
 
 
+def test_a_tool_without_a_mean_for_a_version_has_no_bar_there():
+    report = report_with(
+        robustness=[
+            RobustnessRow("t1", "v1", 2.0, 0, 1),
+            RobustnessRow("t2", "v1", 1.0, 0, 1),
+            RobustnessRow("t1", "v2", 0.5, 0, 1),
+            RobustnessRow("t2", "v2", None, 1, 1),
+        ]
+    )
+    background, *bars = rect_heights(robustness_svg(report))
+    assert len(bars) == 3
+    assert abs(bars[0] / bars[1] - 2.0) < 1e-3 and abs(bars[0] / bars[2] - 4.0) < 1e-3
+
+
+def test_no_mean_at_all_writes_no_robustness_chart(tmp_path):
+    report = report_with(
+        robustness=[RobustnessRow("t", "v1", None, 1, 1)],
+        scalability=[ScalabilityRow("t", 1, 1)],
+    )
+    assert robustness_svg(report) is None
+    written = emit_svg(report, str(tmp_path))
+    assert [os.path.basename(p) for p in written] == ["scalability.svg"]
+    assert not (tmp_path / "robustness.svg").exists()
+
+
 def test_scalability_polyline_per_tool():
     report = report_with(
         scalability=[

@@ -49,7 +49,7 @@ from csp2c.model import (
 from csp2c.oracle import all_assignments, eval_expr
 from csp2c.verify import VerifyStatus, compile_program, differential_check
 
-from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus, with_source
+from conftest import CORPUS_DIR, GOLDEN_DIR, load_corpus, statement_lines, with_source
 
 # feature columns per version, frozen
 EXTENSIONAL_TABLE = [
@@ -172,14 +172,14 @@ class TestGolden:
     def test_ext_v1_shape(self):
         program = transform(load_corpus("conflicts_group"), TransformSpec(Family.EXTENSIONAL, 1))
         assert program.statement_count == 2
-        for line in program.constraint_lines:
+        for line in statement_lines(program):
             assert re.match(r"\s*if \(\(.+ && .+\) \|\| \(.+ && .+\)\) exit\(0\);", line)
         assert "assert(0);" in program.source_text
 
     def test_ext_v5_shape(self):
         program = transform(load_corpus("conflicts_group"), TransformSpec(Family.EXTENSIONAL, 5))
         assert program.statement_count == 1
-        text = " ".join(line.strip() for line in program.constraint_lines)
+        text = " ".join(line.strip() for line in statement_lines(program))
         assert text.count("==") == 12  # four tuples x three atoms
         assert " & " in text and " | " in text
         assert "&&" not in text and "||" not in text
@@ -188,7 +188,7 @@ class TestGolden:
     def test_ext_v8_shape(self):
         program = transform(load_corpus("conflicts_group"), TransformSpec(Family.EXTENSIONAL, 8))
         assert program.statement_count == 1
-        text = " ".join(line.strip() for line in program.constraint_lines)
+        text = " ".join(line.strip() for line in statement_lines(program))
         assert text.startswith("klee_assume(!(")
         assert text.endswith("));")
         assert " || " in text and " && " in text
@@ -197,23 +197,23 @@ class TestGolden:
         program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 1))
         # three pairwise atoms plus two dist equalities, one statement each
         assert program.statement_count == 5
-        for line in program.constraint_lines:
+        for line in statement_lines(program):
             assert re.match(r"\s*if \([^&|]+\); else exit\(0\);", line)
 
     def test_int_v2_shape(self):
         program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 2))
         assert program.statement_count == 2
-        assert program.constraint_lines[0].strip() == (
+        assert statement_lines(program)[0].strip() == (
             "if (x0!=x1 && x0!=x2 && x1!=x2); else exit(0);"
         )
-        assert program.constraint_lines[1].strip() == (
+        assert statement_lines(program)[1].strip() == (
             "if (y0==dist(x0,x1) && y1==dist(x1,x2)); else exit(0);"
         )
 
     def test_int_v3_guarded_assert(self):
         program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 3))
         assert program.statement_count == 1
-        text = " ".join(line.strip() for line in program.constraint_lines)
+        text = " ".join(line.strip() for line in statement_lines(program))
         assert text == (
             "if (x0!=x1 && x0!=x2 && x1!=x2 && "
             "y0==dist(x0,x1) && y1==dist(x1,x2)) assert(0);"
@@ -224,8 +224,8 @@ class TestGolden:
     def test_int_v9_shape(self):
         program = transform(load_corpus("dist_alldiff"), TransformSpec(Family.INTENSIONAL, 9))
         assert program.statement_count == 2
-        assert program.constraint_lines[0].strip() == "klee_assume(x0!=x1 & x0!=x2 & x1!=x2);"
-        assert program.constraint_lines[1].strip() == (
+        assert statement_lines(program)[0].strip() == "klee_assume(x0!=x1 & x0!=x2 & x1!=x2);"
+        assert statement_lines(program)[1].strip() == (
             "klee_assume(y0==dist(x0,x1) & y1==dist(x1,x2));"
         )
 
@@ -264,10 +264,10 @@ class TestProgramInvariants:
             for logical_v, bitwise_v in LOGICAL_BITWISE_PAIRS[family]:
                 logical = transform(csp, TransformSpec(family, logical_v))
                 bitwise = transform(csp, TransformSpec(family, bitwise_v))
-                rewritten = encoding_tokens(logical.constraint_lines).replace(
+                rewritten = encoding_tokens(statement_lines(logical)).replace(
                     "&&", "&"
                 ).replace("||", "|")
-                assert rewritten == encoding_tokens(bitwise.constraint_lines), (
+                assert rewritten == encoding_tokens(statement_lines(bitwise)), (
                     name,
                     logical_v,
                     bitwise_v,
@@ -280,10 +280,10 @@ class TestProgramInvariants:
             for v in range(1, version_count(family) + 1):
                 klee = transform(csp, TransformSpec(family, v, Dialect.KLEE))
                 llbmc = transform(csp, TransformSpec(family, v, Dialect.LLBMC))
-                normalized = encoding_tokens(llbmc.constraint_lines).replace(
+                normalized = encoding_tokens(statement_lines(llbmc)).replace(
                     "__llbmc_assume", "klee_assume"
                 )
-                assert normalized == encoding_tokens(klee.constraint_lines), (name, v)
+                assert normalized == encoding_tokens(statement_lines(klee)), (name, v)
 
     def test_determinism(self):
         csp = load_corpus("conflicts_group")
@@ -428,7 +428,7 @@ class TestErrors:
         assert family_of(csp.constraints()) is Family.EXTENSIONAL
         for version in range(1, version_count(Family.EXTENSIONAL) + 1):
             program = transform(csp, TransformSpec(Family.EXTENSIONAL, version))
-            text = encoding_tokens(program.constraint_lines)
+            text = encoding_tokens(statement_lines(program))
             assert "v==1" in text and "w==1" in text and "v!=w" in text, (version, text)
         for version in range(1, version_count(Family.INTENSIONAL) + 1):
             rejection = r"^instance takes the extensional rows .* not the intensional rows$"
@@ -441,7 +441,7 @@ class TestErrors:
         )
         for family in Family:
             program = transform(csp, TransformSpec(family, 1))
-            assert program.statement_count == 0 and program.constraint_lines == ()
+            assert program.statement_count == 0 and statement_lines(program) == ()
 
     def test_zero_variables(self):
         csp = CspInstance(name="empty", variables=(), groups=())
@@ -560,7 +560,7 @@ class TestErrors:
         )
         program = transform(csp, TransformSpec(Family.INTENSIONAL, 7))
         assert "klee_assume(n-(-3)==(-n));" in program.source_text
-        assert "--" not in "".join(program.constraint_lines)
+        assert "--" not in "".join(statement_lines(program))
 
     def test_keyword_variable_ids_sanitized(self):
         csp = CspInstance(
@@ -589,6 +589,18 @@ class TestErrors:
         }
         program = transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
         assert "int int_v, while_v, int_v_1, asm_v, typeof_v;" in program.source_text
+
+
+    def test_an_id_that_starts_with_a_digit_is_prefixed(self):
+        from csp2c.xcsp import parse_document
+
+        csp = parse_document(
+            '<instance format="XCSP3" type="CSP">'
+            '<variables><var id="1x"> 0..1 </var></variables></instance>',
+            name="digit",
+        )
+        program = transform(csp, TransformSpec(Family.EXTENSIONAL, 1))
+        assert "\n    int v_1x;\n" in program.source_text
 
 
 def header_macros(tmp_path) -> set[str]:

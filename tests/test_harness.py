@@ -245,11 +245,12 @@ class TestToolSpec:
             ({"timeout_s": float("inf")}, "has bad timeout_s inf; expected a number of seconds"),
             ({"timeout_s": 1e12}, "has bad timeout_s 1000000000000.0; expected a number"),
             ({"success_pattern": "("}, "has bad success_pattern '('; expected a regular expression"),
+            ({"success_pattern": 5}, "has bad success_pattern 5; expected a regular expression"),
             ({"dialect": "bogus"}, "has unknown dialect 'bogus'; expected one of klee, llbmc"),
             ({"prepare": None}, "has bad prepare None; expected a string"),
         ],
-        ids=["nan-timeout", "inf-timeout", "huge-timeout", "bad-pattern", "bad-dialect",
-             "none-prepare"],
+        ids=["nan-timeout", "inf-timeout", "huge-timeout", "bad-pattern", "int-pattern",
+             "bad-dialect", "none-prepare"],
     )
     def test_a_bad_field_is_rejected_when_built(self, fields, message):
         """A tool built in Python is checked as a manifest entry is, so a bad

@@ -239,7 +239,6 @@ VALUES = [
             "statement_count": 1,
             "instance_name": "t",
             "dialect": Dialect.KLEE,
-            "constraint_lines": ("x == 1",),
         },
     ),
     (

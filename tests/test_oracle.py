@@ -119,6 +119,15 @@ class TestSolve:
         assert result.status is Status.SATISFIABLE
         assert result.witness == {"x0": 0}
 
+    def test_no_variables(self):
+        result = solve(CspInstance(name="empty", variables=(), groups=()))
+        assert result.status is Status.SATISFIABLE
+        assert result.witness == {}
+
+    def test_a_limit_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^limit must be >= 1$"):
+            solve(make_instance({"x0": [0, 1]}, []), limit=0)
+
     def test_resource_limit(self):
         # Every (b, c) pair conflicts, so each of the 4 values of (a, b)
         # empties c's domain: 4 units of work, more than a limit of 2.

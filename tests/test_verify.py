@@ -32,12 +32,14 @@ from csp2c.model import (
     CspInstance,
     Domain,
     IntensionConstraint,
+    ModelError,
     Polarity,
     TableConstraint,
     Unary,
     Var,
     VariableDecl,
 )
+from csp2c.oracle import solve
 from csp2c.verify import (
     CompileError,
     VerifyError,
@@ -47,7 +49,14 @@ from csp2c.verify import (
 )
 from csp2c.xcsp import parse_document, parse_intension
 
-from conftest import CORPUS_DIR, NOT_EQUAL_XML, load_corpus, overflowing_emitter, with_source
+from conftest import (
+    CORPUS_DIR,
+    NOT_EQUAL_XML,
+    load_corpus,
+    overflowing_emitter,
+    statement_lines,
+    with_source,
+)
 
 
 def all_specs(family: Family):
@@ -361,7 +370,7 @@ class TestDifferentialCheck:
         lines = clean.source_text.splitlines()
         changed = [i for i, (a, b) in enumerate(zip(lines, faulty)) if a != b]
         assert len(changed) == 1 and len(lines) == len(faulty)
-        assert lines[changed[0]] in clean.constraint_lines
+        assert lines[changed[0]] in statement_lines(clean)
         assert "klee_" not in lines[changed[0]] + faulty[changed[0]]
 
     def test_one_compile_and_one_driver_per_pass(self, cc_template, tmp_path, monkeypatch):
@@ -413,8 +422,15 @@ class TestDifferentialCheck:
                 "putchar('2' + csp2c_verdict);",
                 "printed '2'",
             ),
+            # the shared loop exits 4 after every verdict line: no program is named
+            (
+                "main",
+                "return i == 0 && feof(stdin) ? 0 : 2;",
+                "return i == 0 && feof(stdin) ? 4 : 2;",
+                "__unit1__concrete exited with status 4$",
+            ),
         ],
-        ids=["exit-mid-batch", "crash", "verdict-too-few", "bad-token"],
+        ids=["exit-mid-batch", "crash", "verdict-too-few", "bad-token", "exit-after-every-line"],
     )
     def test_broken_driver_is_verify_error(
         self, cc_template, tmp_path, monkeypatch, where, old, new, error
@@ -616,6 +632,39 @@ class TestDifferentialCheck:
         with pytest.raises(CodegenError, match=re.escape(message)):
             differential_check(csp, all_specs(Family.INTENSIONAL), "cc -o {out} {src}")
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            IntensionConstraint(Binary("lt", Var("x"), Var("q"))),
+            TableConstraint(("x", "q"), Polarity.SUPPORTS, ((0, 1),)),
+            AllDifferent(("x", "q")),
+        ],
+        ids=["intension", "table", "allDifferent"],
+    )
+    def test_a_constraint_over_an_undeclared_variable_is_a_model_error(
+        self, monkeypatch, constraint
+    ):
+        """The model takes such a constraint from a library caller (the
+        reader rejects it); emission, the oracle and the check name it."""
+        csp = CspInstance(
+            name="undeclared",
+            variables=(VariableDecl("x", Domain(((0, 1),))),),
+            groups=((constraint,),),
+        )
+        spec = TransformSpec(family_of(csp.constraints()), 1)
+        message = "^constraint over undeclared variable 'q'$"
+        with pytest.raises(ModelError, match=message):
+            transform(csp, spec)
+        with pytest.raises(ModelError, match=message):
+            solve(csp)
+
+        def ran(*args, **kwargs):
+            raise AssertionError("compiled before the variable was named")
+
+        monkeypatch.setattr(verify, "compile_program", ran)
+        with pytest.raises(ModelError, match=message):
+            differential_check(csp, [spec], "cc -o {out} {src}")
+
     def test_timings_per_unit(self, cc_template, tmp_path):
         csp = load_corpus("supports_pair")
         specs = [TransformSpec(Family.EXTENSIONAL, v) for v in (1, 5, 8, 5)]
@@ -656,24 +705,35 @@ class TestSharedPrograms:
         assert list(timing.versions) == report.versions
 
     def test_the_corpus_folds_by_codegens_rule(self, monkeypatch):
-        """verify numbers the distinct programs by codegen.first_sharers: the
+        """verify counts the distinct programs by codegen.first_sharers: the
         11 pure corpus instances' 118 cells are 77 programs, and the two
         mixed ones' 24 cells 24."""
-        calls = []
+        calls, ruled, observed = [], [], []
         rule = verify.first_sharers
-        monkeypatch.setattr(verify, "first_sharers", lambda *a: calls.append(a[0]) or rule(*a))
+
+        def share(*args):
+            calls.append(args[0])
+            ruled.append(rule(*args))
+            return ruled[-1]
+
+        def observe(csp, programs, firsts, assignments, *rest):
+            observed.append((programs, firsts))
+            return {k: [False] * len(assignments) for k in firsts}, []
+
+        monkeypatch.setattr(verify, "first_sharers", share)
+        monkeypatch.setattr(verify, "_observe", observe)
         counts = {}
         for name in CORPUS:
             csp = load_corpus(name)
-            specs = all_specs(family_of(csp.constraints()))
-            emitted = {spec: transform(csp, spec) for spec in specs}
-            shared = verify._share(csp, emitted)
-            # distinct texts after line 1, numbered in order of first appearance
+            differential_check(csp, all_specs(family_of(csp.constraints())))
+            programs, firsts = observed[-1]
+            assert firsts is ruled[-1]
+            # the index of the first program of the same text after line 1
             bodies = {}
-            for program in emitted.values():
-                bodies.setdefault(program.source_text.split("\n", 1)[1], len(bodies))
-            assert shared == [bodies[p.source_text.split("\n", 1)[1]] for p in emitted.values()]
-            counts[name] = (len(shared), len(bodies))
+            for k, program in enumerate(programs):
+                bodies.setdefault(program.source_text.split("\n", 1)[1], k)
+            assert firsts == [bodies[p.source_text.split("\n", 1)[1]] for p in programs]
+            counts[name] = (len(firsts), len(bodies))
         assert calls == CORPUS
         mixed = ("mixed_sat", "mixed_unsat")
         assert [sum(n) for n in zip(*(counts.pop(name) for name in mixed))] == [24, 24]
@@ -751,7 +811,7 @@ class TestShippedBytes:
             if spec.version != 6:
                 return program
             line = "    klee_assume(i0==i1);\n"
-            assert line.rstrip() in program.constraint_lines
+            assert line.rstrip() in statement_lines(program)
             text = program.source_text.replace(line, edit(line))
             return with_source(program, text)
 
@@ -1036,7 +1096,7 @@ class TestBitwiseTruthTests:
     def test_every_version_keeps_the_promise(self, cc_template, tmp_path, name, xml, lines):
         csp = parse_document(xml, name=name)
         specs = all_specs(Family.INTENSIONAL)
-        assert {s.version: transform(csp, s).constraint_lines for s in specs} == lines
+        assert {s.version: statement_lines(transform(csp, s)) for s in specs} == lines
         # the klee programs, and the llbmc ones as TestShippedBytes checks them
         for dialect in (Dialect.KLEE, Dialect.LLBMC):
             report = differential_check(

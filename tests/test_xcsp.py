@@ -13,6 +13,7 @@ from csp2c.xcsp import (
     MAX_EXPR_DEPTH,
     IntensionSyntaxError,
     ParseFailure,
+    _tokenize,
     parse_document,
     parse_file,
     parse_intension,
@@ -522,6 +523,11 @@ class TestFlattenedNames:
         ]
 
 
+# one token of the intension syntax: an integer, a `%i` placeholder, a name
+# or punctuation
+A_TOKEN = re.compile(r"-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),]")
+
+
 class TestOnePassIntension:
     """Each <intension> is tokenized by one scan and its leaves resolved as
     the tree is built."""
@@ -563,6 +569,24 @@ class TestOnePassIntension:
         assert diagnostics(document(SIX, f"<intension> {text} </intension>")) == [
             f"error at /instance[1]/constraints[1]/intension[1] (line 1): {message}"
         ]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="ab_x019-%(),[] $#\t\n.\u00e9", max_size=16))
+    def test_tokens_spell_the_text_or_a_bad_character_is_named(self, text):
+        """The tokens spell the text without its whitespace, or the message
+        names a character of the text at which no token starts."""
+        try:
+            tokens = _tokenize(text)
+        except IntensionSyntaxError as exc:
+            assert any(
+                str(exc) == f"unexpected character {char!r}"
+                and not char.isspace()
+                and A_TOKEN.match(text, i) is None
+                for i, char in enumerate(text)
+            ), (text, str(exc))
+        else:
+            assert all(A_TOKEN.fullmatch(token) for token in tokens)
+            assert "".join(tokens) == "".join(text.split())
 
     def test_leaf_errors_are_reported_left_to_right(self):
         where = "error at /instance[1]/constraints[1]/intension[1] (line 1)"
