@@ -87,7 +87,7 @@ class ToolSpec(Frozen):
         timeout_s: float = DEFAULT_TIMEOUT_S,
         success_pattern: str = "",
         kind: ToolKind | str = ToolKind.ANALYSIS,  # a member or its value
-        dialect: str = "klee",
+        dialect: Dialect | str = "klee",  # a member or its value, kept as the value
     ) -> None:
         _check_fields(_TOOL_KEYS, (name, run, prepare, timeout_s, success_pattern, kind, dialect))
         for key, template in (("prepare", prepare), ("run", run)):
@@ -97,6 +97,7 @@ class ToolSpec(Frozen):
                     check_template(template, TOOL_FIELDS)
                 except HarnessError as exc:
                     raise HarnessError(f"{key!r}: {exc}") from None
+        dialect = Dialect(dialect).value
         Frozen.__init__(
             self, name, run, prepare, timeout_s, success_pattern, ToolKind(kind), dialect
         )
@@ -105,12 +106,12 @@ class ToolSpec(Frozen):
 class BenchInstance(Frozen):
     __slots__ = _fields = ("path", "family", "size")
     path: str
-    family: str
+    family: str  # a Family's value, given as the member or the value
     size: int
 
-    def __init__(self, path: str, family: str, size: int) -> None:
+    def __init__(self, path: str, family: Family | str, size: int) -> None:
         _check_fields(_INSTANCE_KEYS, (path, family, size))
-        Frozen.__init__(self, path, family, size)
+        Frozen.__init__(self, path, Family(family).value, size)
 
     @property
     def instance_id(self) -> str:
@@ -204,9 +205,10 @@ def _is_pattern(value: Any) -> bool:
     return True
 
 
-def _one_of(enum: type[Enum], members: bool = False) -> tuple[Callable[[Any], bool], str, str]:
+def _one_of(enum: type[Enum]) -> tuple[Callable[[Any], bool], str, str]:
+    """A check that takes a member of `enum` or its value."""
     values = [member.value for member in enum]
-    allowed = values + list(enum) if members else values
+    allowed = values + list(enum)
     return (lambda v: v in allowed), "unknown", "one of " + ", ".join(values)
 
 
@@ -222,7 +224,7 @@ _TOOL_KEYS = {
         f"a number of seconds in (0, {MAX_TIMEOUT_S}]",
     ),
     "success_pattern": (_is_pattern, "bad", "a regular expression"),
-    "kind": _one_of(ToolKind, members=True),
+    "kind": _one_of(ToolKind),
     "dialect": _one_of(Dialect),
 }
 _INSTANCE_KEYS = {

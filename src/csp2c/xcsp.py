@@ -45,15 +45,13 @@ distinct variable token and one Const per distinct integer token.
 
 The reader is driven by expat's events and holds no tree of the document.
 It checks the document element at its start tag; a rejected one is the one
-diagnostic. It parses each child of <constraints> at its end tag and then
-drops it, so it holds one constraint element at a time. It holds a run of
-<variables> sections, and any unsupported section among them, until the
-next <constraints> section starts or the document ends, and parses the run
-then, with every <var> id of the run known, so x[1] becomes x_1 next to a
-later <var id="x1">. A <variables> section after <constraints> (not valid
-XCSP3) starts a new run, so its <var> can no longer rename an earlier
-array's element. Malformed XML, found wherever it is, is the one
-diagnostic.
+diagnostic. It parses each section, and each child of <constraints>, at its
+end tag and then drops it, so it holds one constraint element at a time. A
+<variables> section is parsed with its own <var> ids known first, so x[1]
+becomes x_1 next to a later <var id="x1"> of the section. XCSP3 allows one
+<variables> section; the <var> of a later one cannot rename an earlier
+array's element, and a clash is a duplicate variable id. Malformed XML,
+found wherever it is, is the one diagnostic.
 """
 
 from __future__ import annotations
@@ -189,10 +187,11 @@ class _Node:
 # Intensional expression syntax
 # ---------------------------------------------------------------------------
 
-# one token, after any whitespace: an integer, a `%i` placeholder, a name
-# (an operator or a variable, possibly an array element) or punctuation; or,
-# in the last group, a character at which no token starts
-_TOKEN_RE = re.compile(r"\s*(?:(-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),])|(\S))")
+# one token: an integer, a `%i` placeholder, a name (an operator or a
+# variable, possibly an array element) or punctuation
+_TOKEN_RE = re.compile(r"-?\d+|%\d+|[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])*|[(),]")
+# one token after any whitespace, or, in the group, a character at which no token starts
+_SCAN_RE = re.compile(rf"\s*(?:{_TOKEN_RE.pattern}|(\S))")
 
 # n-ary in XCSP3; folded left-to-right into binary nodes
 _FOLDABLE = ("add", "mul", "and", "or")
@@ -200,11 +199,11 @@ _BINARY_ONLY = ("sub", "eq", "ne", "lt", "le", "gt", "ge", "dist")
 
 
 def _tokenize(text: str) -> list[str]:
-    # every character but whitespace is matched, as a token or in the last group
-    matches = _TOKEN_RE.findall(text)
-    tokens = [token for token, _ in matches if token]
-    if len(tokens) < len(matches):
-        bad = next(char for _, char in matches if char)
+    # findall skips a character at which no token starts, and the tokens
+    # then miss it; the scan from the start stops at the first such one
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        bad = next(m[1] for m in _SCAN_RE.finditer(text) if m[1])
         raise IntensionSyntaxError(f"unexpected character {bad!r}")
     return tokens
 
@@ -323,13 +322,13 @@ class _DocParser:
     def __init__(self) -> None:
         self.diagnostics: list[ParseDiagnostic] = []
         self.variables: list[VariableDecl] = []
-        # array element as written (x[2]) -> its flattened id (x2)
-        self._flattened: dict[str, str] = {}
         self.groups: list[tuple[Constraint, ...]] = []
         self._declared: set[str] = set()
-        # array id -> {index: flattened id}, in declaration order
-        self._arrays: dict[str, dict[int, str]] = {}
-        # every <var> id of the document, so no array element takes one
+        # array id -> {index as written ("2"): flattened id (x2)}, in
+        # declaration order
+        self._arrays: dict[str, dict[str, str]] = {}
+        # the <var> ids of the <variables> section being parsed, so no array
+        # element of the section takes one
         self._scalar_ids: set[str] = set()
         # the ids of the <var> and <array> elements rejected ("" for one
         # without an id): each was reported once, so an element referencing
@@ -341,8 +340,6 @@ class _DocParser:
         self._consts: dict[str, Const] = {}
         # the open elements, the document element first
         self._open: list[_Node] = []
-        # the sections read since the last <constraints> started, not yet parsed
-        self._held: list[_Node] = []
         self._seen_variables = False
         self._expat: xml.parsers.expat.XMLParserType | None = None
 
@@ -385,7 +382,16 @@ class _DocParser:
         self._declared.add(var_id)
         self.variables.append(VariableDecl(var_id, domain))
 
-    def parse_variables(self, node: _Node) -> None:
+    def parse_section(self, node: _Node) -> None:
+        """A <variables> section's children in turn, with its <var> ids known
+        first, so x[1] becomes x_1 next to a later <var id="x1">. A
+        <constraints> section's children were parsed at their end tags."""
+        if node.tag == "constraints":
+            return
+        if node.tag != "variables":
+            raise _Reject(node, f"unsupported XCSP3 element <{node.tag}>")
+        self._seen_variables = True
+        self._scalar_ids = {child.attrib.get("id") for child in node.children if child.tag == "var"}
         for child in node.children:
             if not self.attempt(child, self.parse_variable) and child.tag in ("var", "array"):
                 self._rejected.add(child.attrib.get("id", ""))
@@ -419,10 +425,9 @@ class _DocParser:
         domain = self.parse_domain(node)
         members = self._arrays.setdefault(array_id, {})
         for i in range(count):
-            key = f"{array_id}[{i}]"
             # a redeclared array keeps its names, and declare reports them
-            flat = self._flattened.get(key) or self._flat_id(array_id, i)
-            self._flattened[key] = members[i] = flat
+            flat = members.get(str(i)) or self._flat_id(array_id, i)
+            members[str(i)] = flat
             self.declare(node, flat, domain)
 
     def _flat_id(self, array_id: str, i: int) -> str:
@@ -456,7 +461,7 @@ class _DocParser:
             self.reject_reference(node, token)
             raise _Reject(node, f"reference to undeclared variable {token!r}")
         # a whole array, `x[]`, never comes here: resolve_scope expands it
-        flat = self._flattened.get(token)
+        flat = self._arrays.get(m.group(1), {}).get(m.group(2))
         if flat is None:
             self.reject_reference(node, m.group(1))
             raise _Reject(node, f"reference to undeclared array element {token!r}")
@@ -680,14 +685,8 @@ class _DocParser:
         parent = open_[-1]
         path = parent.child_path(tag)
         if len(open_) == 1:
-            # a section: any but <constraints> is held until the next
-            # <constraints> starts or the document ends, a <variables>
-            # section with its elements
+            # a section: a <variables> section keeps its elements until its end tag
             node = _Node(tag, attrib, line, path, keep=tag == "variables")
-            if tag == "constraints":
-                self.parse_held()
-            else:
-                self._held.append(node)
         elif parent._text is not None:
             node = _Node(tag, attrib, line, path, keep=True)
             parent.children.append(node)
@@ -703,8 +702,9 @@ class _DocParser:
         node = open_.pop()
         if len(open_) == 2 and open_[1].tag == "constraints":
             self.attempt(node, self.parse_group if node.tag == "group" else self.parse_lone)
+        elif len(open_) == 1:
+            self.attempt(node, self.parse_section)
         elif not open_:
-            self.parse_held()
             self.attempt(node, self.close_root)
 
     def chars(self, data: str) -> None:
@@ -718,26 +718,6 @@ class _DocParser:
         doc_type = root.attrib.get("type", "CSP")
         if doc_type != "CSP":
             raise _Reject(root, f"unsupported instance type {doc_type!r} (only CSP)")
-
-    def parse_held(self) -> None:
-        """Parse the sections held since the last <constraints> started.
-        The <var> ids of all of them are known first, so an array element
-        takes no name a later <var> of the run declares."""
-        held, self._held = self._held, []
-        self._scalar_ids.update(
-            var.attrib.get("id", "")
-            for section in held
-            if section.tag == "variables"
-            for var in section.children
-            if var.tag == "var"
-        )
-        for section in held:
-            if section.tag == "variables":
-                self._seen_variables = True
-                self.parse_variables(section)
-            else:
-                # an unsupported section stops nothing else
-                self.error(section, f"unsupported XCSP3 element <{section.tag}>")
 
     def close_root(self, root: _Node) -> None:
         if not self._seen_variables:

@@ -30,6 +30,7 @@ from csp2c.harness import (
     write_versions,
 )
 from csp2c.codegen import Family, TransformSpec
+from csp2c.model import Dialect
 from csp2c.xcsp import parse_file
 
 from conftest import corpus_path
@@ -265,6 +266,9 @@ class TestToolSpec:
         records = run_matrix(two_instances, {"extensional": LABELS}, [tool], str(tmp_path))
         assert [(r.version, r.outcome) for r in records] == [("", Outcome.NOT_REACHED)] * 2
 
+    def test_a_dialect_may_be_given_by_its_member(self):
+        assert ToolSpec("t", "x {src}", dialect=Dialect.LLBMC).dialect == "llbmc"
+
 
 class TestBenchInstance:
     @pytest.mark.parametrize(
@@ -279,6 +283,9 @@ class TestBenchInstance:
     def test_a_bad_field_is_rejected_when_built(self, fields, message):
         with pytest.raises(HarnessError, match="^" + re.escape(message)):
             BenchInstance(*fields)
+
+    def test_a_family_may_be_given_by_its_member(self):
+        assert BenchInstance("p.xml", Family.INTENSIONAL, 1).family == "intensional"
 
 
 class _Interrupt(BaseException):

@@ -514,6 +514,12 @@ class TestFlattenedNames:
         assert csp.variable_ids() == ("x0", "x_1", "x1")
         assert csp.constraints()[0].scope == ("x_1", "x1")
 
+    def test_an_index_is_looked_up_as_written(self):
+        """x[03] is not x[3]: an index with a leading zero names no element."""
+        assert diagnostics(document(SIX, "<intension> eq(x[03],1) </intension>")) == [
+            at(f"{C}/intension[1]", "reference to undeclared array element 'x[03]'")
+        ]
+
     def test_redeclared_array_is_still_a_duplicate(self):
         text = document(
             '<array id="x" size="[1]"> 0 1 </array><array id="x" size="[1]"> 0 1 </array>', ""
@@ -884,9 +890,8 @@ class TestOneFaultOneDiagnostic:
 
 
 class TestDocumentOrder:
-    """The reader parses each constraint element at its end tag and each run
-    of <variables> sections before the next <constraints> section starts;
-    what it reports is what a reader of the whole document would."""
+    """The reader parses each section and each constraint element at its end
+    tag; what it reports is what a reader of the whole document would."""
 
     @pytest.mark.parametrize(
         "start, end, expected",
@@ -911,19 +916,46 @@ class TestDocumentOrder:
         assert len(found) == 1
         assert found[0].startswith("error at / (line 1): malformed XML: mismatched tag")
 
-    RUN = (
-        '<instance type="CSP"><variables><array id="x" size="[11]"> 0..1 </array></variables>'
-        '{between}<variables><var id="x10"> 0 1 </var></variables>'
-        "<constraints><intension> lt(x[10],x10) </intension></constraints></instance>"
-    )
+    ELEVEN = '<array id="x" size="[11]"> 0..1 </array>'
 
-    def test_a_run_of_variables_sections_knows_every_var_id_first(self):
-        csp = parse_document(self.RUN.format(between=""))
-        assert csp.constraints()[0].scope == ("x_10", "x10")
+    def test_a_later_variables_section_cannot_rename_an_earlier_array_element(self):
+        """XCSP3 allows one <variables> section: x[10] is x10 when its
+        section ends, and a later <var id="x10"> is a duplicate."""
+        text = (
+            f'<instance type="CSP"><variables>{self.ELEVEN}</variables>'
+            '<variables><var id="x10"> 0 1 </var></variables>'
+            "<constraints><intension> lt(x[10],x10) </intension></constraints></instance>"
+        )
+        assert diagnostics(text) == [
+            at("/variables[2]/var[1]", "duplicate variable id 'x10'")
+        ]
 
-    def test_an_unsupported_section_does_not_end_the_run(self):
-        text = self.RUN.format(between="<objectives/>")
+    def test_two_variables_sections_without_a_clash_parse(self):
+        text = (
+            f'<instance type="CSP"><variables>{self.ELEVEN}</variables>'
+            '<variables><var id="y"> 0 1 </var></variables>'
+            "<constraints><intension> lt(x[10],y) </intension></constraints></instance>"
+        )
+        assert parse_document(text).constraints()[0].scope == ("x10", "y")
+
+    def test_an_unsupported_section_reports_only_itself(self):
+        """The constraints after it still resolve x[10] to x_10 next to
+        <var id="x10">, which x10 is not, or allDifferent would repeat it."""
+        text = (
+            f'<instance type="CSP"><variables>{self.ELEVEN}<var id="x10"> 0 1 </var></variables>'
+            "<objectives/><constraints><allDifferent> x[10] x10 </allDifferent></constraints>"
+            "</instance>"
+        )
         assert diagnostics(text) == [at("/objectives[1]", "unsupported XCSP3 element <objectives>")]
+        text = text.replace("<objectives/>", "")
+        assert parse_document(text).constraints()[0].scope == ("x_10", "x10")
+
+    def test_an_unsupported_section_before_variables_is_reported_first(self):
+        text = document('<var id="y"> a </var>', "<intension> eq(y,1) </intension>")
+        assert diagnostics(text.replace("<variables>", "<objectives/><variables>")) == [
+            at("/objectives[1]", "unsupported XCSP3 element <objectives>"),
+            at("/variables[1]/var[1]", "cannot parse domain token 'a'"),
+        ]
 
     def test_constraints_before_variables_cannot_see_them(self):
         text = (
